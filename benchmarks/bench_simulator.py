@@ -1,4 +1,4 @@
-"""Simulator micro/meso benchmarks, strategy ablation and the kernel race.
+"""Simulator micro/meso benchmarks, strategy ablation and the node-pool cell.
 
 These benches time the substrate itself (the discrete-event engine and the
 shared-bandwidth I/O model) and one full simulation run per strategy, which
@@ -6,11 +6,12 @@ doubles as the ablation study called out in DESIGN.md: blocking vs.
 non-blocking waits, Fixed vs. Daly periods, FCFS vs. least-waste token
 granting all appear as separately-timed (and separately-checked) cells.
 
-The *kernel race* benches the per-seed end-to-end hot path on the benched
-cell — the prospective 50 000-node platform of §6.2, where the reference
-node pool's linear scans dominate — once per registered simulator kernel,
-and asserts the kernels agree float-for-float while racing.  Running this
-module directly re-measures the cell and rewrites the committed baseline::
+The *benched cell* times the per-seed end-to-end hot path on the
+prospective 50 000-node platform of §6.2.  It fires few events per seed, so
+it mostly measures node-pool allocation and release; it is a node-pool
+micro-benchmark, not a representative campaign.  Running this module
+directly re-measures the cell (median of 5 repeats) and rewrites the
+committed baseline, refusing to if the simulated waste ratios moved::
 
     PYTHONPATH=src python benchmarks/bench_simulator.py --json benchmarks/BENCH_simulator.json
 """
@@ -18,13 +19,16 @@ module directly re-measures the cell and rewrites the committed baseline::
 from __future__ import annotations
 
 import json
+import os
+import platform
+import statistics
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.platform.io_subsystem import IOSubsystem
 from repro.sim.engine import SimulationEngine
-from repro.sim.kernel import kernel_names
 from repro.simulation.config import SimulationConfig
 from repro.simulation.simulator import Simulation
 from repro.units import DAY, GB
@@ -33,8 +37,8 @@ from repro.workloads.cielo import cielo_platform
 from repro.workloads.prospective import prospective_platform, prospective_workload
 from repro.iosched.registry import STRATEGIES
 
-#: The benched cell of the kernel race: one §6.2 prospective scenario
-#: (50 000 nodes, 1 TB/s) under least-waste, 8 seeds end to end.
+#: The benched cell: one §6.2 prospective scenario (50 000 nodes, 1 TB/s)
+#: under least-waste, 8 seeds end to end.
 BENCHED_CELL = {
     "platform": "prospective",
     "bandwidth_tbs": 1.0,
@@ -46,8 +50,26 @@ BENCHED_CELL = {
 }
 
 
-def benched_cell_config(kernel: str | None, seed: int) -> SimulationConfig:
-    """One seed of the benched cell, pinned to ``kernel``."""
+#: The committed baseline; its waste ratios pin the cell's results.
+BASELINE = Path(__file__).with_name("BENCH_simulator.json")
+
+#: Timed repeats of the whole cell behind the reported median.
+REPEATS = 5
+
+
+def _cpu_model() -> str:
+    """The host's CPU model name, as far as the platform reports it."""
+    try:
+        for line in Path("/proc/cpuinfo").read_text(encoding="utf-8").splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def benched_cell_config(seed: int) -> SimulationConfig:
+    """One seed of the benched cell."""
     platform = prospective_platform(bandwidth_tbs=BENCHED_CELL["bandwidth_tbs"])
     return SimulationConfig(
         platform=platform,
@@ -57,17 +79,16 @@ def benched_cell_config(kernel: str | None, seed: int) -> SimulationConfig:
         warmup_s=BENCHED_CELL["warmup_days"] * DAY,
         cooldown_s=BENCHED_CELL["cooldown_days"] * DAY,
         seed=seed,
-        kernel=kernel,
     )
 
 
-def run_benched_cell(kernel: str) -> tuple[float, list[float]]:
+def run_benched_cell() -> tuple[float, list[float]]:
     """Run every seed of the benched cell; (seconds per seed, waste ratios)."""
     seeds = BENCHED_CELL["seeds"]
     wastes = []
     start = time.perf_counter()
     for seed in seeds:
-        wastes.append(Simulation(benched_cell_config(kernel, seed)).run().waste_ratio)
+        wastes.append(Simulation(benched_cell_config(seed)).run().waste_ratio)
     return (time.perf_counter() - start) / len(seeds), wastes
 
 
@@ -133,47 +154,52 @@ def test_bench_simulation_by_strategy(benchmark, strategy):
     assert result.node_utilization > 0.9
 
 
-@pytest.mark.parametrize("kernel", sorted(kernel_names()))
-def test_bench_per_seed_kernel_race(benchmark, kernel):
-    """Per-seed end-to-end time of the benched cell, one bench per kernel.
+def test_bench_per_seed_benched_cell(benchmark):
+    """Per-seed end-to-end time of the benched cell (seed 0).
 
-    The equivalence contract is asserted while racing: every kernel's waste
-    ratios must equal the reference's exactly (see
-    tests/test_kernel_equivalence.py for the full suite).
+    The simulated waste ratio must equal the committed baseline's exactly.
     """
-    config = benched_cell_config(kernel, seed=0)
+    config = benched_cell_config(seed=0)
     result = benchmark.pedantic(lambda: Simulation(config).run(), rounds=2, iterations=1)
-    reference = Simulation(benched_cell_config("python", seed=0)).run()
-    assert result == reference
+    committed = json.loads(BASELINE.read_text(encoding="utf-8"))
+    assert result.waste_ratio == committed["waste_ratios"][0]
 
 
 def main(argv: list[str] | None = None) -> int:
     import argparse
 
-    parser = argparse.ArgumentParser(description="Re-measure the kernel-race baseline")
+    parser = argparse.ArgumentParser(description="Re-measure the benched-cell baseline")
     parser.add_argument("--json", default=None, help="write the baseline to this path")
     args = parser.parse_args(argv)
 
-    kernels = sorted(kernel_names())
-    run_benched_cell("python")  # warm imports and caches before timing
-    timings: dict[str, float] = {}
-    wastes: dict[str, list[float]] = {}
-    for kernel in kernels:
-        seconds, ratios = run_benched_cell(kernel)
-        timings[kernel], wastes[kernel] = seconds, ratios
-        print(f"{kernel:>8}: {seconds * 1e3:8.2f} ms/seed")
-    for kernel in kernels:
-        if wastes[kernel] != wastes["python"]:
-            raise SystemExit(f"kernel {kernel!r} violated the equivalence contract")
+    run_benched_cell()  # warm imports and caches before timing
+    timings = []
+    for _ in range(REPEATS):
+        seconds, wastes = run_benched_cell()
+        timings.append(seconds)
+        print(f"{seconds * 1e3:8.2f} ms/seed")
+    committed = json.loads(BASELINE.read_text(encoding="utf-8"))["waste_ratios"]
+    if wastes != committed:
+        raise SystemExit(
+            f"waste ratios {wastes} differ from the committed {committed}: "
+            "simulated results changed"
+        )
     baseline = {
         "benched_cell": BENCHED_CELL,
-        "ms_per_seed": {k: round(t * 1e3, 2) for k, t in timings.items()},
-        "speedup_vs_python": {
-            k: round(timings["python"] / timings[k], 2) for k in kernels
+        "host": {
+            "cpu": _cpu_model(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
         },
-        "waste_ratios": wastes["python"],
+        "repeats": REPEATS,
+        "ms_per_seed": {
+            "median": round(statistics.median(timings) * 1e3, 2),
+            "min": round(min(timings) * 1e3, 2),
+            "max": round(max(timings) * 1e3, 2),
+        },
+        "waste_ratios": wastes,
     }
-    print(f"speedup: {baseline['speedup_vs_python']}")
+    print(f"median: {baseline['ms_per_seed']['median']} ms/seed")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(baseline, handle, indent=2)

@@ -1,13 +1,13 @@
 """Registry-conformance checker: registered plugins implement their contract.
 
-The project exposes four open registries (ROADMAP standing contracts):
+The project exposes three open registries (ROADMAP standing contracts):
 execution backends (``register_backend``), strategies
-(``register_strategy``), simulator kernels (``register_kernel``) and result
-stores (``register_store``).  Each has an interface base class whose
-"abstract" methods either carry ``@abstractmethod`` or raise
-``NotImplementedError``.  A plugin that misses a method — or renames a
-parameter so keyword call sites break — fails at *use* time, possibly deep
-inside a campaign.  This checker fails it at *lint* time instead:
+(``register_strategy``) and result stores (``register_store``).  Each has
+an interface base class whose "abstract" methods either carry
+``@abstractmethod`` or raise ``NotImplementedError``.  A plugin that misses
+a method — or renames a parameter so keyword call sites break — fails at
+*use* time, possibly deep inside a campaign.  This checker fails it at
+*lint* time instead:
 
 1. **Subclass sweep** — every class in the tree that (transitively)
    subclasses an interface base must
@@ -58,12 +58,6 @@ INTERFACES: tuple[InterfaceSpec, ...] = (
         base="repro.exec.runner.ExecutionBackend",
         registrar="register_backend",
         factory_dicts=("repro.exec.runner._BACKEND_FACTORIES",),
-    ),
-    InterfaceSpec(
-        label="simulator kernel",
-        base="repro.sim.kernel.SimulatorKernel",
-        registrar="register_kernel",
-        factory_dicts=("repro.sim.kernel._KERNEL_FACTORIES",),
     ),
     InterfaceSpec(
         label="result store",
@@ -353,7 +347,7 @@ def _callable_signature(
 class RegistryConformanceChecker(Checker):
     rule = "registry"
     description = (
-        "classes registered with register_backend/strategy/kernel/store "
+        "classes registered with register_backend/strategy/store "
         "implement the full interface with compatible signatures"
     )
 

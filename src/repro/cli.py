@@ -52,7 +52,6 @@ from repro.experiments.figure3 import Figure3Config, render_figure3, run_figure3
 from repro.experiments.table1 import render_table1
 from repro.experiments.theory import theoretical_waste
 from repro.scenarios.presets import CAMPAIGNS
-from repro.sim.kernel import kernel_names, set_default_kernel
 from repro.simulation.simulator import run_simulation
 from repro.store import DEFAULT_STORE, open_store, store_kinds
 from repro.units import HOUR
@@ -104,7 +103,6 @@ def _add_runner_arguments(sub: argparse.ArgumentParser) -> None:
         "spool at a time; the rest enter as earlier ones complete "
         "(spool backend, default 128)",
     )
-    _add_kernel_argument(sub)
 
 
 def _add_store_argument(sub: argparse.ArgumentParser) -> None:
@@ -113,15 +111,6 @@ def _add_store_argument(sub: argparse.ArgumentParser) -> None:
         help="result-store backend behind --cache-dir: "
         f"{', '.join(store_kinds())} (default: {DEFAULT_STORE}; third-party "
         "kinds via repro.store.register_store)",
-    )
-
-
-def _add_kernel_argument(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--kernel", choices=kernel_names(), default=None,
-        help="simulator kernel: 'python' (reference) or 'numpy' (batched "
-        "fast path); kernels are float-for-float equivalent, so this only "
-        "changes wall-clock (default: python, or $REPRO_SIM_KERNEL)",
     )
 
 
@@ -211,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--horizon-days", type=float, default=6.0)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--fixed-period-hours", type=float, default=1.0)
-    _add_kernel_argument(sim)
 
     fig1 = sub.add_parser("figure1", help="waste ratio vs. bandwidth (Cielo)")
     fig1.add_argument("--num-runs", type=int, default=3)
@@ -362,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the spool's task counts and exit (no work is claimed)",
     )
     worker.add_argument("--quiet", action="store_true", help="suppress per-task log lines")
-    _add_kernel_argument(worker)
 
     cache = sub.add_parser("cache", help="inspect, prune and migrate a result store")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
@@ -446,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, metavar="N",
         help="worker processes per running job (1 = in-process serial)",
     )
-    _add_kernel_argument(serve)
 
     trace = sub.add_parser(
         "trace",
@@ -1085,11 +1071,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        kernel = getattr(args, "kernel", None)
-        if kernel is not None:
-            # Process-wide selection; also exported to the environment so
-            # worker processes spawned by the command inherit it.
-            set_default_kernel(kernel)
         output = _COMMANDS[args.command](args)
         print(output)
         return getattr(args, "_exit_code", 0)

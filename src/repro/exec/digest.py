@@ -38,11 +38,8 @@ __all__ = ["DIGEST_VERSION", "config_digest"]
 DIGEST_VERSION = "2"
 
 #: Config fields excluded from the digest: the seed is a separate cache-key
-#: component, trace collection does not affect simulated results, and the
-#: simulator kernel is bound to a float-for-float equivalence contract
-#: (:mod:`repro.sim.kernel`) — it changes wall-clock, never results, so two
-#: configs differing only in kernel must share one cache entry.
-_EXCLUDED_FIELDS = frozenset({"seed", "collect_trace", "kernel"})
+#: component and trace collection does not affect simulated results.
+_EXCLUDED_FIELDS = frozenset({"seed", "collect_trace"})
 
 
 def _encode(value: Any) -> Any:

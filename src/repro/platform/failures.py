@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.platform.spec import PlatformSpec
-from repro.sim.kernel import SimulatorKernel, get_kernel
 
 __all__ = [
     "FAILURE_MODEL_KINDS",
@@ -172,7 +171,6 @@ def generate_failure_trace(
     horizon_s: float,
     rng: np.random.Generator,
     model: FailureModel | None = None,
-    kernel: "SimulatorKernel | str | None" = None,
 ) -> FailureTrace:
     """Draw a failure trace for ``platform`` over ``[0, horizon_s]``.
 
@@ -195,20 +193,33 @@ def generate_failure_trace(
     model:
         Inter-arrival distribution; ``None`` selects the exponential model
         and is bit-identical to the historical behaviour.
-    kernel:
-        Simulator kernel (name or instance) providing the gap-accumulation
-        implementation; ``None`` selects the process default.  Every kernel
-        consumes ``rng`` identically and returns identical floats (the
-        kernel equivalence contract), so the choice never changes the trace.
     """
     if horizon_s < 0.0:
         raise ConfigurationError("horizon_s must be non-negative")
     if model is None:
         model = FailureModel()
-    if not isinstance(kernel, SimulatorKernel):
-        kernel = get_kernel(kernel)
-    mean = platform.system_mtbf_s
-    times = kernel.failure_times(model, rng, mean, horizon_s)
+    times = _failure_times(model, rng, platform.system_mtbf_s, horizon_s)
     node_ids = rng.integers(low=0, high=platform.num_nodes, size=len(times))
     events = [FailureEvent(time=t, node_id=int(n)) for t, n in zip(times, node_ids)]
     return FailureTrace(events, horizon=horizon_s)
+
+
+def _failure_times(
+    model: FailureModel, rng: np.random.Generator, mean_s: float, horizon_s: float
+) -> list[float]:
+    """Accumulate inter-arrival gaps into failure instants in ``[0, horizon]``.
+
+    Gaps are drawn in whole blocks sized for the expected count until their
+    running float64 sum (from 0.0) passes the horizon, and nothing more is
+    drawn: the node ids drawn next depend on exactly this use of ``rng``.
+    """
+    block = max(16, int(horizon_s / mean_s * 1.5) + 16)
+    times: list[float] = []
+    current = 0.0
+    while current <= horizon_s:
+        for gap in model.draw_gaps(rng, mean_s, block).tolist():
+            current += gap
+            if current > horizon_s:
+                return times
+            times.append(current)
+    return times

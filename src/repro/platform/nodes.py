@@ -9,24 +9,21 @@ Allocation hands out the lowest-numbered free nodes.  The model does not
 capture network topology, so the identity of the nodes only matters for
 failure targeting; first-fit over node ids is sufficient and deterministic.
 
-Two implementations share this contract:
-
-* :class:`NodePool` — the pure-Python reference (sorted free list + set +
-  per-node owner dict), selected by the ``"python"`` simulator kernel;
-* :class:`ArrayNodePool` — a numpy boolean-mask pool whose allocate/release
-  are vectorised, selected by the ``"numpy"`` kernel.  On platform-sized
-  pools (thousands of nodes) the reference's O(nodes) list scan per
-  allocation dominates a simulation's wall-clock; the mask pool removes it
-  while handing out the exact same node ids.
+The pool keeps exactly the free ids in an ascending list, so allocating the
+``q`` lowest is one slice and a release merges the ids back with one sort;
+a per-node owner slot answers :meth:`NodePool.owner_of` in O(1), and an
+identity-keyed owner → ids map makes :meth:`NodePool.release_owner` cost
+the job's nodes, not the platform's.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import SchedulingError
 
-__all__ = ["ArrayNodePool", "NodePool"]
+__all__ = ["NodePool"]
+
+#: Owner slot of a free node (owners may be any object, ``None`` included).
+_FREE = object()
 
 
 class NodePool:
@@ -36,11 +33,12 @@ class NodePool:
         if num_nodes <= 0:
             raise SchedulingError("num_nodes must be positive")
         self._num_nodes = num_nodes
-        # Sorted container of free node ids.  A sorted list plus set gives
-        # O(q) allocation of the q lowest free ids and O(1) membership tests.
-        self._free: list[int] = list(range(num_nodes))
-        self._free_set: set[int] = set(self._free)
-        self._owner: dict[int, object] = {}
+        self._free: list[int] = list(range(num_nodes))  # ascending
+        self._owner: list[object] = [_FREE] * num_nodes
+        # id(owner) -> (owner, its ids in allocation order, the order
+        # nodes_of reports).  The tuple keeps the owner alive, so its id()
+        # is not reused while it owns nodes.
+        self._owned: dict[int, tuple[object, list[int]]] = {}
 
     # ------------------------------------------------------------ queries
     @property
@@ -51,12 +49,12 @@ class NodePool:
     @property
     def num_free(self) -> int:
         """Number of currently unallocated nodes."""
-        return len(self._free_set)
+        return len(self._free)
 
     @property
     def num_allocated(self) -> int:
         """Number of currently allocated nodes."""
-        return self._num_nodes - len(self._free_set)
+        return self._num_nodes - len(self._free)
 
     @property
     def utilization(self) -> float:
@@ -66,11 +64,13 @@ class NodePool:
     def owner_of(self, node_id: int) -> object | None:
         """The job owning ``node_id``, or ``None`` if the node is free."""
         self._check_node(node_id)
-        return self._owner.get(node_id)
+        owner = self._owner[node_id]
+        return None if owner is _FREE else owner
 
     def nodes_of(self, owner: object) -> list[int]:
         """All node ids currently owned by ``owner`` (possibly empty)."""
-        return [n for n, o in self._owner.items() if o is owner]
+        entry = self._owned.get(id(owner))
+        return list(entry[1]) if entry is not None else []
 
     def can_allocate(self, count: int) -> bool:
         """True when ``count`` nodes are currently free."""
@@ -91,37 +91,59 @@ class NodePool:
             raise SchedulingError(
                 f"cannot allocate {count} nodes: only {self.num_free} free"
             )
-        # _free is kept sorted; take the first `count` that are still free.
-        allocated: list[int] = []
-        kept: list[int] = []
-        for node in self._free:
-            if node not in self._free_set:
-                continue  # stale entry from a release/allocate cycle
-            if len(allocated) < count:
-                allocated.append(node)
-            else:
-                kept.append(node)
-        self._free = kept
+        allocated = self._free[:count]
+        del self._free[:count]
+        slots = self._owner
         for node in allocated:
-            self._free_set.discard(node)
-            self._owner[node] = owner
+            slots[node] = owner
+        entry = self._owned.get(id(owner))
+        if entry is None:
+            self._owned[id(owner)] = (owner, list(allocated))
+        else:
+            entry[1].extend(allocated)
         return allocated
 
     def release(self, node_ids: list[int]) -> None:
-        """Return ``node_ids`` to the free pool."""
+        """Return ``node_ids`` to the free pool.
+
+        Every id is validated before any is freed, so a rejected call
+        leaves the pool unchanged.
+
+        Raises
+        ------
+        SchedulingError
+            If an id is outside the pool, already free, or listed twice.
+        """
+        released: set[int] = set()
         for node in node_ids:
             self._check_node(node)
-            if node in self._free_set:
+            if self._owner[node] is _FREE:
                 raise SchedulingError(f"node {node} is already free")
-            del self._owner[node]
-            self._free_set.add(node)
-        self._free = sorted(self._free_set)
+            if node in released:
+                raise SchedulingError(f"node {node} is listed twice")
+            released.add(node)
+        owners = dict.fromkeys(id(self._owner[node]) for node in node_ids)
+        for node in node_ids:
+            self._owner[node] = _FREE
+        for key in owners:
+            owned = self._owned[key][1]
+            owned[:] = [node for node in owned if node not in released]
+            if not owned:
+                del self._owned[key]
+        self._free.extend(node_ids)
+        self._free.sort()
 
     def release_owner(self, owner: object) -> list[int]:
         """Release every node owned by ``owner``; returns the released ids."""
-        nodes = self.nodes_of(owner)
-        if nodes:
-            self.release(nodes)
+        entry = self._owned.pop(id(owner), None)
+        if entry is None:
+            return []
+        nodes = entry[1]
+        slots = self._owner
+        for node in nodes:
+            slots[node] = _FREE
+        self._free.extend(nodes)
+        self._free.sort()
         return nodes
 
     # ------------------------------------------------------------ helpers
@@ -130,97 +152,3 @@ class NodePool:
             raise SchedulingError(
                 f"node id {node_id} outside the pool [0, {self._num_nodes})"
             )
-
-
-class ArrayNodePool(NodePool):
-    """Vectorised :class:`NodePool`: free nodes as a numpy boolean mask.
-
-    Behaviour (returned node ids, raised errors, release semantics) is
-    identical to the reference pool — the kernel equivalence suite holds the
-    two to the same random operation sequences — but allocation of the
-    ``q`` lowest free ids is a single ``flatnonzero`` slice and releasing a
-    whole job is two fancy-indexed stores, so cost no longer scales with
-    per-node Python objects.
-    """
-
-    def __init__(self, num_nodes: int) -> None:
-        if num_nodes <= 0:
-            raise SchedulingError("num_nodes must be positive")
-        self._num_nodes = num_nodes
-        self._free_mask = np.ones(num_nodes, dtype=bool)
-        self._owners = np.empty(num_nodes, dtype=object)  # None when free
-        # id(owner) -> (owner, sorted list of owned node ids).  The tuple
-        # keeps a strong reference to the owner so its id() stays valid for
-        # the lifetime of the allocation.
-        self._owned: dict[int, tuple[object, list[int]]] = {}
-        self._num_free = num_nodes
-
-    # ------------------------------------------------------------ queries
-    @property
-    def num_free(self) -> int:
-        return self._num_free
-
-    @property
-    def num_allocated(self) -> int:
-        return self._num_nodes - self._num_free
-
-    def owner_of(self, node_id: int) -> object | None:
-        self._check_node(node_id)
-        return self._owners[node_id]
-
-    def nodes_of(self, owner: object) -> list[int]:
-        entry = self._owned.get(id(owner))
-        return list(entry[1]) if entry is not None else []
-
-    # ------------------------------------------------------------ mutation
-    def allocate(self, count: int, owner: object) -> list[int]:
-        if count <= 0:
-            raise SchedulingError("cannot allocate a non-positive number of nodes")
-        if count > self._num_free:
-            raise SchedulingError(
-                f"cannot allocate {count} nodes: only {self._num_free} free"
-            )
-        ids = np.flatnonzero(self._free_mask)[:count]
-        self._free_mask[ids] = False
-        # A 0-d object wrapper broadcasts the owner itself into every slot,
-        # even when the owner happens to be iterable.
-        boxed = np.empty((), dtype=object)
-        boxed[()] = owner
-        self._owners[ids] = boxed
-        allocated = ids.tolist()
-        key = id(owner)
-        entry = self._owned.get(key)
-        if entry is None:
-            self._owned[key] = (owner, list(allocated))
-        else:
-            # Insertion order, matching the reference pool's owner dict.
-            self._owned[key] = (owner, entry[1] + allocated)
-        self._num_free -= count
-        return allocated
-
-    def release(self, node_ids: list[int]) -> None:
-        for node in node_ids:
-            self._check_node(node)
-            if self._free_mask[node]:
-                raise SchedulingError(f"node {node} is already free")
-            owner = self._owners[node]
-            self._owners[node] = None
-            self._free_mask[node] = True
-            self._num_free += 1
-            key = id(owner)
-            entry = self._owned.get(key)
-            if entry is not None:
-                entry[1].remove(node)
-                if not entry[1]:
-                    del self._owned[key]
-
-    def release_owner(self, owner: object) -> list[int]:
-        entry = self._owned.pop(id(owner), None)
-        if entry is None:
-            return []
-        ids = entry[1]
-        arr = np.asarray(ids, dtype=np.intp)
-        self._free_mask[arr] = True
-        self._owners[arr] = None
-        self._num_free += len(ids)
-        return ids

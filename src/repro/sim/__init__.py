@@ -6,9 +6,6 @@ A small, general-purpose discrete-event engine built from scratch:
 * :mod:`repro.sim.engine` — the :class:`~repro.sim.engine.SimulationEngine`
   driving the event loop.
 * :mod:`repro.sim.rng` — named, reproducible random streams.
-* :mod:`repro.sim.kernel` — selectable hot-path implementations (pure-Python
-  reference vs. numpy-batched), registered like execution backends and
-  bound to a float-for-float equivalence contract.
 
 The engine knows nothing about HPC platforms; the platform, application and
 scheduler models of the other subpackages are built on top of it.
@@ -16,16 +13,6 @@ scheduler models of the other subpackages are built on top of it.
 
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import Event, EventQueue
-from repro.sim.kernel import (
-    NumpyKernel,
-    PythonKernel,
-    SimulatorKernel,
-    default_kernel_name,
-    get_kernel,
-    kernel_names,
-    register_kernel,
-    set_default_kernel,
-)
 from repro.sim.rng import RandomStreams
 
 __all__ = [
@@ -33,12 +20,4 @@ __all__ = [
     "Event",
     "EventQueue",
     "RandomStreams",
-    "SimulatorKernel",
-    "PythonKernel",
-    "NumpyKernel",
-    "default_kernel_name",
-    "get_kernel",
-    "kernel_names",
-    "register_kernel",
-    "set_default_kernel",
 ]

@@ -52,22 +52,6 @@ class RandomStreams:
         entropy = self._root.entropy
         return int(entropy) if entropy is not None else 0
 
-    def clone(self) -> "RandomStreams":
-        """A fresh, independent family rooted at the same entropy.
-
-        Every stream of the clone starts from its initial state, so two
-        consumers (e.g. two simulator kernels being checked for equivalence)
-        can each draw the *same* random sequence without sharing generator
-        state.  Works for ``seed=None`` families too, via the resolved
-        entropy.
-        """
-        clone = RandomStreams(seed=self._seed)
-        if self._seed is None:
-            # Re-root at the resolved entropy so the clone replays this
-            # family's randomness instead of gathering fresh entropy.
-            clone._root = np.random.SeedSequence(self.entropy)
-        return clone
-
     def get(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it deterministically."""
         if name not in self._streams:

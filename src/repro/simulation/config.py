@@ -84,12 +84,6 @@ class SimulationConfig:
     #: When True the simulator records a per-job execution trace
     #: (see :mod:`repro.simulation.trace`), available as ``Simulation.trace``.
     collect_trace: bool = False
-    #: Simulator kernel: the hot-path implementation bundle (``"python"``
-    #: reference or ``"numpy"`` batched fast path, see
-    #: :mod:`repro.sim.kernel`).  ``None`` selects the process default.
-    #: Kernels are float-for-float equivalent by contract, so this knob is
-    #: excluded from cache digests — it changes wall-clock, never results.
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
@@ -109,12 +103,6 @@ class SimulationConfig:
             raise ConfigurationError("routine_io_chunks must be non-negative")
         if self.max_events <= 0:
             raise ConfigurationError("max_events must be positive")
-        if self.kernel is not None and (
-            not isinstance(self.kernel, str) or not self.kernel
-        ):
-            raise ConfigurationError(
-                "kernel must be None (process default) or a non-empty kernel name"
-            )
         if self.failure_model is not None:
             if not isinstance(self.failure_model, FailureModel):
                 raise ConfigurationError(
@@ -171,7 +159,3 @@ class SimulationConfig:
     def with_failure_model(self, model: FailureModel | None) -> "SimulationConfig":
         """Copy of this configuration with a different failure model."""
         return replace(self, failure_model=model)
-
-    def with_kernel(self, kernel: str | None) -> "SimulationConfig":
-        """Copy of this configuration with a different simulator kernel."""
-        return replace(self, kernel=kernel)

@@ -37,7 +37,6 @@ from repro.platform.nodes import NodePool
 from repro.platform.spec import PlatformSpec
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import Event
-from repro.sim.kernel import get_kernel
 from repro.sim.rng import RandomStreams
 from repro.simulation.accounting import Accounting, Category
 from repro.simulation.config import SimulationConfig
@@ -101,9 +100,6 @@ class Simulation:
         self.strategy: Strategy = make_strategy(
             config.strategy, fixed_period_s=config.fixed_period_s
         )
-        #: Hot-path implementation bundle; kernels are float-for-float
-        #: equivalent by contract, so this only changes wall-clock.
-        self.kernel = get_kernel(config.kernel)
         self.streams = RandomStreams(config.seed)
         self.engine = SimulationEngine(max_events=config.max_events)
         self.io = IOSubsystem(
@@ -114,7 +110,7 @@ class Simulation:
         self.io_sched: IOScheduler = self.strategy.make_scheduler(
             self.engine, self.io, self.platform.node_mtbf_s
         )
-        self.pool: NodePool = self.kernel.make_node_pool(self.platform.num_nodes)
+        self.pool = NodePool(self.platform.num_nodes)
         self.job_sched = FirstFitScheduler(self.pool)
         window_start, window_end = config.measurement_window
         # Trace runs also keep per-job ledgers (the waste drill-down input);
@@ -135,7 +131,6 @@ class Simulation:
                 config.horizon_s,
                 self.streams.get("failures"),
                 model=config.failure_model,
-                kernel=self.kernel,
             )
         self.failure_trace = failure_trace
 
@@ -238,7 +233,11 @@ class Simulation:
         chunks = self.config.routine_io_chunks
         if job.routine_io_bytes > 0.0 and chunks > 0:
             context.regular_chunk_bytes = job.routine_io_bytes / chunks
-            context.milestones = self.kernel.milestone_offsets(job.total_work_s, chunks)
+            # The k-th of `chunks` transfers happens after total * k /
+            # (chunks + 1) seconds of work: equal parts of the compute phase.
+            context.milestones = [
+                job.total_work_s * k / (chunks + 1) for k in range(1, chunks + 1)
+            ]
         context.milestone_index = 0
         period = self.strategy.policy.period(job.app_class, self.platform)
         commit = job.app_class.checkpoint_time(self.platform.io_bandwidth_bytes_per_s)

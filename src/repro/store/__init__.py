@@ -4,7 +4,7 @@ The serving-layer promotion of :class:`repro.exec.cache.ResultCache`: the
 ``(config digest, strategy, seed) -> value`` contract stays exactly as the
 execution layer defined it, but the storage engine behind it is now chosen
 by name through an open registry (:func:`register_store`), like execution
-backends, strategies and simulator kernels before it.
+backends and strategies before it.
 
 Importing this package registers the built-in backends:
 

@@ -5,8 +5,8 @@ system is built around: per-seed scalar values keyed by ``(config digest,
 strategy, seed)`` plus their trace sidecars.  Historically that cache was
 one concrete class (:class:`repro.exec.cache.ResultCache`, a directory of
 JSON files); this module promotes the *interface* so the storage engine is
-selectable the same way execution backends, strategies and simulator
-kernels are — by name, through an open registry:
+selectable the same way execution backends and strategies are — by name,
+through an open registry:
 
 * ``"filesystem"`` — :class:`repro.store.filesystem.FilesystemStore`, the
   historical directory layout, byte-for-byte unchanged.

@@ -48,8 +48,11 @@ __all__ = ["SCHEMA_VERSION", "SqliteStore"]
 #: On-file schema layout version (meta table, key ``schema_version``).
 SCHEMA_VERSION = 1
 
-#: How long a writer waits for the database lock before failing.
+#: How long an opener or writer waits for the database lock before failing.
 _BUSY_TIMEOUT_S = 30.0
+
+#: Pause between attempts to switch a database to WAL mode.
+_WAL_RETRY_S = 0.01
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -79,6 +82,29 @@ CREATE TABLE IF NOT EXISTS traces (
 );
 CREATE INDEX IF NOT EXISTS entries_version ON entries (version);
 """
+
+
+def _is_locked(exc: sqlite3.DatabaseError) -> bool:
+    return isinstance(exc, sqlite3.OperationalError) and "database is locked" in str(exc)
+
+
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch ``conn``'s database to WAL mode, waiting out lock holders.
+
+    On a new (rollback-journal) file the switch upgrades a read lock to a
+    write lock, and SQLite answers a contended upgrade with SQLITE_BUSY at
+    once instead of calling the busy handler, so processes creating one
+    store together retry here for up to the busy timeout.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT_S
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if not _is_locked(exc) or time.monotonic() >= deadline:
+                raise
+        time.sleep(_WAL_RETRY_S)
 
 
 def _entry_columns(body: str) -> tuple[float | None, str]:
@@ -157,11 +183,16 @@ class SqliteStore(ResultStore):
             check_same_thread=False,
         )
         try:
-            conn.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             self._ensure_schema(conn)
         except sqlite3.DatabaseError as exc:
             conn.close()
+            if _is_locked(exc):
+                raise ConfigurationError(
+                    f"timed out after {_BUSY_TIMEOUT_S:g} s waiting for the "
+                    f"lock on sqlite store {self.root}"
+                ) from exc
             raise ConfigurationError(
                 f"{self.root} is not a sqlite result store: {exc}"
             ) from exc

@@ -2,9 +2,11 @@
 
 These tests pin exact small-sample summary statistics for one
 representative strategy per scheduler family on the miniature Cielo
-configuration.  They exist to make silent behaviour drift impossible: any
-refactor that changes a simulated result — event ordering, accounting,
-RNG consumption, scheduling decisions — fails here.
+configuration, and for two strategies on the prospective 50 000-node
+platform, where the node pool's cost matters.  They exist to make silent
+behaviour drift impossible: any refactor that changes a simulated result —
+event ordering, accounting, RNG consumption, scheduling decisions — fails
+here.
 
 If a change is *intentional* (a bug fix, a model change), do three things
 in the same commit:
@@ -27,6 +29,7 @@ from repro.exec.digest import DIGEST_VERSION
 from repro.scenarios.presets import FAMILY_STRATEGIES, mini_apex_workload, mini_cielo_platform
 from repro.scenarios.runner import CampaignRunner
 from repro.scenarios.spec import Scenario
+from repro.workloads.prospective import prospective_platform, prospective_workload
 
 #: The digest version these goldens were generated under.  If you changed
 #: simulator behaviour on purpose: bump DIGEST_VERSION, regenerate the
@@ -41,6 +44,13 @@ GOLDEN_WASTE = {
     "ordered-daly": (0.12775522921726082, 0.06178770096567396, 0.23902348856709577),
     "orderednb-daly": (0.12260959233449209, 0.05683971747275822, 0.23902348856709577),
     "least-waste": (0.12125304185116953, 0.05664244107345878, 0.23741511915894367),
+}
+
+#: (mean, min, max) of the waste ratio on the prospective platform (1 TB/s);
+#: 2 seeds, base_seed 2018, 1-day horizon.  Regenerated by print_golden too.
+GOLDEN_PROSPECTIVE_WASTE = {
+    "oblivious-daly": (0.33005299145646183, 0.3122547890146066, 0.34785119389831703),
+    "least-waste": (0.15788002244788257, 0.10659231046747801, 0.20916773442828712),
 }
 
 
@@ -58,11 +68,47 @@ def golden_scenario() -> Scenario:
     )
 
 
+def golden_prospective_scenario() -> Scenario:
+    platform = prospective_platform()
+    return Scenario(
+        name="golden-prospective",
+        platform=platform,
+        workload=tuple(prospective_workload(platform)),
+        strategies=tuple(GOLDEN_PROSPECTIVE_WASTE),
+        num_runs=2,
+        base_seed=2018,
+        horizon_days=1.0,
+        warmup_days=0.25,
+        cooldown_days=0.25,
+    )
+
+
+def observed_waste(scenario: Scenario) -> dict[str, tuple[float, float, float]]:
+    outcome = CampaignRunner().run_scenario(scenario)
+    return {
+        strategy: (summary.mean, summary.minimum, summary.maximum)
+        for strategy, summary in outcome.summaries.items()
+    }
+
+
 def print_golden() -> None:  # pragma: no cover - regeneration helper
-    outcome = CampaignRunner().run_scenario(golden_scenario())
-    for strategy in FAMILY_STRATEGIES:
-        summary = outcome.summaries[strategy]
-        print(f'    "{strategy}": ({summary.mean!r}, {summary.minimum!r}, {summary.maximum!r}),')
+    for scenario in (golden_scenario(), golden_prospective_scenario()):
+        print(f"{scenario.name}:")
+        for strategy, (mean, low, high) in observed_waste(scenario).items():
+            print(f'    "{strategy}": ({mean!r}, {low!r}, {high!r}),')
+
+
+def assert_matches_goldens(observed: dict, golden: dict) -> None:
+    mismatches = {
+        strategy: (observed[strategy], golden[strategy])
+        for strategy in golden
+        if observed[strategy] != golden[strategy]
+    }
+    assert not mismatches, (
+        "simulated results drifted from the pinned goldens "
+        "(intentional changes must bump DIGEST_VERSION and regenerate; "
+        f"see module docstring): {mismatches}"
+    )
 
 
 def test_digest_version_matches_the_goldens():
@@ -78,20 +124,12 @@ def test_all_four_families_are_pinned():
 
 
 def test_golden_waste_statistics_are_bit_exact():
-    outcome = CampaignRunner().run_scenario(golden_scenario())
-    observed = {
-        strategy: (summary.mean, summary.minimum, summary.maximum)
-        for strategy, summary in outcome.summaries.items()
-    }
-    mismatches = {
-        strategy: (observed[strategy], GOLDEN_WASTE[strategy])
-        for strategy in GOLDEN_WASTE
-        if observed[strategy] != GOLDEN_WASTE[strategy]
-    }
-    assert not mismatches, (
-        "simulated results drifted from the pinned goldens "
-        "(intentional changes must bump DIGEST_VERSION and regenerate; "
-        f"see module docstring): {mismatches}"
+    assert_matches_goldens(observed_waste(golden_scenario()), GOLDEN_WASTE)
+
+
+def test_golden_prospective_waste_statistics_are_bit_exact():
+    assert_matches_goldens(
+        observed_waste(golden_prospective_scenario()), GOLDEN_PROSPECTIVE_WASTE
     )
 
 

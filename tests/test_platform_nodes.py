@@ -3,35 +3,31 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
-from repro.platform.nodes import ArrayNodePool, NodePool
+from repro.platform.nodes import NodePool
 
 
-@pytest.fixture(params=[NodePool, ArrayNodePool], ids=["reference", "array"])
-def pool_cls(request):
-    """Both pool implementations must satisfy the same contract."""
-    return request.param
-
-
-def test_initial_state(pool_cls):
-    pool = pool_cls(8)
+def test_initial_state():
+    pool = NodePool(8)
     assert pool.num_nodes == 8
     assert pool.num_free == 8
     assert pool.num_allocated == 0
     assert pool.utilization == 0.0
 
 
-def test_allocate_lowest_numbered_nodes_first(pool_cls):
-    pool = pool_cls(8)
+def test_allocate_lowest_numbered_nodes_first():
+    pool = NodePool(8)
     owner = object()
     assert pool.allocate(3, owner) == [0, 1, 2]
     assert pool.num_free == 5
     assert pool.utilization == pytest.approx(3 / 8)
 
 
-def test_owner_tracking_and_release(pool_cls):
-    pool = pool_cls(8)
+def test_owner_tracking_and_release():
+    pool = NodePool(8)
     a, b = object(), object()
     nodes_a = pool.allocate(2, a)
     nodes_b = pool.allocate(3, b)
@@ -43,8 +39,8 @@ def test_owner_tracking_and_release(pool_cls):
     assert pool.num_free == 8 - 3
 
 
-def test_release_owner_releases_everything_and_reports_it(pool_cls):
-    pool = pool_cls(8)
+def test_release_owner_releases_everything_and_reports_it():
+    pool = NodePool(8)
     owner = object()
     nodes = pool.allocate(4, owner)
     released = pool.release_owner(owner)
@@ -54,8 +50,8 @@ def test_release_owner_releases_everything_and_reports_it(pool_cls):
     assert pool.release_owner(owner) == []
 
 
-def test_released_nodes_are_reused(pool_cls):
-    pool = pool_cls(4)
+def test_released_nodes_are_reused():
+    pool = NodePool(4)
     a = object()
     nodes = pool.allocate(4, a)
     pool.release(nodes[:2])
@@ -63,8 +59,8 @@ def test_released_nodes_are_reused(pool_cls):
     assert pool.allocate(2, b) == nodes[:2]
 
 
-def test_cannot_overallocate(pool_cls):
-    pool = pool_cls(4)
+def test_cannot_overallocate():
+    pool = NodePool(4)
     pool.allocate(3, object())
     assert not pool.can_allocate(2)
     assert pool.can_allocate(1)
@@ -72,8 +68,8 @@ def test_cannot_overallocate(pool_cls):
         pool.allocate(2, object())
 
 
-def test_invalid_operations_rejected(pool_cls):
-    pool = pool_cls(4)
+def test_invalid_operations_rejected():
+    pool = NodePool(4)
     with pytest.raises(SchedulingError):
         pool.allocate(0, object())
     with pytest.raises(SchedulingError):
@@ -81,10 +77,107 @@ def test_invalid_operations_rejected(pool_cls):
     with pytest.raises(SchedulingError):
         pool.owner_of(99)
     with pytest.raises(SchedulingError):
-        pool_cls(0)
+        NodePool(0)
 
 
-def test_can_allocate_rejects_non_positive_counts(pool_cls):
-    pool = pool_cls(4)
+def test_can_allocate_rejects_non_positive_counts():
+    pool = NodePool(4)
     assert not pool.can_allocate(0)
     assert not pool.can_allocate(-2)
+
+
+@pytest.mark.parametrize(
+    "bad_ids, message",
+    [([0, 2], "already free"), ([0, 99], "outside the pool"), ([1, 1], "listed twice")],
+)
+def test_rejected_release_leaves_the_pool_unchanged(bad_ids, message):
+    pool = NodePool(4)
+    owner = object()
+    pool.allocate(2, owner)
+    with pytest.raises(SchedulingError, match=message):
+        pool.release(bad_ids)
+    assert pool.num_free == 2
+    assert pool.nodes_of(owner) == [0, 1]
+    assert [pool.owner_of(n) for n in range(4)] == [owner, owner, None, None]
+    with pytest.raises(SchedulingError):
+        pool.allocate(3, object())
+    assert pool.allocate(2, object()) == [2, 3]
+
+
+# ------------------------------------------------------------- pool oracle
+class _OraclePool:
+    """Naive reference pool: a node -> owner dict, free ids found by sorting.
+
+    The dict keeps allocation order, which is the order ``nodes_of`` reports.
+    """
+
+    def __init__(self, num_nodes: int) -> None:
+        self.num_nodes = num_nodes
+        self.owner: dict[int, object] = {}
+
+    def free(self) -> list[int]:
+        return sorted(set(range(self.num_nodes)) - set(self.owner))
+
+    def allocate(self, count: int, owner: object) -> list[int]:
+        free = self.free()
+        if not 0 < count <= len(free):
+            raise SchedulingError("refused")
+        for node in free[:count]:
+            self.owner[node] = owner
+        return free[:count]
+
+    def release(self, node_ids: list[int]) -> None:
+        if len(set(node_ids)) != len(node_ids) or any(n not in self.owner for n in node_ids):
+            raise SchedulingError("refused")
+        for node in node_ids:
+            del self.owner[node]
+
+    def nodes_of(self, owner: object) -> list[int]:
+        return [n for n, o in self.owner.items() if o is owner]
+
+    def release_owner(self, owner: object) -> list[int]:
+        nodes = self.nodes_of(owner)
+        self.release(nodes)
+        return nodes
+
+
+_NUM_NODES = 12
+_OWNERS = [object(), object(), object(), ("job",), None]
+
+_OPS = st.one_of(
+    st.tuples(st.just("allocate"), st.integers(-1, _NUM_NODES + 1), st.integers(0, 4)),
+    # Release the owner's nodes picked by a bit mask over its nodes_of list.
+    st.tuples(st.just("release"), st.integers(0, 4), st.integers(0, 2**_NUM_NODES - 1)),
+    st.tuples(st.just("release_owner"), st.integers(0, 4)),
+    # Arbitrary ids: free, out of range and duplicated ones are refused.
+    st.tuples(st.just("release_ids"), st.lists(st.integers(-2, _NUM_NODES + 1), max_size=4)),
+)
+
+
+def _apply(pool, op: tuple) -> tuple:
+    kind = op[0]
+    try:
+        if kind == "allocate":
+            return ("ok", pool.allocate(op[1], _OWNERS[op[2]]))
+        if kind == "release":
+            nodes = pool.nodes_of(_OWNERS[op[1]])
+            picked = [n for i, n in enumerate(nodes) if op[2] >> i & 1]
+            return ("ok", pool.release(picked), picked)
+        if kind == "release_owner":
+            return ("ok", pool.release_owner(_OWNERS[op[1]]))
+        return ("ok", pool.release(list(op[1])))
+    except SchedulingError:
+        return ("refused",)
+
+
+@given(ops=st.lists(_OPS, max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_node_pool_matches_a_naive_oracle(ops):
+    pool, oracle = NodePool(_NUM_NODES), _OraclePool(_NUM_NODES)
+    for op in ops:
+        assert _apply(pool, op) == _apply(oracle, op), op
+        assert pool.num_free == len(oracle.free())
+        for node in range(_NUM_NODES):
+            assert pool.owner_of(node) is oracle.owner.get(node)
+        for owner in _OWNERS:
+            assert pool.nodes_of(owner) == oracle.nodes_of(owner)

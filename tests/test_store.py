@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sqlite3
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +147,69 @@ def test_sqlite_rejects_foreign_and_newer_files(tmp_path):
         SqliteStore(newer)
     with pytest.raises(ConfigurationError, match="is a directory"):
         SqliteStore(tmp_path)
+
+
+def _hold_write_lock(path, journal_mode: str) -> sqlite3.Connection:
+    """A peer connection holding the write lock of ``path``, as a process
+    creating the store does until its schema transaction commits."""
+    holder = sqlite3.connect(str(path), isolation_level=None)
+    holder.execute(f"PRAGMA journal_mode={journal_mode}")
+    holder.execute("BEGIN IMMEDIATE")
+    holder.execute("CREATE TABLE peer (x)")
+    return holder
+
+
+_OPEN_STORE = """
+import sys
+from repro.store import SqliteStore
+print("ready", flush=True)
+SqliteStore(sys.argv[1]).close()
+"""
+
+
+def test_sqlite_processes_opening_a_new_store_together_wait_for_the_lock(tmp_path):
+    # A rollback-journal file's switch to WAL got SQLITE_BUSY at once while a
+    # peer held the write lock, instead of waiting for the busy timeout.
+    path = tmp_path / "new.sqlite"
+    holder = _hold_write_lock(path, "delete")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")])
+    )
+    openers = [
+        subprocess.Popen(
+            [sys.executable, "-c", _OPEN_STORE, str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for _ in range(3)
+    ]
+    try:
+        for opener in openers:
+            assert opener.stdout.readline() == "ready\n"
+        time.sleep(0.3)  # every opener is now contending for the held lock
+    finally:
+        holder.execute("COMMIT")
+        holder.close()
+    for opener in openers:
+        _, stderr = opener.communicate(timeout=60)
+        assert opener.returncode == 0, stderr
+    store = SqliteStore(path)
+    store.put(D1, "least-waste", 7, 0.125)
+    assert store.get(D1, "least-waste", 7) == 0.125
+    store.close()
+
+
+@pytest.mark.parametrize("journal_mode", ["delete", "wal"])
+def test_sqlite_lock_timeout_is_reported_as_a_lock_timeout(tmp_path, monkeypatch, journal_mode):
+    monkeypatch.setattr("repro.store.sqlite._BUSY_TIMEOUT_S", 0.2)
+    path = tmp_path / "held.sqlite"
+    holder = _hold_write_lock(path, journal_mode)
+    try:
+        with pytest.raises(ConfigurationError, match="timed out after 0.2 s waiting for the lock"):
+            SqliteStore(path)
+    finally:
+        holder.execute("ROLLBACK")
+        holder.close()
 
 
 # ------------------------------------------------------ backend equivalence
