@@ -38,136 +38,80 @@ True
 
 from __future__ import annotations
 
-from repro.core.daly import daly_period, young_period, job_mtbf, system_mtbf
-from repro.core.waste import job_waste, platform_waste, optimal_job_waste
-from repro.core.lower_bound import (
-    LowerBoundResult,
-    SteadyStateClass,
-    optimal_periods,
-    platform_lower_bound,
-)
-from repro.core.least_waste import (
-    CkptCandidate,
-    IOCandidate,
-    expected_waste,
-    select_candidate,
-)
-from repro.platform.failures import FailureModel
-from repro.platform.spec import PlatformSpec
-from repro.apps.app_class import ApplicationClass
-from repro.apps.checkpoint_policy import CheckpointPolicy, DalyPolicy, FixedPolicy
-from repro.iosched.registry import (
-    STRATEGIES,
-    StrategySpec,
-    canonical_strategy,
-    make_strategy,
-    parse_strategy,
-    register_strategy,
-    strategy_kinds,
-    strategy_names,
-)
-from repro.workloads.apex import APEX_CLASSES, apex_workload
-from repro.workloads.cielo import cielo_platform
-from repro.workloads.prospective import prospective_platform, prospective_workload
-from repro.workloads.generator import WorkloadSpec, generate_jobs
-from repro.simulation.config import SimulationConfig
-from repro.simulation.results import SimulationResult, WasteBreakdown
-from repro.simulation.simulator import Simulation, run_simulation
-from repro.stats.summary import DistributionSummary, summarize
-from repro.stats.montecarlo import derive_seeds, monte_carlo
-from repro.exec.cache import ResultCache
-from repro.exec.digest import config_digest
-from repro.exec.runner import ParallelRunner
-from repro.distributed.spool import WorkSpool
-from repro.distributed.worker import SpoolWorker
-from repro.scenarios.campaign import Axis, AxisPoint, Campaign
-from repro.scenarios.presets import campaign_names, make_campaign
-from repro.scenarios.report import campaign_to_csv, render_campaign
-from repro.scenarios.runner import CampaignResult, CampaignRunner
-from repro.scenarios.spec import Scenario
-from repro.trace import (
-    WasteDecomposition,
-    decomposition_to_csv,
-    drill_down_cell,
-    render_decomposition,
-)
+import importlib
+from collections.abc import Callable
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+
+def _lazy_exports(
+    namespace: dict[str, Any], modules: dict[str, tuple[str, ...]]
+) -> tuple[list[str], Callable[[str], Any]]:
+    """The export list and PEP 562 ``__getattr__`` of a package's re-exports.
+
+    ``modules`` lists each exported name once, under the module defining it.
+    A name is imported on first access and then cached in ``namespace`` (the
+    package's ``globals()``), so importing the package loads none of its
+    submodules and each command pays only for the layers it uses.
+    """
+    where = {name: module for module, names in modules.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        if name not in where:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(where[name]), name)
+        return value
+
+    return list(where), __getattr__
+
+
+_exported, __getattr__ = _lazy_exports(globals(), {
     # core
-    "daly_period",
-    "young_period",
-    "job_mtbf",
-    "system_mtbf",
-    "job_waste",
-    "platform_waste",
-    "optimal_job_waste",
-    "LowerBoundResult",
-    "SteadyStateClass",
-    "optimal_periods",
-    "platform_lower_bound",
-    "IOCandidate",
-    "CkptCandidate",
-    "expected_waste",
-    "select_candidate",
+    "repro.core.daly": ("daly_period", "young_period", "job_mtbf", "system_mtbf"),
+    "repro.core.waste": ("job_waste", "platform_waste", "optimal_job_waste"),
+    "repro.core.lower_bound": (
+        "LowerBoundResult", "SteadyStateClass", "optimal_periods", "platform_lower_bound",
+    ),
+    "repro.core.least_waste": ("IOCandidate", "CkptCandidate", "expected_waste", "select_candidate"),
     # platform / apps
-    "FailureModel",
-    "PlatformSpec",
-    "ApplicationClass",
-    "CheckpointPolicy",
-    "DalyPolicy",
-    "FixedPolicy",
+    "repro.platform.failures": ("FailureModel",),
+    "repro.platform.spec": ("PlatformSpec",),
+    "repro.apps.app_class": ("ApplicationClass",),
+    "repro.apps.checkpoint_policy": ("CheckpointPolicy", "DalyPolicy", "FixedPolicy"),
     # strategies
-    "STRATEGIES",
-    "StrategySpec",
-    "canonical_strategy",
-    "make_strategy",
-    "parse_strategy",
-    "register_strategy",
-    "strategy_kinds",
-    "strategy_names",
+    "repro.iosched.registry": (
+        "STRATEGIES", "StrategySpec", "canonical_strategy", "make_strategy",
+        "parse_strategy", "register_strategy", "strategy_kinds", "strategy_names",
+    ),
     # workloads
-    "APEX_CLASSES",
-    "apex_workload",
-    "cielo_platform",
-    "prospective_platform",
-    "prospective_workload",
-    "WorkloadSpec",
-    "generate_jobs",
+    "repro.workloads.apex": ("APEX_CLASSES", "apex_workload"),
+    "repro.workloads.cielo": ("cielo_platform",),
+    "repro.workloads.prospective": ("prospective_platform", "prospective_workload"),
+    "repro.workloads.generator": ("WorkloadSpec", "generate_jobs"),
     # simulation
-    "SimulationConfig",
-    "SimulationResult",
-    "WasteBreakdown",
-    "Simulation",
-    "run_simulation",
+    "repro.simulation.config": ("SimulationConfig",),
+    "repro.simulation.results": ("SimulationResult", "WasteBreakdown"),
+    "repro.simulation.simulator": ("Simulation", "run_simulation"),
     # stats
-    "DistributionSummary",
-    "summarize",
-    "monte_carlo",
-    "derive_seeds",
+    "repro.stats.summary": ("DistributionSummary", "summarize"),
+    "repro.stats.montecarlo": ("monte_carlo", "derive_seeds"),
     # parallel execution
-    "ParallelRunner",
-    "ResultCache",
-    "config_digest",
+    "repro.exec.runner": ("ParallelRunner",),
+    "repro.exec.cache": ("ResultCache",),
+    "repro.exec.digest": ("config_digest",),
     # distributed execution
-    "SpoolWorker",
-    "WorkSpool",
+    "repro.distributed.worker": ("SpoolWorker",),
+    "repro.distributed.spool": ("WorkSpool",),
     # scenario campaigns
-    "Axis",
-    "AxisPoint",
-    "Campaign",
-    "CampaignResult",
-    "CampaignRunner",
-    "Scenario",
-    "campaign_names",
-    "campaign_to_csv",
-    "make_campaign",
-    "render_campaign",
+    "repro.scenarios.campaign": ("Axis", "AxisPoint", "Campaign"),
+    "repro.scenarios.runner": ("CampaignResult", "CampaignRunner"),
+    "repro.scenarios.spec": ("Scenario",),
+    "repro.scenarios.presets": ("campaign_names", "make_campaign"),
+    "repro.scenarios.report": ("campaign_to_csv", "render_campaign"),
     # per-cell drill-down
-    "WasteDecomposition",
-    "decomposition_to_csv",
-    "drill_down_cell",
-    "render_decomposition",
-]
+    "repro.trace": (
+        "WasteDecomposition", "decomposition_to_csv", "drill_down_cell", "render_decomposition",
+    ),
+})
+__all__ = ["__version__", *_exported]

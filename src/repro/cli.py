@@ -42,17 +42,11 @@ import argparse
 import os
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.errors import ConfigurationError, ReproError
 from repro.exec.runner import ParallelRunner, backend_names
-from repro.experiments.figure1 import Figure1Config, render_figure1, run_figure1
-from repro.experiments.figure2 import Figure2Config, render_figure2, run_figure2
-from repro.experiments.figure3 import Figure3Config, render_figure3, run_figure3
-from repro.experiments.table1 import render_table1
-from repro.experiments.theory import theoretical_waste
 from repro.scenarios.presets import CAMPAIGNS
-from repro.simulation.simulator import run_simulation
 from repro.store import DEFAULT_STORE, open_store, store_kinds
 from repro.units import HOUR
 from repro.workloads.apex import apex_workload
@@ -168,6 +162,35 @@ def _store_from_args(args: argparse.Namespace):
     return store
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand parser that can add its options when it first parses.
+
+    ``lint`` takes its options from :mod:`repro.analysis`; deferring them
+    keeps every other command from importing the linter.
+    """
+
+    def __init__(
+        self,
+        *args,
+        add_options: Callable[[argparse.ArgumentParser], None] | None = None,
+        **kwargs,
+    ) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_options = add_options
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_options is not None:
+            add_options, self._add_options = self._add_options, None
+            add_options(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_lint_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.analysis.cli import add_lint_arguments
+
+    add_lint_arguments(parser)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``coopckpt`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -177,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
             "High-Performance Computing Platforms' (Herault et al., IPDPS 2018)."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     sub.add_parser("table1", help="print Table 1 (APEX workload characteristics)")
 
@@ -480,19 +503,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_store_argument(trace)
 
-    lint = sub.add_parser(
+    sub.add_parser(
         "lint",
         help="static contract checks: determinism, fsops, digest, lock and "
         "registry discipline (also: python -m repro.analysis)",
+        add_options=_add_lint_arguments,
     )
-    from repro.analysis.cli import add_lint_arguments
-
-    add_lint_arguments(lint)
-
     return parser
 
 
 def _cmd_table1(_: argparse.Namespace) -> str:
+    from repro.experiments.table1 import render_table1
+
     return render_table1()
 
 
@@ -555,6 +577,8 @@ def _cmd_strategies(args: argparse.Namespace) -> str:
 
 
 def _cmd_lower_bound(args: argparse.Namespace) -> str:
+    from repro.experiments.theory import theoretical_waste
+
     platform = cielo_platform(
         bandwidth_gbs=args.bandwidth_gbs, node_mtbf_years=args.node_mtbf_years
     )
@@ -576,6 +600,8 @@ def _cmd_lower_bound(args: argparse.Namespace) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
+    from repro.simulation.simulator import run_simulation
+
     platform = cielo_platform(
         bandwidth_gbs=args.bandwidth_gbs, node_mtbf_years=args.node_mtbf_years
     )
@@ -611,6 +637,8 @@ def _sweep_output(result, rendered: str, args: argparse.Namespace, title: str) -
 
 
 def _cmd_figure1(args: argparse.Namespace) -> str:
+    from repro.experiments.figure1 import Figure1Config, render_figure1, run_figure1
+
     config = Figure1Config(
         bandwidths_gbs=tuple(args.bandwidths_gbs),
         node_mtbf_years=args.node_mtbf_years,
@@ -622,6 +650,8 @@ def _cmd_figure1(args: argparse.Namespace) -> str:
 
 
 def _cmd_figure2(args: argparse.Namespace) -> str:
+    from repro.experiments.figure2 import Figure2Config, render_figure2, run_figure2
+
     config = Figure2Config(
         node_mtbf_years=tuple(args.mtbf_years),
         bandwidth_gbs=args.bandwidth_gbs,
@@ -633,6 +663,8 @@ def _cmd_figure2(args: argparse.Namespace) -> str:
 
 
 def _cmd_figure3(args: argparse.Namespace) -> str:
+    from repro.experiments.figure3 import Figure3Config, render_figure3, run_figure3
+
     config = Figure3Config(
         node_mtbf_years=tuple(args.mtbf_years),
         horizon_days=args.horizon_days,
@@ -754,7 +786,8 @@ def _cmd_worker(args: argparse.Namespace) -> str:
     import json as json_module
     from pathlib import Path
 
-    from repro.distributed import SpoolWorker, WorkSpool
+    from repro.distributed.spool import WorkSpool
+    from repro.distributed.worker import SpoolWorker
 
     if args.status and not Path(args.spool).is_dir():
         # --status must never create the spool: a typo'd path would report a
@@ -785,7 +818,7 @@ def _cmd_worker(args: argparse.Namespace) -> str:
     )
     metrics_server = None
     if args.metrics_port is not None:
-        from repro.distributed import WorkerMetricsServer
+        from repro.distributed.metrics import WorkerMetricsServer
 
         metrics_server = WorkerMetricsServer(worker.metrics, port=args.metrics_port)
     banner = {

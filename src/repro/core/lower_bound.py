@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.core.daly import young_period
 from repro.core.waste import platform_waste
@@ -232,6 +231,10 @@ def optimal_periods(
                 "could not bracket lambda: the I/O constraint cannot be satisfied "
                 "for any checkpoint period (checkpoint times too large?)"
             )
+    # scipy is imported here, not at module level: only this branch needs it,
+    # and importing it costs more than most commands take to run.
+    from scipy.optimize import brentq
+
     lam = float(brentq(pressure_minus_one, lo, hi, xtol=1e-18, rtol=1e-12, maxiter=200))
     return constrained_periods(lam, classes, total_nodes, mu_ind), lam
 

@@ -35,21 +35,12 @@ cache hits while in-flight tasks keep their spool entries.
 
 from __future__ import annotations
 
-from repro.distributed.metrics import WorkerMetricsServer
-from repro.distributed.spool import ClaimedBatch, SpoolStatus, WorkSpool
-from repro.distributed.submit import SpoolBackend
-from repro.distributed.tasks import TaskSpec, make_task_specs, shard_of
-from repro.distributed.worker import SpoolWorker, WorkerStats
+from repro import _lazy_exports
 
-__all__ = [
-    "ClaimedBatch",
-    "SpoolBackend",
-    "SpoolStatus",
-    "SpoolWorker",
-    "TaskSpec",
-    "WorkSpool",
-    "WorkerMetricsServer",
-    "WorkerStats",
-    "make_task_specs",
-    "shard_of",
-]
+__all__, __getattr__ = _lazy_exports(globals(), {
+    "repro.distributed.metrics": ("WorkerMetricsServer",),
+    "repro.distributed.spool": ("ClaimedBatch", "SpoolStatus", "WorkSpool"),
+    "repro.distributed.submit": ("SpoolBackend",),
+    "repro.distributed.tasks": ("TaskSpec", "make_task_specs", "shard_of"),
+    "repro.distributed.worker": ("SpoolWorker", "WorkerStats"),
+})

@@ -43,14 +43,17 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
 from repro.exec.digest import config_digest
 from repro.simulation.config import SimulationConfig
 from repro.simulation.simulator import Simulation
+
+if TYPE_CHECKING:  # imported by ProcessBackend.run: serial runs never load it
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "BACKENDS",
@@ -190,6 +193,8 @@ class ProcessBackend(ExecutionBackend):
         self._pool: ProcessPoolExecutor | None = None
 
     def run(self, batch: SeedBatch) -> dict[int, float]:
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         runner = self.runner
         pending = list(batch.pending)
         workers = runner.workers or os.cpu_count() or 1

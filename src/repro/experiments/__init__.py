@@ -14,57 +14,21 @@
 * :mod:`repro.experiments.report` — plain-text table rendering of results.
 """
 
-from repro.experiments.runner import ExperimentCell, SweepResult, run_cell, run_sweep
-from repro.experiments.table1 import table1_rows, render_table1
-from repro.experiments.theory import steady_state_classes, theoretical_waste
-from repro.experiments.figure1 import Figure1Config, render_figure1, run_figure1
-from repro.experiments.figure2 import Figure2Config, render_figure2, run_figure2
-from repro.experiments.figure3 import Figure3Config, Figure3Result, render_figure3, run_figure3
-from repro.experiments.ablation import (
-    AblationCell,
-    fixed_period_ablation,
-    interference_model_ablation,
-    render_ablation,
-)
-from repro.experiments.export import (
-    figure3_to_csv,
-    figure3_to_rows,
-    sweep_to_csv,
-    sweep_to_json,
-    sweep_to_rows,
-    write_text,
-)
-from repro.experiments.plotting import ascii_chart, sweep_chart
+from repro import _lazy_exports
 
-__all__ = [
-    "ExperimentCell",
-    "SweepResult",
-    "run_cell",
-    "run_sweep",
-    "table1_rows",
-    "render_table1",
-    "steady_state_classes",
-    "theoretical_waste",
-    "Figure1Config",
-    "run_figure1",
-    "render_figure1",
-    "Figure2Config",
-    "run_figure2",
-    "render_figure2",
-    "Figure3Config",
-    "Figure3Result",
-    "run_figure3",
-    "render_figure3",
-    "AblationCell",
-    "fixed_period_ablation",
-    "interference_model_ablation",
-    "render_ablation",
-    "sweep_to_rows",
-    "sweep_to_csv",
-    "sweep_to_json",
-    "figure3_to_rows",
-    "figure3_to_csv",
-    "write_text",
-    "ascii_chart",
-    "sweep_chart",
-]
+__all__, __getattr__ = _lazy_exports(globals(), {
+    "repro.experiments.runner": ("ExperimentCell", "SweepResult", "run_cell", "run_sweep"),
+    "repro.experiments.table1": ("table1_rows", "render_table1"),
+    "repro.experiments.theory": ("steady_state_classes", "theoretical_waste"),
+    "repro.experiments.figure1": ("Figure1Config", "run_figure1", "render_figure1"),
+    "repro.experiments.figure2": ("Figure2Config", "run_figure2", "render_figure2"),
+    "repro.experiments.figure3": ("Figure3Config", "Figure3Result", "run_figure3", "render_figure3"),
+    "repro.experiments.ablation": (
+        "AblationCell", "fixed_period_ablation", "interference_model_ablation", "render_ablation",
+    ),
+    "repro.experiments.export": (
+        "sweep_to_rows", "sweep_to_csv", "sweep_to_json", "figure3_to_rows", "figure3_to_csv",
+        "write_text",
+    ),
+    "repro.experiments.plotting": ("ascii_chart", "sweep_chart"),
+})

@@ -12,9 +12,11 @@ import csv
 import io
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.experiments.figure3 import Figure3Result
-from repro.experiments.runner import SweepResult
+if TYPE_CHECKING:  # annotations only: writing a campaign CSV loads no figure module
+    from repro.experiments.figure3 import Figure3Result
+    from repro.experiments.runner import SweepResult
 
 __all__ = [
     "sweep_to_rows",

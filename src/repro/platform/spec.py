@@ -9,6 +9,7 @@ defined in :mod:`repro.workloads`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.core.daly import system_mtbf
@@ -53,12 +54,10 @@ class PlatformSpec:
             raise ConfigurationError("num_nodes must be positive")
         if self.cores_per_node <= 0:
             raise ConfigurationError("cores_per_node must be positive")
-        if self.memory_per_node_bytes <= 0.0:
-            raise ConfigurationError("memory_per_node_bytes must be positive")
-        if self.io_bandwidth_bytes_per_s <= 0.0:
-            raise ConfigurationError("io_bandwidth_bytes_per_s must be positive")
-        if self.node_mtbf_s <= 0.0:
-            raise ConfigurationError("node_mtbf_s must be positive")
+        for name in ("memory_per_node_bytes", "io_bandwidth_bytes_per_s", "node_mtbf_s"):
+            value = getattr(self, name)
+            if not (value > 0.0) or not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
 
     # ------------------------------------------------------------ derived
     @property

@@ -17,8 +17,10 @@ machine.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 
 from repro.apps.app_class import ApplicationClass
 from repro.errors import ConfigurationError
@@ -35,21 +37,23 @@ __all__ = ["Scenario", "PLATFORM_OVERRIDES"]
 PLATFORM_OVERRIDES: tuple[str, ...] = ("num_nodes", "bandwidth_gbs", "node_mtbf_years")
 
 
-def _int_override(key: str, value: object) -> int:
-    """Narrow an ``object`` override to ``int`` (loudly, not via TypeError)."""
-    if isinstance(value, (int, float, str)):
-        return int(value)
-    raise ConfigurationError(
-        f"override {key!r} must be an integer, got {type(value).__name__}"
-    )
-
-
 def _float_override(key: str, value: object) -> float:
-    if isinstance(value, (int, float, str)):
-        return float(value)
-    raise ConfigurationError(
-        f"override {key!r} must be a number, got {type(value).__name__}"
-    )
+    """A finite number from an override given as a number or a numeric string."""
+    try:
+        number = float(value) if isinstance(value, (int, float, str)) else math.nan
+    except (ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigurationError(f"override {key!r} must be a finite number, got {value!r}")
+    return number
+
+
+def _int_override(key: str, value: object) -> int:
+    """A whole number from an override: ``2.5`` is refused, not truncated."""
+    number = _float_override(key, value)
+    if not number.is_integer():
+        raise ConfigurationError(f"override {key!r} must be a whole number, got {value!r}")
+    return int(value) if isinstance(value, int) else int(number)
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,18 @@ class Scenario:
                 f"(after normalisation): {', '.join(normalized)}"
             )
         object.__setattr__(self, "strategies", normalized)
-        if self.num_runs <= 0:
-            raise ConfigurationError(f"scenario {self.name!r}: num_runs must be positive")
-        if self.horizon_days <= 0.0:
+        if not isinstance(self.num_runs, Integral) or self.num_runs <= 0:
+            raise ConfigurationError(
+                f"scenario {self.name!r}: num_runs must be a positive integer, got {self.num_runs!r}"
+            )
+        # Signs of the other durations are SimulationConfig's to check.
+        for key in ("horizon_days", "warmup_days", "cooldown_days", "fixed_period_s"):
+            value = getattr(self, key)
+            if not isinstance(value, Real) or not math.isfinite(value):
+                raise ConfigurationError(
+                    f"scenario {self.name!r}: {key} must be a finite number, got {value!r}"
+                )
+        if not (self.horizon_days > 0.0):
             raise ConfigurationError(f"scenario {self.name!r}: horizon_days must be positive")
 
     # ------------------------------------------------------------ configs

@@ -9,6 +9,7 @@ consistency so errors surface before any event is simulated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.apps.app_class import ApplicationClass
@@ -93,12 +94,14 @@ class SimulationConfig:
         # StrategySpec): parse errors carry the registry's did-you-mean
         # suggestions, and the stored field is always the canonical string.
         object.__setattr__(self, "strategy", canonical_strategy(self.strategy))
-        if self.horizon_s <= 0.0:
-            raise ConfigurationError("horizon_s must be positive")
-        if self.warmup_s < 0.0 or self.cooldown_s < 0.0:
-            raise ConfigurationError("warmup_s and cooldown_s must be non-negative")
-        if self.fixed_period_s <= 0.0:
-            raise ConfigurationError("fixed_period_s must be positive")
+        for name in ("horizon_s", "fixed_period_s"):
+            value = getattr(self, name)
+            if not (value > 0.0) or not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("warmup_s", "cooldown_s"):
+            value = getattr(self, name)
+            if not (value >= 0.0) or not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be non-negative and finite, got {value!r}")
         if self.routine_io_chunks < 0:
             raise ConfigurationError("routine_io_chunks must be non-negative")
         if self.max_events <= 0:

@@ -169,3 +169,51 @@ def test_campaign_csv_has_resolved_spec_column(tmp_path, capsys):
     assert "ordered[policy=daly]" in specs  # the reference cell, resolved
     assert "ordered[policy=fixed,period_s=1800]" in specs
     assert "ordered[policy=fixed,period_s=7200]" in specs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--bandwidth-gbs", "nan", "--horizon-days", "0.5"],
+        ["simulate", "--horizon-days", "nan"],
+        ["simulate", "--node-mtbf-years", "inf", "--horizon-days", "0.5"],
+        ["lower-bound", "--bandwidth-gbs", "nan"],
+        ["campaign", "--horizon-days", "nan"],
+        ["trace", "--horizon-days", "inf"],
+    ],
+)
+def test_non_finite_numeric_flags_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
+def _matrix_file(tmp_path, overrides=None, values=(2.0,)):
+    import json
+
+    path = tmp_path / "matrix.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "bad-numbers",
+                "base": "smoke",
+                "overrides": {"num_runs": 1, "horizon_days": 0.5, **(overrides or {})},
+                "axes": [{"name": "io", "key": "bandwidth_gbs", "values": list(values)}],
+            }
+        )
+    )
+    return str(path)
+
+
+def test_campaign_file_with_a_nan_cell_exits_2_and_caches_nothing(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["campaign", "--file", _matrix_file(tmp_path, values=(2.0, float("nan")))]
+    assert main([*argv, "--cache-dir", str(cache)]) == 2
+    assert "'bandwidth_gbs' must be a finite number" in capsys.readouterr().err
+    assert not [path for path in cache.rglob("*") if path.is_file()]
+
+
+@pytest.mark.parametrize("value", ["abc", float("nan"), float("inf"), 1e400, 2.5])
+def test_campaign_file_with_a_bad_node_count_exits_2(tmp_path, capsys, value):
+    assert main(["campaign", "--file", _matrix_file(tmp_path, {"num_nodes": value})]) == 2
+    assert "error: override 'num_nodes' must be" in capsys.readouterr().err

@@ -1,12 +1,13 @@
 """Golden-value regression pins for the simulator.
 
-These tests pin exact small-sample summary statistics for one
-representative strategy per scheduler family on the miniature Cielo
-configuration, and for two strategies on the prospective 50 000-node
-platform, where the node pool's cost matters.  They exist to make silent
-behaviour drift impossible: any refactor that changes a simulated result —
-event ordering, accounting, RNG consumption, scheduling decisions — fails
-here.
+These tests pin exact small-sample summary statistics on the miniature
+Cielo configuration for all seven legacy strategies (the four Daly-period
+families and the three fixed-period variants), for two strategies under
+bursty Weibull failures and for one parameterized strategy spec, and for
+two strategies on the prospective 50 000-node platform, where the node
+pool's cost matters.  They exist to make silent behaviour drift
+impossible: any refactor that changes a simulated result — event
+ordering, accounting, RNG consumption, scheduling decisions — fails here.
 
 If a change is *intentional* (a bug fix, a model change), do three things
 in the same commit:
@@ -23,9 +24,13 @@ fails the suite even if the goldens were regenerated.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.exec.digest import DIGEST_VERSION
+from repro.iosched.registry import STRATEGIES
+from repro.platform.failures import FailureModel
 from repro.scenarios.presets import FAMILY_STRATEGIES, mini_apex_workload, mini_cielo_platform
 from repro.scenarios.runner import CampaignRunner
 from repro.scenarios.spec import Scenario
@@ -44,6 +49,26 @@ GOLDEN_WASTE = {
     "ordered-daly": (0.12775522921726082, 0.06178770096567396, 0.23902348856709577),
     "orderednb-daly": (0.12260959233449209, 0.05683971747275822, 0.23902348856709577),
     "least-waste": (0.12125304185116953, 0.05664244107345878, 0.23741511915894367),
+}
+
+#: The fixed-period variants on the same scenario (1-hour period).
+GOLDEN_FIXED_WASTE = {
+    "oblivious-fixed": (0.23116410180410907, 0.15027372273350098, 0.3889478452047527),
+    "ordered-fixed": (0.21346511158518902, 0.13033514963774936, 0.35707688912828345),
+    "orderednb-fixed": (0.19121348686145367, 0.11664063184096889, 0.3399555126697246),
+}
+
+#: The same scenario under Weibull failures (shape 0.7), 2 seeds.
+GOLDEN_WEIBULL_WASTE = {
+    "oblivious-daly": (0.09028372862766815, 0.08011464533829937, 0.10045281191703692),
+    "least-waste": (0.07765697044194347, 0.05741243838588924, 0.09790150249799771),
+}
+
+#: One parameterized strategy spec on the same scenario, 3 seeds.
+GOLDEN_SPEC_WASTE = {
+    "ordered[policy=fixed,period_s=1800]": (
+        0.41349630219230504, 0.2391513153876618, 0.7417765761265247,
+    ),
 }
 
 #: (mean, min, max) of the waste ratio on the prospective platform (1 TB/s);
@@ -91,9 +116,34 @@ def observed_waste(scenario: Scenario) -> dict[str, tuple[float, float, float]]:
     }
 
 
+def golden_pins() -> dict[str, tuple[Scenario, dict]]:
+    """Every pinned scenario with its goldens, keyed by the golden's name."""
+    return {
+        "GOLDEN_WASTE": (golden_scenario(), GOLDEN_WASTE),
+        "GOLDEN_FIXED_WASTE": (
+            replace(golden_scenario(), strategies=tuple(GOLDEN_FIXED_WASTE)),
+            GOLDEN_FIXED_WASTE,
+        ),
+        "GOLDEN_WEIBULL_WASTE": (
+            replace(
+                golden_scenario(),
+                strategies=tuple(GOLDEN_WEIBULL_WASTE),
+                num_runs=2,
+                failure_model=FailureModel("weibull", 0.7),
+            ),
+            GOLDEN_WEIBULL_WASTE,
+        ),
+        "GOLDEN_SPEC_WASTE": (
+            replace(golden_scenario(), strategies=tuple(GOLDEN_SPEC_WASTE)),
+            GOLDEN_SPEC_WASTE,
+        ),
+        "GOLDEN_PROSPECTIVE_WASTE": (golden_prospective_scenario(), GOLDEN_PROSPECTIVE_WASTE),
+    }
+
+
 def print_golden() -> None:  # pragma: no cover - regeneration helper
-    for scenario in (golden_scenario(), golden_prospective_scenario()):
-        print(f"{scenario.name}:")
+    for name, (scenario, _) in golden_pins().items():
+        print(f"{name}:")
         for strategy, (mean, low, high) in observed_waste(scenario).items():
             print(f'    "{strategy}": ({mean!r}, {low!r}, {high!r}),')
 
@@ -125,6 +175,18 @@ def test_all_four_families_are_pinned():
 
 def test_golden_waste_statistics_are_bit_exact():
     assert_matches_goldens(observed_waste(golden_scenario()), GOLDEN_WASTE)
+
+
+def test_all_seven_legacy_strategies_are_pinned():
+    assert sorted([*GOLDEN_WASTE, *GOLDEN_FIXED_WASTE]) == sorted(STRATEGIES)
+
+
+@pytest.mark.parametrize(
+    "name", ["GOLDEN_FIXED_WASTE", "GOLDEN_WEIBULL_WASTE", "GOLDEN_SPEC_WASTE"]
+)
+def test_golden_variant_waste_statistics_are_bit_exact(name):
+    scenario, golden = golden_pins()[name]
+    assert_matches_goldens(observed_waste(scenario), golden)
 
 
 def test_golden_prospective_waste_statistics_are_bit_exact():

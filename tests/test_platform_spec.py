@@ -59,6 +59,15 @@ def test_invalid_parameters_rejected(overrides):
         make_spec(**overrides)
 
 
+@pytest.mark.parametrize(
+    "name", ["memory_per_node_bytes", "io_bandwidth_bytes_per_s", "node_mtbf_s"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_parameters_rejected(name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        make_spec(**{name: value})
+
+
 def test_describe_mentions_key_figures():
     text = make_spec().describe()
     assert "Box" in text

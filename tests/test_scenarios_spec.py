@@ -101,6 +101,57 @@ def test_apply_direct_field_overrides(scenario):
     assert derived.name == scenario.name  # name only changes when given
 
 
+#: Every numeric key ``Scenario.apply`` accepts: the platform shorthands and
+#: the numeric scenario fields.
+NUMERIC_OVERRIDES = (
+    "num_nodes",
+    "bandwidth_gbs",
+    "node_mtbf_years",
+    "num_runs",
+    "horizon_days",
+    "warmup_days",
+    "cooldown_days",
+    "fixed_period_s",
+)
+
+
+@pytest.mark.parametrize("key", NUMERIC_OVERRIDES)
+@pytest.mark.parametrize(
+    "value", ["abc", float("nan"), float("inf"), float("-inf"), 1e400, "1e400"], ids=repr
+)
+def test_apply_refuses_unparsable_and_non_finite_numbers(scenario, key, value):
+    with pytest.raises(ConfigurationError, match=key):
+        scenario.apply(**{key: value})
+
+
+def test_apply_refuses_fractional_node_counts(scenario):
+    with pytest.raises(ConfigurationError, match="'num_nodes' must be a whole number"):
+        scenario.apply(num_nodes=2.5)
+
+
+def test_apply_parses_numeric_strings_and_whole_floats(scenario):
+    for spelling in (8, 8.0, "8"):
+        derived = scenario.apply(num_nodes=spelling)
+        assert derived.platform.num_nodes == 8
+        assert type(derived.platform.num_nodes) is int
+    assert scenario.apply(bandwidth_gbs="4").platform.io_bandwidth_bytes_per_s == 4.0 * GB
+    assert scenario.apply(node_mtbf_years=1).platform.node_mtbf_s == 1.0 * YEAR
+
+
+def test_campaign_matrix_with_a_nan_point_is_refused():
+    from repro.scenarios.campaign import Campaign
+
+    campaign = Campaign.from_mapping(
+        {
+            "name": "nan",
+            "base": "smoke",
+            "axes": [{"name": "io", "key": "bandwidth_gbs", "values": [2.0, float("nan")]}],
+        }
+    )
+    with pytest.raises(ConfigurationError, match="bandwidth_gbs"):
+        campaign.scenarios()
+
+
 def test_apply_workload_callable_sees_final_platform(scenario):
     seen: list[int] = []
 

@@ -222,6 +222,20 @@ def test_http_error_statuses(service):
     assert code == 400 and "scenario" in body["error"]
 
 
+@pytest.mark.parametrize("value", ["abc", float("nan"), float("inf")])
+def test_bad_numbers_in_a_submitted_matrix_are_a_400(service, value):
+    matrix = {**TOY_MATRIX, "overrides": {**TOY_MATRIX["overrides"], "num_nodes": value}}
+    code, body = _expect_error(
+        service, "/v1/jobs", method="POST", data=json.dumps({"campaign": matrix}).encode()
+    )
+    assert code == 400 and "num_nodes" in body["error"]
+    nan_cell = {**TOY_MATRIX, "axes": [{"name": "io", "key": "bandwidth_gbs", "values": [value]}]}
+    code, body = _expect_error(
+        service, "/v1/jobs", method="POST", data=json.dumps({"campaign": nan_cell}).encode()
+    )
+    assert code == 400 and "bandwidth_gbs" in body["error"]
+
+
 def test_campaign_from_request_validates_shapes():
     with pytest.raises(ConfigurationError, match="exactly one campaign source"):
         campaign_from_request({"preset": "smoke", "toml": "x"})

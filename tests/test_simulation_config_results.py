@@ -46,6 +46,13 @@ def test_config_validation(tiny_platform, tiny_classes, tiny_config):
         SimulationConfig(platform=small_platform, classes=(big,))
 
 
+@pytest.mark.parametrize("name", ["horizon_s", "warmup_s", "cooldown_s", "fixed_period_s"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_durations(tiny_config, name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        tiny_config(**{name: value})
+
+
 def test_config_variants(tiny_config, tiny_platform):
     config = tiny_config()
     assert config.with_strategy("ordered-daly").strategy == "ordered-daly"
