@@ -1,7 +1,7 @@
 """Parallel-runner bench: serial vs. process-pool speedup and cache hits.
 
-Two measurements on a Figure-1-style cell (Cielo + APEX workload at a
-constrained 80 GB/s, Least-Waste strategy):
+Two measurements on a Figure-1-style scenario (Cielo + APEX workload at a
+constrained 80 GB/s, Least-Waste strategy), run by the campaign engine:
 
 * serial execution vs. a 4-worker process pool over the same derived seeds —
   asserts a >1.5x wall-clock speedup when the machine has at least 4 CPUs
@@ -22,7 +22,9 @@ import time
 import pytest
 
 from repro.exec import ParallelRunner
-from repro.experiments.runner import ExperimentCell, run_cell
+from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.spec import Scenario
+from repro.stats.summary import DistributionSummary
 from repro.workloads.apex import apex_workload
 from repro.workloads.cielo import cielo_platform
 
@@ -30,19 +32,26 @@ from repro.workloads.cielo import cielo_platform
 WORKERS = 4
 
 
-def _figure1_cell(num_runs: int) -> ExperimentCell:
+def _figure1_cell(num_runs: int) -> Scenario:
     """One Figure-1 cell: Cielo at 80 GB/s, 2-year node MTBF, Least-Waste."""
     platform = cielo_platform(bandwidth_gbs=80.0, node_mtbf_years=2.0)
-    return ExperimentCell(
+    return Scenario(
+        name="figure1-cell",
         platform=platform,
         workload=tuple(apex_workload(platform)),
-        strategy="least-waste",
+        strategies=("least-waste",),
         horizon_days=6.0,
         warmup_days=1.0,
         cooldown_days=1.0,
         num_runs=num_runs,
         base_seed=7,
     )
+
+
+def run_cell(cell: Scenario, runner: ParallelRunner | None = None) -> DistributionSummary:
+    """Waste-ratio summary of the cell's only strategy."""
+    campaign_runner = CampaignRunner() if runner is None else CampaignRunner(runner)
+    return campaign_runner.run_scenario(cell).summaries["least-waste"]
 
 
 def test_bench_parallel_speedup(benchmark):

@@ -42,7 +42,7 @@ def main() -> None:
     workload = apex_workload(platform)
 
     for strategy in ("oblivious-daly", "least-waste"):
-        cells = interference_model_ablation(
+        result = interference_model_ablation(
             platform,
             workload,
             strategy=strategy,
@@ -50,7 +50,7 @@ def main() -> None:
             horizon_days=args.horizon_days,
             num_runs=args.num_runs,
         )
-        print(render_ablation(f"Interference ablation — {strategy}", cells))
+        print(render_ablation(f"Interference ablation — {strategy}", result))
         print()
 
     print(

@@ -37,8 +37,14 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro import ParallelRunner, apex_workload, cielo_platform, run_simulation
-from repro.experiments.runner import ExperimentCell
+from repro import (
+    CampaignRunner,
+    ParallelRunner,
+    Scenario,
+    apex_workload,
+    cielo_platform,
+    run_simulation,
+)
 from repro.experiments.theory import theoretical_waste
 
 
@@ -92,12 +98,11 @@ def main() -> None:
     )
 
     if args.workers > 1:
-        from repro.experiments.runner import run_cell
-
-        cell = ExperimentCell(
+        scenario = Scenario(
+            name="quickstart",
             platform=platform,
             workload=tuple(workload),
-            strategy="least-waste",
+            strategies=("least-waste",),
             horizon_days=args.horizon_days,
             warmup_days=args.horizon_days / 4.0,
             cooldown_days=args.horizon_days / 4.0,
@@ -105,13 +110,12 @@ def main() -> None:
             base_seed=args.seed,
         )
         print()
-        print(f"=== parallel Monte-Carlo ({cell.num_runs} runs, {args.workers} workers) ===")
-        runner = ParallelRunner(backend="process", workers=args.workers)
+        print(f"=== parallel Monte-Carlo ({scenario.num_runs} runs, {args.workers} workers) ===")
         start = time.perf_counter()
-        summary = run_cell(cell, runner=runner)
+        with CampaignRunner(ParallelRunner(backend="process", workers=args.workers)) as runner:
+            summary = runner.run_scenario(scenario).summaries["least-waste"]
         elapsed = time.perf_counter() - start
         print(f"least-waste waste ratio: {summary.format()}  ({elapsed:.1f}s wall-clock)")
-
 
 if __name__ == "__main__":
     main()

@@ -693,7 +693,7 @@ def _cmd_ablation(args: argparse.Namespace) -> str:
     workload = apex_workload(platform)
     runner = _runner_from_args(args)
     if args.study == "fixed-period":
-        cells = fixed_period_ablation(
+        result = fixed_period_ablation(
             platform,
             workload,
             strategy=args.strategy or "oblivious-fixed",
@@ -707,7 +707,7 @@ def _cmd_ablation(args: argparse.Namespace) -> str:
             f"({args.bandwidth_gbs:g} GB/s, {args.node_mtbf_years:g}-year node MTBF)"
         )
     else:
-        cells = interference_model_ablation(
+        result = interference_model_ablation(
             platform,
             workload,
             strategy=args.strategy or "oblivious-daly",
@@ -720,7 +720,7 @@ def _cmd_ablation(args: argparse.Namespace) -> str:
             f"Interference-model ablation on {platform.name} "
             f"({args.bandwidth_gbs:g} GB/s, {args.node_mtbf_years:g}-year node MTBF)"
         )
-    return render_ablation(title, cells)
+    return render_ablation(title, result)
 
 
 def _cmd_campaign(args: argparse.Namespace) -> str:

@@ -19,8 +19,8 @@ parallel; this package exploits that:
 * :func:`~repro.exec.digest.config_digest` — the stable content digest of a
   :class:`~repro.simulation.config.SimulationConfig` that keys the cache.
 
-Every experiment entry point (``monte_carlo``, ``run_cell``, ``run_sweep``,
-the figure and ablation modules, and the CLI via ``--workers`` /
+Every experiment entry point (``monte_carlo``, the campaign engine, the
+figure and ablation modules built on it, and the CLI via ``--workers`` /
 ``--cache-dir``) accepts a runner; the default remains fully serial.
 """
 

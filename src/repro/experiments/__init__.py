@@ -9,22 +9,21 @@
   Cielo under constrained bandwidth.
 * :mod:`repro.experiments.figure3` — Figure 3, minimum bandwidth required to
   reach 80 % efficiency on the prospective system.
-* :mod:`repro.experiments.runner` — shared sweep machinery (one cell = one
-  strategy on one platform variant, repeated over Monte-Carlo seeds).
-* :mod:`repro.experiments.report` — plain-text table rendering of results.
+* :mod:`repro.experiments.report` — Figure 1/2 sweeps as one-axis campaigns
+  of :class:`~repro.scenarios.runner.CampaignRunner`, and their rendering.
 """
 
 from repro import _lazy_exports
 
 __all__, __getattr__ = _lazy_exports(globals(), {
-    "repro.experiments.runner": ("ExperimentCell", "SweepResult", "run_cell", "run_sweep"),
+    "repro.experiments.report": ("SweepResult", "run_sweep", "sweep_campaign"),
     "repro.experiments.table1": ("table1_rows", "render_table1"),
     "repro.experiments.theory": ("steady_state_classes", "theoretical_waste"),
     "repro.experiments.figure1": ("Figure1Config", "run_figure1", "render_figure1"),
     "repro.experiments.figure2": ("Figure2Config", "run_figure2", "render_figure2"),
     "repro.experiments.figure3": ("Figure3Config", "Figure3Result", "run_figure3", "render_figure3"),
     "repro.experiments.ablation": (
-        "AblationCell", "fixed_period_ablation", "interference_model_ablation", "render_ablation",
+        "fixed_period_ablation", "interference_model_ablation", "render_ablation",
     ),
     "repro.experiments.export": (
         "sweep_to_rows", "sweep_to_csv", "sweep_to_json", "figure3_to_rows", "figure3_to_csv",

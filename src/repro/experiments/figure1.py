@@ -18,12 +18,12 @@ The observations this experiment should reproduce (at reduced scale):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
 
 from repro.exec.runner import ParallelRunner
-from repro.experiments.report import render_sweep
-from repro.experiments.runner import SweepResult, run_sweep
+from repro.experiments.report import SweepResult, render_sweep, run_sweep, sweep_campaign
 from repro.iosched.registry import STRATEGIES
+from repro.scenarios.campaign import Campaign
+from repro.scenarios.spec import Scenario
 from repro.workloads.apex import apex_workload
 from repro.workloads.cielo import cielo_platform
 
@@ -51,6 +51,22 @@ class Figure1Config:
     base_seed: int = 0
     field_label: str = field(default="System Aggregated Bandwidth (GB/s)", repr=False)
 
+    def campaign(self) -> Campaign:
+        """The sweep as a one-axis campaign over ``bandwidth_gbs``."""
+        platform = cielo_platform(node_mtbf_years=self.node_mtbf_years)
+        base = Scenario(
+            name="figure1",
+            platform=platform,
+            workload=tuple(apex_workload(platform)),
+            strategies=self.strategies,
+            num_runs=self.num_runs,
+            base_seed=self.base_seed,
+            horizon_days=self.horizon_days,
+            warmup_days=self.warmup_days,
+            cooldown_days=self.cooldown_days,
+        )
+        return sweep_campaign(base, "bandwidth_gbs", self.bandwidths_gbs)
+
 
 def run_figure1(
     config: Figure1Config | None = None, runner: ParallelRunner | None = None
@@ -61,34 +77,10 @@ def run_figure1(
     repetitions (see :mod:`repro.exec`); results are backend-independent.
     """
     config = config or Figure1Config()
-    return run_sweep(
-        parameter_name=config.field_label,
-        parameter_values=config.bandwidths_gbs,
-        platform_for=lambda bw: cielo_platform(
-            bandwidth_gbs=bw, node_mtbf_years=config.node_mtbf_years
-        ),
-        workload_for=lambda platform: apex_workload(platform),
-        strategies=config.strategies,
-        horizon_days=config.horizon_days,
-        warmup_days=config.warmup_days,
-        cooldown_days=config.cooldown_days,
-        num_runs=config.num_runs,
-        base_seed=config.base_seed,
-        runner=runner,
-    )
+    return run_sweep(config.campaign(), config.field_label, runner)
 
 
 def render_figure1(result: SweepResult) -> str:
     """Plain-text rendering of the Figure 1 data (one row per bandwidth)."""
     title = "Figure 1: waste ratio vs. system bandwidth (Cielo, LANL APEX workload)"
     return render_sweep(result, title=title, value_format="{:.0f}")
-
-
-def figure1_series(config: Figure1Config | None = None) -> dict[str, Sequence[float]]:
-    """Convenience: mean waste-ratio series keyed by strategy (plus theory)."""
-    result = run_figure1(config)
-    series: dict[str, Sequence[float]] = {
-        strategy: result.series(strategy) for strategy in result.strategies
-    }
-    series["theoretical-model"] = list(result.theory)
-    return series

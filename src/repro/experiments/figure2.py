@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.exec.runner import ParallelRunner
-from repro.experiments.report import render_sweep
-from repro.experiments.runner import SweepResult, run_sweep
+from repro.experiments.report import SweepResult, render_sweep, run_sweep, sweep_campaign
 from repro.iosched.registry import STRATEGIES
+from repro.scenarios.campaign import Campaign
+from repro.scenarios.spec import Scenario
 from repro.workloads.apex import apex_workload
 from repro.workloads.cielo import cielo_platform
 
@@ -43,6 +44,22 @@ class Figure2Config:
     base_seed: int = 0
     field_label: str = field(default="Node MTBF (years)", repr=False)
 
+    def campaign(self) -> Campaign:
+        """The sweep as a one-axis campaign over ``node_mtbf_years``."""
+        platform = cielo_platform(bandwidth_gbs=self.bandwidth_gbs)
+        base = Scenario(
+            name="figure2",
+            platform=platform,
+            workload=tuple(apex_workload(platform)),
+            strategies=self.strategies,
+            num_runs=self.num_runs,
+            base_seed=self.base_seed,
+            horizon_days=self.horizon_days,
+            warmup_days=self.warmup_days,
+            cooldown_days=self.cooldown_days,
+        )
+        return sweep_campaign(base, "node_mtbf_years", self.node_mtbf_years)
+
 
 def run_figure2(
     config: Figure2Config | None = None, runner: ParallelRunner | None = None
@@ -53,21 +70,7 @@ def run_figure2(
     repetitions (see :mod:`repro.exec`); results are backend-independent.
     """
     config = config or Figure2Config()
-    return run_sweep(
-        parameter_name=config.field_label,
-        parameter_values=config.node_mtbf_years,
-        platform_for=lambda mtbf: cielo_platform(
-            bandwidth_gbs=config.bandwidth_gbs, node_mtbf_years=mtbf
-        ),
-        workload_for=lambda platform: apex_workload(platform),
-        strategies=config.strategies,
-        horizon_days=config.horizon_days,
-        warmup_days=config.warmup_days,
-        cooldown_days=config.cooldown_days,
-        num_runs=config.num_runs,
-        base_seed=config.base_seed,
-        runner=runner,
-    )
+    return run_sweep(config.campaign(), config.field_label, runner)
 
 
 def render_figure2(result: SweepResult) -> str:

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.exec.runner import ParallelRunner
-from repro.experiments.runner import ExperimentCell, run_cell
 from repro.experiments.theory import theoretical_waste
 from repro.iosched.registry import STRATEGIES
-from repro.units import TB
+from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.spec import Scenario
 from repro.workloads.prospective import prospective_platform, prospective_workload
 
 __all__ = ["Figure3Config", "Figure3Result", "run_figure3", "render_figure3"]
@@ -102,19 +102,23 @@ def _simulated_waste(
     config: Figure3Config,
     runner: ParallelRunner | None = None,
 ) -> float:
+    # Built in TB/s: the bandwidth_gbs shorthand would compute
+    # (tbs * 1000) * GB, which is not float-identical to tbs * TB.
     platform = prospective_platform(bandwidth_tbs=bandwidth_tbs, node_mtbf_years=mtbf_years)
-    workload = tuple(prospective_workload(platform))
-    cell = ExperimentCell(
+    scenario = Scenario(
+        name=f"mtbf={mtbf_years!r},bandwidth_tbs={bandwidth_tbs!r}",
         platform=platform,
-        workload=workload,
-        strategy=strategy,
+        workload=tuple(prospective_workload(platform)),
+        strategies=(strategy,),
+        num_runs=config.num_runs,
+        base_seed=config.base_seed,
         horizon_days=config.horizon_days,
         warmup_days=config.warmup_days,
         cooldown_days=config.cooldown_days,
-        num_runs=config.num_runs,
-        base_seed=config.base_seed,
     )
-    return run_cell(cell, runner=runner).mean
+    outcome = CampaignRunner(runner or ParallelRunner()).run_scenario(scenario)
+    (summary,) = outcome.summaries.values()
+    return summary.mean
 
 
 def _theory_waste(bandwidth_tbs: float, mtbf_years: float) -> float:
@@ -215,8 +219,3 @@ def render_figure3(result: Figure3Result) -> str:
         row += f"{result.theory_tbs[index]:>{width}.2f}"
         lines.append(row)
     return "\n".join(lines)
-
-
-def bandwidth_tbs_to_bytes(bandwidth_tbs: float) -> float:
-    """Convert a TB/s figure to bytes/s (kept here for symmetry with reports)."""
-    return bandwidth_tbs * TB

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from repro.errors import AnalysisError
-from repro.experiments.runner import SweepResult
+from repro.experiments.report import SweepResult
 
 __all__ = ["ascii_chart", "sweep_chart"]
 

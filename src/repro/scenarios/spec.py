@@ -21,11 +21,13 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
+from typing import Any
 
 from repro.apps.app_class import ApplicationClass
 from repro.errors import ConfigurationError
 from repro.iosched.registry import STRATEGIES, StrategySpec, canonical_strategy
 from repro.platform.failures import FailureModel
+from repro.platform.interference import InterferenceModel
 from repro.platform.spec import PlatformSpec
 from repro.simulation.config import SimulationConfig
 from repro.units import DAY, GB, HOUR, YEAR
@@ -38,14 +40,26 @@ PLATFORM_OVERRIDES: tuple[str, ...] = ("num_nodes", "bandwidth_gbs", "node_mtbf_
 
 
 def _float_override(key: str, value: object) -> float:
-    """A finite number from an override given as a number or a numeric string."""
+    """A finite number from an override given as a number or a numeric string.
+
+    Booleans are refused: JSON ``true`` is not the number 1.
+    """
     try:
-        number = float(value) if isinstance(value, (int, float, str)) else math.nan
+        number = (
+            float(value)
+            if isinstance(value, (int, float, str)) and not isinstance(value, bool)
+            else math.nan
+        )
     except (ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
         raise ConfigurationError(f"override {key!r} must be a finite number, got {value!r}")
     return number
+
+
+def _is_integer(value: object) -> bool:
+    """True for an integer that is not a boolean."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _int_override(key: str, value: object) -> int:
@@ -79,8 +93,10 @@ class Scenario:
     num_runs / base_seed:
         Monte-Carlo sample size and root seed.
     horizon_days / warmup_days / cooldown_days / fixed_period_s:
-        Simulated segment shape, as in
-        :class:`~repro.experiments.runner.ExperimentCell`.
+        Simulated segment shape, as in :class:`SimulationConfig` but in days.
+    interference:
+        Optional file-system interference model (``None``: the paper's
+        linear model); only the Python API can set one.
     """
 
     name: str
@@ -94,14 +110,21 @@ class Scenario:
     warmup_days: float = 1.0
     cooldown_days: float = 1.0
     fixed_period_s: float = HOUR
+    interference: InterferenceModel | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "workload", tuple(self.workload))
-        object.__setattr__(self, "strategies", tuple(self.strategies))
         if not self.name:
             raise ConfigurationError("Scenario requires a non-empty name")
+        object.__setattr__(self, "workload", self._sequence("workload"))
+        object.__setattr__(self, "strategies", self._sequence("strategies"))
         if not self.workload:
             raise ConfigurationError(f"scenario {self.name!r} has an empty workload")
+        for app in self.workload:
+            if not isinstance(app, ApplicationClass):
+                raise ConfigurationError(
+                    f"scenario {self.name!r}: workload must hold application classes, "
+                    f"got {type(app).__name__}"
+                )
         if not self.strategies:
             raise ConfigurationError(f"scenario {self.name!r} selects no strategies")
         try:
@@ -114,19 +137,43 @@ class Scenario:
                 f"(after normalisation): {', '.join(normalized)}"
             )
         object.__setattr__(self, "strategies", normalized)
-        if not isinstance(self.num_runs, Integral) or self.num_runs <= 0:
+        if not _is_integer(self.num_runs) or self.num_runs <= 0:
             raise ConfigurationError(
                 f"scenario {self.name!r}: num_runs must be a positive integer, got {self.num_runs!r}"
+            )
+        if self.base_seed is not None and (not _is_integer(self.base_seed) or self.base_seed < 0):
+            raise ConfigurationError(
+                f"scenario {self.name!r}: base_seed must be null or a non-negative "
+                f"integer, got {self.base_seed!r}"
             )
         # Signs of the other durations are SimulationConfig's to check.
         for key in ("horizon_days", "warmup_days", "cooldown_days", "fixed_period_s"):
             value = getattr(self, key)
-            if not isinstance(value, Real) or not math.isfinite(value):
+            if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
                 raise ConfigurationError(
                     f"scenario {self.name!r}: {key} must be a finite number, got {value!r}"
                 )
         if not (self.horizon_days > 0.0):
             raise ConfigurationError(f"scenario {self.name!r}: horizon_days must be positive")
+        if not isinstance(self.failure_model, FailureModel):
+            raise ConfigurationError(
+                f"scenario {self.name!r}: failure_model must be a FailureModel, "
+                f"got {type(self.failure_model).__name__}"
+            )
+        if self.interference is not None and not isinstance(self.interference, InterferenceModel):
+            raise ConfigurationError(
+                f"scenario {self.name!r}: interference must be an InterferenceModel, "
+                f"got {type(self.interference).__name__}"
+            )
+
+    def _sequence(self, key: str) -> tuple:
+        """Field ``key`` as a tuple; a string or a non-sequence is refused."""
+        value = getattr(self, key)
+        if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+            raise ConfigurationError(
+                f"scenario {self.name!r}: {key} must be a sequence, got {type(value).__name__}"
+            )
+        return tuple(value)
 
     # ------------------------------------------------------------ configs
     def config(self, strategy: str | StrategySpec) -> SimulationConfig:
@@ -146,6 +193,7 @@ class Scenario:
             seed=self.base_seed,
             fixed_period_s=self.fixed_period_s,
             failure_model=self.failure_model,
+            interference=self.interference,
         )
 
     def configs(self) -> list[SimulationConfig]:
@@ -206,16 +254,10 @@ class Scenario:
                 )
             platform = replacement
 
-        workload_override = overrides.get("workload", self.workload)
-        if callable(workload_override):
-            workload_override = workload_override(platform)
-        if not isinstance(workload_override, Iterable):
-            raise ConfigurationError(
-                "override 'workload' must be a sequence of application "
-                "classes (or a callable producing one), got "
-                f"{type(workload_override).__name__}"
-            )
-        workload = tuple(workload_override)
+        # Validated by __post_init__, like every other field.
+        workload: Any = overrides.get("workload", self.workload)
+        if callable(workload):
+            workload = workload(platform)
 
         direct = {
             key: value

@@ -5,23 +5,21 @@ conditions (job mixes and failure traces); :func:`monte_carlo` runs a
 user-provided experiment function once per derived seed and summarises the
 resulting sample.
 
-Repetitions can be dispatched to worker processes through
-:class:`repro.exec.ParallelRunner` (``backend="process"``); because the i-th
-derived seed depends only on the base seed and ``i``, the parallel path
-returns bit-identical per-seed values and summaries.
+Repetitions run through a :class:`repro.exec.ParallelRunner`, serial by
+default; pass one with ``backend="process"`` to dispatch them to worker
+processes.  Because the i-th derived seed depends only on the base seed and
+``i``, every backend returns bit-identical per-seed values and summaries.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import AnalysisError
+from repro.exec.runner import ParallelRunner
 from repro.stats.summary import DistributionSummary, summarize
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (repro.exec uses us)
-    from repro.exec.runner import ParallelRunner
 
 __all__ = ["monte_carlo", "derive_seeds", "resolve_base_seed", "DerivedSeeds"]
 
@@ -89,9 +87,7 @@ def monte_carlo(
     num_runs: int,
     base_seed: int | None = None,
     reduce: Callable[[list[float]], DistributionSummary] = summarize,
-    backend: str = "serial",
-    workers: int | None = None,
-    runner: "ParallelRunner | None" = None,
+    runner: ParallelRunner | None = None,
 ) -> DistributionSummary:
     """Run ``experiment(seed)`` for ``num_runs`` derived seeds and summarise.
 
@@ -100,7 +96,7 @@ def monte_carlo(
     experiment:
         Callable mapping a seed to a scalar metric (e.g. the waste ratio of
         one simulation run).  Must be picklable (a module-level function or
-        callable instance) when the process backend is used.
+        callable instance) when the runner dispatches to other processes.
     num_runs:
         Number of repetitions.
     base_seed:
@@ -108,25 +104,13 @@ def monte_carlo(
     reduce:
         Reduction from the list of per-run values to a summary; defaults to
         :func:`repro.stats.summary.summarize`.
-    backend / workers:
-        ``"serial"`` (default) keeps the historical single-process path;
-        ``"process"`` dispatches repetitions to a pool of ``workers``
-        processes.  Both return bit-identical values.
     runner:
-        A pre-configured :class:`repro.exec.ParallelRunner`; overrides
-        ``backend``/``workers``.  Note that an attached result cache is not
-        consulted here — arbitrary experiment callables have no content
-        digest; caching applies to the config-based entry points
-        (:meth:`~repro.exec.ParallelRunner.run_config` and the experiment
-        harness built on it).
+        The :class:`repro.exec.ParallelRunner` that evaluates the seeds (its
+        backend and worker count); the default is a fresh serial runner.
+        An attached result cache is not consulted here: arbitrary
+        experiment callables have no content digest, so caching applies to
+        :meth:`~repro.exec.ParallelRunner.run_config` and the campaign
+        engine built on it.
     """
-    seeds = derive_seeds(base_seed, num_runs)
-    if runner is None and backend == "serial":
-        values = [float(experiment(seed)) for seed in seeds]
-    else:
-        if runner is None:
-            from repro.exec.runner import ParallelRunner
-
-            runner = ParallelRunner(backend=backend, workers=workers)
-        values = runner.map_seeds(experiment, seeds)
-    return reduce(values)
+    runner = runner or ParallelRunner()
+    return reduce(runner.map_seeds(experiment, derive_seeds(base_seed, num_runs)))

@@ -217,3 +217,20 @@ def test_campaign_file_with_a_nan_cell_exits_2_and_caches_nothing(tmp_path, caps
 def test_campaign_file_with_a_bad_node_count_exits_2(tmp_path, capsys, value):
     assert main(["campaign", "--file", _matrix_file(tmp_path, {"num_nodes": value})]) == 2
     assert "error: override 'num_nodes' must be" in capsys.readouterr().err
+
+
+#: Campaign-file overrides that used to crash with a traceback or silently
+#: change meaning (a boolean is not a number, 1.5 is not a seed).
+HOSTILE_OVERRIDES = [
+    ("base_seed", "abc"), ("base_seed", -1), ("base_seed", [1]), ("base_seed", 1.5),
+    ("workload", "abc"), ("workload", ["EAP"]), ("strategies", None),
+    ("failure_model", None), ("bandwidth_gbs", True), ("horizon_days", True),
+    ("num_runs", True),
+]
+
+
+@pytest.mark.parametrize("key, value", HOSTILE_OVERRIDES)
+def test_campaign_file_with_a_hostile_override_exits_2(tmp_path, capsys, key, value):
+    assert main(["campaign", "--file", _matrix_file(tmp_path, {key: value})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err

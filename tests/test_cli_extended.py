@@ -124,3 +124,22 @@ def test_trace_command(capsys):
     out = capsys.readouterr().out
     assert "timeline" in out
     assert "job-start" in out
+
+
+def test_ablation_refuses_a_spec_with_its_own_period(capsys):
+    argv = [
+        "ablation", "--strategy", "ordered[policy=fixed,period_s=1800]",
+        "--periods-hours", "0.5", "4", "--num-runs", "1", "--horizon-days", "0.25",
+    ]
+    assert main(argv) == 2
+    assert "period_s" in capsys.readouterr().err
+
+
+def test_duplicate_sweep_values_exit_2(capsys):
+    for argv in (
+        ["figure1", "--bandwidths-gbs", "40", "40"],
+        ["ablation", "--study", "interference", "--alphas", "0", "0"],
+        ["ablation", "--periods-hours", "1", "1"],
+    ):
+        assert main(argv) == 2
+        assert "has duplicate point labels" in capsys.readouterr().err

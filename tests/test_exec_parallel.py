@@ -20,8 +20,10 @@ from repro.exec import (
     WasteRatioTask,
     config_digest,
 )
-from repro.experiments.runner import ExperimentCell, run_cell
+from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.spec import Scenario
 from repro.stats.montecarlo import derive_seeds, monte_carlo
+from repro.stats.summary import DistributionSummary
 
 
 def _experiment(seed: int) -> float:
@@ -29,11 +31,13 @@ def _experiment(seed: int) -> float:
     return float((seed * 2654435761) % 100_003) / 100_003.0
 
 
-def _tiny_cell(tiny_platform, tiny_classes, **overrides) -> ExperimentCell:
+def _tiny_cell(tiny_platform, tiny_classes, strategy="least-waste", **overrides) -> Scenario:
+    """A one-strategy scenario: one (scenario, strategy) cell of a campaign."""
     parameters = dict(
+        name="tiny",
         platform=tiny_platform,
         workload=tiny_classes,
-        strategy="least-waste",
+        strategies=(strategy,),
         horizon_days=0.5,
         warmup_days=0.05,
         cooldown_days=0.05,
@@ -41,7 +45,13 @@ def _tiny_cell(tiny_platform, tiny_classes, **overrides) -> ExperimentCell:
         base_seed=0,
     )
     parameters.update(overrides)
-    return ExperimentCell(**parameters)
+    return Scenario(**parameters)
+
+
+def run_cell(cell: Scenario, runner: ParallelRunner | None = None) -> DistributionSummary:
+    """Waste summary of the cell's only strategy, run by the campaign engine."""
+    (summary,) = CampaignRunner(runner or ParallelRunner()).run_scenario(cell).summaries.values()
+    return summary
 
 
 # ------------------------------------------------------------- construction
@@ -93,17 +103,19 @@ def test_backend_registry_rejects_duplicates_and_accepts_new_backends():
 @pytest.mark.parametrize("workers", [2, 4])
 def test_monte_carlo_process_backend_is_bit_identical(num_runs, workers):
     serial = monte_carlo(_experiment, num_runs=num_runs, base_seed=7)
-    parallel = monte_carlo(
-        _experiment, num_runs=num_runs, base_seed=7, backend="process", workers=workers
-    )
+    with ParallelRunner(backend="process", workers=workers) as runner:
+        parallel = monte_carlo(_experiment, num_runs=num_runs, base_seed=7, runner=runner)
     assert serial == parallel  # exact dataclass equality, field by field
 
 
 def test_monte_carlo_runner_argument_overrides_backend():
+    """The runner selects backend and workers: the default is a fresh serial one."""
     runner = ParallelRunner(backend="serial")
     summary = monte_carlo(_experiment, num_runs=4, base_seed=1, runner=runner)
     assert summary == monte_carlo(_experiment, num_runs=4, base_seed=1)
     assert runner.stats.tasks_run == 4
+    with pytest.raises(TypeError):
+        monte_carlo(_experiment, num_runs=4, backend="process")
 
 
 @pytest.mark.parametrize("chunk_size", [1, 2, 5])
@@ -169,7 +181,7 @@ def test_cache_distinguishes_strategies_and_configs(tiny_platform, tiny_classes,
     # No cross-key collisions: each cell simulated its own repetitions.
     assert runner.stats.tasks_run == 6
     assert runner.stats.cache_hits == 0
-    digests = {config_digest(c.config(0)) for c in (base, other_strategy, other_horizon)}
+    digests = {config_digest(c.configs()[0]) for c in (base, other_strategy, other_horizon)}
     assert len(digests) == 3
 
 
@@ -348,7 +360,7 @@ def test_progress_events_cover_all_seeds(tiny_platform, tiny_classes, tmp_path):
     run_cell(cell, runner=runner)
     assert [e.completed for e in events] == [1, 2, 3]
     assert all(e.total == 3 and e.cached == 0 for e in events)
-    assert events[0].label == "least-waste"
+    assert events[0].label == "tiny/least-waste"  # the campaign form: scenario/strategy
 
     cached_events: list[ProgressEvent] = []
     cached_runner = ParallelRunner(cache_dir=tmp_path, progress=cached_events.append)

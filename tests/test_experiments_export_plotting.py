@@ -19,7 +19,7 @@ from repro.experiments.export import (
 )
 from repro.experiments.figure3 import Figure3Result
 from repro.experiments.plotting import ascii_chart, sweep_chart
-from repro.experiments.runner import SweepResult
+from repro.experiments.report import SweepResult
 from repro.stats.summary import summarize
 
 

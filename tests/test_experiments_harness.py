@@ -1,4 +1,4 @@
-"""Experiment harness: table 1, sweep runner and the figure experiments.
+"""Experiment harness: table 1, sweeps and the figure experiments.
 
 The figure experiments are exercised at a very small scale (tiny horizons,
 one or two repetitions) so the whole file stays fast; the full-scale shape
@@ -14,10 +14,15 @@ from repro.exec import ParallelRunner
 from repro.experiments.figure1 import Figure1Config, render_figure1, run_figure1
 from repro.experiments.figure2 import Figure2Config, render_figure2, run_figure2
 from repro.experiments.figure3 import Figure3Config, _min_bandwidth, render_figure3, run_figure3
-from repro.experiments.report import render_sweep, render_sweep_detailed
-from repro.experiments.runner import ExperimentCell, run_cell, run_sweep
+from repro.experiments.report import (
+    render_sweep,
+    render_sweep_detailed,
+    run_sweep,
+    sweep_campaign,
+)
 from repro.experiments.table1 import render_table1, table1_rows
 from repro.iosched.registry import STRATEGIES
+from repro.scenarios.spec import Scenario
 from repro.workloads.apex import APEX_CLASSES
 
 
@@ -37,43 +42,25 @@ def test_render_table1_contains_all_classes():
     assert "Derived absolute volumes" in text
 
 
-# --------------------------------------------------------------------- runner
-def test_experiment_cell_validation(tiny_platform, tiny_classes):
-    with pytest.raises(ConfigurationError):
-        ExperimentCell(platform=tiny_platform, workload=tiny_classes, strategy="nope")
-    with pytest.raises(ConfigurationError):
-        ExperimentCell(platform=tiny_platform, workload=tiny_classes, strategy="least-waste", num_runs=0)
-
-
-def test_run_cell_returns_summary(tiny_platform, tiny_classes):
-    cell = ExperimentCell(
+# --------------------------------------------------------------------- sweeps
+def _tiny_sweep(tiny_platform, tiny_classes, values, **shape):
+    base = Scenario(
+        name="tiny",
         platform=tiny_platform,
         workload=tiny_classes,
-        strategy="least-waste",
-        horizon_days=0.5,
-        warmup_days=0.05,
-        cooldown_days=0.05,
-        num_runs=2,
-        base_seed=0,
+        strategies=("oblivious-fixed", "least-waste"),
+        **shape,
     )
-    summary = run_cell(cell)
-    assert summary.n == 2
-    assert 0.0 <= summary.mean <= 1.0
+    return sweep_campaign(base, "bandwidth_gbs", values)
 
 
 def test_run_sweep_structure(tiny_platform, tiny_classes):
-    result = run_sweep(
-        parameter_name="bandwidth (GB/s)",
-        parameter_values=[1.0, 2.0],
-        platform_for=lambda bw: tiny_platform.with_bandwidth(bw * 1e9),
-        workload_for=lambda platform: tiny_classes,
-        strategies=("oblivious-fixed", "least-waste"),
-        horizon_days=0.5,
-        warmup_days=0.05,
-        cooldown_days=0.05,
-        num_runs=1,
-        base_seed=1,
+    campaign = _tiny_sweep(
+        tiny_platform, tiny_classes, [1.0, 2.0],
+        horizon_days=0.5, warmup_days=0.05, cooldown_days=0.05, num_runs=1, base_seed=1,
     )
+    assert [s.name for s in campaign.scenarios()] == ["bandwidth_gbs=1.0", "bandwidth_gbs=2.0"]
+    result = run_sweep(campaign, "bandwidth (GB/s)")
     assert result.parameter_values == [1.0, 2.0]
     assert set(result.waste) == {"oblivious-fixed", "least-waste"}
     assert len(result.theory) == 2
@@ -87,37 +74,34 @@ def test_run_sweep_structure(tiny_platform, tiny_classes):
 
 def test_run_sweep_through_parallel_runner_matches_serial(tiny_platform, tiny_classes):
     """Smoke test: a 2-worker process sweep equals the serial sweep exactly."""
-
-    def sweep(runner: ParallelRunner | None) -> object:
-        return run_sweep(
-            parameter_name="bandwidth (GB/s)",
-            parameter_values=[1.0, 2.0],
-            platform_for=lambda bw: tiny_platform.with_bandwidth(bw * 1e9),
-            workload_for=lambda platform: tiny_classes,
-            strategies=("oblivious-fixed", "least-waste"),
-            horizon_days=0.25,
-            warmup_days=0.02,
-            cooldown_days=0.02,
-            num_runs=2,
-            base_seed=5,
-            runner=runner,
-        )
-
-    serial = sweep(None)
-    parallel = sweep(ParallelRunner(backend="process", workers=2))
+    campaign = _tiny_sweep(
+        tiny_platform, tiny_classes, [1.0, 2.0],
+        horizon_days=0.25, warmup_days=0.02, cooldown_days=0.02, num_runs=2, base_seed=5,
+    )
+    serial = run_sweep(campaign, "bandwidth (GB/s)")
+    with ParallelRunner(backend="process", workers=2) as runner:
+        parallel = run_sweep(campaign, "bandwidth (GB/s)", runner)
     # SweepResult is a plain dataclass of exact floats: == compares every
     # per-strategy DistributionSummary and the theory series bit-for-bit.
     assert parallel == serial
 
 
 def test_run_sweep_requires_values(tiny_platform, tiny_classes):
-    with pytest.raises(ConfigurationError):
-        run_sweep(
-            parameter_name="x",
-            parameter_values=[],
-            platform_for=lambda v: tiny_platform,
-            workload_for=lambda p: tiny_classes,
-        )
+    with pytest.raises(ConfigurationError, match="no points"):
+        _tiny_sweep(tiny_platform, tiny_classes, [])
+    with pytest.raises(ConfigurationError, match="no points"):
+        run_figure1(Figure1Config(bandwidths_gbs=()))
+
+
+def test_sweep_axis_refuses_only_exact_duplicates(tiny_platform, tiny_classes):
+    # repr labels keep values that :g would print alike apart ...
+    campaign = _tiny_sweep(tiny_platform, tiny_classes, [40.0000001, 40.0000002])
+    assert [p.label for p in campaign.axes[0].points] == ["40.0000001", "40.0000002"]
+    # ... and refuse a value given twice, which used to print its row twice.
+    with pytest.raises(ConfigurationError, match="duplicate point labels"):
+        _tiny_sweep(tiny_platform, tiny_classes, [40.0, 40.0])
+    with pytest.raises(ConfigurationError, match="duplicate point labels"):
+        Figure2Config(node_mtbf_years=(2.0, 2.0)).campaign()
 
 
 # -------------------------------------------------------------------- figures

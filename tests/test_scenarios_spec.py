@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.platform.failures import FailureModel
-from repro.scenarios.spec import Scenario
+from repro.scenarios.campaign import Campaign
+from repro.scenarios.spec import PLATFORM_OVERRIDES, Scenario
+from repro.stats.montecarlo import derive_seeds
 from repro.units import DAY, GB, YEAR
 
 
@@ -200,3 +205,89 @@ def test_describe_mentions_the_key_facts(scenario):
     assert "base" in text
     assert "TestBox" in text
     assert "exponential" in text
+
+
+# ------------------------------------------------------------- interference
+def test_interference_defaults_to_none_and_reaches_the_config(scenario):
+    from repro.exec.digest import config_digest
+    from repro.platform.interference import DegradingInterference
+
+    assert scenario.interference is None
+    assert scenario.config("least-waste").interference is None
+    degrading = scenario.apply(interference=DegradingInterference(alpha=0.5))
+    config = degrading.config("least-waste")
+    assert config.interference == DegradingInterference(alpha=0.5)
+    assert config_digest(config) != config_digest(scenario.config("least-waste"))
+    assert degrading.describe() == scenario.describe()  # campaign text does not move
+
+
+@pytest.mark.parametrize("value", ["linear", 0.5, {"alpha": 1}, ["linear"]])
+def test_interference_refuses_anything_but_a_model(scenario, value):
+    with pytest.raises(ConfigurationError, match="'base': interference must be"):
+        scenario.apply(interference=value)
+
+
+# ------------------------------------------------------------- hostile overrides
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-1000, max_value=1000),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+#: JSON-shaped values: scalars plus small lists and objects of them.
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=5,
+)
+_OVERRIDE_KEYS = sorted({*PLATFORM_OVERRIDES, *(field.name for field in fields(Scenario))})
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(_OVERRIDE_KEYS), value=_JSON_VALUES)
+def test_any_override_value_is_a_scenario_or_a_configuration_error(key, value):
+    """Every override key, with any JSON value, as a base override and as a
+    one-point axis: a clean ConfigurationError, or scenarios whose configs,
+    seeds and descriptions all build."""
+    for matrix in (
+        {"name": "fuzz", "base": "smoke", "overrides": {key: value}},
+        {"name": "fuzz", "base": "smoke", "axes": [{"name": "a", "key": key, "values": [value]}]},
+    ):
+        try:
+            scenarios = Campaign.from_mapping(matrix).scenarios()
+        except ConfigurationError:
+            continue
+        for scenario in scenarios:
+            try:
+                scenario.configs()
+            except ConfigurationError:
+                pass
+            assert len(derive_seeds(scenario.base_seed, scenario.num_runs)) == scenario.num_runs
+            assert scenario.describe().startswith(f"{scenario.name}: ")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("base_seed", "abc"), ("base_seed", -1), ("base_seed", [1]), ("base_seed", 1.5),
+        ("base_seed", True), ("workload", "abc"), ("workload", ["EAP"]),
+        ("strategies", None), ("strategies", "least-waste"), ("failure_model", None),
+        ("num_runs", True), ("horizon_days", True), ("fixed_period_s", False),
+        ("bandwidth_gbs", True), ("num_nodes", True), ("node_mtbf_years", False),
+    ],
+)
+def test_hostile_overrides_name_the_scenario_and_the_key(scenario, key, value):
+    with pytest.raises(ConfigurationError, match=key) as excinfo:
+        scenario.apply(**{key: value})
+    if key not in PLATFORM_OVERRIDES:
+        assert "scenario 'base'" in str(excinfo.value)
+
+
+def test_valid_overrides_keep_their_meaning(scenario):
+    assert scenario.apply(base_seed=None).base_seed is None
+    assert scenario.apply(base_seed=7).base_seed == 7
+    assert scenario.apply(strategies=["least-waste"]).strategies == ("least-waste",)
+    assert scenario.apply(bandwidth_gbs=2).platform.io_bandwidth_bytes_per_s == 2 * GB

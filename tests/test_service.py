@@ -341,3 +341,20 @@ def test_cache_export_import_cli_roundtrip(tmp_path, capsys):
     assert trace.with_name(trace.name).read_bytes() == (
         tmp_path / "back" / "aa" / ("a" * 64) / "least-waste" / "1.trace"
     ).read_bytes()
+
+
+def test_hostile_overrides_are_a_400_at_submit(service):
+    """Overrides that used to answer 500 or fail inside the job are refused at submit."""
+    hostile = [
+        ("base_seed", "abc"), ("base_seed", -1), ("base_seed", [1]), ("base_seed", 1.5),
+        ("workload", "abc"), ("workload", ["EAP"]), ("strategies", None),
+        ("failure_model", None), ("bandwidth_gbs", True), ("horizon_days", True),
+        ("num_runs", True),
+    ]
+    for key, value in hostile:
+        matrix = {**TOY_MATRIX, "overrides": {**TOY_MATRIX["overrides"], key: value}}
+        code, body = _expect_error(
+            service, "/v1/jobs", method="POST", data=json.dumps({"campaign": matrix}).encode()
+        )
+        assert code == 400 and key in body["error"], (key, value, code, body)
+    assert service.manager.jobs() == []

@@ -340,16 +340,13 @@ def test_non_finite_param_values_are_rejected():
 
 
 def test_run_sweep_rejects_duplicate_strategies_after_normalisation():
-    from repro.experiments.runner import run_sweep
+    from repro.experiments.figure1 import Figure1Config, run_figure1
 
-    platform = mini_cielo_platform()
+    config = Figure1Config(
+        bandwidths_gbs=(40.0,),
+        strategies=("ordered", "ordered-daly"),  # same strategy, two spellings
+        num_runs=1,
+        horizon_days=0.25,
+    )
     with pytest.raises(ConfigurationError, match="twice"):
-        run_sweep(
-            parameter_name="bw",
-            parameter_values=[1.0],
-            platform_for=lambda _: platform,
-            workload_for=lambda p: mini_apex_workload(p),
-            strategies=["ordered", "ordered-daly"],  # same strategy, two spellings
-            num_runs=1,
-            horizon_days=0.25,
-        )
+        run_figure1(config)
