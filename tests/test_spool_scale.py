@@ -23,11 +23,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.distributed import TaskSpec, WorkSpool
 from repro.distributed.tasks import SHARD_WIDTH, shard_of
-from repro.exec import ResultCache
+from repro.errors import SpoolError
+from repro.exec import ParallelRunner, ResultCache
+from repro.stats.montecarlo import derive_seeds
 
 _HEX = "0123456789abcdef"
 
@@ -210,6 +213,32 @@ def test_submitter_polling_reads_only_watched_journals(tmp_path):
         events = tail.poll()
     assert {"op": "done", "id": batch.specs[0].task_id} in events
     assert counts["scandir"] == 0 and counts["stat"] < 30
+
+
+def _submitter_poll_cost(root: Path, config, *, done: int) -> int:
+    """scandir+stat calls of one spool-backend ``run_config`` that no worker
+    serves, against a spool whose ``done/`` holds ``done`` markers."""
+    _synthetic_spool(root / "spool", done=done, done_shards=200)
+    runner = ParallelRunner(
+        backend="spool",
+        spool_dir=root / "spool",
+        cache_dir=root / "cache",
+        spool_poll_s=0.01,
+        spool_timeout_s=0.2,
+    )
+    with _counting_fs() as counts:
+        with pytest.raises(SpoolError, match="timed out"):
+            runner.run_config(config, derive_seeds(0, 4))
+    return counts["scandir"] + counts["stat"]
+
+
+def test_submitter_poll_cost_ignores_the_done_history(tmp_path, tiny_config):
+    """Every poll probes the store for the outstanding seeds and checks
+    their specs' failure markers: about 20 polls cost a few hundred
+    scandir+stat calls whether 100 or 10 000 tasks ever finished."""
+    config = tiny_config(horizon_s=0.25 * 86400.0)
+    assert _submitter_poll_cost(tmp_path / "long", config, done=10_000) < 400
+    assert _submitter_poll_cost(tmp_path / "short", config, done=100) < 400
 
 
 def test_cache_stats_reads_one_journal_per_shard(tmp_path):
