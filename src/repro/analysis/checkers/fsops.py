@@ -142,8 +142,8 @@ class _Visitor(ast.NodeVisitor):
                     self._emit(
                         node,
                         f"open(..., {shown}) writes outside the fsops choke "
-                        "point; use fsops.write_text / fsops.append_text "
-                        "(atomic, fault-injectable) instead",
+                        "point; use fsops.write_text (atomic, "
+                        "fault-injectable) instead",
                     )
                 self.generic_visit(node)
                 return

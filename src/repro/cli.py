@@ -91,12 +91,6 @@ def _add_runner_arguments(sub: argparse.ArgumentParser) -> None:
         "claim is judged by the TTL its claiming worker recorded, so this "
         "only governs claims with no metadata (spool backend, default 60)",
     )
-    sub.add_argument(
-        "--max-inflight", type=int, default=128, metavar="N",
-        help="backpressure: at most N task specs of one batch sit in the "
-        "spool at a time; the rest enter as earlier ones complete "
-        "(spool backend, default 128)",
-    )
 
 
 def _add_store_argument(sub: argparse.ArgumentParser) -> None:
@@ -131,7 +125,6 @@ def _runner_from_args(args: argparse.Namespace) -> ParallelRunner:
         spool_dir=getattr(args, "spool", None),
         spool_timeout_s=getattr(args, "spool_timeout", None),
         spool_lease_ttl_s=getattr(args, "lease_ttl", 60.0),
-        spool_max_inflight=getattr(args, "max_inflight", 128),
     )
     args._runner = runner
     return runner

@@ -12,8 +12,7 @@ just ``localhost``) is a cluster.
   into ``claims/<batch_id>/`` (one rename claims a batch; exactly one
   claimer wins); the batch's lease-file mtime is the worker's heartbeat,
   and batches whose lease expired are reclaimed back into their shards so
-  crashed workers never strand work.  Per-shard append-only journals under
-  ``index/`` let submitters poll progress in O(shards touched).
+  crashed workers never strand work.
 * :class:`~repro.distributed.tasks.TaskSpec` — one spooled unit of work: a
   picklable per-seed task plus the ``(digest, strategy, seeds)`` triple it
   covers, content-addressed so re-submitting after an interruption is

@@ -1,7 +1,7 @@
 """Filesystem operations of the work spool, routed through one choke point.
 
 Every filesystem side effect the spool performs — renames, stats, scans,
-writes, journal appends — goes through this module instead of calling
+writes, unlinks — goes through this module instead of calling
 :mod:`os` directly.  That buys two things:
 
 * **Fault injection.**  Tests install a hook (:func:`install_fault_hook`)
@@ -42,7 +42,6 @@ __all__ = [
     "OpCounter",
     "fault_hook",
     "install_fault_hook",
-    "append_text",
     "exists",
     "mkdir",
     "read_text",
@@ -219,10 +218,3 @@ def write_text(path: os.PathLike[str] | str, text: str) -> None:
     """Atomic write (temp file + replace), shared with the result cache."""
     _check("write", path)
     atomic_write_text(Path(path), text)
-
-
-def append_text(path: os.PathLike[str] | str, text: str) -> None:
-    """One buffered append (journal lines; whole-line atomic on POSIX)."""
-    _check("append", path)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(text)

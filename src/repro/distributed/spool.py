@@ -10,7 +10,6 @@ Layout version 2 (recorded in ``spool.json`` at the spool root)::
         <task_id>.json              #   the batch's still-unfinished specs
       done/<shard>/<task_id>.json   # completion markers
       failed/<shard>/<task_id>.json # failure records (spec + error traceback)
-      index/<shard>.jsonl           # append-only event journal per shard
 
 ``<shard>`` is the task id's config-digest prefix
 (:func:`~repro.distributed.tasks.shard_of`), so directories stay small at
@@ -34,15 +33,14 @@ workers:
   the error in ``failed/`` and drops the spec; **release** returns an
   interrupted worker's specs to their shards untouched.
 
-``index/<shard>.jsonl`` is an advisory append-only journal of ``done`` /
-``failed`` / ``requeue`` events.  Submitters tail it so progress polling
-costs O(shards touched) instead of a directory sweep; because it is
-advisory (an append can be lost to a crash), every consumer backs it with
-ground truth — the result cache for deliveries, marker files for failures.
+Submitters learn of deliveries from the result cache, never from the spool
+(see :mod:`repro.distributed.submit`).  Older code also kept per-shard event
+journals under ``index/``; a spool that still holds them works unchanged,
+and nothing reads or removes that directory.
 
 Spools written by the flat pre-shard layout are migrated automatically on
-open: entries move into their shards, orphaned claims return to the queue,
-and the journal is rebuilt, after which ``spool.json`` pins the layout.
+open: entries move into their shards and orphaned claims return to the
+queue, after which ``spool.json`` pins the layout.
 The lease TTL must comfortably exceed the heartbeat interval (workers
 heartbeat from a background thread while simulating), not the task
 duration — long batches stay leased as long as their worker is alive.
@@ -61,9 +59,8 @@ from pathlib import Path
 from repro.errors import ConfigurationError, SpoolError
 from repro.distributed import fsops
 from repro.distributed.tasks import TaskSpec, shard_of
-from repro.exec.journal import append_record, tail_records
 
-__all__ = ["ClaimedBatch", "SpoolStatus", "SpoolTail", "WorkSpool", "SPOOL_LAYOUT_VERSION"]
+__all__ = ["ClaimedBatch", "SpoolStatus", "WorkSpool", "SPOOL_LAYOUT_VERSION"]
 
 #: Version of the on-disk spool layout, recorded in ``spool.json`` at the
 #: spool root.  Opening a spool written by a *newer* layout fails loudly;
@@ -72,7 +69,7 @@ __all__ = ["ClaimedBatch", "SpoolStatus", "SpoolTail", "WorkSpool", "SPOOL_LAYOU
 SPOOL_LAYOUT_VERSION = "2"
 
 #: Subdirectories of a spool, created on first use.
-_STATE_DIRS = ("tasks", "claims", "done", "failed", "index")
+_STATE_DIRS = ("tasks", "claims", "done", "failed")
 
 #: Name of the per-batch lease file (mtime = heartbeat).  The leading dot
 #: keeps it out of every spec listing.
@@ -115,40 +112,6 @@ class ClaimedBatch:
     specs: tuple[TaskSpec, ...]
 
 
-class SpoolTail:
-    """Incremental reader of a spool's per-shard event journals.
-
-    Remembers a byte offset per shard, so each :meth:`poll` costs one
-    ``stat`` per shard plus only the newly appended bytes.  Created via
-    :meth:`WorkSpool.tail`, which starts at the journals' current ends —
-    events recorded before the tail was opened describe work from earlier
-    campaigns and are deliberately skipped.
-    """
-
-    def __init__(self, spool: "WorkSpool", shards: set[str], *, from_start: bool = False) -> None:
-        self._spool = spool
-        self._offsets: dict[str, int] = {}
-        for shard in shards:
-            offset = 0
-            if not from_start:
-                try:
-                    offset = os.stat(spool.journal_path(shard)).st_size
-                except OSError:
-                    offset = 0
-            self._offsets[shard] = offset
-
-    def poll(self) -> list[dict]:
-        """Events appended since the previous poll, across every shard."""
-        events: list[dict] = []
-        for shard in self._offsets:
-            records, offset = tail_records(
-                self._spool.journal_path(shard), self._offsets[shard]
-            )
-            self._offsets[shard] = offset
-            events.extend(records)
-        return events
-
-
 class WorkSpool:
     """One shared spool directory; see the module docstring for semantics."""
 
@@ -177,10 +140,6 @@ class WorkSpool:
 
     def _lease_path(self, batch_id: str) -> Path:
         return self._batch_dir(batch_id) / _LEASE_NAME
-
-    def journal_path(self, shard: str) -> Path:
-        """On-disk path of one shard's event journal."""
-        return self.root / "index" / f"{shard}.jsonl"
 
     def _meta_path(self) -> Path:
         return self.root / "spool.json"
@@ -237,7 +196,7 @@ class WorkSpool:
             pass  # advisory: the next open simply re-runs the migration
 
     def _migrate_flat_layout(self) -> None:
-        """Move flat (layout 1) entries into shards and rebuild the journal.
+        """Move flat (layout 1) entries into their shards.
 
         Flat claims cannot keep their leases across the migration (their
         heartbeat files move), so they are conservatively returned to the
@@ -262,23 +221,6 @@ class WorkSpool:
             elif _is_spec_name(name):
                 task_id = name[: -len(".json")]
                 self._move(path, self._shard_path("tasks", task_id))
-        self._rebuild_journals()
-
-    def _rebuild_journals(self) -> None:
-        """Rewrite every shard journal from the done/failed directories."""
-        shards = set(self._shards("done")) | set(self._shards("failed"))
-        for shard in shards:
-            lines = []
-            for state, op in (("done", "done"), ("failed", "failed")):
-                for name in self._shard_spec_names(state, shard):
-                    record = {"op": op, "id": name[: -len(".json")]}
-                    lines.append(json.dumps(record, separators=(",", ":")))
-            try:
-                fsops.write_text(
-                    self.journal_path(shard), "".join(line + "\n" for line in lines)
-                )
-            except OSError:
-                pass  # advisory
 
     # ------------------------------------------------------------ primitives
     def _move(self, src: Path, dst: Path, attempts: int = 4) -> bool:
@@ -319,13 +261,6 @@ class WorkSpool:
                 last = exc
         raise SpoolError(f"cannot write {path}: {last}") from last
 
-    def _journal(self, op: str, task_id: str) -> None:
-        """Append one advisory event; journal loss degrades, never breaks."""
-        try:
-            append_record(self.journal_path(shard_of(task_id)), {"op": op, "id": task_id})
-        except OSError:
-            pass
-
     @staticmethod
     def _exists(path: Path) -> bool:
         """Existence probe that treats a transient stat failure as absent.
@@ -355,8 +290,7 @@ class WorkSpool:
 
         A leftover ``done`` or ``failed`` marker for the same id is stale by
         construction — submitters only enqueue work whose results are missing
-        from the cache — so it is cleared (with a ``requeue`` journal event)
-        and the task queued again.
+        from the cache — so it is cleared and the task queued again.
         """
         return self.enqueue_many([spec]) == 1
 
@@ -374,14 +308,10 @@ class WorkSpool:
             if self._exists(task_path) or spec.task_id in claimed:
                 continue
             for stale_state in ("done", "failed"):
-                stale = self._shard_path(stale_state, spec.task_id)
                 try:
-                    fsops.unlink(stale, missing_ok=False)
-                except FileNotFoundError:
-                    continue
+                    fsops.unlink(self._shard_path(stale_state, spec.task_id))
                 except OSError:
-                    continue
-                self._journal("requeue", spec.task_id)
+                    pass  # a transient failure leaves a stale marker, no harm
             self._write(task_path, spec.encode())
             enqueued += 1
         return enqueued
@@ -509,16 +439,10 @@ class WorkSpool:
         except OSError:
             pass  # a racing ack/reclaim finishes the cleanup
 
-    def heartbeat(self, task_id: str) -> None:
-        """Refresh the lease of the batch holding one claimed task (missing
-        claims are ignored: the task may have been reclaimed after a stall,
-        and the reclaim wins)."""
-        batch_id = self._batches.get(task_id) or self._find_batch(task_id)
-        if batch_id is not None:
-            self.heartbeat_batch(batch_id)
-
     def heartbeat_batch(self, batch_id: str) -> None:
-        """Refresh one batch's lease directly (the worker's heartbeat thread)."""
+        """Refresh one batch's lease (the worker's heartbeat thread); a batch
+        that is gone is ignored: it was reclaimed after a stall, and the
+        reclaim wins."""
         try:
             fsops.touch(self._lease_path(batch_id))
         except OSError:
@@ -536,7 +460,6 @@ class WorkSpool:
                 "and the task was reclaimed?)"
             )
         self._batches.pop(task_id, None)
-        self._journal("done", task_id)
         if worker_id:
             try:
                 payload = json.loads(done_path.read_text(encoding="utf-8"))
@@ -583,7 +506,6 @@ class WorkSpool:
             return  # leave the claim; lease expiry will retry the task
         fsops.unlink(claim_path)
         self._batches.pop(task_id, None)
-        self._journal("failed", task_id)
         self._remove_batch_dir(batch_id)
 
     def release(self, task_id: str) -> None:
@@ -672,57 +594,6 @@ class WorkSpool:
                 name[: -len(".json")] for name in self._shard_spec_names("failed", shard)
             )
         return sorted(ids)
-
-    def tail(self, task_ids: list[str] | None = None, *, from_start: bool = False) -> SpoolTail:
-        """An incremental journal reader over the shards of ``task_ids``
-        (or every shard currently indexed when omitted)."""
-        if task_ids is None:
-            shards = {
-                name[: -len(".jsonl")]
-                for name in fsops.scandir_names(self._state_dir("index"))
-                if name.endswith(".jsonl")
-            }
-        else:
-            shards = {shard_of(task_id) for task_id in task_ids}
-        return SpoolTail(self, shards, from_start=from_start)
-
-    # ------------------------------------------------------------ index audit
-    def index_snapshot(self, shard: str) -> dict[str, set[str]]:
-        """Folded journal state of one shard: the sets of done/failed ids.
-
-        ``requeue`` events cancel earlier ``done``/``failed`` ones, and
-        duplicate appends (a racing migration) fold away — this is the
-        incrementally-maintained view the property suite compares against
-        :meth:`rebuild_index`.
-        """
-        done: set[str] = set()
-        failed: set[str] = set()
-        records, _ = tail_records(self.journal_path(shard), 0)
-        for record in records:
-            op, task_id = record.get("op"), record.get("id")
-            if not isinstance(task_id, str):
-                continue
-            if op == "done":
-                done.add(task_id)
-                failed.discard(task_id)
-            elif op == "failed":
-                failed.add(task_id)
-                done.discard(task_id)
-            elif op == "requeue":
-                done.discard(task_id)
-                failed.discard(task_id)
-        return {"done": done, "failed": failed}
-
-    def rebuild_index(self, shard: str) -> dict[str, set[str]]:
-        """Ground truth of one shard rebuilt from the directories."""
-        return {
-            "done": {
-                name[: -len(".json")] for name in self._shard_spec_names("done", shard)
-            },
-            "failed": {
-                name[: -len(".json")] for name in self._shard_spec_names("failed", shard)
-            },
-        }
 
     def idle(self) -> bool:
         """True when no task is pending or claimed (cheap drained check:

@@ -8,18 +8,13 @@ knowing anything about workers:
 1. the runner has already subtracted cache hits, so the batch's pending
    seeds are exactly the cache misses; they are chunked into
    content-addressed :class:`~repro.distributed.tasks.TaskSpec` documents
-   and enqueued idempotently — but only ``spool_max_inflight`` of them at
-   a time: further specs enter the spool as earlier ones complete
-   (*backpressure*), so a huge campaign never floods the shared
-   filesystem with pending files;
-2. the submitter tails the spool's per-shard event journals
-   (:meth:`~repro.distributed.spool.WorkSpool.tail`) — each poll costs one
-   ``stat`` per shard touched by this batch plus the newly appended bytes,
-   never a directory sweep — and a ``done`` event triggers cache probes
-   for exactly that task's seeds.  The journal is advisory, so a periodic
-   full probe sweep still backstops lost appends; the cache remains the
-   only source of record;
-3. failure records matching this batch's tasks abort the wait with the
+   and enqueued idempotently, all at once;
+2. every poll probes the cache for each seed still outstanding.  Workers
+   write every seed into the cache *before* they ack, so the cache alone
+   records delivery — partial progress of long tasks and seeds delivered
+   by another submitter included — and a poll costs one probe per
+   outstanding seed however long the spool's history grows;
+3. failure records of tasks that still owe seeds abort the wait with the
    remote traceback, and expired leases are reclaimed along the way so a
    crashed worker's tasks return to the queue even when no other worker
    notices.
@@ -35,19 +30,11 @@ from __future__ import annotations
 import time
 
 from repro.distributed.spool import WorkSpool
-from repro.distributed.tasks import TaskSpec, make_task_specs
+from repro.distributed.tasks import make_task_specs
 from repro.errors import ConfigurationError, SpoolError
 from repro.exec.runner import ExecutionBackend, ParallelRunner, SeedBatch
 
 __all__ = ["SpoolBackend"]
-
-#: Probe every outstanding seed (and re-check failure markers) on one poll
-#: in this many; between sweeps the loop consumes only journal events, so
-#: metadata traffic on shared filesystems stays proportional to the shards
-#: touched rather than the seed count.  The sweep is the safety net for the
-#: advisory journal: a lost append delays a delivery by at most this many
-#: polls, it never loses it.
-_FULL_SWEEP_EVERY = 10
 
 
 class SpoolBackend(ExecutionBackend):
@@ -83,70 +70,17 @@ class SpoolBackend(ExecutionBackend):
             label=batch.label,
             chunk_size=runner.chunk_size,
         )
-        # Which result indices each spec covers (make_task_specs chunks the
-        # pending pairs in order), so completion events tell the poll loop
-        # which few seeds to probe instead of hammering the whole cache.
-        pairs = list(batch.pending)
-        spec_indices: dict[str, list[int]] = {}
-        position = 0
-        for spec in specs:
-            spec_indices[spec.task_id] = [
-                index for index, _ in pairs[position : position + len(spec.seeds)]
-            ]
-            position += len(spec.seeds)
-        spec_ids = {spec.task_id for spec in specs}
+        self.spool.enqueue_many(specs)
 
-        # Open the journal tail *before* the first enqueue: every event for
-        # this batch's tasks from here on is captured, and events recorded
-        # earlier describe stale markers that enqueue clears anyway.
-        tail = self.spool.tail([spec.task_id for spec in specs])
-
-        # Backpressure: keep at most spool_max_inflight specs in the spool.
-        to_submit: list[TaskSpec] = list(specs)
-        inflight: set[str] = set()
-
-        def _refill() -> None:
-            fresh: list[TaskSpec] = []
-            while to_submit and len(inflight) + len(fresh) < runner.spool_max_inflight:
-                fresh.append(to_submit.pop(0))
-            if fresh:
-                self.spool.enqueue_many(fresh)
-                inflight.update(spec.task_id for spec in fresh)
-
-        _refill()
-
-        outstanding: dict[int, int] = {index: seed for index, seed in batch.pending}
+        outstanding: dict[int, int] = dict(batch.pending)
         computed: dict[int, float] = {}
-        done_specs: set[str] = set()
-        polls = 0
         deadline = (
             time.time() + runner.spool_timeout_s if runner.spool_timeout_s is not None else None
         )
-        while outstanding:
-            # Workers write every seed to the cache *before* acking, so a
-            # done event means the whole spec is deliverable.  The periodic
-            # full sweep still probes everything: it backstops lost journal
-            # appends, surfaces partial progress of long tasks and catches
-            # seeds delivered out-of-band (e.g. by another submitter
-            # chunking the same cells differently).
-            probe: set[int] = set()
-            failed_hints: set[str] = set()
-            for event in tail.poll():
-                task_id = event.get("id")
-                if task_id not in spec_ids:
-                    continue  # another campaign sharing our shards
-                if event.get("op") == "done" and task_id not in done_specs:
-                    done_specs.add(task_id)
-                    probe.update(i for i in spec_indices[task_id] if i in outstanding)
-                elif event.get("op") == "failed":
-                    failed_hints.add(task_id)
-            full_sweep = polls % _FULL_SWEEP_EVERY == 0
-            if full_sweep:
-                probe = set(outstanding)
-            polls += 1
+        while True:
             delivered = 0
-            for index in probe:
-                value = cache.probe(digest, strategy, outstanding[index])
+            for index, seed in list(outstanding.items()):
+                value = cache.probe(digest, strategy, seed)
                 if value is not None:
                     computed[index] = value
                     del outstanding[index]
@@ -156,20 +90,14 @@ class SpoolBackend(ExecutionBackend):
                 runner._emit(
                     batch.label, batch.cached + len(computed), batch.total, batch.cached
                 )
-                # Retire fully delivered specs and let queued ones enter.
-                for task_id in list(inflight):
-                    if not any(i in outstanding for i in spec_indices[task_id]):
-                        inflight.discard(task_id)
-                        done_specs.add(task_id)
-                _refill()
-            if not outstanding:
-                break
-            # The journal is advisory, so failure *events* are hints; the
-            # failure record on disk is the ground truth (checked for every
-            # hinted task each poll, and for all in-flight ones per sweep).
-            candidates = failed_hints if not full_sweep else inflight - done_specs
+                if not outstanding:
+                    return computed
+            # Only a task that still owes seeds can abort the batch.
+            waiting = set(outstanding.values())
             failed = sorted(
-                task_id for task_id in candidates if self.spool.has_failed(task_id)
+                spec.task_id
+                for spec in specs
+                if waiting.intersection(spec.seeds) and self.spool.has_failed(spec.task_id)
             )
             if failed:
                 details = "; ".join(
@@ -191,4 +119,3 @@ class SpoolBackend(ExecutionBackend):
             # worker is busy elsewhere, so the submitter sweeps too.
             self.spool.reclaim_expired()
             time.sleep(runner.spool_poll_s)
-        return computed

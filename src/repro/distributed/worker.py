@@ -269,28 +269,6 @@ class SpoolWorker:
         return succeeded
 
     # ------------------------------------------------------------ one task
-    def process(self, spec: TaskSpec) -> bool:
-        """Simulate one claimed task with its own heartbeat; True on success.
-
-        Compatibility path for callers that claimed a single task via
-        :meth:`WorkSpool.claim`; the main loop uses :meth:`process_batch`.
-        """
-        heartbeat_stop = threading.Event()
-        interval = max(0.05, self.spool.lease_ttl_s / 4.0)
-
-        def _beat() -> None:
-            while not heartbeat_stop.wait(interval):
-                self.spool.heartbeat(spec.task_id)
-                self._last_beat = time.time()
-
-        heartbeat = threading.Thread(target=_beat, name=f"heartbeat-{spec.task_id}", daemon=True)
-        heartbeat.start()
-        try:
-            return self._execute(spec)
-        finally:
-            heartbeat_stop.set()
-            heartbeat.join()
-
     def _execute(self, spec: TaskSpec) -> bool:
         """Simulate one task's seeds into the cache, then ack (or fail).
 

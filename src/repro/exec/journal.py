@@ -1,34 +1,27 @@
-"""Append-only JSONL journals: the lock-free index format of spool and cache.
+"""Append-only JSONL journals: the lock-free index format of the result cache.
 
-Both the distributed work spool and the result cache keep *per-shard index
-journals* so readers (``cache stats``, submitter progress polling) scale
-with the number of shards touched instead of sweeping and stat-walking
-every entry.  The format is deliberately minimal:
+Each shard of a :class:`~repro.exec.cache.ResultCache` keeps an index
+journal (``<shard>/.index.jsonl``, one record per entry or sidecar write),
+so ``cache stats`` reads one file per shard instead of stat-walking every
+entry.  The format is deliberately minimal:
 
 * one JSON object per line, appended with a single buffered write — on a
   POSIX filesystem ``O_APPEND`` writes of a short line are atomic, so any
-  number of workers can append to the same shard journal without locks;
+  number of writers can append to the same shard journal without locks;
 * a journal is *advisory*: it can lag the directory it indexes (a crash
-  between a rename and its journal append), so every consumer must treat it
-  as an accelerator over a slower ground truth (directory scan, cache
-  probe), never as the source of record;
+  between an entry write and its journal append), so the cache treats it
+  as an accelerator over a directory walk, never as the source of record;
 * a torn final line (a writer died mid-append, or the reader raced an
-  append) is treated as absent: :func:`read_records` and
-  :func:`tail_records` only consume newline-terminated lines and skip
-  unparseable ones.
-
-``tail_records`` supports incremental consumption: callers remember the
-byte offset it returns and pass it back, so polling a journal costs one
-``stat`` plus reading only the bytes appended since the previous poll.
+  append) is treated as absent: :func:`read_records` only consumes
+  newline-terminated lines and skips unparseable ones.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
-__all__ = ["append_record", "read_records", "tail_records"]
+__all__ = ["append_record", "read_records"]
 
 
 def append_record(path: Path, record: dict) -> None:
@@ -43,39 +36,25 @@ def append_record(path: Path, record: dict) -> None:
         handle.write(line)
 
 
-def tail_records(path: Path, offset: int = 0) -> tuple[list[dict], int]:
-    """Records appended at or after ``offset``, plus the next offset.
+def read_records(path: Path) -> list[dict]:
+    """Every complete, parseable record of one journal (missing file = []).
 
-    Returns ``([], offset)`` when the journal is missing or has not grown.
-    The returned offset always lands on a line boundary: a torn final line
-    (no trailing newline yet) is left for the next poll, so a reader never
-    consumes half an append.  Unparseable complete lines are skipped — a
-    corrupt journal degrades to "fewer events", never to an error.
+    A torn final line (no trailing newline yet) is left for a later read,
+    so a reader never consumes half an append.  Unparseable complete lines
+    are skipped — a corrupt journal degrades to "fewer records", never to
+    an error.
     """
     try:
-        size = os.stat(path).st_size
+        with open(path, "rb") as handle:
+            chunk = handle.read()
     except OSError:
-        return [], offset
-    if size <= offset:
-        return [], offset
-    with open(path, "rb") as handle:
-        handle.seek(offset)
-        chunk = handle.read(size - offset)
-    end = chunk.rfind(b"\n")
-    if end < 0:
-        return [], offset  # only a torn line so far; re-read once completed
+        return []
     records: list[dict] = []
-    for raw in chunk[: end + 1].splitlines():
+    for raw in chunk[: chunk.rfind(b"\n") + 1].splitlines():
         try:
             record = json.loads(raw.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
             continue
         if isinstance(record, dict):
             records.append(record)
-    return records, offset + end + 1
-
-
-def read_records(path: Path) -> list[dict]:
-    """Every complete, parseable record of one journal (missing file = [])."""
-    records, _ = tail_records(path, 0)
     return records

@@ -305,11 +305,6 @@ class ParallelRunner:
         Spool-backend tuning: cache poll interval, lease expiry after which
         a crashed worker's task is reclaimed, and an optional overall
         timeout per batch (``None`` waits indefinitely).
-    spool_max_inflight:
-        Backpressure bound for the spool backend: at most this many task
-        specs of one batch sit in the spool at a time; further specs are
-        enqueued as earlier ones complete, so a huge campaign never floods
-        the shared filesystem with pending files.
     progress:
         Optional callback invoked with a :class:`ProgressEvent` after each
         completed seed (serial), chunk (process) or poll progress (spool),
@@ -325,7 +320,6 @@ class ParallelRunner:
     spool_poll_s: float = 0.1
     spool_lease_ttl_s: float = 60.0
     spool_timeout_s: float | None = None
-    spool_max_inflight: int = 128
     progress: Callable[[ProgressEvent], None] | None = None
     stats: RunnerStats = field(default_factory=RunnerStats)
     #: Lazily created backend instance, reused across batches so backends
@@ -349,8 +343,6 @@ class ParallelRunner:
             raise ConfigurationError("spool_lease_ttl_s must be positive")
         if self.spool_timeout_s is not None and self.spool_timeout_s <= 0:
             raise ConfigurationError("spool_timeout_s must be positive (or None to wait)")
-        if self.spool_max_inflight <= 0:
-            raise ConfigurationError("spool_max_inflight must be positive")
         if self.cache is None and self.cache_dir is not None:
             self.cache = ResultCache(self.cache_dir)
         if self.backend == "spool":

@@ -52,6 +52,7 @@ def test_spool_validates_parameters(tmp_path):
     spool = WorkSpool(tmp_path / "spool")
     for state in ("tasks", "claims", "done", "failed"):
         assert (tmp_path / "spool" / state).is_dir()
+    assert not (tmp_path / "spool" / "index").exists()  # no event journals
     assert spool.status().drained
 
 
@@ -248,12 +249,14 @@ def test_heartbeat_keeps_lease_alive(tmp_path):
     spool = WorkSpool(tmp_path, lease_ttl_s=0.05)
     spec = _spec()
     spool.enqueue(spec)
-    spool.claim("w1")
+    batch = spool.claim_batch("w1")
+    assert batch is not None
     past = time.time() - 60.0
     os.utime(_lease_of(tmp_path, spec.task_id), (past, past))
-    spool.heartbeat(spec.task_id)  # refreshes the lease before the sweep
+    spool.heartbeat_batch(batch.batch_id)  # refreshes the lease before the sweep
     assert spool.reclaim_expired() == []
-    spool.heartbeat("missing-task")  # reclaimed/acked tasks are ignored
+    spool.heartbeat_batch("missing-batch")  # reclaimed/finished batches are ignored
+    assert not (tmp_path / "claims" / "missing-batch").exists()
 
 
 # ------------------------------------------------------------ concurrency

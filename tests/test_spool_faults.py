@@ -7,9 +7,9 @@ contracts hold under filesystem misbehaviour:
 
 * a claim is never granted to two workers, even when renames fail
   mid-claim and are retried;
-* half-written advisory state (index journal lines, ``spool.json``, lease
-  files) is treated as *absent* — it degrades performance, never
-  correctness.
+* half-written advisory state (``spool.json``, lease files, and the result
+  cache's index journal lines the workers append to) is treated as
+  *absent* — it degrades performance, never correctness.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import threading
 import time
 
 from repro.distributed import TaskSpec, WorkSpool
-from repro.distributed.spool import SPOOL_LAYOUT_VERSION
-from repro.distributed.tasks import shard_of
+from repro.distributed.spool import SPOOL_LAYOUT_VERSION, SpoolStatus
+from repro.exec import ResultCache
 
 
 def _toy_task(seed: int) -> float:
@@ -87,36 +87,42 @@ def test_injected_faults_are_counted_and_disarmed(tmp_path, fs_faults):
 
 
 # ------------------------------------------- half-written state is absent
+def _cache_journal_line(seed: int) -> str:
+    """One entry record as the result cache appends it to its shard index."""
+    record = {
+        "kind": "entry",
+        "path": f"ab/{'ab' * 32}/least-waste/{seed}.json",
+        "bytes": 64,
+        "version": "2",
+    }
+    return json.dumps(record, separators=(",", ":"))
+
+
 def test_torn_journal_line_is_invisible_until_completed(tmp_path):
-    spool = WorkSpool(tmp_path)
-    spec = _spec(3)
-    shard = shard_of(spec.task_id)
-    journal = spool.journal_path(shard)
-    tail = spool.tail([spec.task_id])
+    """``cache stats`` reads the shard index journals: a line whose writer
+    has not finished its append yet counts only once its newline lands."""
+    journal = tmp_path / "ab" / ".index.jsonl"
+    journal.parent.mkdir()
+    journal.write_text(_cache_journal_line(1) + "\n" + _cache_journal_line(2))  # torn
 
-    journal.parent.mkdir(parents=True, exist_ok=True)
-    with open(journal, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps({"op": "done", "id": spec.task_id}))  # no \n
-
-    assert tail.poll() == []  # a torn append is absent, not an error
-    assert spool.index_snapshot(shard) == {"done": set(), "failed": set()}
+    cache = ResultCache(tmp_path)
+    assert cache.stats().entries == 1  # a torn append is absent, not an error
 
     with open(journal, "a", encoding="utf-8") as handle:
         handle.write("\n")  # the writer finishes its line
-    events = tail.poll()
-    assert events == [{"op": "done", "id": spec.task_id}]
-    assert spool.index_snapshot(shard)["done"] == {spec.task_id}
+    assert cache.stats().entries == 2
 
 
 def test_garbage_journal_lines_are_skipped(tmp_path):
-    spool = WorkSpool(tmp_path)
-    spec = _spec(4)
-    shard = shard_of(spec.task_id)
-    journal = spool.journal_path(shard)
-    journal.parent.mkdir(parents=True, exist_ok=True)
-    journal.write_text('{broken json\n[1, 2, 3]\n{"op": "failed", "id": "%s"}\n' % spec.task_id)
-    snapshot = spool.index_snapshot(shard)
-    assert snapshot == {"done": set(), "failed": {spec.task_id}}
+    journal = tmp_path / "ab" / ".index.jsonl"
+    journal.parent.mkdir()
+    journal.write_bytes(
+        b'{broken json\n[1, 2, 3]\n\xff\xfe not utf-8\n'
+        + _cache_journal_line(3).encode("utf-8")
+        + b"\n"
+    )
+    stats = ResultCache(tmp_path).stats()
+    assert stats.entries == 1 and stats.total_bytes == 64
 
 
 def test_half_written_spool_meta_is_treated_as_absent(tmp_path):
@@ -154,8 +160,8 @@ def test_half_written_lease_falls_back_to_directory_mtime(tmp_path):
 
 def test_flat_spool_is_migrated_on_open(tmp_path):
     """A layout-1 (flat) spool auto-migrates: queued tasks move into their
-    shards, done/failed markers keep their meaning, orphaned flat claims
-    return to the queue, and the journal reflects the directories."""
+    shards, done/failed markers keep their meaning and orphaned flat claims
+    return to the queue."""
     for state in ("tasks", "claims", "done", "failed"):
         (tmp_path / state).mkdir(parents=True)
     queued, claimed, finished = _spec(1), _spec(2), _spec(3)
@@ -171,8 +177,6 @@ def test_flat_spool_is_migrated_on_open(tmp_path):
     assert status.pending == 2  # the queued task plus the re-queued claim
     assert status.claimed == 0 and status.done == 1
     assert spool.is_done(finished.task_id)
-    shard = shard_of(finished.task_id)
-    assert spool.index_snapshot(shard)["done"] == {finished.task_id}
     assert json.loads((tmp_path / "spool.json").read_text())["layout"] == SPOOL_LAYOUT_VERSION
 
     # Re-opening (or a concurrent second migration) is a no-op.
@@ -184,6 +188,44 @@ def test_flat_spool_is_migrated_on_open(tmp_path):
         drained.append(spec.task_id)
         again.ack(spec.task_id)
     assert sorted(drained) == sorted([queued.task_id, claimed.task_id])
+
+
+def test_spool_with_event_journals_from_older_code_drains_and_keeps_them(tmp_path):
+    """Older code also appended ``done``/``failed``/``requeue`` events to
+    ``index/<shard>.jsonl``.  Such a layout-2 spool reopens with the same
+    status, drains normally, and its journals are neither read nor
+    touched."""
+    spool = WorkSpool(tmp_path)
+    finished, broken = _spec(1), _spec(2)
+    spool.enqueue_many([finished, broken])
+    batch = spool.claim_batch("old-worker")
+    assert batch is not None and len(batch.specs) == 2
+    spool.ack(finished.task_id, worker_id="old-worker")
+    spool.fail(broken.task_id, "boom", worker_id="old-worker")
+    queued = [_spec(3), _spec(4, "b")]
+    spool.enqueue_many(queued)
+
+    index = tmp_path / "index"
+    index.mkdir()
+    for shard, events in {
+        "aa": [("done", finished.task_id), ("failed", broken.task_id), ("requeue", "gone")],
+        "bb": [("done", queued[1].task_id)],  # a stale event: not done at all
+    }.items():
+        lines = [json.dumps({"op": op, "id": task_id}, separators=(",", ":")) for op, task_id in events]
+        (index / f"{shard}.jsonl").write_text("\n".join(lines) + "\n" + '{"op": "do')
+    journals = {path.name: path.read_bytes() for path in index.iterdir()}
+    before = spool.status()
+
+    reopened = WorkSpool(tmp_path)
+    assert reopened.status() == before
+    drained = []
+    while (batch := reopened.claim_batch("new-worker")) is not None:
+        for spec in batch.specs:
+            reopened.ack(spec.task_id, worker_id="new-worker")
+            drained.append(spec.task_id)
+    assert sorted(drained) == sorted(spec.task_id for spec in queued)
+    assert reopened.status() == SpoolStatus(pending=0, claimed=0, done=3, failed=1)
+    assert {path.name: path.read_bytes() for path in index.iterdir()} == journals
 
 
 def test_enqueue_retries_through_transient_write_faults(tmp_path, fs_faults):

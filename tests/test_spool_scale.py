@@ -3,14 +3,13 @@
 Two kinds of guarantee live here:
 
 * **Property tests** (Hypothesis): shard assignment is a pure function —
-  identical in every process, regardless of hash randomization — and the
-  incrementally-maintained journal index always folds to exactly the state
-  a from-scratch directory rebuild produces, whatever the operation
-  history.
+  identical in every process, regardless of hash randomization — and,
+  whatever the operation history, every task sits in exactly the state
+  directory its last transition put it in, with ``status()`` agreeing.
 * **Complexity bounds**: on a synthetic 10k-entry spool/cache, the hot
-  paths a fleet hammers (submitter journal polling, the drained check,
-  ``cache stats``) cost O(shards touched) filesystem operations — counted
-  at the ``os.scandir``/``os.stat`` level — not O(entries).
+  paths a fleet hammers (submitter polling, the drained check,
+  ``cache stats``) cost a bounded number of filesystem operations —
+  counted at the ``os.scandir``/``os.stat`` level — not O(entries).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.distributed import TaskSpec, WorkSpool
+from repro.distributed import SpoolStatus, TaskSpec, WorkSpool
 from repro.distributed.tasks import SHARD_WIDTH, shard_of
 from repro.errors import SpoolError
 from repro.exec import ParallelRunner, ResultCache
@@ -89,7 +88,7 @@ def test_shard_of_is_identical_across_processes(tmp_path):
         assert json.loads(result.stdout) == local
 
 
-# ------------------------------------------- journal index == rebuilt index
+# ------------------------------------------ state directories == history
 def _prop_spec(index: int) -> TaskSpec:
     digit = _HEX[index % len(_HEX)]
     return TaskSpec(
@@ -99,7 +98,7 @@ def _prop_spec(index: int) -> TaskSpec:
 
 def _apply(spool: WorkSpool, spec: TaskSpec, action: str) -> None:
     """Drive one task through a real done/failed/requeue transition."""
-    spool.enqueue(spec)  # requeues (journal event) if a stale marker exists
+    spool.enqueue(spec)  # requeues if a stale done/failed marker exists
     if action == "requeue":
         return
     held = []
@@ -115,6 +114,10 @@ def _apply(spool: WorkSpool, spec: TaskSpec, action: str) -> None:
             spool.fail(claimed.task_id, error="injected by the property suite")
 
 
+#: The state directory each property-suite action leaves its task in.
+_STATE_AFTER = {"done": "done", "failed": "failed", "requeue": "tasks"}
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     ops=st.lists(
@@ -124,16 +127,31 @@ def _apply(spool: WorkSpool, spec: TaskSpec, action: str) -> None:
         max_size=12,
     )
 )
-def test_journal_index_always_matches_directory_rebuild(ops):
-    """After ANY operation history, folding the append-only journal gives
-    exactly the state a from-scratch directory scan reconstructs."""
+def test_every_task_sits_where_its_last_transition_put_it(ops):
+    """After ANY operation history, each task id is in exactly the state
+    directory its last action implies — ``done/``, ``failed/`` or
+    ``tasks/`` (requeued) — and ``status()`` counts what the directories
+    hold."""
     with tempfile.TemporaryDirectory() as root:
         spool = WorkSpool(root)
         specs = [_prop_spec(index) for index in range(6)]
+        last: dict[str, str] = {}
         for action, index in ops:
             _apply(spool, specs[index], action)
-        for shard in sorted({shard_of(spec.task_id) for spec in specs}):
-            assert spool.index_snapshot(shard) == spool.rebuild_index(shard)
+            last[specs[index].task_id] = _STATE_AFTER[action]
+        on_disk = {
+            state: {path.name[: -len(".json")] for path in Path(root, state).glob("*/*.json")}
+            for state in ("tasks", "done", "failed")
+        }
+        for spec in specs:
+            holders = {state for state, ids in on_disk.items() if spec.task_id in ids}
+            assert holders == ({last[spec.task_id]} if spec.task_id in last else set())
+        assert spool.status() == SpoolStatus(
+            pending=len(on_disk["tasks"]),
+            claimed=0,
+            done=len(on_disk["done"]),
+            failed=len(on_disk["failed"]),
+        )
 
 
 # --------------------------------------------------- O(shards touched) bounds
@@ -191,28 +209,6 @@ def test_idle_check_ignores_the_done_history(tmp_path):
     with _counting_fs() as counts:
         assert spool.idle()
     assert counts["scandir"] + counts["stat"] < 100
-
-
-def test_submitter_polling_reads_only_watched_journals(tmp_path):
-    """Each tail poll costs one journal read per *watched* shard — the 10k
-    finished tasks and their 200 journals are never touched."""
-    spool = _synthetic_spool(tmp_path, done=10_000, done_shards=200)
-    watched = [_prop_spec(index) for index in range(4)]  # 4 distinct shards
-    assert spool.enqueue_many(list(watched)) == len(watched)
-    tail = spool.tail([spec.task_id for spec in watched])
-
-    with _counting_fs() as counts:
-        assert tail.poll() == []
-    assert counts["scandir"] == 0  # polling never lists directories
-    assert counts["stat"] < 30
-
-    batch = spool.claim_batch("poll-worker", limit=1)
-    assert batch is not None
-    spool.ack(batch.specs[0].task_id)
-    with _counting_fs() as counts:
-        events = tail.poll()
-    assert {"op": "done", "id": batch.specs[0].task_id} in events
-    assert counts["scandir"] == 0 and counts["stat"] < 30
 
 
 def _submitter_poll_cost(root: Path, config, *, done: int) -> int:
