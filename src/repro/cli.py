@@ -786,6 +786,10 @@ def _cmd_worker(args: argparse.Namespace) -> str:
         # --status must never create the spool: a typo'd path would report a
         # perfectly healthy empty spool (and fool CI's drain assertion).
         raise ConfigurationError(f"no spool at {args.spool}")
+    if args.metrics_port is not None and not 0 <= args.metrics_port <= 65535:
+        raise ConfigurationError(
+            f"--metrics-port must be between 0 and 65535, got {args.metrics_port}"
+        )
     spool = WorkSpool(args.spool, lease_ttl_s=args.lease_ttl)
     if args.status:
         return f"spool {spool.root}: {spool.status().describe()}"

@@ -18,8 +18,9 @@ Production behaviour is a straight pass-through costing one ``None`` check
 per call.  Setting ``REPRO_SPOOL_FAULT_RATE`` (a probability) arms a seeded
 :class:`FaultInjector` at import time — CI's saturation-smoke job runs
 workers this way — optionally tuned by ``REPRO_SPOOL_FAULT_OPS`` (comma
-list), ``REPRO_SPOOL_FAULT_DELAY_S`` and ``REPRO_SPOOL_FAULT_SEED``.  The
-environment injector only targets *retry-safe* operations by default
+list), ``REPRO_SPOOL_FAULT_DELAY_S`` and ``REPRO_SPOOL_FAULT_SEED``; a
+malformed value is a :class:`~repro.errors.ConfigurationError` on import.
+The environment injector only targets *retry-safe* operations by default
 (``rename``/``stat``/``utime``/``scandir``), which the spool treats as lost
 races or transient stalls rather than errors.
 """
@@ -27,6 +28,7 @@ races or transient stalls rather than errors.
 from __future__ import annotations
 
 import errno
+import math
 import os
 import random
 import threading
@@ -35,6 +37,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.errors import ConfigurationError
 from repro.exec.cache import atomic_write_text
 
 __all__ = [
@@ -53,6 +56,11 @@ __all__ = [
     "unlink",
     "write_text",
 ]
+
+#: Every operation name the choke point reports to the hook.
+ALL_OPS = frozenset(
+    {"rename", "stat", "utime", "scandir", "mkdir", "rmdir", "unlink", "read", "write"}
+)
 
 #: Operations the environment-armed injector targets: each is a point the
 #: spool already treats as a lost race or a transient stall.
@@ -135,23 +143,52 @@ class OpCounter:
         return sum(self.counts.get(op, 0) for op in ops)
 
 
-def _arm_from_env() -> None:
-    raw_rate = os.environ.get("REPRO_SPOOL_FAULT_RATE")
-    raw_delay = os.environ.get("REPRO_SPOOL_FAULT_DELAY_S")
-    if not raw_rate and not raw_delay:
-        return
+def _env_number(name: str, *, high: float) -> float:
+    """One numeric knob, finite and in ``[0, high]`` (unset or empty = 0)."""
+    raw = os.environ.get(name)
+    if not raw:
+        return 0.0
     try:
-        rate = float(raw_rate) if raw_rate else 0.0
-        delay = float(raw_delay) if raw_delay else 0.0
+        value = float(raw)
     except ValueError:
-        return  # a malformed knob must never take the spool down
+        value = math.nan
+    if not 0.0 <= value <= high:  # NaN fails every comparison
+        raise ConfigurationError(f"{name}={raw!r} must be a number in [0, {high:g}]")
+    return value
+
+
+def _arm_from_env() -> None:
+    """Arm a :class:`FaultInjector` from the ``REPRO_SPOOL_FAULT_*`` knobs.
+
+    Nothing is armed unless the rate or the delay is set, and unset or
+    empty knobs keep their defaults.  A malformed value raises
+    :class:`~repro.errors.ConfigurationError` naming the variable: a
+    typo'd fault drill must fail loudly instead of testing nothing.  The
+    delay is capped at an hour per operation, far beyond any drill and
+    well inside what :func:`time.sleep` accepts.
+    """
+    rate = _env_number("REPRO_SPOOL_FAULT_RATE", high=1.0)
+    delay = _env_number("REPRO_SPOOL_FAULT_DELAY_S", high=3600.0)
     ops = RETRY_SAFE_OPS
     raw_ops = os.environ.get("REPRO_SPOOL_FAULT_OPS")
     if raw_ops:
         ops = frozenset(name.strip() for name in raw_ops.split(",") if name.strip())
+        if not ops or not ops <= ALL_OPS:
+            raise ConfigurationError(
+                f"REPRO_SPOOL_FAULT_OPS={raw_ops!r} must be a comma list of "
+                f"{', '.join(sorted(ALL_OPS))}"
+            )
+    seed: int | None = None
     raw_seed = os.environ.get("REPRO_SPOOL_FAULT_SEED")
-    seed = int(raw_seed) if raw_seed and raw_seed.lstrip("-").isdigit() else None
-    install_fault_hook(FaultInjector(rate=rate, delay_s=delay, ops=ops, seed=seed))
+    if raw_seed:
+        try:
+            seed = int(raw_seed)
+        except ValueError:
+            raise ConfigurationError(
+                f"REPRO_SPOOL_FAULT_SEED={raw_seed!r} must be an integer"
+            ) from None
+    if os.environ.get("REPRO_SPOOL_FAULT_RATE") or os.environ.get("REPRO_SPOOL_FAULT_DELAY_S"):
+        install_fault_hook(FaultInjector(rate=rate, delay_s=delay, ops=ops, seed=seed))
 
 
 _arm_from_env()

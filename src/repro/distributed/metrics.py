@@ -22,6 +22,8 @@ import threading
 from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.errors import ConfigurationError
+
 __all__ = ["WorkerMetricsServer"]
 
 
@@ -60,7 +62,12 @@ class WorkerMetricsServer:
                 pass  # scrapes must not spam the worker's stdout
 
         self._metrics = metrics
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        try:
+            self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        except (OSError, OverflowError) as exc:  # busy port, or out of range
+            raise ConfigurationError(
+                f"cannot serve metrics on {host}:{port}: {exc}"
+            ) from exc
         self._httpd.daemon_threads = True
         self.host = host
         self.port = int(self._httpd.server_address[1])

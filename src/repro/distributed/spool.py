@@ -34,9 +34,9 @@ workers:
   interrupted worker's specs to their shards untouched.
 
 Submitters learn of deliveries from the result cache, never from the spool
-(see :mod:`repro.distributed.submit`).  Older code also kept per-shard event
-journals under ``index/``; a spool that still holds them works unchanged,
-and nothing reads or removes that directory.
+(see :mod:`repro.distributed.submit`).  A spool written by older code may
+also hold per-shard event journals under ``index/``; nothing reads or
+removes them.
 
 Spools written by the flat pre-shard layout are migrated automatically on
 open: entries move into their shards and orphaned claims return to the

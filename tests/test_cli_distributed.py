@@ -5,6 +5,7 @@ behaviour of :func:`repro.cli.main`."""
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -26,6 +27,9 @@ def test_parser_knows_the_new_subcommands():
         ["campaign", "--backend", "spool", "--spool", "dir", "--cache-dir", "c"]
     )
     assert args.backend == "spool" and args.spool == "dir"
+    with pytest.raises(SystemExit) as exc_info:  # no backpressure knob
+        parser.parse_args(["campaign", "--backend", "spool", "--max-inflight", "4"])
+    assert exc_info.value.code == 2
 
 
 def test_worker_status_reports_counts(tmp_path, capsys):
@@ -40,6 +44,37 @@ def test_worker_status_reports_counts(tmp_path, capsys):
 def test_worker_requires_cache_dir(tmp_path):
     # Misconfiguration follows the documented contract: exit 2, not 1.
     assert main(["worker", "--spool", str(tmp_path / "spool")]) == 2
+
+
+@pytest.mark.parametrize("port", ["70000", "-5"])
+def test_worker_rejects_an_out_of_range_metrics_port_before_opening_the_spool(
+    tmp_path, capsys, port
+):
+    spool_dir = tmp_path / "spool"
+    code = main(
+        ["worker", "--spool", str(spool_dir), "--cache-dir", str(tmp_path / "cache"),
+         "--drain", "--metrics-port", port]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --metrics-port must be between 0 and 65535, got {port}"
+    ]
+    assert not spool_dir.exists()
+
+
+def test_worker_reports_a_busy_metrics_port_in_one_line(tmp_path, capsys):
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = busy.getsockname()[1]
+        code = main(
+            ["worker", "--spool", str(tmp_path / "spool"), "--cache-dir",
+             str(tmp_path / "cache"), "--drain", "--metrics-port", str(port)]
+        )
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot serve metrics on 127.0.0.1:{port}: ")
 
 
 def test_worker_drains_spool_and_campaign_resolves_from_cache(tmp_path, capsys):

@@ -74,6 +74,8 @@ def test_runner_validates_parameters(tmp_path):
         ParallelRunner(spool_timeout_s=0.0)
     with pytest.raises(ConfigurationError):
         ParallelRunner(spool_timeout_s=-5.0)
+    with pytest.raises(TypeError):  # the spool enqueues a whole batch at once
+        ParallelRunner(spool_max_inflight=4)
 
 
 def test_backend_registry_rejects_duplicates_and_accepts_new_backends():

@@ -15,12 +15,19 @@ contracts hold under filesystem misbehaviour:
 from __future__ import annotations
 
 import json
+import math
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
-from repro.distributed import TaskSpec, WorkSpool
+from hypothesis import given, settings, strategies as st
+
+from repro.distributed import TaskSpec, WorkSpool, fsops
 from repro.distributed.spool import SPOOL_LAYOUT_VERSION, SpoolStatus
+from repro.errors import ConfigurationError
 from repro.exec import ResultCache
 
 
@@ -244,3 +251,79 @@ def test_enqueue_retries_through_transient_write_faults(tmp_path, fs_faults):
     assert spool.enqueue(spec) is True
     fs_faults(None)
     assert spool.status().pending == 1
+
+
+# ------------------------------------------------------ fault-drill knobs
+_FAULT_VARS = (
+    "REPRO_SPOOL_FAULT_RATE",
+    "REPRO_SPOOL_FAULT_DELAY_S",
+    "REPRO_SPOOL_FAULT_OPS",
+    "REPRO_SPOOL_FAULT_SEED",
+)
+_OP_NAMES = ("rename", "stat", "utime", "scandir", "mkdir", "rmdir", "unlink", "read", "write")
+
+#: Any value an environment variable can hold (no NUL, no lone surrogate),
+#: weighted towards numbers (NaN and ±inf included) and op lists.
+_ENV_VALUES = st.one_of(
+    st.none(),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=12),
+    st.floats().map(str),
+    st.integers(-(10**30), 10**30).map(str),
+    st.lists(st.sampled_from(_OP_NAMES + ("append", " ", "")), max_size=4).map(",".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.fixed_dictionaries({name: _ENV_VALUES for name in _FAULT_VARS}))
+def test_fault_knobs_arm_a_sane_injector_or_fail_loudly(values):
+    saved = {name: os.environ.get(name) for name in _FAULT_VARS}
+    previous = fsops.install_fault_hook(None)
+    try:
+        for name, value in values.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+        try:
+            fsops._arm_from_env()
+        except ConfigurationError as exc:
+            assert any(str(exc).startswith(f"{name}=") for name in _FAULT_VARS)
+            return
+        hook = fsops.fault_hook()
+        if not (values["REPRO_SPOOL_FAULT_RATE"] or values["REPRO_SPOOL_FAULT_DELAY_S"]):
+            assert hook is None  # unset or empty: nothing armed, as before
+            return
+        assert isinstance(hook, fsops.FaultInjector)
+        assert math.isfinite(hook.rate) and 0.0 <= hook.rate <= 1.0
+        assert math.isfinite(hook.delay_s) and hook.delay_s >= 0.0
+        assert hook.ops and hook.ops <= set(_OP_NAMES)
+        assert hook.seed is None or isinstance(hook.seed, int)
+    finally:
+        fsops.install_fault_hook(previous)
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def test_a_malformed_fault_knob_stops_the_worker_cli_with_exit_2(tmp_path):
+    """The knobs are read when a command first loads the spool, so a typo'd
+    drill ends the CLI with a one-line error instead of running unarmed."""
+    WorkSpool(tmp_path / "spool")  # --status finds a spool: only the knob can fail
+    env = {key: value for key, value in os.environ.items() if key not in _FAULT_VARS}
+    env["REPRO_SPOOL_FAULT_RATE"] = "abc"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "worker", "--spool", str(tmp_path / "spool"), "--status"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "error: REPRO_SPOOL_FAULT_RATE='abc' must be a number in [0, 1]"
+    ]

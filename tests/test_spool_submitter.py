@@ -52,7 +52,8 @@ def test_seeds_put_into_the_store_out_of_band_are_delivered(tiny_config, tmp_pat
     try:
         assert runner.run_config(config, seeds) == expected
     finally:
-        writer.join()
+        writer.join(timeout=60.0)
+    assert not writer.is_alive()
     assert runner.stats.remote_seeds == len(seeds)
     assert runner.stats.tasks_run == 0
     assert events[-1].completed == events[-1].total == len(seeds)
