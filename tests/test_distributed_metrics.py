@@ -9,14 +9,30 @@ a 200 with an ``error`` field when the callable raises, and a clean stop.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.distributed import SpoolWorker, WorkSpool
 from repro.distributed.metrics import WorkerMetricsServer
 from repro.exec import ResultCache
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: The counters ``SpoolWorker.metrics()`` reports, which the endpoint serves.
+WORKER_METRICS_KEYS = [
+    "batches_claimed", "cache_hit_rate", "cache_hits", "claims_per_s",
+    "heartbeat_age_s", "in_flight_batch", "lease_reclaims", "polls",
+    "seeds_simulated", "tasks_done", "tasks_failed", "tasks_per_s",
+    "uptime_s", "worker_id",
+]
 
 
 def _get(server: WorkerMetricsServer, path: str) -> tuple[int, dict]:
@@ -72,12 +88,7 @@ def test_idle_worker_metrics_keys(tmp_path):
     spool, cache = WorkSpool(tmp_path / "spool"), ResultCache(tmp_path / "cache")
     worker = SpoolWorker(spool, cache, worker_id="w1")
     metrics = worker.metrics()
-    assert sorted(metrics) == [
-        "batches_claimed", "cache_hit_rate", "cache_hits", "claims_per_s",
-        "heartbeat_age_s", "in_flight_batch", "lease_reclaims", "polls",
-        "seeds_simulated", "tasks_done", "tasks_failed", "tasks_per_s",
-        "uptime_s", "worker_id",
-    ]
+    assert sorted(metrics) == WORKER_METRICS_KEYS
     assert metrics["worker_id"] == "w1"
     assert metrics["tasks_done"] == metrics["batches_claimed"] == metrics["cache_hits"] == 0
     assert metrics["cache_hit_rate"] == 0.0
@@ -86,3 +97,39 @@ def test_idle_worker_metrics_keys(tmp_path):
     with WorkerMetricsServer(worker.metrics) as server:
         status, served = _get(server, "/metrics")
     assert status == 200 and served["worker_id"] == "w1" and sorted(served) == sorted(metrics)
+
+
+def test_worker_cli_announces_and_serves_its_endpoint(tmp_path):
+    """The contract perfbench's ``spool-fleet`` and CI's ``saturation-smoke``
+    rely on: ``--metrics-port 0 --log-json`` announces the endpoint in the
+    ``start`` event, and that URL serves the worker's counters."""
+    env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(SRC)
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "worker", "--spool", str(tmp_path / "spool"),
+         "--cache-dir", str(tmp_path / "cache"), "--metrics-port", "0", "--log-json",
+         "--idle-timeout", "60", "--quiet"],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    watchdog = threading.Timer(60.0, worker.kill)  # never hang the suite
+    watchdog.start()
+    try:
+        start = next(
+            event for event in map(json.loads, worker.stdout) if event["event"] == "start"
+        )
+        url = start["metrics"]
+        port = int(url.rsplit(":", 1)[1].removesuffix("/metrics"))
+        assert url == f"http://127.0.0.1:{port}/metrics"
+        with urllib.request.urlopen(url, timeout=10) as response:
+            assert response.status == 200
+            assert sorted(json.loads(response.read())) == WORKER_METRICS_KEYS
+        healthz = url.removesuffix("/metrics") + "/healthz"
+        with urllib.request.urlopen(healthz, timeout=10) as response:
+            assert (response.status, json.loads(response.read())) == (200, {"ok": True})
+        worker.send_signal(signal.SIGINT)
+        assert worker.wait(timeout=30) == 130  # the CLI's Ctrl-C exit
+    finally:
+        watchdog.cancel()
+        worker.kill()
+        worker.wait()
+        worker.stdout.close()

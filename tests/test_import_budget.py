@@ -112,7 +112,9 @@ def test_campaign_cold_and_warm_run_without_scipy(tmp_path):
     assert ", 0 simulation(s)" in child.stdout
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.distributed", "repro.experiments"])
+@pytest.mark.parametrize(
+    "package", ["repro", "repro.distributed", "repro.experiments", "repro.service"]
+)
 def test_every_exported_name_resolves(package):
     child = _python(
         "-c",

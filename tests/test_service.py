@@ -313,6 +313,15 @@ def test_busy_port_is_a_clean_error(tmp_path, capsys):
         store.close()
 
 
+def test_out_of_range_port_is_a_configuration_error(tmp_path):
+    store = open_store("sqlite", tmp_path / "db.sqlite")
+    try:
+        with pytest.raises(ConfigurationError, match="cannot serve on 127.0.0.1:70000"):
+            CampaignService(JobManager(store), port=70000)
+    finally:
+        store.close()
+
+
 def test_cache_export_import_cli_roundtrip(tmp_path, capsys):
     source = open_store("filesystem", tmp_path / "fs")
     source.put("a" * 64, "least-waste", 1, 0.25)
