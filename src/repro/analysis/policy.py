@@ -61,7 +61,6 @@ FSOPS_CHOKEPOINTS: tuple[str, ...] = (
 LOCK_TARGETS: tuple[str, ...] = (
     "repro.service",
     "repro.store.sqlite",
-    "repro.distributed.metrics",
 )
 
 #: Where the digest-relevant configuration fields are declared, and where

@@ -815,22 +815,23 @@ def _cmd_worker(args: argparse.Namespace) -> str:
     )
     metrics_server = None
     if args.metrics_port is not None:
-        from repro.distributed.metrics import WorkerMetricsServer
+        from repro.service.http import JsonServer, metrics_route
 
-        metrics_server = WorkerMetricsServer(worker.metrics, port=args.metrics_port)
+        metrics_server = JsonServer(metrics_route(worker.metrics), port=args.metrics_port)
+        metrics_server.start()
     banner = {
         "worker": worker.worker_id,
         "spool": str(spool.root),
         "cache": str(args.cache_dir),
     }
     if metrics_server is not None:
-        banner["metrics"] = metrics_server.url
+        banner["metrics"] = f"{metrics_server.url}/metrics"
     if args.log_json:
         _json_event({"ts": time.time(), "event": "start", **banner})
     else:
         line = f"worker {worker.worker_id}: spool {spool.root}, cache {args.cache_dir}"
         if metrics_server is not None:
-            line += f", metrics {metrics_server.url}"
+            line += f", metrics {banner['metrics']}"
         print(line, flush=True)
     try:
         stats = worker.run(drain=args.drain, idle_timeout_s=args.idle_timeout)

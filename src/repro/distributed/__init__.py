@@ -37,7 +37,6 @@ from __future__ import annotations
 from repro import _lazy_exports
 
 __all__, __getattr__ = _lazy_exports(globals(), {
-    "repro.distributed.metrics": ("WorkerMetricsServer",),
     "repro.distributed.spool": ("ClaimedBatch", "SpoolStatus", "WorkSpool"),
     "repro.distributed.submit": ("SpoolBackend",),
     "repro.distributed.tasks": ("TaskSpec", "make_task_specs", "shard_of"),

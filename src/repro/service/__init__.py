@@ -9,20 +9,15 @@ decompositions, all over stdlib HTTP + JSON, no shell access to the cache
 directory required.  Every number the service returns travels through the
 same code paths as the CLI (``CampaignRunner``, ``campaign_to_csv``,
 ``repro.trace``), so served results are bit-identical to offline ones.
+``coopckpt worker --metrics-port`` serves its probes on the same
+:class:`~repro.service.http.JsonServer`.
 """
 
-from repro.service.http import CampaignService
-from repro.service.jobs import (
-    CampaignJob,
-    JobManager,
-    campaign_from_request,
-    result_payload,
-)
+from __future__ import annotations
 
-__all__ = [
-    "CampaignJob",
-    "CampaignService",
-    "JobManager",
-    "campaign_from_request",
-    "result_payload",
-]
+from repro import _lazy_exports
+
+__all__, __getattr__ = _lazy_exports(globals(), {
+    "repro.service.http": ("CampaignService",),
+    "repro.service.jobs": ("CampaignJob", "JobManager", "campaign_from_request", "result_payload"),
+})

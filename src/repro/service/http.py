@@ -1,9 +1,12 @@
-"""The campaign-results HTTP API (``coopckpt serve``).
+"""The one HTTP server of the tree, and the campaign-results API on it.
 
-A stdlib-only JSON API in front of one shared
-:class:`~repro.store.ResultStore` and a :class:`~repro.service.jobs.JobManager`
-— the same threaded :class:`http.server.ThreadingHTTPServer` pattern as the
-worker metrics endpoint, grown a router.  Endpoints:
+:class:`JsonServer` is a stdlib :class:`http.server.ThreadingHTTPServer`
+that sends every request to one route function and answers in JSON (or
+CSV).  Two routes run on it: :func:`metrics_route`, the ``/healthz`` and
+``/metrics`` probes of ``coopckpt worker --metrics-port``, and
+:class:`CampaignService`, the ``coopckpt serve`` API in front of one shared
+:class:`~repro.store.ResultStore` and a
+:class:`~repro.service.jobs.JobManager`.  Endpoints of the service:
 
 ========================================  =====================================
 ``GET  /healthz``                         liveness probe, ``{"ok": true}``
@@ -24,7 +27,9 @@ so a served export is byte-identical to the offline one for the same
 campaign and cache.  Errors are JSON: bad requests
 (:class:`~repro.errors.ConfigurationError`) map to 400, unknown jobs/paths
 to 404, results not ready to 409, everything unexpected to 500 — a broken
-request must never take the service down.
+request must never take the server down.  This module loads only the
+standard library and :mod:`repro.errors`, so a worker serving its metrics
+never imports the job layer.
 """
 
 from __future__ import annotations
@@ -32,16 +37,26 @@ from __future__ import annotations
 import dataclasses
 import json
 import threading
+from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import TYPE_CHECKING, TypeVar
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ConfigurationError, ReproError
-from repro.service.jobs import JobManager, campaign_from_request, result_payload
-from repro.store.base import ResultStore
 
-__all__ = ["CampaignService"]
+if TYPE_CHECKING:
+    from repro.service.jobs import JobManager
+    from repro.store.base import ResultStore
+
+__all__ = ["CampaignService", "JsonServer", "metrics_route"]
 
 _MAX_BODY_BYTES = 4 * 1024 * 1024  # campaign matrices are small; refuse blobs
+
+#: A route answers ``(handler, method, path, query)`` with ``(status, payload)``:
+#: a JSON-ready payload, or ``bytes`` sent as CSV.
+Route = Callable[[BaseHTTPRequestHandler, str, str, dict[str, list[str]]], tuple[int, object]]
+
+_Server = TypeVar("_Server", bound="JsonServer")
 
 
 class _HTTPStatus(Exception):
@@ -71,41 +86,34 @@ def _int_param(query: dict[str, list[str]], name: str) -> int | None:
         raise _HTTPStatus(400, f"query parameter {name!r} must be an integer") from None
 
 
-class CampaignService:
-    """Serve campaign submission, results and drill-downs over HTTP.
+class JsonServer:
+    """Serve one route function over HTTP on ``http://<host>:<port>``.
 
-    Binds eagerly (a busy port fails construction with a
-    :class:`ConfigurationError`, which the CLI maps to exit 2); request
+    Binds eagerly: a busy or out-of-range port fails construction with a
+    :class:`ConfigurationError`, which the CLI maps to exit 2.  Request
     handling starts with :meth:`serve_forever` (blocking, for the CLI) or
-    :meth:`start` (background thread, for tests).  Bind to port 0 to let
-    the OS pick — the chosen port is in :attr:`port`.
+    :meth:`start` (background daemon thread).  Bind to port 0 to let the OS
+    pick — the chosen port is in :attr:`port`.  The route sees the path
+    without its trailing slash and the parsed query string.
     """
 
-    def __init__(
-        self,
-        manager: JobManager,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.manager = manager
-        self.requests = 0
-        self._lock = threading.Lock()
-        service = self
+    def __init__(self, route: Route, *, host: str = "127.0.0.1", port: int = 0) -> None:
+        server = self
 
         class _Handler(BaseHTTPRequestHandler):
             def do_GET(self) -> None:  # noqa: N802 (stdlib API name)
-                service._handle(self, "GET")
+                server._handle(self, "GET")
 
             def do_POST(self) -> None:  # noqa: N802 (stdlib API name)
-                service._handle(self, "POST")
+                server._handle(self, "POST")
 
             def log_message(self, format: str, *args: object) -> None:
                 pass  # request logs belong to the client, not the server tty
 
+        self.route = route
         try:
             self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:  # busy port, or out of range
             raise ConfigurationError(f"cannot serve on {host}:{port}: {exc}") from exc
         self._httpd.daemon_threads = True
         self.host = host
@@ -114,26 +122,19 @@ class CampaignService:
         self._serving = False
 
     @property
-    def store(self) -> ResultStore:
-        return self.manager.store
-
-    @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    # ------------------------------------------------------------ lifecycle
     def serve_forever(self) -> None:
         """Handle requests on the calling thread until :meth:`close`."""
         self._serving = True
         self._httpd.serve_forever()
 
-    def start(self) -> "CampaignService":
-        """Handle requests on a background daemon thread (for tests)."""
+    def start(self: _Server) -> _Server:
+        """Handle requests on a background daemon thread."""
         self._serving = True
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name=f"serve-:{self.port}",
-            daemon=True,
+            target=self._httpd.serve_forever, name=f"serve-:{self.port}", daemon=True
         )
         self._thread.start()
         return self
@@ -147,37 +148,96 @@ class CampaignService:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
 
-    def __enter__(self) -> "CampaignService":
+    def __enter__(self: _Server) -> _Server:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # ------------------------------------------------------------ dispatch
     def _handle(self, handler: BaseHTTPRequestHandler, method: str) -> None:
-        with self._lock:
-            self.requests += 1
-        split = urlsplit(handler.path)
-        path = split.path.rstrip("/") or "/"
-        query = parse_qs(split.query)
         try:
-            status, payload = self._route(handler, method, path, query)
+            split = urlsplit(handler.path)
+            path = split.path.rstrip("/") or "/"
+            status, payload = self.route(handler, method, path, parse_qs(split.query))
         except _HTTPStatus as exc:
-            self._send_json(handler, exc.status, {"error": str(exc)})
-            return
+            status, payload = exc.status, {"error": str(exc)}
         except ConfigurationError as exc:
-            self._send_json(handler, 400, {"error": str(exc)})
-            return
+            status, payload = 400, {"error": str(exc)}
         except ReproError as exc:
-            self._send_json(handler, 500, {"error": str(exc)})
-            return
-        except Exception as exc:  # one bad request must not kill the service
-            self._send_json(handler, 500, {"error": f"{type(exc).__name__}: {exc}"})
-            return
+            status, payload = 500, {"error": str(exc)}
+        except Exception as exc:  # one bad request must not kill the server
+            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         if isinstance(payload, bytes):  # pre-encoded non-JSON body (CSV)
             self._send(handler, status, payload, "text/csv; charset=utf-8")
         else:
             self._send_json(handler, status, payload)
+
+    def _send_json(
+        self, handler: BaseHTTPRequestHandler, status: int, payload: object
+    ) -> None:
+        body = json.dumps(payload, indent=2).encode("utf-8") + b"\n"
+        self._send(handler, status, body, "application/json")
+
+    def _send(
+        self,
+        handler: BaseHTTPRequestHandler,
+        status: int,
+        body: bytes,
+        content_type: str,
+    ) -> None:
+        try:
+            handler.send_response(status)
+            handler.send_header("Content-Type", content_type)
+            handler.send_header("Content-Length", str(len(body)))
+            handler.end_headers()
+            handler.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # client went away mid-response; nothing to salvage
+
+
+def metrics_route(metrics: Callable[[], dict]) -> Route:
+    """The liveness and metrics probes of a process, as a route.
+
+    ``/healthz`` answers ``{"ok": true}`` without calling ``metrics``;
+    ``/metrics`` and ``/`` answer its snapshot, or ``{"error": ...}`` with a
+    200 if it raises, so the endpoint stays scrapeable.  Any other path is a
+    404.  The method is not looked at.
+    """
+
+    def route(
+        handler: BaseHTTPRequestHandler, method: str, path: str, query: dict[str, list[str]]
+    ) -> tuple[int, object]:
+        if path == "/healthz":
+            return 200, {"ok": True}
+        if path in ("/metrics", "/"):
+            try:
+                return 200, metrics()
+            except Exception as exc:  # never take the scrape down
+                return 200, {"error": repr(exc)}
+        raise _HTTPStatus(404, f"unknown path {path!r} (try /healthz, /metrics)")
+
+    return route
+
+
+class CampaignService(JsonServer):
+    """Serve campaign submission, results and drill-downs over HTTP."""
+
+    def __init__(
+        self,
+        manager: JobManager,
+        *,
+        host: str = "127.0.0.1",
+        port: int = 0,
+    ) -> None:
+        self.manager = manager
+        self.requests = 0
+        self._lock = threading.Lock()
+        self._probes = metrics_route(self._metrics)
+        super().__init__(self._route, host=host, port=port)
+
+    @property
+    def store(self) -> ResultStore:
+        return self.manager.store
 
     def _route(
         self,
@@ -186,10 +246,12 @@ class CampaignService:
         path: str,
         query: dict[str, list[str]],
     ) -> tuple[int, object]:
-        if path == "/healthz":
-            return 200, {"ok": True}
-        if path == "/metrics":
-            return 200, self._metrics()
+        from repro.service.jobs import campaign_from_request, result_payload
+
+        with self._lock:
+            self.requests += 1
+        if path in ("/healthz", "/metrics"):
+            return self._probes(handler, method, path, query)
         if path == "/v1/presets":
             from repro.scenarios.presets import CAMPAIGNS
 
@@ -286,25 +348,3 @@ class CampaignService:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _HTTPStatus(400, f"body is not valid JSON: {exc}") from None
-
-    def _send_json(
-        self, handler: BaseHTTPRequestHandler, status: int, payload: object
-    ) -> None:
-        body = json.dumps(payload, indent=2).encode("utf-8") + b"\n"
-        self._send(handler, status, body, "application/json")
-
-    def _send(
-        self,
-        handler: BaseHTTPRequestHandler,
-        status: int,
-        body: bytes,
-        content_type: str,
-    ) -> None:
-        try:
-            handler.send_response(status)
-            handler.send_header("Content-Type", content_type)
-            handler.send_header("Content-Length", str(len(body)))
-            handler.end_headers()
-            handler.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response; nothing to salvage

@@ -74,7 +74,7 @@ def test_worker_reports_a_busy_metrics_port_in_one_line(tmp_path, capsys):
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"error: cannot serve metrics on 127.0.0.1:{port}: ")
+    assert lines[0].startswith(f"error: cannot serve on 127.0.0.1:{port}: ")
 
 
 def test_worker_drains_spool_and_campaign_resolves_from_cache(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """The worker metrics endpoint (``coopckpt worker --metrics-port``).
 
-Binds :class:`WorkerMetricsServer` to an OS-assigned port on loopback with a
-stub metrics callable, and pins what a scraper sees: the JSON payload on
-``/metrics`` and ``/``, the liveness answer on ``/healthz``, a 404 elsewhere,
-a 200 with an ``error`` field when the callable raises, and a clean stop.
+Serves :func:`~repro.service.http.metrics_route` on the shared
+:class:`~repro.service.http.JsonServer`, bound to an OS-assigned port on
+loopback with a stub metrics callable, and pins what a scraper sees: the
+JSON payload on ``/metrics`` and ``/``, the liveness answer on
+``/healthz``, a JSON 404 elsewhere, a 200 with an ``error`` field when the
+callable raises, and a clean stop.  The last test runs the real CLI.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import sys
 import threading
 import urllib.error
 import urllib.request
+from collections.abc import Callable
 from pathlib import Path
 
 import pytest
 
 from repro.distributed import SpoolWorker, WorkSpool
-from repro.distributed.metrics import WorkerMetricsServer
 from repro.exec import ResultCache
+from repro.service.http import JsonServer, metrics_route
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -35,49 +38,55 @@ WORKER_METRICS_KEYS = [
 ]
 
 
-def _get(server: WorkerMetricsServer, path: str) -> tuple[int, dict]:
-    url = f"http://{server.host}:{server.port}{path}"
-    with urllib.request.urlopen(url, timeout=10) as response:
+def _serve(metrics: Callable[[], dict]) -> JsonServer:
+    return JsonServer(metrics_route(metrics)).start()
+
+
+def _get(server: JsonServer, path: str, data: bytes | None = None) -> tuple[int, dict]:
+    with urllib.request.urlopen(server.url + path, data=data, timeout=10) as response:
         return response.status, json.loads(response.read())
 
 
 def test_metrics_and_root_serve_the_callable_as_json():
-    with WorkerMetricsServer(lambda: {"tasks_done": 3, "worker_id": "w"}) as server:
-        assert server.url == f"http://127.0.0.1:{server.port}/metrics"
-        assert _get(server, "/metrics") == (200, {"tasks_done": 3, "worker_id": "w"})
-        assert _get(server, "/") == (200, {"tasks_done": 3, "worker_id": "w"})
-        assert _get(server, "/metrics?format=json") == (200, {"tasks_done": 3, "worker_id": "w"})
+    snapshot = {"tasks_done": 3, "worker_id": "w"}
+    with _serve(lambda: snapshot) as server:
+        assert server.url == f"http://127.0.0.1:{server.port}"
+        for path in ("/metrics", "/", "/metrics?format=json", "/metrics/"):
+            assert _get(server, path) == (200, snapshot), path
+        # A POST reaches the same route and gets the same answer.
+        assert _get(server, "/metrics", data=b"{}") == (200, snapshot)
 
 
 def test_healthz_answers_ok_without_calling_the_metrics():
     def metrics() -> dict:
         raise AssertionError("a liveness probe must not compute metrics")
 
-    with WorkerMetricsServer(metrics) as server:
+    with _serve(metrics) as server:
         assert _get(server, "/healthz") == (200, {"ok": True})
 
 
-def test_unknown_path_is_a_404():
-    with WorkerMetricsServer(dict) as server:
+def test_unknown_path_is_a_json_404():
+    with _serve(dict) as server:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server, "/nope")
-        excinfo.value.close()
-        assert excinfo.value.code == 404
+        with excinfo.value as error:
+            assert error.code == 404
+            assert "unknown path '/nope'" in json.loads(error.read())["error"]
 
 
 def test_a_failing_metrics_callable_still_answers_200_with_an_error():
     def metrics() -> dict:
         raise RuntimeError("counter store gone")
 
-    with WorkerMetricsServer(metrics) as server:
+    with _serve(metrics) as server:
         status, payload = _get(server, "/metrics")
     assert status == 200
     assert payload == {"error": "RuntimeError('counter store gone')"}
 
 
 def test_close_stops_the_server_thread():
-    server = WorkerMetricsServer(dict)
-    assert server._thread.is_alive()
+    server = _serve(dict)
+    assert server._thread is not None and server._thread.is_alive()
     server.close()
     assert not server._thread.is_alive()
     with pytest.raises(urllib.error.URLError):
@@ -94,7 +103,7 @@ def test_idle_worker_metrics_keys(tmp_path):
     assert metrics["cache_hit_rate"] == 0.0
     assert metrics["in_flight_batch"] is None and metrics["heartbeat_age_s"] is None
     # The payload the endpoint serves is the worker's snapshot, JSON-ready.
-    with WorkerMetricsServer(worker.metrics) as server:
+    with _serve(worker.metrics) as server:
         status, served = _get(server, "/metrics")
     assert status == 200 and served["worker_id"] == "w1" and sorted(served) == sorted(metrics)
 

@@ -112,6 +112,16 @@ def test_campaign_cold_and_warm_run_without_scipy(tmp_path):
     assert ", 0 simulation(s)" in child.stdout
 
 
+def test_worker_metrics_endpoint_loads_the_server_without_the_job_layer(tmp_path):
+    child, loaded = _cli(
+        tmp_path, "block", "worker", "--spool", "spool", "--cache-dir", "cache",
+        "--drain", "--metrics-port", "0", "--quiet",
+    )
+    assert child.returncode == 0, child.stderr
+    assert {"repro.service", "repro.service.http"} <= loaded
+    assert sorted(loaded.intersection(("repro.service.jobs", "scipy"))) == []
+
+
 @pytest.mark.parametrize(
     "package", ["repro", "repro.distributed", "repro.experiments", "repro.service"]
 )

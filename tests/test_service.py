@@ -222,6 +222,17 @@ def test_http_error_statuses(service):
     assert code == 400 and "scenario" in body["error"]
 
 
+def test_metrics_stay_scrapeable_when_a_counter_raises(service, monkeypatch):
+    def counts() -> dict:
+        raise RuntimeError("job table gone")
+
+    monkeypatch.setattr(service.manager, "counts", counts)
+    assert _get_json(service, "/metrics") == (200, {"error": "RuntimeError('job table gone')"})
+    assert _get_json(service, "/healthz") == (200, {"ok": True})
+    code, body = _expect_error(service, "/")  # only the worker serves metrics on /
+    assert code == 404 and "unknown path '/'" in body["error"]
+
+
 @pytest.mark.parametrize("value", ["abc", float("nan"), float("inf")])
 def test_bad_numbers_in_a_submitted_matrix_are_a_400(service, value):
     matrix = {**TOY_MATRIX, "overrides": {**TOY_MATRIX["overrides"], "num_nodes": value}}
