@@ -24,6 +24,14 @@ from repro.simulation.config import SimulationConfig
 from repro.units import DAY, GB, HOUR
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers",
+        "paper: the paper's qualitative claims on laptop-scale runs "
+        "(tests/test_paper_claims.py; CI job paper-claims)",
+    )
+
+
 @pytest.fixture
 def tiny_platform() -> PlatformSpec:
     """A 16-node toy platform with a 1 GB/s file system."""
