@@ -16,7 +16,12 @@ from repro.core.daly import system_mtbf
 from repro.errors import ConfigurationError
 from repro.units import GB, YEAR, to_gb, to_hours
 
-__all__ = ["PlatformSpec"]
+__all__ = ["MAX_NUM_NODES", "PlatformSpec"]
+
+#: The largest node count a platform may have: 20x the 50 000-node
+#: prospective system.  The simulator keeps one entry per node, so a far
+#: larger platform exhausts memory instead of failing cleanly.
+MAX_NUM_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,10 @@ class PlatformSpec:
     def __post_init__(self) -> None:
         if self.num_nodes <= 0:
             raise ConfigurationError("num_nodes must be positive")
+        if self.num_nodes > MAX_NUM_NODES:
+            raise ConfigurationError(
+                f"num_nodes must be at most {MAX_NUM_NODES}, got {self.num_nodes!r}"
+            )
         if self.cores_per_node <= 0:
             raise ConfigurationError("cores_per_node must be positive")
         for name in ("memory_per_node_bytes", "io_bandwidth_bytes_per_s", "node_mtbf_s"):

@@ -32,7 +32,12 @@ from repro.platform.spec import PlatformSpec
 from repro.simulation.config import SimulationConfig
 from repro.units import DAY, GB, HOUR, YEAR
 
-__all__ = ["Scenario", "PLATFORM_OVERRIDES"]
+__all__ = ["MAX_NUM_RUNS", "Scenario", "PLATFORM_OVERRIDES"]
+
+#: The most Monte-Carlo runs a scenario may ask for: 100x the paper's 1 000.
+#: Every seed is derived before the first run, so a far larger count would
+#: stall the process instead of failing cleanly.
+MAX_NUM_RUNS = 100_000
 
 #: Shorthand override keys applied to the scenario's platform (in this
 #: order) before any workload override is evaluated.
@@ -140,6 +145,11 @@ class Scenario:
         if not _is_integer(self.num_runs) or self.num_runs <= 0:
             raise ConfigurationError(
                 f"scenario {self.name!r}: num_runs must be a positive integer, got {self.num_runs!r}"
+            )
+        if self.num_runs > MAX_NUM_RUNS:
+            raise ConfigurationError(
+                f"scenario {self.name!r}: num_runs must be at most {MAX_NUM_RUNS}, "
+                f"got {self.num_runs!r}"
             )
         if self.base_seed is not None and (not _is_integer(self.base_seed) or self.base_seed < 0):
             raise ConfigurationError(

@@ -219,6 +219,21 @@ def test_campaign_file_with_a_bad_node_count_exits_2(tmp_path, capsys, value):
     assert "error: override 'num_nodes' must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("num_runs", ["100001", "100000000000000000000"])
+def test_a_run_count_over_the_bound_exits_2_in_one_line(capsys, num_runs):
+    assert main(["campaign", "--preset", "smoke", "--num-runs", num_runs]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: scenario 'mini-cielo': num_runs must be at most 100000, got {num_runs}"
+    ]
+
+
+@pytest.mark.parametrize("num_nodes", [1_000_001, 1_000_000_000])
+def test_a_node_count_over_the_bound_exits_2_in_one_line(tmp_path, capsys, num_nodes):
+    assert main(["campaign", "--file", _matrix_file(tmp_path, {"num_nodes": num_nodes})]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and f"num_nodes must be at most 1000000, got {num_nodes}" in line
+
+
 #: Campaign-file overrides that used to crash with a traceback or silently
 #: change meaning (a boolean is not a number, 1.5 is not a seed).
 HOSTILE_OVERRIDES = [

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.platform.spec import PlatformSpec
+from repro.platform.spec import MAX_NUM_NODES, PlatformSpec
 from repro.units import GB, HOUR, YEAR
 
 
@@ -57,6 +57,12 @@ def test_with_bandwidth_and_mtbf_return_modified_copies():
 def test_invalid_parameters_rejected(overrides):
     with pytest.raises(ConfigurationError):
         make_spec(**overrides)
+
+
+def test_node_count_is_bounded():
+    assert make_spec(num_nodes=MAX_NUM_NODES).num_nodes == 1_000_000
+    with pytest.raises(ConfigurationError, match="num_nodes must be at most 1000000, got 1000001"):
+        make_spec(num_nodes=MAX_NUM_NODES + 1)
 
 
 @pytest.mark.parametrize(

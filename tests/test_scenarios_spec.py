@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.platform.failures import FailureModel
 from repro.scenarios.campaign import Campaign
-from repro.scenarios.spec import PLATFORM_OVERRIDES, Scenario
+from repro.scenarios.spec import MAX_NUM_RUNS, PLATFORM_OVERRIDES, Scenario
 from repro.stats.montecarlo import derive_seeds
 from repro.units import DAY, GB, YEAR
 
@@ -47,6 +47,12 @@ def test_scenario_validates_inputs(tiny_platform, tiny_classes):
         Scenario(name="x", platform=tiny_platform, workload=tiny_classes, num_runs=0)
     with pytest.raises(ConfigurationError):
         Scenario(name="x", platform=tiny_platform, workload=tiny_classes, horizon_days=0.0)
+
+
+def test_run_count_is_bounded(scenario):
+    assert scenario.apply(num_runs=MAX_NUM_RUNS).num_runs == 100_000
+    with pytest.raises(ConfigurationError, match="num_runs must be at most 100000, got 100001"):
+        scenario.apply(num_runs=MAX_NUM_RUNS + 1)
 
 
 def test_scenario_defaults_to_all_strategies(tiny_platform, tiny_classes):

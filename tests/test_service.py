@@ -247,6 +247,20 @@ def test_bad_numbers_in_a_submitted_matrix_are_a_400(service, value):
     assert code == 400 and "bandwidth_gbs" in body["error"]
 
 
+def test_sizes_over_the_bounds_are_a_400_at_submit(service):
+    for payload, key in [
+        ({"preset": "smoke", "num_runs": 100_001}, "num_runs"),
+        ({"preset": "smoke", "num_runs": 10**20}, "num_runs"),
+        ({"campaign": {**TOY_MATRIX, "overrides": {"num_nodes": 1_000_001}}}, "num_nodes"),
+        ({"campaign": {**TOY_MATRIX, "overrides": {"num_nodes": 10**9}}}, "num_nodes"),
+    ]:
+        code, body = _expect_error(
+            service, "/v1/jobs", method="POST", data=json.dumps(payload).encode()
+        )
+        assert code == 400 and f"{key} must be at most" in body["error"], (payload, body)
+    assert service.manager.jobs() == []
+
+
 def test_campaign_from_request_validates_shapes():
     with pytest.raises(ConfigurationError, match="exactly one campaign source"):
         campaign_from_request({"preset": "smoke", "toml": "x"})
