@@ -151,11 +151,6 @@ class IOSubsystem:
         return self._interference
 
     @property
-    def active_transfers(self) -> tuple[Transfer, ...]:
-        """Snapshot of the transfers currently in flight."""
-        return tuple(self._active)
-
-    @property
     def busy(self) -> bool:
         """True when at least one transfer is in flight."""
         return bool(self._active)

@@ -135,7 +135,3 @@ class SimulationEngine:
             return self._now
         finally:
             self._running = False
-
-    def run_until_empty(self) -> float:
-        """Run until no active events remain; convenience alias of ``run(None)``."""
-        return self.run(until=None)

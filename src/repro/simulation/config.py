@@ -158,7 +158,3 @@ class SimulationConfig:
     def with_platform(self, platform: PlatformSpec) -> "SimulationConfig":
         """Copy of this configuration with a different platform."""
         return replace(self, platform=platform)
-
-    def with_failure_model(self, model: FailureModel | None) -> "SimulationConfig":
-        """Copy of this configuration with a different failure model."""
-        return replace(self, failure_model=model)

@@ -159,10 +159,6 @@ class WasteDecomposition:
         """Useful fraction, ``1 - waste_ratio``."""
         return 1.0 - self.waste_ratio
 
-    def waste_components(self) -> dict[str, float]:
-        """The five waste components, in summation order."""
-        return {name: getattr(self, name) for name in _WASTE_FIELDS}
-
     # ------------------------------------------------------------ construction
     @classmethod
     def from_simulation(
