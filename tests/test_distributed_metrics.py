@@ -65,7 +65,7 @@ def test_healthz_answers_ok_without_calling_the_metrics():
         assert _get(server, "/healthz") == (200, {"ok": True})
 
 
-def test_unknown_path_is_a_json_404():
+def test_unknown_path_is_a_404():
     with _serve(dict) as server:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server, "/nope")
