@@ -8,7 +8,7 @@ bandwidth a prospective system needs.  These tests state each claim at a
 reduced scale (fewer sweep points, days instead of weeks, one or two
 repetitions) with fixed seeds and margins for that scale's noise.  Each
 sweep runs once per module.  Run just these with
-``PYTHONPATH=src python -m pytest -m paper -q``.
+``PYTHONPATH=src python -m pytest -m paper -q tests/test_paper_claims.py``.
 """
 
 from __future__ import annotations
