@@ -119,6 +119,9 @@ def test_worker_cli_announces_and_serves_its_endpoint(tmp_path):
          "--cache-dir", str(tmp_path / "cache"), "--metrics-port", "0", "--log-json",
          "--idle-timeout", "60", "--quiet"],
         stdout=subprocess.PIPE, text=True, env=env,
+        # A shell background job ignores SIGINT, and the worker would inherit
+        # that; restore the default so the Ctrl-C below reaches it.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     watchdog = threading.Timer(60.0, worker.kill)  # never hang the suite
     watchdog.start()
