@@ -39,7 +39,7 @@ import json
 import threading
 from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, TypeVar
+from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ConfigurationError, ReproError
@@ -55,8 +55,6 @@ _MAX_BODY_BYTES = 4 * 1024 * 1024  # campaign matrices are small; refuse blobs
 #: A route answers ``(handler, method, path, query)`` with ``(status, payload)``:
 #: a JSON-ready payload, or ``bytes`` sent as CSV.
 Route = Callable[[BaseHTTPRequestHandler, str, str, dict[str, list[str]]], tuple[int, object]]
-
-_Server = TypeVar("_Server", bound="JsonServer")
 
 
 class _HTTPStatus(Exception):
@@ -130,7 +128,7 @@ class JsonServer:
         self._serving = True
         self._httpd.serve_forever()
 
-    def start(self: _Server) -> _Server:
+    def start(self) -> JsonServer:
         """Handle requests on a background daemon thread."""
         self._serving = True
         self._thread = threading.Thread(
@@ -148,7 +146,7 @@ class JsonServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
 
-    def __enter__(self: _Server) -> _Server:
+    def __enter__(self) -> JsonServer:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
