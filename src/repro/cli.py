@@ -82,8 +82,8 @@ def _add_runner_arguments(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--spool-timeout", type=float, default=None, metavar="S",
-        help="abort a spooled batch after S seconds without completion "
-        "(default: wait indefinitely)",
+        help="abort a spooled campaign after S seconds in which no seed was "
+        "delivered (default: wait indefinitely)",
     )
     sub.add_argument(
         "--lease-ttl", type=float, default=60.0, metavar="S",

@@ -3,21 +3,28 @@
 :class:`SpoolBackend` plugs distributed execution into
 :class:`~repro.exec.runner.ParallelRunner` (and therefore into
 ``CampaignRunner`` and every experiment entry point) without those layers
-knowing anything about workers:
+knowing anything about workers.  A campaign reaches it as one batch, so
+the submitter makes one enqueue and runs one poll loop per campaign, and
+workers claim different cells from their first poll:
 
 1. the runner has already subtracted cache hits, so the batch's pending
-   seeds are exactly the cache misses; they are chunked into
-   content-addressed :class:`~repro.distributed.tasks.TaskSpec` documents
-   and enqueued idempotently, all at once;
-2. every poll probes the cache for each seed still outstanding.  Workers
-   write every seed into the cache *before* they ack, so the cache alone
-   records delivery — partial progress of long tasks and seeds delivered
-   by another submitter included — and a poll costs one probe per
-   outstanding seed however long the spool's history grows;
-3. failure records of tasks that still owe seeds abort the wait with the
-   remote traceback, and expired leases are reclaimed along the way so a
-   crashed worker's tasks return to the queue even when no other worker
-   notices.
+   seeds are exactly the campaign's cache misses; each cell's seeds are
+   chunked into content-addressed
+   :class:`~repro.distributed.tasks.TaskSpec` documents, and every spec
+   is enqueued idempotently with one ``enqueue_many`` call;
+2. every poll probes the cache for each seed still outstanding, in every
+   cell, and reports progress per cell.  Workers write every seed into
+   the cache *before* they ack, so the cache alone records delivery —
+   partial progress of long tasks and seeds delivered by another
+   submitter included — and a poll costs one probe per outstanding seed
+   however long the spool's history grows;
+3. failure records of tasks that still owe seeds abort the wait, naming
+   the failing cells and the remote error line, and expired leases are
+   reclaimed along the way so a crashed worker's tasks return to the
+   queue even when no other worker notices;
+4. ``spool_timeout_s`` aborts the wait only after that many seconds in
+   which no outstanding seed was delivered, so a long campaign that keeps
+   making progress is never cut off.
 
 Results travel exclusively through the cache, whose JSON float encoding is
 ``repr``-exact — which is why the spool backend is bit-identical to the
@@ -30,11 +37,19 @@ from __future__ import annotations
 import time
 
 from repro.distributed.spool import WorkSpool
-from repro.distributed.tasks import make_task_specs
+from repro.distributed.tasks import TaskSpec, make_task_specs
 from repro.errors import ConfigurationError, SpoolError
-from repro.exec.runner import ExecutionBackend, ParallelRunner, SeedBatch
+from repro.exec.runner import ExecutionBackend, ParallelRunner, SeedBatch, SeedCell
 
 __all__ = ["SpoolBackend"]
+
+
+def _labels(cells: list[SeedCell]) -> str:
+    """The distinct labels of some cells, quoted, for error messages."""
+    labels = [repr(cell.label) for cell in dict.fromkeys(cells)]
+    if len(labels) > 3:
+        labels[3:] = [f"{len(labels) - 3} more"]
+    return ", ".join(labels)
 
 
 class SpoolBackend(ExecutionBackend):
@@ -53,67 +68,77 @@ class SpoolBackend(ExecutionBackend):
         self.spool = WorkSpool(runner.spool_dir, lease_ttl_s=runner.spool_lease_ttl_s)
 
     def run(self, batch: SeedBatch) -> dict[int, float]:
-        if batch.cache_key is None:
-            raise ConfigurationError(
-                "the spool backend requires content-addressed tasks (a cache "
-                "key); use run_config(), or map_seeds(cache_key=...)"
-            )
         runner = self.runner
         cache = runner.cache
         assert cache is not None  # validated by the runner and __init__
-        digest, strategy = batch.cache_key
-        specs = make_task_specs(
-            batch.task,
-            digest,
-            strategy,
-            [seed for _, seed in batch.pending],
-            label=batch.label,
-            chunk_size=runner.chunk_size,
-        )
-        self.spool.enqueue_many(specs)
-
-        outstanding: dict[int, int] = dict(batch.pending)
-        computed: dict[int, float] = {}
-        deadline = (
-            time.time() + runner.spool_timeout_s if runner.spool_timeout_s is not None else None
-        )
-        while True:
-            delivered = 0
-            for index, seed in list(outstanding.items()):
-                value = cache.probe(digest, strategy, seed)
-                if value is not None:
-                    computed[index] = value
-                    del outstanding[index]
-                    delivered += 1
-            if delivered:
-                runner.stats.remote_seeds += delivered
-                runner._emit(
-                    batch.label, batch.cached + len(computed), batch.total, batch.cached
+        specs: list[tuple[SeedCell, TaskSpec]] = []
+        outstanding: dict[int, tuple[str, str, int]] = {}  # index -> store key
+        for cell, entries in batch.by_cell():
+            if cell.cache_key is None:
+                raise ConfigurationError(
+                    "the spool backend requires content-addressed tasks (a cache "
+                    "key); use run_config(), or map_seeds(cache_key=...)"
                 )
+            digest, strategy = cell.cache_key
+            seeds = [int(entry.seed) for entry in entries]
+            specs.extend(
+                (cell, spec)
+                for spec in make_task_specs(
+                    cell.task,
+                    digest,
+                    strategy,
+                    seeds,
+                    label=cell.label,
+                    chunk_size=runner.chunk_size,
+                )
+            )
+            outstanding.update(
+                (entry.index, (digest, strategy, seed)) for entry, seed in zip(entries, seeds)
+            )
+        self.spool.enqueue_many([spec for _, spec in specs])
+
+        computed: dict[int, float] = {}
+        last_delivery = time.monotonic()
+        while True:
+            arrived: dict[int, float] = {}
+            for index, key in list(outstanding.items()):
+                value = cache.probe(*key)
+                if value is not None:
+                    arrived[index] = value
+                    del outstanding[index]
+            if arrived:
+                runner.stats.remote_seeds += len(arrived)
+                batch.deliver(arrived)
+                computed.update(arrived)
                 if not outstanding:
                     return computed
-            # Only a task that still owes seeds can abort the batch.
+                last_delivery = time.monotonic()
+            # Only a task that still owes seeds can abort the campaign.
             waiting = set(outstanding.values())
-            failed = sorted(
-                spec.task_id
-                for spec in specs
-                if waiting.intersection(spec.seeds) and self.spool.has_failed(spec.task_id)
-            )
+            owing = [
+                (cell, spec)
+                for cell, spec in specs
+                if any((spec.digest, spec.strategy, seed) in waiting for seed in spec.seeds)
+            ]
+            failed = [(cell, spec) for cell, spec in owing if self.spool.has_failed(spec.task_id)]
             if failed:
                 details = "; ".join(
-                    f"{task_id}: {(self.spool.failure(task_id) or 'unknown error').strip().splitlines()[-1]}"
-                    for task_id in failed
+                    f"{spec.task_id}: {(self.spool.failure(spec.task_id) or 'unknown error').strip().splitlines()[-1]}"
+                    for _, spec in failed
                 )
                 raise SpoolError(
-                    f"{len(failed)} spooled task(s) of batch {batch.label!r} failed "
-                    f"on remote worker(s) — {details} (full tracebacks under "
+                    f"{len(failed)} spooled task(s) of cell(s) "
+                    f"{_labels([cell for cell, _ in failed])} failed on remote "
+                    f"worker(s) — {details} (full tracebacks under "
                     f"{self.spool.root / 'failed'})"
                 )
-            if deadline is not None and time.time() > deadline:
+            timeout = runner.spool_timeout_s
+            if timeout is not None and time.monotonic() - last_delivery > timeout:
                 raise SpoolError(
-                    f"timed out after {runner.spool_timeout_s:g}s waiting for "
-                    f"{len(outstanding)} seed(s) of batch {batch.label!r}; are "
-                    f"workers running against --spool {self.spool.root}?"
+                    f"timed out after {timeout:g}s waiting for {len(outstanding)} "
+                    f"seed(s) of cell(s) {_labels([cell for cell, _ in owing])}: none "
+                    f"was delivered in that time; are workers running against "
+                    f"--spool {self.spool.root}?"
                 )
             # A crashed worker's lease must expire even when every healthy
             # worker is busy elsewhere, so the submitter sweeps too.

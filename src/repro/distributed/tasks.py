@@ -34,6 +34,7 @@ from repro.exec.digest import DIGEST_VERSION
 __all__ = [
     "SPOOL_FORMAT_VERSION",
     "SHARD_WIDTH",
+    "SPECS_PER_CELL",
     "TaskSpec",
     "make_task_specs",
     "shard_of",
@@ -46,6 +47,11 @@ SPOOL_FORMAT_VERSION = "1"
 
 #: Hex characters of a task id that name its directory shard.
 SHARD_WIDTH = 2
+
+#: Specs :func:`make_task_specs` splits a cell into by default.  Part of
+#: every default task id (the id hashes each spec's seeds), so changing it
+#: re-addresses queued work.
+SPECS_PER_CELL = 4
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
@@ -163,19 +169,20 @@ def make_task_specs(
     *,
     label: str = "",
     chunk_size: int | None = None,
-    target_chunks: int = 4,
 ) -> list[TaskSpec]:
-    """Split one batch of seeds into content-addressed task specs.
+    """Split one cell's seeds into content-addressed task specs.
 
-    ``chunk_size`` pins the seeds per spec; by default the batch is split
-    into about ``target_chunks`` specs so even a single campaign cell spreads
-    across a few workers.
+    ``chunk_size`` pins the seeds per spec; by default the cell is split
+    into about :data:`SPECS_PER_CELL` specs.  They share one shard, so a
+    worker with the default ``--batch-size 8`` claims all of them in one
+    rename: a fleet's parallelism comes from running different cells side
+    by side, not from splitting one cell.
     """
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         return []
     if chunk_size is None:
-        chunk_size = max(1, -(-len(seeds) // target_chunks))
+        chunk_size = max(1, -(-len(seeds) // SPECS_PER_CELL))
     return [
         TaskSpec(
             task=task,

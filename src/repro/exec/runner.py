@@ -20,17 +20,31 @@ Built-in backends (see :data:`BACKENDS`):
   result cache, and the submitter polls the cache until the batch is
   complete.  Requires ``spool_dir`` and a cache.
 
-New backends plug in through :func:`register_backend`: a factory taking the
-runner and returning an :class:`ExecutionBackend` whose ``run`` receives a
-:class:`SeedBatch` and returns ``{batch index -> value}``.  The contract
-(recorded in ROADMAP.md) is bit-identical results, order-independent
-completion, and idempotent re-execution.
+One dispatch path serves every entry point.
+:meth:`ParallelRunner.run_configs` takes many *cells* — one task over its
+own seeds, such as one (scenario, strategy) pair of a campaign — probes
+the optional :class:`repro.exec.cache.ResultCache` for every seed of
+every cell, and hands all remaining seeds to the backend in **one**
+:class:`SeedBatch`.  :meth:`~ParallelRunner.run_config` and
+:meth:`~ParallelRunner.map_seeds` are its one-cell case.  Seeds already
+cached are served from the cache, and seeds of different cells that share
+a ``(config digest, strategy, seed)`` key are simulated once, so growing
+``num_runs`` on an existing sweep only pays for the new seeds.
 
-The runner optionally consults a :class:`repro.exec.cache.ResultCache`
-before dispatching: seeds whose ``(config digest, strategy, seed)`` key is
-already on disk are served from the cache and only the remaining seeds are
-dispatched.  Growing ``num_runs`` on an existing sweep therefore only pays
-for the new seeds.
+**Backend contract.**  New backends plug in through
+:func:`register_backend`: a factory taking the runner and returning an
+:class:`ExecutionBackend`.  Its ``run(batch)`` computes every entry of
+:attr:`SeedBatch.entries` — each carries a batch-wide ``index``, its
+``seed`` and its :class:`SeedCell` (task, label and cache key) — and
+returns ``{index -> value}``.  A backend that only reads
+:attr:`SeedBatch.pending`, the ``(index, seed)`` pairs, works for
+one-cell batches.  A backend should hand values to
+:meth:`SeedBatch.deliver` as they finish: the runner writes each value to
+the cache *before* it emits the :class:`ProgressEvent` that counts it, so
+an interrupted campaign keeps every seed it reported.  Values that ``run``
+only returns are delivered when it returns.  Results must be bit-identical
+to the serial backend's, completion may come in any order, and running a
+seed twice must be harmless (recorded in ROADMAP.md).
 
 Tasks submitted to the ``"process"`` and ``"spool"`` backends must be
 picklable — module-level functions or instances of module-level classes such
@@ -40,10 +54,12 @@ backend.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
@@ -59,9 +75,11 @@ __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "ParallelRunner",
+    "PendingSeed",
     "ProgressEvent",
     "RunnerStats",
     "SeedBatch",
+    "SeedCell",
     "WasteRatioTask",
     "backend_names",
     "register_backend",
@@ -70,11 +88,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProgressEvent:
-    """One progress notification for a batch of Monte-Carlo repetitions.
+    """One progress notification for one cell of a dispatch.
 
     ``completed`` counts both simulated and cache-served seeds; ``cached``
     counts only the latter, so ``completed - cached`` seeds were actually
-    simulated so far.
+    simulated so far.  Every cell ends in exactly one event with
+    ``completed == total``.
     """
 
     label: str
@@ -87,14 +106,15 @@ class ProgressEvent:
 class RunnerStats:
     """Cumulative execution counters of one :class:`ParallelRunner`.
 
-    ``tasks_run`` counts seeds simulated by this process; ``remote_seeds``
-    counts seeds a distributed backend observed being completed by remote
-    workers (they appear in neither ``tasks_run`` nor ``cache_hits``).
+    ``tasks_run`` counts seeds simulated by this process; ``cache_hits``
+    counts seeds served from the cache, including seeds another cell of
+    the same dispatch computed; ``remote_seeds`` counts seeds a distributed
+    backend observed being completed by remote workers (they appear in
+    neither ``tasks_run`` nor ``cache_hits``).
     """
 
     tasks_run: int = 0
     cache_hits: int = 0
-    batches: int = 0
     remote_seeds: int = 0
 
     def snapshot(self) -> "RunnerStats":
@@ -124,33 +144,156 @@ def _run_chunk(task: Callable[[int], float], seeds: Sequence[int]) -> list[float
     return [float(task(seed)) for seed in seeds]
 
 
-# --------------------------------------------------------------- backends
-@dataclass(frozen=True)
-class SeedBatch:
-    """One ``map_seeds`` batch handed to an execution backend.
+# --------------------------------------------------------------- batches
+#: One cell handed to the dispatch: ``(task, seeds, label, cache key)``.
+Cell = tuple[Callable[[int], float], Sequence[int], str, tuple[str, str] | None]
 
-    ``pending`` holds the ``(result index, seed)`` pairs still to be
-    computed after cache hits were subtracted; ``total``/``cached`` describe
-    the whole batch so backends can emit accurate progress events.
-    ``cache_key`` is the ``(config digest, strategy)`` pair of the batch, or
-    ``None`` for ad-hoc callables with no content digest.
+
+@dataclass(frozen=True, eq=False)
+class SeedCell:
+    """The shared part of one cell's batch entries.
+
+    ``cache_key`` is the ``(config digest, strategy)`` pair of the cell, or
+    ``None`` for ad-hoc callables with no content digest.  Cells compare by
+    identity, so they group and key dictionaries cheaply.
     """
 
     task: Callable[[int], float]
-    pending: tuple[tuple[int, int], ...]
     label: str
-    total: int
-    cached: int
-    cache_key: tuple[str, str] | None = None
+    cache_key: tuple[str, str] | None
 
 
+@dataclass(frozen=True)
+class PendingSeed:
+    """One seed still to compute: its batch-wide index and its cell."""
+
+    index: int
+    seed: int
+    cell: SeedCell
+
+
+@dataclass(frozen=True)
+class SeedBatch:
+    """Every pending seed of one dispatch, across all of its cells.
+
+    ``entries`` come in dispatch order: cells as the caller listed them,
+    each cell's seeds in seed order.  Entry indexes are unique across the
+    whole batch.  ``deliver`` records values as they finish (see the module
+    docstring's backend contract).
+    """
+
+    entries: tuple[PendingSeed, ...]
+    deliver: Callable[[Mapping[int, float]], None] = field(compare=False, repr=False)
+
+    @property
+    def pending(self) -> tuple[tuple[int, int], ...]:
+        """The ``(index, seed)`` pairs of every entry."""
+        return tuple((entry.index, entry.seed) for entry in self.entries)
+
+    def by_cell(self) -> list[tuple[SeedCell, list[PendingSeed]]]:
+        """The entries grouped by cell, in dispatch order."""
+        return [
+            (cell, list(group))
+            for cell, group in itertools.groupby(self.entries, key=attrgetter("cell"))
+        ]
+
+
+class _Dispatch:
+    """One dispatch: store probes, shared keys, write-back and progress."""
+
+    def __init__(self, runner: "ParallelRunner", cells: Sequence[Cell]) -> None:
+        self.runner = runner
+        self.cells: list[SeedCell] = []
+        self.spans: list[range] = []  # batch indexes of each cell
+        self.completed: list[int] = []
+        self.cached: list[int] = []
+        self.seeds: list[int] = []  # by batch index
+        self.cell_of: list[int] = []  # by batch index: position in self.cells
+        self.values: dict[int, float] = {}
+        self.entries: list[PendingSeed] = []
+        #: Batch index of a pending entry -> later entries with its store key.
+        self.followers: dict[int, list[int]] = {}
+        self.write_back = False
+        store = runner.cache
+        first: dict[tuple[str, str, int], int] = {}
+        for position, (task, seeds, label, cache_key) in enumerate(cells):
+            cell = SeedCell(task=task, label=label, cache_key=cache_key)
+            start, hits = len(self.seeds), 0
+            for seed in seeds:
+                index = len(self.seeds)
+                self.seeds.append(seed)
+                self.cell_of.append(position)
+                if store is not None and cache_key is not None:
+                    digest, strategy = cache_key
+                    value = store.get(digest, strategy, int(seed))
+                    if value is not None:
+                        self.values[index] = value
+                        hits += 1
+                        continue
+                    primary = first.setdefault((digest, strategy, int(seed)), index)
+                    if primary != index:
+                        self.followers.setdefault(primary, []).append(index)
+                        continue
+                self.entries.append(PendingSeed(index=index, seed=seed, cell=cell))
+            self.cells.append(cell)
+            self.spans.append(range(start, len(self.seeds)))
+            self.completed.append(hits)
+            self.cached.append(hits)
+            runner.stats.cache_hits += hits
+            if hits:
+                self._emit(position)
+
+    def deliver(self, values: Mapping[int, float]) -> None:
+        """Record finished values: store each one, then report progress."""
+        fresh = {index: value for index, value in values.items() if index not in self.values}
+        if not fresh:
+            return
+        runner = self.runner
+        store = runner.cache
+        if self.write_back and store is not None:
+            for index, value in fresh.items():
+                cache_key = self.cells[self.cell_of[index]].cache_key
+                if cache_key is not None:
+                    store.put(cache_key[0], cache_key[1], int(self.seeds[index]), value)
+        touched: set[int] = set()
+        for index, value in fresh.items():
+            self.values[index] = value
+            self.completed[self.cell_of[index]] += 1
+            touched.add(self.cell_of[index])
+            # Entries sharing the key read the value back from the store.
+            for follower in self.followers.get(index, ()):
+                self.values[follower] = value
+                self.completed[self.cell_of[follower]] += 1
+                self.cached[self.cell_of[follower]] += 1
+                runner.stats.cache_hits += 1
+                touched.add(self.cell_of[follower])
+        for position in sorted(touched):
+            self._emit(position)
+
+    def _emit(self, position: int) -> None:
+        if self.runner.progress is not None:
+            self.runner.progress(
+                ProgressEvent(
+                    label=self.cells[position].label,
+                    completed=self.completed[position],
+                    total=len(self.spans[position]),
+                    cached=self.cached[position],
+                )
+            )
+
+    def results(self) -> list[list[float]]:
+        """Every cell's values, in seed order."""
+        return [[self.values[index] for index in span] for span in self.spans]
+
+
+# --------------------------------------------------------------- backends
 class ExecutionBackend:
     """Base class of :class:`ParallelRunner` execution backends.
 
     Subclasses implement :meth:`run`; backends that write computed values
     into the runner's cache themselves (distributed backends whose workers
     own the cache writes) set :attr:`persists_results` so the runner skips
-    its own write-back loop.
+    its own write-back.
     """
 
     #: True when ``run`` already persisted the computed values to the
@@ -169,23 +312,23 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process execution, bit-identical to the historical code path."""
+    """In-process execution: cells in dispatch order, seeds in seed order."""
 
     def run(self, batch: SeedBatch) -> dict[int, float]:
-        runner = self.runner
         computed: dict[int, float] = {}
-        for index, seed in batch.pending:
-            computed[index] = float(batch.task(seed))
-            runner.stats.tasks_run += 1
-            runner._emit(batch.label, batch.cached + len(computed), batch.total, batch.cached)
+        for entry in batch.entries:
+            computed[entry.index] = float(entry.cell.task(entry.seed))
+            self.runner.stats.tasks_run += 1
+            batch.deliver({entry.index: computed[entry.index]})
         return computed
 
 
 class ProcessBackend(ExecutionBackend):
     """A lazily created, batch-spanning :class:`ProcessPoolExecutor`.
 
-    The pool is reused across batches so a sweep pays worker startup once,
-    not once per cell.
+    The whole batch is split into chunks over one pool, and no chunk mixes
+    cells.  The pool is reused across batches so a sweep pays worker
+    startup once.
     """
 
     def __init__(self, runner: "ParallelRunner") -> None:
@@ -196,17 +339,23 @@ class ProcessBackend(ExecutionBackend):
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
         runner = self.runner
-        pending = list(batch.pending)
+        pending = batch.entries
         workers = runner.workers or os.cpu_count() or 1
         chunk_size = runner.chunk_size or max(
             1, math.ceil(len(pending) / (min(workers, len(pending)) * 4))
         )
-        chunks = [pending[start : start + chunk_size] for start in range(0, len(pending), chunk_size)]
+        chunks = [
+            entries[start : start + chunk_size]
+            for _, entries in batch.by_cell()
+            for start in range(0, len(entries), chunk_size)
+        ]
         computed: dict[int, float] = {}
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=workers)
         futures = {
-            self._pool.submit(_run_chunk, batch.task, [seed for _, seed in chunk]): chunk
+            self._pool.submit(
+                _run_chunk, chunk[0].cell.task, [entry.seed for entry in chunk]
+            ): chunk
             for chunk in chunks
         }
         remaining = set(futures)
@@ -214,10 +363,10 @@ class ProcessBackend(ExecutionBackend):
             done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
             for future in done:
                 chunk = futures[future]
-                for (index, _), value in zip(chunk, future.result()):
-                    computed[index] = value
+                values = {entry.index: value for entry, value in zip(chunk, future.result())}
                 runner.stats.tasks_run += len(chunk)
-                runner._emit(batch.label, batch.cached + len(computed), batch.total, batch.cached)
+                batch.deliver(values)
+                computed.update(values)
         return computed
 
     def close(self) -> None:
@@ -292,23 +441,25 @@ class ParallelRunner:
         machine's CPU count.  Ignored by the serial backend.
     chunk_size:
         Seeds dispatched per pool submission (process) or per spooled task
-        spec (spool); defaults to roughly four chunks per worker, which
-        balances load against IPC overhead.
+        spec (spool); defaults to roughly four chunks per worker (process)
+        or four specs per cell (spool).  A chunk never mixes cells.
     cache / cache_dir:
         Optional :class:`ResultCache` (or a directory path from which one is
-        built) consulted for batches that provide a cache key.  Mandatory
+        built) consulted for cells that provide a cache key.  Mandatory
         for the spool backend, where it is the channel workers deliver
         results through.
     spool_dir:
         Work-spool directory shared with the workers (spool backend only).
     spool_poll_s / spool_lease_ttl_s / spool_timeout_s:
         Spool-backend tuning: cache poll interval, lease expiry after which
-        a crashed worker's task is reclaimed, and an optional overall
-        timeout per batch (``None`` waits indefinitely).
+        a crashed worker's task is reclaimed, and an optional timeout that
+        aborts the wait after that many seconds in which no outstanding
+        seed was delivered (``None`` waits indefinitely).
     progress:
-        Optional callback invoked with a :class:`ProgressEvent` after each
-        completed seed (serial), chunk (process) or poll progress (spool),
-        and once up-front when a batch starts with cache hits.
+        Optional callback invoked with a :class:`ProgressEvent` for each
+        cell a delivery advanced — after each seed (serial), chunk
+        (process) or poll that delivered seeds (spool) — and once up-front
+        for each cell that starts with cache hits.
     """
 
     backend: str = "serial"
@@ -364,6 +515,18 @@ class ParallelRunner:
             self._backend_impl = _BACKEND_FACTORIES[self.backend](self)
         return self._backend_impl
 
+    def _dispatch(self, cells: Sequence[Cell]) -> list[list[float]]:
+        """Evaluate every cell with at most one backend call.
+
+        Returns each cell's values in seed order (see the module docstring).
+        """
+        dispatch = _Dispatch(self, cells)
+        if dispatch.entries:
+            backend = self._backend()
+            dispatch.write_back = not backend.persists_results
+            dispatch.deliver(backend.run(SeedBatch(tuple(dispatch.entries), dispatch.deliver)))
+        return dispatch.results()
+
     def map_seeds(
         self,
         task: Callable[[int], float],
@@ -378,43 +541,26 @@ class ParallelRunner:
         per-seed values are cached; when omitted (or when the runner has no
         cache) every seed is simulated.
         """
-        seeds = list(seeds)
-        total = len(seeds)
-        results: dict[int, float] = {}
-        if self.cache is not None and cache_key is not None:
-            digest, strategy = cache_key
-            for index, seed in enumerate(seeds):
-                value = self.cache.get(digest, strategy, int(seed))
-                if value is not None:
-                    results[index] = value
-        cached = len(results)
-        self.stats.cache_hits += cached
-        self.stats.batches += 1
-        pending = tuple((index, seed) for index, seed in enumerate(seeds) if index not in results)
-        if cached and self.progress is not None:
-            self.progress(ProgressEvent(label=label, completed=cached, total=total, cached=cached))
-        if pending:
-            backend = self._backend()
-            computed = backend.run(
-                SeedBatch(
-                    task=task,
-                    pending=pending,
-                    label=label,
-                    total=total,
-                    cached=cached,
-                    cache_key=cache_key,
-                )
-            )
-            if (
-                not backend.persists_results
-                and self.cache is not None
-                and cache_key is not None
-            ):
-                digest, strategy = cache_key
-                for index, value in computed.items():
-                    self.cache.put(digest, strategy, int(seeds[index]), value)
-            results.update(computed)
-        return [results[index] for index in range(total)]
+        (values,) = self._dispatch([(task, seeds, label, cache_key)])
+        return values
+
+    def run_configs(
+        self, cells: Sequence[tuple[SimulationConfig, Sequence[int], str]]
+    ) -> list[list[float]]:
+        """Simulate each ``(config, seeds, label)`` cell in one dispatch.
+
+        Returns the waste ratios of every cell, in cell and seed order.
+        Each cell's cache key is its configuration's content digest and its
+        canonical strategy-spec string (``config.strategy`` is already
+        normalised), so identical cells across sweeps — including two
+        spellings of the same parameterized strategy — share cached values.
+        """
+        return self._dispatch(
+            [
+                (WasteRatioTask(config), seeds, label, (config_digest(config), config.strategy))
+                for config, seeds, label in cells
+            ]
+        )
 
     def run_config(
         self,
@@ -425,23 +571,13 @@ class ParallelRunner:
     ) -> list[float]:
         """Simulate ``config`` once per seed and return the waste ratios.
 
-        This is the cache-aware entry point used by the experiment harness:
-        the cache key is derived from the configuration's content digest and
-        its canonical strategy-spec string (``config.strategy`` is already
-        normalised), so identical cells across sweeps — including two
-        spellings of the same parameterized strategy — share cached values.
+        The one-cell case of :meth:`run_configs`; ``label`` defaults to the
+        strategy.
         """
-        return self.map_seeds(
-            WasteRatioTask(config),
-            seeds,
-            label=label if label is not None else config.strategy,
-            cache_key=(config_digest(config), config.strategy),
+        (values,) = self.run_configs(
+            [(config, seeds, label if label is not None else config.strategy)]
         )
-
-    # ------------------------------------------------------------ progress
-    def _emit(self, label: str, completed: int, total: int, cached: int) -> None:
-        if self.progress is not None:
-            self.progress(ProgressEvent(label=label, completed=completed, total=total, cached=cached))
+        return values
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:

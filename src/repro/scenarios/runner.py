@@ -1,16 +1,21 @@
 """Campaign execution on top of the parallel experiment runner.
 
-:class:`CampaignRunner` walks a campaign's scenario matrix and evaluates
-every (scenario, strategy) cell through
-:meth:`repro.exec.runner.ParallelRunner.run_config`, so campaigns inherit
-the execution subsystem wholesale: every registered backend (serial,
-process pool, distributed spool) returns bit-identical tables, and an
-attached :class:`~repro.exec.cache.ResultCache` means an immediate re-run
-(or a grown matrix) only simulates cells it has never seen.  That same
-cache property makes campaigns resumable: interrupt a run (Ctrl-C, a lost
-spool submitter) and re-running the campaign picks up where it left off —
-completed cells replay from the cache, and with the ``"spool"`` backend
-in-flight tasks keep their content-addressed spool entries.
+:class:`CampaignRunner` expands a campaign's scenario matrix into its
+(scenario, strategy) cells and evaluates all of them with **one**
+:meth:`repro.exec.runner.ParallelRunner.run_configs` call, then reduces
+the values per cell.  A process pool or a spool worker fleet therefore
+gets the whole campaign at once and runs its cells side by side; the
+serial backend runs the same simulations in the same order as a
+cell-by-cell loop would.  Campaigns inherit the execution subsystem
+wholesale: every registered backend (serial, process pool, distributed
+spool) returns bit-identical tables, and an attached
+:class:`~repro.exec.cache.ResultCache` means an immediate re-run (or a
+grown matrix) only simulates cells it has never seen.  That same cache
+property makes campaigns resumable: the runner stores every seed before
+it reports it, so an interrupted run (Ctrl-C, a lost spool submitter)
+picks up where it left off — finished seeds replay from the cache, and
+with the ``"spool"`` backend in-flight tasks keep their content-addressed
+spool entries.
 """
 
 from __future__ import annotations
@@ -108,7 +113,9 @@ class CampaignRunner:
 
     The runner (its worker pool and result cache included) is shared by
     every cell of every campaign this instance runs, so a campaign re-run
-    against the same cache directory performs zero new simulations.
+    against the same cache directory performs zero new simulations.  Each
+    :meth:`run` makes one dispatch for the whole campaign;
+    :meth:`run_scenario` is the one-scenario case.
     """
 
     runner: ParallelRunner = field(default_factory=ParallelRunner)
@@ -139,23 +146,32 @@ class CampaignRunner:
             for strategy in scenario.strategies:
                 if strategy not in columns:
                     columns.append(strategy)
-        result = CampaignResult(campaign=campaign.name, strategies=tuple(columns))
-        for scenario in scenarios:
-            result.outcomes.append(self.run_scenario(scenario))
-        return result
+        return CampaignResult(
+            campaign=campaign.name,
+            strategies=tuple(columns),
+            outcomes=self._run_scenarios(scenarios),
+        )
 
     def run_scenario(self, scenario: Scenario) -> ScenarioOutcome:
         """Evaluate one scenario: every strategy over the scenario's seeds."""
-        seeds = derive_seeds(scenario.base_seed, scenario.num_runs)
-        summaries: dict[str, DistributionSummary] = {}
-        for strategy in scenario.strategies:
-            values = self.runner.run_config(
-                scenario.config(strategy),
-                seeds,
-                label=f"{scenario.name}/{strategy}",
+        (outcome,) = self._run_scenarios([scenario])
+        return outcome
+
+    def _run_scenarios(self, scenarios: list[Scenario]) -> list[ScenarioOutcome]:
+        """Every (scenario, strategy) cell in one dispatch, reduced per cell."""
+        cells = []
+        for scenario in scenarios:
+            seeds = derive_seeds(scenario.base_seed, scenario.num_runs)
+            for strategy in scenario.strategies:
+                cells.append((scenario.config(strategy), seeds, f"{scenario.name}/{strategy}"))
+        values = iter(self.runner.run_configs(cells))
+        return [
+            ScenarioOutcome(
+                scenario=scenario,
+                summaries={strategy: summarize(next(values)) for strategy in scenario.strategies},
             )
-            summaries[strategy] = summarize(values)
-        return ScenarioOutcome(scenario=scenario, summaries=summaries)
+            for scenario in scenarios
+        ]
 
     def detail(self, scenario: Scenario, strategy: str) -> SimulationResult:
         """Full :class:`SimulationResult` of the scenario's first seed.

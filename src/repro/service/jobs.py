@@ -11,9 +11,12 @@ job simulates warms the store for every later job (and every CLI user),
 and a re-submitted campaign is served entirely from cache.
 
 Progress is observed through the runner's
-:class:`~repro.exec.runner.ProgressEvent` stream: each (scenario, strategy)
-cell emits a final event with ``completed == total``, which is what
-advances the job's ``cells_done`` counter.
+:class:`~repro.exec.runner.ProgressEvent` stream.  The runner dispatches a
+whole campaign at once, so with a process pool the events of different
+cells interleave and cells finish in any order; each (scenario, strategy)
+cell still emits exactly one final event with ``completed == total``,
+which is what advances the job's ``cells_done`` counter and adds the
+cell's seeds to ``seeds_cached`` and ``seeds_simulated``.
 """
 
 from __future__ import annotations

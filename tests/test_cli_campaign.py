@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -102,6 +105,44 @@ def test_campaign_workers_flag_matches_serial_output(capsys):
     assert main(argv + ["--workers", "2"]) == 0
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+#: Two axis points with the same bandwidth: both cells have one store key.
+_SHARED_KEY_MATRIX = {
+    "name": "shared-key",
+    "base": "smoke",
+    "overrides": {"strategies": ["least-waste"], "num_runs": 2},
+    "axes": [
+        {"name": "io", "key": "bandwidth_gbs", "values": [4.0, 4.0], "labels": ["a", "b"]}
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "backend_args, expected",
+    [
+        ([], "cache: 2 hit(s), 2 simulation(s) this run"),
+        (["--workers", "2"], "cache: 2 hit(s), 2 simulation(s) this run"),
+        (["--backend", "spool"], "cache: 2 hit(s), 0 simulation(s), 2 remote seed(s) this run"),
+    ],
+    ids=["serial", "pool", "spool"],
+)
+def test_cells_sharing_a_store_key_are_simulated_once(
+    tmp_path, capsys, spool_workers, backend_args, expected
+):
+    """The second cell's seeds are the first cell's: they are simulated
+    once, and the second cell reads them back as cache hits."""
+    matrix = tmp_path / "shared-key.json"
+    matrix.write_text(json.dumps(_SHARED_KEY_MATRIX))
+    cache_dir, spool_dir = tmp_path / "cache", tmp_path / "spool"
+    argv = ["campaign", "--file", str(matrix), "--cache-dir", str(cache_dir), *backend_args]
+    workers = contextlib.nullcontext()
+    if "spool" in backend_args:
+        argv += ["--spool", str(spool_dir), "--spool-timeout", "120"]
+        workers = spool_workers(spool_dir, cache_dir, count=2)
+    with workers:
+        assert main(argv) == 0
+    assert expected in capsys.readouterr().out
 
 
 def test_campaign_validates_num_runs():

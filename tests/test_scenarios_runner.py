@@ -165,6 +165,58 @@ def test_serial_and_process_backends_render_identical_tables(matrix):
     assert campaign_to_csv(table_serial) == campaign_to_csv(table_process)
 
 
+def test_a_campaign_is_one_backend_call(matrix):
+    """Every cell of the campaign reaches the backend in one batch."""
+    from repro.exec.runner import _BACKEND_FACTORIES, SerialBackend, register_backend
+
+    batches = []
+
+    class CountingBackend(SerialBackend):
+        def run(self, batch):
+            batches.append(len(batch.entries))
+            return super().run(batch)
+
+    register_backend("counting-test", CountingBackend)
+    try:
+        result = CampaignRunner(runner=ParallelRunner(backend="counting-test")).run(matrix)
+    finally:
+        del _BACKEND_FACTORIES["counting-test"]
+    assert batches == [_cells(matrix)]
+    assert campaign_to_csv(result) == campaign_to_csv(CampaignRunner().run(matrix))
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_an_interrupted_campaign_keeps_every_seed_it_reported(matrix, tmp_path, backend):
+    """Each seed is stored before the progress event that counts it, so a
+    campaign interrupted inside its second cell keeps every reported seed,
+    and a re-run simulates only the others."""
+    stop_after = matrix.base.num_runs + 1  # one seed into the second cell
+    reported: dict[str, int] = {}
+
+    def interrupt(event):
+        reported[event.label] = event.completed
+        if sum(reported.values()) >= stop_after:
+            raise KeyboardInterrupt
+
+    cache_dir = tmp_path / "cache"
+    runner = ParallelRunner(
+        backend=backend, workers=2, chunk_size=1, cache_dir=cache_dir, progress=interrupt
+    )
+    with pytest.raises(KeyboardInterrupt):
+        with CampaignRunner(runner=runner) as interrupted:
+            interrupted.run(matrix)
+    assert sum(reported.values()) == stop_after
+    assert len(list(cache_dir.glob("*/*/*/*.json"))) == stop_after
+
+    with CampaignRunner(
+        runner=ParallelRunner(backend=backend, workers=2, cache_dir=cache_dir)
+    ) as rerun:
+        result = rerun.run(matrix)
+    assert rerun.runner.stats.cache_hits == stop_after
+    assert rerun.runner.stats.tasks_run == _cells(matrix) - stop_after
+    assert campaign_to_csv(result) == campaign_to_csv(CampaignRunner().run(matrix))
+
+
 def test_axis_added_strategies_appear_in_the_table(matrix):
     """An axis that overrides ``strategies`` must not lose simulated cells:
     the table columns are the union of every scenario's strategy set."""

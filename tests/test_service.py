@@ -78,6 +78,36 @@ def _submit_and_wait(service, payload, timeout_s: float = 60.0) -> dict:
 
 
 # ---------------------------------------------------------------- lifecycle
+def test_job_counters_with_a_pool_and_one_cell_already_stored(tmp_path):
+    """The pool runs the whole campaign in one dispatch: cells finish in any
+    order, yet every cell is counted once and every seed exactly once."""
+    from repro.exec.runner import ParallelRunner
+    from repro.scenarios.presets import make_campaign
+    from repro.stats.montecarlo import derive_seeds
+
+    campaign = make_campaign("smoke")
+    scenario = campaign.scenarios()[0]
+    store = open_store("sqlite", tmp_path / "db.sqlite")
+    try:
+        ParallelRunner(cache=store).run_config(
+            scenario.config(scenario.strategies[0]),
+            derive_seeds(scenario.base_seed, scenario.num_runs),
+        )
+        job = JobManager(store, workers=2).submit(campaign)
+        deadline = time.time() + 120.0
+        while job.snapshot()["state"] in ("queued", "running"):
+            assert time.time() < deadline, job.snapshot()
+            time.sleep(0.05)
+        snapshot = job.snapshot()
+    finally:
+        store.close()
+    seeds = sum(len(s.strategies) * s.num_runs for s in campaign.scenarios())
+    assert snapshot["state"] == "done", snapshot
+    assert snapshot["cells_done"] == snapshot["cells_total"] == 8
+    assert snapshot["seeds_cached"] == scenario.num_runs
+    assert snapshot["seeds_cached"] + snapshot["seeds_simulated"] == seeds
+
+
 def test_healthz_metrics_and_presets(service):
     assert _get_json(service, "/healthz") == (200, {"ok": True})
     status, metrics = _get_json(service, "/metrics")

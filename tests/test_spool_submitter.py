@@ -4,8 +4,9 @@ Workers write every seed into the shared result store before they ack, so
 the store alone records delivery.  These tests pin what a submitter sees
 when no worker runs at all: seeds that land in the store out-of-band are
 delivered, and a spool nobody drains times out with its work still queued.
-The submitter's poll-cost bound sits with the other complexity bounds in
-``tests/test_spool_scale.py``.
+The timeout counts from the last delivery, so a campaign that keeps
+receiving seeds is never cut off.  The submitter's poll-cost bound sits
+with the other complexity bounds in ``tests/test_spool_scale.py``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,47 @@ def test_seeds_put_into_the_store_out_of_band_are_delivered(tiny_config, tmp_pat
     assert runner.stats.tasks_run == 0
     assert events[-1].completed == events[-1].total == len(seeds)
     assert WorkSpool(tmp_path / "spool").status().done == 0  # nothing was acked
+
+
+def test_the_timeout_counts_from_the_last_delivery(tiny_config, tmp_path):
+    """``spool_timeout_s`` bounds the silence between deliveries, not the
+    whole wait: 20 seeds arriving 0.1 s apart take about 2 s in all, twice
+    the 1 s timeout, and the submitter still returns every one of them."""
+    config = tiny_config(horizon_s=0.25 * 86400.0)
+    seeds = derive_seeds(0, 20)
+    expected = ParallelRunner().run_config(config, seeds)
+    events = []
+    runner = ParallelRunner(
+        backend="spool",
+        spool_dir=tmp_path / "spool",
+        cache_dir=tmp_path / "cache",
+        spool_poll_s=0.01,
+        spool_timeout_s=1.0,
+        progress=events.append,
+    )
+    started = []
+
+    def deliver() -> None:
+        tasks = tmp_path / "spool" / "tasks"
+        deadline = time.time() + 30.0
+        while not any(tasks.glob("*/*.json")) and time.time() < deadline:
+            time.sleep(0.005)
+        started.append(time.monotonic())
+        store = ResultCache(tmp_path / "cache")
+        for seed, value in zip(seeds, expected):
+            time.sleep(0.1)
+            store.put(config_digest(config), config.strategy, seed, value)
+
+    writer = threading.Thread(target=deliver)
+    writer.start()
+    try:
+        assert runner.run_config(config, seeds) == expected
+    finally:
+        writer.join(timeout=60.0)
+    assert not writer.is_alive()
+    assert time.monotonic() - started[0] > 1.5  # longer than the timeout
+    assert runner.stats.remote_seeds == len(seeds)
+    assert events[-1].completed == events[-1].total == len(seeds)
 
 
 def test_campaign_without_workers_times_out_and_keeps_its_work_queued(tmp_path, capsys):
