@@ -5,17 +5,16 @@
 :meth:`repro.exec.runner.ParallelRunner.run_configs` call, then reduces
 the values per cell.  A process pool or a spool worker fleet therefore
 gets the whole campaign at once and runs its cells side by side; the
-serial backend runs the same simulations in the same order as a
-cell-by-cell loop would.  Campaigns inherit the execution subsystem
-wholesale: every registered backend (serial, process pool, distributed
-spool) returns bit-identical tables, and an attached
-:class:`~repro.exec.cache.ResultCache` means an immediate re-run (or a
-grown matrix) only simulates cells it has never seen.  That same cache
-property makes campaigns resumable: the runner stores every seed before
-it reports it, so an interrupted run (Ctrl-C, a lost spool submitter)
-picks up where it left off — finished seeds replay from the cache, and
-with the ``"spool"`` backend in-flight tasks keep their content-addressed
-spool entries.
+serial backend runs cells in campaign order and seeds in seed order.
+Campaigns inherit the execution subsystem wholesale: every registered
+backend (serial, process pool, distributed spool) returns bit-identical
+tables, and an attached :class:`~repro.exec.cache.ResultCache` means an
+immediate re-run (or a grown matrix) only simulates cells it has never
+seen.  That same cache property makes campaigns resumable: the runner
+stores every seed before it reports it, so an interrupted run (Ctrl-C, a
+lost spool submitter) picks up where it left off — finished seeds replay
+from the cache, and with the ``"spool"`` backend in-flight tasks keep
+their content-addressed spool entries.
 """
 
 from __future__ import annotations
