@@ -39,6 +39,7 @@ uncached run.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -490,9 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--cache-dir", metavar="PATH", default=None,
-        help="result cache: re-drilling a cell replays its trace sidecar for "
-        "free, and the decomposition is verified against the cell's cached "
-        "waste value (--campaign mode)",
+        help="result cache: the decomposition is verified against the "
+        "cell's cached waste value, and an uncached cell's value is stored "
+        "(--campaign mode)",
     )
     _add_store_argument(trace)
 
@@ -878,19 +879,18 @@ def _cmd_cache(args: argparse.Namespace) -> str:
                 f"  total bytes  : {stats.total_bytes}",
                 f"  digest now   : version {DIGEST_VERSION}",
             ]
-            if stats.trace_sidecars:
-                lines.insert(
-                    3,
-                    f"  trace sidecars: {stats.trace_sidecars} ({stats.trace_bytes} bytes)",
-                )
             if stats.versions:
                 lines.append("  versions     :")
                 for version, count in stats.versions.items():
                     stale = "" if version == DIGEST_VERSION else "  (prunable: cache gc --digest-version)"
                     lines.append(f"    {version:<12}: {count} entr{'y' if count == 1 else 'ies'}{stale}")
             return "\n".join(lines)
-        if args.older_than is not None and args.older_than < 0:
-            raise ConfigurationError("--older-than must be non-negative")
+        if args.older_than is not None and not (
+            args.older_than >= 0 and math.isfinite(args.older_than)
+        ):
+            raise ConfigurationError(
+                f"--older-than must be a non-negative number of days, got {args.older_than!r}"
+            )
         report = store.gc(
             older_than_s=args.older_than * 86400.0 if args.older_than is not None else None,
             digest_version=args.digest_version,
@@ -955,6 +955,8 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     if stray:
         flags = ", ".join("--" + name.replace("_", "-") for name in stray)
         raise ConfigurationError(f"{flags} require(s) --campaign: the cell drill-down mode")
+    if args.max_events is not None and args.max_events < 0:
+        raise ConfigurationError(f"--max-events must be non-negative, got {args.max_events}")
     platform = cielo_platform(
         bandwidth_gbs=args.bandwidth_gbs if args.bandwidth_gbs is not None else 80.0,
         node_mtbf_years=args.node_mtbf_years if args.node_mtbf_years is not None else 2.0,
@@ -1049,8 +1051,7 @@ def _cmd_trace_cell(args: argparse.Namespace) -> str:
         else:
             parts.append(
                 f"components sum to {decomposition.waste_ratio!r} "
-                "(cell was not in the cache before; its value and trace "
-                "sidecar are now stored)"
+                "(cell was not in the cache before; its value is now stored)"
             )
     if args.csv:
         from repro.experiments.export import write_text

@@ -28,7 +28,9 @@ workers:
 * **heartbeat** touches the batch's ``.lease.json``; a lease whose mtime is
   older than the TTL its claimer recorded belongs to a crashed (or wedged)
   worker and *any* participant may **reclaim** its tasks back into their
-  shards — per-task renames there resolve every race to one winner.
+  shards — per-task renames there resolve every race to one winner.  The
+  same sweep hands back *strays*: specs that landed in a live batch after
+  its claimer listed it, which the lease does not name.
 * **ack** renames a spec from its batch into ``done/``; **fail** records
   the error in ``failed/`` and drops the spec; **release** returns an
   interrupted worker's specs to their shards untouched.
@@ -537,22 +539,32 @@ class WorkSpool:
         recorded in the lease file; a half-written or missing lease falls
         back to this spool's own TTL judged on the directory mtime, so an
         orphaned batch can never outlive its worker forever.
+
+        A live batch may also hold strays: a peer's hand-back or an enqueue
+        can rename a spec into a shard directory after a claimer renamed
+        that directory into ``claims/`` and listed it.  Specs its lease does
+        not list are moved back to their shards at once and returned with
+        the expired ones.
         """
         reclaimed: list[str] = []
         now = time.time()
         for batch_id in self._batch_ids():
             batch_dir = self._batch_dir(batch_id)
             ttl = self.lease_ttl_s
+            leased = None
             try:
                 lease = json.loads(self._lease_path(batch_id).read_text(encoding="utf-8"))
                 ttl = float(lease["lease_ttl_s"])
                 mtime = fsops.stat(self._lease_path(batch_id)).st_mtime
+                leased = lease.get("tasks")
             except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
                 try:  # half-written/absent lease: judge by the directory
                     mtime = fsops.stat(batch_dir).st_mtime
                 except OSError:
                     continue
             if mtime > now - ttl:
+                if isinstance(leased, list):
+                    reclaimed.extend(self._hand_back_strays(batch_dir, leased))
                 continue
             for name in fsops.scandir_names(batch_dir):
                 if not _is_spec_name(name):
@@ -566,6 +578,22 @@ class WorkSpool:
             except OSError:
                 pass  # a racing sweep (or a late ack) finishes the cleanup
         return reclaimed
+
+    def _hand_back_strays(self, batch_dir: Path, leased: list) -> list[str]:
+        """Move the specs of a live batch that its lease does not list back
+        to their shards; returns their ids."""
+        try:
+            names = fsops.scandir_names(batch_dir)
+        except OSError:
+            return []  # a transient stall: the next sweep looks again
+        strays: list[str] = []
+        for name in names:
+            task_id = name[: -len(".json")]
+            if not _is_spec_name(name) or task_id in leased:
+                continue
+            if self._move(batch_dir / name, self._shard_path("tasks", task_id)):
+                strays.append(task_id)
+        return strays
 
     # ------------------------------------------------------------ inspection
     def is_done(self, task_id: str) -> bool:

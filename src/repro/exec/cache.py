@@ -22,14 +22,19 @@ Values round-trip exactly: Python's JSON encoder serialises floats with
 simulation it replaced.
 
 Each shard additionally keeps an append-only index journal
-(``<shard>/.index.jsonl``, one record per entry/sidecar write) so
+(``<shard>/.index.jsonl``, one record per entry write) so
 :meth:`ResultCache.stats` reads O(shards) files instead of stat-walking
 every entry.  The journal is advisory (see :mod:`repro.exec.journal`):
 shards without one — written by older code, or populated out-of-band — are
 walked once and indexed; rewrites of the same path fold to the *latest*
-record, so a corrupt-then-rewritten entry or sidecar counts once, not
-twice; and :meth:`ResultCache.gc` rebuilds the journals from the directory
-tree after pruning, which re-synchronises them with any external deletion.
+record, so a corrupt-then-rewritten entry counts once, not twice; and
+:meth:`ResultCache.gc` rebuilds the journals from the directory tree after
+pruning, which re-synchronises them with any external deletion.
+
+Caches written by older versions may also hold ``<seed>.trace`` drill-down
+sidecars and ``"kind": "trace"`` journal records.  Nothing reads, counts,
+copies or deletes the sidecar files (a drill-down re-simulates its one cell
+instead); a pruning gc rebuilds the journals without those records.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 class RawRecord(NamedTuple):
-    """One entry or sidecar as verbatim text, keyed by its cache coordinates.
+    """One entry as verbatim text, keyed by its cache coordinates.
 
     The unit of store-to-store migration (:mod:`repro.store.migrate`):
     ``body`` is the exact on-disk text, so copying raw records between
@@ -114,10 +119,6 @@ class CacheStats:
     entries: int = 0
     total_bytes: int = 0
     versions: dict[str, int] = field(default_factory=dict)
-    #: Trace sidecars (waste-decomposition drill-down payloads) and their
-    #: bytes; sidecars ride along with entries and are not counted above.
-    trace_sidecars: int = 0
-    trace_bytes: int = 0
 
 
 @dataclass(frozen=True)
@@ -230,59 +231,15 @@ class ResultCache:
         self._journal_put("entry", path, len(text.encode("utf-8")), DIGEST_VERSION)
         self.writes += 1
 
-    # ------------------------------------------------------------ trace sidecars
-    # A drill-down (repro.trace) stores its full waste decomposition as a
-    # *sidecar* next to the scalar entry it decomposes —
-    # ``<root>/<digest[:2]>/<digest>/<strategy>/<seed>.trace`` — so re-drilling
-    # a cell replays the decomposition instead of re-simulating it.  Sidecars
-    # are versioned by DIGEST_VERSION with the same compatibility rule as
-    # entries: a version mismatch is a miss (the cell's key no longer means
-    # the same simulation), never an error.
-
-    def trace_path(self, digest: str, strategy: str, seed: int) -> Path:
-        """On-disk path of the trace sidecar of one ``(digest, strategy, seed)`` key."""
-        return self._entry_path(digest, strategy, seed).with_suffix(".trace")
-
-    def get_trace(self, digest: str, strategy: str, seed: int) -> dict | None:
-        """Sidecar payload for one key, or ``None`` on a miss.
-
-        Missing files, malformed JSON, non-dict payloads and payloads written
-        under a different :data:`~repro.exec.digest.DIGEST_VERSION` all count
-        as misses — the caller re-simulates and rewrites, exactly like scalar
-        entries.
-        """
-        from repro.exec.digest import DIGEST_VERSION
-
-        path = self.trace_path(digest, strategy, seed)
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(payload, dict) or payload.get("version") != DIGEST_VERSION:
-            return None
-        return payload
-
-    def put_trace(self, digest: str, strategy: str, seed: int, payload: dict) -> None:
-        """Store a trace sidecar atomically, stamped with the digest version."""
-        from repro.exec.digest import DIGEST_VERSION
-
-        path = self.trace_path(digest, strategy, seed)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps({**payload, "version": DIGEST_VERSION})
-        atomic_write_text(path, text)
-        self._journal_put("trace", path, len(text.encode("utf-8")), DIGEST_VERSION)
-
     # ------------------------------------------------------------ raw access
-    # The migration surface used by repro.store: entries and sidecars travel
-    # as verbatim text (RawRecord), so copying a cache into another store
-    # backend and back reproduces every file byte-for-byte — including
-    # entries written under older digest versions, which a value-level copy
-    # would re-stamp.
+    # The migration surface used by repro.store: entries travel as verbatim
+    # text (RawRecord), so copying a cache into another store backend and
+    # back reproduces every file byte-for-byte — including entries written
+    # under older digest versions, which a value-level copy would re-stamp.
 
     def _raw_record(self, path: Path) -> RawRecord | None:
-        """The raw record behind one entry/sidecar path, or ``None`` for
-        files that are not cache entries (stray names, foreign layouts)."""
+        """The raw record behind one entry path, or ``None`` for files
+        that are not cache entries (stray names, foreign layouts)."""
         try:
             seed = int(path.stem)
         except ValueError:
@@ -297,19 +254,12 @@ class ResultCache:
             return None
         return RawRecord(digest, strategy, seed, body)
 
-    def _iter_raw(self, suffix: str) -> Iterator[RawRecord]:
-        for path in sorted(self.root.glob(f"*/*/*/*{suffix}")):
+    def iter_raw_entries(self) -> Iterator[RawRecord]:
+        """Every entry as verbatim text, in deterministic path order."""
+        for path in sorted(self._entries()):
             record = self._raw_record(path)
             if record is not None:
                 yield record
-
-    def iter_raw_entries(self) -> Iterator[RawRecord]:
-        """Every entry as verbatim text, in deterministic path order."""
-        return self._iter_raw(".json")
-
-    def iter_raw_traces(self) -> Iterator[RawRecord]:
-        """Every trace sidecar as verbatim text, in deterministic path order."""
-        return self._iter_raw(".trace")
 
     def put_raw_entry(self, digest: str, strategy: str, seed: int, body: str) -> None:
         """Store one entry's verbatim text (atomic; journal kept in sync).
@@ -322,21 +272,10 @@ class ResultCache:
         atomic_write_text(path, body)
         self._journal_put("entry", path, len(body.encode("utf-8")), _body_version(body))
 
-    def put_raw_trace(self, digest: str, strategy: str, seed: int, body: str) -> None:
-        """Store one trace sidecar's verbatim text (atomic; journal kept in sync)."""
-        path = self.trace_path(digest, strategy, int(seed))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, body)
-        self._journal_put("trace", path, len(body.encode("utf-8")), _body_version(body))
-
     # ------------------------------------------------------------ maintenance
     def _entries(self) -> Iterator[Path]:
         """Every entry file currently on disk (excluding in-flight temps)."""
         return self.root.glob("*/*/*/*.json")
-
-    def _sidecars(self) -> Iterator[Path]:
-        """Every trace sidecar on disk (same layout as :meth:`_entries`)."""
-        return self.root.glob("*/*/*/*.trace")
 
     def _shard_names(self) -> list[str]:
         return sorted(
@@ -353,24 +292,24 @@ class ResultCache:
             # stats agrees with what `gc --digest-version corrupt` reclaims.
             return "corrupt"
 
-    def _walk_shard(self, shard: str) -> dict[tuple[str, str], dict]:
+    def _walk_shard(self, shard: str) -> dict[str, dict]:
         """Index one shard from its directory tree (the slow path)."""
-        folded: dict[tuple[str, str], dict] = {}
-        shard_dir = self.root / shard
-        for suffix, kind in ((".json", "entry"), (".trace", "trace")):
-            for path in shard_dir.glob(f"*/*/*{suffix}"):
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    size = 0
-                rel = path.relative_to(self.root).as_posix()
-                record = {"kind": kind, "path": rel, "bytes": size}
-                if kind == "entry":
-                    record["version"] = self._entry_version(path)
-                folded[(kind, rel)] = record
+        folded: dict[str, dict] = {}
+        for path in (self.root / shard).glob("*/*/*.json"):
+            try:
+                size = path.stat().st_size
+            except OSError:
+                size = 0
+            rel = path.relative_to(self.root).as_posix()
+            folded[rel] = {
+                "kind": "entry",
+                "path": rel,
+                "bytes": size,
+                "version": self._entry_version(path),
+            }
         return folded
 
-    def _write_shard_index(self, shard: str, folded: dict[tuple[str, str], dict]) -> None:
+    def _write_shard_index(self, shard: str, folded: dict[str, dict]) -> None:
         """Persist one shard's folded index (or drop it when the shard is
         empty, so directory cleanup can remove the shard).  Best effort."""
         journal = self._journal_path(shard)
@@ -388,14 +327,15 @@ class ResultCache:
         except OSError:
             pass
 
-    def _shard_index(self, shard: str) -> dict[tuple[str, str], dict]:
-        """One shard's index, journal-first.
+    def _shard_index(self, shard: str) -> dict[str, dict]:
+        """One shard's entry index, journal-first.
 
         A journaled shard is read from its journal alone — deduplicated by
         path with the latest record winning, so a corrupt-then-rewritten
-        entry (or sidecar) on a resumed campaign is counted once.  A shard
-        with no journal (older layout, or populated out-of-band) is walked
-        once and its journal written, migrating it.
+        entry on a resumed campaign is counted once.  Records of any other
+        kind (older versions journaled ``"trace"`` sidecars) are skipped.
+        A shard with no journal (older layout, or populated out-of-band) is
+        walked once and its journal written, migrating it.
         """
         journal = self._journal_path(shard)
         if not journal.exists():
@@ -404,12 +344,12 @@ class ResultCache:
             return folded
         folded = {}
         for record in read_records(journal):
-            kind, rel = record.get("kind"), record.get("path")
-            if kind not in ("entry", "trace") or not isinstance(rel, str):
+            rel = record.get("path")
+            if record.get("kind") != "entry" or not isinstance(rel, str):
                 continue
             if rel.startswith("/") or ".." in rel.split("/"):
                 continue  # a journal must never index outside the cache
-            folded[(kind, rel)] = record
+            folded[rel] = record
         return folded
 
     def stats(self) -> CacheStats:
@@ -422,28 +362,19 @@ class ResultCache:
         entries = 0
         total_bytes = 0
         versions: dict[str, int] = {}
-        trace_sidecars = 0
-        trace_bytes = 0
         for shard in self._shard_names():
-            for (kind, _), record in self._shard_index(shard).items():
+            for record in self._shard_index(shard).values():
                 try:
-                    size = int(record.get("bytes", 0))
+                    total_bytes += int(record.get("bytes", 0))
                 except (TypeError, ValueError):
-                    size = 0
-                if kind == "entry":
-                    entries += 1
-                    total_bytes += size
-                    version = str(record.get("version", "unversioned"))
-                    versions[version] = versions.get(version, 0) + 1
-                else:
-                    trace_sidecars += 1
-                    trace_bytes += size
+                    pass
+                entries += 1
+                version = str(record.get("version", "unversioned"))
+                versions[version] = versions.get(version, 0) + 1
         return CacheStats(
             entries=entries,
             total_bytes=total_bytes,
             versions=dict(sorted(versions.items())),
-            trace_sidecars=trace_sidecars,
-            trace_bytes=trace_bytes,
         )
 
     def gc(
@@ -460,11 +391,8 @@ class ResultCache:
         recorded under that digest-format version (``"unversioned"`` matches
         pre-version entries, ``"corrupt"`` matches unparseable ones).  With
         both criteria given an entry is removed when *either* matches; with
-        neither, nothing is removed.  A removed entry takes its trace sidecar
-        with it, and any criteria-bearing pass also sweeps *orphaned*
-        sidecars (whose scalar entry is already gone — entry-based criteria
-        could never judge them again).  Empty digest/strategy directories
-        left behind are cleaned up as well.
+        neither, nothing is removed.  Empty digest/strategy directories left
+        behind are cleaned up as well.
         """
         if older_than_s is None and digest_version is None:
             return GcReport(scanned=sum(1 for _ in self._entries()), dry_run=dry_run)
@@ -487,49 +415,13 @@ class ResultCache:
                 version_match = version == digest_version
             if not (expired or version_match):
                 continue
-            # A pruned entry takes its trace sidecar with it: a sidecar
-            # without its scalar entry could otherwise outlive a prune
-            # indefinitely (age/version criteria are judged on entries).
-            # Its bytes count in dry runs too, so the estimate an operator
-            # acts on matches what a real pass reclaims.
-            sidecar = path.with_suffix(".trace")
-            try:
-                sidecar_size = sidecar.stat().st_size
-            except OSError:
-                sidecar_size = 0
-            removed += 1
-            reclaimed += stat.st_size + sidecar_size
             if not dry_run:
                 try:
                     path.unlink()
                 except OSError:
-                    removed -= 1
-                    reclaimed -= stat.st_size + sidecar_size
                     continue
-                try:
-                    # missing_ok: "no sidecar" and "empty sidecar" differ —
-                    # a 0-byte sidecar must still be unlinked or it orphans.
-                    sidecar.unlink(missing_ok=True)
-                except OSError:
-                    reclaimed -= sidecar_size
-        # Orphaned sidecars (scalar entry gone, e.g. a prior unlink race or
-        # external deletion): no entry-based criterion can ever select them,
-        # so any criteria-bearing gc pass reclaims them outright.
-        for sidecar in self._sidecars():
-            if sidecar.with_suffix(".json").exists():
-                continue
-            try:
-                size = sidecar.stat().st_size
-            except OSError:
-                size = 0
             removed += 1
-            reclaimed += size
-            if not dry_run:
-                try:
-                    sidecar.unlink(missing_ok=True)
-                except OSError:
-                    removed -= 1
-                    reclaimed -= size
+            reclaimed += stat.st_size
         if not dry_run and removed:
             # The prune invalidated the shard journals; rebuild them from
             # the surviving tree (this also re-synchronises shards modified

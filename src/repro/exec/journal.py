@@ -1,7 +1,7 @@
 """Append-only JSONL journals: the lock-free index format of the result cache.
 
 Each shard of a :class:`~repro.exec.cache.ResultCache` keeps an index
-journal (``<shard>/.index.jsonl``, one record per entry or sidecar write),
+journal (``<shard>/.index.jsonl``, one record per entry write),
 so ``cache stats`` reads one file per shard instead of stat-walking every
 entry.  The format is deliberately minimal:
 

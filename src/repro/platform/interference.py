@@ -22,6 +22,7 @@ remains proportional to the transfer weights, as in the paper.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -75,8 +76,10 @@ class DegradingInterference(InterferenceModel):
     name = "degrading"
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0:
-            raise ConfigurationError("DegradingInterference.alpha must be >= 0")
+        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
+            raise ConfigurationError(
+                f"DegradingInterference.alpha must be finite and >= 0, got {self.alpha!r}"
+            )
 
     def effective_bandwidth(self, nominal_bandwidth: float, num_streams: int) -> float:
         if num_streams <= 1:

@@ -197,11 +197,9 @@ class CampaignRunner:
 
         ``rep`` selects the repetition (0-based index into the scenario's
         derived seeds — the same seeds every strategy of the scenario saw).
-        The cell is re-run with trace capture enabled, or replayed for free
-        from the trace sidecar the runner's cache holds from an earlier
-        drill; either way the returned
-        :class:`~repro.trace.decompose.WasteDecomposition` has components
-        summing repr-exactly to the cell's recorded waste ratio.
+        The cell is re-run with trace capture enabled, on every call, and
+        the returned :class:`~repro.trace.decompose.WasteDecomposition` has
+        components summing repr-exactly to the cell's recorded waste ratio.
 
         Like :meth:`detail`, this requires a concrete ``base_seed`` so the
         decomposed repetition is one the campaign actually measured.

@@ -1,9 +1,9 @@
 """Campaign jobs: background execution behind the results service.
 
 :class:`JobManager` turns a submitted :class:`~repro.scenarios.campaign.Campaign`
-into a :class:`CampaignJob` running on a daemon thread through the ordinary
-:class:`~repro.scenarios.runner.CampaignRunner` — the service layer adds
-*no* execution semantics of its own, so a job's
+into a :class:`CampaignJob` that runs on a daemon thread, one job at a time,
+through the ordinary :class:`~repro.scenarios.runner.CampaignRunner` — the
+service layer adds *no* execution semantics of its own, so a job's
 :class:`~repro.scenarios.runner.CampaignResult` is repr-identical to the
 same campaign run from the CLI against the same store.  All jobs share one
 :class:`~repro.store.ResultStore`, which is the whole point: every seed a
@@ -198,6 +198,8 @@ class JobManager:
         self._jobs: dict[str, CampaignJob] = {}
         self._lock = threading.Lock()
         self._counter = 0
+        #: Held by the one job that runs; later jobs wait for it as ``queued``.
+        self._run_lock = threading.Lock()
 
     # ------------------------------------------------------------ execution
     def _make_runner(self, progress) -> ParallelRunner:
@@ -209,7 +211,8 @@ class JobManager:
         )
 
     def submit(self, campaign: Campaign) -> CampaignJob:
-        """Register ``campaign`` and start running it on a daemon thread."""
+        """Register ``campaign`` and run it on a daemon thread once every
+        earlier job has finished."""
         with self._lock:
             self._counter += 1
             job = CampaignJob(f"job-{self._counter:04d}", campaign)
@@ -219,24 +222,28 @@ class JobManager:
         return job
 
     def _run(self, job: CampaignJob) -> None:
-        with job._lock:
-            job.state = "running"
-            job.started_at = time.time()
-        try:
-            runner = self._make_runner(job.on_progress)
+        # One job at a time: a burst of submissions queues up instead of
+        # running every campaign at once, and each job starts from the
+        # store its predecessors warmed.
+        with self._run_lock:
+            with job._lock:
+                job.state = "running"
+                job.started_at = time.time()
             try:
-                result = CampaignRunner(runner=runner).run(job.campaign)
-            finally:
-                runner.close()
-            with job._lock:
-                job.result = result
-                job.state = "done"
-                job.finished_at = time.time()
-        except Exception as exc:  # a failed job must never kill the service
-            with job._lock:
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.state = "failed"
-                job.finished_at = time.time()
+                runner = self._make_runner(job.on_progress)
+                try:
+                    result = CampaignRunner(runner=runner).run(job.campaign)
+                finally:
+                    runner.close()
+                with job._lock:
+                    job.result = result
+                    job.state = "done"
+                    job.finished_at = time.time()
+            except Exception as exc:  # a failed job must never kill the service
+                with job._lock:
+                    job.error = f"{type(exc).__name__}: {exc}"
+                    job.state = "failed"
+                    job.finished_at = time.time()
 
     # ------------------------------------------------------------ queries
     def get(self, job_id: str) -> CampaignJob | None:
@@ -326,9 +333,8 @@ class JobManager:
     ) -> dict:
         """Waste decomposition of one cell of ``job``, as a JSON payload.
 
-        Served through :mod:`repro.trace`: replayed for free from the
-        store's trace sidecar when one exists, otherwise re-simulated once
-        (which also warms the store for the next caller).
+        Served through :mod:`repro.trace`, which re-simulates the one cell
+        (and stores its value when the store lacked it).
         """
         by_name = {s.name: s for s in job.scenarios}
         scenario = by_name.get(scenario_name)

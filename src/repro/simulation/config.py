@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 from repro.apps.app_class import ApplicationClass
 from repro.errors import ConfigurationError
@@ -102,6 +103,12 @@ class SimulationConfig:
             value = getattr(self, name)
             if not (value >= 0.0) or not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be non-negative and finite, got {value!r}")
+        if self.seed is not None and (
+            not isinstance(self.seed, Integral) or isinstance(self.seed, bool) or self.seed < 0
+        ):
+            raise ConfigurationError(
+                f"seed must be None or a non-negative integer, got {self.seed!r}"
+            )
         if self.routine_io_chunks < 0:
             raise ConfigurationError("routine_io_chunks must be non-negative")
         if self.max_events <= 0:

@@ -2,7 +2,7 @@
 
 A *result store* holds the warm cache of simulated node-seconds the whole
 system is built around: per-seed scalar values keyed by ``(config digest,
-strategy, seed)`` plus their trace sidecars.  Historically that cache was
+strategy, seed)``, and nothing else.  Historically that cache was
 one concrete class (:class:`repro.exec.cache.ResultCache`, a directory of
 JSON files); this module promotes the *interface* so the storage engine is
 selectable the same way execution backends and strategies are — by name,
@@ -11,7 +11,7 @@ through an open registry:
 * ``"filesystem"`` — :class:`repro.store.filesystem.FilesystemStore`, the
   historical directory layout, byte-for-byte unchanged.
 * ``"sqlite"`` — :class:`repro.store.sqlite.SqliteStore`, one WAL-mode
-  database file holding entries, sidecars and stats in tables.
+  database file holding the entries in one indexed table.
 
 **Store contract** (recorded in ROADMAP.md): a store never changes *what*
 is cached, only *where*.  Values round-trip repr-exactly (a cache hit is
@@ -23,10 +23,11 @@ between any two backends losslessly in either direction.  New backends
 plug in through :func:`register_store`.
 
 Every store duck-types the :class:`~repro.exec.cache.ResultCache` surface
-(``get``/``probe``/``put``, trace sidecars, ``stats``/``gc``, hit/miss
-counters), so :class:`~repro.exec.runner.ParallelRunner`,
+(``get``/``probe``/``put``, ``stats``/``gc``, hit/miss counters), so
+:class:`~repro.exec.runner.ParallelRunner`,
 :class:`~repro.distributed.worker.SpoolWorker` and the trace drill-down all
-work against any backend unchanged.
+work against any backend unchanged.  A drill-down keeps nothing but the
+cell's value: it re-simulates the cell to decompose it.
 """
 
 from __future__ import annotations
@@ -85,35 +86,18 @@ class ResultStore:
         """Store one value atomically (safe under concurrent writers)."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------ sidecars
-    def get_trace(self, digest: str, strategy: str, seed: int) -> dict | None:
-        """Trace-sidecar payload for one key, or ``None`` on a miss."""
-        raise NotImplementedError
-
-    def put_trace(self, digest: str, strategy: str, seed: int, payload: dict) -> None:
-        """Store a trace sidecar, stamped with the current digest version."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------ raw access
     def iter_raw_entries(self) -> Iterator[RawRecord]:
         """Every entry as verbatim text (the lossless migration surface)."""
-        raise NotImplementedError
-
-    def iter_raw_traces(self) -> Iterator[RawRecord]:
-        """Every trace sidecar as verbatim text."""
         raise NotImplementedError
 
     def put_raw_entry(self, digest: str, strategy: str, seed: int, body: str) -> None:
         """Store one entry's verbatim text, unchanged."""
         raise NotImplementedError
 
-    def put_raw_trace(self, digest: str, strategy: str, seed: int, body: str) -> None:
-        """Store one sidecar's verbatim text, unchanged."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------ maintenance
     def stats(self) -> CacheStats:
-        """Aggregate entry/sidecar counts, bytes and digest versions."""
+        """Aggregate entry count, bytes and digest versions."""
         raise NotImplementedError
 
     def gc(

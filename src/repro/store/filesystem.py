@@ -21,7 +21,7 @@ __all__ = ["FilesystemStore"]
 
 
 class FilesystemStore(ResultCache, ResultStore):
-    """One directory of JSON entries and ``.trace`` sidecars (the default)."""
+    """One directory of JSON entries (the default)."""
 
     kind = "filesystem"
 

@@ -1,8 +1,8 @@
 """Lossless store-to-store migration (``coopckpt cache import/export``).
 
-:func:`copy_store` moves every entry and trace sidecar between two result
-stores as :class:`~repro.exec.cache.RawRecord` verbatim text — no parsing,
-no re-encoding, no version re-stamping.  Because both built-in backends
+:func:`copy_store` moves every entry between two result stores as
+:class:`~repro.exec.cache.RawRecord` verbatim text — no parsing, no
+re-encoding, no version re-stamping.  Because both built-in backends
 store (or reconstruct) exactly those bytes, migrating a cache in either
 direction — filesystem → SQLite → filesystem, or the reverse — reproduces
 every record byte-for-byte, so no simulated node-second is ever lost or
@@ -25,13 +25,9 @@ class MigrationReport:
     """Outcome of one :func:`copy_store` pass."""
 
     entries: int = 0
-    traces: int = 0
 
     def describe(self) -> str:
-        return (
-            f"{self.entries} entr{'y' if self.entries == 1 else 'ies'}, "
-            f"{self.traces} trace sidecar(s)"
-        )
+        return f"{self.entries} entr{'y' if self.entries == 1 else 'ies'}"
 
 
 def copy_store(src: ResultStore, dst: ResultStore) -> MigrationReport:
@@ -45,8 +41,4 @@ def copy_store(src: ResultStore, dst: ResultStore) -> MigrationReport:
     for record in src.iter_raw_entries():
         dst.put_raw_entry(record.digest, record.strategy, record.seed, record.body)
         entries += 1
-    traces = 0
-    for record in src.iter_raw_traces():
-        dst.put_raw_trace(record.digest, record.strategy, record.seed, record.body)
-        traces += 1
-    return MigrationReport(entries=entries, traces=traces)
+    return MigrationReport(entries=entries)

@@ -2,10 +2,9 @@
 
 Where the filesystem layout spends one file (and one inode, and one PFS
 round-trip) per entry, :class:`SqliteStore` keeps an entire cache in a
-single schema-versioned SQLite file — entries, trace sidecars and the
-aggregates behind ``cache stats`` all become indexed tables, so stats and
-gc are one query instead of a directory walk, and shipping a warm cache to
-another machine is one ``scp``.
+single schema-versioned SQLite file — entries live in one indexed table,
+so ``cache stats`` and gc are one query instead of a directory walk, and
+shipping a warm cache to another machine is one ``scp``.
 
 Semantics are identical to the filesystem store by construction:
 
@@ -46,6 +45,10 @@ from repro.store.base import ResultStore, register_store
 __all__ = ["SCHEMA_VERSION", "SqliteStore"]
 
 #: On-file schema layout version (meta table, key ``schema_version``).
+#: Still 1 although the ``traces`` table of older versions is gone: no
+#: direction needs a refusal.  Older code opening a file written here
+#: re-creates that table through ``CREATE TABLE IF NOT EXISTS``, and this
+#: code never touches the table in an older file.
 SCHEMA_VERSION = 1
 
 #: How long an opener or writer waits for the database lock before failing.
@@ -64,16 +67,6 @@ CREATE TABLE IF NOT EXISTS entries (
     strategy TEXT    NOT NULL,
     seed     INTEGER NOT NULL,
     value    REAL,
-    version  TEXT    NOT NULL,
-    body     TEXT    NOT NULL,
-    size     INTEGER NOT NULL,
-    mtime    REAL    NOT NULL,
-    PRIMARY KEY (digest, strategy, seed)
-);
-CREATE TABLE IF NOT EXISTS traces (
-    digest   TEXT    NOT NULL,
-    strategy TEXT    NOT NULL,
-    seed     INTEGER NOT NULL,
     version  TEXT    NOT NULL,
     body     TEXT    NOT NULL,
     size     INTEGER NOT NULL,
@@ -131,19 +124,9 @@ def _entry_columns(body: str) -> tuple[float | None, str]:
     return value, version
 
 
-def _trace_version(body: str) -> str:
-    try:
-        payload = json.loads(body)
-        if isinstance(payload, dict):
-            return str(payload.get("version", "unversioned"))
-    except json.JSONDecodeError:
-        pass
-    return "corrupt"
-
-
 class SqliteStore(ResultStore):
     """Persistent ``(config digest, strategy, seed) -> float`` mapping in
-    one SQLite file (entries + trace sidecars + stats in tables)."""
+    one SQLite file."""
 
     kind = "sqlite"
 
@@ -286,65 +269,14 @@ class SqliteStore(ResultStore):
         )
         self.writes += 1
 
-    # ------------------------------------------------------------ sidecars
-    def get_trace(self, digest: str, strategy: str, seed: int) -> dict | None:
-        from repro.exec.digest import DIGEST_VERSION
-
-        try:
-            row = self._connect().execute(
-                "SELECT body FROM traces WHERE digest = ? AND strategy = ? AND seed = ?",
-                (digest, strategy, int(seed)),
-            ).fetchone()
-        except sqlite3.Error:
-            row = None
-        if row is None:
-            return None
-        try:
-            payload = json.loads(row[0])
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(payload, dict) or payload.get("version") != DIGEST_VERSION:
-            return None
-        return payload
-
-    def put_trace(self, digest: str, strategy: str, seed: int, payload: dict) -> None:
-        from repro.exec.digest import DIGEST_VERSION
-
-        body = json.dumps({**payload, "version": DIGEST_VERSION})
-        self._put_trace_row(digest, strategy, seed, DIGEST_VERSION, body)
-
-    def _put_trace_row(
-        self, digest: str, strategy: str, seed: int, version: str, body: str
-    ) -> None:
-        self._connect().execute(
-            "INSERT OR REPLACE INTO traces"
-            " (digest, strategy, seed, version, body, size, mtime)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                digest,
-                strategy,
-                int(seed),
-                version,
-                body,
-                len(body.encode("utf-8")),
-                time.time(),
-            ),
-        )
-
     # ------------------------------------------------------------ raw access
-    def _iter_raw(self, table: str) -> Iterator[RawRecord]:
+    def iter_raw_entries(self) -> Iterator[RawRecord]:
         cursor = self._connect().execute(
-            f"SELECT digest, strategy, seed, body FROM {table}"  # noqa: S608
+            "SELECT digest, strategy, seed, body FROM entries"
             " ORDER BY digest, strategy, seed"
         )
         for digest, strategy, seed, body in cursor:
             yield RawRecord(str(digest), str(strategy), int(seed), str(body))
-
-    def iter_raw_entries(self) -> Iterator[RawRecord]:
-        return self._iter_raw("entries")
-
-    def iter_raw_traces(self) -> Iterator[RawRecord]:
-        return self._iter_raw("traces")
 
     def put_raw_entry(self, digest: str, strategy: str, seed: int, body: str) -> None:
         value, version = _entry_columns(body)
@@ -364,31 +296,22 @@ class SqliteStore(ResultStore):
             ),
         )
 
-    def put_raw_trace(self, digest: str, strategy: str, seed: int, body: str) -> None:
-        self._put_trace_row(digest, strategy, seed, _trace_version(body), body)
-
     # ------------------------------------------------------------ maintenance
     def stats(self) -> CacheStats:
-        """One aggregate query per table — no walk, whatever the entry count."""
-        conn = self._connect()
+        """One aggregate query — no walk, whatever the entry count."""
         entries = 0
         total_bytes = 0
         versions: dict[str, int] = {}
-        for version, count, size in conn.execute(
+        for version, count, size in self._connect().execute(
             "SELECT version, COUNT(*), COALESCE(SUM(size), 0) FROM entries GROUP BY version"
         ):
             entries += int(count)
             total_bytes += int(size)
             versions[str(version)] = int(count)
-        trace_sidecars, trace_bytes = conn.execute(
-            "SELECT COUNT(*), COALESCE(SUM(size), 0) FROM traces"
-        ).fetchone()
         return CacheStats(
             entries=entries,
             total_bytes=total_bytes,
             versions=dict(sorted(versions.items())),
-            trace_sidecars=int(trace_sidecars),
-            trace_bytes=int(trace_bytes),
         )
 
     def gc(
@@ -399,50 +322,31 @@ class SqliteStore(ResultStore):
         dry_run: bool = False,
     ) -> GcReport:
         """Prune by age and/or digest version; same semantics as the
-        filesystem store (either criterion removes; a removed entry takes
-        its sidecar; orphaned sidecars are swept by any criteria-bearing
-        pass; ``dry_run`` counts without deleting)."""
+        filesystem store (either criterion removes; ``dry_run`` counts
+        without deleting)."""
         conn = self._connect()
         if older_than_s is None and digest_version is None:
             return GcReport(scanned=len(self), dry_run=dry_run)
         conditions: list[str] = []
         params: list[object] = []
         if older_than_s is not None:
-            conditions.append("(? - {p}mtime) > ?")
+            conditions.append("(? - mtime) > ?")
             params.extend([time.time(), float(older_than_s)])
         if digest_version is not None:
-            conditions.append("{p}version = ?")
+            conditions.append("version = ?")
             params.append(digest_version)
         where = " OR ".join(conditions)
         conn.execute("BEGIN IMMEDIATE")
         try:
             scanned = int(conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0])
-            doomed = conn.execute(
-                "SELECT e.size + COALESCE(t.size, 0) FROM entries e"
-                " LEFT JOIN traces t ON t.digest = e.digest"
-                "  AND t.strategy = e.strategy AND t.seed = e.seed"
-                f" WHERE {where.format(p='e.')}",  # noqa: S608 (literal conditions)
+            removed, reclaimed = conn.execute(
+                "SELECT COUNT(*), COALESCE(SUM(size), 0) FROM entries"
+                f" WHERE {where}",  # noqa: S608 (literal conditions)
                 params,
-            ).fetchall()
-            removed = len(doomed)
-            reclaimed = sum(int(size) for (size,) in doomed)
-            orphans = conn.execute(
-                "SELECT t.size FROM traces t LEFT JOIN entries e"
-                " ON e.digest = t.digest AND e.strategy = t.strategy AND e.seed = t.seed"
-                " WHERE e.digest IS NULL"
-            ).fetchall()
-            removed += len(orphans)
-            reclaimed += sum(int(size) for (size,) in orphans)
+            ).fetchone()
             if not dry_run and removed:
                 conn.execute(  # noqa: S608 (literal conditions)
-                    f"DELETE FROM entries WHERE {where.format(p='')}", params
-                )
-                # Sidecars of the pruned entries plus the pre-existing
-                # orphans — exactly the set counted above.
-                conn.execute(
-                    "DELETE FROM traces WHERE NOT EXISTS ("
-                    " SELECT 1 FROM entries e WHERE e.digest = traces.digest"
-                    "  AND e.strategy = traces.strategy AND e.seed = traces.seed)"
+                    f"DELETE FROM entries WHERE {where}", params
                 )
         finally:
             conn.execute("COMMIT")

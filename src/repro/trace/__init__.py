@@ -1,12 +1,12 @@
 """Per-cell trace drill-down: explain *where* a campaign cell's waste goes.
 
 The campaign layer reduces every ``(scenario, strategy, seed)`` cell to one
-scalar waste ratio.  This package re-opens a cell: it re-runs (or replays
-from a cache sidecar) the single simulation behind the scalar with event
-tracing enabled and decomposes the waste into its sources — checkpoint
-writes, checkpoint-token waits, recovery reads, lost work and I/O-queue
-delay — in aggregate and per job, with the components summing repr-exactly
-to the cell's recorded waste ratio.
+scalar waste ratio.  This package re-opens a cell: it re-runs the single
+simulation behind the scalar with event tracing enabled and decomposes the
+waste into its sources — checkpoint writes, checkpoint-token waits,
+recovery reads, lost work and I/O-queue delay — in aggregate and per job,
+with the components summing repr-exactly to the cell's recorded waste
+ratio.
 
 Entry points: :func:`drill_down_cell` (configuration + seed),
 :meth:`repro.scenarios.runner.CampaignRunner.drill_down` (campaign-level

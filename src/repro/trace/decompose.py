@@ -220,7 +220,8 @@ class WasteDecomposition:
 
     # ------------------------------------------------------------ serialisation
     def to_payload(self) -> dict:
-        """JSON-encodable sidecar payload (floats stay repr-exact via json)."""
+        """JSON-encodable payload, as ``/trace`` serves it (floats stay
+        repr-exact via json)."""
         return {
             "scenario": self.scenario,
             "strategy": self.strategy,
@@ -249,46 +250,6 @@ class WasteDecomposition:
                 for job in self.jobs
             ],
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "WasteDecomposition":
-        """Rebuild a decomposition from a sidecar payload.
-
-        Raises :class:`AnalysisError` on any malformed payload; callers
-        treat that as a sidecar miss and re-simulate.
-        """
-        try:
-            categories = payload["categories"]
-            counters = payload.get("counters", {})
-            jobs = tuple(
-                JobWaste(
-                    index=int(row["index"]),
-                    name=str(row["name"]),
-                    **{
-                        name: float(row[name])
-                        for name in (*_USEFUL_FIELDS, *_WASTE_FIELDS)
-                    },
-                )
-                for row in payload.get("jobs", [])
-            )
-            return cls(
-                scenario=str(payload.get("scenario", "")),
-                strategy=str(payload["strategy"]),
-                seed=int(payload["seed"]),
-                digest=str(payload["digest"]),
-                allocated=float(payload["allocated"]),
-                jobs=jobs,
-                jobs_completed=int(counters.get("jobs_completed", 0)),
-                jobs_failed=int(counters.get("jobs_failed", 0)),
-                checkpoints_completed=int(counters.get("checkpoints_completed", 0)),
-                failures_effective=int(counters.get("failures_effective", 0)),
-                **{
-                    name: float(categories[name])
-                    for name in (*_USEFUL_FIELDS, *_WASTE_FIELDS)
-                },
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise AnalysisError(f"malformed trace sidecar payload: {exc}") from exc
 
 
 def _stable_job_labels(sim: Simulation) -> list[tuple[int, str]]:

@@ -1,10 +1,9 @@
-"""Re-run (or sidecar-replay) one campaign cell with trace capture.
+"""Re-run one campaign cell with trace capture.
 
 :func:`drill_down_cell` is the core of the per-cell drill-down: given the
-cell's configuration and seed it either replays the cell's trace sidecar
-from an attached :class:`~repro.exec.cache.ResultCache` (free) or re-runs
-the single simulation with ``collect_trace=True`` and decomposes its
-accounting into a :class:`~repro.trace.decompose.WasteDecomposition`.
+cell's configuration and seed it re-runs the single simulation with
+``collect_trace=True`` and decomposes its accounting into a
+:class:`~repro.trace.decompose.WasteDecomposition`.
 :func:`drill_down_cell_detailed` additionally reports whether the cell's
 scalar value was already cached before the drill (the provenance the CLI's
 "matches the cached cell value" claim rests on).
@@ -13,13 +12,13 @@ The cell is addressed by its *existing* cache key: the digest excludes both
 ``seed`` and ``collect_trace``, so a drill-down lands on exactly the entry
 the campaign wrote — and because the simulator is a pure function of that
 key, the decomposition's waste ratio is bit-identical to the cached scalar.
-A fresh drill-down also warms the cache (scalar entry and sidecar), so
-drilling before running a campaign is never wasted work.
+A drill-down of an uncached cell also stores the cell's value, so drilling
+before running a campaign is never wasted work.  The decomposition itself
+is never stored: every drill re-simulates its one cell.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, replace
 
 from repro.errors import AnalysisError
@@ -52,7 +51,6 @@ def drill_down_cell(
     *,
     cache: ResultCache | None = None,
     scenario: str = "",
-    use_sidecar: bool = True,
 ) -> WasteDecomposition:
     """Waste decomposition of the cell ``(config digest, strategy, seed)``.
 
@@ -63,21 +61,14 @@ def drill_down_cell(
     seed:
         The concrete derived seed of the repetition to decompose.
     cache:
-        Optional result cache.  When it holds a valid trace sidecar for the
-        cell the decomposition is replayed from disk without simulating;
-        otherwise the run's decomposition (and, if missing, the cell's
-        scalar value) is written back.  A scalar entry the fresh simulation
-        cannot reproduce raises :class:`~repro.errors.AnalysisError` — the
-        cache predates a simulator change and must be pruned.
+        Optional result cache.  A missing scalar entry for the cell is
+        written back.  A scalar entry the fresh simulation cannot reproduce
+        raises :class:`~repro.errors.AnalysisError` — the cache predates a
+        simulator change and must be pruned.
     scenario:
         Display label recorded in the decomposition.
-    use_sidecar:
-        ``False`` forces a fresh simulation even when a sidecar exists (the
-        write-back still happens), e.g. to cross-check a sidecar.
     """
-    return drill_down_cell_detailed(
-        config, seed, cache=cache, scenario=scenario, use_sidecar=use_sidecar
-    ).decomposition
+    return drill_down_cell_detailed(config, seed, cache=cache, scenario=scenario).decomposition
 
 
 def drill_down_cell_detailed(
@@ -86,45 +77,12 @@ def drill_down_cell_detailed(
     *,
     cache: ResultCache | None = None,
     scenario: str = "",
-    use_sidecar: bool = True,
 ) -> CellDrillDown:
     """Like :func:`drill_down_cell`, returning the cache provenance too."""
     digest = config_digest(config)
     strategy = config.strategy
     seed = int(seed)
-    # One probe serves every decision below: sidecar agreement, the repair
-    # write, the fresh-run contradiction check and the reported provenance.
     recorded = cache.probe(digest, strategy, seed) if cache is not None else None
-
-    if cache is not None and use_sidecar:
-        payload = cache.get_trace(digest, strategy, seed)
-        if payload is not None:
-            try:
-                decomposition = WasteDecomposition.from_payload(payload)
-            except AnalysisError:
-                decomposition = None
-            if (
-                decomposition is not None
-                and decomposition.digest == digest
-                and decomposition.strategy == strategy
-                and decomposition.seed == seed
-                and (recorded is None or recorded == decomposition.waste_ratio)
-            ):
-                if decomposition.scenario != scenario:
-                    # The cell is content-addressed, so another campaign (or
-                    # a renamed scenario) may have written the sidecar; the
-                    # caller's label wins over the recorded one.
-                    decomposition = dataclasses.replace(
-                        decomposition, scenario=scenario
-                    )
-                if recorded is None:
-                    # A valid sidecar repairs a lost/corrupt scalar entry
-                    # (the value is the same simulation's, just re-derived).
-                    cache.put(digest, strategy, seed, decomposition.waste_ratio)
-                return CellDrillDown(decomposition, recorded)
-            # Wrong key or stale relative to the scalar entry: fall through
-            # to a fresh simulation, which rewrites the sidecar.
-
     sim = Simulation(replace(config, seed=seed, collect_trace=True))
     result = sim.run()
     decomposition = WasteDecomposition.from_simulation(
@@ -139,8 +97,7 @@ def drill_down_cell_detailed(
             # The entry predates a simulator change that was not digest-
             # bumped: the decomposition cannot sum to the recorded value,
             # and silently repairing the entry would let stale and fresh
-            # values coexist in one campaign table.  Fail loudly instead
-            # (and leave no contradicting sidecar behind).
+            # values coexist in one campaign table.  Fail loudly instead.
             raise AnalysisError(
                 f"cell ({digest[:12]}…, {strategy}, {seed}): re-simulated "
                 f"waste ratio {result.waste_ratio!r} contradicts the cached "
@@ -148,5 +105,4 @@ def drill_down_cell_detailed(
                 "— prune it with `coopckpt cache gc` (and bump DIGEST_VERSION "
                 "with intentional behaviour changes)"
             )
-        cache.put_trace(digest, strategy, seed, decomposition.to_payload())
     return CellDrillDown(decomposition, recorded)

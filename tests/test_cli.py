@@ -188,6 +188,26 @@ def test_non_finite_numeric_flags_exit_2(argv, capsys):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "-1", "--horizon-days", "0.5"],
+        ["trace", "--seed", "-1", "--horizon-days", "0.5"],
+        ["ablation", "--study", "interference", "--alphas", "nan",
+         "--horizon-days", "0.5", "--num-runs", "1"],
+        ["ablation", "--study", "interference", "--alphas", "inf",
+         "--horizon-days", "0.5", "--num-runs", "1"],
+        ["trace", "--max-events", "-3", "--horizon-days", "0.5"],
+        ["cache", "gc", "--cache-dir", "{tmp}", "--older-than", "nan"],
+    ],
+)
+def test_out_of_range_flags_exit_2_in_one_line(argv, tmp_path, capsys):
+    """Inputs that used to crash in numpy or print a silently wrong result."""
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+
+
 def _matrix_file(tmp_path, overrides=None, values=(2.0,)):
     import json
 

@@ -178,7 +178,7 @@ def test_trace_drills_a_campaign_cell_and_matches_the_cache(tmp_path, capsys):
     first = csv_path.read_text()
     assert first.startswith("scenario,strategy,seed,scope,job,")
 
-    # Re-drilling replays the sidecar and stays byte-identical.
+    # Re-drilling re-simulates the cell and stays byte-identical.
     assert (
         main(
             [

@@ -259,6 +259,24 @@ def test_heartbeat_keeps_lease_alive(tmp_path):
     assert not (tmp_path / "claims" / "missing-batch").exists()
 
 
+def test_a_spec_that_lands_in_a_live_batch_is_handed_back(tmp_path):
+    """A rename into a shard can land after a claimer renamed that shard into
+    claims/ and listed it (a peer's hand-back, or an enqueue).  The sweep
+    hands such a stray back at once instead of leaving it unlisted in a live
+    batch until the lease expires."""
+    spool = WorkSpool(tmp_path)
+    claimed, stray = _spec(seeds=(1,)), _spec(seeds=(2,))
+    spool.enqueue(claimed)
+    batch = spool.claim_batch("w0")
+    assert [spec.task_id for spec in batch.specs] == [claimed.task_id]
+    batch_dir = tmp_path / "claims" / batch.batch_id
+    (batch_dir / f"{stray.task_id}.json").write_text(stray.encode())
+    assert spool.reclaim_expired() == [stray.task_id]
+    assert (batch_dir / f"{claimed.task_id}.json").exists()  # the live claim stays
+    again = spool.claim_batch("w1")
+    assert [spec.task_id for spec in again.specs] == [stray.task_id]
+
+
 # ------------------------------------------------------------ concurrency
 def test_concurrent_claimers_partition_the_queue(tmp_path):
     """N threads hammering claim() must partition tasks with no duplicates."""

@@ -288,25 +288,30 @@ def test_cache_stats_reports_entries_bytes_and_versions(tmp_path):
 
 
 def test_cache_stats_dedupes_rewritten_entries_and_sidecars_by_path(tmp_path):
-    """Regression: on a resumed campaign a corrupt-then-rewritten entry (or
-    trace sidecar) appends a *second* index-journal record for the same
-    path; stats must fold records by path (latest wins) instead of counting
-    the file twice."""
+    """Regression: on a resumed campaign a corrupt-then-rewritten entry
+    appends a *second* index-journal record for the same path; stats must
+    fold records by path (latest wins) instead of counting the file twice.
+    The records older versions journaled for a rewritten trace sidecar
+    count for nothing."""
+    import json
+
     cache = ResultCache(tmp_path)
     digest = "a" * 64
     cache.put(digest, "least-waste", 1, 0.25)
-    cache.put_trace(digest, "least-waste", 1, {"categories": []})
-    # Torn write corrupts the sidecar; the resumed campaign rewrites it.
-    cache.trace_path(digest, "least-waste", 1).write_text("{broken")
-    cache.put_trace(digest, "least-waste", 1, {"categories": []})
-    stats = cache.stats()
-    assert stats.trace_sidecars == 1  # not 2
-    assert stats.trace_bytes == cache.trace_path(digest, "least-waste", 1).stat().st_size
-    # Scalar entries dedupe the same way on rewrite.
+    entry = cache._entry_path(digest, "least-waste", 1)
+    # Torn write corrupts the entry; the resumed campaign rewrites it.
+    entry.write_text("{broken")
     cache.put(digest, "least-waste", 1, 0.25)
-    after = cache.stats()
-    assert after.entries == 1
-    assert after.total_bytes == stats.total_bytes
+    # An older version wrote, tore and rewrote the cell's trace sidecar.
+    sidecar = entry.with_suffix(".trace")
+    sidecar.write_text("{}")
+    record = {"kind": "trace", "path": sidecar.relative_to(tmp_path).as_posix(),
+              "bytes": 2, "version": "2"}
+    with open(tmp_path / digest[:2] / ".index.jsonl", "a") as journal:
+        journal.write(2 * (json.dumps(record) + "\n"))
+    stats = cache.stats()
+    assert stats.entries == 1  # not 2, and no sidecar counted
+    assert stats.total_bytes == entry.stat().st_size
 
 
 def test_cache_gc_prunes_by_version_and_age(tmp_path):

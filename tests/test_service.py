@@ -108,6 +108,53 @@ def test_job_counters_with_a_pool_and_one_cell_already_stored(tmp_path):
     assert snapshot["seeds_cached"] + snapshot["seeds_simulated"] == seeds
 
 
+def _wait_until(predicate, timeout_s: float = 120.0) -> None:
+    deadline = time.time() + timeout_s
+    while not predicate():
+        assert time.time() < deadline, "timed out"
+        time.sleep(0.02)
+
+
+def test_jobs_run_one_at_a_time(tmp_path, monkeypatch):
+    """A later job waits as 'queued' while one runs, and starts from the
+    store the first one warmed; a failed job frees the slot too."""
+    import threading
+
+    from repro.scenarios.presets import make_campaign
+
+    gate = threading.Event()
+
+    class GatedRunner(CampaignRunner):
+        def run(self, campaign):
+            assert gate.wait(120.0)
+            return super().run(campaign)
+
+    monkeypatch.setattr("repro.service.jobs.CampaignRunner", GatedRunner)
+    store = open_store("sqlite", tmp_path / "db.sqlite")
+    manager = JobManager(store)
+    try:
+        jobs = [manager.submit(make_campaign("smoke", num_runs=1)) for _ in range(2)]
+        _wait_until(lambda: any(job.snapshot()["state"] == "running" for job in jobs))
+        time.sleep(0.1)  # room for a second job to start, were it allowed to
+        assert sorted(job.snapshot()["state"] for job in jobs) == ["queued", "running"]
+        gate.set()
+        _wait_until(lambda: all(job.snapshot()["state"] == "done" for job in jobs))
+        first, second = sorted(
+            (job.snapshot() for job in jobs), key=lambda snapshot: snapshot["started_at"]
+        )
+        assert first["seeds_simulated"] == 8
+        assert second["seeds_simulated"] == 0 and second["seeds_cached"] == 8
+
+        broken = {**TOY_MATRIX, "overrides": {**TOY_MATRIX["overrides"], "warmup_days": -1.0}}
+        failed = manager.submit(campaign_from_request({"campaign": broken}))
+        _wait_until(lambda: failed.snapshot()["state"] == "failed")
+        after = manager.submit(make_campaign("smoke", num_runs=1))
+        _wait_until(lambda: after.snapshot()["state"] == "done")
+    finally:
+        gate.set()
+        store.close()
+
+
 def test_healthz_metrics_and_presets(service):
     assert _get_json(service, "/healthz") == (200, {"ok": True})
     status, metrics = _get_json(service, "/metrics")
@@ -380,14 +427,13 @@ def test_out_of_range_port_is_a_configuration_error(tmp_path):
 def test_cache_export_import_cli_roundtrip(tmp_path, capsys):
     source = open_store("filesystem", tmp_path / "fs")
     source.put("a" * 64, "least-waste", 1, 0.25)
-    source.put_trace("a" * 64, "least-waste", 1, {"waste": 0.25})
     source.close()
 
     assert main(
         ["cache", "export", "--cache-dir", str(tmp_path / "fs"), "--to", str(tmp_path / "db.sqlite")]
     ) == 0
     out = capsys.readouterr().out
-    assert "copied 1 entry, 1 trace sidecar(s)" in out
+    assert "copied 1 entry:" in out
 
     assert main(
         ["cache", "stats", "--cache-dir", str(tmp_path / "db.sqlite"), "--store", "sqlite"]
@@ -401,10 +447,6 @@ def test_cache_export_import_cli_roundtrip(tmp_path, capsys):
     entry = tmp_path / "fs" / "aa" / ("a" * 64) / "least-waste" / "1.json"
     twin = tmp_path / "back" / "aa" / ("a" * 64) / "least-waste" / "1.json"
     assert twin.read_bytes() == entry.read_bytes()
-    trace = entry.with_suffix(".trace")
-    assert trace.with_name(trace.name).read_bytes() == (
-        tmp_path / "back" / "aa" / ("a" * 64) / "least-waste" / "1.trace"
-    ).read_bytes()
 
 
 def test_hostile_overrides_are_a_400_at_submit(service):

@@ -5,7 +5,7 @@ Contract under test: the ``filesystem`` backend *is* the historical
 same records in one WAL-mode file, ``stats``/``gc`` report identically over
 either, and ``copy_store`` migrates a cache losslessly in both directions —
 round-tripping filesystem -> SQLite -> filesystem reproduces every entry
-and trace sidecar byte-for-byte.
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -38,12 +38,25 @@ D1 = "a" * 64
 D2 = "b" * 64
 
 
-def _fill(store, *, traces: bool = True) -> None:
+def _fill(store) -> None:
     store.put(D1, "least-waste", 7, 0.125)
     store.put(D1, "least-waste", 8, 0.1234567890123456789)  # repr-exact float
     store.put(D2, "ordered-daly", 7, 0.5)
-    if traces:
-        store.put_trace(D1, "least-waste", 7, {"events": [1, 2], "waste": 0.125})
+
+
+#: The ``traces`` table older versions created in every SQLite store.
+_OLD_TRACES_TABLE = """
+CREATE TABLE traces (
+    digest   TEXT    NOT NULL,
+    strategy TEXT    NOT NULL,
+    seed     INTEGER NOT NULL,
+    version  TEXT    NOT NULL,
+    body     TEXT    NOT NULL,
+    size     INTEGER NOT NULL,
+    mtime    REAL    NOT NULL,
+    PRIMARY KEY (digest, strategy, seed)
+)
+"""
 
 
 # ------------------------------------------------------------------ registry
@@ -97,25 +110,6 @@ def test_sqlite_roundtrip_and_counters(tmp_path):
     assert store.probe(D1, "least-waste", 7) == 0.1234567890123456789
     assert (store.hits, store.misses) == (1, 1)
     assert len(store) == 1
-    store.close()
-
-
-def test_sqlite_trace_sidecar_roundtrip_and_version_discipline(tmp_path):
-    store = SqliteStore(tmp_path / "db.sqlite")
-    payload = {"events": [{"t": 0.5}], "waste": 0.25}
-    store.put_trace(D1, "least-waste", 7, payload)
-    # Like the filesystem cache, the payload reads back with its version stamp.
-    assert store.get_trace(D1, "least-waste", 7) == {**payload, "version": DIGEST_VERSION}
-    # A sidecar stamped by a different digest version is a miss, exactly
-    # like the filesystem cache.
-    conn = sqlite3.connect(str(store.root))
-    conn.execute(
-        "UPDATE traces SET body = ?, version = ?",
-        (json.dumps({**payload, "version": "1"}), "1"),
-    )
-    conn.commit()
-    conn.close()
-    assert store.get_trace(D1, "least-waste", 7) is None
     store.close()
 
 
@@ -220,8 +214,7 @@ def test_stats_identical_across_backends(tmp_path, kind):
     stats = store.stats()
     assert stats.entries == 3
     assert stats.versions == {DIGEST_VERSION: 3}
-    assert stats.trace_sidecars == 1
-    assert stats.trace_bytes > 0
+    assert stats.total_bytes > 0
     store.close()
 
 
@@ -232,9 +225,8 @@ def test_stats_and_gc_reports_agree_between_backends(tmp_path):
         _fill(store)
     assert fs.stats() == sq.stats()
 
-    # gc by digest version: same scan/removal accounting on both engines
-    # (an entry and its sidecar count as one removal), and --dry-run
-    # touches nothing.
+    # gc by digest version: same scan/removal accounting on both engines,
+    # and --dry-run touches nothing.
     for store in (fs, sq):
         dry = store.gc(digest_version=DIGEST_VERSION, dry_run=True)
         assert (dry.scanned, dry.removed) == (3, 3)
@@ -243,36 +235,44 @@ def test_stats_and_gc_reports_agree_between_backends(tmp_path):
     real_sq = sq.gc(digest_version=DIGEST_VERSION)
     assert real_fs == real_sq
     assert len(fs) == len(sq) == 0
-    assert fs.stats().trace_sidecars == sq.stats().trace_sidecars == 0
+    assert fs.stats() == sq.stats()
     fs.close()
     sq.close()
 
 
 def test_sqlite_gc_older_than_and_orphan_sweep(tmp_path):
+    """gc prunes aged entries.  It sweeps no orphans: the ``traces`` table
+    older versions wrote is never touched, even rows whose entry is gone."""
     store = SqliteStore(tmp_path / "db.sqlite")
     _fill(store)
-    # Age one entry far into the past; its sidecar goes with it.
+    # Age one entry far into the past; an older version left a trace
+    # sidecar row for it and one for a key that has no entry at all.
     conn = sqlite3.connect(str(store.root))
     conn.execute(
         "UPDATE entries SET mtime = mtime - 864000 WHERE seed = 7 AND digest = ?",
         (D1,),
     )
+    conn.execute(_OLD_TRACES_TABLE)
+    for seed in (7, 99):
+        conn.execute(
+            "INSERT INTO traces VALUES (?, 'least-waste', ?, '2', '{}', 2, 0.0)", (D1, seed)
+        )
     conn.commit()
     conn.close()
     report = store.gc(older_than_s=86400.0)
     assert report.scanned == 3
-    assert report.removed == 1  # the aged entry, its sidecar riding along
+    assert report.removed == 1  # the aged entry alone
+    assert store.probe(D1, "least-waste", 7) is None
     assert store.probe(D1, "least-waste", 8) is not None  # younger survivor
-    assert store.get_trace(D1, "least-waste", 7) is None
     store.close()
+    conn = sqlite3.connect(str(tmp_path / "db.sqlite"))
+    assert conn.execute("SELECT COUNT(*) FROM traces").fetchone()[0] == 2
+    conn.close()
 
 
 # ------------------------------------------------------------------ migration
 def _records(store):
-    return (
-        {(r.digest, r.strategy, r.seed): r.body for r in store.iter_raw_entries()},
-        {(r.digest, r.strategy, r.seed): r.body for r in store.iter_raw_traces()},
-    )
+    return {(r.digest, r.strategy, r.seed): r.body for r in store.iter_raw_entries()}
 
 
 def test_migration_roundtrip_is_byte_identical(tmp_path):
@@ -280,13 +280,13 @@ def test_migration_roundtrip_is_byte_identical(tmp_path):
     _fill(fs)
     sq = open_store("sqlite", tmp_path / "db.sqlite")
     report = copy_store(fs, sq)
-    assert (report.entries, report.traces) == (3, 1)
+    assert report.entries == 3
     back = open_store("filesystem", tmp_path / "back")
     copy_store(sq, back)
 
     assert _records(fs) == _records(sq) == _records(back)
     # Stronger than record equality: the round-tripped directory holds the
-    # same relative entry/trace files with the same bytes.
+    # same relative entry files with the same bytes.
     original = {
         p.relative_to(fs.root): p.read_bytes()
         for p in fs.root.rglob("*")
@@ -307,7 +307,6 @@ def test_migration_roundtrip_is_byte_identical(tmp_path):
     # The values read back identically (repr-exact floats included).
     for store in (fs, sq, back):
         assert store.get(D1, "least-waste", 8) == 0.1234567890123456789
-        assert store.get_trace(D1, "least-waste", 7)["waste"] == 0.125
         store.close()
 
 
@@ -347,3 +346,86 @@ def test_store_value_fidelity_across_backends(tmp_path):
         got = [store.probe(D1, "s", seed) for seed in range(len(values))]
         assert [repr(g) for g in got] == [repr(v) for v in values]
         store.close()
+
+
+# ------------------------------------------------------- data of older versions
+def _old_sidecar(digest: str, strategy: str, seed: int) -> str:
+    return json.dumps(
+        {"scenario": "old", "strategy": strategy, "seed": seed, "digest": digest,
+         "categories": {}, "version": DIGEST_VERSION}
+    )
+
+
+def _add_old_filesystem_sidecars(root: Path) -> int:
+    """A ``.trace`` file next to every entry, journaled as older versions did;
+    one shard loses its journal, so stats also walks a shard with sidecars."""
+    entries = sorted(root.glob("*/*/*/*.json"))
+    for entry in entries:
+        body = _old_sidecar(entry.parent.parent.name, entry.parent.name, int(entry.stem))
+        sidecar = entry.with_suffix(".trace")
+        sidecar.write_text(body)
+        record = {"kind": "trace", "path": sidecar.relative_to(root).as_posix(),
+                  "bytes": len(body), "version": DIGEST_VERSION}
+        with open(entry.parents[2] / ".index.jsonl", "a") as journal:
+            journal.write(json.dumps(record) + "\n")
+    (entries[0].parents[2] / ".index.jsonl").unlink()
+    return len(entries)
+
+
+def _add_old_sqlite_traces(path: Path) -> int:
+    conn = sqlite3.connect(str(path))
+    conn.execute(_OLD_TRACES_TABLE)
+    keys = conn.execute("SELECT digest, strategy, seed FROM entries").fetchall()
+    for digest, strategy, seed in keys:
+        body = _old_sidecar(digest, strategy, seed)
+        conn.execute(
+            "INSERT INTO traces VALUES (?, ?, ?, ?, ?, ?, ?)",
+            (digest, strategy, seed, DIGEST_VERSION, body, len(body), time.time()),
+        )
+    conn.commit()
+    conn.close()
+    return len(keys)
+
+
+@pytest.mark.parametrize("kind", ["filesystem", "sqlite"])
+def test_sidecars_written_by_older_versions_are_ignored(tmp_path, capsys, kind):
+    """Trace sidecars of older versions (``.trace`` files and journal records,
+    or a ``traces`` table) are neither read nor removed: the store serves
+    and reports its entries alone."""
+    from repro.cli import main
+
+    path = tmp_path / ("cache" if kind == "filesystem" else "cache.sqlite")
+    store_args = ["--cache-dir", str(path), "--store", kind]
+    assert main(["campaign", "--preset", "smoke", *store_args]) == 0
+    capsys.readouterr()
+    if kind == "filesystem":
+        sidecars = _add_old_filesystem_sidecars(path)
+    else:
+        sidecars = _add_old_sqlite_traces(path)
+    assert sidecars == 16
+
+    assert main(["campaign", "--preset", "smoke", *store_args]) == 0
+    assert "cache: 16 hit(s), 0 simulation(s)" in capsys.readouterr().out
+
+    assert main(["cache", "stats", *store_args]) == 0
+    stats = capsys.readouterr().out
+    assert "entries      : 16" in stats and "trace" not in stats
+    with open_store(kind, path) as store:
+        assert store.stats().total_bytes == sum(len(r.body) for r in store.iter_raw_entries())
+
+    assert main(["cache", "export", *store_args, "--to", str(tmp_path / "copy")]) == 0
+    assert "copied 16 entries:" in capsys.readouterr().out
+
+    assert main(
+        ["trace", "--campaign", "smoke", "--scenario", "io=1,mtbf=short",
+         "--strategy", "least-waste", *store_args]
+    ) == 0
+    assert "matches the cached cell value" in capsys.readouterr().out
+
+    # The old data is still there, untouched.
+    if kind == "filesystem":
+        assert len(list(path.glob("*/*/*/*.trace"))) == 16
+    else:
+        conn = sqlite3.connect(str(path))
+        assert conn.execute("SELECT COUNT(*) FROM traces").fetchone()[0] == 16
+        conn.close()

@@ -26,6 +26,7 @@ from repro.exec.cache import ResultCache
 from repro.exec.digest import DIGEST_VERSION, config_digest
 from repro.exec.runner import ParallelRunner
 from repro.iosched.ordered import OrderedScheduler
+from repro.iosched.spec import kind_info
 from repro.iosched.registry import (
     STRATEGIES,
     Strategy,
@@ -131,6 +132,33 @@ def test_with_params_merges():
 def test_malformed_specs_raise_configuration_error(bad):
     with pytest.raises(ConfigurationError):
         parse_strategy(bad)
+
+
+#: Pieces of the spec grammar: brackets, separators, every built-in kind and
+#: legacy name, every parameter name and choice, and number spellings.
+_SPEC_TOKENS = sorted(
+    {"[", "]", "=", ",", " ", "-", "nan", "inf", "-inf", "1e400", "0", "-5", "2.5", "1800",
+     "true", *STRATEGIES, *strategy_kinds()}
+    | {
+        str(token)
+        for kind in strategy_kinds()
+        for param in kind_info(kind).params
+        for token in (param.name, *(param.choices or ()))
+    }
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_SPEC_TOKENS), st.text(max_size=3)), max_size=12))
+def test_parse_strategy_parses_or_raises_configuration_error(pieces):
+    """Any text parses to a spec that round-trips through its canonical
+    form, or raises ConfigurationError; no other exception escapes."""
+    try:
+        spec = parse_strategy("".join(pieces))
+    except ConfigurationError:
+        return
+    assert isinstance(spec, StrategySpec)
+    assert parse_strategy(spec.canonical) == spec
 
 
 def test_unknown_parameter_suggests_close_match():

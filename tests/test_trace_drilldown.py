@@ -3,8 +3,7 @@
 The acceptance bar of the subsystem: a drill-down reproduces any campaign
 cell from its cache key with a decomposition whose components sum
 (repr-exact) to the cell's recorded waste ratio, byte-identical across
-repeated invocations, and a cached cell re-drills for free from its trace
-sidecar.
+repeated invocations, each of which re-simulates the one cell.
 """
 
 from __future__ import annotations
@@ -123,47 +122,7 @@ def test_drill_down_is_deterministic_byte_identical_csv():
     ) == render_decomposition(runner.drill_down(scenario, "least-waste"))
 
 
-# --------------------------------------------------------------- sidecars
-def test_second_drill_replays_the_sidecar_without_simulating(tmp_path, monkeypatch):
-    scenario = _scenario(num_runs=1)
-    runner = CampaignRunner(runner=ParallelRunner(cache_dir=tmp_path))
-    first = runner.drill_down(scenario, "least-waste")
-    cache = runner.runner.cache
-    digest = config_digest(scenario.config("least-waste"))
-    assert cache.get_trace(digest, "least-waste", first.seed) is not None
-    assert cache.stats().trace_sidecars == 1
-
-    # Any simulation attempt now blows up: the replay must not simulate.
-    monkeypatch.setattr(
-        "repro.trace.drilldown.Simulation",
-        lambda *a, **k: pytest.fail("sidecar replay must not re-simulate"),
-    )
-    replayed = runner.drill_down(scenario, "least-waste")
-    assert replayed == first
-    assert decomposition_to_csv(replayed) == decomposition_to_csv(first)
-
-
-def test_sidecar_version_mismatch_is_a_miss_and_rewrites(tmp_path):
-    import json
-
-    scenario = _scenario(num_runs=1)
-    cache = ResultCache(tmp_path)
-    config = scenario.config("least-waste")
-    seed = derive_seeds(scenario.base_seed, 1)[0]
-    first = drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
-
-    path = cache.trace_path(config_digest(config), config.strategy, seed)
-    stale = json.loads(path.read_text())
-    stale["version"] = "0"  # a simulator from another era
-    path.write_text(json.dumps(stale))
-    assert cache.get_trace(config_digest(config), config.strategy, seed) is None
-
-    again = drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
-    assert again == first
-    # ... and the sidecar was rewritten under the current version.
-    assert cache.get_trace(config_digest(config), config.strategy, seed) is not None
-
-
+# --------------------------------------------------------------- the cache
 def test_contradicted_scalar_entry_fails_loudly(tmp_path):
     """A scalar entry the simulator can no longer reproduce (a behaviour
     change without a DIGEST_VERSION bump) must raise, not silently coexist
@@ -174,78 +133,28 @@ def test_contradicted_scalar_entry_fails_loudly(tmp_path):
     seed = derive_seeds(scenario.base_seed, 1)[0]
     first = drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
 
-    # Corrupt the *scalar* entry: neither the (now disagreeing) sidecar nor
-    # a fresh simulation can reproduce it.
+    # Corrupt the scalar entry: a fresh simulation cannot reproduce it.
     cache.put(config_digest(config), config.strategy, seed, 0.999)
     with pytest.raises(AnalysisError, match="contradicts the cached value"):
         drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
 
-    # Restoring the true value heals the cell (sidecar replays again).
+    # Restoring the true value heals the cell.
     cache.put(config_digest(config), config.strategy, seed, first.waste_ratio)
     assert drill_down_cell(config, seed, cache=cache, scenario=scenario.name) == first
 
 
-def test_malformed_sidecar_payload_is_a_miss_and_resimulates(tmp_path):
-    import json
-
-    scenario = _scenario(num_runs=1)
-    cache = ResultCache(tmp_path)
-    config = scenario.config("least-waste")
-    seed = derive_seeds(scenario.base_seed, 1)[0]
-    first = drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
-
-    path = cache.trace_path(config_digest(config), config.strategy, seed)
-    payload = json.loads(path.read_text())
-    del payload["categories"]
-    path.write_text(json.dumps(payload))
-    assert drill_down_cell(config, seed, cache=cache, scenario=scenario.name) == first
-
-
-def test_sidecar_replay_takes_the_callers_scenario_label(tmp_path):
-    """The cell is content-addressed: a sidecar written under one campaign's
-    scenario name must not leak that name into another campaign's report."""
+def test_drill_takes_the_callers_scenario_label(tmp_path):
+    """The cell is content-addressed: a cell first drilled under one
+    campaign's scenario name must not leak that name into another
+    campaign's report."""
     scenario = _scenario(num_runs=1)
     cache = ResultCache(tmp_path)
     config = scenario.config("least-waste")
     seed = derive_seeds(scenario.base_seed, 1)[0]
     drill_down_cell(config, seed, cache=cache, scenario="campaign-a-name")
-    replayed = drill_down_cell(config, seed, cache=cache, scenario="campaign-b-name")
-    assert replayed.scenario == "campaign-b-name"
-    assert "campaign-b-name" in decomposition_to_csv(replayed)
-
-
-def test_gc_prunes_trace_sidecars_with_their_entries(tmp_path):
-    scenario = _scenario(num_runs=1)
-    cache = ResultCache(tmp_path)
-    config = scenario.config("least-waste")
-    seed = derive_seeds(scenario.base_seed, 1)[0]
-    drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
-    assert cache.stats().trace_sidecars == 1
-
-    from repro.exec.digest import DIGEST_VERSION
-
-    # The dry-run estimate already includes the sidecar's bytes, so it
-    # matches what the real pass then reclaims.
-    before = cache.stats()
-    estimate = cache.gc(digest_version=DIGEST_VERSION, dry_run=True)
-    report = cache.gc(digest_version=DIGEST_VERSION)
-    assert report.removed == 1
-    assert report.reclaimed_bytes == estimate.reclaimed_bytes
-    assert report.reclaimed_bytes == before.total_bytes + before.trace_bytes
-    assert cache.stats().trace_sidecars == 0
-    assert not cache.trace_path(config_digest(config), config.strategy, seed).exists()
-
-
-# --------------------------------------------------------------- payloads
-def test_payload_round_trip_is_exact():
-    scenario = _scenario(num_runs=1)
-    decomposition = CampaignRunner().drill_down(scenario, "ordered-daly")
-    assert WasteDecomposition.from_payload(decomposition.to_payload()) == decomposition
-
-
-def test_malformed_payload_raises_analysis_error():
-    with pytest.raises(AnalysisError):
-        WasteDecomposition.from_payload({"strategy": "least-waste"})
+    again = drill_down_cell(config, seed, cache=cache, scenario="campaign-b-name")
+    assert again.scenario == "campaign-b-name"
+    assert "campaign-b-name" in decomposition_to_csv(again)
 
 
 # --------------------------------------------------------------- addressing
@@ -324,9 +233,9 @@ def test_drill_down_matches_cells_recorded_by_the_process_backend(tmp_path):
     assert repr(decomposition.waste_ratio) == repr(recorded)
 
 
-def test_sidecar_replay_repairs_a_lost_scalar_entry(tmp_path):
-    """A valid sidecar restores a deleted/corrupt scalar entry on replay, so
-    the next campaign run serves the cell as a hit again."""
+def test_drill_repairs_a_lost_scalar_entry(tmp_path):
+    """A drill restores a deleted/corrupt scalar entry, so the next
+    campaign run serves the cell as a hit again."""
     scenario = _scenario(num_runs=1)
     cache = ResultCache(tmp_path)
     config = scenario.config("least-waste")
@@ -337,24 +246,9 @@ def test_sidecar_replay_repairs_a_lost_scalar_entry(tmp_path):
     entry = cache._entry_path(digest, config.strategy, seed)
     entry.write_text("{broken")  # torn write: probe() treats it as a miss
     assert cache.probe(digest, config.strategy, seed) is None
-    replayed = drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
-    assert replayed == first
+    again = drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
+    assert again == first
     assert cache.probe(digest, config.strategy, seed) == first.waste_ratio
-
-
-def test_gc_unlinks_even_empty_trace_sidecars(tmp_path):
-    scenario = _scenario(num_runs=1)
-    cache = ResultCache(tmp_path)
-    config = scenario.config("least-waste")
-    seed = derive_seeds(scenario.base_seed, 1)[0]
-    drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
-
-    # External truncation (disk full, interrupted copy): 0 bytes, not absent.
-    cache.trace_path(config_digest(config), config.strategy, seed).write_text("")
-    from repro.exec.digest import DIGEST_VERSION
-
-    cache.gc(digest_version=DIGEST_VERSION)
-    assert cache.stats().trace_sidecars == 0  # no orphan left behind
 
 
 def test_detailed_drill_reports_cache_provenance(tmp_path):
@@ -376,19 +270,3 @@ def test_detailed_drill_reports_cache_provenance(tmp_path):
     runner = CampaignRunner(runner=ParallelRunner(cache=cache))
     via_runner = runner.drill_down_detailed(scenario, "least-waste")
     assert via_runner.recorded_value == cold.decomposition.waste_ratio
-
-
-def test_gc_sweeps_orphaned_sidecars(tmp_path):
-    """A sidecar whose scalar entry vanished (race, external delete) is
-    reclaimed by any criteria-bearing gc pass instead of living forever."""
-    scenario = _scenario(num_runs=1)
-    cache = ResultCache(tmp_path)
-    config = scenario.config("least-waste")
-    seed = derive_seeds(scenario.base_seed, 1)[0]
-    drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
-
-    cache._entry_path(config_digest(config), config.strategy, seed).unlink()
-    assert cache.stats().trace_sidecars == 1  # orphaned
-    report = cache.gc(older_than_s=10 * 365 * 86400.0)  # matches no entry
-    assert report.removed == 1 and report.reclaimed_bytes > 0
-    assert cache.stats().trace_sidecars == 0
