@@ -153,6 +153,14 @@ class IOScheduler(ABC):
     def active_requests(self) -> tuple[IORequest, ...]:
         """Snapshot of requests whose transfer is in flight."""
 
+    def clear(self) -> None:
+        """Forget every waiting and in-flight request, for a run that is over.
+
+        Nothing is granted, completed or cancelled: the requests keep their
+        state, but their callbacks no longer keep the simulation alive.
+        The base class queues nothing.
+        """
+
     # ------------------------------------------------------------ shared helpers
     def _start_transfer(self, request: IORequest) -> None:
         """Grant ``request`` now and start its transfer on the I/O subsystem."""
@@ -215,6 +223,10 @@ class TokenScheduler(IOScheduler):
 
     def active_requests(self) -> tuple[IORequest, ...]:
         return (self._current,) if self._current is not None else ()
+
+    def clear(self) -> None:
+        self._pending.clear()
+        self._current = None
 
     # ------------------------------------------------------------ internals
     def _dispatch(self) -> None:

@@ -46,6 +46,9 @@ class ObliviousScheduler(IOScheduler):
     def active_requests(self) -> tuple[IORequest, ...]:
         return tuple(self._active)
 
+    def clear(self) -> None:
+        self._active.clear()
+
     def _after_completion(self, request: IORequest) -> None:
         if request in self._active:
             self._active.remove(request)

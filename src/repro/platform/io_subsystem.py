@@ -10,8 +10,13 @@ engine:
 * each active :class:`Transfer` progresses at rate
   ``beta * weight / sum(weights)``;
 * whenever the set of active transfers changes, the remaining volume of
-  every transfer is advanced to the current time and its completion event is
-  rescheduled at the new rate.
+  every transfer is advanced to the current time, and the one pending
+  completion event is moved to the transfer that now finishes first (the
+  earliest in admission order on a tie).
+
+Only that first transfer's completion can fire before the set changes
+again, so one event stands for all of them: every event that fires keeps
+the time and the relative order it would have with one event per transfer.
 
 The I/O *scheduling strategies* (:mod:`repro.iosched`) decide **when** a
 transfer is admitted; strategies that serialize I/O simply admit one
@@ -51,6 +56,9 @@ class Transfer:
         Simulation time of completion, or ``None`` while in flight.
     aborted:
         True when the transfer was cancelled (e.g. its job failed).
+    on_complete:
+        Callback invoked with the transfer when it completes; dropped
+        (set to ``None``) once the transfer completes or is aborted.
     """
 
     __slots__ = (
@@ -63,7 +71,6 @@ class Transfer:
         "finished_at",
         "aborted",
         "on_complete",
-        "_completion_event",
     )
 
     def __init__(
@@ -84,7 +91,6 @@ class Transfer:
         self.finished_at: float | None = None
         self.aborted = False
         self.on_complete = on_complete
-        self._completion_event: Event | None = None
 
     @property
     def done(self) -> bool:
@@ -132,6 +138,8 @@ class IOSubsystem:
         self._bandwidth = float(bandwidth_bytes_per_s)
         self._interference = interference or LinearInterference()
         self._active: list[Transfer] = []
+        # The completion event of the transfer that finishes first.
+        self._completion: Event | None = None
         self._last_update = engine.now
         # Aggregate statistics.
         self._busy_seconds = 0.0
@@ -213,7 +221,7 @@ class IOSubsystem:
         )
         self._active.append(transfer)
         self._max_concurrency = max(self._max_concurrency, len(self._active))
-        self._reschedule_completions()
+        self._reschedule_completion()
         return transfer
 
     def abort(self, transfer: Transfer) -> None:
@@ -223,48 +231,71 @@ class IOSubsystem:
         self._advance_progress()
         transfer.aborted = True
         transfer.finished_at = self._engine.now
-        if transfer._completion_event is not None:
-            self._engine.cancel(transfer._completion_event)
-            transfer._completion_event = None
+        transfer.on_complete = None
         self._active.remove(transfer)
-        self._reschedule_completions()
+        self._reschedule_completion()
+
+    def clear(self) -> None:
+        """Drop every in-flight transfer and the pending completion event.
+
+        Nothing completes or aborts and no statistic changes; each dropped
+        transfer loses its callback.  For a model whose run is over: its
+        callbacks would otherwise keep the model alive through reference
+        cycles.
+        """
+        completion, self._completion = self._completion, None
+        if completion is not None and not completion.cancelled:  # the engine may have dropped it
+            self._engine.cancel(completion)
+        for transfer in self._active:
+            transfer.on_complete = None
+        self._active.clear()
 
     # ------------------------------------------------------------ internals
-    def _rate_of(self, transfer: Transfer, total_weight: float) -> float:
-        aggregate = self._interference.effective_bandwidth(self._bandwidth, len(self._active))
-        return aggregate * transfer.weight / total_weight
-
     def _advance_progress(self) -> None:
         """Advance every active transfer's remaining volume to the current time."""
         now = self._engine.now
         elapsed = now - self._last_update
         if elapsed < 0.0:  # pragma: no cover - engine guarantees monotonic time
             raise SimulationError("simulation time moved backwards")
-        if elapsed > 0.0 and self._active:
-            total_weight = sum(t.weight for t in self._active)
-            for transfer in self._active:
-                progressed = self._rate_of(transfer, total_weight) * elapsed
+        active = self._active
+        if elapsed > 0.0 and active:
+            total_weight = sum(t.weight for t in active)
+            aggregate = self._interference.effective_bandwidth(self._bandwidth, len(active))
+            for transfer in active:
+                progressed = aggregate * transfer.weight / total_weight * elapsed
                 transfer.remaining_bytes = max(0.0, transfer.remaining_bytes - progressed)
             self._busy_seconds += elapsed
         self._last_update = now
 
-    def _reschedule_completions(self) -> None:
-        """Recompute and reschedule the completion event of every active transfer."""
-        total_weight = sum(t.weight for t in self._active)
-        for transfer in self._active:
-            if transfer._completion_event is not None:
-                self._engine.cancel(transfer._completion_event)
-                transfer._completion_event = None
-            rate = self._rate_of(transfer, total_weight)
-            delay = transfer.remaining_bytes / rate if rate > 0.0 else float("inf")
-            transfer._completion_event = self._engine.schedule(
-                delay, self._complete, transfer, label=f"io-complete:{transfer.label}"
-            )
+    def _reschedule_completion(self) -> None:
+        """Move the pending completion event to the transfer that finishes first.
+
+        Transfers are compared on the event time ``now + delay`` the queue
+        would order them by, and the earliest admitted wins a tie, as the
+        lowest sequence number would.
+        """
+        engine = self._engine
+        engine.cancel(self._completion)
+        self._completion = None
+        active = self._active
+        if not active:
+            return
+        total_weight = sum(t.weight for t in active)
+        aggregate = self._interference.effective_bandwidth(self._bandwidth, len(active))
+        now = engine.now
+        first, first_time = active[0], float("inf")
+        for transfer in active:
+            rate = aggregate * transfer.weight / total_weight
+            time = now + (transfer.remaining_bytes / rate if rate > 0.0 else float("inf"))
+            if time < first_time:
+                first, first_time = transfer, time
+        self._completion = engine.schedule_at(
+            first_time, self._complete, first, label=f"io-complete:{first.label}"
+        )
 
     def _complete(self, transfer: Transfer) -> None:
-        """Completion event handler for ``transfer``."""
-        if not transfer.active:  # aborted in the meantime
-            return
+        """Completion event handler for ``transfer``, the first to finish."""
+        self._completion = None
         self._advance_progress()
         # Guard against floating-point drift: by construction the transfer
         # is (numerically) finished when its completion event fires.
@@ -275,10 +306,10 @@ class IOSubsystem:
             )
         transfer.remaining_bytes = 0.0
         transfer.finished_at = self._engine.now
-        transfer._completion_event = None
         self._active.remove(transfer)
         self._bytes_completed += transfer.volume_bytes
         self._transfers_completed += 1
-        self._reschedule_completions()
-        if transfer.on_complete is not None:
-            transfer.on_complete(transfer)
+        self._reschedule_completion()
+        on_complete, transfer.on_complete = transfer.on_complete, None
+        if on_complete is not None:
+            on_complete(transfer)

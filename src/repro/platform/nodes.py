@@ -9,21 +9,30 @@ Allocation hands out the lowest-numbered free nodes.  The model does not
 capture network topology, so the identity of the nodes only matters for
 failure targeting; first-fit over node ids is sufficient and deterministic.
 
-The pool keeps exactly the free ids in an ascending list, so allocating the
-``q`` lowest is one slice and a release merges the ids back with one sort;
-a per-node owner slot answers :meth:`NodePool.owner_of` in O(1), and an
-identity-keyed owner → ids map makes :meth:`NodePool.release_owner` cost
-the job's nodes, not the platform's.
+The pool stores nodes as *runs* of consecutive ids ``[start, end)``, never
+one entry per node: the free runs in one ascending list (adjacent free runs
+are merged), the allocated runs in another, each with its owner, and an
+identity-keyed owner → runs map in allocation order.  With ``r`` runs in
+the pool, a call costs:
+
+* :meth:`NodePool.allocate` — O(r) for the free runs it takes and the
+  ``bisect`` insertions of its runs, plus the C-level slices of one
+  per-pool ``list(range(num_nodes))`` that build the returned ids;
+* :meth:`NodePool.release_owner` — O(r) per run of the owner, plus the
+  slices of the returned ids;
+* :meth:`NodePool.owner_of` — one ``bisect`` over the allocated runs.
+
+:meth:`NodePool.release` frees arbitrary ids and splits runs one id at a
+time; the simulator never calls it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from repro.errors import SchedulingError
 
 __all__ = ["NodePool"]
-
-#: Owner slot of a free node (owners may be any object, ``None`` included).
-_FREE = object()
 
 
 class NodePool:
@@ -33,12 +42,20 @@ class NodePool:
         if num_nodes <= 0:
             raise SchedulingError("num_nodes must be positive")
         self._num_nodes = num_nodes
-        self._free: list[int] = list(range(num_nodes))  # ascending
-        self._owner: list[object] = [_FREE] * num_nodes
-        # id(owner) -> (owner, its ids in allocation order, the order
+        self._num_free = num_nodes
+        # Every id once; the lists this pool returns are slices of it.
+        self._ids = list(range(num_nodes))
+        # Free runs [start, end): ascending, disjoint, never adjacent.
+        self._free_starts = [0]
+        self._free_ends = [num_nodes]
+        # Allocated runs, ascending by start, with the owner of each.
+        self._run_starts: list[int] = []
+        self._run_ends: list[int] = []
+        self._run_owners: list[object] = []
+        # id(owner) -> (owner, its runs in allocation order, the order
         # nodes_of reports).  The tuple keeps the owner alive, so its id()
         # is not reused while it owns nodes.
-        self._owned: dict[int, tuple[object, list[int]]] = {}
+        self._owned: dict[int, tuple[object, list[tuple[int, int]]]] = {}
 
     # ------------------------------------------------------------ queries
     @property
@@ -49,12 +66,12 @@ class NodePool:
     @property
     def num_free(self) -> int:
         """Number of currently unallocated nodes."""
-        return len(self._free)
+        return self._num_free
 
     @property
     def num_allocated(self) -> int:
         """Number of currently allocated nodes."""
-        return self._num_nodes - len(self._free)
+        return self._num_nodes - self._num_free
 
     @property
     def utilization(self) -> float:
@@ -64,17 +81,17 @@ class NodePool:
     def owner_of(self, node_id: int) -> object | None:
         """The job owning ``node_id``, or ``None`` if the node is free."""
         self._check_node(node_id)
-        owner = self._owner[node_id]
-        return None if owner is _FREE else owner
+        index = self._run_index(node_id)
+        return None if index < 0 else self._run_owners[index]
 
     def nodes_of(self, owner: object) -> list[int]:
         """All node ids currently owned by ``owner`` (possibly empty)."""
         entry = self._owned.get(id(owner))
-        return list(entry[1]) if entry is not None else []
+        return self._ids_of(entry[1]) if entry is not None else []
 
     def can_allocate(self, count: int) -> bool:
         """True when ``count`` nodes are currently free."""
-        return 0 < count <= self.num_free
+        return 0 < count <= self._num_free
 
     # ------------------------------------------------------------ mutation
     def allocate(self, count: int, owner: object) -> list[int]:
@@ -87,21 +104,37 @@ class NodePool:
         """
         if count <= 0:
             raise SchedulingError("cannot allocate a non-positive number of nodes")
-        if count > self.num_free:
+        if count > self._num_free:
             raise SchedulingError(
-                f"cannot allocate {count} nodes: only {self.num_free} free"
+                f"cannot allocate {count} nodes: only {self._num_free} free"
             )
-        allocated = self._free[:count]
-        del self._free[:count]
-        slots = self._owner
-        for node in allocated:
-            slots[node] = owner
+        starts, ends = self._free_starts, self._free_ends
+        runs: list[tuple[int, int]] = []
+        need = count
+        taken = 0
+        while need:
+            start, end = starts[taken], ends[taken]
+            if end - start > need:
+                end = start + need
+                starts[taken] = end
+            else:
+                taken += 1
+            runs.append((start, end))
+            need -= end - start
+        del starts[:taken], ends[:taken]
+        run_starts = self._run_starts
+        for start, end in runs:
+            index = bisect_left(run_starts, start)
+            run_starts.insert(index, start)
+            self._run_ends.insert(index, end)
+            self._run_owners.insert(index, owner)
         entry = self._owned.get(id(owner))
         if entry is None:
-            self._owned[id(owner)] = (owner, list(allocated))
+            self._owned[id(owner)] = (owner, runs)
         else:
-            entry[1].extend(allocated)
-        return allocated
+            entry[1].extend(runs)
+        self._num_free -= count
+        return self._ids_of(runs)
 
     def release(self, node_ids: list[int]) -> None:
         """Return ``node_ids`` to the free pool.
@@ -117,33 +150,23 @@ class NodePool:
         released: set[int] = set()
         for node in node_ids:
             self._check_node(node)
-            if self._owner[node] is _FREE:
+            if self._run_index(node) < 0:
                 raise SchedulingError(f"node {node} is already free")
             if node in released:
                 raise SchedulingError(f"node {node} is listed twice")
             released.add(node)
-        owners = dict.fromkeys(id(self._owner[node]) for node in node_ids)
         for node in node_ids:
-            self._owner[node] = _FREE
-        for key in owners:
-            owned = self._owned[key][1]
-            owned[:] = [node for node in owned if node not in released]
-            if not owned:
-                del self._owned[key]
-        self._free.extend(node_ids)
-        self._free.sort()
+            self._free(node, node + 1)
 
     def release_owner(self, owner: object) -> list[int]:
         """Release every node owned by ``owner``; returns the released ids."""
-        entry = self._owned.pop(id(owner), None)
+        entry = self._owned.get(id(owner))
         if entry is None:
             return []
-        nodes = entry[1]
-        slots = self._owner
-        for node in nodes:
-            slots[node] = _FREE
-        self._free.extend(nodes)
-        self._free.sort()
+        runs = entry[1]
+        nodes = self._ids_of(runs)
+        for start, end in list(runs):
+            self._free(start, end)
         return nodes
 
     # ------------------------------------------------------------ helpers
@@ -152,3 +175,52 @@ class NodePool:
             raise SchedulingError(
                 f"node id {node_id} outside the pool [0, {self._num_nodes})"
             )
+
+    def _run_index(self, node_id: int) -> int:
+        """Index of the allocated run holding ``node_id``, or -1 if it is free."""
+        index = bisect_right(self._run_starts, node_id) - 1
+        return index if index >= 0 and node_id < self._run_ends[index] else -1
+
+    def _ids_of(self, runs: list[tuple[int, int]]) -> list[int]:
+        """The ids of ``runs``, run after run."""
+        ids = self._ids
+        if len(runs) == 1:
+            start, end = runs[0]
+            return ids[start:end]
+        nodes: list[int] = []
+        for start, end in runs:
+            nodes += ids[start:end]
+        return nodes
+
+    def _free(self, start: int, end: int) -> None:
+        """Free ``[start, end)``, which lies inside one allocated run."""
+        run_starts, run_ends, run_owners = self._run_starts, self._run_ends, self._run_owners
+        index = bisect_right(run_starts, start) - 1
+        run = (run_starts[index], run_ends[index])
+        owner = run_owners[index]
+        # What is left of the run on either side of the freed ids.
+        pieces = [(a, b) for a, b in ((run[0], start), (end, run[1])) if a < b]
+        run_starts[index:index + 1] = [a for a, _ in pieces]
+        run_ends[index:index + 1] = [b for _, b in pieces]
+        run_owners[index:index + 1] = [owner] * len(pieces)
+        runs = self._owned[id(owner)][1]
+        position = runs.index(run)
+        runs[position:position + 1] = pieces
+        if not runs:
+            del self._owned[id(owner)]
+        self._num_free += end - start
+        # Merge [start, end) into the free runs.
+        starts, ends = self._free_starts, self._free_ends
+        index = bisect_left(starts, start)
+        joins_previous = index > 0 and ends[index - 1] == start
+        joins_next = index < len(starts) and starts[index] == end
+        if joins_previous and joins_next:
+            ends[index - 1] = ends[index]
+            del starts[index], ends[index]
+        elif joins_previous:
+            ends[index - 1] = end
+        elif joins_next:
+            starts[index] = start
+        else:
+            starts.insert(index, start)
+            ends.insert(index, end)

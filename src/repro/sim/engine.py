@@ -85,6 +85,10 @@ class SimulationEngine:
         if event is not None:
             self._queue.cancel(event)
 
+    def clear(self) -> None:
+        """Drop every pending event; each is marked cancelled."""
+        self._queue.clear()
+
     def stop(self) -> None:
         """Request the current :meth:`run` to return after the current event."""
         self._stopped = True

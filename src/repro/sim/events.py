@@ -171,7 +171,13 @@ class EventQueue:
         return heap[0][0]
 
     def clear(self) -> None:
-        """Drop every pending event."""
+        """Drop every pending event.
+
+        Each dropped event is marked cancelled, so cancelling a handle
+        kept from before the clear stays a no-op.
+        """
+        for _time, _seq, event in self._heap:
+            event.cancelled = True
         self._heap.clear()
         self._active = 0
         self._lazy = 0

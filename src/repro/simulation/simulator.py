@@ -153,7 +153,17 @@ class Simulation:
 
     # ================================================================ run
     def run(self) -> SimulationResult:
-        """Execute the simulation and return its result."""
+        """Execute the simulation and return its result.
+
+        Once the result is built, the run drops every pending callback: the
+        event queue, the transfers still in flight, the I/O scheduler's
+        queues, the job contexts and the checkpoint captures.  Each of them
+        refers back to this simulation, so without this step a finished run
+        would be freed only by the cycle collector; with it, reference
+        counting frees the run as soon as the caller drops it.  ``jobs``,
+        ``trace``, ``accounting``, ``failure_trace`` and the counters stay
+        readable on any reference the caller keeps.
+        """
         if self._ran:
             raise SimulationError("Simulation.run() can only be called once per instance")
         self._ran = True
@@ -166,7 +176,13 @@ class Simulation:
                 )
         self.engine.run(until=self.config.horizon_s)
         self._flush_open_accounting()
-        return self._build_result()
+        result = self._build_result()
+        self.engine.clear()
+        self.io.clear()
+        self.io_sched.clear()
+        self._contexts.clear()
+        self._captures.clear()
+        return result
 
     # ================================================================ setup
     def _bootstrap(self) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.apps.job import Job
@@ -45,6 +47,23 @@ def test_queue_push_remove_and_errors(tiny_classes):
     queue.push(job)
     queue.clear()
     assert not queue
+
+
+def test_queue_compares_jobs_by_identity(tiny_classes):
+    queue = JobQueue()
+    job = make_job(tiny_classes)
+    twin = dataclasses.replace(job)
+    assert twin == job and twin is not job
+    queue.push(job)
+    queue.push(twin)
+    assert len(queue) == 2
+    queue.remove(twin)
+    assert twin not in queue
+    assert [queued is job for queued in queue.ordered()] == [True]
+    queue.remove(job)
+    assert not queue
+    with pytest.raises(SchedulingError):
+        queue.remove(twin)
 
 
 # ----------------------------------------------------------------- first fit

@@ -123,3 +123,29 @@ def test_transfer_bookkeeping_fields(engine, io):
     assert transfer.done
     assert transfer.finished_at == pytest.approx(1.0)
     assert transfer.remaining_bytes == 0.0
+
+
+def test_one_completion_event_is_pending_at_a_time(engine, io):
+    # 100, 200 and 300 B share 100 B/s: the first finishes at t=3, the
+    # second at t=5 and the third, alone after the abort below, later.
+    first, second, third = [
+        io.start(volume, weight=1.0, on_complete=lambda t: None) for volume in (100.0, 200.0, 300.0)
+    ]
+    assert engine.pending_events == 1
+    engine.run(until=4.0)
+    assert first.done and first.on_complete is None
+    assert engine.pending_events == 1
+    io.abort(second)
+    assert second.aborted and second.on_complete is None
+    assert engine.pending_events == 1
+    engine.run()
+    assert third.done
+    assert engine.pending_events == 0
+
+
+def test_identical_transfers_complete_in_start_order(engine, io):
+    order: list[str] = []
+    io.start(500.0, weight=2.0, on_complete=lambda t: order.append(t.label), label="first")
+    io.start(500.0, weight=2.0, on_complete=lambda t: order.append(t.label), label="second")
+    engine.run()
+    assert order == ["first", "second"]

@@ -109,6 +109,21 @@ def test_cancel_after_fire_is_a_noop_regression():
     assert len(queue) == 0
 
 
+def test_cancel_after_clear_is_a_noop_regression():
+    # Regression: clear() dropped heap entries without marking them
+    # cancelled, so cancelling a dropped handle took the active count to -1
+    # and len(queue) raised ValueError.
+    queue = EventQueue()
+    dropped = queue.push(1.0, lambda: None)
+    queue.clear()
+    queue.cancel(dropped)
+    assert len(queue) == 0
+    assert dropped.cancelled
+    kept = queue.push(2.0, lambda: None)
+    assert len(queue) == 1
+    assert queue.pop_next() is kept
+
+
 def test_pop_next_until_respects_the_bound():
     queue = EventQueue()
     queue.push(1.0, lambda: None)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.apps.job import Job
@@ -9,6 +12,7 @@ from repro.apps.phases import JobState
 from repro.errors import SimulationError
 from repro.platform.failures import FailureEvent, FailureTrace
 from repro.simulation.simulator import Simulation, run_simulation
+from repro.simulation.trace import TraceEventType
 from repro.units import DAY, HOUR
 
 
@@ -243,3 +247,63 @@ def test_waste_ratio_always_within_bounds(tiny_config):
         result = Simulation(tiny_config(strategy, seed=9)).run()
         assert 0.0 <= result.waste_ratio <= 1.0
         assert 0.0 <= result.efficiency <= 1.0
+
+
+# ------------------------------------------------------------ memory
+@pytest.fixture
+def without_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+_IO_STATES = {
+    JobState.INPUT_IO,
+    JobState.RECOVERY_IO,
+    JobState.REGULAR_IO,
+    JobState.CHECKPOINTING,
+    JobState.OUTPUT_IO,
+}
+
+
+@pytest.mark.parametrize(
+    "strategy, overrides",
+    [
+        # Concurrent transfers, four of them still in flight at the horizon.
+        ("oblivious-daly", dict(seed=1, horizon_s=1.1 * HOUR, warmup_s=0.0, cooldown_s=0.0)),
+        ("least-waste", {}),
+        ("least-waste", dict(collect_trace=True)),
+    ],
+)
+def test_a_finished_run_is_freed_by_reference_counting(
+    without_cycle_collector, tiny_config, strategy, overrides
+):
+    sim = Simulation(tiny_config(strategy, **overrides))
+    result = sim.run()
+    if strategy == "oblivious-daly":
+        assert sim.io.max_concurrency >= 2
+        assert sum(job.state in _IO_STATES for job in sim.jobs) == 4
+    run = weakref.ref(sim)
+    del sim
+    # Nothing but reference counting ran: a cycle left behind by the run
+    # would keep it alive here.
+    assert run() is None
+    assert result.jobs_submitted > 0
+
+
+def test_a_kept_reference_still_reads_the_finished_run(tiny_config):
+    sim = Simulation(tiny_config("least-waste", collect_trace=True))
+    result = sim.run()
+    # The run dropped its pending events, and kept what it reports.
+    assert sim.engine.pending_events == 0
+    assert len(sim.jobs) == result.jobs_submitted
+    assert sim.trace is not None
+    completions = [e for e in sim.trace if e.kind is TraceEventType.JOB_COMPLETE]
+    assert len(completions) == result.jobs_completed > 0
+    totals = sim.accounting.job_totals()
+    assert totals
+    assert set(totals) <= {event.job_id for event in sim.trace}
