@@ -33,10 +33,11 @@ from pathlib import Path
 
 from repro.distributed import SpoolWorker, WorkSpool, make_task_specs
 from repro.distributed import fsops
-from repro.exec import ParallelRunner, ResultCache, WasteRatioTask, config_digest
+from repro.exec import ParallelRunner, WasteRatioTask, config_digest
 from repro.scenarios.presets import make_campaign
 from repro.scenarios.runner import CampaignRunner
 from repro.stats.montecarlo import derive_seeds
+from repro.store import FilesystemStore
 
 #: Worker count of both legs (process pool size and spool daemons).
 WORKERS = 2
@@ -79,7 +80,7 @@ def test_bench_spool_vs_process_throughput(tmp_path):
     runner = ParallelRunner(
         backend="spool",
         spool_dir=spool_dir,
-        cache_dir=cache_dir,
+        cache=FilesystemStore(cache_dir),
         spool_poll_s=0.02,
         spool_timeout_s=600.0,
     )
@@ -118,7 +119,7 @@ def test_bench_spool_resume_is_pure_cache_replay(tmp_path):
 
     workers = [_start_worker(spool_dir, cache_dir) for _ in range(WORKERS)]
     warm = ParallelRunner(
-        backend="spool", spool_dir=spool_dir, cache_dir=cache_dir,
+        backend="spool", spool_dir=spool_dir, cache=FilesystemStore(cache_dir),
         spool_poll_s=0.02, spool_timeout_s=600.0,
     )
     try:
@@ -131,7 +132,7 @@ def test_bench_spool_resume_is_pure_cache_replay(tmp_path):
 
     # No workers running at all: the replay must still complete, from cache.
     replay = ParallelRunner(
-        backend="spool", spool_dir=spool_dir, cache_dir=cache_dir, spool_timeout_s=5.0
+        backend="spool", spool_dir=spool_dir, cache=FilesystemStore(cache_dir), spool_timeout_s=5.0
     )
     start = time.perf_counter()
     replay_result = CampaignRunner(runner=replay).run(campaign)
@@ -188,7 +189,7 @@ def _drain_with_fleet(spool_dir, cache_dir, workers: int) -> tuple[float, dict]:
     fleet = [
         SpoolWorker(
             WorkSpool(spool_dir, lease_ttl_s=30.0),
-            ResultCache(cache_dir),
+            FilesystemStore(cache_dir),
             worker_id=f"sat-{workers}w-{index}",
             poll_interval_s=0.01,
             batch_size=4,
@@ -242,7 +243,7 @@ def test_bench_spool_saturation_curve(tmp_path):
 
         assert spool.status().drained
         assert totals["tasks_done"] == len(all_specs)
-        cache = ResultCache(cache_dir)
+        cache = FilesystemStore(cache_dir)
         for config, digest, strategy, seeds, _ in cells:
             drained = [cache.get(digest, strategy, seed) for seed in seeds]
             assert drained == serial[(digest, strategy)]  # bit-identical

@@ -25,6 +25,7 @@ from repro.exec import ParallelRunner
 from repro.scenarios.runner import CampaignRunner
 from repro.scenarios.spec import Scenario
 from repro.stats.summary import DistributionSummary
+from repro.store import FilesystemStore
 from repro.workloads.apex import apex_workload
 from repro.workloads.cielo import cielo_platform
 
@@ -86,11 +87,11 @@ def test_bench_parallel_speedup(benchmark):
 def test_bench_cache_hit_throughput(benchmark, tmp_path):
     """Replaying a warmed cache touches zero simulations."""
     cell = _figure1_cell(num_runs=16)
-    warm = ParallelRunner(cache_dir=tmp_path)
+    warm = ParallelRunner(cache=FilesystemStore(tmp_path))
     warm_summary = run_cell(cell, runner=warm)
     assert warm.stats.tasks_run == cell.num_runs
 
-    cached_runner = ParallelRunner(cache_dir=tmp_path)
+    cached_runner = ParallelRunner(cache=FilesystemStore(tmp_path))
     cached_summary = benchmark.pedantic(
         run_cell, args=(cell,), kwargs={"runner": cached_runner}, rounds=1, iterations=1
     )

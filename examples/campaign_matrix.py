@@ -26,6 +26,7 @@ from repro.scenarios.presets import mini_apex_workload, mini_cielo_platform
 from repro.scenarios.report import render_campaign, render_campaign_details
 from repro.scenarios.runner import CampaignRunner
 from repro.scenarios.spec import Scenario
+from repro.store import FilesystemStore
 
 
 def main() -> None:
@@ -71,7 +72,7 @@ def main() -> None:
         runner=ParallelRunner(
             backend="process" if args.workers > 1 else "serial",
             workers=args.workers,
-            cache_dir=args.cache_dir,
+            cache=FilesystemStore(args.cache_dir) if args.cache_dir else None,
         )
     )
     result = runner.run(campaign)

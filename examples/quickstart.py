@@ -21,8 +21,11 @@ point::
 
     from repro import ParallelRunner
     from repro.experiments.figure1 import Figure1Config, run_figure1
+    from repro.store import FilesystemStore
 
-    runner = ParallelRunner(backend="process", workers=4, cache_dir=".coopckpt-cache")
+    runner = ParallelRunner(
+        backend="process", workers=4, cache=FilesystemStore(".coopckpt-cache")
+    )
     result = run_figure1(Figure1Config(num_runs=100), runner=runner)
 
 The cache is keyed by ``(config digest, strategy, seed)``, so re-running

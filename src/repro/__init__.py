@@ -98,7 +98,6 @@ _exported, __getattr__ = _lazy_exports(globals(), {
     "repro.stats.montecarlo": ("monte_carlo", "derive_seeds"),
     # parallel execution
     "repro.exec.runner": ("ParallelRunner",),
-    "repro.exec.cache": ("ResultCache",),
     "repro.exec.digest": ("config_digest",),
     # distributed execution
     "repro.distributed.worker": ("SpoolWorker",),

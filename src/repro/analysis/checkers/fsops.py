@@ -2,7 +2,7 @@
 
 Every filesystem *mutation* performed by :mod:`repro.distributed` must go
 through :mod:`repro.distributed.fsops` (or the shared
-``repro.exec.cache.atomic_write_text`` it delegates to).  That choke point
+``repro.store.filesystem.atomic_write_text`` it delegates to).  That choke point
 is what makes the fault-injection suite able to fail/delay/count every
 operation — a raw ``os.rename`` or ``open(..., "w")`` is invisible to it,
 so the crash-safety proofs silently stop covering that code path.

@@ -38,9 +38,7 @@ DETERMINISM_TARGETS: tuple[str, ...] = (
 DETERMINISM_EXEMPT: dict[str, str] = {
     "repro.service": "job lifecycle timestamps are wall-clock by definition",
     "repro.distributed": "lease heartbeats and claim stamps measure real time",
-    "repro.exec.cache": "cache gc ages entries by real mtime",
-    "repro.store": "store mtimes and stats record real time",
-    "repro.exec.journal": "journal entries are stamped with real time",
+    "repro.store": "store gc ages entries by real mtime",
 }
 
 #: The spool package: every filesystem side effect must route through the
@@ -51,7 +49,7 @@ FSOPS_TARGETS: tuple[str, ...] = ("repro.distributed",)
 #: to) are the only places raw filesystem mutation is allowed.
 FSOPS_CHOKEPOINTS: tuple[str, ...] = (
     "repro.distributed.fsops",
-    "repro.exec.cache",
+    "repro.store.filesystem",
 )
 
 #: Modules whose classes follow the guarded-by-lock convention: a field

@@ -780,7 +780,7 @@ def _cmd_worker(args: argparse.Namespace) -> str:
     import json as json_module
     from pathlib import Path
 
-    from repro.distributed.spool import WorkSpool
+    from repro.distributed.spool import MAX_INTERVAL_S, WorkSpool
     from repro.distributed.worker import SpoolWorker
 
     if args.status and not Path(args.spool).is_dir():
@@ -791,13 +791,22 @@ def _cmd_worker(args: argparse.Namespace) -> str:
         raise ConfigurationError(
             f"--metrics-port must be between 0 and 65535, got {args.metrics_port}"
         )
+    if not 0 < args.poll_interval <= MAX_INTERVAL_S:
+        raise ConfigurationError(
+            f"--poll-interval must be a number of seconds in (0, {MAX_INTERVAL_S:g}], "
+            f"got {args.poll_interval}"
+        )
+    if args.idle_timeout is not None and not 0 <= args.idle_timeout < math.inf:
+        raise ConfigurationError(
+            f"--idle-timeout must be a finite number of seconds >= 0, got {args.idle_timeout}"
+        )
+    if args.max_tasks is not None and args.max_tasks < 1:
+        raise ConfigurationError(f"--max-tasks must be at least 1, got {args.max_tasks}")
     spool = WorkSpool(args.spool, lease_ttl_s=args.lease_ttl)
     if args.status:
         return f"spool {spool.root}: {spool.status().describe()}"
     if args.cache_dir is None:
         raise ConfigurationError("worker needs --cache-dir: the shared result cache")
-    if args.poll_interval <= 0:
-        raise ConfigurationError("--poll-interval must be positive")
     if args.batch_size <= 0:
         raise ConfigurationError("--batch-size must be positive")
 
@@ -862,11 +871,12 @@ def _cmd_cache(args: argparse.Namespace) -> str:
             )
             dst = open_store(kind, args.cache_dir)
         try:
-            report = copy_store(src, dst)
+            copied = copy_store(src, dst)
         finally:
             src.close()
             dst.close()
-        return f"copied {report.describe()}: {src.describe()} -> {dst.describe()}"
+        noun = "entry" if copied == 1 else "entries"
+        return f"copied {copied} {noun}: {src.describe()} -> {dst.describe()}"
     # Never create the store here: a typo'd --cache-dir would otherwise
     # report a perfectly healthy empty cache instead of the mistake.
     store = open_store(kind, args.cache_dir, must_exist=True)

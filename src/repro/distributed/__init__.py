@@ -19,7 +19,7 @@ just ``localhost``) is a cluster.
   idempotent.
 * :class:`~repro.distributed.worker.SpoolWorker` — the ``worker`` CLI
   daemon's engine: claim -> simulate each seed into the shared
-  :class:`~repro.exec.cache.ResultCache` -> ack, with a background
+  :class:`~repro.store.ResultStore` -> ack, with a background
   heartbeat thread while a task is in flight.
 * :class:`~repro.distributed.submit.SpoolBackend` — the ``"spool"``
   execution backend of :class:`~repro.exec.runner.ParallelRunner`: the

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.exec.cache import atomic_write_text
+from repro.store.filesystem import atomic_write_text
 
 __all__ = [
     "FaultInjector",

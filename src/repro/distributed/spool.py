@@ -51,6 +51,7 @@ duration — long batches stay leased as long as their worker is alive.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import uuid
@@ -62,13 +63,24 @@ from repro.errors import ConfigurationError, SpoolError
 from repro.distributed import fsops
 from repro.distributed.tasks import TaskSpec, shard_of
 
-__all__ = ["ClaimedBatch", "SpoolStatus", "WorkSpool", "SPOOL_LAYOUT_VERSION"]
+__all__ = [
+    "ClaimedBatch",
+    "MAX_INTERVAL_S",
+    "SpoolStatus",
+    "WorkSpool",
+    "SPOOL_LAYOUT_VERSION",
+]
 
 #: Version of the on-disk spool layout, recorded in ``spool.json`` at the
 #: spool root.  Opening a spool written by a *newer* layout fails loudly;
 #: a spool with no recorded layout is either fresh or flat (version 1) and
 #: is migrated in place.
 SPOOL_LAYOUT_VERSION = "2"
+
+#: Longest lease TTL (and worker poll interval) accepted, in seconds: one
+#: day.  ``threading.Event.wait`` and ``time.sleep`` overflow from about
+#: 1e10 s up.
+MAX_INTERVAL_S = 86_400.0
 
 #: Subdirectories of a spool, created on first use.
 _STATE_DIRS = ("tasks", "claims", "done", "failed")
@@ -118,8 +130,11 @@ class WorkSpool:
     """One shared spool directory; see the module docstring for semantics."""
 
     def __init__(self, root: str | os.PathLike[str], *, lease_ttl_s: float = 60.0) -> None:
-        if lease_ttl_s <= 0:
-            raise ConfigurationError("lease_ttl_s must be positive")
+        if not 0 < lease_ttl_s <= MAX_INTERVAL_S:
+            raise ConfigurationError(
+                f"lease_ttl_s must be a number of seconds in (0, {MAX_INTERVAL_S:g}], "
+                f"got {lease_ttl_s}"
+            )
         self.root = Path(root)
         if self.root.exists() and not self.root.is_dir():
             raise ConfigurationError(f"spool path {self.root} exists and is not a directory")
@@ -536,9 +551,11 @@ class WorkSpool:
         Any participant (worker or submitter) may call this; the per-task
         rename races resolve to exactly one winner, so concurrent reclaim
         sweeps are safe.  A batch is judged against the TTL its *claimer*
-        recorded in the lease file; a half-written or missing lease falls
-        back to this spool's own TTL judged on the directory mtime, so an
-        orphaned batch can never outlive its worker forever.
+        recorded in the lease file; a half-written or missing lease, or one
+        whose TTL is not a finite positive number, falls back to this
+        spool's own TTL judged on the directory mtime, so an orphaned batch
+        can never outlive its worker forever and a live one is never handed
+        back at once.
 
         A live batch may also hold strays: a peer's hand-back or an enqueue
         can rename a spec into a shard directory after a claimer renamed
@@ -554,7 +571,10 @@ class WorkSpool:
             leased = None
             try:
                 lease = json.loads(self._lease_path(batch_id).read_text(encoding="utf-8"))
-                ttl = float(lease["lease_ttl_s"])
+                recorded = float(lease["lease_ttl_s"])
+                if not 0 < recorded < math.inf:
+                    raise ValueError(f"unusable lease TTL {recorded}")
+                ttl = recorded
                 mtime = fsops.stat(self._lease_path(batch_id)).st_mtime
                 leased = lease.get("tasks")
             except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):

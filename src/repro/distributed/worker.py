@@ -4,7 +4,7 @@
 daemon.  Each loop iteration claims a *batch* of task specs from the shared
 :class:`~repro.distributed.spool.WorkSpool` (one directory rename claims up
 to ``batch_size`` tasks from a shard), simulates their seeds, writes every
-value into the shared :class:`~repro.exec.cache.ResultCache` (the delivery
+value into the shared :class:`~repro.store.ResultStore` (the delivery
 channel the submitter polls) and acks each task.  While a batch is in
 flight a background thread heartbeats its lease, so long simulations never
 look abandoned; if the worker dies anyway, the lease expires and a peer
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from repro.distributed.spool import ClaimedBatch, WorkSpool
 from repro.distributed.tasks import TaskSpec
 from repro.errors import SpoolError
-from repro.exec.cache import ResultCache
+from repro.store.base import ResultStore
 
 __all__ = ["SpoolWorker", "WorkerStats", "default_worker_id"]
 
@@ -101,7 +101,7 @@ class SpoolWorker:
     """
 
     spool: WorkSpool
-    cache: ResultCache  # duck-typed: any ResultStore satisfies the calls used
+    cache: ResultStore
     worker_id: str = field(default_factory=default_worker_id)
     poll_interval_s: float = 0.5
     batch_size: int = 8

@@ -1,4 +1,4 @@
-"""repro.exec — parallel experiment execution and result caching.
+"""repro.exec — parallel experiment execution.
 
 The paper's experiments repeat full discrete-event simulations over many
 independently seeded initial conditions.  Seed derivation
@@ -13,11 +13,10 @@ parallel; this package exploits that:
   dispatch, or across machines via the ``"spool"`` backend
   (:mod:`repro.distributed`).  New backends plug in through
   :func:`~repro.exec.runner.register_backend`.
-* :class:`~repro.exec.cache.ResultCache` — an on-disk cache keyed by
-  ``(config digest, strategy, seed)`` so re-running a sweep with a larger
-  ``num_runs`` only simulates the new seeds.
 * :func:`~repro.exec.digest.config_digest` — the stable content digest of a
-  :class:`~repro.simulation.config.SimulationConfig` that keys the cache.
+  :class:`~repro.simulation.config.SimulationConfig` that keys the result
+  store (:mod:`repro.store`), so re-running a sweep with a larger
+  ``num_runs`` only simulates the new seeds.
 
 Every experiment entry point (``monte_carlo``, the campaign engine, the
 figure and ablation modules built on it, and the CLI via ``--workers`` /
@@ -26,7 +25,6 @@ figure and ablation modules built on it, and the CLI via ``--workers`` /
 
 from __future__ import annotations
 
-from repro.exec.cache import CacheStats, GcReport, ResultCache
 from repro.exec.digest import DIGEST_VERSION, config_digest
 from repro.exec.runner import (
     BACKENDS,
@@ -42,13 +40,10 @@ from repro.exec.runner import (
 
 __all__ = [
     "BACKENDS",
-    "CacheStats",
     "DIGEST_VERSION",
     "ExecutionBackend",
-    "GcReport",
     "ParallelRunner",
     "ProgressEvent",
-    "ResultCache",
     "RunnerStats",
     "SeedBatch",
     "WasteRatioTask",

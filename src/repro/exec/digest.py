@@ -1,6 +1,6 @@
 """Stable content digests for simulation configurations.
 
-The on-disk result cache (:mod:`repro.exec.cache`) is keyed by
+The result store (:mod:`repro.store`) is keyed by
 ``(config digest, strategy, seed)``.  The digest must therefore be a pure
 function of every parameter that can change a simulation's *result* — the
 platform, the application classes, the strategy and all numeric knobs — and

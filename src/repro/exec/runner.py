@@ -23,8 +23,8 @@ Built-in backends (see :data:`BACKENDS`):
 One dispatch path serves every entry point.
 :meth:`ParallelRunner.run_configs` takes many *cells* — one task over its
 own seeds, such as one (scenario, strategy) pair of a campaign — probes
-the optional :class:`repro.exec.cache.ResultCache` for every seed of
-every cell, and hands all remaining seeds to the backend in **one**
+the optional result store (:class:`repro.store.ResultStore`) for every
+seed of every cell, and hands all remaining seeds to the backend in **one**
 :class:`SeedBatch`.  :meth:`~ParallelRunner.run_config` and
 :meth:`~ParallelRunner.map_seeds` are its one-cell case.  Seeds already
 cached are served from the cache, and seeds of different cells that share
@@ -63,13 +63,14 @@ from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.exec.cache import ResultCache
 from repro.exec.digest import config_digest
 from repro.simulation.config import SimulationConfig
 from repro.simulation.simulator import Simulation
 
 if TYPE_CHECKING:  # imported by ProcessBackend.run: serial runs never load it
     from concurrent.futures import ProcessPoolExecutor
+
+    from repro.store.base import ResultStore
 
 __all__ = [
     "BACKENDS",
@@ -443,11 +444,10 @@ class ParallelRunner:
         Seeds dispatched per pool submission (process) or per spooled task
         spec (spool); defaults to roughly four chunks per worker (process)
         or four specs per cell (spool).  A chunk never mixes cells.
-    cache / cache_dir:
-        Optional :class:`ResultCache` (or a directory path from which one is
-        built) consulted for cells that provide a cache key.  Mandatory
-        for the spool backend, where it is the channel workers deliver
-        results through.
+    cache:
+        Optional result store (e.g. ``open_store(kind, path)``) consulted
+        for cells that provide a cache key.  Mandatory for the spool
+        backend, where it is the channel workers deliver results through.
     spool_dir:
         Work-spool directory shared with the workers (spool backend only).
     spool_poll_s / spool_lease_ttl_s / spool_timeout_s:
@@ -465,8 +465,7 @@ class ParallelRunner:
     backend: str = "serial"
     workers: int | None = None
     chunk_size: int | None = None
-    cache: ResultCache | None = None
-    cache_dir: str | os.PathLike[str] | None = None
+    cache: ResultStore | None = None
     spool_dir: str | os.PathLike[str] | None = None
     spool_poll_s: float = 0.1
     spool_lease_ttl_s: float = 60.0
@@ -488,14 +487,14 @@ class ParallelRunner:
             raise ConfigurationError("workers must be positive")
         if self.chunk_size is not None and self.chunk_size <= 0:
             raise ConfigurationError("chunk_size must be positive")
-        if self.spool_poll_s <= 0:
-            raise ConfigurationError("spool_poll_s must be positive")
-        if self.spool_lease_ttl_s <= 0:
-            raise ConfigurationError("spool_lease_ttl_s must be positive")
-        if self.spool_timeout_s is not None and self.spool_timeout_s <= 0:
-            raise ConfigurationError("spool_timeout_s must be positive (or None to wait)")
-        if self.cache is None and self.cache_dir is not None:
-            self.cache = ResultCache(self.cache_dir)
+        durations = {"spool_poll_s": self.spool_poll_s, "spool_lease_ttl_s": self.spool_lease_ttl_s}
+        if self.spool_timeout_s is not None:  # None waits indefinitely
+            durations["spool_timeout_s"] = self.spool_timeout_s
+        for name, value in durations.items():
+            if not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be a finite positive number of seconds, got {value}"
+                )
         if self.backend == "spool":
             if self.spool_dir is None:
                 raise ConfigurationError(
@@ -504,7 +503,7 @@ class ParallelRunner:
                 )
             if self.cache is None:
                 raise ConfigurationError(
-                    "the spool backend needs a result cache (cache or cache_dir) "
+                    "the spool backend needs a result store (cache) "
                     "shared with the workers; it is the channel results are "
                     "delivered through"
                 )

@@ -8,7 +8,7 @@ gets the whole campaign at once and runs its cells side by side; the
 serial backend runs cells in campaign order and seeds in seed order.
 Campaigns inherit the execution subsystem wholesale: every registered
 backend (serial, process pool, distributed spool) returns bit-identical
-tables, and an attached :class:`~repro.exec.cache.ResultCache` means an
+tables, and an attached result store (:mod:`repro.store`) means an
 immediate re-run (or a grown matrix) only simulates cells it has never
 seen.  That same cache property makes campaigns resumable: the runner
 stores every seed before it reports it, so an interrupted run (Ctrl-C, a

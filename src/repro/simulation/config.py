@@ -22,7 +22,12 @@ from repro.platform.spec import PlatformSpec
 from repro.units import DAY, HOUR
 from repro.workloads.generator import WorkloadSpec
 
-__all__ = ["SimulationConfig"]
+__all__ = ["MAX_EXPECTED_FAILURES", "SimulationConfig"]
+
+#: Most platform failures a run may expect (horizon / system MTBF): the
+#: scale of ``WorkloadSpec.max_jobs``.  The failure trace is drawn up front,
+#: so a vanishing MTBF would otherwise exhaust memory before the first event.
+MAX_EXPECTED_FAILURES = 100_000
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,14 @@ class SimulationConfig:
                 )
             if self.failure_model == FailureModel():
                 object.__setattr__(self, "failure_model", None)
+        # horizon / system MTBF, where system MTBF = node MTBF / nodes.
+        expected_failures = self.horizon_s * self.platform.num_nodes / self.platform.node_mtbf_s
+        if expected_failures > MAX_EXPECTED_FAILURES:
+            raise ConfigurationError(
+                f"the run expects {expected_failures:.4g} failures (horizon / system MTBF), "
+                f"more than the {MAX_EXPECTED_FAILURES} a simulation accepts; "
+                "raise node_mtbf_years or shorten the horizon"
+            )
         for app in self.classes:
             if app.nodes > self.platform.num_nodes:
                 raise ConfigurationError(

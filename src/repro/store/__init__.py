@@ -1,15 +1,14 @@
 """Pluggable result stores: one warm cache, selectable storage engines.
 
-The serving-layer promotion of :class:`repro.exec.cache.ResultCache`: the
-``(config digest, strategy, seed) -> value`` contract stays exactly as the
-execution layer defined it, but the storage engine behind it is now chosen
-by name through an open registry (:func:`register_store`), like execution
-backends and strategies before it.
+The ``(config digest, strategy, seed) -> value`` cache every campaign,
+spool worker, drill-down and ``serve`` job reads and fills.  The storage
+engine behind it is chosen by name through an open registry
+(:func:`register_store`), like execution backends and strategies.
 
 Importing this package registers the built-in backends:
 
-* ``"filesystem"`` — the historical directory layout, byte-for-byte
-  unchanged (:class:`FilesystemStore`).
+* ``"filesystem"`` — one JSON file per entry, the historical directory
+  layout byte for byte (:class:`FilesystemStore`).
 * ``"sqlite"`` — one WAL-mode, schema-versioned database file
   (:class:`SqliteStore`).
 
@@ -20,24 +19,33 @@ store so many users can share it without shell access.
 
 from repro.store.base import (
     DEFAULT_STORE,
+    CacheStats,
+    GcReport,
+    RawRecord,
     ResultStore,
+    entry_body,
     open_store,
+    parse_entry,
     register_store,
     store_kinds,
 )
 from repro.store.filesystem import FilesystemStore
-from repro.store.migrate import MigrationReport, copy_store
+from repro.store.migrate import copy_store
 from repro.store.sqlite import SCHEMA_VERSION, SqliteStore
 
 __all__ = [
+    "CacheStats",
     "DEFAULT_STORE",
     "FilesystemStore",
-    "MigrationReport",
+    "GcReport",
+    "RawRecord",
     "ResultStore",
     "SCHEMA_VERSION",
     "SqliteStore",
     "copy_store",
+    "entry_body",
     "open_store",
+    "parse_entry",
     "register_store",
     "store_kinds",
 ]

@@ -1,15 +1,13 @@
-"""The pluggable result-store contract and its open registry.
+"""The result-store contract, its record types and its open registry.
 
 A *result store* holds the warm cache of simulated node-seconds the whole
 system is built around: per-seed scalar values keyed by ``(config digest,
-strategy, seed)``, and nothing else.  Historically that cache was
-one concrete class (:class:`repro.exec.cache.ResultCache`, a directory of
-JSON files); this module promotes the *interface* so the storage engine is
-selectable the same way execution backends and strategies are — by name,
-through an open registry:
+strategy, seed)``, and nothing else.  The storage engine is selectable the
+same way execution backends and strategies are — by name, through an open
+registry:
 
-* ``"filesystem"`` — :class:`repro.store.filesystem.FilesystemStore`, the
-  historical directory layout, byte-for-byte unchanged.
+* ``"filesystem"`` — :class:`repro.store.filesystem.FilesystemStore`, one
+  small JSON file per entry (the historical on-disk layout).
 * ``"sqlite"`` — :class:`repro.store.sqlite.SqliteStore`, one WAL-mode
   database file holding the entries in one indexed table.
 
@@ -22,9 +20,11 @@ deterministic, and :func:`repro.store.migrate.copy_store` moves raw records
 between any two backends losslessly in either direction.  New backends
 plug in through :func:`register_store`.
 
-Every store duck-types the :class:`~repro.exec.cache.ResultCache` surface
-(``get``/``probe``/``put``, ``stats``/``gc``, hit/miss counters), so
-:class:`~repro.exec.runner.ParallelRunner`,
+Every entry is one JSON text: :func:`entry_body` writes it and
+:func:`parse_entry` reads it, whichever backend holds it.
+:meth:`ResultStore.put` stores that text through the backend's
+:meth:`~ResultStore.put_raw_entry`, so a value stored through any backend
+has the same bytes.  :class:`~repro.exec.runner.ParallelRunner`,
 :class:`~repro.distributed.worker.SpoolWorker` and the trace drill-down all
 work against any backend unchanged.  A drill-down keeps nothing but the
 cell's value: it re-simulates the cell to decompose it.
@@ -33,17 +33,25 @@ cell's value: it re-simulates the cell to decompose it.
 from __future__ import annotations
 
 import difflib
+import json
+import math
 import os
 from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
-from repro.exec.cache import CacheStats, GcReport, RawRecord
 
 __all__ = [
+    "CacheStats",
     "DEFAULT_STORE",
+    "GcReport",
+    "RawRecord",
     "ResultStore",
+    "entry_body",
     "open_store",
+    "parse_entry",
     "register_store",
     "store_kinds",
 ]
@@ -52,14 +60,98 @@ __all__ = [
 DEFAULT_STORE = "filesystem"
 
 
+class RawRecord(NamedTuple):
+    """One entry as verbatim text, keyed by its cache coordinates.
+
+    The unit of store-to-store migration (:mod:`repro.store.migrate`):
+    ``body`` is the exact stored text, so copying raw records between
+    stores — filesystem to SQLite and back — is byte-lossless in both
+    directions, even for entries written under older digest versions.
+    """
+
+    digest: str
+    strategy: str
+    seed: int
+    body: str
+
+
+@dataclass(frozen=True)
+class CacheStats:
+    """Aggregate statistics of one result store.
+
+    ``versions`` maps each digest-format version found in the entries to its
+    entry count; entries written before versions were recorded show up
+    under ``"unversioned"``.
+    """
+
+    entries: int = 0
+    total_bytes: int = 0
+    versions: dict[str, int] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class GcReport:
+    """Outcome of one :meth:`ResultStore.gc` pass."""
+
+    scanned: int = 0
+    removed: int = 0
+    reclaimed_bytes: int = 0
+    dry_run: bool = False
+
+
+def entry_body(digest: str, strategy: str, seed: int, value: float) -> str:
+    """The JSON text of one entry, stamped with the current digest version.
+
+    Python's JSON encoder writes floats with ``repr``, which is
+    shortest-exact, so :func:`parse_entry` reads back the very same double.
+    """
+    from repro.exec.digest import DIGEST_VERSION
+
+    return json.dumps(
+        {
+            "digest": digest,
+            "strategy": strategy,
+            "seed": int(seed),
+            "value": float(value),
+            "version": DIGEST_VERSION,
+        }
+    )
+
+
+def parse_entry(body: str) -> tuple[float | None, str]:
+    """``(value, digest version)`` of one entry body.
+
+    The version is ``"corrupt"`` for unparseable or non-object JSON and
+    ``"unversioned"`` for entries written before versions were recorded.
+    The value is ``None`` when it is missing, mistyped or non-finite (a
+    garbled write can still parse — ``NaN``/``Infinity`` are valid JSON
+    extensions, but never valid simulation results), so a store reads such
+    an entry as a miss.
+    """
+    try:
+        payload = json.loads(body)
+    except json.JSONDecodeError:
+        return None, "corrupt"
+    if not isinstance(payload, dict):
+        return None, "corrupt"
+    version = str(payload.get("version", "unversioned"))
+    try:
+        value = float(payload["value"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None, version
+    if not math.isfinite(value):
+        return None, version
+    return value, version
+
+
 class ResultStore:
     """Base class of result-store backends.
 
-    Subclasses implement the abstract methods below and set :attr:`kind`;
-    they must also expose ``root`` (the store's path) and the cumulative
-    ``hits`` / ``misses`` / ``writes`` counters the runner reports from.
-    Semantics mirror :class:`~repro.exec.cache.ResultCache` exactly — in
-    particular, malformed or non-finite records are *misses*, never errors.
+    Subclasses set :attr:`kind` and implement the methods below that raise
+    :class:`NotImplementedError`; they must also expose ``root`` (the
+    store's path) and the cumulative ``hits`` / ``misses`` / ``writes``
+    counters the runner reports from.  Malformed or non-finite records are
+    *misses*, never errors.
     """
 
     #: Registry name of the backend (set on subclasses).
@@ -76,7 +168,12 @@ class ResultStore:
         raise NotImplementedError
 
     def probe(self, digest: str, strategy: str, seed: int) -> float | None:
-        """Like :meth:`get`, but counter-neutral (availability polls)."""
+        """Like :meth:`get`, but without touching the hit/miss counters.
+
+        Distributed submitters poll the store while remote workers fill it;
+        counting every poll as a miss would make the runner's cache report
+        meaningless, so availability probes are counter-neutral.
+        """
         hits, misses = self.hits, self.misses
         value = self.get(digest, strategy, seed)
         self.hits, self.misses = hits, misses
@@ -84,7 +181,8 @@ class ResultStore:
 
     def put(self, digest: str, strategy: str, seed: int, value: float) -> None:
         """Store one value atomically (safe under concurrent writers)."""
-        raise NotImplementedError
+        self.put_raw_entry(digest, strategy, seed, entry_body(digest, strategy, seed, value))
+        self.writes += 1
 
     # ------------------------------------------------------------ raw access
     def iter_raw_entries(self) -> Iterator[RawRecord]:
@@ -92,7 +190,9 @@ class ResultStore:
         raise NotImplementedError
 
     def put_raw_entry(self, digest: str, strategy: str, seed: int, body: str) -> None:
-        """Store one entry's verbatim text, unchanged."""
+        """Store one entry's verbatim text, unchanged (no re-encoding, no
+        version stamp), so a migrated store is indistinguishable from the
+        original."""
         raise NotImplementedError
 
     # ------------------------------------------------------------ maintenance
@@ -107,7 +207,15 @@ class ResultStore:
         digest_version: str | None = None,
         dry_run: bool = False,
     ) -> GcReport:
-        """Prune entries by age and/or digest version (see ``ResultCache.gc``)."""
+        """Prune entries so long-lived stores don't grow unbounded.
+
+        ``older_than_s`` removes entries last written more than that many
+        seconds ago; ``digest_version`` removes entries recorded under that
+        digest-format version (``"unversioned"`` matches pre-version
+        entries, ``"corrupt"`` matches unparseable ones).  With both
+        criteria given an entry is removed when *either* matches; with
+        neither, nothing is removed.  ``dry_run`` counts without deleting.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------ lifecycle
@@ -128,6 +236,12 @@ class ResultStore:
     def describe(self) -> str:
         """One-line human-readable summary."""
         return f"{self.kind} store at {self.root}"
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(root={str(self.root)!r}, hits={self.hits}, "
+            f"misses={self.misses}, writes={self.writes})"
+        )
 
 
 #: Registry of store backends: kind -> factory(path) -> store.

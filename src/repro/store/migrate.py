@@ -1,7 +1,7 @@
 """Lossless store-to-store migration (``coopckpt cache import/export``).
 
 :func:`copy_store` moves every entry between two result stores as
-:class:`~repro.exec.cache.RawRecord` verbatim text — no parsing, no
+:class:`~repro.store.base.RawRecord` verbatim text — no parsing, no
 re-encoding, no version re-stamping.  Because both built-in backends
 store (or reconstruct) exactly those bytes, migrating a cache in either
 direction — filesystem → SQLite → filesystem, or the reverse — reproduces
@@ -13,25 +13,13 @@ bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.store.base import ResultStore
 
-__all__ = ["MigrationReport", "copy_store"]
+__all__ = ["copy_store"]
 
 
-@dataclass(frozen=True)
-class MigrationReport:
-    """Outcome of one :func:`copy_store` pass."""
-
-    entries: int = 0
-
-    def describe(self) -> str:
-        return f"{self.entries} entr{'y' if self.entries == 1 else 'ies'}"
-
-
-def copy_store(src: ResultStore, dst: ResultStore) -> MigrationReport:
-    """Copy every raw record of ``src`` into ``dst``; returns the counts.
+def copy_store(src: ResultStore, dst: ResultStore) -> int:
+    """Copy every raw record of ``src`` into ``dst``; returns how many.
 
     The source is never modified; the destination may be non-empty (records
     with colliding keys are overwritten, which for deterministic caches
@@ -41,4 +29,4 @@ def copy_store(src: ResultStore, dst: ResultStore) -> MigrationReport:
     for record in src.iter_raw_entries():
         dst.put_raw_entry(record.digest, record.strategy, record.seed, record.body)
         entries += 1
-    return MigrationReport(entries=entries)
+    return entries

@@ -29,7 +29,6 @@ loudly, never misread.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sqlite3
@@ -39,8 +38,14 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.exec.cache import CacheStats, GcReport, RawRecord
-from repro.store.base import ResultStore, register_store
+from repro.store.base import (
+    CacheStats,
+    GcReport,
+    RawRecord,
+    ResultStore,
+    parse_entry,
+    register_store,
+)
 
 __all__ = ["SCHEMA_VERSION", "SqliteStore"]
 
@@ -98,30 +103,6 @@ def _enable_wal(conn: sqlite3.Connection) -> None:
             if not _is_locked(exc) or time.monotonic() >= deadline:
                 raise
         time.sleep(_WAL_RETRY_S)
-
-
-def _entry_columns(body: str) -> tuple[float | None, str]:
-    """``(value, version)`` columns extracted from one entry body.
-
-    Mirrors the filesystem read path: unparseable bodies are ``"corrupt"``
-    (matching ``ResultCache._entry_version``), and missing/mistyped or
-    non-finite values are stored as NULL so :meth:`SqliteStore.get` misses
-    on them exactly like :meth:`ResultCache.get` does.
-    """
-    try:
-        payload = json.loads(body)
-    except json.JSONDecodeError:
-        return None, "corrupt"
-    if not isinstance(payload, dict):
-        return None, "corrupt"
-    version = str(payload.get("version", "unversioned"))
-    try:
-        value = float(payload["value"])
-    except (KeyError, TypeError, ValueError):
-        return None, version
-    if not math.isfinite(value):
-        return None, version
-    return value, version
 
 
 class SqliteStore(ResultStore):
@@ -239,36 +220,6 @@ class SqliteStore(ResultStore):
         self.hits += 1
         return value
 
-    def put(self, digest: str, strategy: str, seed: int, value: float) -> None:
-        from repro.exec.digest import DIGEST_VERSION
-
-        entry = {
-            "digest": digest,
-            "strategy": strategy,
-            "seed": int(seed),
-            "value": float(value),
-            "version": DIGEST_VERSION,
-        }
-        # The body is exactly what the filesystem layout would write, so
-        # exporting this store reproduces a byte-identical directory tree.
-        body = json.dumps(entry)
-        self._connect().execute(
-            "INSERT OR REPLACE INTO entries"
-            " (digest, strategy, seed, value, version, body, size, mtime)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                digest,
-                strategy,
-                int(seed),
-                float(value),
-                DIGEST_VERSION,
-                body,
-                len(body.encode("utf-8")),
-                time.time(),
-            ),
-        )
-        self.writes += 1
-
     # ------------------------------------------------------------ raw access
     def iter_raw_entries(self) -> Iterator[RawRecord]:
         cursor = self._connect().execute(
@@ -279,7 +230,7 @@ class SqliteStore(ResultStore):
             yield RawRecord(str(digest), str(strategy), int(seed), str(body))
 
     def put_raw_entry(self, digest: str, strategy: str, seed: int, body: str) -> None:
-        value, version = _entry_columns(body)
+        value, version = parse_entry(body)
         self._connect().execute(
             "INSERT OR REPLACE INTO entries"
             " (digest, strategy, seed, value, version, body, size, mtime)"
@@ -377,15 +328,5 @@ class SqliteStore(ResultStore):
     def __len__(self) -> int:
         return int(self._connect().execute("SELECT COUNT(*) FROM entries").fetchone()[0])
 
-    def __repr__(self) -> str:
-        return (
-            f"SqliteStore(root={str(self.root)!r}, hits={self.hits}, "
-            f"misses={self.misses}, writes={self.writes})"
-        )
 
-
-def _make_sqlite_store(path: str | os.PathLike[str]) -> SqliteStore:
-    return SqliteStore(path)
-
-
-register_store("sqlite", _make_sqlite_store)
+register_store("sqlite", SqliteStore)

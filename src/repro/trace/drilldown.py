@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import AnalysisError
-from repro.exec.cache import ResultCache
 from repro.exec.digest import config_digest
 from repro.simulation.config import SimulationConfig
 from repro.simulation.simulator import Simulation
+from repro.store.base import ResultStore
 from repro.trace.decompose import WasteDecomposition
 
 __all__ = ["CellDrillDown", "drill_down_cell", "drill_down_cell_detailed"]
@@ -49,7 +49,7 @@ def drill_down_cell(
     config: SimulationConfig,
     seed: int,
     *,
-    cache: ResultCache | None = None,
+    cache: ResultStore | None = None,
     scenario: str = "",
 ) -> WasteDecomposition:
     """Waste decomposition of the cell ``(config digest, strategy, seed)``.
@@ -75,7 +75,7 @@ def drill_down_cell_detailed(
     config: SimulationConfig,
     seed: int,
     *,
-    cache: ResultCache | None = None,
+    cache: ResultStore | None = None,
     scenario: str = "",
 ) -> CellDrillDown:
     """Like :func:`drill_down_cell`, returning the cache provenance too."""

@@ -85,14 +85,14 @@ def spool_workers():
     @contextlib.contextmanager
     def run(spool_dir, cache_dir, *, count=1, lease_ttl_s=30.0, **worker_kwargs):
         from repro.distributed import SpoolWorker, WorkSpool
-        from repro.exec import ResultCache
+        from repro.store import FilesystemStore
 
         stop = threading.Event()
         workers, threads = [], []
         for index in range(count):
             worker = SpoolWorker(
                 WorkSpool(spool_dir, lease_ttl_s=lease_ttl_s),
-                ResultCache(cache_dir),
+                FilesystemStore(cache_dir),
                 worker_id=f"test-worker-{index}",
                 poll_interval_s=0.01,
                 stop_event=stop,

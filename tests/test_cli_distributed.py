@@ -62,6 +62,45 @@ def test_worker_rejects_an_out_of_range_metrics_port_before_opening_the_spool(
     assert not spool_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "option, value, named",
+    [
+        # A NaN lease is reclaimed by any peer at once; an infinite one never
+        # expires, and its heartbeat's Event.wait overflows.
+        ("--lease-ttl", "nan", "lease_ttl_s"),
+        ("--lease-ttl", "inf", "lease_ttl_s"),
+        ("--poll-interval", "nan", "--poll-interval"),
+        ("--poll-interval", "1e10", "--poll-interval"),  # time.sleep overflows
+        ("--idle-timeout", "nan", "--idle-timeout"),  # never stops for idleness
+        ("--idle-timeout", "inf", "--idle-timeout"),
+        ("--max-tasks", "0", "--max-tasks"),  # would exit at once with nothing done
+        ("--max-tasks", "-1", "--max-tasks"),
+    ],
+)
+def test_worker_refuses_unusable_durations_and_counts(tmp_path, capsys, option, value, named):
+    code = main(
+        ["worker", "--spool", str(tmp_path / "spool"), "--cache-dir", str(tmp_path / "cache"),
+         "--drain", option, value]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0], err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_spool_campaign_refuses_a_non_finite_lease_ttl(tmp_path, capsys, value):
+    spool_dir = tmp_path / "spool"
+    code = main(
+        ["campaign", "--preset", "smoke", "--num-runs", "1", "--backend", "spool",
+         "--spool", str(spool_dir), "--cache-dir", str(tmp_path / "cache"),
+         "--lease-ttl", value, "--spool-timeout", "0.5"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "lease_ttl_s" in err[0], err
+    assert not spool_dir.exists()  # refused before any task was queued
+
+
 def test_worker_reports_a_busy_metrics_port_in_one_line(tmp_path, capsys):
     with socket.socket() as busy:
         busy.bind(("127.0.0.1", 0))
@@ -206,6 +245,19 @@ def test_campaign_file_errors_exit_nonzero(tmp_path, capsys):
     bad.write_text('{"name": "x", "base": "smoke", "bogus_key": 1}')
     assert main(["campaign", "--file", str(bad)]) == 2
     assert "bogus_key" in capsys.readouterr().err
+
+
+def test_campaign_file_refuses_a_vanishing_node_mtbf(tmp_path, capsys):
+    # The failure trace is drawn up front: without the bound this MTBF ends
+    # in a numpy traceback, and one of 1e-9 years exhausts memory.
+    path = tmp_path / "tiny-mtbf.json"
+    path.write_text(json.dumps(
+        {"name": "p", "base": "smoke",
+         "overrides": {"num_runs": 1, "strategies": ["least-waste"], "node_mtbf_years": 1e-300}}
+    ))
+    assert main(["campaign", "--file", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "failures" in err[0] and "100000" in err[0], err
 
 
 def test_main_reports_library_errors_on_stderr(capsys):

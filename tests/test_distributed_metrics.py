@@ -24,8 +24,8 @@ from pathlib import Path
 import pytest
 
 from repro.distributed import SpoolWorker, WorkSpool
-from repro.exec import ResultCache
 from repro.service.http import JsonServer, metrics_route
+from repro.store import FilesystemStore
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -94,7 +94,7 @@ def test_close_stops_the_server_thread():
 
 
 def test_idle_worker_metrics_keys(tmp_path):
-    spool, cache = WorkSpool(tmp_path / "spool"), ResultCache(tmp_path / "cache")
+    spool, cache = WorkSpool(tmp_path / "spool"), FilesystemStore(tmp_path / "cache")
     worker = SpoolWorker(spool, cache, worker_id="w1")
     metrics = worker.metrics()
     assert sorted(metrics) == WORKER_METRICS_KEYS

@@ -8,6 +8,7 @@ of those properties, including under deliberate concurrency.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
@@ -206,6 +207,37 @@ def test_sweeper_honours_the_claimers_recorded_lease_ttl(tmp_path):
     batch_dir = lease.parent
     lease.unlink()
     os.utime(batch_dir, (past, past))
+    assert sweeper.reclaim_expired() == [spec.task_id]
+
+
+@pytest.mark.parametrize("ttl", [float("nan"), float("inf"), 86_401.0])
+def test_spool_refuses_a_lease_ttl_that_is_not_a_finite_day_or_less(tmp_path, ttl):
+    # Any sweeper reclaims a NaN lease at once, and a TTL of 1e10 s or more
+    # overflows the heartbeat's Event.wait.
+    with pytest.raises(ConfigurationError, match="lease_ttl_s"):
+        WorkSpool(tmp_path, lease_ttl_s=ttl)
+    WorkSpool(tmp_path, lease_ttl_s=86_400.0)  # a day is the longest lease
+
+
+@pytest.mark.parametrize("recorded", [float("nan"), float("inf"), 0.0, -5.0])
+def test_a_fresh_batch_with_an_unusable_recorded_ttl_survives_a_sweep(tmp_path, recorded):
+    """A lease whose TTL is not a finite positive number counts as
+    half-written: the sweeper's own TTL applies to the batch directory's
+    mtime, so a live claim is not handed back at once."""
+    spool = WorkSpool(tmp_path)
+    spec = _spec()
+    spool.enqueue(spec)
+    spool.claim("live-worker")
+    lease = _lease_of(tmp_path, spec.task_id)
+    body = json.loads(lease.read_text())
+    body["lease_ttl_s"] = recorded
+    lease.write_text(json.dumps(body))
+    sweeper = WorkSpool(tmp_path, lease_ttl_s=60.0)
+    assert sweeper.reclaim_expired() == []
+    assert sweeper.status().claimed == 1
+    # ...while an abandoned one still expires under the sweeper's TTL.
+    past = time.time() - 120.0
+    os.utime(lease.parent, (past, past))
     assert sweeper.reclaim_expired() == [spec.task_id]
 
 

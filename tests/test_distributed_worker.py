@@ -14,11 +14,12 @@ import time
 import pytest
 
 from repro.distributed import SpoolWorker, WorkSpool, make_task_specs
-from repro.exec import ParallelRunner, ResultCache, WasteRatioTask, config_digest
+from repro.exec import ParallelRunner, WasteRatioTask, config_digest
 from repro.scenarios.campaign import Campaign
 from repro.scenarios.runner import CampaignRunner
 from repro.scenarios.spec import Scenario
 from repro.stats.montecarlo import derive_seeds
+from repro.store import FilesystemStore
 
 
 def _lease_of(spool_root, task_id: str):
@@ -45,7 +46,7 @@ def _crash_scenario(tiny_platform, tiny_classes) -> Scenario:
 # ------------------------------------------------------------ worker loop
 def test_worker_drain_mode_processes_everything_and_exits(tmp_path, tiny_config):
     spool = WorkSpool(tmp_path / "spool")
-    cache = ResultCache(tmp_path / "cache")
+    cache = FilesystemStore(tmp_path / "cache")
     config = tiny_config(horizon_s=0.25 * 86400.0)
     digest = config_digest(config)
     seeds = derive_seeds(0, 3)
@@ -66,7 +67,7 @@ def test_worker_drain_mode_processes_everything_and_exits(tmp_path, tiny_config)
 
 def test_worker_idle_timeout_and_max_tasks(tmp_path, tiny_config):
     spool = WorkSpool(tmp_path / "spool")
-    cache = ResultCache(tmp_path / "cache")
+    cache = FilesystemStore(tmp_path / "cache")
     start = time.time()
     stats = SpoolWorker(spool, cache, poll_interval_s=0.01).run(idle_timeout_s=0.05)
     assert stats.tasks_done == 0
@@ -84,7 +85,7 @@ def test_worker_idle_timeout_and_max_tasks(tmp_path, tiny_config):
 
 def test_worker_records_failure_and_keeps_going(tmp_path, tiny_config):
     spool = WorkSpool(tmp_path / "spool")
-    cache = ResultCache(tmp_path / "cache")
+    cache = FilesystemStore(tmp_path / "cache")
     bad = make_task_specs(_always_raises, "b" * 64, "least-waste", [1], chunk_size=1)[0]
     config = tiny_config(horizon_s=0.25 * 86400.0)
     good = make_task_specs(
@@ -107,7 +108,7 @@ def test_worker_death_is_not_recorded_as_a_task_failure(tmp_path):
     the claim to lease expiry — a failure record would abort the submitter's
     whole batch instead of letting a peer retry."""
     spool = WorkSpool(tmp_path / "spool", lease_ttl_s=0.05)
-    cache = ResultCache(tmp_path / "cache")
+    cache = FilesystemStore(tmp_path / "cache")
     spec = make_task_specs(_exits_hard, "c" * 64, "least-waste", [1], chunk_size=1)[0]
     spool.enqueue(spec)
     worker = SpoolWorker(spool, cache, poll_interval_s=0.01)
@@ -127,7 +128,7 @@ def _exits_hard(seed: int) -> float:
 def test_worker_skips_seeds_a_previous_attempt_already_delivered(tmp_path, tiny_config):
     """Reclaimed tasks re-simulate only the seeds the crashed worker lost."""
     spool = WorkSpool(tmp_path / "spool")
-    cache = ResultCache(tmp_path / "cache")
+    cache = FilesystemStore(tmp_path / "cache")
     config = tiny_config(horizon_s=0.25 * 86400.0)
     digest = config_digest(config)
     seeds = derive_seeds(0, 3)
@@ -156,7 +157,7 @@ def test_crashed_worker_lease_expires_and_campaign_is_bit_identical(
 
     spool_dir, cache_dir = tmp_path / "spool", tmp_path / "cache"
     spool = WorkSpool(spool_dir, lease_ttl_s=0.2)
-    cache = ResultCache(cache_dir)
+    cache = FilesystemStore(cache_dir)
 
     # A doomed worker claims one task (the same content-addressed specs the
     # submitter will enqueue), delivers a single seed, then "crashes": no
@@ -181,7 +182,7 @@ def test_crashed_worker_lease_expires_and_campaign_is_bit_identical(
     runner = ParallelRunner(
         backend="spool",
         spool_dir=spool_dir,
-        cache_dir=cache_dir,
+        cache=FilesystemStore(cache_dir),
         spool_poll_s=0.01,
         spool_lease_ttl_s=0.2,
         spool_timeout_s=300.0,
@@ -210,7 +211,7 @@ def test_interrupted_campaign_resumes_where_it_left_off(
 
     spool_dir, cache_dir = tmp_path / "spool", tmp_path / "cache"
     # "Interrupted first run": one full strategy cell already in the cache.
-    warm = ParallelRunner(cache_dir=cache_dir)
+    warm = ParallelRunner(cache=FilesystemStore(cache_dir))
     warm.run_config(
         scenario.config(scenario.strategies[0]),
         derive_seeds(scenario.base_seed, scenario.num_runs),
@@ -219,7 +220,7 @@ def test_interrupted_campaign_resumes_where_it_left_off(
     runner = ParallelRunner(
         backend="spool",
         spool_dir=spool_dir,
-        cache_dir=cache_dir,
+        cache=FilesystemStore(cache_dir),
         spool_poll_s=0.01,
         spool_timeout_s=300.0,
     )

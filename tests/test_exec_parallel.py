@@ -16,7 +16,6 @@ from repro.exec import (
     BACKENDS,
     ParallelRunner,
     ProgressEvent,
-    ResultCache,
     WasteRatioTask,
     config_digest,
 )
@@ -24,6 +23,7 @@ from repro.scenarios.runner import CampaignRunner
 from repro.scenarios.spec import Scenario
 from repro.stats.montecarlo import derive_seeds, monte_carlo
 from repro.stats.summary import DistributionSummary
+from repro.store import FilesystemStore
 
 
 def _experiment(seed: int) -> float:
@@ -63,19 +63,30 @@ def test_runner_validates_parameters(tmp_path):
     with pytest.raises(ConfigurationError):
         ParallelRunner(chunk_size=0)
     assert set(BACKENDS) == {"serial", "process", "spool"}
-    runner = ParallelRunner(cache_dir=tmp_path / "cache")
-    assert isinstance(runner.cache, ResultCache)
-    # The spool backend needs both a spool directory and a shared cache.
+    # The spool backend needs both a spool directory and a shared store.
+    cache = FilesystemStore(tmp_path / "cache")
     with pytest.raises(ConfigurationError):
-        ParallelRunner(backend="spool", cache_dir=tmp_path / "cache")
+        ParallelRunner(backend="spool", cache=cache)
     with pytest.raises(ConfigurationError):
         ParallelRunner(backend="spool", spool_dir=tmp_path / "spool")
+    runner = ParallelRunner(backend="spool", spool_dir=tmp_path / "spool", cache=cache)
+    assert runner.cache is cache
+    with pytest.raises(TypeError):  # a store is attached, never built from a path
+        ParallelRunner(cache_dir=tmp_path / "cache")
     with pytest.raises(ConfigurationError):
         ParallelRunner(spool_timeout_s=0.0)
     with pytest.raises(ConfigurationError):
         ParallelRunner(spool_timeout_s=-5.0)
     with pytest.raises(TypeError):  # the spool enqueues a whole batch at once
         ParallelRunner(spool_max_inflight=4)
+
+
+@pytest.mark.parametrize("name", ["spool_poll_s", "spool_lease_ttl_s", "spool_timeout_s"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_runner_refuses_non_finite_spool_durations(name, value):
+    # A NaN timeout never fires and a NaN lease is reclaimed at once.
+    with pytest.raises(ConfigurationError, match=name):
+        ParallelRunner(**{name: value})
 
 
 def test_backend_registry_rejects_duplicates_and_accepts_new_backends():
@@ -138,12 +149,12 @@ def test_run_cell_process_backend_matches_serial(tiny_platform, tiny_classes):
 # ------------------------------------------------------------------ caching
 def test_cache_second_run_simulates_nothing(tiny_platform, tiny_classes, tmp_path):
     cell = _tiny_cell(tiny_platform, tiny_classes, num_runs=3)
-    first = ParallelRunner(cache_dir=tmp_path)
+    first = ParallelRunner(cache=FilesystemStore(tmp_path))
     a = run_cell(cell, runner=first)
     assert first.stats.tasks_run == cell.num_runs
     assert first.stats.cache_hits == 0
 
-    second = ParallelRunner(cache_dir=tmp_path)
+    second = ParallelRunner(cache=FilesystemStore(tmp_path))
     b = run_cell(cell, runner=second)
     assert a == b
     assert second.stats.tasks_run == 0  # zero simulations on the second run
@@ -152,10 +163,10 @@ def test_cache_second_run_simulates_nothing(tiny_platform, tiny_classes, tmp_pat
 
 def test_cache_growing_num_runs_only_simulates_new_seeds(tiny_platform, tiny_classes, tmp_path):
     small = _tiny_cell(tiny_platform, tiny_classes, num_runs=2)
-    run_cell(small, runner=ParallelRunner(cache_dir=tmp_path))
+    run_cell(small, runner=ParallelRunner(cache=FilesystemStore(tmp_path)))
 
     grown = _tiny_cell(tiny_platform, tiny_classes, num_runs=5)
-    runner = ParallelRunner(cache_dir=tmp_path)
+    runner = ParallelRunner(cache=FilesystemStore(tmp_path))
     summary = run_cell(grown, runner=runner)
     assert runner.stats.cache_hits == 2  # prefix stability pays off
     assert runner.stats.tasks_run == 3
@@ -164,16 +175,16 @@ def test_cache_growing_num_runs_only_simulates_new_seeds(tiny_platform, tiny_cla
 
 def test_cache_process_backend(tiny_platform, tiny_classes, tmp_path):
     cell = _tiny_cell(tiny_platform, tiny_classes, num_runs=4)
-    warm = ParallelRunner(backend="process", workers=2, cache_dir=tmp_path)
+    warm = ParallelRunner(backend="process", workers=2, cache=FilesystemStore(tmp_path))
     a = run_cell(cell, runner=warm)
-    cached = ParallelRunner(backend="process", workers=2, cache_dir=tmp_path)
+    cached = ParallelRunner(backend="process", workers=2, cache=FilesystemStore(tmp_path))
     b = run_cell(cell, runner=cached)
     assert a == b
     assert cached.stats.tasks_run == 0
 
 
 def test_cache_distinguishes_strategies_and_configs(tiny_platform, tiny_classes, tmp_path):
-    runner = ParallelRunner(cache_dir=tmp_path)
+    runner = ParallelRunner(cache=FilesystemStore(tmp_path))
     base = _tiny_cell(tiny_platform, tiny_classes, num_runs=2)
     other_strategy = _tiny_cell(tiny_platform, tiny_classes, num_runs=2, strategy="oblivious-fixed")
     other_horizon = _tiny_cell(tiny_platform, tiny_classes, num_runs=2, horizon_days=0.6)
@@ -198,7 +209,7 @@ def test_config_digest_excludes_seed_and_trace(tiny_config):
 
 
 def test_result_cache_treats_malformed_entries_as_misses(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = FilesystemStore(tmp_path)
     path = cache._entry_path("e" * 64, "least-waste", 1)
     path.parent.mkdir(parents=True)
     for malformed in ("null", "{}", '{"value": "not a float"}', "{broken"):
@@ -211,7 +222,7 @@ def test_result_cache_treats_nonfinite_and_truncated_entries_as_misses(tmp_path)
     """Corruption that still parses as JSON must not escape the cache:
     ``Infinity``/``NaN`` are valid JSON extensions but never valid results,
     and a torn write can truncate mid-document or leave raw bytes."""
-    cache = ResultCache(tmp_path)
+    cache = FilesystemStore(tmp_path)
     path = cache._entry_path("f" * 64, "least-waste", 2)
     path.parent.mkdir(parents=True)
     corruptions = [
@@ -233,16 +244,16 @@ def test_result_cache_treats_nonfinite_and_truncated_entries_as_misses(tmp_path)
 
 def test_runner_resimulates_and_rewrites_corrupt_entries(tiny_platform, tiny_classes, tmp_path):
     cell = _tiny_cell(tiny_platform, tiny_classes, num_runs=2)
-    reference = run_cell(cell, runner=ParallelRunner(cache_dir=tmp_path))
+    reference = run_cell(cell, runner=ParallelRunner(cache=FilesystemStore(tmp_path)))
     entry = sorted(tmp_path.glob("*/*/*/*.json"))[0]
     entry.write_text('{"value": NaN}')
 
-    runner = ParallelRunner(cache_dir=tmp_path)
+    runner = ParallelRunner(cache=FilesystemStore(tmp_path))
     assert run_cell(cell, runner=runner) == reference
     assert runner.stats.tasks_run == 1  # only the corrupt seed re-simulated
     assert runner.stats.cache_hits == 1
 
-    fresh = ParallelRunner(cache_dir=tmp_path)
+    fresh = ParallelRunner(cache=FilesystemStore(tmp_path))
     assert run_cell(cell, runner=fresh) == reference
     assert fresh.stats.tasks_run == 0  # the rewrite stuck
 
@@ -261,7 +272,7 @@ def test_process_pool_is_reused_across_batches():
 
 
 def test_cache_probe_is_counter_neutral(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = FilesystemStore(tmp_path)
     cache.put("a" * 64, "least-waste", 1, 0.5)
     assert cache.probe("a" * 64, "least-waste", 1) == 0.5
     assert cache.probe("a" * 64, "least-waste", 2) is None
@@ -273,7 +284,7 @@ def test_cache_probe_is_counter_neutral(tmp_path):
 def test_cache_stats_reports_entries_bytes_and_versions(tmp_path):
     from repro.exec import DIGEST_VERSION
 
-    cache = ResultCache(tmp_path)
+    cache = FilesystemStore(tmp_path)
     assert cache.stats().entries == 0
     cache.put("a" * 64, "least-waste", 1, 0.25)
     cache.put("a" * 64, "least-waste", 2, 0.5)
@@ -295,7 +306,7 @@ def test_cache_stats_dedupes_rewritten_entries_and_sidecars_by_path(tmp_path):
     count for nothing."""
     import json
 
-    cache = ResultCache(tmp_path)
+    cache = FilesystemStore(tmp_path)
     digest = "a" * 64
     cache.put(digest, "least-waste", 1, 0.25)
     entry = cache._entry_path(digest, "least-waste", 1)
@@ -318,7 +329,7 @@ def test_cache_gc_prunes_by_version_and_age(tmp_path):
     import os
     import time
 
-    cache = ResultCache(tmp_path)
+    cache = FilesystemStore(tmp_path)
     cache.put("a" * 64, "least-waste", 1, 0.25)
     legacy = cache._entry_path("b" * 64, "ordered-daly", 3)
     legacy.parent.mkdir(parents=True)
@@ -350,7 +361,7 @@ def test_cache_gc_prunes_by_version_and_age(tmp_path):
 
 
 def test_result_cache_round_trip_is_exact(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = FilesystemStore(tmp_path)
     value = 0.1234567890123456789  # exercises shortest-exact float repr
     cache.put("d" * 64, "least-waste", 12345, value)
     assert cache.get("d" * 64, "least-waste", 12345) == value
@@ -363,14 +374,14 @@ def test_result_cache_round_trip_is_exact(tmp_path):
 def test_progress_events_cover_all_seeds(tiny_platform, tiny_classes, tmp_path):
     events: list[ProgressEvent] = []
     cell = _tiny_cell(tiny_platform, tiny_classes, num_runs=3)
-    runner = ParallelRunner(cache_dir=tmp_path, progress=events.append)
+    runner = ParallelRunner(cache=FilesystemStore(tmp_path), progress=events.append)
     run_cell(cell, runner=runner)
     assert [e.completed for e in events] == [1, 2, 3]
     assert all(e.total == 3 and e.cached == 0 for e in events)
     assert events[0].label == "tiny/least-waste"  # the campaign form: scenario/strategy
 
     cached_events: list[ProgressEvent] = []
-    cached_runner = ParallelRunner(cache_dir=tmp_path, progress=cached_events.append)
+    cached_runner = ParallelRunner(cache=FilesystemStore(tmp_path), progress=cached_events.append)
     run_cell(cell, runner=cached_runner)
     assert cached_events[-1].completed == 3
     assert cached_events[-1].cached == 3
@@ -395,7 +406,7 @@ def test_run_config_spool_backend_is_bit_identical(tiny_config, tmp_path, spool_
     runner = ParallelRunner(
         backend="spool",
         spool_dir=tmp_path / "spool",
-        cache_dir=tmp_path / "cache",
+        cache=FilesystemStore(tmp_path / "cache"),
         spool_poll_s=0.01,
         spool_timeout_s=120.0,
     )
@@ -409,7 +420,7 @@ def test_run_config_spool_backend_is_bit_identical(tiny_config, tmp_path, spool_
     rerun = ParallelRunner(
         backend="spool",
         spool_dir=tmp_path / "spool",
-        cache_dir=tmp_path / "cache",
+        cache=FilesystemStore(tmp_path / "cache"),
         spool_timeout_s=1.0,
     )
     assert rerun.run_config(config, seeds) == serial
@@ -419,7 +430,7 @@ def test_run_config_spool_backend_is_bit_identical(tiny_config, tmp_path, spool_
 
 def test_spool_backend_requires_content_addressed_tasks(tmp_path):
     runner = ParallelRunner(
-        backend="spool", spool_dir=tmp_path / "spool", cache_dir=tmp_path / "cache"
+        backend="spool", spool_dir=tmp_path / "spool", cache=FilesystemStore(tmp_path / "cache")
     )
     with pytest.raises(ConfigurationError):
         runner.map_seeds(_experiment, [1, 2])  # no cache_key -> no content address
@@ -431,7 +442,7 @@ def test_spool_backend_propagates_remote_failure(tmp_path, spool_workers):
     runner = ParallelRunner(
         backend="spool",
         spool_dir=tmp_path / "spool",
-        cache_dir=tmp_path / "cache",
+        cache=FilesystemStore(tmp_path / "cache"),
         spool_poll_s=0.01,
         spool_timeout_s=60.0,
     )
@@ -460,7 +471,7 @@ def test_atomic_write_text_cleans_up_on_any_exception(tmp_path, monkeypatch):
     leaked the temp file; cleanup must run for every ``BaseException``."""
     import tempfile as _tempfile
 
-    from repro.exec.cache import atomic_write_text
+    from repro.store.filesystem import atomic_write_text
 
     class _ExplodingHandle:
         """Proxy whose write raises after the temp file exists on disk."""
@@ -486,9 +497,9 @@ def test_atomic_write_text_cleans_up_on_any_exception(tmp_path, monkeypatch):
         def exploding(*args, _exc=exc, **kwargs):
             return _ExplodingHandle(real(*args, **kwargs), _exc)
 
-        monkeypatch.setattr("repro.exec.cache.tempfile.NamedTemporaryFile", exploding)
+        monkeypatch.setattr("repro.store.filesystem.tempfile.NamedTemporaryFile", exploding)
         with pytest.raises(type(exc)):
             atomic_write_text(tmp_path / "target.json", "payload")
-        monkeypatch.setattr("repro.exec.cache.tempfile.NamedTemporaryFile", real)
+        monkeypatch.setattr("repro.store.filesystem.tempfile.NamedTemporaryFile", real)
         assert not (tmp_path / "target.json").exists()
         assert list(tmp_path.glob("*.tmp")) == []  # no leaked temp files

@@ -22,8 +22,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.exec.cache import ResultCache
 from repro.exec.runner import ParallelRunner
+from repro.store import FilesystemStore
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -54,7 +54,7 @@ CASES = (*CLI_CASES, "figure3")
 
 
 def _store_keys(cache_dir: Path) -> str:
-    keys = sorted((r.digest, r.strategy, r.seed) for r in ResultCache(cache_dir).iter_raw_entries())
+    keys = sorted((r.digest, r.strategy, r.seed) for r in FilesystemStore(cache_dir).iter_raw_entries())
     return "".join(f"{digest} {strategy} {seed}\n" for digest, strategy, seed in keys)
 
 
@@ -81,7 +81,7 @@ def _run_figure3(tmp: Path) -> dict[str, str]:
         horizon_days=0.25,
         num_runs=1,
     )
-    result = run_figure3(config, runner=ParallelRunner(cache_dir=tmp / "cache"))
+    result = run_figure3(config, runner=ParallelRunner(cache=FilesystemStore(tmp / "cache")))
     return {"stdout.txt": render_figure3(result) + "\n", "csv": figure3_to_csv(result)}
 
 

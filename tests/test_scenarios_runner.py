@@ -2,7 +2,7 @@
 
 The acceptance bar of the subsystem: a >= 2x2 matrix runs through
 ``ParallelRunner``, an immediate re-run is served entirely from the
-``ResultCache`` (zero new simulations), and serial vs. process backends
+result store (zero new simulations), and serial vs. process backends
 render byte-identical campaign tables.
 """
 
@@ -16,6 +16,7 @@ from repro.scenarios.campaign import Axis, AxisPoint, Campaign
 from repro.scenarios.report import campaign_to_csv, render_campaign, render_campaign_details
 from repro.scenarios.runner import CampaignRunner
 from repro.scenarios.spec import Scenario
+from repro.store import FilesystemStore
 
 
 @pytest.fixture
@@ -100,12 +101,12 @@ def test_detail_requires_a_concrete_base_seed(matrix):
 
 # ------------------------------------------------------------------- cache
 def test_campaign_rerun_hits_the_cache_with_zero_new_simulations(matrix, tmp_path):
-    first = CampaignRunner(runner=ParallelRunner(cache_dir=tmp_path))
+    first = CampaignRunner(runner=ParallelRunner(cache=FilesystemStore(tmp_path)))
     a = first.run(matrix)
     assert first.runner.stats.tasks_run == _cells(matrix)
     assert first.runner.stats.cache_hits == 0
 
-    second = CampaignRunner(runner=ParallelRunner(cache_dir=tmp_path))
+    second = CampaignRunner(runner=ParallelRunner(cache=FilesystemStore(tmp_path)))
     b = second.run(matrix)
     assert second.runner.stats.tasks_run == 0  # zero new simulations
     assert second.runner.stats.cache_hits == _cells(matrix)
@@ -114,7 +115,7 @@ def test_campaign_rerun_hits_the_cache_with_zero_new_simulations(matrix, tmp_pat
 
 
 def test_growing_the_matrix_only_simulates_new_cells(matrix, tmp_path):
-    CampaignRunner(runner=ParallelRunner(cache_dir=tmp_path)).run(matrix)
+    CampaignRunner(runner=ParallelRunner(cache=FilesystemStore(tmp_path))).run(matrix)
 
     grown = Campaign(
         name=matrix.name,
@@ -124,7 +125,7 @@ def test_growing_the_matrix_only_simulates_new_cells(matrix, tmp_path):
             matrix.axes[1],
         ),
     )
-    runner = CampaignRunner(runner=ParallelRunner(cache_dir=tmp_path))
+    runner = CampaignRunner(runner=ParallelRunner(cache=FilesystemStore(tmp_path)))
     runner.run(grown)
     new_cells = 2 * len(matrix.base.strategies) * matrix.base.num_runs  # io=8 column
     assert runner.runner.stats.tasks_run == new_cells
@@ -134,7 +135,7 @@ def test_growing_the_matrix_only_simulates_new_cells(matrix, tmp_path):
 def test_corrupt_cache_entry_is_resimulated_and_rewritten(matrix, tmp_path):
     """A corrupt or truncated entry degrades to a miss mid-campaign: the cell
     is re-simulated, the entry rewritten, and the table is unchanged."""
-    warm = CampaignRunner(runner=ParallelRunner(cache_dir=tmp_path))
+    warm = CampaignRunner(runner=ParallelRunner(cache=FilesystemStore(tmp_path)))
     reference = warm.run(matrix)
 
     entries = sorted(tmp_path.glob("*/*/*/*.json"))
@@ -143,13 +144,13 @@ def test_corrupt_cache_entry_is_resimulated_and_rewritten(matrix, tmp_path):
     entries[1].write_text('{"value": Infinity}')  # parses, but not a result
     entries[2].write_bytes(b"\x00\xff\x00garbage")  # binary garbage
 
-    rerun = CampaignRunner(runner=ParallelRunner(cache_dir=tmp_path))
+    rerun = CampaignRunner(runner=ParallelRunner(cache=FilesystemStore(tmp_path)))
     result = rerun.run(matrix)
     assert rerun.runner.stats.tasks_run == 3  # only the corrupt cells
     assert render_campaign(result) == render_campaign(reference)
 
     # The corrupt entries were rewritten: a third pass is all hits again.
-    final = CampaignRunner(runner=ParallelRunner(cache_dir=tmp_path))
+    final = CampaignRunner(runner=ParallelRunner(cache=FilesystemStore(tmp_path)))
     final.run(matrix)
     assert final.runner.stats.tasks_run == 0
 
@@ -200,7 +201,7 @@ def test_an_interrupted_campaign_keeps_every_seed_it_reported(matrix, tmp_path, 
 
     cache_dir = tmp_path / "cache"
     runner = ParallelRunner(
-        backend=backend, workers=2, chunk_size=1, cache_dir=cache_dir, progress=interrupt
+        backend=backend, workers=2, chunk_size=1, cache=FilesystemStore(cache_dir), progress=interrupt
     )
     with pytest.raises(KeyboardInterrupt):
         with CampaignRunner(runner=runner) as interrupted:
@@ -209,7 +210,7 @@ def test_an_interrupted_campaign_keeps_every_seed_it_reported(matrix, tmp_path, 
     assert len(list(cache_dir.glob("*/*/*/*.json"))) == stop_after
 
     with CampaignRunner(
-        runner=ParallelRunner(backend=backend, workers=2, cache_dir=cache_dir)
+        runner=ParallelRunner(backend=backend, workers=2, cache=FilesystemStore(cache_dir))
     ) as rerun:
         result = rerun.run(matrix)
     assert rerun.runner.stats.cache_hits == stop_after

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.simulation.accounting import Accounting, Category
-from repro.simulation.config import SimulationConfig
+from repro.simulation.config import MAX_EXPECTED_FAILURES, SimulationConfig
 from repro.simulation.results import SimulationResult, WasteBreakdown
-from repro.units import DAY, HOUR
+from repro.units import DAY, HOUR, YEAR
 
 
 # ------------------------------------------------------------------- config
@@ -51,6 +53,18 @@ def test_config_validation(tiny_platform, tiny_classes, tiny_config):
 def test_config_rejects_non_finite_durations(tiny_config, name, value):
     with pytest.raises(ConfigurationError, match=name):
         tiny_config(**{name: value})
+
+
+def test_config_refuses_a_run_expecting_too_many_failures(tiny_config, tiny_platform):
+    # Expected failures = horizon / system MTBF.  The trace is drawn up
+    # front, so an unbounded count fails or exhausts memory before any event.
+    with pytest.raises(ConfigurationError, match=rf"failures .*{MAX_EXPECTED_FAILURES}"):
+        tiny_config(platform=replace(tiny_platform, node_mtbf_s=1e-300 * YEAR))
+    # Built, never simulated: 16 nodes over one day at these node MTBFs.
+    per_failure_s = tiny_config().horizon_s * tiny_platform.num_nodes / MAX_EXPECTED_FAILURES
+    tiny_config(platform=replace(tiny_platform, node_mtbf_s=2.0 * per_failure_s))
+    with pytest.raises(ConfigurationError):
+        tiny_config(platform=replace(tiny_platform, node_mtbf_s=0.5 * per_failure_s))
 
 
 def test_config_variants(tiny_config, tiny_platform):

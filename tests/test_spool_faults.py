@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.distributed import TaskSpec, WorkSpool, fsops
 from repro.distributed.spool import SPOOL_LAYOUT_VERSION, SpoolStatus
 from repro.errors import ConfigurationError
-from repro.exec import ResultCache
+from repro.store import FilesystemStore
 
 
 def _toy_task(seed: int) -> float:
@@ -112,7 +112,7 @@ def test_torn_journal_line_is_invisible_until_completed(tmp_path):
     journal.parent.mkdir()
     journal.write_text(_cache_journal_line(1) + "\n" + _cache_journal_line(2))  # torn
 
-    cache = ResultCache(tmp_path)
+    cache = FilesystemStore(tmp_path)
     assert cache.stats().entries == 1  # a torn append is absent, not an error
 
     with open(journal, "a", encoding="utf-8") as handle:
@@ -128,7 +128,7 @@ def test_garbage_journal_lines_are_skipped(tmp_path):
         + _cache_journal_line(3).encode("utf-8")
         + b"\n"
     )
-    stats = ResultCache(tmp_path).stats()
+    stats = FilesystemStore(tmp_path).stats()
     assert stats.entries == 1 and stats.total_bytes == 64
 
 

@@ -28,8 +28,9 @@ from hypothesis import given, settings, strategies as st
 from repro.distributed import SpoolStatus, TaskSpec, WorkSpool
 from repro.distributed.tasks import SHARD_WIDTH, shard_of
 from repro.errors import SpoolError
-from repro.exec import ParallelRunner, ResultCache
+from repro.exec import ParallelRunner
 from repro.stats.montecarlo import derive_seeds
+from repro.store import FilesystemStore
 
 _HEX = "0123456789abcdef"
 
@@ -218,7 +219,7 @@ def _submitter_poll_cost(root: Path, config, *, done: int) -> int:
     runner = ParallelRunner(
         backend="spool",
         spool_dir=root / "spool",
-        cache_dir=root / "cache",
+        cache=FilesystemStore(root / "cache"),
         spool_poll_s=0.01,
         spool_timeout_s=0.2,
     )
@@ -256,7 +257,7 @@ def test_cache_stats_reads_one_journal_per_shard(tmp_path):
                 }
                 journal.write(json.dumps(record) + "\n")
 
-    cache = ResultCache(tmp_path)
+    cache = FilesystemStore(tmp_path)
     with _counting_fs() as counts:
         stats = cache.stats()
     assert stats.entries == shards * per_shard

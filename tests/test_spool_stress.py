@@ -23,8 +23,9 @@ import time
 import pytest
 
 from repro.distributed import SpoolWorker, WorkSpool, make_task_specs
-from repro.exec import ParallelRunner, ResultCache, WasteRatioTask, config_digest
+from repro.exec import ParallelRunner, WasteRatioTask, config_digest
 from repro.stats.montecarlo import derive_seeds
+from repro.store import FilesystemStore
 
 _WORKERS = 3
 _SEEDS_PER_RUN = 5
@@ -78,7 +79,7 @@ def stress_fleet(fs_faults):
         for index in range(_WORKERS):
             worker = SpoolWorker(
                 WorkSpool(spool_dir, lease_ttl_s=lease_ttl_s),
-                ResultCache(cache_dir),
+                FilesystemStore(cache_dir),
                 worker_id=f"stress-worker-{index}",
                 poll_interval_s=0.01,
                 batch_size=2,
@@ -116,7 +117,7 @@ def test_random_kills_leave_results_bit_identical(
     runner = ParallelRunner(
         backend="spool",
         spool_dir=spool_dir,
-        cache_dir=cache_dir,
+        cache=FilesystemStore(cache_dir),
         spool_poll_s=0.01,
         spool_lease_ttl_s=0.3,
         spool_timeout_s=120.0,
@@ -136,7 +137,7 @@ def test_random_kills_leave_results_bit_identical(
         time.sleep(0.35)  # let the dead worker's lease expire
         sweeper.reclaim_expired()
         SpoolWorker(
-            sweeper, ResultCache(cache_dir), worker_id="janitor", poll_interval_s=0.01
+            sweeper, FilesystemStore(cache_dir), worker_id="janitor", poll_interval_s=0.01
         ).run(drain=True)
         status = sweeper.status()
     assert status.drained and status.failed == 0
@@ -167,7 +168,7 @@ def test_campaign_result_survives_deterministic_mid_batch_kill(
     runner = ParallelRunner(
         backend="spool",
         spool_dir=spool_dir,
-        cache_dir=cache_dir,
+        cache=FilesystemStore(cache_dir),
         spool_poll_s=0.01,
         spool_lease_ttl_s=0.3,
         spool_timeout_s=120.0,

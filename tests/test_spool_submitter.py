@@ -16,8 +16,9 @@ import time
 
 from repro.cli import main
 from repro.distributed import WorkSpool
-from repro.exec import ParallelRunner, ResultCache, config_digest
+from repro.exec import ParallelRunner, config_digest
 from repro.stats.montecarlo import derive_seeds
+from repro.store import FilesystemStore
 
 
 def test_seeds_put_into_the_store_out_of_band_are_delivered(tiny_config, tmp_path):
@@ -30,7 +31,7 @@ def test_seeds_put_into_the_store_out_of_band_are_delivered(tiny_config, tmp_pat
     runner = ParallelRunner(
         backend="spool",
         spool_dir=tmp_path / "spool",
-        cache_dir=tmp_path / "cache",
+        cache=FilesystemStore(tmp_path / "cache"),
         spool_poll_s=0.01,
         spool_timeout_s=60.0,
         progress=events.append,
@@ -44,7 +45,7 @@ def test_seeds_put_into_the_store_out_of_band_are_delivered(tiny_config, tmp_pat
         while not any(tasks.glob("*/*.json")) and time.time() < deadline:
             time.sleep(0.005)
         time.sleep(0.1)
-        store = ResultCache(tmp_path / "cache")
+        store = FilesystemStore(tmp_path / "cache")
         for seed, value in zip(seeds, expected):
             store.put(config_digest(config), config.strategy, seed, value)
 
@@ -72,7 +73,7 @@ def test_the_timeout_counts_from_the_last_delivery(tiny_config, tmp_path):
     runner = ParallelRunner(
         backend="spool",
         spool_dir=tmp_path / "spool",
-        cache_dir=tmp_path / "cache",
+        cache=FilesystemStore(tmp_path / "cache"),
         spool_poll_s=0.01,
         spool_timeout_s=1.0,
         progress=events.append,
@@ -85,7 +86,7 @@ def test_the_timeout_counts_from_the_last_delivery(tiny_config, tmp_path):
         while not any(tasks.glob("*/*.json")) and time.time() < deadline:
             time.sleep(0.005)
         started.append(time.monotonic())
-        store = ResultCache(tmp_path / "cache")
+        store = FilesystemStore(tmp_path / "cache")
         for seed, value in zip(seeds, expected):
             time.sleep(0.1)
             store.put(config_digest(config), config.strategy, seed, value)

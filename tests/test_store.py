@@ -1,8 +1,9 @@
 """The pluggable result-store layer (repro.store).
 
-Contract under test: the ``filesystem`` backend *is* the historical
-``ResultCache`` (same class, same bytes), the ``sqlite`` backend holds the
-same records in one WAL-mode file, ``stats``/``gc`` report identically over
+Contract under test: every backend stores the same entry text through
+one ``put`` (``entry_body``) and reads it through one parser
+(``parse_entry``), the ``sqlite`` backend holds the filesystem layout's
+records in one WAL-mode file, ``stats``/``gc`` report identically over
 either, and ``copy_store`` migrates a cache losslessly in both directions —
 round-tripping filesystem -> SQLite -> filesystem reproduces every entry
 byte-for-byte.
@@ -22,14 +23,15 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.exec.cache import ResultCache
 from repro.exec.digest import DIGEST_VERSION
 from repro.store import (
     DEFAULT_STORE,
     FilesystemStore,
     SqliteStore,
     copy_store,
+    entry_body,
     open_store,
+    parse_entry,
     register_store,
     store_kinds,
 )
@@ -91,11 +93,36 @@ def test_register_store_rejects_duplicates_and_blank_names(tmp_path):
     assert isinstance(open_store("sqlite", tmp_path / "z.sqlite"), SqliteStore)
 
 
-def test_filesystem_store_is_the_result_cache():
-    # Identity by inheritance: the default backend cannot drift from the
-    # cache layout the golden pins verify.
-    assert issubclass(FilesystemStore, ResultCache)
-    assert FilesystemStore.kind == "filesystem"
+# ------------------------------------------------------------------ entries
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        (entry_body(D1, "least-waste", 7, 0.125), (0.125, DIGEST_VERSION)),
+        ('{"value": 0.5}', (0.5, "unversioned")),
+        ("this is not json", (None, "corrupt")),
+        ("[0.5]", (None, "corrupt")),
+        ('{"value": NaN, "version": "2"}', (None, "2")),
+        ('{"version": "1"}', (None, "1")),
+    ],
+    ids=["valid", "unversioned", "not-json", "list", "nan", "no-value"],
+)
+def test_parse_entry(body, expected):
+    assert parse_entry(body) == expected
+
+
+def test_put_stores_the_same_body_through_every_backend(tmp_path):
+    value = 0.1234567890123456789
+    body = entry_body(D1, "least-waste", 7, value)
+    # The entry text every earlier release wrote, key order included.
+    assert body == json.dumps(
+        {"digest": D1, "strategy": "least-waste", "seed": 7, "value": value,
+         "version": DIGEST_VERSION}
+    )
+    for store in (FilesystemStore(tmp_path / "fs"), SqliteStore(tmp_path / "db.sqlite")):
+        store.put(D1, "least-waste", 7, value)
+        assert [r.body for r in store.iter_raw_entries()] == [body]
+        assert store.writes == 1
+        store.close()
 
 
 # ------------------------------------------------------------------ sqlite
@@ -279,10 +306,9 @@ def test_migration_roundtrip_is_byte_identical(tmp_path):
     fs = open_store("filesystem", tmp_path / "fs")
     _fill(fs)
     sq = open_store("sqlite", tmp_path / "db.sqlite")
-    report = copy_store(fs, sq)
-    assert report.entries == 3
+    assert copy_store(fs, sq) == 3
     back = open_store("filesystem", tmp_path / "back")
-    copy_store(sq, back)
+    assert copy_store(sq, back) == 3
 
     assert _records(fs) == _records(sq) == _records(back)
     # Stronger than record equality: the round-tripped directory holds the

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.apps.checkpoint_policy import DalyPolicy, FixedPolicy
 from repro.errors import ConfigurationError
-from repro.exec.cache import ResultCache
 from repro.exec.digest import DIGEST_VERSION, config_digest
 from repro.exec.runner import ParallelRunner
 from repro.iosched.ordered import OrderedScheduler
@@ -42,6 +41,7 @@ from repro.scenarios.presets import mini_apex_workload, mini_cielo_platform
 from repro.scenarios.runner import CampaignRunner
 from repro.scenarios.spec import Scenario
 from repro.simulation.config import SimulationConfig
+from repro.store import FilesystemStore
 from repro.units import DAY
 
 
@@ -236,7 +236,7 @@ def test_legacy_names_keep_seed_digests_and_cache_paths(name, tmp_path):
     digest = config_digest(config)
     assert digest == SEED_DIGESTS[name]
     # The full cache path (shard/digest/strategy/seed) is byte-identical too.
-    cache = ResultCache(tmp_path)
+    cache = FilesystemStore(tmp_path)
     path = cache._entry_path(digest, config.strategy, 7)
     assert path.relative_to(cache.root).as_posix() == (
         f"{SEED_DIGESTS[name][:2]}/{SEED_DIGESTS[name]}/{name}/7.json"
@@ -328,7 +328,7 @@ def test_parameterized_and_custom_strategies_run_on_all_backends(tmp_path, spool
     spool_dir, cache_dir = tmp_path / "spool", tmp_path / "cache"
     with spool_workers(spool_dir, cache_dir, count=2):
         runner = ParallelRunner(
-            backend="spool", spool_dir=spool_dir, cache_dir=cache_dir,
+            backend="spool", spool_dir=spool_dir, cache=FilesystemStore(cache_dir),
             spool_poll_s=0.01, spool_timeout_s=120.0,
         )
         with CampaignRunner(runner=runner) as spool:
@@ -337,7 +337,7 @@ def test_parameterized_and_custom_strategies_run_on_all_backends(tmp_path, spool
 
     # The parameterized cell cached under its canonical spec string.
     config = scenario.config("ordered[policy=fixed,period_s=1800]")
-    cache = ResultCache(cache_dir)
+    cache = FilesystemStore(cache_dir)
     digest = config_digest(config)
     assert cache.probe(digest, config.strategy, _first_seed(scenario)) is not None
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.apps.app_class import ApplicationClass
 from repro.errors import AnalysisError, ConfigurationError
-from repro.exec.cache import ResultCache
 from repro.exec.digest import config_digest
 from repro.exec.runner import ParallelRunner
 from repro.platform.spec import PlatformSpec
@@ -22,6 +21,7 @@ from repro.scenarios.runner import CampaignRunner
 from repro.scenarios.spec import Scenario
 from repro.simulation.simulator import Simulation
 from repro.stats.montecarlo import derive_seeds
+from repro.store import FilesystemStore
 from repro.trace import WasteDecomposition, decomposition_to_csv, drill_down_cell, render_decomposition
 from repro.units import DAY, GB, HOUR
 
@@ -80,7 +80,7 @@ def _components_sum(d: WasteDecomposition) -> float:
 # --------------------------------------------------------------- exactness
 def test_drill_down_reproduces_the_cached_cell_value(tmp_path):
     scenario = _scenario()
-    runner = CampaignRunner(runner=ParallelRunner(cache_dir=tmp_path))
+    runner = CampaignRunner(runner=ParallelRunner(cache=FilesystemStore(tmp_path)))
     outcome = runner.run_scenario(scenario)
 
     for strategy in scenario.strategies:
@@ -128,7 +128,7 @@ def test_contradicted_scalar_entry_fails_loudly(tmp_path):
     change without a DIGEST_VERSION bump) must raise, not silently coexist
     with fresh values in one campaign table."""
     scenario = _scenario(num_runs=1)
-    cache = ResultCache(tmp_path)
+    cache = FilesystemStore(tmp_path)
     config = scenario.config("least-waste")
     seed = derive_seeds(scenario.base_seed, 1)[0]
     first = drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
@@ -148,7 +148,7 @@ def test_drill_takes_the_callers_scenario_label(tmp_path):
     campaign's scenario name must not leak that name into another
     campaign's report."""
     scenario = _scenario(num_runs=1)
-    cache = ResultCache(tmp_path)
+    cache = FilesystemStore(tmp_path)
     config = scenario.config("least-waste")
     seed = derive_seeds(scenario.base_seed, 1)[0]
     drill_down_cell(config, seed, cache=cache, scenario="campaign-a-name")
@@ -221,7 +221,7 @@ def test_drill_down_matches_cells_recorded_by_the_process_backend(tmp_path):
     """The cells a process-pool campaign cached drill to the same bits."""
     scenario = _scenario(num_runs=1)
     with CampaignRunner(
-        runner=ParallelRunner(backend="process", workers=2, cache_dir=tmp_path)
+        runner=ParallelRunner(backend="process", workers=2, cache=FilesystemStore(tmp_path))
     ) as runner:
         runner.run_scenario(scenario)
         decomposition = runner.drill_down(scenario, "least-waste")
@@ -237,7 +237,7 @@ def test_drill_repairs_a_lost_scalar_entry(tmp_path):
     """A drill restores a deleted/corrupt scalar entry, so the next
     campaign run serves the cell as a hit again."""
     scenario = _scenario(num_runs=1)
-    cache = ResultCache(tmp_path)
+    cache = FilesystemStore(tmp_path)
     config = scenario.config("least-waste")
     seed = derive_seeds(scenario.base_seed, 1)[0]
     first = drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
@@ -257,7 +257,7 @@ def test_detailed_drill_reports_cache_provenance(tmp_path):
     from repro.trace import drill_down_cell_detailed
 
     scenario = _scenario(num_runs=1)
-    cache = ResultCache(tmp_path)
+    cache = FilesystemStore(tmp_path)
     config = scenario.config("least-waste")
     seed = derive_seeds(scenario.base_seed, 1)[0]
 
