@@ -33,7 +33,7 @@ from pathlib import Path
 
 from repro.distributed import SpoolWorker, WorkSpool, make_task_specs
 from repro.distributed import fsops
-from repro.exec import ParallelRunner, WasteRatioTask, config_digest
+from repro.exec import ParallelRunner, config_digest
 from repro.scenarios.presets import make_campaign
 from repro.scenarios.runner import CampaignRunner
 from repro.stats.montecarlo import derive_seeds
@@ -178,7 +178,7 @@ def _saturation_cells():
             config = scenario.config(strategy)
             digest = config_digest(config)
             specs = make_task_specs(
-                WasteRatioTask(config), digest, strategy, seeds, chunk_size=1
+                config, digest, strategy, seeds, chunk_size=1
             )
             cells.append((config, digest, strategy, seeds, specs))
     return cells
@@ -222,7 +222,7 @@ def test_bench_spool_saturation_curve(tmp_path):
 
     # Serial ground truth, simulated once: every leg must reproduce it.
     serial = {
-        (digest, strategy): ParallelRunner().run_config(config, seeds)
+        (digest, strategy): ParallelRunner().map_seeds(config, seeds)
         for config, digest, strategy, seeds, _ in cells
     }
 

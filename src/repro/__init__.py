@@ -95,7 +95,7 @@ _exported, __getattr__ = _lazy_exports(globals(), {
     "repro.simulation.simulator": ("Simulation", "run_simulation"),
     # stats
     "repro.stats.summary": ("DistributionSummary", "summarize"),
-    "repro.stats.montecarlo": ("monte_carlo", "derive_seeds"),
+    "repro.stats.montecarlo": ("derive_seeds",),
     # parallel execution
     "repro.exec.runner": ("ParallelRunner",),
     "repro.exec.digest": ("config_digest",),

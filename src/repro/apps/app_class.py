@@ -113,10 +113,6 @@ class ApplicationClass:
         )
 
     # ------------------------------------------------------------ derived
-    def memory_footprint_bytes(self, platform: PlatformSpec) -> float:
-        """Aggregate memory footprint of one job of this class on ``platform``."""
-        return self.nodes * platform.memory_per_node_bytes
-
     def checkpoint_time(self, bandwidth_bytes_per_s: float) -> float:
         """Interference-free checkpoint commit time ``C_i`` at the given bandwidth."""
         if bandwidth_bytes_per_s <= 0.0:

@@ -130,13 +130,6 @@ class Job:
         self._progress_since = None
         return delta
 
-    def sync_progress(self, now: float) -> None:
-        """Fold accumulated progress into ``work_done_s`` without pausing."""
-        if self._progress_since is None:
-            return
-        self.pause_progress(now)
-        self.begin_progress(now)
-
     @property
     def progressing(self) -> bool:
         """True while the job is accumulating work."""
@@ -152,10 +145,6 @@ class Job:
     def remaining_work_at(self, now: float) -> float:
         """Work still to perform at ``now``."""
         return max(0.0, self.total_work_s - self.work_done_at(now))
-
-    def unprotected_work_at(self, now: float) -> float:
-        """Work at risk (done but not yet protected by a completed checkpoint)."""
-        return max(0.0, self.work_done_at(now) - self.work_protected_s)
 
     # ------------------------------------------------------------ checkpoints
     def protect_work(self, amount_s: float) -> None:

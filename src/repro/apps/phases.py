@@ -62,14 +62,3 @@ class IOKind(Enum):
     def is_checkpoint(self) -> bool:
         """True for checkpoint writes (the only kind that may be non-blocking)."""
         return self is IOKind.CHECKPOINT
-
-    @property
-    def counts_as_useful(self) -> bool:
-        """True when the (un-dilated) transfer time counts as useful work.
-
-        Initial input, final output and regular application I/O would be
-        performed even without checkpoint/restart, so their nominal duration
-        is useful; checkpoint and recovery I/O exist only because of
-        resilience and are pure waste.
-        """
-        return self in (IOKind.INPUT, IOKind.OUTPUT, IOKind.REGULAR)

@@ -142,14 +142,6 @@ class LowerBoundResult:
         """
         return self.waste / (1.0 + self.waste)
 
-    def period_for(self, name: str) -> float:
-        """Optimal period of the class called ``name``."""
-        try:
-            index = self.class_names.index(name)
-        except ValueError as exc:
-            raise AnalysisError(f"unknown class {name!r}") from exc
-        return self.periods[index]
-
 
 def _as_arrays(
     classes: Sequence[SteadyStateClass],

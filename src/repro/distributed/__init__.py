@@ -14,7 +14,7 @@ just ``localhost``) is a cluster.
   and batches whose lease expired are reclaimed back into their shards so
   crashed workers never strand work.
 * :class:`~repro.distributed.tasks.TaskSpec` — one spooled unit of work: a
-  picklable per-seed task plus the ``(digest, strategy, seeds)`` triple it
+  configuration, as data, plus the ``(digest, strategy, seeds)`` triple it
   covers, content-addressed so re-submitting after an interruption is
   idempotent.
 * :class:`~repro.distributed.worker.SpoolWorker` — the ``worker`` CLI

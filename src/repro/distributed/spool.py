@@ -24,7 +24,9 @@ workers:
   *one rename claims a whole batch of tasks* — then re-creates the shard
   for submitters and returns up to ``limit`` specs (any excess is handed
   back, so a big shard still spreads across workers).  The rename fails
-  for every process but one, so exactly one worker wins each batch.
+  for every process but one, so exactly one worker wins each batch.  The
+  claimer moves to ``failed/`` every spec it cannot decode, and every spec
+  whose document names a task id other than its file name.
 * **heartbeat** touches the batch's ``.lease.json``; a lease whose mtime is
   older than the TTL its claimer recorded belongs to a crashed (or wedged)
   worker and *any* participant may **reclaim** its tasks back into their
@@ -424,7 +426,12 @@ class WorkSpool:
                 self._move(batch_dir / name, self._shard_path("tasks", task_id))
                 continue
             try:
-                specs.append(TaskSpec.decode(text))
+                spec = TaskSpec.decode(text)
+                if spec.task_id != task_id:
+                    # ack and fail look a spec up by its id: a mismatch
+                    # would be claimed, run and reclaimed forever.
+                    raise SpoolError(f"its task_id {spec.task_id!r} is not its file name")
+                specs.append(spec)
             except SpoolError as exc:
                 self._quarantine(batch_id, task_id, f"corrupt spec: {exc}", worker_id)
         if not specs:
@@ -616,10 +623,6 @@ class WorkSpool:
         return strays
 
     # ------------------------------------------------------------ inspection
-    def is_done(self, task_id: str) -> bool:
-        """True when a completion marker exists for ``task_id`` (O(1))."""
-        return self._exists(self._shard_path("done", task_id))
-
     def has_failed(self, task_id: str) -> bool:
         """True when a failure record exists for ``task_id`` (O(1))."""
         return self._exists(self._shard_path("failed", task_id))
@@ -633,15 +636,6 @@ class WorkSpool:
             return str(record.get("error", "unknown error"))
         except (OSError, json.JSONDecodeError):
             return None
-
-    def failed_ids(self) -> list[str]:
-        """Ids of every task with a failure record, sorted."""
-        ids: list[str] = []
-        for shard in self._shards("failed"):
-            ids.extend(
-                name[: -len(".json")] for name in self._shard_spec_names("failed", shard)
-            )
-        return sorted(ids)
 
     def idle(self) -> bool:
         """True when no task is pending or claimed (cheap drained check:

@@ -74,17 +74,12 @@ class SpoolBackend(ExecutionBackend):
         specs: list[tuple[SeedCell, TaskSpec]] = []
         outstanding: dict[int, tuple[str, str, int]] = {}  # index -> store key
         for cell, entries in batch.by_cell():
-            if cell.cache_key is None:
-                raise ConfigurationError(
-                    "the spool backend requires content-addressed tasks (a cache "
-                    "key); use run_config(), or map_seeds(cache_key=...)"
-                )
             digest, strategy = cell.cache_key
             seeds = [int(entry.seed) for entry in entries]
             specs.extend(
                 (cell, spec)
                 for spec in make_task_specs(
-                    cell.task,
+                    cell.config,
                     digest,
                     strategy,
                     seeds,

@@ -1,35 +1,34 @@
 """Spooled task specifications.
 
-A :class:`TaskSpec` is one unit of distributed work: a picklable per-seed
-task (usually a :class:`~repro.exec.runner.WasteRatioTask`) together with
-the ``(config digest, strategy)`` cache key and the concrete seeds to
+A :class:`TaskSpec` is one unit of distributed work: a
+:class:`~repro.simulation.config.SimulationConfig` together with the
+``(config digest, strategy)`` cache key and the concrete seeds to
 simulate.  ``strategy`` is the *canonical strategy-spec string* (see
 :mod:`repro.iosched.spec`) — parameterized and custom strategies cross the
 spool as plain JSON text, and a worker resolves them through its own
 strategy registry (custom kinds must be registered in the worker process
-too, i.e. the registering module imported).  Specs are *content-addressed*: the task id is a digest of the
-``(digest version, config digest, strategy, seeds)`` tuple, so re-submitting
-the same work after an interruption maps onto the same spool file instead of
-duplicating it, mirroring how the result cache deduplicates values.
+too, i.e. the registering module imported).  Specs are *content-addressed*:
+the task id is a digest of the ``(spec format, digest version, config
+digest, strategy, seeds)`` tuple, so re-submitting the same work after an
+interruption maps onto the same spool file instead of duplicating it,
+mirroring how the result cache deduplicates values.
 
-On disk a spec is a small JSON document.  The callable itself is pickled
-and base64-embedded — workers run the same code base, exactly like the
-``"process"`` backend's pool workers, so pickling is the established
-transport for tasks; everything needed for observability (digest, strategy,
-seeds, label) stays as plain JSON next to it.
+On disk a spec is a small JSON document of data only: the configuration
+travels as :func:`~repro.exec.digest.config_payload`, the mapping its
+digest hashes.  The format is part of every task id, so a spec of an older
+format left in a spool never shadows its replacement.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
-import pickle
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import SpoolError
-from repro.exec.digest import DIGEST_VERSION
+from repro.exec.digest import DIGEST_VERSION, config_from_payload, config_payload
+from repro.simulation.config import SimulationConfig
 
 __all__ = [
     "SPOOL_FORMAT_VERSION",
@@ -43,7 +42,11 @@ __all__ = [
 
 #: Version of the on-disk task-spec format; bump on incompatible changes so
 #: old spool entries are rejected loudly instead of misinterpreted.
-SPOOL_FORMAT_VERSION = "1"
+SPOOL_FORMAT_VERSION = "2"
+
+#: Seeds are 63-bit (:func:`~repro.stats.montecarlo.derive_seeds`), so every
+#: store holds them, SQLite's signed 64-bit INTEGER included.
+_SEED_LIMIT = 2**63
 
 #: Hex characters of a task id that name its directory shard.
 SHARD_WIDTH = 2
@@ -79,10 +82,10 @@ def task_id_for(digest: str, strategy: str, seeds: Sequence[int]) -> str:
 
     The id embeds a human-readable ``<digest prefix>-<strategy>`` head (handy
     when inspecting a spool directory) followed by a hash that pins the exact
-    seed set and the digest-format version.
+    seed set, the digest-format version and the spec format.
     """
     payload = json.dumps(
-        [DIGEST_VERSION, digest, strategy, [int(seed) for seed in seeds]],
+        [SPOOL_FORMAT_VERSION, DIGEST_VERSION, digest, strategy, [int(seed) for seed in seeds]],
         separators=(",", ":"),
     )
     tail = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
@@ -91,18 +94,20 @@ def task_id_for(digest: str, strategy: str, seeds: Sequence[int]) -> str:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One spooled unit of work: simulate ``seeds`` with ``task``.
+    """One spooled unit of work: simulate ``config`` under each of ``seeds``.
 
     ``digest``/``strategy`` form the cache key the worker writes results
-    under; ``label`` is carried for progress/log lines only.
+    under; ``label`` is carried for progress/log lines only, and
+    ``digest_version`` (the payload's ``__version__``) for error messages.
     """
 
-    task: Callable[[int], float]
+    config: SimulationConfig
     digest: str
     strategy: str
     seeds: tuple[int, ...]
     label: str = ""
     task_id: str = field(default="", compare=False)
+    digest_version: str = field(default=DIGEST_VERSION, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", tuple(int(seed) for seed in self.seeds))
@@ -124,7 +129,7 @@ class TaskSpec:
                 "strategy": self.strategy,
                 "seeds": list(self.seeds),
                 "label": self.label,
-                "task": base64.b64encode(pickle.dumps(self.task)).decode("ascii"),
+                "config": config_payload(self.config),
             },
             indent=None,
             separators=(",", ":"),
@@ -134,9 +139,10 @@ class TaskSpec:
     def decode(cls, text: str) -> "TaskSpec":
         """Parse an on-disk JSON document back into a spec.
 
-        Raises :class:`~repro.errors.SpoolError` on malformed documents or a
-        format-version mismatch (a spool shared between incompatible code
-        versions must fail loudly, not silently misinterpret work).
+        Raises :class:`~repro.errors.SpoolError`, and nothing else, on
+        malformed documents, bad seeds or a format-version mismatch (a spool
+        shared between incompatible code versions must fail loudly, not
+        silently misinterpret work).
         """
         try:
             payload = json.loads(text)
@@ -146,23 +152,28 @@ class TaskSpec:
                     f"task spec format {fmt!r} does not match this code's "
                     f"{SPOOL_FORMAT_VERSION!r}"
                 )
-            task = pickle.loads(base64.b64decode(payload["task"]))
+            seeds = payload["seeds"]
+            if not isinstance(seeds, list) or not all(
+                type(seed) is int and 0 <= seed < _SEED_LIMIT for seed in seeds
+            ):
+                raise SpoolError(f"seeds must be integers in [0, 2**63), got {str(seeds):.80}")
             return cls(
-                task=task,
+                config=config_from_payload(payload["config"]),
                 digest=str(payload["digest"]),
                 strategy=str(payload["strategy"]),
-                seeds=tuple(int(seed) for seed in payload["seeds"]),
+                seeds=tuple(seeds),
                 label=str(payload.get("label", "")),
                 task_id=str(payload["task_id"]),
+                digest_version=str(payload["config"].get("__version__")),
             )
         except SpoolError:
             raise
-        except Exception as exc:  # json/pickle/key errors: one failure mode
+        except Exception as exc:  # json/key/config errors, deep nesting: one failure mode
             raise SpoolError(f"corrupt task spec: {exc}") from exc
 
 
 def make_task_specs(
-    task: Callable[[int], float],
+    config: SimulationConfig,
     digest: str,
     strategy: str,
     seeds: Sequence[int],
@@ -185,7 +196,7 @@ def make_task_specs(
         chunk_size = max(1, -(-len(seeds) // SPECS_PER_CELL))
     return [
         TaskSpec(
-            task=task,
+            config=config,
             digest=digest,
             strategy=strategy,
             seeds=tuple(seeds[start : start + chunk_size]),

@@ -5,7 +5,9 @@ daemon.  Each loop iteration claims a *batch* of task specs from the shared
 :class:`~repro.distributed.spool.WorkSpool` (one directory rename claims up
 to ``batch_size`` tasks from a shard), simulates their seeds, writes every
 value into the shared :class:`~repro.store.ResultStore` (the delivery
-channel the submitter polls) and acks each task.  While a batch is in
+channel the submitter polls) and acks each task.  A spec whose
+configuration does not hash to its cache key fails before any seed is
+simulated.  While a batch is in
 flight a background thread heartbeats its lease, so long simulations never
 look abandoned; if the worker dies anyway, the lease expires and a peer
 reclaims the batch.
@@ -36,6 +38,8 @@ from dataclasses import dataclass, field
 from repro.distributed.spool import ClaimedBatch, WorkSpool
 from repro.distributed.tasks import TaskSpec
 from repro.errors import SpoolError
+from repro.exec import digest as exec_digest
+from repro.exec.runner import simulate_waste
 from repro.store.base import ResultStore
 
 __all__ = ["SpoolWorker", "WorkerStats", "default_worker_id"]
@@ -284,12 +288,19 @@ class SpoolWorker:
             seeds=len(spec.seeds),
         )
         try:
+            digest = exec_digest.config_digest(spec.config)
+            if (digest, spec.config.strategy) != (spec.digest, spec.strategy):
+                raise SpoolError(
+                    f"config hashes to {digest} ({spec.config.strategy}) under digest "
+                    f"version {exec_digest.DIGEST_VERSION!r}, not to the key {spec.digest} "
+                    f"({spec.strategy}, version {spec.digest_version!r}); nothing simulated"
+                )
             for seed in spec.seeds:
                 if self.cache.probe(spec.digest, spec.strategy, seed) is not None:
                     # A previous (crashed) attempt already delivered it.
                     self.stats.cache_hits += 1
                     continue
-                value = float(spec.task(seed))
+                value = simulate_waste(spec.config, seed)
                 self.cache.put(spec.digest, spec.strategy, seed, value)
                 self.stats.seeds_simulated += 1
         except MemoryError:

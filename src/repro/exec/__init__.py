@@ -6,9 +6,10 @@ independently seeded initial conditions.  Seed derivation
 depends only on the base seed and ``i``, so repetitions are embarrassingly
 parallel; this package exploits that:
 
-* :class:`~repro.exec.runner.ParallelRunner` — dispatches per-seed tasks
-  through a registry of execution backends: serially (default, bit-identical
-  to the historical code path), on a
+* :class:`~repro.exec.runner.ParallelRunner` — simulates configurations
+  over seeds (:func:`~repro.exec.runner.simulate_waste`) through a
+  registry of execution backends: serially (default, bit-identical to
+  the historical code path), on a
   :class:`concurrent.futures.ProcessPoolExecutor` with chunked seed
   dispatch, or across machines via the ``"spool"`` backend
   (:mod:`repro.distributed`).  New backends plug in through
@@ -18,9 +19,9 @@ parallel; this package exploits that:
   store (:mod:`repro.store`), so re-running a sweep with a larger
   ``num_runs`` only simulates the new seeds.
 
-Every experiment entry point (``monte_carlo``, the campaign engine, the
-figure and ablation modules built on it, and the CLI via ``--workers`` /
-``--cache-dir``) accepts a runner; the default remains fully serial.
+Every experiment entry point (the campaign engine, the figure and ablation
+modules built on it, and the CLI via ``--workers`` / ``--cache-dir``)
+accepts a runner; the default remains fully serial.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from repro.exec.runner import (
     ProgressEvent,
     RunnerStats,
     SeedBatch,
-    WasteRatioTask,
     backend_names,
     register_backend,
+    simulate_waste,
 )
 
 __all__ = [
@@ -46,8 +47,8 @@ __all__ = [
     "ProgressEvent",
     "RunnerStats",
     "SeedBatch",
-    "WasteRatioTask",
     "backend_names",
     "config_digest",
     "register_backend",
+    "simulate_waste",
 ]

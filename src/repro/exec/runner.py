@@ -1,7 +1,8 @@
 """Parallel Monte-Carlo execution.
 
 :class:`ParallelRunner` dispatches the independent repetitions of a
-Monte-Carlo experiment through a pluggable *execution backend*.  Because
+Monte-Carlo experiment through a pluggable *execution backend*: each is
+:func:`simulate_waste` of one configuration under one seed.  Because
 :func:`repro.stats.montecarlo.derive_seeds` makes the i-th seed depend only
 on the base seed and ``i``, repetitions are embarrassingly parallel: a
 backend merely changes *where* each seed is simulated, never *what* is
@@ -12,32 +13,33 @@ Built-in backends (see :data:`BACKENDS`):
 * ``"serial"`` — in-process, the default; bit-identical to the historical
   code path and the reference every other backend is tested against.
 * ``"process"`` — a lazily created :class:`ProcessPoolExecutor` with chunked
-  seed dispatch; tasks must be picklable.
+  seed dispatch.
 * ``"spool"`` — broker-less distributed execution through a filesystem work
   spool (:mod:`repro.distributed`): cache-miss seeds are enqueued as
-  content-addressed task specs, independent ``worker`` processes (possibly
-  on other machines sharing the directory) simulate them into the shared
-  result cache, and the submitter polls the cache until the batch is
-  complete.  Requires ``spool_dir`` and a cache.
+  content-addressed task specs that carry their configuration as data,
+  independent ``worker`` processes (possibly on other machines sharing the
+  directory) simulate them into the shared result cache, and the submitter
+  polls the cache until the batch is complete.  Requires ``spool_dir`` and
+  a cache.
 
 One dispatch path serves every entry point.
-:meth:`ParallelRunner.run_configs` takes many *cells* — one task over its
-own seeds, such as one (scenario, strategy) pair of a campaign — probes
-the optional result store (:class:`repro.store.ResultStore`) for every
-seed of every cell, and hands all remaining seeds to the backend in **one**
-:class:`SeedBatch`.  :meth:`~ParallelRunner.run_config` and
-:meth:`~ParallelRunner.map_seeds` are its one-cell case.  Seeds already
-cached are served from the cache, and seeds of different cells that share
-a ``(config digest, strategy, seed)`` key are simulated once, so growing
-``num_runs`` on an existing sweep only pays for the new seeds.
+:meth:`ParallelRunner.run_configs` takes many *cells* — one configuration
+over its own seeds, such as one (scenario, strategy) pair of a campaign —
+probes the optional result store (:class:`repro.store.ResultStore`) for
+every seed of every cell, and hands all remaining seeds to the backend in
+**one** :class:`SeedBatch`.  :meth:`~ParallelRunner.map_seeds` is its
+one-cell case.  Seeds already cached are served from the cache, and seeds
+of different cells that share a ``(config digest, strategy, seed)`` key
+are simulated once, so growing ``num_runs`` on an existing sweep only pays
+for the new seeds.
 
 **Backend contract.**  New backends plug in through
 :func:`register_backend`: a factory taking the runner and returning an
 :class:`ExecutionBackend`.  Its ``run(batch)`` computes every entry of
 :attr:`SeedBatch.entries` — each carries a batch-wide ``index``, its
-``seed`` and its :class:`SeedCell` (task, label and cache key) — and
-returns ``{index -> value}``.  A backend that only reads
-:attr:`SeedBatch.pending`, the ``(index, seed)`` pairs, works for
+``seed`` and its :class:`SeedCell` (config, label and cache key) — and
+returns ``{index -> simulate_waste(config, seed)}``.  A backend that only
+reads :attr:`SeedBatch.pending`, the ``(index, seed)`` pairs, works for
 one-cell batches.  A backend should hand values to
 :meth:`SeedBatch.deliver` as they finish: the runner writes each value to
 the cache *before* it emits the :class:`ProgressEvent` that counts it, so
@@ -45,11 +47,6 @@ an interrupted campaign keeps every seed it reported.  Values that ``run``
 only returns are delivered when it returns.  Results must be bit-identical
 to the serial backend's, completion may come in any order, and running a
 seed twice must be harmless (recorded in ROADMAP.md).
-
-Tasks submitted to the ``"process"`` and ``"spool"`` backends must be
-picklable — module-level functions or instances of module-level classes such
-as :class:`WasteRatioTask`; lambdas and closures only work on the serial
-backend.
 """
 
 from __future__ import annotations
@@ -81,9 +78,9 @@ __all__ = [
     "RunnerStats",
     "SeedBatch",
     "SeedCell",
-    "WasteRatioTask",
     "backend_names",
     "register_backend",
+    "simulate_waste",
 ]
 
 
@@ -123,45 +120,29 @@ class RunnerStats:
         return replace(self)
 
 
-@dataclass(frozen=True)
-class WasteRatioTask:
-    """Picklable per-seed task: simulate one config variant, return its waste.
-
-    The stored configuration acts as a template; the per-repetition seed is
-    substituted at call time.  Instances are sent to worker processes, so
-    the template must remain picklable (which every
-    :class:`~repro.simulation.config.SimulationConfig` of frozen dataclasses
-    is).
-    """
-
-    config: SimulationConfig
-
-    def __call__(self, seed: int) -> float:
-        return Simulation(self.config.with_seed(seed)).run().waste_ratio
+def simulate_waste(config: SimulationConfig, seed: int) -> float:
+    """The waste ratio of one simulation of ``config`` under ``seed``: the
+    one per-seed task every backend runs."""
+    return float(Simulation(config.with_seed(seed)).run().waste_ratio)
 
 
-def _run_chunk(task: Callable[[int], float], seeds: Sequence[int]) -> list[float]:
-    """Worker-side helper: evaluate ``task`` on a chunk of seeds, in order."""
-    return [float(task(seed)) for seed in seeds]
+def _run_chunk(config: SimulationConfig, seeds: Sequence[int]) -> list[float]:
+    """Pool-worker helper: simulate one chunk of seeds, in order."""
+    return [simulate_waste(config, seed) for seed in seeds]
 
 
 # --------------------------------------------------------------- batches
-#: One cell handed to the dispatch: ``(task, seeds, label, cache key)``.
-Cell = tuple[Callable[[int], float], Sequence[int], str, tuple[str, str] | None]
-
-
 @dataclass(frozen=True, eq=False)
 class SeedCell:
     """The shared part of one cell's batch entries.
 
-    ``cache_key`` is the ``(config digest, strategy)`` pair of the cell, or
-    ``None`` for ad-hoc callables with no content digest.  Cells compare by
-    identity, so they group and key dictionaries cheaply.
+    ``cache_key`` is the ``(config digest, strategy)`` pair of the cell.
+    Cells compare by identity, so they group and key dictionaries cheaply.
     """
 
-    task: Callable[[int], float]
+    config: SimulationConfig
     label: str
-    cache_key: tuple[str, str] | None
+    cache_key: tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -202,7 +183,9 @@ class SeedBatch:
 class _Dispatch:
     """One dispatch: store probes, shared keys, write-back and progress."""
 
-    def __init__(self, runner: "ParallelRunner", cells: Sequence[Cell]) -> None:
+    def __init__(
+        self, runner: "ParallelRunner", cells: Sequence[tuple[SimulationConfig, Sequence[int], str]]
+    ) -> None:
         self.runner = runner
         self.cells: list[SeedCell] = []
         self.spans: list[range] = []  # batch indexes of each cell
@@ -217,15 +200,15 @@ class _Dispatch:
         self.write_back = False
         store = runner.cache
         first: dict[tuple[str, str, int], int] = {}
-        for position, (task, seeds, label, cache_key) in enumerate(cells):
-            cell = SeedCell(task=task, label=label, cache_key=cache_key)
+        for position, (config, seeds, label) in enumerate(cells):
+            digest, strategy = cache_key = (config_digest(config), config.strategy)
+            cell = SeedCell(config=config, label=label, cache_key=cache_key)
             start, hits = len(self.seeds), 0
             for seed in seeds:
                 index = len(self.seeds)
                 self.seeds.append(seed)
                 self.cell_of.append(position)
-                if store is not None and cache_key is not None:
-                    digest, strategy = cache_key
+                if store is not None:
                     value = store.get(digest, strategy, int(seed))
                     if value is not None:
                         self.values[index] = value
@@ -253,9 +236,8 @@ class _Dispatch:
         store = runner.cache
         if self.write_back and store is not None:
             for index, value in fresh.items():
-                cache_key = self.cells[self.cell_of[index]].cache_key
-                if cache_key is not None:
-                    store.put(cache_key[0], cache_key[1], int(self.seeds[index]), value)
+                digest, strategy = self.cells[self.cell_of[index]].cache_key
+                store.put(digest, strategy, int(self.seeds[index]), value)
         touched: set[int] = set()
         for index, value in fresh.items():
             self.values[index] = value
@@ -318,7 +300,7 @@ class SerialBackend(ExecutionBackend):
     def run(self, batch: SeedBatch) -> dict[int, float]:
         computed: dict[int, float] = {}
         for entry in batch.entries:
-            computed[entry.index] = float(entry.cell.task(entry.seed))
+            computed[entry.index] = simulate_waste(entry.cell.config, entry.seed)
             self.runner.stats.tasks_run += 1
             batch.deliver({entry.index: computed[entry.index]})
         return computed
@@ -355,7 +337,7 @@ class ProcessBackend(ExecutionBackend):
             self._pool = ProcessPoolExecutor(max_workers=workers)
         futures = {
             self._pool.submit(
-                _run_chunk, chunk[0].cell.task, [entry.seed for entry in chunk]
+                _run_chunk, chunk[0].cell.config, [entry.seed for entry in chunk]
             ): chunk
             for chunk in chunks
         }
@@ -427,14 +409,13 @@ BACKENDS: tuple[str, ...] = backend_names()
 
 @dataclass
 class ParallelRunner:
-    """Executes per-seed experiment tasks through a pluggable backend.
+    """Simulates configurations over seeds through a pluggable backend.
 
     Attributes
     ----------
     backend:
         Name of a registered execution backend: ``"serial"`` (default; runs
-        in-process, supports arbitrary callables), ``"process"``
-        (ProcessPoolExecutor; tasks must be picklable) or ``"spool"``
+        in-process), ``"process"`` (ProcessPoolExecutor) or ``"spool"``
         (filesystem work spool drained by external workers; requires
         ``spool_dir`` and a cache).
     workers:
@@ -446,7 +427,7 @@ class ParallelRunner:
         or four specs per cell (spool).  A chunk never mixes cells.
     cache:
         Optional result store (e.g. ``open_store(kind, path)``) consulted
-        for cells that provide a cache key.  Mandatory for the spool
+        for every seed of every cell.  Mandatory for the spool
         backend, where it is the channel workers deliver results through.
     spool_dir:
         Work-spool directory shared with the workers (spool backend only).
@@ -514,35 +495,6 @@ class ParallelRunner:
             self._backend_impl = _BACKEND_FACTORIES[self.backend](self)
         return self._backend_impl
 
-    def _dispatch(self, cells: Sequence[Cell]) -> list[list[float]]:
-        """Evaluate every cell with at most one backend call.
-
-        Returns each cell's values in seed order (see the module docstring).
-        """
-        dispatch = _Dispatch(self, cells)
-        if dispatch.entries:
-            backend = self._backend()
-            dispatch.write_back = not backend.persists_results
-            dispatch.deliver(backend.run(SeedBatch(tuple(dispatch.entries), dispatch.deliver)))
-        return dispatch.results()
-
-    def map_seeds(
-        self,
-        task: Callable[[int], float],
-        seeds: Sequence[int],
-        *,
-        label: str = "",
-        cache_key: tuple[str, str] | None = None,
-    ) -> list[float]:
-        """Evaluate ``task(seed)`` for every seed, preserving seed order.
-
-        ``cache_key`` is the ``(config digest, strategy)`` pair under which
-        per-seed values are cached; when omitted (or when the runner has no
-        cache) every seed is simulated.
-        """
-        (values,) = self._dispatch([(task, seeds, label, cache_key)])
-        return values
-
     def run_configs(
         self, cells: Sequence[tuple[SimulationConfig, Sequence[int], str]]
     ) -> list[list[float]]:
@@ -554,19 +506,15 @@ class ParallelRunner:
         normalised), so identical cells across sweeps — including two
         spellings of the same parameterized strategy — share cached values.
         """
-        return self._dispatch(
-            [
-                (WasteRatioTask(config), seeds, label, (config_digest(config), config.strategy))
-                for config, seeds, label in cells
-            ]
-        )
+        dispatch = _Dispatch(self, cells)
+        if dispatch.entries:
+            backend = self._backend()
+            dispatch.write_back = not backend.persists_results
+            dispatch.deliver(backend.run(SeedBatch(tuple(dispatch.entries), dispatch.deliver)))
+        return dispatch.results()
 
-    def run_config(
-        self,
-        config: SimulationConfig,
-        seeds: Sequence[int],
-        *,
-        label: str | None = None,
+    def map_seeds(
+        self, config: SimulationConfig, seeds: Sequence[int], *, label: str | None = None
     ) -> list[float]:
         """Simulate ``config`` once per seed and return the waste ratios.
 

@@ -347,12 +347,6 @@ class StrategySpec:
     def __str__(self) -> str:
         return self.canonical
 
-    def with_params(self, **params: object) -> "StrategySpec":
-        """Copy of this spec with additional/overriding parameters."""
-        merged = dict(self.params)
-        merged.update(params)
-        return StrategySpec(self.kind, tuple(merged.items()))
-
     # ------------------------------------------------------------ parsing
     @classmethod
     def parse(cls, text: str) -> "StrategySpec":

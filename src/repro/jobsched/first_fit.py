@@ -40,25 +40,7 @@ class FirstFitScheduler:
         """Add ``job`` to the pending queue (it is not started yet)."""
         self._queue.push(job)
 
-    def pending_count(self) -> int:
-        """Number of jobs waiting for nodes."""
-        return len(self._queue)
-
     # ------------------------------------------------------------ placement
-    def startable_jobs(self) -> list[Job]:
-        """Jobs the next :meth:`dispatch` call would start, without starting them.
-
-        The computation walks the queue in priority order keeping a running
-        count of hypothetically-free nodes, exactly as :meth:`dispatch` does.
-        """
-        free = self._pool.num_free
-        planned: list[Job] = []
-        for job in self._queue.ordered():
-            if job.nodes <= free:
-                planned.append(job)
-                free -= job.nodes
-        return planned
-
     def dispatch(self, start_job: Callable[[Job, list[int]], None]) -> list[Job]:
         """Start every queued job that fits, in priority order.
 

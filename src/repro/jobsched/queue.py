@@ -57,11 +57,6 @@ class JobQueue:
         """Jobs in scheduling order: priority, then submit time, then id."""
         return sorted(self._jobs.values(), key=lambda j: (j.priority, j.submit_time, j.job_id))
 
-    def peek(self) -> Job | None:
-        """Highest-priority job, or ``None`` when the queue is empty."""
-        order = self.ordered()
-        return order[0] if order else None
-
     def clear(self) -> None:
         """Drop every queued job."""
         self._jobs.clear()

@@ -143,8 +143,6 @@ class IOSubsystem:
         self._last_update = engine.now
         # Aggregate statistics.
         self._busy_seconds = 0.0
-        self._bytes_completed = 0.0
-        self._transfers_completed = 0
         self._max_concurrency = 0
 
     # ------------------------------------------------------------ queries
@@ -152,11 +150,6 @@ class IOSubsystem:
     def bandwidth_bytes_per_s(self) -> float:
         """Nominal aggregate bandwidth ``beta`` (bytes/s)."""
         return self._bandwidth
-
-    @property
-    def interference_model(self) -> InterferenceModel:
-        """The interference model modulating the aggregate throughput."""
-        return self._interference
 
     @property
     def busy(self) -> bool:
@@ -168,16 +161,6 @@ class IOSubsystem:
         """Total time with at least one active transfer (updated lazily)."""
         self._advance_progress()
         return self._busy_seconds
-
-    @property
-    def bytes_completed(self) -> float:
-        """Total volume of completed transfers (bytes)."""
-        return self._bytes_completed
-
-    @property
-    def transfers_completed(self) -> int:
-        """Number of completed transfers."""
-        return self._transfers_completed
 
     @property
     def max_concurrency(self) -> int:
@@ -307,8 +290,6 @@ class IOSubsystem:
         transfer.remaining_bytes = 0.0
         transfer.finished_at = self._engine.now
         self._active.remove(transfer)
-        self._bytes_completed += transfer.volume_bytes
-        self._transfers_completed += 1
         self._reschedule_completion()
         on_complete, transfer.on_complete = transfer.on_complete, None
         if on_complete is not None:

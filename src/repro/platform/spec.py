@@ -70,11 +70,6 @@ class PlatformSpec:
 
     # ------------------------------------------------------------ derived
     @property
-    def total_cores(self) -> int:
-        """Total core count of the platform."""
-        return self.num_nodes * self.cores_per_node
-
-    @property
     def total_memory_bytes(self) -> float:
         """Aggregate main memory of the platform (bytes)."""
         return self.num_nodes * self.memory_per_node_bytes
@@ -83,11 +78,6 @@ class PlatformSpec:
     def system_mtbf_s(self) -> float:
         """Platform-wide MTBF ``mu_ind / N`` (seconds)."""
         return system_mtbf(self.node_mtbf_s, self.num_nodes)
-
-    @property
-    def failure_rate_per_s(self) -> float:
-        """Platform-wide failure rate (failures per second)."""
-        return 1.0 / self.system_mtbf_s
 
     # ------------------------------------------------------------ variants
     def with_bandwidth(self, bandwidth_bytes_per_s: float) -> "PlatformSpec":

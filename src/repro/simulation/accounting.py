@@ -151,22 +151,6 @@ class Accounting:
             if self._job_totals is not None and job is not None:
                 self._job_ledger(job)[category] += nodes * length
 
-    def record_amount(
-        self,
-        category: Category,
-        node_seconds: float,
-        at_time: float,
-        *,
-        job: int | None = None,
-    ) -> None:
-        """Attribute a scalar amount of node-seconds at a given instant."""
-        if node_seconds < 0.0:
-            raise SimulationError("node_seconds must be non-negative")
-        if self.in_window(at_time):
-            self._totals[category] += node_seconds
-            if self._job_totals is not None and job is not None:
-                self._job_ledger(job)[category] += node_seconds
-
     def move_amount(
         self,
         source: Category,

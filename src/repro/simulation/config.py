@@ -167,14 +167,6 @@ class SimulationConfig:
         )
 
     # ------------------------------------------------------------ variants
-    def with_strategy(self, strategy: str | StrategySpec) -> "SimulationConfig":
-        """Copy of this configuration with a different strategy."""
-        return replace(self, strategy=strategy)
-
     def with_seed(self, seed: int | None) -> "SimulationConfig":
         """Copy of this configuration with a different seed."""
         return replace(self, seed=seed)
-
-    def with_platform(self, platform: PlatformSpec) -> "SimulationConfig":
-        """Copy of this configuration with a different platform."""
-        return replace(self, platform=platform)

@@ -55,13 +55,6 @@ class WasteBreakdown:
         return self.io_delay + self.checkpoint + self.checkpoint_wait + self.recovery + self.lost_work
 
     @property
-    def waste_over_useful(self) -> float:
-        """Waste divided by useful work (the per-job waste definition of Eq. (3))."""
-        if self.useful <= 0.0:
-            return float("inf") if self.waste > 0.0 else 0.0
-        return self.waste / self.useful
-
-    @property
     def waste_ratio(self) -> float:
         """Wasted fraction of the accounted resources, ``waste / (useful + waste)``.
 

@@ -164,7 +164,3 @@ class TraceRecorder:
             for job_id in self.job_ids()
             if (intervals := self.checkpoint_intervals(job_id))
         }
-
-    def to_rows(self) -> list[dict]:
-        """All events as flat dictionaries (for CSV/JSON export)."""
-        return [event.as_row() for event in self._events]

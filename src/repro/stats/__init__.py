@@ -2,11 +2,11 @@
 
 * :mod:`repro.stats.summary` — distribution summaries (mean, quartiles and
   deciles) matching the candlestick plots of the paper.
-* :mod:`repro.stats.montecarlo` — repeated evaluation of a stochastic
-  experiment over independent seeds.
+* :mod:`repro.stats.montecarlo` — the per-repetition seeds of a Monte-Carlo
+  sample; :class:`repro.exec.ParallelRunner` simulates a configuration over
+  them.
 """
 
 from repro.stats.summary import DistributionSummary, summarize
-from repro.stats.montecarlo import monte_carlo
 
-__all__ = ["DistributionSummary", "summarize", "monte_carlo"]
+__all__ = ["DistributionSummary", "summarize"]

@@ -1,27 +1,20 @@
-"""Monte-Carlo driver.
+"""Monte-Carlo seeds.
 
 Each experiment of the paper is repeated over many randomly drawn initial
-conditions (job mixes and failure traces); :func:`monte_carlo` runs a
-user-provided experiment function once per derived seed and summarises the
-resulting sample.
-
-Repetitions run through a :class:`repro.exec.ParallelRunner`, serial by
-default; pass one with ``backend="process"`` to dispatch them to worker
-processes.  Because the i-th derived seed depends only on the base seed and
-``i``, every backend returns bit-identical per-seed values and summaries.
+conditions (job mixes and failure traces).  :func:`derive_seeds` turns one
+base seed into the per-repetition seeds; the i-th depends only on the base
+seed and ``i``, so repetitions can run in any order, on any backend of
+:class:`repro.exec.ParallelRunner`, and a sample can grow without changing
+the seeds it already has.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.exec.runner import ParallelRunner
-from repro.stats.summary import DistributionSummary, summarize
 
-__all__ = ["monte_carlo", "derive_seeds", "resolve_base_seed", "DerivedSeeds"]
+__all__ = ["derive_seeds", "resolve_base_seed", "DerivedSeeds"]
 
 
 class DerivedSeeds(list):
@@ -80,37 +73,3 @@ def derive_seeds(base_seed: int | None, num_runs: int) -> DerivedSeeds:
     )
     return seeds
 
-
-def monte_carlo(
-    experiment: Callable[[int], float],
-    *,
-    num_runs: int,
-    base_seed: int | None = None,
-    reduce: Callable[[list[float]], DistributionSummary] = summarize,
-    runner: ParallelRunner | None = None,
-) -> DistributionSummary:
-    """Run ``experiment(seed)`` for ``num_runs`` derived seeds and summarise.
-
-    Parameters
-    ----------
-    experiment:
-        Callable mapping a seed to a scalar metric (e.g. the waste ratio of
-        one simulation run).  Must be picklable (a module-level function or
-        callable instance) when the runner dispatches to other processes.
-    num_runs:
-        Number of repetitions.
-    base_seed:
-        Root seed from which per-run seeds are derived.
-    reduce:
-        Reduction from the list of per-run values to a summary; defaults to
-        :func:`repro.stats.summary.summarize`.
-    runner:
-        The :class:`repro.exec.ParallelRunner` that evaluates the seeds (its
-        backend and worker count); the default is a fresh serial runner.
-        An attached result cache is not consulted here: arbitrary
-        experiment callables have no content digest, so caching applies to
-        :meth:`~repro.exec.ParallelRunner.run_config` and the campaign
-        engine built on it.
-    """
-    runner = runner or ParallelRunner()
-    return reduce(runner.map_seeds(experiment, derive_seeds(base_seed, num_runs)))

@@ -53,6 +53,7 @@ __all__ = [
     "open_store",
     "parse_entry",
     "register_store",
+    "serves_version",
     "store_kinds",
 ]
 
@@ -116,6 +117,19 @@ def entry_body(digest: str, strategy: str, seed: int, value: float) -> str:
             "version": DIGEST_VERSION,
         }
     )
+
+
+def serves_version(version: str) -> bool:
+    """Whether a store read serves an entry stamped with ``version``.
+
+    Only the current digest version and ``"unversioned"`` (entries written
+    before versions were recorded) are served.  Any other version came from
+    code that may simulate differently under the same key, so it reads as a
+    miss: a miss costs one simulation, a hit would be silently wrong.
+    """
+    from repro.exec.digest import DIGEST_VERSION
+
+    return version in (DIGEST_VERSION, "unversioned")
 
 
 def parse_entry(body: str) -> tuple[float | None, str]:

@@ -55,6 +55,7 @@ from repro.store.base import (
     ResultStore,
     parse_entry,
     register_store,
+    serves_version,
 )
 
 __all__ = ["FilesystemStore", "atomic_write_text"]
@@ -180,10 +181,12 @@ class FilesystemStore(ResultStore):
         Corrupt entries never propagate: unreadable files, malformed or
         truncated JSON, wrong payload shapes and non-finite values all
         count as misses, so the seed is re-simulated and the entry
-        rewritten instead of the corruption killing a whole campaign.
+        rewritten instead of the corruption killing a whole campaign.  An
+        entry stamped with another digest version reads as a miss too
+        (:func:`~repro.store.base.serves_version`).
         """
-        value, _ = _read_entry(self._entry_path(digest, strategy, seed))
-        if value is None:
+        value, version = _read_entry(self._entry_path(digest, strategy, seed))
+        if value is None or not serves_version(version):
             self.misses += 1
             return None
         self.hits += 1

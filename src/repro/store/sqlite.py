@@ -45,6 +45,7 @@ from repro.store.base import (
     ResultStore,
     parse_entry,
     register_store,
+    serves_version,
 )
 
 __all__ = ["SCHEMA_VERSION", "SqliteStore"]
@@ -203,14 +204,14 @@ class SqliteStore(ResultStore):
     def get(self, digest: str, strategy: str, seed: int) -> float | None:
         try:
             row = self._connect().execute(
-                "SELECT value FROM entries WHERE digest = ? AND strategy = ? AND seed = ?",
+                "SELECT value, version FROM entries WHERE digest = ? AND strategy = ? AND seed = ?",
                 (digest, strategy, int(seed)),
             ).fetchone()
         except sqlite3.Error:
             # A contended or damaged database reads as a miss, mirroring the
             # filesystem store: the seed is re-simulated, never crashed on.
             row = None
-        if row is None or row[0] is None:
+        if row is None or row[0] is None or not serves_version(str(row[1])):
             self.misses += 1
             return None
         value = float(row[0])

@@ -57,31 +57,11 @@ def petabytes(value: float) -> float:
     return value * PB
 
 
-def gb_per_s(value: float) -> float:
-    """Convert ``value`` GB/s to bytes/s."""
-    return value * GB
-
-
 def to_hours(seconds: float) -> float:
     """Convert seconds to hours."""
     return seconds / HOUR
 
 
-def to_days(seconds: float) -> float:
-    """Convert seconds to days."""
-    return seconds / DAY
-
-
-def to_years(seconds: float) -> float:
-    """Convert seconds to years (365 days)."""
-    return seconds / YEAR
-
-
 def to_gb(nbytes: float) -> float:
     """Convert bytes to gigabytes (1e9 bytes)."""
     return nbytes / GB
-
-
-def to_tb(nbytes: float) -> float:
-    """Convert bytes to terabytes (1e12 bytes)."""
-    return nbytes / TB

@@ -19,7 +19,6 @@ def test_basic_construction_and_derived_quantities(tiny_platform):
         checkpoint_bytes=4 * GB,
         workload_share=0.5,
     )
-    assert app.memory_footprint_bytes(tiny_platform) == pytest.approx(4 * 8 * GB)
     assert app.checkpoint_time(1 * GB) == pytest.approx(4.0)
     assert app.recovery_time(1 * GB) == pytest.approx(4.0)
     assert "demo" in app.describe()
@@ -78,7 +77,7 @@ def test_from_memory_fractions_rejects_oversized_class(tiny_platform):
         ApplicationClass.from_memory_fractions(
             "huge",
             platform=tiny_platform,
-            cores=tiny_platform.total_cores * 2,
+            cores=tiny_platform.num_nodes * tiny_platform.cores_per_node * 2,
             work_s=HOUR,
             input_fraction=0.1,
             output_fraction=0.1,

@@ -56,15 +56,6 @@ def test_negative_progress_interval_rejected(job):
         job.pause_progress(50.0)
 
 
-def test_sync_progress_folds_without_stopping(job):
-    job.begin_progress(0.0)
-    job.sync_progress(30.0)
-    assert job.work_done_s == pytest.approx(30.0)
-    assert job.progressing
-    job.pause_progress(50.0)
-    assert job.work_done_s == pytest.approx(50.0)
-
-
 def test_work_done_is_capped_at_total(job):
     job.begin_progress(0.0)
     assert job.work_done_at(10 * HOUR) == pytest.approx(job.total_work_s)
@@ -81,14 +72,6 @@ def test_protect_work_monotone_and_capped(job):
         job.protect_work(HOUR / 2)
     job.protect_work(100 * HOUR)  # capped at total work
     assert job.work_protected_s == pytest.approx(job.total_work_s)
-
-
-def test_unprotected_work(job):
-    job.begin_progress(0.0)
-    job.pause_progress(HOUR)
-    assert job.unprotected_work_at(HOUR) == pytest.approx(HOUR)
-    job.protect_work(0.5 * HOUR)
-    assert job.unprotected_work_at(HOUR) == pytest.approx(0.5 * HOUR)
 
 
 def test_restart_naming_and_priority(tiny_classes):

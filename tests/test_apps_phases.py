@@ -35,14 +35,6 @@ def test_io_kind_checkpoint_flag():
         assert not kind.is_checkpoint
 
 
-def test_io_kind_usefulness():
-    assert IOKind.INPUT.counts_as_useful
-    assert IOKind.OUTPUT.counts_as_useful
-    assert IOKind.REGULAR.counts_as_useful
-    assert not IOKind.CHECKPOINT.counts_as_useful
-    assert not IOKind.RECOVERY.counts_as_useful
-
-
 def test_enum_values_are_unique_strings():
     values = [state.value for state in JobState]
     assert len(values) == len(set(values))

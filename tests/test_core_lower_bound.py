@@ -109,9 +109,6 @@ def test_platform_lower_bound_reports_daly_periods_and_names():
     assert result.class_names == ("big", "small")
     assert not result.constrained
     assert result.periods == result.daly_periods
-    assert result.period_for("big") == result.periods[0]
-    with pytest.raises(AnalysisError):
-        result.period_for("unknown")
 
 
 def test_lower_bound_decreases_with_bandwidth():

@@ -8,6 +8,7 @@ of those properties, including under deliberate concurrency.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import threading
@@ -18,15 +19,16 @@ import pytest
 from repro.distributed import TaskSpec, WorkSpool, make_task_specs
 from repro.distributed.tasks import SPOOL_FORMAT_VERSION, shard_of, task_id_for
 from repro.errors import ConfigurationError, SpoolError
+from repro.simulation.config import SimulationConfig
+from repro.workloads.apex import apex_workload
+from repro.workloads.cielo import cielo_platform
 
-
-def _toy_task(seed: int) -> float:
-    """Module-level (hence picklable) deterministic toy task."""
-    return float(seed % 11) / 11.0
+#: The config every spec carries; these tests never simulate it.
+_CONFIG = SimulationConfig(platform=cielo_platform(), classes=apex_workload())
 
 
 def _spec(seeds=(1, 2, 3), strategy="least-waste", digest="a" * 64) -> TaskSpec:
-    return TaskSpec(task=_toy_task, digest=digest, strategy=strategy, seeds=seeds)
+    return TaskSpec(config=_CONFIG, digest=digest, strategy=strategy, seeds=seeds)
 
 
 def _queued_path(root, task_id: str):
@@ -65,7 +67,7 @@ def test_task_spec_round_trips_through_json(tmp_path):
     assert decoded.digest == spec.digest
     assert decoded.strategy == spec.strategy
     assert decoded.seeds == spec.seeds
-    assert decoded.task(7) == _toy_task(7)  # the callable survives transport
+    assert decoded.config == spec.config  # the config travels as data
 
 
 def test_task_spec_is_content_addressed():
@@ -86,15 +88,15 @@ def test_task_spec_rejects_garbage_and_version_mismatch():
     with pytest.raises(SpoolError):
         TaskSpec.decode('{"format": "%s"}' % SPOOL_FORMAT_VERSION)  # missing fields
     with pytest.raises(SpoolError):
-        TaskSpec(task=_toy_task, digest="a" * 64, strategy="s", seeds=())
+        TaskSpec(config=_CONFIG, digest="a" * 64, strategy="s", seeds=())
 
 
 def test_make_task_specs_chunking():
-    specs = make_task_specs(_toy_task, "a" * 64, "least-waste", range(10), chunk_size=4)
+    specs = make_task_specs(_CONFIG, "a" * 64, "least-waste", range(10), chunk_size=4)
     assert [list(s.seeds) for s in specs] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
     # Default: about four chunks per batch so one cell spreads across workers.
-    assert len(make_task_specs(_toy_task, "a" * 64, "s" , range(10))) == 4
-    assert make_task_specs(_toy_task, "a" * 64, "s", []) == []
+    assert len(make_task_specs(_CONFIG, "a" * 64, "s" , range(10))) == 4
+    assert make_task_specs(_CONFIG, "a" * 64, "s", []) == []
 
 
 # ------------------------------------------------------------ lifecycle
@@ -139,7 +141,7 @@ def test_fail_records_error_and_resubmission_retries(tmp_path):
     spool.claim("w1")
     spool.fail(spec.task_id, "ValueError: boom", worker_id="w1")
     assert spool.status().failed == 1
-    assert spool.failed_ids() == [spec.task_id]
+    assert spool.has_failed(spec.task_id)
     assert "boom" in spool.failure(spec.task_id)
     assert spool.failure("unknown-task") is None
     # Re-submitting retries: the failure record is cleared.
@@ -172,6 +174,30 @@ def test_corrupt_spec_is_quarantined_not_wedging_the_queue(tmp_path):
     assert claimed == [good.task_id]
     assert spool.status().failed == 1
     assert "corrupt" in spool.failure("00000000-bad-deadbeef")
+
+
+def test_a_spec_naming_another_task_id_is_quarantined_not_run_forever(tmp_path, tiny_config):
+    """ack and fail look a claimed spec up by the id its document names, so
+    a file holding another id could never be acked: it was claimed, run and
+    handed back at every lease expiry.  Its claimer quarantines it."""
+    from repro.distributed import SpoolWorker
+    from repro.exec import config_digest
+    from repro.store import FilesystemStore
+
+    config = tiny_config(horizon_s=0.25 * 86400.0)
+    spec = TaskSpec(
+        config=config, digest=config_digest(config), strategy=config.strategy, seeds=(1,)
+    )
+    path = _queued_path(tmp_path / "spool", spec.task_id)
+    path.parent.mkdir(parents=True)
+    path.write_text(dataclasses.replace(spec, task_id=f"{spec.task_id}-copy").encode())
+    spool = WorkSpool(tmp_path / "spool", lease_ttl_s=0.2)
+    worker = SpoolWorker(
+        spool, FilesystemStore(tmp_path / "cache"), poll_interval_s=0.01, max_tasks=3
+    )
+    assert worker.run(drain=True, idle_timeout_s=2.0).tasks_done == 0
+    assert spool.status().describe() == "0 pending, 0 claimed, 0 done, 1 failed"
+    assert "is not its file name" in spool.failure(spec.task_id)
 
 
 # ------------------------------------------------------------ leases

@@ -8,14 +8,19 @@ seeds are skipped (cache probes), and the submitter never notices.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import os
 import time
 
 import pytest
 
 from repro.distributed import SpoolWorker, WorkSpool, make_task_specs
-from repro.exec import ParallelRunner, WasteRatioTask, config_digest
+from repro.distributed.tasks import shard_of
+from repro.exec import DIGEST_VERSION, ParallelRunner, config_digest, simulate_waste
 from repro.scenarios.campaign import Campaign
+from repro.scenarios.presets import smoke_campaign
 from repro.scenarios.runner import CampaignRunner
 from repro.scenarios.spec import Scenario
 from repro.stats.montecarlo import derive_seeds
@@ -50,7 +55,7 @@ def test_worker_drain_mode_processes_everything_and_exits(tmp_path, tiny_config)
     config = tiny_config(horizon_s=0.25 * 86400.0)
     digest = config_digest(config)
     seeds = derive_seeds(0, 3)
-    for spec in make_task_specs(WasteRatioTask(config), digest, config.strategy, seeds):
+    for spec in make_task_specs(config, digest, config.strategy, seeds):
         spool.enqueue(spec)
 
     worker = SpoolWorker(spool, cache, worker_id="w1", poll_interval_s=0.01)
@@ -75,7 +80,7 @@ def test_worker_idle_timeout_and_max_tasks(tmp_path, tiny_config):
 
     config = tiny_config(horizon_s=0.25 * 86400.0)
     for spec in make_task_specs(
-        WasteRatioTask(config), config_digest(config), config.strategy, derive_seeds(0, 3)
+        config, config_digest(config), config.strategy, derive_seeds(0, 3)
     ):
         spool.enqueue(spec)
     capped = SpoolWorker(spool, cache, poll_interval_s=0.01, max_tasks=2)
@@ -86,31 +91,36 @@ def test_worker_idle_timeout_and_max_tasks(tmp_path, tiny_config):
 def test_worker_records_failure_and_keeps_going(tmp_path, tiny_config):
     spool = WorkSpool(tmp_path / "spool")
     cache = FilesystemStore(tmp_path / "cache")
-    bad = make_task_specs(_always_raises, "b" * 64, "least-waste", [1], chunk_size=1)[0]
+    # One event is too few for any run: simulating it raises SimulationError.
+    doomed = tiny_config(horizon_s=0.25 * 86400.0, max_events=1)
+    bad = make_task_specs(
+        doomed, config_digest(doomed), doomed.strategy, [1], chunk_size=1
+    )[0]
     config = tiny_config(horizon_s=0.25 * 86400.0)
     good = make_task_specs(
-        WasteRatioTask(config), config_digest(config), config.strategy, [7], chunk_size=1
+        config, config_digest(config), config.strategy, [7], chunk_size=1
     )[0]
     spool.enqueue(bad)
     spool.enqueue(good)
     stats = SpoolWorker(spool, cache, poll_interval_s=0.01).run(drain=True)
     assert stats.tasks_failed == 1 and stats.tasks_done == 1
-    assert spool.failed_ids() == [bad.task_id]
-    assert "ValueError" in spool.failure(bad.task_id)  # full remote traceback
+    assert spool.has_failed(bad.task_id) and spool.status().failed == 1
+    assert "SimulationError" in spool.failure(bad.task_id)  # full remote traceback
+    assert cache.probe(bad.digest, bad.strategy, 1) is None
 
 
-def _always_raises(seed: int) -> float:
-    raise ValueError(f"no value for seed {seed}")
-
-
-def test_worker_death_is_not_recorded_as_a_task_failure(tmp_path):
+def test_worker_death_is_not_recorded_as_a_task_failure(tmp_path, tiny_config, monkeypatch):
     """SystemExit (a supervisor stopping the worker) must propagate and leave
     the claim to lease expiry — a failure record would abort the submitter's
     whole batch instead of letting a peer retry."""
     spool = WorkSpool(tmp_path / "spool", lease_ttl_s=0.05)
     cache = FilesystemStore(tmp_path / "cache")
-    spec = make_task_specs(_exits_hard, "c" * 64, "least-waste", [1], chunk_size=1)[0]
+    config = tiny_config(horizon_s=0.25 * 86400.0)
+    spec = make_task_specs(
+        config, config_digest(config), config.strategy, [1], chunk_size=1
+    )[0]
     spool.enqueue(spec)
+    monkeypatch.setattr("repro.distributed.worker.simulate_waste", _exits_hard)
     worker = SpoolWorker(spool, cache, poll_interval_s=0.01)
     with pytest.raises(SystemExit):
         worker.run(drain=True)
@@ -121,7 +131,7 @@ def test_worker_death_is_not_recorded_as_a_task_failure(tmp_path):
     assert spool.reclaim_expired() == [spec.task_id]  # and peers reclaim it
 
 
-def _exits_hard(seed: int) -> float:
+def _exits_hard(config, seed: int) -> float:
     raise SystemExit(1)
 
 
@@ -133,11 +143,11 @@ def test_worker_skips_seeds_a_previous_attempt_already_delivered(tmp_path, tiny_
     digest = config_digest(config)
     seeds = derive_seeds(0, 3)
     spec = make_task_specs(
-        WasteRatioTask(config), digest, config.strategy, seeds, chunk_size=3
+        config, digest, config.strategy, seeds, chunk_size=3
     )[0]
     # A previous attempt delivered the first two seeds before dying.
     for seed in seeds[:2]:
-        cache.put(digest, config.strategy, seed, WasteRatioTask(config)(seed))
+        cache.put(digest, config.strategy, seed, simulate_waste(config, seed))
     spool.enqueue(spec)
     stats = SpoolWorker(spool, cache, poll_interval_s=0.01).run(drain=True)
     assert stats.tasks_done == 1
@@ -166,7 +176,7 @@ def test_crashed_worker_lease_expires_and_campaign_is_bit_identical(
     config = scenario.config(scenario.strategies[0])
     digest = config_digest(config)
     seeds = derive_seeds(scenario.base_seed, scenario.num_runs)
-    for spec in make_task_specs(WasteRatioTask(config), digest, config.strategy, seeds):
+    for spec in make_task_specs(config, digest, config.strategy, seeds):
         assert spool.enqueue(spec)
     doomed = spool.claim("doomed-worker")
     assert doomed is not None
@@ -174,7 +184,7 @@ def test_crashed_worker_lease_expires_and_campaign_is_bit_identical(
         doomed.digest,
         doomed.strategy,
         doomed.seeds[0],
-        WasteRatioTask(config)(doomed.seeds[0]),
+        simulate_waste(config, doomed.seeds[0]),
     )
     past = time.time() - 60.0
     os.utime(_lease_of(spool_dir, doomed.task_id), (past, past))
@@ -212,7 +222,7 @@ def test_interrupted_campaign_resumes_where_it_left_off(
     spool_dir, cache_dir = tmp_path / "spool", tmp_path / "cache"
     # "Interrupted first run": one full strategy cell already in the cache.
     warm = ParallelRunner(cache=FilesystemStore(cache_dir))
-    warm.run_config(
+    warm.map_seeds(
         scenario.config(scenario.strategies[0]),
         derive_seeds(scenario.base_seed, scenario.num_runs),
     )
@@ -229,3 +239,87 @@ def test_interrupted_campaign_resumes_where_it_left_off(
     assert resumed == serial
     assert runner.stats.cache_hits == scenario.num_runs  # first cell replayed
     assert runner.stats.remote_seeds == scenario.num_runs  # second cell spooled
+
+
+# ------------------------------------------------- specs carry data
+def _smoke_cell():
+    """The smoke campaign's first cell: its config and its two seeds."""
+    scenario = smoke_campaign().scenarios()[0]
+    return scenario.config("least-waste"), derive_seeds(scenario.base_seed, scenario.num_runs)
+
+
+def test_worker_refuses_a_config_that_does_not_hash_to_its_key(tmp_path):
+    """A half-horizon config under the smoke cell's key would store wrong
+    values under that key; the worker records a failure naming both digests
+    and simulates nothing."""
+    config, seeds = _smoke_cell()
+    half = dataclasses.replace(config, horizon_s=config.horizon_s / 2)
+    spool = WorkSpool(tmp_path / "spool")
+    cache = FilesystemStore(tmp_path / "cache")
+    (spec,) = make_task_specs(half, config_digest(config), config.strategy, seeds, chunk_size=2)
+    spool.enqueue(spec)
+
+    stats = SpoolWorker(spool, cache, poll_interval_s=0.01).run(drain=True)
+    assert stats.tasks_failed == 1 and stats.seeds_simulated == 0
+    assert spool.status().describe() == "0 pending, 0 claimed, 0 done, 1 failed"
+    failure = spool.failure(spec.task_id)
+    assert config_digest(config) in failure and config_digest(half) in failure
+    assert all(cache.probe(spec.digest, spec.strategy, seed) is None for seed in seeds)
+    assert len(cache) == 0
+
+
+def test_worker_of_another_digest_version_stores_nothing(tmp_path, monkeypatch):
+    """A worker whose DIGEST_VERSION differs from the submitter's computes
+    other digests, so it refuses the spec instead of stamping its values
+    with its own version under the submitter's key."""
+    config, seeds = _smoke_cell()
+    spool = WorkSpool(tmp_path / "spool")
+    cache = FilesystemStore(tmp_path / "cache")
+    (spec,) = make_task_specs(config, config_digest(config), config.strategy, seeds, chunk_size=2)
+    spool.enqueue(spec)
+
+    monkeypatch.setattr("repro.exec.digest.DIGEST_VERSION", "3")
+    stats = SpoolWorker(spool, cache, poll_interval_s=0.01).run(drain=True)
+    assert stats.tasks_failed == 1 and stats.seeds_simulated == 0
+    assert spool.status().failed == 1 and spool.status().drained
+    failure = spool.failure(spec.task_id)
+    assert "digest version '3'" in failure and "version '2')" in failure
+    assert len(cache) == 0
+
+
+def _format_1_task_id(digest: str, strategy: str, seeds) -> str:
+    """The task id format-1 code gave a spec: no spec format in the hash."""
+    payload = json.dumps([DIGEST_VERSION, digest, strategy, list(seeds)], separators=(",", ":"))
+    return f"{digest[:8]}-{strategy}-{hashlib.sha256(payload.encode()).hexdigest()[:16]}"
+
+
+def test_a_format_1_spec_left_pending_neither_runs_nor_blocks_its_cell(
+    tiny_config, tmp_path, spool_workers
+):
+    """After an upgrade, a spec the older code left pending is quarantined
+    with a message naming both formats, and the new submitter's campaign
+    for the same cell completes on its first run."""
+    config = tiny_config(horizon_s=0.25 * 86400.0)
+    digest, seeds = config_digest(config), derive_seeds(0, 2)
+    old_id = _format_1_task_id(digest, config.strategy, seeds)
+    document = {  # as format-1 code wrote it; the pickled task is never read
+        "format": "1", "task_id": old_id, "digest": digest, "strategy": config.strategy,
+        "seeds": list(seeds), "label": config.strategy, "task": "gAROLg==",
+    }
+    spool_dir, cache_dir = tmp_path / "spool", tmp_path / "cache"
+    spool = WorkSpool(spool_dir)
+    (spool_dir / "tasks" / shard_of(old_id)).mkdir()
+    (spool_dir / "tasks" / shard_of(old_id) / f"{old_id}.json").write_text(json.dumps(document))
+
+    runner = ParallelRunner(
+        backend="spool",
+        spool_dir=spool_dir,
+        cache=FilesystemStore(cache_dir),
+        spool_poll_s=0.01,
+        spool_timeout_s=120.0,
+        chunk_size=2,
+    )
+    with spool_workers(spool_dir, cache_dir):
+        assert runner.map_seeds(config, seeds) == ParallelRunner().map_seeds(config, seeds)
+    assert "task spec format '1' does not match this code's '2'" in spool.failure(old_id)
+    assert spool.status().failed == 1 and spool.status().done == 1

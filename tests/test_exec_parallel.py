@@ -4,7 +4,10 @@ The key property: dispatching Monte-Carlo repetitions to worker processes
 or serving them from the on-disk cache never changes a single bit of any
 result.  The equivalence tests below therefore compare full
 :class:`DistributionSummary` dataclasses (exact float equality, not
-``approx``) between the serial path and every other execution mode.
+``approx``) between the serial path and every other execution mode.  Every
+repetition is one simulation of a configuration under one seed
+(:func:`repro.exec.simulate_waste`); a quarter-day toy configuration keeps
+them at a few milliseconds each.
 """
 
 from __future__ import annotations
@@ -16,19 +19,21 @@ from repro.exec import (
     BACKENDS,
     ParallelRunner,
     ProgressEvent,
-    WasteRatioTask,
     config_digest,
+    simulate_waste,
 )
 from repro.scenarios.runner import CampaignRunner
 from repro.scenarios.spec import Scenario
-from repro.stats.montecarlo import derive_seeds, monte_carlo
-from repro.stats.summary import DistributionSummary
+from repro.stats.montecarlo import derive_seeds
+from repro.stats.summary import DistributionSummary, summarize
 from repro.store import FilesystemStore
+from repro.units import DAY
 
 
-def _experiment(seed: int) -> float:
-    """Module-level (hence picklable) toy experiment: a seed-keyed hash."""
-    return float((seed * 2654435761) % 100_003) / 100_003.0
+@pytest.fixture
+def quick_config(tiny_config):
+    """A quarter-day toy configuration: a few milliseconds per seed."""
+    return tiny_config(horizon_s=0.25 * DAY)
 
 
 def _tiny_cell(tiny_platform, tiny_classes, strategy="least-waste", **overrides) -> Scenario:
@@ -89,7 +94,7 @@ def test_runner_refuses_non_finite_spool_durations(name, value):
         ParallelRunner(**{name: value})
 
 
-def test_backend_registry_rejects_duplicates_and_accepts_new_backends():
+def test_backend_registry_rejects_duplicates_and_accepts_new_backends(quick_config):
     from repro.exec import ExecutionBackend, backend_names, register_backend
     from repro.exec.runner import _BACKEND_FACTORIES
 
@@ -106,7 +111,7 @@ def test_backend_registry_rejects_duplicates_and_accepts_new_backends():
     try:
         assert "echo-test" in backend_names()
         runner = ParallelRunner(backend="echo-test")
-        assert runner.map_seeds(_experiment, [3, 14]) == [3.0 % 7, 14.0 % 7]
+        assert runner.map_seeds(quick_config, [3, 14]) == [3.0 % 7, 14.0 % 7]
     finally:
         del _BACKEND_FACTORIES["echo-test"]
 
@@ -114,29 +119,20 @@ def test_backend_registry_rejects_duplicates_and_accepts_new_backends():
 # -------------------------------------------- serial / process equivalence
 @pytest.mark.parametrize("num_runs", [1, 5, 12])
 @pytest.mark.parametrize("workers", [2, 4])
-def test_monte_carlo_process_backend_is_bit_identical(num_runs, workers):
-    serial = monte_carlo(_experiment, num_runs=num_runs, base_seed=7)
+def test_monte_carlo_process_backend_is_bit_identical(num_runs, workers, quick_config):
+    seeds = derive_seeds(7, num_runs)
+    serial = summarize(ParallelRunner().map_seeds(quick_config, seeds))
     with ParallelRunner(backend="process", workers=workers) as runner:
-        parallel = monte_carlo(_experiment, num_runs=num_runs, base_seed=7, runner=runner)
+        parallel = summarize(runner.map_seeds(quick_config, seeds))
     assert serial == parallel  # exact dataclass equality, field by field
 
 
-def test_monte_carlo_runner_argument_overrides_backend():
-    """The runner selects backend and workers: the default is a fresh serial one."""
-    runner = ParallelRunner(backend="serial")
-    summary = monte_carlo(_experiment, num_runs=4, base_seed=1, runner=runner)
-    assert summary == monte_carlo(_experiment, num_runs=4, base_seed=1)
-    assert runner.stats.tasks_run == 4
-    with pytest.raises(TypeError):
-        monte_carlo(_experiment, num_runs=4, backend="process")
-
-
 @pytest.mark.parametrize("chunk_size", [1, 2, 5])
-def test_map_seeds_chunking_preserves_seed_order(chunk_size):
+def test_map_seeds_chunking_preserves_seed_order(chunk_size, quick_config):
     seeds = derive_seeds(3, 7)
-    expected = [_experiment(seed) for seed in seeds]
-    runner = ParallelRunner(backend="process", workers=2, chunk_size=chunk_size)
-    assert runner.map_seeds(_experiment, seeds) == expected
+    expected = [simulate_waste(quick_config, seed) for seed in seeds]
+    with ParallelRunner(backend="process", workers=2, chunk_size=chunk_size) as runner:
+        assert runner.map_seeds(quick_config, seeds) == expected
 
 
 def test_run_cell_process_backend_matches_serial(tiny_platform, tiny_classes):
@@ -205,7 +201,9 @@ def test_config_digest_excludes_seed_and_trace(tiny_config):
 
     traced = dataclasses.replace(config, collect_trace=True)
     assert config_digest(config) == config_digest(traced)
-    assert config_digest(config) != config_digest(config.with_strategy("ordered-daly"))
+    assert config_digest(config) != config_digest(
+        dataclasses.replace(config, strategy="ordered-daly")
+    )
 
 
 def test_result_cache_treats_malformed_entries_as_misses(tmp_path):
@@ -258,12 +256,12 @@ def test_runner_resimulates_and_rewrites_corrupt_entries(tiny_platform, tiny_cla
     assert fresh.stats.tasks_run == 0  # the rewrite stuck
 
 
-def test_process_pool_is_reused_across_batches():
+def test_process_pool_is_reused_across_batches(quick_config):
     with ParallelRunner(backend="process", workers=2) as runner:
-        runner.map_seeds(_experiment, derive_seeds(0, 4))
+        runner.map_seeds(quick_config, derive_seeds(0, 4))
         backend = runner._backend_impl
         first_pool = backend._pool
-        runner.map_seeds(_experiment, derive_seeds(1, 4))
+        runner.map_seeds(quick_config, derive_seeds(1, 4))
         assert first_pool is not None and backend._pool is first_pool
         assert runner._backend_impl is backend  # backend object reused too
     assert runner._backend_impl is None  # context exit shuts the backend down
@@ -387,12 +385,12 @@ def test_progress_events_cover_all_seeds(tiny_platform, tiny_classes, tmp_path):
     assert cached_events[-1].cached == 3
 
 
-def test_progress_events_process_backend():
+def test_progress_events_process_backend(quick_config):
     events: list[ProgressEvent] = []
-    runner = ParallelRunner(
+    with ParallelRunner(
         backend="process", workers=2, chunk_size=2, progress=events.append
-    )
-    runner.map_seeds(_experiment, derive_seeds(0, 6), label="toy")
+    ) as runner:
+        runner.map_seeds(quick_config, derive_seeds(0, 6), label="toy")
     assert events[-1].completed == 6
     assert sorted(e.completed for e in events)[-1] == 6
     assert all(e.label == "toy" for e in events)
@@ -402,7 +400,7 @@ def test_progress_events_process_backend():
 def test_run_config_spool_backend_is_bit_identical(tiny_config, tmp_path, spool_workers):
     config = tiny_config(horizon_s=0.25 * 86400.0)
     seeds = derive_seeds(0, 5)
-    serial = ParallelRunner().run_config(config, seeds)
+    serial = ParallelRunner().map_seeds(config, seeds)
     runner = ParallelRunner(
         backend="spool",
         spool_dir=tmp_path / "spool",
@@ -411,7 +409,7 @@ def test_run_config_spool_backend_is_bit_identical(tiny_config, tmp_path, spool_
         spool_timeout_s=120.0,
     )
     with spool_workers(tmp_path / "spool", tmp_path / "cache", count=2):
-        spooled = runner.run_config(config, seeds)
+        spooled = runner.map_seeds(config, seeds)
     assert spooled == serial  # exact float equality, element by element
     assert runner.stats.tasks_run == 0  # the submitter simulated nothing
     assert runner.stats.remote_seeds == 5
@@ -423,20 +421,12 @@ def test_run_config_spool_backend_is_bit_identical(tiny_config, tmp_path, spool_
         cache=FilesystemStore(tmp_path / "cache"),
         spool_timeout_s=1.0,
     )
-    assert rerun.run_config(config, seeds) == serial
+    assert rerun.map_seeds(config, seeds) == serial
     assert rerun.stats.cache_hits == 5
     assert rerun.stats.remote_seeds == 0
 
 
-def test_spool_backend_requires_content_addressed_tasks(tmp_path):
-    runner = ParallelRunner(
-        backend="spool", spool_dir=tmp_path / "spool", cache=FilesystemStore(tmp_path / "cache")
-    )
-    with pytest.raises(ConfigurationError):
-        runner.map_seeds(_experiment, [1, 2])  # no cache_key -> no content address
-
-
-def test_spool_backend_propagates_remote_failure(tmp_path, spool_workers):
+def test_spool_backend_propagates_remote_failure(tmp_path, spool_workers, tiny_config):
     from repro.errors import SpoolError
 
     runner = ParallelRunner(
@@ -446,14 +436,11 @@ def test_spool_backend_propagates_remote_failure(tmp_path, spool_workers):
         spool_poll_s=0.01,
         spool_timeout_s=60.0,
     )
+    # One event is too few for any run: the worker's simulation raises.
+    doomed = tiny_config(horizon_s=0.25 * DAY, max_events=1)
     with spool_workers(tmp_path / "spool", tmp_path / "cache"):
-        with pytest.raises(SpoolError, match="boom"):
-            runner.map_seeds(_explosive, [1, 2], cache_key=("a" * 64, "least-waste"))
-
-
-def _explosive(seed: int) -> float:
-    """Module-level (picklable) task that always fails on the worker."""
-    raise ValueError(f"boom on seed {seed}")
+        with pytest.raises(SpoolError, match="SimulationError: more than 1 events fired"):
+            runner.map_seeds(doomed, [1, 2])
 
 
 # ------------------------------------------------------------ waste task
@@ -461,9 +448,10 @@ def test_waste_ratio_task_matches_direct_simulation(tiny_config):
     from repro.simulation.simulator import Simulation
 
     config = tiny_config()
-    task = WasteRatioTask(config)
     seed = derive_seeds(0, 1)[0]
-    assert task(seed) == Simulation(config.with_seed(seed)).run().waste_ratio
+    value = simulate_waste(config, seed)
+    assert type(value) is float
+    assert value == Simulation(config.with_seed(seed)).run().waste_ratio
 
 
 def test_atomic_write_text_cleans_up_on_any_exception(tmp_path, monkeypatch):

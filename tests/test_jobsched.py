@@ -27,7 +27,7 @@ def test_queue_orders_by_priority_then_submit_time(tiny_classes):
     for job in (late, early, urgent):
         queue.push(job)
     assert queue.ordered() == [urgent, early, late]
-    assert queue.peek() is urgent
+    assert queue.ordered()[0] is urgent
     assert list(queue) == [urgent, early, late]
     assert len(queue) == 3
     assert early in queue
@@ -43,7 +43,7 @@ def test_queue_push_remove_and_errors(tiny_classes):
     assert len(queue) == 0
     with pytest.raises(SchedulingError):
         queue.remove(job)
-    assert queue.peek() is None
+    assert queue.ordered() == []
     queue.push(job)
     queue.clear()
     assert not queue
@@ -79,7 +79,7 @@ def test_first_fit_starts_jobs_in_priority_order(tiny_classes):
     assert started == [b, a]
     assert pool.num_free == 2
     assert a.allocated_nodes and b.allocated_nodes
-    assert scheduler.pending_count() == 0
+    assert len(scheduler.queue) == 0
 
 
 def test_first_fit_skips_jobs_that_do_not_fit_but_fills_with_smaller_ones(tiny_classes):
@@ -95,19 +95,7 @@ def test_first_fit_skips_jobs_that_do_not_fit_but_fills_with_smaller_ones(tiny_c
     scheduler.dispatch(lambda job, nodes: started.append(job))
     # big starts (4 nodes), one node left: neither big2 nor small fits.
     assert started == [big]
-    assert scheduler.pending_count() == 2
-
-
-def test_startable_jobs_matches_dispatch_plan(tiny_classes):
-    pool = NodePool(6)
-    scheduler = FirstFitScheduler(pool)
-    jobs = [make_job(tiny_classes, 0, priority=0.0), make_job(tiny_classes, 1, priority=1.0)]
-    for job in jobs:
-        scheduler.submit(job)
-    plan = scheduler.startable_jobs()
-    started: list[Job] = []
-    scheduler.dispatch(lambda job, nodes: started.append(job))
-    assert plan == started == jobs
+    assert len(scheduler.queue) == 2
 
 
 def test_dispatch_after_release_starts_waiting_jobs(tiny_classes):
@@ -118,7 +106,7 @@ def test_dispatch_after_release_starts_waiting_jobs(tiny_classes):
     scheduler.submit(first)
     scheduler.submit(second)
     scheduler.dispatch(lambda job, nodes: None)
-    assert scheduler.pending_count() == 1
+    assert len(scheduler.queue) == 1
     pool.release_owner(first)
     started: list[Job] = []
     scheduler.dispatch(lambda job, nodes: started.append(job))
@@ -136,5 +124,5 @@ def test_callback_runs_after_allocation_is_recorded(tiny_classes):
         assert started_job.allocated_nodes == nodes
 
     scheduler.dispatch(check)
-    assert scheduler.queue.peek() is None
+    assert len(scheduler.queue) == 0
     assert scheduler.pool is pool

@@ -42,9 +42,15 @@ def test_capped_model_only_degrades_beyond_the_cap():
 
 
 def test_io_subsystem_defaults_to_linear_model():
+    """Without a model, concurrent transfers conserve the aggregate
+    throughput: four 500 B streams over 100 B/s all end at 20 s."""
     engine = SimulationEngine()
     io = IOSubsystem(engine, bandwidth_bytes_per_s=100.0)
-    assert isinstance(io.interference_model, LinearInterference)
+    finished = []
+    for _ in range(4):
+        io.start(500.0, weight=1.0, on_complete=lambda t: finished.append(engine.now))
+    engine.run()
+    assert finished == [pytest.approx(20.0)] * 4
 
 
 def test_degrading_model_slows_overlapping_transfers():

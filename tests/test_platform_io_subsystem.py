@@ -24,8 +24,6 @@ def test_single_transfer_runs_at_full_bandwidth(engine, io):
     io.start(1000.0, weight=1.0, on_complete=lambda t: done.append(engine.now))
     engine.run()
     assert done == [pytest.approx(10.0)]
-    assert io.bytes_completed == pytest.approx(1000.0)
-    assert io.transfers_completed == 1
 
 
 def test_two_equal_transfers_share_bandwidth_linearly(engine, io):

@@ -24,10 +24,8 @@ def make_spec(**overrides) -> PlatformSpec:
 
 def test_derived_quantities():
     spec = make_spec()
-    assert spec.total_cores == 1600
     assert spec.total_memory_bytes == pytest.approx(3200.0 * GB)
     assert spec.system_mtbf_s == pytest.approx(5.0 * YEAR / 100)
-    assert spec.failure_rate_per_s == pytest.approx(100 / (5.0 * YEAR))
 
 
 def test_with_bandwidth_and_mtbf_return_modified_copies():

@@ -107,7 +107,7 @@ def _check_result(result) -> None:
     assert 0.0 <= result.waste_ratio <= 1.0
     assert 0.0 <= result.efficiency <= 1.0
     assert result.waste_ratio == pytest.approx(1.0 - result.efficiency, abs=1e-12)
-    assert 0.0 <= b.waste_over_useful or b.useful <= 0.0
+    assert b.useful <= 0.0 or b.waste / b.useful >= 0.0
     assert result.node_utilization >= 0.0
 
 

@@ -82,7 +82,7 @@ def test_detail_exposes_the_full_simulation_result(matrix):
     assert detail.strategy == "least-waste"
     assert 0.0 <= detail.waste_ratio <= 1.0
     # The detailed run replays the scenario's first derived seed exactly.
-    values = runner.runner.run_config(
+    values = runner.runner.map_seeds(
         scenario.config("least-waste"),
         derive_seeds(scenario.base_seed, scenario.num_runs),
     )

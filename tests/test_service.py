@@ -89,7 +89,7 @@ def test_job_counters_with_a_pool_and_one_cell_already_stored(tmp_path):
     scenario = campaign.scenarios()[0]
     store = open_store("sqlite", tmp_path / "db.sqlite")
     try:
-        ParallelRunner(cache=store).run_config(
+        ParallelRunner(cache=store).map_seeds(
             scenario.config(scenario.strategies[0]),
             derive_seeds(scenario.base_seed, scenario.num_runs),
         )

@@ -46,11 +46,13 @@ def test_interval_validation():
 
 def test_amounts_only_counted_inside_window():
     accounting = Accounting(100.0, 200.0)
-    accounting.record_amount(Category.LOST_WORK, 40.0, 150.0)
-    accounting.record_amount(Category.LOST_WORK, 40.0, 250.0)
+    accounting.record_interval(Category.COMPUTE, 1.0, 100.0, 200.0)
+    accounting.move_amount(Category.COMPUTE, Category.LOST_WORK, 40.0, 150.0)
+    accounting.move_amount(Category.COMPUTE, Category.LOST_WORK, 40.0, 250.0)
     assert accounting.total(Category.LOST_WORK) == pytest.approx(40.0)
+    assert accounting.total(Category.COMPUTE) == pytest.approx(60.0)
     with pytest.raises(SimulationError):
-        accounting.record_amount(Category.LOST_WORK, -1.0, 150.0)
+        accounting.move_amount(Category.COMPUTE, Category.LOST_WORK, -1.0, 150.0)
 
 
 def test_move_amount_reattributes_between_categories():

@@ -69,10 +69,7 @@ def test_config_refuses_a_run_expecting_too_many_failures(tiny_config, tiny_plat
 
 def test_config_variants(tiny_config, tiny_platform):
     config = tiny_config()
-    assert config.with_strategy("ordered-daly").strategy == "ordered-daly"
     assert config.with_seed(99).seed == 99
-    other_platform = tiny_platform.with_num_nodes(32)
-    assert config.with_platform(other_platform).platform.num_nodes == 32
     spec = config.workload_spec()
     assert spec.min_duration_s == config.horizon_s
     assert spec.classes == config.classes
@@ -98,7 +95,6 @@ def test_breakdown_totals_and_ratios():
     b = make_breakdown()
     assert b.useful == pytest.approx(800.0)
     assert b.waste == pytest.approx(200.0)
-    assert b.waste_over_useful == pytest.approx(0.25)
     assert b.waste_ratio == pytest.approx(0.2)
     assert b.efficiency == pytest.approx(0.8)
 
@@ -110,9 +106,7 @@ def test_breakdown_degenerate_cases():
     )
     assert empty.waste_ratio == 0.0
     assert empty.efficiency == 1.0
-    assert empty.waste_over_useful == 0.0
     pure_waste = make_breakdown(compute=0.0, base_io=0.0)
-    assert pure_waste.waste_over_useful == float("inf")
     assert pure_waste.waste_ratio == pytest.approx(1.0)
 
 

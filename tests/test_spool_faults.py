@@ -27,17 +27,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.distributed import TaskSpec, WorkSpool, fsops
 from repro.distributed.spool import SPOOL_LAYOUT_VERSION, SpoolStatus
+from repro.distributed.tasks import shard_of
 from repro.errors import ConfigurationError
+from repro.simulation.config import SimulationConfig
 from repro.store import FilesystemStore
+from repro.workloads.apex import apex_workload
+from repro.workloads.cielo import cielo_platform
 
-
-def _toy_task(seed: int) -> float:
-    return float(seed % 7) / 7.0
+#: The config every spec carries; these tests never simulate it.
+_CONFIG = SimulationConfig(platform=cielo_platform(), classes=apex_workload())
 
 
 def _spec(seed: int, digest_char: str = "a") -> TaskSpec:
     return TaskSpec(
-        task=_toy_task, digest=digest_char * 64, strategy="least-waste", seeds=(seed,)
+        config=_CONFIG, digest=digest_char * 64, strategy="least-waste", seeds=(seed,)
     )
 
 
@@ -183,7 +186,7 @@ def test_flat_spool_is_migrated_on_open(tmp_path):
     status = spool.status()
     assert status.pending == 2  # the queued task plus the re-queued claim
     assert status.claimed == 0 and status.done == 1
-    assert spool.is_done(finished.task_id)
+    assert (tmp_path / "done" / shard_of(finished.task_id) / f"{finished.task_id}.json").exists()
     assert json.loads((tmp_path / "spool.json").read_text())["layout"] == SPOOL_LAYOUT_VERSION
 
     # Re-opening (or a concurrent second migration) is a no-op.

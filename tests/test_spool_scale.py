@@ -29,8 +29,11 @@ from repro.distributed import SpoolStatus, TaskSpec, WorkSpool
 from repro.distributed.tasks import SHARD_WIDTH, shard_of
 from repro.errors import SpoolError
 from repro.exec import ParallelRunner
+from repro.simulation.config import SimulationConfig
 from repro.stats.montecarlo import derive_seeds
 from repro.store import FilesystemStore
+from repro.workloads.apex import apex_workload
+from repro.workloads.cielo import cielo_platform
 
 _HEX = "0123456789abcdef"
 
@@ -90,10 +93,14 @@ def test_shard_of_is_identical_across_processes(tmp_path):
 
 
 # ------------------------------------------ state directories == history
+#: The config every spec carries; these tests never simulate it.
+_CONFIG = SimulationConfig(platform=cielo_platform(), classes=apex_workload())
+
+
 def _prop_spec(index: int) -> TaskSpec:
     digit = _HEX[index % len(_HEX)]
     return TaskSpec(
-        task=None, digest=digit * 64, strategy="least-waste", seeds=(index,)
+        config=_CONFIG, digest=digit * 64, strategy="least-waste", seeds=(index,)
     )
 
 
@@ -213,7 +220,7 @@ def test_idle_check_ignores_the_done_history(tmp_path):
 
 
 def _submitter_poll_cost(root: Path, config, *, done: int) -> int:
-    """scandir+stat calls of one spool-backend ``run_config`` that no worker
+    """scandir+stat calls of one spool-backend ``map_seeds`` that no worker
     serves, against a spool whose ``done/`` holds ``done`` markers."""
     _synthetic_spool(root / "spool", done=done, done_shards=200)
     runner = ParallelRunner(
@@ -225,7 +232,7 @@ def _submitter_poll_cost(root: Path, config, *, done: int) -> int:
     )
     with _counting_fs() as counts:
         with pytest.raises(SpoolError, match="timed out"):
-            runner.run_config(config, derive_seeds(0, 4))
+            runner.map_seeds(config, derive_seeds(0, 4))
     return counts["scandir"] + counts["stat"]
 
 

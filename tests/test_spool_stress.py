@@ -23,7 +23,7 @@ import time
 import pytest
 
 from repro.distributed import SpoolWorker, WorkSpool, make_task_specs
-from repro.exec import ParallelRunner, WasteRatioTask, config_digest
+from repro.exec import ParallelRunner, config_digest
 from repro.stats.montecarlo import derive_seeds
 from repro.store import FilesystemStore
 
@@ -110,7 +110,7 @@ def test_random_kills_leave_results_bit_identical(
     byte-identical to serial, each spool fully drained."""
     config = tiny_config(horizon_s=_HORIZON_S)
     seeds = derive_seeds(iteration, _SEEDS_PER_RUN)
-    serial = ParallelRunner().run_config(config, seeds)
+    serial = ParallelRunner().map_seeds(config, seeds)
 
     spool_dir, cache_dir = tmp_path / "spool", tmp_path / "cache"
     chooser = KillChooser(seed=1000 + iteration, rate=0.02)
@@ -123,7 +123,7 @@ def test_random_kills_leave_results_bit_identical(
         spool_timeout_s=120.0,
     )
     with stress_fleet(spool_dir, cache_dir, chooser=chooser):
-        spooled = runner.run_config(config, seeds)
+        spooled = runner.map_seeds(config, seeds)
 
     assert spooled == serial  # float-for-float
     assert [repr(v) for v in spooled] == [repr(v) for v in serial]  # byte-level
@@ -187,7 +187,7 @@ def test_concurrent_reclaim_sweeps_grant_each_task_exactly_once(tmp_path, tiny_c
     digest = config_digest(config)
     seeds = derive_seeds(7, 12)
     specs = make_task_specs(
-        WasteRatioTask(config), digest, config.strategy, seeds, chunk_size=1
+        config, digest, config.strategy, seeds, chunk_size=1
     )
     assert spool.enqueue_many(specs) == len(specs)
     claimed = 0

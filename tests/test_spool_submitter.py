@@ -26,7 +26,7 @@ def test_seeds_put_into_the_store_out_of_band_are_delivered(tiny_config, tmp_pat
     straight into the store, and the submitter still returns them."""
     config = tiny_config(horizon_s=0.25 * 86400.0)
     seeds = derive_seeds(0, 3)
-    expected = ParallelRunner().run_config(config, seeds)
+    expected = ParallelRunner().map_seeds(config, seeds)
     events = []
     runner = ParallelRunner(
         backend="spool",
@@ -52,7 +52,7 @@ def test_seeds_put_into_the_store_out_of_band_are_delivered(tiny_config, tmp_pat
     writer = threading.Thread(target=deliver)
     writer.start()
     try:
-        assert runner.run_config(config, seeds) == expected
+        assert runner.map_seeds(config, seeds) == expected
     finally:
         writer.join(timeout=60.0)
     assert not writer.is_alive()
@@ -68,7 +68,7 @@ def test_the_timeout_counts_from_the_last_delivery(tiny_config, tmp_path):
     the 1 s timeout, and the submitter still returns every one of them."""
     config = tiny_config(horizon_s=0.25 * 86400.0)
     seeds = derive_seeds(0, 20)
-    expected = ParallelRunner().run_config(config, seeds)
+    expected = ParallelRunner().map_seeds(config, seeds)
     events = []
     runner = ParallelRunner(
         backend="spool",
@@ -94,7 +94,7 @@ def test_the_timeout_counts_from_the_last_delivery(tiny_config, tmp_path):
     writer = threading.Thread(target=deliver)
     writer.start()
     try:
-        assert runner.run_config(config, seeds) == expected
+        assert runner.map_seeds(config, seeds) == expected
     finally:
         writer.join(timeout=60.0)
     assert not writer.is_alive()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
-from repro.stats.montecarlo import derive_seeds, monte_carlo
+from repro.stats.montecarlo import derive_seeds
 from repro.stats.summary import DistributionSummary, summarize
 
 
@@ -85,30 +85,3 @@ def test_derive_seeds_requires_positive_runs():
     with pytest.raises(AnalysisError):
         derive_seeds(0, 0)
 
-
-def test_monte_carlo_collects_one_value_per_seed():
-    seen: list[int] = []
-
-    def experiment(seed: int) -> float:
-        seen.append(seed)
-        return float(seed % 7)
-
-    summary = monte_carlo(experiment, num_runs=5, base_seed=1)
-    assert summary.n == 5
-    assert len(seen) == 5
-    assert len(set(seen)) == 5
-
-
-def test_monte_carlo_is_reproducible():
-    experiment = lambda seed: float((seed * 2654435761) % 1000)  # noqa: E731
-    a = monte_carlo(experiment, num_runs=4, base_seed=9)
-    b = monte_carlo(experiment, num_runs=4, base_seed=9)
-    assert a == b
-
-
-def test_monte_carlo_custom_reduce():
-    def reduce_to_max(values):
-        return summarize([max(values)])
-
-    summary = monte_carlo(lambda seed: float(seed % 10), num_runs=8, base_seed=2, reduce=reduce_to_max)
-    assert summary.n == 1

@@ -455,3 +455,30 @@ def test_sidecars_written_by_older_versions_are_ignored(tmp_path, capsys, kind):
         conn = sqlite3.connect(str(path))
         assert conn.execute("SELECT COUNT(*) FROM traces").fetchone()[0] == 16
         conn.close()
+
+
+@pytest.mark.parametrize("kind", ["filesystem", "sqlite"])
+def test_an_entry_stamped_with_another_digest_version_is_a_miss(tmp_path, kind, tiny_config):
+    """A value another digest version wrote under a current key may come
+    from a different simulator: reading it as a miss costs one simulation,
+    a hit would be silently wrong.  Entries older than version stamps
+    still hit."""
+    from repro.exec import ParallelRunner, config_digest, simulate_waste
+
+    store = open_store(kind, tmp_path / ("s" if kind == "filesystem" else "s.sqlite"))
+    config = tiny_config(horizon_s=0.25 * 86400.0)
+    digest, strategy = config_digest(config), config.strategy
+    stamped = json.loads(entry_body(digest, strategy, 5, 0.5))
+    stamped["version"] = "3"
+    store.put_raw_entry(digest, strategy, 5, json.dumps(stamped))
+    store.put_raw_entry(digest, strategy, 6, '{"value": 0.25}')  # unversioned
+    assert store.get(digest, strategy, 5) is None
+    assert store.get(digest, strategy, 6) == 0.25
+
+    runner = ParallelRunner(cache=store)
+    assert runner.map_seeds(config, [5, 6]) == [simulate_waste(config, 5), 0.25]
+    assert runner.stats.tasks_run == 1 and runner.stats.cache_hits == 1
+    bodies = {record.seed: record.body for record in store.iter_raw_entries()}
+    assert parse_entry(bodies[5]) == (simulate_waste(config, 5), DIGEST_VERSION)
+    assert store.get(digest, strategy, 5) == simulate_waste(config, 5)
+    store.close()

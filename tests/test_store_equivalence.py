@@ -122,7 +122,7 @@ def test_threaded_writers_never_drop_or_corrupt_entries(tmp_path):
 
 def test_spool_worker_delivers_into_a_sqlite_store(tmp_path, tiny_config):
     from repro.distributed import SpoolWorker, WorkSpool, make_task_specs
-    from repro.exec import WasteRatioTask, config_digest
+    from repro.exec import config_digest, simulate_waste
     from repro.stats.montecarlo import derive_seeds
 
     store = open_store("sqlite", tmp_path / "db.sqlite")
@@ -130,7 +130,7 @@ def test_spool_worker_delivers_into_a_sqlite_store(tmp_path, tiny_config):
     config = tiny_config(horizon_s=0.25 * 86400.0)
     digest = config_digest(config)
     seeds = derive_seeds(0, 4)
-    for spec in make_task_specs(WasteRatioTask(config), digest, config.strategy, seeds):
+    for spec in make_task_specs(config, digest, config.strategy, seeds):
         spool.enqueue(spec)
 
     # The worker drains while submitter-side threads are writing other
@@ -155,6 +155,6 @@ def test_spool_worker_delivers_into_a_sqlite_store(tmp_path, tiny_config):
 
     # And the delivered values are bit-identical to a serial, storeless run.
     for seed in seeds:
-        expected = WasteRatioTask(config)(seed)
+        expected = simulate_waste(config, seed)
         assert repr(store.probe(digest, config.strategy, seed)) == repr(expected)
     store.close()

@@ -104,13 +104,6 @@ def test_spec_params_accept_mapping_and_normalise_order():
     assert a.canonical == "ordered[policy=fixed,period_s=1800]"
 
 
-def test_with_params_merges():
-    base = parse_strategy("ordered[policy=fixed]")
-    tuned = base.with_params(period_s=900)
-    assert tuned.canonical == "ordered[policy=fixed,period_s=900]"
-    assert base.canonical == "ordered-fixed"  # original untouched
-
-
 # ---------------------------------------------------------------- validation
 @pytest.mark.parametrize(
     "bad",

@@ -45,7 +45,7 @@ def test_apex_workload_routine_io_fraction():
 
 def test_cielo_platform_parameters():
     assert CIELO.num_nodes == 8944
-    assert CIELO.total_cores == 143_104
+    assert CIELO.num_nodes * CIELO.cores_per_node == 143_104
     assert CIELO.total_memory_bytes == pytest.approx(286.0 * TB, rel=0.01)
     assert CIELO.io_bandwidth_bytes_per_s == pytest.approx(160.0 * GB)
     custom = cielo_platform(bandwidth_gbs=40.0, node_mtbf_years=10.0)
