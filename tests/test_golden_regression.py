@@ -5,9 +5,11 @@ Cielo configuration for all seven legacy strategies (the four Daly-period
 families and the three fixed-period variants), for two strategies under
 bursty Weibull failures and for one parameterized strategy spec, and for
 two strategies on the prospective 50 000-node platform, where the node
-pool's cost matters.  They exist to make silent behaviour drift
-impossible: any refactor that changes a simulated result — event
-ordering, accounting, RNG consumption, scheduling decisions — fails here.
+pool's cost matters.  Whole 12-seed summaries, every field, pin two
+strategies under three interference models.  They exist to make silent
+behaviour drift impossible: any refactor that changes a simulated result
+— event ordering, accounting, RNG consumption, scheduling decisions,
+summary statistics — fails here.
 
 If a change is *intentional* (a bug fix, a model change), do three things
 in the same commit:
@@ -24,13 +26,14 @@ fails the suite even if the goldens were regenerated.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
 from repro.exec.digest import DIGEST_VERSION
 from repro.iosched.registry import STRATEGIES
 from repro.platform.failures import FailureModel
+from repro.platform.interference import CappedConcurrencyInterference, DegradingInterference
 from repro.scenarios.presets import FAMILY_STRATEGIES, mini_apex_workload, mini_cielo_platform
 from repro.scenarios.runner import CampaignRunner
 from repro.scenarios.spec import Scenario
@@ -78,6 +81,42 @@ GOLDEN_PROSPECTIVE_WASTE = {
     "least-waste": (0.15788002244788257, 0.10659231046747801, 0.20916773442828712),
 }
 
+#: Every field of the waste ratio's DistributionSummary (n, mean, std, min,
+#: d1, q1, median, q3, d9, max), repr-exact, on the golden scenario at 12
+#: seeds: past the 8 values at which numpy's pairwise sum switches to
+#: blocked sums.  Oblivious-Daly is pinned under each interference model of
+#: INTERFERENCE_MODELS; Least-Waste admits one transfer at a time, so it is
+#: pinned once and every model must reproduce it.
+GOLDEN_SUMMARIES = {
+    "oblivious-daly/linear": (
+        12, 0.1065273391836274, 0.05247539828483845, 0.04326893264680174,
+        0.054580363773409316, 0.0698533963485473, 0.09116479609359554,
+        0.13068061904402903, 0.1525161753231234, 0.24271995638571534,
+    ),
+    "oblivious-daly/degrading": (
+        12, 0.2080271255358741, 0.11729367751792844, 0.08004263141253382,
+        0.09087462119689552, 0.13620644846040067, 0.1707234511814691,
+        0.2558071345055337, 0.4031659253495473, 0.45992287112331426,
+    ),
+    "oblivious-daly/capped": (
+        12, 0.11578479137372684, 0.05512080882283681, 0.04272514693981226,
+        0.05786037807076575, 0.07250617555194266, 0.10911078051585518,
+        0.14106794642285175, 0.18289690732352243, 0.24043346444428962,
+    ),
+    "least-waste": (
+        12, 0.09765059666514503, 0.054148954904331595, 0.03280330431536729,
+        0.04075507076935891, 0.06624566597430899, 0.07832888878917725,
+        0.12253538865931131, 0.14211013473096928, 0.23741511915894367,
+    ),
+}
+
+#: The interference models of GOLDEN_SUMMARIES (None is the paper's linear model).
+INTERFERENCE_MODELS = {
+    "linear": None,
+    "degrading": DegradingInterference(alpha=1.0),
+    "capped": CappedConcurrencyInterference(max_streams=2),
+}
+
 
 def golden_scenario() -> Scenario:
     return Scenario(
@@ -116,6 +155,24 @@ def observed_waste(scenario: Scenario) -> dict[str, tuple[float, float, float]]:
     }
 
 
+def observed_summaries() -> dict[str, dict[str, tuple]]:
+    """Whole summaries per interference model, then per strategy."""
+    runner = CampaignRunner()
+    observed = {}
+    for name, model in INTERFERENCE_MODELS.items():
+        scenario = replace(
+            golden_scenario(),
+            strategies=("oblivious-daly", "least-waste"),
+            num_runs=12,
+            interference=model,
+        )
+        outcome = runner.run_scenario(scenario)
+        observed[name] = {
+            strategy: astuple(summary) for strategy, summary in outcome.summaries.items()
+        }
+    return observed
+
+
 def golden_pins() -> dict[str, tuple[Scenario, dict]]:
     """Every pinned scenario with its goldens, keyed by the golden's name."""
     return {
@@ -146,6 +203,11 @@ def print_golden() -> None:  # pragma: no cover - regeneration helper
         print(f"{name}:")
         for strategy, (mean, low, high) in observed_waste(scenario).items():
             print(f'    "{strategy}": ({mean!r}, {low!r}, {high!r}),')
+    observed = observed_summaries()
+    print("GOLDEN_SUMMARIES:")
+    for name in INTERFERENCE_MODELS:
+        print(f'    "oblivious-daly/{name}": {observed[name]["oblivious-daly"]!r},')
+    print(f'    "least-waste": {observed["linear"]["least-waste"]!r},')
 
 
 def assert_matches_goldens(observed: dict, golden: dict) -> None:
@@ -193,6 +255,14 @@ def test_golden_prospective_waste_statistics_are_bit_exact():
     assert_matches_goldens(
         observed_waste(golden_prospective_scenario()), GOLDEN_PROSPECTIVE_WASTE
     )
+
+
+def test_whole_summaries_are_bit_exact_under_every_interference_model():
+    observed = observed_summaries()
+    for name in INTERFERENCE_MODELS:
+        pinned = GOLDEN_SUMMARIES[f"oblivious-daly/{name}"]
+        assert repr(observed[name]["oblivious-daly"]) == repr(pinned), name
+        assert repr(observed[name]["least-waste"]) == repr(GOLDEN_SUMMARIES["least-waste"]), name
 
 
 def test_goldens_preserve_the_papers_strategy_ranking():
