@@ -809,6 +809,9 @@ def _cmd_worker(args: argparse.Namespace) -> str:
         raise ConfigurationError("worker needs --cache-dir: the shared result cache")
     if args.batch_size <= 0:
         raise ConfigurationError("--batch-size must be positive")
+    # A worker exists to simulate: load numpy before it announces itself, so
+    # the import is part of its start-up rather than of its first task.
+    import numpy  # noqa: F401
 
     def _json_event(event: dict) -> None:
         print(json_module.dumps(event, separators=(",", ":")), flush=True)

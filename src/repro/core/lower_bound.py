@@ -28,12 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.daly import young_period
 from repro.core.waste import platform_waste
 from repro.errors import AnalysisError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SteadyStateClass",
@@ -146,6 +148,8 @@ class LowerBoundResult:
 def _as_arrays(
     classes: Sequence[SteadyStateClass],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    import numpy as np
+
     if len(classes) == 0:
         raise AnalysisError("at least one application class is required")
     n = np.array([c.count for c in classes], dtype=float)
@@ -165,6 +169,8 @@ def io_pressure(
     time the file system spends committing checkpoints cannot exceed 1 even
     with a perfect, interference-free schedule.
     """
+    import numpy as np
+
     n, _, ckpt, _ = _as_arrays(classes)
     p = np.asarray(list(periods), dtype=float)
     if p.shape != n.shape:
@@ -184,6 +190,8 @@ def constrained_periods(
 
     With ``lam == 0`` this reduces to the Young/Daly periods.
     """
+    import numpy as np
+
     if lam < 0.0:
         raise AnalysisError("lambda must be non-negative")
     if total_nodes <= 0.0 or mu_ind <= 0.0:

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.core.daly import young_period
 from repro.errors import AnalysisError
 
@@ -111,6 +109,8 @@ def platform_waste(
     mu_ind:
         Individual-node MTBF (seconds).
     """
+    import numpy as np
+
     p = np.asarray(periods, dtype=float)
     c = np.asarray(checkpoint_times, dtype=float)
     r = np.asarray(recovery_times, dtype=float)

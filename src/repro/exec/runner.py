@@ -334,6 +334,10 @@ class ProcessBackend(ExecutionBackend):
         ]
         computed: dict[int, float] = {}
         if self._pool is None:
+            # Load numpy before the pool forks, so every worker inherits it
+            # instead of importing it on its first seed.
+            import numpy  # noqa: F401
+
             self._pool = ProcessPoolExecutor(max_workers=workers)
         futures = {
             self._pool.submit(

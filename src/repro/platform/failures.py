@@ -22,11 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.platform.spec import PlatformSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FAILURE_MODEL_KINDS",
@@ -130,11 +132,15 @@ class FailureTrace:
     @property
     def times(self) -> np.ndarray:
         """Failure instants as a numpy array (seconds)."""
+        import numpy as np
+
         return np.array([e.time for e in self._events], dtype=float)
 
     @property
     def node_ids(self) -> np.ndarray:
         """Failed node ids as a numpy array."""
+        import numpy as np
+
         return np.array([e.node_id for e in self._events], dtype=int)
 
     def empirical_mtbf(self) -> float:

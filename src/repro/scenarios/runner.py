@@ -27,7 +27,7 @@ from repro.scenarios.campaign import Campaign
 from repro.scenarios.spec import Scenario
 from repro.simulation.results import SimulationResult
 from repro.simulation.simulator import Simulation
-from repro.stats.montecarlo import derive_seeds
+from repro.stats.montecarlo import derive_seed, derive_seeds
 from repro.stats.summary import DistributionSummary, summarize
 
 __all__ = ["CampaignResult", "CampaignRunner", "ScenarioOutcome"]
@@ -189,7 +189,7 @@ class CampaignRunner:
                 "needs a concrete base seed to replay a repetition the "
                 "campaign actually measured"
             )
-        seed = derive_seeds(scenario.base_seed, 1)[0]
+        seed = derive_seed(scenario.base_seed, 0)
         return Simulation(scenario.config(strategy).with_seed(seed)).run()
 
     def drill_down(self, scenario: Scenario, strategy: str, rep: int = 0):
@@ -224,7 +224,7 @@ class CampaignRunner:
                 f"runs {scenario.num_runs} repetition(s) (0..{scenario.num_runs - 1})"
             )
         config = scenario.config(strategy)  # validates the strategy too
-        seed = derive_seeds(scenario.base_seed, rep + 1)[rep]
+        seed = derive_seed(scenario.base_seed, rep)
         return drill_down_cell_detailed(
             config, seed, cache=self.runner.cache, scenario=scenario.name
         )

@@ -30,7 +30,7 @@ from repro.platform.failures import FailureModel
 from repro.platform.interference import InterferenceModel
 from repro.platform.spec import PlatformSpec
 from repro.simulation.config import SimulationConfig
-from repro.units import DAY, GB, HOUR, YEAR
+from repro.units import DAY, GB, HOUR, YEAR, is_finite
 
 __all__ = ["MAX_NUM_RUNS", "Scenario", "PLATFORM_OVERRIDES"]
 
@@ -159,7 +159,7 @@ class Scenario:
         # Signs of the other durations are SimulationConfig's to check.
         for key in ("horizon_days", "warmup_days", "cooldown_days", "fixed_period_s"):
             value = getattr(self, key)
-            if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
+            if not isinstance(value, Real) or isinstance(value, bool) or not is_finite(value):
                 raise ConfigurationError(
                     f"scenario {self.name!r}: {key} must be a finite number, got {value!r}"
                 )

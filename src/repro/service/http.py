@@ -344,5 +344,8 @@ class CampaignService(JsonServer):
         raw = handler.rfile.read(length)
         try:
             return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # UnicodeDecodeError, JSONDecodeError and an integer past Python's
+            # digit limit are ValueErrors; RecursionError is nesting deeper
+            # than the decoder recurses.
             raise _HTTPStatus(400, f"body is not valid JSON: {exc}") from None

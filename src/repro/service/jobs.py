@@ -32,6 +32,7 @@ from repro.scenarios.campaign import Campaign
 from repro.scenarios.runner import CampaignResult, CampaignRunner
 from repro.stats.montecarlo import derive_seeds
 from repro.store.base import ResultStore
+from repro.units import is_finite
 
 __all__ = ["CampaignJob", "JobManager", "campaign_from_request", "result_payload"]
 
@@ -57,15 +58,20 @@ def campaign_from_request(body: Mapping) -> Campaign:
             "JSON matrix) or 'toml' (matrix as TOML text)"
         )
     overrides: dict[str, object] = {}
+    # JSON true is not the number 1.
     num_runs = body.get("num_runs")
     if num_runs is not None:
-        if not isinstance(num_runs, int) or num_runs <= 0:
+        if not isinstance(num_runs, int) or isinstance(num_runs, bool) or num_runs <= 0:
             raise ConfigurationError("num_runs must be a positive integer")
         overrides["num_runs"] = num_runs
     horizon_days = body.get("horizon_days")
     if horizon_days is not None:
-        if not isinstance(horizon_days, (int, float)) or horizon_days <= 0:
-            raise ConfigurationError("horizon_days must be a positive number")
+        if (
+            not isinstance(horizon_days, (int, float))
+            or isinstance(horizon_days, bool)
+            or not (horizon_days > 0 and is_finite(horizon_days))
+        ):
+            raise ConfigurationError("horizon_days must be a positive finite number")
         overrides["horizon_days"] = float(horizon_days)
     strategies = body.get("strategies")
     if strategies is not None:
@@ -105,7 +111,9 @@ def campaign_from_request(body: Mapping) -> Campaign:
         raise ConfigurationError("'toml' must be a string (the matrix as TOML text)")
     try:
         data = tomllib.loads(toml_text)
-    except tomllib.TOMLDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # TOMLDecodeError and an integer past Python's digit limit are
+        # ValueErrors; RecursionError is text nested deeper than tomllib recurses.
         raise ConfigurationError(f"cannot parse submitted TOML: {exc}") from exc
     return Campaign.from_mapping(data, source="<submitted toml>")
 

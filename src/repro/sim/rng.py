@@ -6,11 +6,18 @@ so that, e.g., changing how many failures are drawn does not perturb the job
 mix.  :class:`RandomStreams` derives one :class:`numpy.random.Generator` per
 named stream from a single root seed using ``numpy``'s ``SeedSequence``
 spawning, which guarantees independence and reproducibility.
+
+numpy is imported by the methods, not by the module: the simulator is
+imported by every campaign command, but only one that simulates a seed
+creates a family and so loads numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RandomStreams"]
 
@@ -32,6 +39,8 @@ class RandomStreams:
     """
 
     def __init__(self, seed: int | None = None) -> None:
+        import numpy as np
+
         self._seed = seed
         self._root = np.random.SeedSequence(seed)
         self._streams: dict[str, np.random.Generator] = {}
@@ -55,6 +64,8 @@ class RandomStreams:
     def get(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it deterministically."""
         if name not in self._streams:
+            import numpy as np
+
             # Derive a child SeedSequence from the root and the stream name so
             # the stream does not depend on the order streams are requested.
             digest = np.frombuffer(name.encode("utf-8"), dtype=np.uint8)
@@ -67,6 +78,8 @@ class RandomStreams:
 
     def spawn(self, index: int) -> "RandomStreams":
         """Derive an independent child family, e.g. one per Monte-Carlo run."""
+        import numpy as np
+
         entropy = self._root.entropy if self._root.entropy is not None else 0
         child_seed_seq = np.random.SeedSequence(entropy=entropy, spawn_key=(0xC0FFEE, index))
         # Collapse the child sequence to a plain integer seed so the child is

@@ -185,24 +185,3 @@ class Accounting:
         length = self._clip(start, end)
         if length > 0.0:
             self._allocated += nodes * length
-
-    # ------------------------------------------------------------ summaries
-    def useful_node_seconds(self) -> float:
-        """Total useful node-seconds (compute + base I/O, net of moves)."""
-        return sum(v for c, v in self._totals.items() if c.useful)
-
-    def waste_node_seconds(self) -> float:
-        """Total wasted node-seconds."""
-        return sum(v for c, v in self._totals.items() if not c.useful)
-
-    def waste_ratio(self) -> float:
-        """Wasted node-seconds divided by useful node-seconds.
-
-        Returns ``inf`` when no useful work landed inside the window but
-        waste did; 0 when the window is completely empty.
-        """
-        useful = self.useful_node_seconds()
-        waste = self.waste_node_seconds()
-        if useful <= 0.0:
-            return float("inf") if waste > 0.0 else 0.0
-        return waste / useful

@@ -9,7 +9,6 @@ consistency so errors surface before any event is simulated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from numbers import Integral
 
@@ -19,7 +18,7 @@ from repro.iosched.registry import StrategySpec, canonical_strategy
 from repro.platform.failures import FailureModel
 from repro.platform.interference import InterferenceModel
 from repro.platform.spec import PlatformSpec
-from repro.units import DAY, HOUR
+from repro.units import DAY, HOUR, is_finite
 from repro.workloads.generator import WorkloadSpec
 
 __all__ = ["MAX_EXPECTED_FAILURES", "SimulationConfig"]
@@ -102,11 +101,11 @@ class SimulationConfig:
         object.__setattr__(self, "strategy", canonical_strategy(self.strategy))
         for name in ("horizon_s", "fixed_period_s"):
             value = getattr(self, name)
-            if not (value > 0.0) or not math.isfinite(value):
+            if not (value > 0.0) or not is_finite(value):
                 raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
         for name in ("warmup_s", "cooldown_s"):
             value = getattr(self, name)
-            if not (value >= 0.0) or not math.isfinite(value):
+            if not (value >= 0.0) or not is_finite(value):
                 raise ConfigurationError(f"{name} must be non-negative and finite, got {value!r}")
         if self.seed is not None and (
             not isinstance(self.seed, Integral) or isinstance(self.seed, bool) or self.seed < 0

@@ -11,6 +11,8 @@ bytes, PB = 1e15 bytes) is followed; powers of two are not used anywhere.
 
 from __future__ import annotations
 
+import math
+
 # --- time ------------------------------------------------------------------
 SECOND: float = 1.0
 MINUTE: float = 60.0
@@ -25,6 +27,14 @@ MB: float = 1e6
 GB: float = 1e9
 TB: float = 1e12
 PB: float = 1e15
+
+
+def is_finite(value: float) -> bool:
+    """``math.isfinite``, reading an int too large for a float as not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def hours(value: float) -> float:

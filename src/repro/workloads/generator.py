@@ -17,14 +17,16 @@ the job scheduler all at once (arrival order = priority order).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.apps.app_class import ApplicationClass
 from repro.apps.job import Job
 from repro.errors import ConfigurationError
 from repro.platform.spec import PlatformSpec
 from repro.units import DAY
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["WorkloadSpec", "generate_jobs"]
 
@@ -79,6 +81,8 @@ class WorkloadSpec:
     @property
     def normalized_shares(self) -> np.ndarray:
         """Target shares normalized to sum to 1."""
+        import numpy as np
+
         shares = np.array([app.workload_share for app in self.classes], dtype=float)
         return shares / shares.sum()
 
@@ -109,6 +113,8 @@ def generate_jobs(
         Jobs with ``submit_time`` 0 and ``priority`` equal to their position
         in the shuffled arrival order.
     """
+    import numpy as np
+
     targets = spec.normalized_shares
     classes = spec.classes
     for app in classes:

@@ -105,6 +105,7 @@ def _build_every_config(campaign: Campaign) -> None:
     body={"name": "p", "base": "smoke",
           "overrides": {"num_runs": 1, "strategies": ["least-waste"], "node_mtbf_years": 1e-300}}
 )
+@example(body={"name": "fuzz", "base": "smoke", "overrides": {"cooldown_days": 10**400}})
 def test_a_campaign_mapping_builds_every_config_or_is_a_configuration_error(body):
     try:
         _build_every_config(Campaign.from_mapping(body))

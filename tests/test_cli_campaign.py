@@ -145,6 +145,24 @@ def test_cells_sharing_a_store_key_are_simulated_once(
     assert expected in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("huge.json", '{"name": "f", "base": "smoke", "overrides": {"horizon_days": 1%s}}'
+         % ("0" * 400)),
+        ("deep.json", '{"name": "f", "x": %s}' % ("[" * 100_000 + "]" * 100_000)),
+        ("deep.toml", 'name = "f"\nx = %s\n' % ("[" * 100_000 + "]" * 100_000)),
+    ],
+    ids=["huge-integer", "deep-json", "deep-toml"],
+)
+def test_a_hostile_campaign_file_is_a_clean_error(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["campaign", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_campaign_validates_num_runs():
     # Misconfiguration follows the documented contract: exit 2, not 1.
     assert main(["campaign", "--preset", "smoke", "--num-runs", "0"]) == 2

@@ -1,11 +1,12 @@
 """Start-up budget: each command imports only the layers it runs.
 
-scipy serves only the Theorem-1 bound, and the linter, the spool, the HTTP
-service, the drill-down and the figure modules serve only their own
-commands; importing any of them at start-up costs every ``coopckpt``
-process, spool worker and test subprocess.  These checks run in fresh
-interpreters (``PYTHONPATH=src``, every ``REPRO_*`` variable removed) so
-the modules the pytest process already loaded do not mask a regression.
+scipy serves only the Theorem-1 bound, numpy only the commands that
+simulate, and the linter, the spool, the HTTP service, the drill-down and
+the figure modules serve only their own commands; importing any of them at
+start-up costs every ``coopckpt`` process, spool worker and test
+subprocess.  These checks run in fresh interpreters (``PYTHONPATH=src``,
+every ``REPRO_*`` variable removed) so the modules the pytest process
+already loaded do not mask a regression.
 """
 
 from __future__ import annotations
@@ -36,17 +37,44 @@ OPTIONAL = (
 )
 
 #: Runs ``coopckpt ARGS`` and writes the names of the loaded modules to OUT:
-#: ``python -c RUN_CLI block|allow OUT ARGS...``.  ``block`` makes any scipy
-#: import fail, as on a host without scipy.
+#: ``python -c RUN_CLI allow|block|block-numpy OUT ARGS...``.  ``block``
+#: makes any scipy import fail, as on a host without scipy; ``block-numpy``
+#: makes numpy's fail too.
 RUN_CLI = """\
 import json, sys
-if sys.argv[1] == "block":
+if sys.argv[1] != "allow":
     sys.modules["scipy"] = None
+if sys.argv[1] == "block-numpy":
+    sys.modules["numpy"] = None
 import repro.cli
-code = repro.cli.main(sys.argv[3:])
-with open(sys.argv[2], "w") as out:
-    json.dump(sorted(name for name, module in sys.modules.items() if module is not None), out)
+try:
+    code = repro.cli.main(sys.argv[3:])
+finally:
+    with open(sys.argv[2], "w") as out:
+        json.dump(sorted(name for name, module in sys.modules.items() if module is not None), out)
 sys.exit(code)
+"""
+
+#: Runs ``coopckpt ARGS`` and reports on stderr whether numpy was loaded when
+#: the CLI created its process pool and when it printed a ``start`` event.
+PROBE_NUMPY = """\
+import io, sys
+from concurrent.futures import ProcessPoolExecutor
+import repro.cli
+
+create_pool = ProcessPoolExecutor.__init__
+def probe_pool(self, *args, **kwargs):
+    print("pool: numpy", "numpy" in sys.modules, file=sys.stderr)
+    create_pool(self, *args, **kwargs)
+ProcessPoolExecutor.__init__ = probe_pool
+
+class Stdout(io.StringIO):
+    def write(self, text):
+        if '"event":"start"' in text:
+            print("start: numpy", "numpy" in sys.modules, file=sys.stderr)
+        return super().write(text)
+sys.stdout = Stdout()
+sys.exit(repro.cli.main(sys.argv[1:]))
 """
 
 #: ``lower-bound --bandwidth-gbs 20`` at the commit that made scipy lazy: the
@@ -110,6 +138,64 @@ def test_campaign_cold_and_warm_run_without_scipy(tmp_path):
         assert sorted(loaded.intersection(OPTIONAL)) == [], run
         assert (tmp_path / f"{run}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert ", 0 simulation(s)" in child.stdout
+
+
+def test_import_cli_loads_no_numpy():
+    assert "numpy" not in _loaded_after("import repro.cli")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--help"], ["strategies"], ["cache", "stats", "--cache-dir", "."],
+     ["worker", "--spool", ".", "--status"]],
+    ids=["help", "strategies", "cache-stats", "worker-status"],
+)
+def test_commands_that_simulate_nothing_run_without_numpy(tmp_path, args):
+    child, loaded = _cli(tmp_path, "block-numpy", *args)
+    assert child.returncode == 0, child.stderr
+    assert "numpy" not in loaded
+
+
+def test_a_warm_campaign_replays_without_numpy(tmp_path):
+    cache = str(tmp_path / "cache")
+    cold, loaded = _cli(
+        tmp_path, "allow", "campaign", "--preset", "smoke", "--cache-dir", cache,
+        "--csv", "cold.csv",
+    )
+    assert cold.returncode == 0, cold.stderr
+    assert "numpy" in loaded
+    warm, loaded = _cli(
+        tmp_path, "block-numpy", "campaign", "--preset", "smoke", "--cache-dir", cache,
+        "--csv", "warm.csv",
+    )
+    assert warm.returncode == 0, warm.stderr
+    assert ", 0 simulation(s)" in warm.stdout
+    assert "numpy" not in loaded
+    assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+
+def test_a_worker_loads_numpy_before_it_starts(tmp_path):
+    child, loaded = _cli(
+        tmp_path, "allow", "worker", "--spool", "spool", "--cache-dir", "cache", "--drain",
+        "--quiet",
+    )
+    assert child.returncode == 0, child.stderr
+    assert "numpy" in loaded
+    child = _python(
+        "-c", PROBE_NUMPY, "worker", "--spool", "spool", "--cache-dir", "cache", "--drain",
+        "--log-json", cwd=tmp_path,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == "start: numpy True\n"
+
+
+def test_the_process_pool_loads_numpy_before_it_forks(tmp_path):
+    child = _python(
+        "-c", PROBE_NUMPY, "campaign", "--preset", "smoke", "--num-runs", "1",
+        "--horizon-days", "0.25", "--workers", "2", cwd=tmp_path,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == "pool: numpy True\n"
 
 
 def test_worker_metrics_endpoint_loads_the_server_without_the_job_layer(tmp_path):

@@ -338,6 +338,29 @@ def test_sizes_over_the_bounds_are_a_400_at_submit(service):
     assert service.manager.jobs() == []
 
 
+def test_huge_numbers_and_deep_nesting_are_a_400_at_submit(service):
+    """Bodies that used to answer 500: an int too large for a float, a
+    boolean read as one day, and documents nested past the parser's depth."""
+    deep = "[" * 300_000 + "]" * 300_000
+    for payload in [
+        {"campaign": {**TOY_MATRIX, "overrides": {"horizon_days": 10**400}}},
+        {"campaign": {**TOY_MATRIX, "overrides": {"cooldown_days": 10**400}}},
+        {"preset": "smoke", "horizon_days": 10**400},
+        {"preset": "smoke", "horizon_days": True},
+        {"preset": "smoke", "num_runs": True},
+        {"toml": f'name = "deep"\nx = {deep}\n'},
+    ]:
+        code, body = _expect_error(
+            service, "/v1/jobs", method="POST", data=json.dumps(payload).encode()
+        )
+        assert code == 400, (str(payload)[:80], body)
+    code, body = _expect_error(
+        service, "/v1/jobs", method="POST", data=f'{{"campaign": {deep}}}'.encode()
+    )
+    assert code == 400 and "not valid JSON" in body["error"]
+    assert service.manager.jobs() == []
+
+
 def test_campaign_from_request_validates_shapes():
     with pytest.raises(ConfigurationError, match="exactly one campaign source"):
         campaign_from_request({"preset": "smoke", "toml": "x"})

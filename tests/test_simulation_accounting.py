@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simulation.accounting import Accounting, Category
+from repro.simulation.results import WasteBreakdown
 
 
 def test_window_properties():
@@ -73,17 +74,18 @@ def test_useful_waste_split_and_ratio():
     accounting.record_interval(Category.CHECKPOINT, 1.0, 700.0, 800.0)
     accounting.record_interval(Category.RECOVERY, 1.0, 800.0, 850.0)
     accounting.record_interval(Category.IO_DELAY, 1.0, 850.0, 900.0)
-    assert accounting.useful_node_seconds() == pytest.approx(700.0)
-    assert accounting.waste_node_seconds() == pytest.approx(200.0)
-    assert accounting.waste_ratio() == pytest.approx(200.0 / 700.0)
+    breakdown = WasteBreakdown.from_accounting(accounting)
+    assert breakdown.useful == pytest.approx(700.0)
+    assert breakdown.waste == pytest.approx(200.0)
+    assert breakdown.waste_ratio == pytest.approx(200.0 / 900.0)
 
 
 def test_waste_ratio_degenerate_cases():
     empty = Accounting(0.0, 10.0)
-    assert empty.waste_ratio() == 0.0
+    assert WasteBreakdown.from_accounting(empty).waste_ratio == 0.0
     only_waste = Accounting(0.0, 10.0)
     only_waste.record_interval(Category.CHECKPOINT, 1.0, 0.0, 5.0)
-    assert only_waste.waste_ratio() == float("inf")
+    assert WasteBreakdown.from_accounting(only_waste).waste_ratio == 1.0
 
 
 def test_allocation_tracking():

@@ -49,7 +49,9 @@ def test_config_validation(tiny_platform, tiny_classes, tiny_config):
 
 
 @pytest.mark.parametrize("name", ["horizon_s", "warmup_s", "cooldown_s", "fixed_period_s"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="huge-int")]
+)
 def test_config_rejects_non_finite_durations(tiny_config, name, value):
     with pytest.raises(ConfigurationError, match=name):
         tiny_config(**{name: value})
