@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 from repro.errors import AnalysisError
+from repro.units import is_finite
 
 __all__ = [
     "job_mtbf",
@@ -31,7 +32,7 @@ __all__ = [
 
 
 def _check_positive(name: str, value: float) -> None:
-    if not (value > 0.0) or not math.isfinite(value):
+    if not (value > 0.0) or not is_finite(value):
         raise AnalysisError(f"{name} must be a positive finite number, got {value!r}")
 
 

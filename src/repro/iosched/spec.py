@@ -121,7 +121,7 @@ class ParamSpec:
                 coerced = int(value)
             else:
                 coerced = str(value).strip().lower()
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an int too large for a float
             raise ConfigurationError(
                 f"{context}: parameter {self.name!r} expects a "
                 f"{self.type.__name__}, got {value!r}"

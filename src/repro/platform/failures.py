@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.platform.spec import PlatformSpec
+from repro.units import is_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,7 +74,7 @@ class FailureModel:
                 f"unknown failure model {self.kind!r}; "
                 f"expected one of {', '.join(FAILURE_MODEL_KINDS)}"
             )
-        if not (math.isfinite(self.shape) and self.shape > 0.0):
+        if not (is_finite(self.shape) and self.shape > 0.0):
             raise ConfigurationError("failure model shape must be positive and finite")
         if self.kind == "exponential" and self.shape != 1.0:
             raise ConfigurationError(

@@ -22,11 +22,11 @@ remains proportional to the transfer weights, as in the paper.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.units import is_finite
 
 __all__ = [
     "InterferenceModel",
@@ -76,7 +76,7 @@ class DegradingInterference(InterferenceModel):
     name = "degrading"
 
     def __post_init__(self) -> None:
-        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
+        if not (self.alpha >= 0.0 and is_finite(self.alpha)):
             raise ConfigurationError(
                 f"DegradingInterference.alpha must be finite and >= 0, got {self.alpha!r}"
             )

@@ -9,12 +9,11 @@ defined in :mod:`repro.workloads`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from repro.core.daly import system_mtbf
 from repro.errors import ConfigurationError
-from repro.units import GB, YEAR, to_gb, to_hours
+from repro.units import GB, YEAR, is_finite, to_gb, to_hours
 
 __all__ = ["MAX_NUM_NODES", "PlatformSpec"]
 
@@ -65,7 +64,7 @@ class PlatformSpec:
             raise ConfigurationError("cores_per_node must be positive")
         for name in ("memory_per_node_bytes", "io_bandwidth_bytes_per_s", "node_mtbf_s"):
             value = getattr(self, name)
-            if not (value > 0.0) or not math.isfinite(value):
+            if not (value > 0.0) or not is_finite(value):
                 raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
 
     # ------------------------------------------------------------ derived

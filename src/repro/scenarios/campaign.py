@@ -284,9 +284,9 @@ class Campaign:
                     data = tomllib.load(handle)
         except OSError as exc:
             raise ConfigurationError(f"cannot read campaign file {path}: {exc}") from exc
-        except (json.JSONDecodeError, ValueError, RecursionError) as exc:
-            # tomllib.TOMLDecodeError subclasses ValueError; RecursionError
-            # is a document nested deeper than the parser recurses.
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError and tomllib.TOMLDecodeError subclass ValueError;
+            # RecursionError is a document nested deeper than the parser recurses.
             raise ConfigurationError(f"cannot parse campaign file {path}: {exc}") from exc
         if not isinstance(data, Mapping):
             raise ConfigurationError(f"campaign file {path} must contain a table/object at top level")

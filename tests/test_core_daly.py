@@ -78,3 +78,5 @@ def test_non_finite_inputs_rejected():
         daly.young_period(float("nan"), 100.0)
     with pytest.raises(AnalysisError):
         daly.young_period(100.0, float("inf"))
+    with pytest.raises(AnalysisError):  # too large for a float
+        daly.young_period(10**400, 100.0)

@@ -147,8 +147,8 @@ def test_import_cli_loads_no_numpy():
 @pytest.mark.parametrize(
     "args",
     [["--help"], ["strategies"], ["cache", "stats", "--cache-dir", "."],
-     ["worker", "--spool", ".", "--status"]],
-    ids=["help", "strategies", "cache-stats", "worker-status"],
+     ["worker", "--spool", ".", "--status"], ["lint"]],
+    ids=["help", "strategies", "cache-stats", "worker-status", "lint"],
 )
 def test_commands_that_simulate_nothing_run_without_numpy(tmp_path, args):
     child, loaded = _cli(tmp_path, "block-numpy", *args)
@@ -175,12 +175,8 @@ def test_a_warm_campaign_replays_without_numpy(tmp_path):
 
 
 def test_a_worker_loads_numpy_before_it_starts(tmp_path):
-    child, loaded = _cli(
-        tmp_path, "allow", "worker", "--spool", "spool", "--cache-dir", "cache", "--drain",
-        "--quiet",
-    )
-    assert child.returncode == 0, child.stderr
-    assert "numpy" in loaded
+    # The spool is empty: the worker simulates nothing, yet announces itself
+    # with numpy loaded.
     child = _python(
         "-c", PROBE_NUMPY, "worker", "--spool", "spool", "--cache-dir", "cache", "--drain",
         "--log-json", cwd=tmp_path,

@@ -34,6 +34,8 @@ def test_failure_model_rejects_unknown_kind_and_bad_shape():
         FailureModel(kind="weibull", shape=0.0)
     with pytest.raises(ConfigurationError):
         FailureModel(kind="weibull", shape=float("inf"))
+    with pytest.raises(ConfigurationError):  # too large for a float
+        FailureModel(kind="weibull", shape=10**400)
     # Exponential has no shape knob; forcing shape==1 keeps equal models equal.
     with pytest.raises(ConfigurationError):
         FailureModel(kind="exponential", shape=2.0)

@@ -30,6 +30,8 @@ def test_degrading_model_reduces_throughput_with_concurrency():
     assert DegradingInterference(alpha=0.0).effective_bandwidth(100.0, 7) == 100.0
     with pytest.raises(ConfigurationError):
         DegradingInterference(alpha=-0.1)
+    with pytest.raises(ConfigurationError):  # too large for a float
+        DegradingInterference(alpha=10**400)
 
 
 def test_capped_model_only_degrades_beyond_the_cap():

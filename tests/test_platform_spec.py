@@ -66,7 +66,9 @@ def test_node_count_is_bounded():
 @pytest.mark.parametrize(
     "name", ["memory_per_node_bytes", "io_bandwidth_bytes_per_s", "node_mtbf_s"]
 )
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="huge-int")]
+)
 def test_non_finite_parameters_rejected(name, value):
     with pytest.raises(ConfigurationError, match=name):
         make_spec(**{name: value})

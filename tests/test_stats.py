@@ -42,8 +42,9 @@ def test_summarize_mean_clamped_into_sample_range():
 def test_summarize_rejects_bad_input():
     with pytest.raises(AnalysisError):
         summarize([])
-    with pytest.raises(AnalysisError):
-        summarize([1.0, float("nan")])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(AnalysisError):
+            summarize([1.0, bad])
 
 
 def test_summary_as_dict_and_format():

@@ -353,7 +353,7 @@ def test_resolved_spec_distinguishes_period_variants():
 
 
 def test_non_finite_param_values_are_rejected():
-    for bad in ("nan", "inf", "-inf", float("nan"), float("inf")):
+    for bad in ("nan", "inf", "-inf", float("nan"), float("inf"), 10**400):
         with pytest.raises(ConfigurationError):
             parse_strategy(f"ordered[policy=fixed,period_s={bad}]")
         with pytest.raises(ConfigurationError):
