@@ -1,10 +1,12 @@
-"""Byte pins of the figure and ablation commands, and of the store keys they write.
+"""Byte pins of the figure, ablation and drill-down commands, and of the store keys they write.
 
 Each case runs in-process at miniature settings with a fresh ``--cache-dir``
 and compares, byte for byte, up to four outputs with golden files under
 ``tests/golden/``: stdout (the temporary directory replaced by ``<tmp>``),
 the CSV and JSON exports where the command writes them, and the sorted
-``(digest, strategy, seed)`` keys of the store.  A changed cache key therefore fails the test even when
+``(digest, strategy, seed)`` keys of the store.  The drill-down cases pin
+one smoke cell drilled cold (``trace``), drilled warm after its campaign
+(``campaign --best-summary``), and its ``/trace`` payload.  A changed cache key therefore fails the test even when
 the printed numbers agree.
 
 Regenerate the goldens (only after a change that is meant to move them, with
@@ -48,9 +50,17 @@ CLI_CASES: dict[str, list[str]] = {
         "ablation", "--study", "interference", "--num-runs", "2", "--horizon-days", "0.5",
         "--alphas", "0", "0.5",
     ],
+    "drilldown-smoke": [
+        "trace", "--campaign", "smoke", "--scenario", "io=1,mtbf=short",
+        "--strategy", "least-waste", "--seed", "0", "--csv", "{tmp}/out.csv",
+    ],
+    "campaign-best-summary": [
+        "campaign", "--preset", "smoke", "--num-runs", "1", "--horizon-days", "0.25",
+        "--best-summary", "--csv", "{tmp}/out.csv",
+    ],
 }
 
-CASES = (*CLI_CASES, "figure3")
+CASES = (*CLI_CASES, "figure3", "drilldown-payload")
 
 
 def _store_keys(cache_dir: Path) -> str:
@@ -85,8 +95,26 @@ def _run_figure3(tmp: Path) -> dict[str, str]:
     return {"stdout.txt": render_figure3(result) + "\n", "csv": figure3_to_csv(result)}
 
 
+def _run_drilldown_payload(tmp: Path) -> dict[str, str]:
+    """The ``drilldown-smoke`` cell's payload, encoded as ``GET /v1/jobs/<id>/trace`` sends it."""
+    import json
+
+    from repro.scenarios.presets import make_campaign
+    from repro.scenarios.runner import CampaignRunner
+
+    (scenario,) = [s for s in make_campaign("smoke").scenarios() if s.name == "io=1,mtbf=short"]
+    runner = CampaignRunner(runner=ParallelRunner(cache=FilesystemStore(tmp / "cache")))
+    payload = runner.drill_down(scenario, "least-waste", 0).to_payload()
+    return {"json": json.dumps(payload, indent=2) + "\n"}
+
+
 def _outputs(case: str, tmp: Path) -> dict[str, str]:
-    outputs = _run_figure3(tmp) if case == "figure3" else _run_cli(case, tmp)
+    if case == "figure3":
+        outputs = _run_figure3(tmp)
+    elif case == "drilldown-payload":
+        outputs = _run_drilldown_payload(tmp)
+    else:
+        outputs = _run_cli(case, tmp)
     outputs["keys.txt"] = _store_keys(tmp / "cache")
     return outputs
 
