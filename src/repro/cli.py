@@ -755,10 +755,10 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
             # does not declare, which Scenario.config() would reject.
             if best is None or best not in outcome.scenario.strategies:
                 continue
-            detail = runner.detail(outcome.scenario, best)
+            drill = runner.drill_down(outcome.scenario, best)
             parts.append("")
             parts.append(f"--- {outcome.scenario.name} / {best} (first seed) ---")
-            parts.append(detail.summary())
+            parts.append(drill.result.summary())
     if args.cache_dir is not None and runner.runner.cache is not None:
         stats = runner.runner.stats
         remote = f", {stats.remote_seeds} remote seed(s)" if stats.remote_seeds else ""
@@ -1048,9 +1048,8 @@ def _cmd_trace_cell(args: argparse.Namespace) -> str:
     # _runner_from_args registers the runner on args so main()'s finally
     # block closes any backend it grows (the no-orphaned-workers guarantee).
     runner = CampaignRunner(runner=_runner_from_args(args))
-    drill = runner.drill_down_detailed(scenario, strategy, rep=args.seed)
-    decomposition = drill.decomposition
-    parts = [render_decomposition(decomposition)]
+    drill = runner.drill_down(scenario, strategy, rep=args.seed)
+    parts = [render_decomposition(drill)]
     if runner.runner.cache is not None:
         # A pre-drill recorded value implies repr-exact agreement (the drill
         # raises on contradiction); only then is a match claimed — CI greps
@@ -1058,18 +1057,18 @@ def _cmd_trace_cell(args: argparse.Namespace) -> str:
         # self-confirm (e.g. through a typo'd --cache-dir).
         if drill.recorded_value is not None:
             parts.append(
-                f"components sum to {decomposition.waste_ratio!r} — "
+                f"components sum to {drill.result.waste_ratio!r} — "
                 "matches the cached cell value"
             )
         else:
             parts.append(
-                f"components sum to {decomposition.waste_ratio!r} "
+                f"components sum to {drill.result.waste_ratio!r} "
                 "(cell was not in the cache before; its value is now stored)"
             )
     if args.csv:
         from repro.experiments.export import write_text
 
-        path = write_text(args.csv, decomposition_to_csv(decomposition))
+        path = write_text(args.csv, decomposition_to_csv(drill))
         parts.append(f"wrote {path}")
     return "\n".join(parts)
 

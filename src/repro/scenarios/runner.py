@@ -20,15 +20,17 @@ their content-addressed spool entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.exec.runner import ParallelRunner
 from repro.scenarios.campaign import Campaign
 from repro.scenarios.spec import Scenario
-from repro.simulation.results import SimulationResult
-from repro.simulation.simulator import Simulation
 from repro.stats.montecarlo import derive_seed, derive_seeds
 from repro.stats.summary import DistributionSummary, summarize
+
+if TYPE_CHECKING:
+    from repro.trace.decompose import WasteDecomposition
 
 __all__ = ["CampaignResult", "CampaignRunner", "ScenarioOutcome"]
 
@@ -172,45 +174,24 @@ class CampaignRunner:
             for scenario in scenarios
         ]
 
-    def detail(self, scenario: Scenario, strategy: str) -> SimulationResult:
-        """Full :class:`SimulationResult` of the scenario's first seed.
-
-        The campaign table reduces each run to its waste ratio (that is
-        what the cache stores); this re-simulates one repetition to expose
-        the complete accounting breakdown and counters.
-
-        Requires a concrete ``base_seed``: with ``None`` every
-        ``derive_seeds`` call resolves fresh entropy, so the re-simulated
-        repetition would not be one of the runs the campaign table reports.
-        """
-        if scenario.base_seed is None:
-            raise ConfigurationError(
-                f"scenario {scenario.name!r} has base_seed=None; a detail run "
-                "needs a concrete base seed to replay a repetition the "
-                "campaign actually measured"
-            )
-        seed = derive_seed(scenario.base_seed, 0)
-        return Simulation(scenario.config(strategy).with_seed(seed)).run()
-
-    def drill_down(self, scenario: Scenario, strategy: str, rep: int = 0):
+    def drill_down(
+        self, scenario: Scenario, strategy: str, rep: int = 0
+    ) -> "WasteDecomposition":
         """Waste decomposition of one campaign cell ``(scenario, strategy, seed)``.
 
         ``rep`` selects the repetition (0-based index into the scenario's
         derived seeds — the same seeds every strategy of the scenario saw).
         The cell is re-run with trace capture enabled, on every call, and
-        the returned :class:`~repro.trace.decompose.WasteDecomposition` has
-        components summing repr-exactly to the cell's recorded waste ratio.
+        the returned :class:`~repro.trace.decompose.WasteDecomposition`
+        holds the run's full :class:`~repro.simulation.results.SimulationResult`,
+        whose waste ratio is repr-exactly the cell's recorded value, and
+        the value the runner's store held for the cell before the drill.
 
-        Like :meth:`detail`, this requires a concrete ``base_seed`` so the
-        decomposed repetition is one the campaign actually measured.
+        Requires a concrete ``base_seed``: with ``None`` every
+        ``derive_seeds`` call resolves fresh entropy, so the re-simulated
+        repetition would not be one the campaign actually measured.
         """
-        return self.drill_down_detailed(scenario, strategy, rep).decomposition
-
-    def drill_down_detailed(self, scenario: Scenario, strategy: str, rep: int = 0):
-        """Like :meth:`drill_down`, returning a
-        :class:`~repro.trace.drilldown.CellDrillDown` with the cell's cache
-        provenance (whether its scalar value pre-existed the drill)."""
-        from repro.trace.drilldown import drill_down_cell_detailed
+        from repro.trace.drilldown import drill_down_cell
 
         if scenario.base_seed is None:
             raise ConfigurationError(
@@ -225,6 +206,4 @@ class CampaignRunner:
             )
         config = scenario.config(strategy)  # validates the strategy too
         seed = derive_seed(scenario.base_seed, rep)
-        return drill_down_cell_detailed(
-            config, seed, cache=self.runner.cache, scenario=scenario.name
-        )
+        return drill_down_cell(config, seed, cache=self.runner.cache, scenario=scenario.name)

@@ -48,11 +48,6 @@ class Category(Enum):
     RECOVERY = "recovery"
     LOST_WORK = "lost-work"
 
-    @property
-    def useful(self) -> bool:
-        """True for categories that count as useful resource usage."""
-        return self in (Category.COMPUTE, Category.BASE_IO)
-
 
 class Accounting:
     """Accumulates node-seconds per category inside ``[window_start, window_end]``."""

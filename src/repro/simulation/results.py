@@ -6,7 +6,21 @@ from dataclasses import dataclass
 
 from repro.simulation.accounting import Accounting, Category
 
-__all__ = ["WasteBreakdown", "SimulationResult"]
+__all__ = ["CATEGORY_FIELDS", "WasteBreakdown", "SimulationResult"]
+
+#: The :class:`WasteBreakdown` field of each accounting category: the two
+#: useful ones, then the waste ones in the order :attr:`WasteBreakdown.waste`
+#: sums them.  The drill-down (:mod:`repro.trace`) names its per-job rows,
+#: CSV columns and ``/trace`` payload keys from this table too.
+CATEGORY_FIELDS: dict[Category, str] = {
+    Category.COMPUTE: "compute",
+    Category.BASE_IO: "base_io",
+    Category.IO_DELAY: "io_delay",
+    Category.CHECKPOINT: "checkpoint",
+    Category.CHECKPOINT_WAIT: "checkpoint_wait",
+    Category.RECOVERY: "recovery",
+    Category.LOST_WORK: "lost_work",
+}
 
 
 @dataclass(frozen=True)
@@ -34,13 +48,7 @@ class WasteBreakdown:
         """Build a breakdown from an :class:`~repro.simulation.accounting.Accounting`."""
         totals = accounting.totals()
         return cls(
-            compute=totals[Category.COMPUTE],
-            base_io=totals[Category.BASE_IO],
-            io_delay=totals[Category.IO_DELAY],
-            checkpoint=totals[Category.CHECKPOINT],
-            checkpoint_wait=totals[Category.CHECKPOINT_WAIT],
-            recovery=totals[Category.RECOVERY],
-            lost_work=totals[Category.LOST_WORK],
+            **{name: totals[category] for category, name in CATEGORY_FIELDS.items()},
             allocated=accounting.allocated_node_seconds,
         )
 

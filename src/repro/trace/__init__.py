@@ -4,9 +4,9 @@ The campaign layer reduces every ``(scenario, strategy, seed)`` cell to one
 scalar waste ratio.  This package re-opens a cell: it re-runs the single
 simulation behind the scalar with event tracing enabled and decomposes the
 waste into its sources — checkpoint writes, checkpoint-token waits,
-recovery reads, lost work and I/O-queue delay — in aggregate and per job,
-with the components summing repr-exactly to the cell's recorded waste
-ratio.
+recovery reads, lost work and I/O-queue delay — in aggregate and per job.
+The decomposition holds the run's own ``SimulationResult``, whose waste
+ratio is repr-exactly the cell's recorded value.
 
 Entry points: :func:`drill_down_cell` (configuration + seed),
 :meth:`repro.scenarios.runner.CampaignRunner.drill_down` (campaign-level
@@ -14,15 +14,13 @@ addressing) and ``coopckpt trace --campaign ...`` on the command line.
 """
 
 from repro.trace.decompose import JobWaste, WasteDecomposition
-from repro.trace.drilldown import CellDrillDown, drill_down_cell, drill_down_cell_detailed
+from repro.trace.drilldown import drill_down_cell
 from repro.trace.report import decomposition_to_csv, render_decomposition
 
 __all__ = [
-    "CellDrillDown",
     "JobWaste",
     "WasteDecomposition",
     "decomposition_to_csv",
     "drill_down_cell",
-    "drill_down_cell_detailed",
     "render_decomposition",
 ]

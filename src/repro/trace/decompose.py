@@ -9,14 +9,14 @@ aggregate and per job.
 
 Exactness contract
 ------------------
-Every aggregate float is copied verbatim from the run's
-:class:`~repro.simulation.accounting.Accounting` totals and the derived
-quantities are computed by the *same expressions, in the same order* as
-:class:`~repro.simulation.results.WasteBreakdown`.  Because a simulation is
-a pure function of ``(config digest, strategy, seed)``, a drill-down's
-:attr:`WasteDecomposition.waste_ratio` is therefore bit-identical
-(repr-exact) to the scalar the result cache recorded for the same cell, and
-the waste components sum — in category order — exactly to the total waste.
+A decomposition holds the run's own
+:class:`~repro.simulation.results.SimulationResult`, so the aggregate
+categories, counters and waste ratio are the run's, not copies of them.
+Because a simulation is a pure function of ``(config digest, strategy,
+seed)``, and per-job tracking changes no reported result (see
+:mod:`repro.simulation.accounting`), ``decomposition.result.waste_ratio`` is
+bit-identical (repr-exact) to the scalar the result store recorded for the
+same cell.
 
 Per-job rows are labelled by a *stable* scheme (class name + submission
 ordinal, restarts suffixed ``+r``) rather than raw ``Job.job_id`` values,
@@ -26,38 +26,14 @@ in one process must serialise byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 from repro.errors import AnalysisError
-from repro.simulation.accounting import Category
-from repro.simulation.results import SimulationResult
+from repro.simulation.results import CATEGORY_FIELDS, SimulationResult
 from repro.simulation.simulator import Simulation
 from repro.simulation.trace import TraceEventType
 
 __all__ = ["JobWaste", "WasteDecomposition"]
-
-#: Waste categories in the summation order of
-#: :attr:`repro.simulation.results.WasteBreakdown.waste` — the order matters
-#: for the repr-exact components-sum-to-total invariant.
-_WASTE_FIELDS: tuple[str, ...] = (
-    "io_delay",
-    "checkpoint",
-    "checkpoint_wait",
-    "recovery",
-    "lost_work",
-)
-
-_USEFUL_FIELDS: tuple[str, ...] = ("compute", "base_io")
-
-_CATEGORY_BY_FIELD: dict[str, Category] = {
-    "compute": Category.COMPUTE,
-    "base_io": Category.BASE_IO,
-    "io_delay": Category.IO_DELAY,
-    "checkpoint": Category.CHECKPOINT,
-    "checkpoint_wait": Category.CHECKPOINT_WAIT,
-    "recovery": Category.RECOVERY,
-    "lost_work": Category.LOST_WORK,
-}
 
 
 @dataclass(frozen=True)
@@ -66,7 +42,9 @@ class JobWaste:
 
     ``name`` is the stable job label (``EAP#3``, restarts ``EAP#3+r``);
     ``index`` orders rows deterministically (initial jobs in submission
-    order, then restarts in resubmission order).
+    order, then restarts in resubmission order).  The category fields are
+    those of :data:`~repro.simulation.results.CATEGORY_FIELDS`; a job's
+    ledger records no allocation total.
     """
 
     index: int
@@ -80,13 +58,10 @@ class JobWaste:
     lost_work: float
 
     @property
-    def useful(self) -> float:
-        """Useful node-seconds attributed to this job."""
-        return self.compute + self.base_io
-
-    @property
     def waste(self) -> float:
-        """Wasted node-seconds attributed to this job (category order)."""
+        """Wasted node-seconds attributed to this job, summed left to right
+        in category order (never with ``sum()``, which compensates rounding
+        from Python 3.12 on)."""
         return (
             self.io_delay
             + self.checkpoint
@@ -98,66 +73,24 @@ class JobWaste:
 
 @dataclass(frozen=True)
 class WasteDecomposition:
-    """Aggregate + per-job waste breakdown of one campaign cell.
+    """One campaign cell's run, with its waste split per job.
 
-    The aggregate category floats are the run's accounting totals verbatim;
-    see the module docstring for the exactness contract.  ``scenario`` is a
-    display label (empty for ad-hoc configs); ``digest``/``strategy``/``seed``
-    are the cell's cache key.
+    ``scenario`` is a display label (empty for ad-hoc configs);
+    ``digest``, ``result.strategy`` and ``seed`` are the cell's store key.
+    ``result`` is the run's :class:`SimulationResult`: read the aggregate
+    categories from ``result.breakdown`` and the waste ratio and counters
+    from ``result``.  ``recorded_value`` is the value the store held for the
+    cell before the drill (``None`` without a store, or when the entry was
+    missing or unreadable).  It is provenance and takes no part in
+    comparisons, so a cold and a warm drill of one cell compare equal.
     """
 
     scenario: str
-    strategy: str
     seed: int
     digest: str
-    compute: float
-    base_io: float
-    io_delay: float
-    checkpoint: float
-    checkpoint_wait: float
-    recovery: float
-    lost_work: float
-    allocated: float
-    jobs: tuple[JobWaste, ...] = ()
-    jobs_completed: int = 0
-    jobs_failed: int = 0
-    checkpoints_completed: int = 0
-    failures_effective: int = 0
-
-    # ------------------------------------------------------------ derived
-    @property
-    def useful(self) -> float:
-        """Useful node-seconds (same expression as ``WasteBreakdown.useful``)."""
-        return self.compute + self.base_io
-
-    @property
-    def waste(self) -> float:
-        """Total wasted node-seconds — the components summed in category order.
-
-        This is the same expression, evaluated in the same order, as
-        :attr:`repro.simulation.results.WasteBreakdown.waste`, so it equals
-        the recorded total bit-for-bit.
-        """
-        return (
-            self.io_delay
-            + self.checkpoint
-            + self.checkpoint_wait
-            + self.recovery
-            + self.lost_work
-        )
-
-    @property
-    def waste_ratio(self) -> float:
-        """``waste / (useful + waste)`` — repr-exact match of the cached cell value."""
-        total = self.useful + self.waste
-        if total <= 0.0:
-            return 0.0
-        return self.waste / total
-
-    @property
-    def efficiency(self) -> float:
-        """Useful fraction, ``1 - waste_ratio``."""
-        return 1.0 - self.waste_ratio
+    result: SimulationResult
+    jobs: tuple[JobWaste, ...]
+    recorded_value: float | None = field(default=None, compare=False)
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -168,84 +101,65 @@ class WasteDecomposition:
         *,
         digest: str,
         scenario: str = "",
+        recorded_value: float | None = None,
     ) -> "WasteDecomposition":
         """Build the decomposition of a completed trace-enabled run.
 
-        Requires the simulation to have run with ``collect_trace=True`` (which
-        also enables per-job accounting); the aggregate floats are taken from
-        ``result.breakdown`` so they are the exact values the cache recorded.
+        Requires the simulation to have run with ``collect_trace=True``
+        (which also enables per-job accounting).
         """
         if sim.trace is None or not sim.accounting.tracks_jobs:
             raise AnalysisError(
                 "waste decomposition needs a trace-enabled run "
                 "(SimulationConfig.collect_trace=True)"
             )
-        labels = _stable_job_labels(sim)
         ledgers = sim.accounting.job_totals()
         jobs: list[JobWaste] = []
-        for index, (job_id, name) in enumerate(labels):
+        for index, (job_id, label) in enumerate(_stable_job_labels(sim)):
             ledger = ledgers.get(job_id)
             if ledger is None or not any(ledger.values()):
                 continue
             jobs.append(
                 JobWaste(
                     index=index,
-                    name=name,
-                    **{
-                        field: ledger[category]
-                        for field, category in _CATEGORY_BY_FIELD.items()
-                    },
+                    name=label,
+                    **{name: ledger[category] for category, name in CATEGORY_FIELDS.items()},
                 )
             )
-        b = result.breakdown
         return cls(
             scenario=scenario,
-            strategy=result.strategy,
             seed=int(sim.config.seed or 0),
             digest=digest,
-            compute=b.compute,
-            base_io=b.base_io,
-            io_delay=b.io_delay,
-            checkpoint=b.checkpoint,
-            checkpoint_wait=b.checkpoint_wait,
-            recovery=b.recovery,
-            lost_work=b.lost_work,
-            allocated=b.allocated,
+            result=result,
             jobs=tuple(jobs),
-            jobs_completed=result.jobs_completed,
-            jobs_failed=result.jobs_failed,
-            checkpoints_completed=result.checkpoints_completed,
-            failures_effective=result.failures_effective,
+            recorded_value=recorded_value,
         )
 
     # ------------------------------------------------------------ serialisation
     def to_payload(self) -> dict:
         """JSON-encodable payload, as ``/trace`` serves it (floats stay
         repr-exact via json)."""
+        result = self.result
         return {
             "scenario": self.scenario,
-            "strategy": self.strategy,
+            "strategy": result.strategy,
             "seed": self.seed,
             "digest": self.digest,
             "categories": {
-                name: getattr(self, name)
-                for name in (*_USEFUL_FIELDS, *_WASTE_FIELDS)
+                name: getattr(result.breakdown, name) for name in CATEGORY_FIELDS.values()
             },
-            "allocated": self.allocated,
+            "allocated": result.breakdown.allocated,
             "counters": {
-                "jobs_completed": self.jobs_completed,
-                "jobs_failed": self.jobs_failed,
-                "checkpoints_completed": self.checkpoints_completed,
-                "failures_effective": self.failures_effective,
+                "jobs_completed": result.jobs_completed,
+                "jobs_failed": result.jobs_failed,
+                "checkpoints_completed": result.checkpoints_completed,
+                "failures_effective": result.failures_effective,
             },
             "jobs": [
                 {
                     "index": job.index,
                     "name": job.name,
-                    **{
-                        name: getattr(job, name)
-                        for name in (*_USEFUL_FIELDS, *_WASTE_FIELDS)
-                    },
+                    **{name: getattr(job, name) for name in CATEGORY_FIELDS.values()},
                 }
                 for job in self.jobs
             ],
@@ -278,12 +192,3 @@ def _stable_job_labels(sim: Simulation) -> list[tuple[int, str]]:
         labels[event.job_id] = label
         ordered.append((event.job_id, label))
     return ordered
-
-
-# Sanity: the field lists above must stay in lockstep with JobWaste.
-assert {f.name for f in fields(JobWaste)} == {
-    "index",
-    "name",
-    *_USEFUL_FIELDS,
-    *_WASTE_FIELDS,
-}

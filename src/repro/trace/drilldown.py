@@ -3,10 +3,9 @@
 :func:`drill_down_cell` is the core of the per-cell drill-down: given the
 cell's configuration and seed it re-runs the single simulation with
 ``collect_trace=True`` and decomposes its accounting into a
-:class:`~repro.trace.decompose.WasteDecomposition`.
-:func:`drill_down_cell_detailed` additionally reports whether the cell's
-scalar value was already cached before the drill (the provenance the CLI's
-"matches the cached cell value" claim rests on).
+:class:`~repro.trace.decompose.WasteDecomposition`, which also records
+whether the cell's value was already stored before the drill (the
+provenance the CLI's "matches the cached cell value" claim rests on).
 
 The cell is addressed by its *existing* cache key: the digest excludes both
 ``seed`` and ``collect_trace``, so a drill-down lands on exactly the entry
@@ -19,7 +18,7 @@ is never stored: every drill re-simulates its one cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from repro.errors import AnalysisError
 from repro.exec.digest import config_digest
@@ -28,21 +27,7 @@ from repro.simulation.simulator import Simulation
 from repro.store.base import ResultStore
 from repro.trace.decompose import WasteDecomposition
 
-__all__ = ["CellDrillDown", "drill_down_cell", "drill_down_cell_detailed"]
-
-
-@dataclass(frozen=True)
-class CellDrillDown:
-    """One drill-down plus its cache provenance.
-
-    ``recorded_value`` is the scalar value the cache held for the cell
-    *before* the drill (``None`` without a cache, or when the entry was
-    missing/unreadable).  When present it is guaranteed repr-identical to
-    ``decomposition.waste_ratio`` — a contradiction raises instead.
-    """
-
-    decomposition: WasteDecomposition
-    recorded_value: float | None = None
+__all__ = ["drill_down_cell"]
 
 
 def drill_down_cell(
@@ -61,33 +46,20 @@ def drill_down_cell(
     seed:
         The concrete derived seed of the repetition to decompose.
     cache:
-        Optional result cache.  A missing scalar entry for the cell is
-        written back.  A scalar entry the fresh simulation cannot reproduce
+        Optional result cache.  Its value for the cell before the drill
+        becomes the decomposition's ``recorded_value``, and a missing value
+        is written back.  A value the fresh simulation cannot reproduce
         raises :class:`~repro.errors.AnalysisError` — the cache predates a
         simulator change and must be pruned.
     scenario:
         Display label recorded in the decomposition.
     """
-    return drill_down_cell_detailed(config, seed, cache=cache, scenario=scenario).decomposition
-
-
-def drill_down_cell_detailed(
-    config: SimulationConfig,
-    seed: int,
-    *,
-    cache: ResultStore | None = None,
-    scenario: str = "",
-) -> CellDrillDown:
-    """Like :func:`drill_down_cell`, returning the cache provenance too."""
     digest = config_digest(config)
     strategy = config.strategy
     seed = int(seed)
     recorded = cache.probe(digest, strategy, seed) if cache is not None else None
     sim = Simulation(replace(config, seed=seed, collect_trace=True))
     result = sim.run()
-    decomposition = WasteDecomposition.from_simulation(
-        sim, result, digest=digest, scenario=scenario
-    )
     if cache is not None:
         if recorded is None:
             # Drilling an unseen cell warms the scalar cache too: the next
@@ -105,4 +77,6 @@ def drill_down_cell_detailed(
                 "— prune it with `coopckpt cache gc` (and bump DIGEST_VERSION "
                 "with intentional behaviour changes)"
             )
-    return CellDrillDown(decomposition, recorded)
+    return WasteDecomposition.from_simulation(
+        sim, result, digest=digest, scenario=scenario, recorded_value=recorded
+    )

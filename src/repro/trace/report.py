@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 
+from repro.simulation.results import CATEGORY_FIELDS, WasteBreakdown
 from repro.trace.decompose import JobWaste, WasteDecomposition
 
 __all__ = ["decomposition_to_csv", "render_decomposition"]
@@ -27,37 +28,29 @@ _COMPONENT_LABELS: tuple[tuple[str, str], ...] = (
     ("lost_work", "lost work"),
 )
 
-_CSV_FIELDS: tuple[str, ...] = (
-    "compute",
-    "base_io",
-    "io_delay",
-    "checkpoint",
-    "checkpoint_wait",
-    "recovery",
-    "lost_work",
-)
-
 
 def render_decomposition(
     decomposition: WasteDecomposition, *, top_jobs: int = 8, precision: int = 3
 ) -> str:
     """Plain-text per-cell waste breakdown."""
     d = decomposition
-    cell = f"{d.scenario} / {d.strategy}" if d.scenario else d.strategy
-    waste = d.waste
+    r = d.result
+    b = r.breakdown
+    cell = f"{d.scenario} / {r.strategy}" if d.scenario else r.strategy
+    waste = b.waste
     lines = [
         f"Cell {cell} · seed {d.seed} · digest {d.digest[:12]}…",
-        f"waste ratio          : {d.waste_ratio!r}",
-        f"efficiency           : {d.efficiency:.{precision}f}",
-        f"useful node-hours    : {d.useful / 3600.0:.1f} "
-        f"(compute {d.compute / 3600.0:.1f}, base I/O {d.base_io / 3600.0:.1f})",
-        f"jobs                 : {d.jobs_completed} completed, {d.jobs_failed} failed "
-        f"({d.failures_effective} effective failure(s), "
-        f"{d.checkpoints_completed} checkpoint(s))",
+        f"waste ratio          : {r.waste_ratio!r}",
+        f"efficiency           : {r.efficiency:.{precision}f}",
+        f"useful node-hours    : {b.useful / 3600.0:.1f} "
+        f"(compute {b.compute / 3600.0:.1f}, base I/O {b.base_io / 3600.0:.1f})",
+        f"jobs                 : {r.jobs_completed} completed, {r.jobs_failed} failed "
+        f"({r.failures_effective} effective failure(s), "
+        f"{r.checkpoints_completed} checkpoint(s))",
         "waste components (node-hours, share of waste):",
     ]
     for field, label in _COMPONENT_LABELS:
-        value = getattr(d, field)
+        value = getattr(b, field)
         share = value / waste if waste > 0.0 else 0.0
         lines.append(f"  {label:<19}: {value / 3600.0:10.2f}  {share:7.1%}")
     ranked = sorted(d.jobs, key=lambda job: (-job.waste, job.index))
@@ -85,27 +78,28 @@ def decomposition_to_csv(decomposition: WasteDecomposition) -> str:
     bit-for-bit against the result cache (CI does exactly that).
     """
     d = decomposition
+    columns = CATEGORY_FIELDS.values()
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(
-        ["scenario", "strategy", "seed", "scope", "job", *_CSV_FIELDS, "waste", "waste_ratio"]
+        ["scenario", "strategy", "seed", "scope", "job", *columns, "waste", "waste_ratio"]
     )
 
-    def row(scope: str, job: str, source: WasteDecomposition | JobWaste, ratio: str) -> None:
+    def row(scope: str, job: str, source: WasteBreakdown | JobWaste, ratio: str) -> None:
         writer.writerow(
             [
                 d.scenario,
-                d.strategy,
+                d.result.strategy,
                 d.seed,
                 scope,
                 job,
-                *[repr(getattr(source, field)) for field in _CSV_FIELDS],
+                *[repr(getattr(source, field)) for field in columns],
                 repr(source.waste),
                 ratio,
             ]
         )
 
-    row("total", "", d, repr(d.waste_ratio))
+    row("total", "", d.result.breakdown, repr(d.result.waste_ratio))
     for job in d.jobs:
         row("job", job.name, job, "")
     return buffer.getvalue()

@@ -131,6 +131,6 @@ def test_campaign_summaries_stay_inside_the_unit_interval(scenario):
 def test_detail_run_is_reproducible_for_any_scenario(scenario):
     runner = CampaignRunner()
     strategy = scenario.strategies[0]
-    a = runner.detail(scenario, strategy)
-    b = runner.detail(scenario, strategy)
+    a = runner.drill_down(scenario, strategy)
+    b = runner.drill_down(scenario, strategy)
     assert a == b  # frozen dataclasses: exact, field-by-field equality

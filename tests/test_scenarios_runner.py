@@ -78,10 +78,10 @@ def test_detail_exposes_the_full_simulation_result(matrix):
 
     runner = CampaignRunner()
     scenario = matrix.scenarios()[0]
-    detail = runner.detail(scenario, "least-waste")
+    detail = runner.drill_down(scenario, "least-waste").result
     assert detail.strategy == "least-waste"
     assert 0.0 <= detail.waste_ratio <= 1.0
-    # The detailed run replays the scenario's first derived seed exactly.
+    # The drill-down replays the scenario's first derived seed exactly.
     values = runner.runner.map_seeds(
         scenario.config("least-waste"),
         derive_seeds(scenario.base_seed, scenario.num_runs),
@@ -91,12 +91,12 @@ def test_detail_exposes_the_full_simulation_result(matrix):
 
 def test_detail_requires_a_concrete_base_seed(matrix):
     """With base_seed=None every derive_seeds call resolves fresh entropy,
-    so a detail run could not replay a repetition the table measured."""
+    so a drill-down could not replay a repetition the table measured."""
     import dataclasses
 
     unseeded = dataclasses.replace(matrix.scenarios()[0], base_seed=None)
-    with pytest.raises(ConfigurationError):
-        CampaignRunner().detail(unseeded, "least-waste")
+    with pytest.raises(ConfigurationError, match="base_seed=None"):
+        CampaignRunner().drill_down(unseeded, "least-waste")
 
 
 # ------------------------------------------------------------------- cache

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simulation.accounting import Accounting, Category
-from repro.simulation.results import WasteBreakdown
+from repro.simulation.results import CATEGORY_FIELDS, WasteBreakdown
 
 
 def test_window_properties():
@@ -96,17 +96,18 @@ def test_allocation_tracking():
         accounting.record_allocation(-1.0, 0.0, 10.0)
 
 
-def test_category_usefulness_flags():
-    assert Category.COMPUTE.useful
-    assert Category.BASE_IO.useful
-    for category in (
-        Category.IO_DELAY,
-        Category.CHECKPOINT,
-        Category.CHECKPOINT_WAIT,
-        Category.RECOVERY,
-        Category.LOST_WORK,
-    ):
-        assert not category.useful
+def test_category_fields_name_the_breakdown_field_of_every_category():
+    """One table, in summation order: the two useful categories, then the waste ones."""
+    accounting = Accounting(0.0, 100.0)
+    for nodes, category in enumerate(Category, start=1):
+        accounting.record_interval(category, float(nodes), 0.0, 1.0)
+    breakdown = WasteBreakdown.from_accounting(accounting)
+    assert list(CATEGORY_FIELDS) == list(Category)
+    assert [getattr(breakdown, name) for name in CATEGORY_FIELDS.values()] == [
+        1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0,
+    ]
+    assert breakdown.useful == 1.0 + 2.0
+    assert breakdown.waste == 3.0 + 4.0 + 5.0 + 6.0 + 7.0
 
 
 def test_totals_returns_a_copy():

@@ -1,9 +1,10 @@
 """Per-cell waste drill-down (repro.trace) and its exactness contract.
 
 The acceptance bar of the subsystem: a drill-down reproduces any campaign
-cell from its cache key with a decomposition whose components sum
-(repr-exact) to the cell's recorded waste ratio, byte-identical across
-repeated invocations, each of which re-simulates the one cell.
+cell from its cache key as the cell's own ``SimulationResult``, whose
+components sum (repr-exact) to the recorded waste ratio, plus per-job rows,
+byte-identical across repeated invocations, each of which re-simulates the
+one cell.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.exec.runner import ParallelRunner
 from repro.platform.spec import PlatformSpec
 from repro.scenarios.runner import CampaignRunner
 from repro.scenarios.spec import Scenario
+from repro.simulation.results import WasteBreakdown
 from repro.simulation.simulator import Simulation
 from repro.stats.montecarlo import derive_seeds
 from repro.store import FilesystemStore
@@ -72,9 +74,9 @@ def _scenario(**overrides) -> Scenario:
     return Scenario(**parameters)
 
 
-def _components_sum(d: WasteDecomposition) -> float:
+def _components_sum(b: WasteBreakdown) -> float:
     # Summed in the same order as WasteBreakdown.waste.
-    return d.io_delay + d.checkpoint + d.checkpoint_wait + d.recovery + d.lost_work
+    return b.io_delay + b.checkpoint + b.checkpoint_wait + b.recovery + b.lost_work
 
 
 # --------------------------------------------------------------- exactness
@@ -92,8 +94,10 @@ def test_drill_down_reproduces_the_cached_cell_value(tmp_path):
             )
             assert recorded is not None
             # repr-exact: the decomposition's ratio IS the cached float.
-            assert repr(decomposition.waste_ratio) == repr(recorded)
-            assert _components_sum(decomposition) == decomposition.waste
+            assert repr(decomposition.result.waste_ratio) == repr(recorded)
+            assert decomposition.recorded_value == recorded
+            breakdown = decomposition.result.breakdown
+            assert _components_sum(breakdown) == breakdown.waste
     # The drilled repetitions stay consistent with the campaign summary.
     assert 0.0 <= outcome.summaries[strategy].mean <= 1.0
 
@@ -108,7 +112,8 @@ def test_decomposition_contains_per_job_rows_with_stable_labels():
     # Per-job ledgers add up to the aggregates (up to float reassociation).
     for field in ("compute", "checkpoint", "recovery", "lost_work", "io_delay"):
         total = sum(getattr(job, field) for job in decomposition.jobs)
-        assert total == pytest.approx(getattr(decomposition, field), rel=1e-9, abs=1e-6)
+        aggregate = getattr(decomposition.result.breakdown, field)
+        assert total == pytest.approx(aggregate, rel=1e-9, abs=1e-6)
 
 
 def test_drill_down_is_deterministic_byte_identical_csv():
@@ -139,7 +144,7 @@ def test_contradicted_scalar_entry_fails_loudly(tmp_path):
         drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
 
     # Restoring the true value heals the cell.
-    cache.put(config_digest(config), config.strategy, seed, first.waste_ratio)
+    cache.put(config_digest(config), config.strategy, seed, first.result.waste_ratio)
     assert drill_down_cell(config, seed, cache=cache, scenario=scenario.name) == first
 
 
@@ -205,16 +210,18 @@ _random_cells = st.builds(
 @settings(max_examples=8, deadline=None)
 @given(cell=_random_cells)
 def test_decomposition_invariant_over_random_scenarios(cell):
-    """For ANY cell: components sum repr-exactly to the recorded waste ratio."""
+    """For ANY cell: the drill's result is the untraced run's, field by field,
+    and its components sum repr-exactly to the recorded waste ratio."""
     scenario, strategy = cell
     config = scenario.config(strategy)
     seed = derive_seeds(scenario.base_seed, 1)[0]
-    recorded = Simulation(config.with_seed(seed)).run().waste_ratio
+    untraced = Simulation(config.with_seed(seed)).run()
     decomposition = drill_down_cell(config, seed, scenario=scenario.name)
-    assert _components_sum(decomposition) == decomposition.waste
-    assert repr(decomposition.waste_ratio) == repr(recorded)
-    assert 0.0 <= decomposition.waste_ratio <= 1.0
-    assert decomposition.efficiency == 1.0 - decomposition.waste_ratio
+    result = decomposition.result
+    assert repr(result) == repr(untraced)  # every field, repr-exact
+    assert _components_sum(result.breakdown) == result.breakdown.waste
+    assert 0.0 <= result.waste_ratio <= 1.0
+    assert result.efficiency == 1.0 - result.waste_ratio
 
 
 def test_drill_down_matches_cells_recorded_by_the_process_backend(tmp_path):
@@ -230,7 +237,7 @@ def test_drill_down_matches_cells_recorded_by_the_process_backend(tmp_path):
         config_digest(scenario.config("least-waste")), "least-waste", seed
     )
     assert recorded is not None
-    assert repr(decomposition.waste_ratio) == repr(recorded)
+    assert repr(decomposition.result.waste_ratio) == repr(recorded)
 
 
 def test_drill_repairs_a_lost_scalar_entry(tmp_path):
@@ -248,25 +255,25 @@ def test_drill_repairs_a_lost_scalar_entry(tmp_path):
     assert cache.probe(digest, config.strategy, seed) is None
     again = drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
     assert again == first
-    assert cache.probe(digest, config.strategy, seed) == first.waste_ratio
+    assert cache.probe(digest, config.strategy, seed) == first.result.waste_ratio
 
 
 def test_detailed_drill_reports_cache_provenance(tmp_path):
     """recorded_value distinguishes a genuine comparison from a cold drill
     that wrote the entry itself (the CLI's match claim rests on this)."""
-    from repro.trace import drill_down_cell_detailed
-
     scenario = _scenario(num_runs=1)
     cache = FilesystemStore(tmp_path)
     config = scenario.config("least-waste")
     seed = derive_seeds(scenario.base_seed, 1)[0]
 
-    cold = drill_down_cell_detailed(config, seed, cache=cache, scenario=scenario.name)
+    cold = drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
     assert cold.recorded_value is None  # nothing pre-existed to compare
-    warm = drill_down_cell_detailed(config, seed, cache=cache, scenario=scenario.name)
-    assert warm.recorded_value == cold.decomposition.waste_ratio
-    assert warm.decomposition == cold.decomposition
+    warm = drill_down_cell(config, seed, cache=cache, scenario=scenario.name)
+    assert warm.recorded_value == cold.result.waste_ratio
+    # Provenance takes no part in equality: cold and warm drills are one cell.
+    assert warm == cold
 
     runner = CampaignRunner(runner=ParallelRunner(cache=cache))
-    via_runner = runner.drill_down_detailed(scenario, "least-waste")
-    assert via_runner.recorded_value == cold.decomposition.waste_ratio
+    via_runner = runner.drill_down(scenario, "least-waste")
+    assert via_runner.recorded_value == cold.result.waste_ratio
+    assert drill_down_cell(config, seed).recorded_value is None  # no store
