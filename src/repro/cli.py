@@ -741,6 +741,16 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
     else:
         campaign = make_campaign(args.preset or "smoke", **overrides)
 
+    if args.best_summary:
+        # Refuse before dispatching: each summary replays a scenario's first
+        # seed, which an unseeded scenario draws afresh on every expansion.
+        for scenario in campaign.scenarios():
+            if scenario.base_seed is None:
+                raise ConfigurationError(
+                    f"--best-summary needs a concrete base seed: scenario "
+                    f"{scenario.name!r} has base_seed=None, so its first seed "
+                    "would not be one the campaign measured"
+                )
     runner = CampaignRunner(runner=_runner_from_args(args))
     result = runner.run(campaign)
     parts = [campaign.describe(), "", render_campaign(result)]

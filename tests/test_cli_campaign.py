@@ -58,6 +58,48 @@ def test_campaign_details_and_best_summary(capsys):
     assert "breakdown (node-hours in window):" in out  # full first-seed summary
 
 
+def test_best_summary_refuses_an_unseeded_campaign_before_dispatching(tmp_path, capsys):
+    """An unseeded scenario has no first seed to replay: refuse before any
+    simulation or store write, naming the scenario."""
+    matrix = tmp_path / "unseeded.json"
+    matrix.write_text(json.dumps({
+        "name": "unseeded",
+        "base": "smoke",
+        "overrides": {"base_seed": None, "num_runs": 1, "horizon_days": 0.25},
+    }))
+    cache_dir = tmp_path / "cache"
+    argv = ["campaign", "--file", str(matrix), "--best-summary", "--cache-dir", str(cache_dir)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--best-summary" in err and "'mini-cielo'" in err and "base_seed=None" in err
+    assert not cache_dir.exists()
+
+
+def test_best_summary_checks_the_stored_first_seed_value(tmp_path, capsys):
+    """--best-summary drills through the store: a stored first-seed value the
+    re-run contradicts is an error, not a summary of another run."""
+    from repro.exec.digest import config_digest
+    from repro.scenarios.presets import make_campaign
+    from repro.stats.montecarlo import derive_seed
+    from repro.store import FilesystemStore
+
+    cache_dir = tmp_path / "cache"
+    argv = [
+        "campaign", "--preset", "smoke", "--num-runs", "1", "--horizon-days", "0.25",
+        "--strategies", "least-waste", "--cache-dir", str(cache_dir),
+    ]
+    assert main(argv) == 0
+    scenario = make_campaign("smoke", num_runs=1, horizon_days=0.25).scenarios()[0]
+    config = scenario.config("least-waste")
+    FilesystemStore(cache_dir).put(
+        config_digest(config), "least-waste", derive_seed(scenario.base_seed, 0), 0.999
+    )
+    capsys.readouterr()
+    assert main([*argv, "--best-summary"]) == 2
+    assert "contradicts the cached value 0.999" in capsys.readouterr().err
+
+
 def test_campaign_csv_export(tmp_path, capsys):
     csv_path = tmp_path / "campaign.csv"
     assert (
