@@ -45,7 +45,7 @@ import sys
 import time
 from collections.abc import Callable, Sequence
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError, short_repr
 from repro.exec.runner import ParallelRunner, backend_names
 from repro.scenarios.presets import CAMPAIGNS
 from repro.store import DEFAULT_STORE, open_store, store_kinds
@@ -912,7 +912,8 @@ def _cmd_cache(args: argparse.Namespace) -> str:
             args.older_than >= 0 and math.isfinite(args.older_than)
         ):
             raise ConfigurationError(
-                f"--older-than must be a non-negative number of days, got {args.older_than!r}"
+                "--older-than must be a non-negative number of days, "
+                f"got {short_repr(args.older_than)}"
             )
         report = store.gc(
             older_than_s=args.older_than * 86400.0 if args.older_than is not None else None,

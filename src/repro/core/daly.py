@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, short_repr
 from repro.units import is_finite
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 
 def _check_positive(name: str, value: float) -> None:
     if not (value > 0.0) or not is_finite(value):
-        raise AnalysisError(f"{name} must be a positive finite number, got {value!r}")
+        raise AnalysisError(f"{name} must be a positive finite number, got {short_repr(value)}")
 
 
 def job_mtbf(mu_ind: float, q: int | float) -> float:
@@ -52,7 +52,7 @@ def job_mtbf(mu_ind: float, q: int | float) -> float:
     """
     _check_positive("mu_ind", mu_ind)
     if q < 1:
-        raise AnalysisError(f"q must be >= 1, got {q!r}")
+        raise AnalysisError(f"q must be >= 1, got {short_repr(q)}")
     return mu_ind / float(q)
 
 

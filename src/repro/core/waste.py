@@ -19,7 +19,7 @@ import math
 from collections.abc import Sequence
 
 from repro.core.daly import young_period
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, short_repr
 
 __all__ = [
     "job_waste",
@@ -57,7 +57,7 @@ def job_waste(
         only meaningful when the result is well below 1.
     """
     if period <= 0.0:
-        raise AnalysisError(f"period must be positive, got {period!r}")
+        raise AnalysisError(f"period must be positive, got {short_repr(period)}")
     if checkpoint_time < 0.0 or recovery_time < 0.0:
         raise AnalysisError("checkpoint_time and recovery_time must be non-negative")
     if q <= 0.0 or mu_ind <= 0.0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.apps.app_class import ApplicationClass
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, short_repr
 from repro.exec.runner import ParallelRunner
 from repro.iosched.registry import parse_strategy
 from repro.platform.interference import (
@@ -86,7 +86,7 @@ def fixed_period_ablation(
     if spec.get("policy") != "fixed" or spec.get("period_s") is not None:
         raise ConfigurationError(
             "fixed_period_ablation varies the period of a policy=fixed strategy "
-            f"without a period_s of its own; got {strategy!r}"
+            f"without a period_s of its own; got {short_repr(strategy)}"
         )
     points = [
         AxisPoint(repr(h), {"fixed_period_s": h * HOUR, "name": f"{strategy}, P = {h:g} h"})

@@ -31,7 +31,7 @@ import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, short_repr
 
 __all__ = [
     "ParamSpec",
@@ -124,16 +124,16 @@ class ParamSpec:
         except (TypeError, ValueError, OverflowError):  # an int too large for a float
             raise ConfigurationError(
                 f"{context}: parameter {self.name!r} expects a "
-                f"{self.type.__name__}, got {value!r}"
+                f"{self.type.__name__}, got {short_repr(value)}"
             ) from None
         if self.choices is not None and coerced not in self.choices:
             raise ConfigurationError(
                 f"{context}: parameter {self.name!r} must be one of "
-                f"{', '.join(map(format_param_value, self.choices))}, got {value!r}"
+                f"{', '.join(map(format_param_value, self.choices))}, got {short_repr(value)}"
             )
         if self.positive and isinstance(coerced, (int, float)) and coerced <= 0:
             raise ConfigurationError(
-                f"{context}: parameter {self.name!r} must be positive, got {value!r}"
+                f"{context}: parameter {self.name!r} must be positive, got {short_repr(value)}"
             )
         return coerced
 
@@ -205,7 +205,7 @@ def strategy_kinds() -> tuple[str, ...]:
 
 def _unknown_strategy_error(name: str) -> ConfigurationError:
     valid = [*_registered_kinds(), *(a for a in _LEGACY_ALIASES if a not in _KINDS)]
-    message = f"unknown strategy {name!r}; expected one of {', '.join(valid)}"
+    message = f"unknown strategy {short_repr(name)}; expected one of {', '.join(valid)}"
     close = difflib.get_close_matches(name.strip().lower(), valid, n=1, cutoff=0.6)
     if close:
         message += f" (did you mean {close[0]!r}?)"

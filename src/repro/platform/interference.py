@@ -25,7 +25,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, short_repr
 from repro.units import is_finite
 
 __all__ = [
@@ -78,7 +78,8 @@ class DegradingInterference(InterferenceModel):
     def __post_init__(self) -> None:
         if not (self.alpha >= 0.0 and is_finite(self.alpha)):
             raise ConfigurationError(
-                f"DegradingInterference.alpha must be finite and >= 0, got {self.alpha!r}"
+                "DegradingInterference.alpha must be finite and >= 0, "
+                f"got {short_repr(self.alpha)}"
             )
 
     def effective_bandwidth(self, nominal_bandwidth: float, num_streams: int) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.daly import system_mtbf
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, short_repr
 from repro.units import GB, YEAR, is_finite, to_gb, to_hours
 
 __all__ = ["MAX_NUM_NODES", "PlatformSpec"]
@@ -58,14 +58,16 @@ class PlatformSpec:
             raise ConfigurationError("num_nodes must be positive")
         if self.num_nodes > MAX_NUM_NODES:
             raise ConfigurationError(
-                f"num_nodes must be at most {MAX_NUM_NODES}, got {self.num_nodes!r}"
+                f"num_nodes must be at most {MAX_NUM_NODES}, got {short_repr(self.num_nodes)}"
             )
         if self.cores_per_node <= 0:
             raise ConfigurationError("cores_per_node must be positive")
         for name in ("memory_per_node_bytes", "io_bandwidth_bytes_per_s", "node_mtbf_s"):
             value = getattr(self, name)
             if not (value > 0.0) or not is_finite(value):
-                raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {short_repr(value)}"
+                )
 
     # ------------------------------------------------------------ derived
     @property

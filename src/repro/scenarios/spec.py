@@ -24,7 +24,7 @@ from numbers import Integral, Real
 from typing import Any
 
 from repro.apps.app_class import ApplicationClass
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, short_repr
 from repro.iosched.registry import STRATEGIES, StrategySpec, canonical_strategy
 from repro.platform.failures import FailureModel
 from repro.platform.interference import InterferenceModel
@@ -58,7 +58,9 @@ def _float_override(key: str, value: object) -> float:
     except (ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
-        raise ConfigurationError(f"override {key!r} must be a finite number, got {value!r}")
+        raise ConfigurationError(
+            f"override {key!r} must be a finite number, got {short_repr(value)}"
+        )
     return number
 
 
@@ -71,7 +73,9 @@ def _int_override(key: str, value: object) -> int:
     """A whole number from an override: ``2.5`` is refused, not truncated."""
     number = _float_override(key, value)
     if not number.is_integer():
-        raise ConfigurationError(f"override {key!r} must be a whole number, got {value!r}")
+        raise ConfigurationError(
+            f"override {key!r} must be a whole number, got {short_repr(value)}"
+        )
     return int(value) if isinstance(value, int) else int(number)
 
 
@@ -144,24 +148,26 @@ class Scenario:
         object.__setattr__(self, "strategies", normalized)
         if not _is_integer(self.num_runs) or self.num_runs <= 0:
             raise ConfigurationError(
-                f"scenario {self.name!r}: num_runs must be a positive integer, got {self.num_runs!r}"
+                f"scenario {self.name!r}: num_runs must be a positive integer, "
+                f"got {short_repr(self.num_runs)}"
             )
         if self.num_runs > MAX_NUM_RUNS:
             raise ConfigurationError(
                 f"scenario {self.name!r}: num_runs must be at most {MAX_NUM_RUNS}, "
-                f"got {self.num_runs!r}"
+                f"got {short_repr(self.num_runs)}"
             )
         if self.base_seed is not None and (not _is_integer(self.base_seed) or self.base_seed < 0):
             raise ConfigurationError(
                 f"scenario {self.name!r}: base_seed must be null or a non-negative "
-                f"integer, got {self.base_seed!r}"
+                f"integer, got {short_repr(self.base_seed)}"
             )
         # Signs of the other durations are SimulationConfig's to check.
         for key in ("horizon_days", "warmup_days", "cooldown_days", "fixed_period_s"):
             value = getattr(self, key)
             if not isinstance(value, Real) or isinstance(value, bool) or not is_finite(value):
                 raise ConfigurationError(
-                    f"scenario {self.name!r}: {key} must be a finite number, got {value!r}"
+                    f"scenario {self.name!r}: {key} must be a finite number, "
+                    f"got {short_repr(value)}"
                 )
         if not (self.horizon_days > 0.0):
             raise ConfigurationError(f"scenario {self.name!r}: horizon_days must be positive")
@@ -228,7 +234,7 @@ class Scenario:
         if unknown:
             valid = ", ".join(sorted((*PLATFORM_OVERRIDES, *_FIELD_NAMES)))
             raise ConfigurationError(
-                f"unknown scenario override(s) {', '.join(sorted(map(repr, unknown)))}; "
+                f"unknown scenario override(s) {', '.join(sorted(map(short_repr, unknown)))}; "
                 f"expected one of {valid}"
             )
         shorthands = [key for key in PLATFORM_OVERRIDES if key in overrides]

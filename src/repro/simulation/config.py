@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from numbers import Integral
 
 from repro.apps.app_class import ApplicationClass
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, short_repr
 from repro.iosched.registry import StrategySpec, canonical_strategy
 from repro.platform.failures import FailureModel
 from repro.platform.interference import InterferenceModel
@@ -102,16 +102,20 @@ class SimulationConfig:
         for name in ("horizon_s", "fixed_period_s"):
             value = getattr(self, name)
             if not (value > 0.0) or not is_finite(value):
-                raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {short_repr(value)}"
+                )
         for name in ("warmup_s", "cooldown_s"):
             value = getattr(self, name)
             if not (value >= 0.0) or not is_finite(value):
-                raise ConfigurationError(f"{name} must be non-negative and finite, got {value!r}")
+                raise ConfigurationError(
+                    f"{name} must be non-negative and finite, got {short_repr(value)}"
+                )
         if self.seed is not None and (
             not isinstance(self.seed, Integral) or isinstance(self.seed, bool) or self.seed < 0
         ):
             raise ConfigurationError(
-                f"seed must be None or a non-negative integer, got {self.seed!r}"
+                f"seed must be None or a non-negative integer, got {short_repr(self.seed)}"
             )
         if self.routine_io_chunks < 0:
             raise ConfigurationError("routine_io_chunks must be non-negative")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import re
 
 import pytest
 
@@ -203,6 +204,31 @@ def test_a_hostile_campaign_file_is_a_clean_error(tmp_path, capsys, name, text):
     assert main(["campaign", "--file", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+#: A 4 300-digit number, the longest integer ``json`` parses.
+_HUGE = "1" + "0" * 4299
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("horizon_days", '{"horizon_days": %s}' % _HUGE),
+        ("num_runs", '{"num_runs": %s}' % _HUGE),
+        ("bandwidth_gbs", '{"bandwidth_gbs": %s}' % _HUGE),
+        ("period_s", '{"strategies": ["ordered[policy=fixed,period_s=%s]"]}' % _HUGE),
+    ],
+    ids=["horizon_days", "num_runs", "bandwidth_gbs", "strategy-parameter"],
+)
+def test_a_refused_huge_value_gives_a_short_error_line(tmp_path, capsys, key, overrides):
+    """The error line keeps the head of the refused value, not all 4 300 digits."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"name": "f", "base": "smoke", "overrides": %s}' % overrides)
+    assert main(["campaign", "--file", str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    # 4 300 digits, or 4 302 characters for the quoted spec parameter.
+    assert err.startswith("error: ") and key in err and re.search(r"… \(430[02] characters\)", err)
+    assert len(err) < 200, err[:300]
 
 
 def test_campaign_validates_num_runs():

@@ -361,6 +361,19 @@ def test_huge_numbers_and_deep_nesting_are_a_400_at_submit(service):
     assert service.manager.jobs() == []
 
 
+def test_a_refused_huge_value_gives_a_short_400(service):
+    """A 4 300-digit number, the longest integer json parses, is echoed by
+    its head only: the 400 body stays short and still names the key."""
+    for key in ("horizon_days", "num_runs", "bandwidth_gbs"):
+        payload = {"campaign": {**TOY_MATRIX, "overrides": {key: 10**4299}}}
+        code, body = _expect_error(
+            service, "/v1/jobs", method="POST", data=json.dumps(payload).encode()
+        )
+        assert code == 400 and key in body["error"], (key, body["error"][:300])
+        assert len(body["error"]) < 200, body["error"][:300]
+    assert service.manager.jobs() == []
+
+
 def test_campaign_from_request_validates_shapes():
     with pytest.raises(ConfigurationError, match="exactly one campaign source"):
         campaign_from_request({"preset": "smoke", "toml": "x"})
