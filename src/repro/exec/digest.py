@@ -56,7 +56,13 @@ _EXCLUDED_FIELDS = frozenset({"seed", "collect_trace"})
 
 
 def _encode(value: Any) -> Any:
-    """Canonical JSON-encodable form of one config field value."""
+    """Canonical JSON-encodable form of one config field value.
+
+    Only dataclasses, sequences and JSON scalars have one: a dataclass's
+    fields name every parameter, while any other object could only be
+    keyed by its ``repr``, and a ``repr`` that leaves a parameter out gives
+    two different configurations one digest.  Such a value is refused.
+    """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         fields = dataclasses.asdict(value)
         return {"__type__": type(value).__name__, **{k: _encode(v) for k, v in sorted(fields.items())}}
@@ -64,9 +70,11 @@ def _encode(value: Any) -> Any:
         return [_encode(item) for item in value]
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    # Interference models and other pluggable objects: rely on their repr,
-    # which each model defines to include its parameters.
-    return {"__repr__": repr(value)}
+    raise ConfigurationError(
+        f"cannot digest a {type(value).__name__}: a configuration holds only "
+        "dataclasses, sequences and JSON scalars, so that every parameter "
+        "enters its cache key (make the type a dataclass)"
+    )
 
 
 #: The ``__type__`` tags a payload may carry: every object type a

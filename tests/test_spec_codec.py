@@ -30,6 +30,7 @@ from repro.platform.failures import FailureModel
 from repro.platform.interference import (
     CappedConcurrencyInterference,
     DegradingInterference,
+    InterferenceModel,
     LinearInterference,
 )
 from repro.scenarios.presets import campaign_names, make_campaign, smoke_campaign
@@ -77,6 +78,46 @@ def test_the_payload_codec_keeps_every_digest(group):
         assert config_digest(decoded) == config_digest(config), config
         # The payload leaves the seed and trace switch out, nothing else.
         assert decoded == dataclasses.replace(config, seed=None, collect_trace=False)
+
+
+class _Throttled(InterferenceModel):
+    """Not a dataclass: the base class's repr prints ``_Throttled()``
+    whatever its factor."""
+
+    def __init__(self, factor: float) -> None:
+        self.factor = factor
+
+    def effective_bandwidth(self, nominal_bandwidth: float, num_streams: int) -> float:
+        return nominal_bandwidth * self.factor if num_streams > 1 else nominal_bandwidth
+
+
+@dataclasses.dataclass(frozen=True, repr=False)
+class _DataclassThrottled(InterferenceModel):
+    """The same model as a dataclass, with the same parameter-free repr."""
+
+    factor: float
+
+    def effective_bandwidth(self, nominal_bandwidth: float, num_streams: int) -> float:
+        return nominal_bandwidth * self.factor if num_streams > 1 else nominal_bandwidth
+
+
+def test_a_value_that_is_not_a_dataclass_is_refused_not_keyed_by_its_repr():
+    """Keyed by their repr, the two factors shared one digest, so a store
+    served one's waste ratio for the other."""
+    assert repr(_Throttled(0.1)) == repr(_Throttled(5.0))
+    for factor in (0.1, 5.0):
+        config = dataclasses.replace(_BASE, interference=_Throttled(factor))
+        with pytest.raises(ConfigurationError, match="cannot digest a _Throttled"):
+            config_digest(config)
+
+
+def test_a_dataclass_value_gets_one_digest_per_parameter_value():
+    slow, fast = (
+        dataclasses.replace(_BASE, interference=_DataclassThrottled(factor))
+        for factor in (0.1, 5.0)
+    )
+    assert repr(slow.interference) == repr(fast.interference)
+    assert config_digest(slow) != config_digest(fast)
 
 
 def _mutated_payload(mutate) -> dict:
