@@ -35,7 +35,7 @@ from repro.distributed import SpoolWorker, WorkSpool, make_task_specs
 from repro.distributed import fsops
 from repro.exec import ParallelRunner, config_digest
 from repro.scenarios.presets import make_campaign
-from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.runner import run_campaign
 from repro.stats.montecarlo import derive_seeds
 from repro.store import FilesystemStore
 
@@ -72,7 +72,7 @@ def test_bench_spool_vs_process_throughput(tmp_path):
 
     start = time.perf_counter()
     with ParallelRunner(backend="process", workers=WORKERS) as pool_runner:
-        pool_result = CampaignRunner(runner=pool_runner).run(campaign)
+        pool_result = run_campaign(campaign, pool_runner)
     process_s = time.perf_counter() - start
 
     spool_dir, cache_dir = tmp_path / "spool", tmp_path / "cache"
@@ -86,7 +86,7 @@ def test_bench_spool_vs_process_throughput(tmp_path):
     )
     try:
         start = time.perf_counter()
-        spool_result = CampaignRunner(runner=runner).run(campaign)
+        spool_result = run_campaign(campaign, runner)
         spool_s = time.perf_counter() - start
     finally:
         for worker in workers:
@@ -123,7 +123,7 @@ def test_bench_spool_resume_is_pure_cache_replay(tmp_path):
         spool_poll_s=0.02, spool_timeout_s=600.0,
     )
     try:
-        warm_result = CampaignRunner(runner=warm).run(campaign)
+        warm_result = run_campaign(campaign, warm)
     finally:
         for worker in workers:
             worker.terminate()
@@ -135,7 +135,7 @@ def test_bench_spool_resume_is_pure_cache_replay(tmp_path):
         backend="spool", spool_dir=spool_dir, cache=FilesystemStore(cache_dir), spool_timeout_s=5.0
     )
     start = time.perf_counter()
-    replay_result = CampaignRunner(runner=replay).run(campaign)
+    replay_result = run_campaign(campaign, replay)
     replay_s = time.perf_counter() - start
 
     assert replay_result == warm_result

@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.exec import ParallelRunner
-from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.runner import run_scenarios
 from repro.scenarios.spec import Scenario
 from repro.stats.summary import DistributionSummary
 from repro.store import FilesystemStore
@@ -51,8 +51,8 @@ def _figure1_cell(num_runs: int) -> Scenario:
 
 def run_cell(cell: Scenario, runner: ParallelRunner | None = None) -> DistributionSummary:
     """Waste-ratio summary of the cell's only strategy."""
-    campaign_runner = CampaignRunner() if runner is None else CampaignRunner(runner)
-    return campaign_runner.run_scenario(cell).summaries["least-waste"]
+    (outcome,) = run_scenarios([cell], runner)
+    return outcome.summaries["least-waste"]
 
 
 def test_bench_parallel_speedup(benchmark):

@@ -24,7 +24,7 @@ from repro.platform.failures import FailureModel
 from repro.scenarios.campaign import Axis, AxisPoint, Campaign
 from repro.scenarios.presets import mini_apex_workload, mini_cielo_platform
 from repro.scenarios.report import render_campaign, render_campaign_details
-from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.runner import run_campaign
 from repro.scenarios.spec import Scenario
 from repro.store import FilesystemStore
 
@@ -68,18 +68,16 @@ def main() -> None:
     print(campaign.describe())
     print()
 
-    runner = CampaignRunner(
-        runner=ParallelRunner(
-            backend="process" if args.workers > 1 else "serial",
-            workers=args.workers,
-            cache=FilesystemStore(args.cache_dir) if args.cache_dir else None,
-        )
-    )
-    result = runner.run(campaign)
+    with ParallelRunner(
+        backend="process" if args.workers > 1 else "serial",
+        workers=args.workers,
+        cache=FilesystemStore(args.cache_dir) if args.cache_dir else None,
+    ) as runner:
+        result = run_campaign(campaign, runner)
     print(render_campaign(result))
     print()
     print(render_campaign_details(result))
-    stats = runner.runner.stats
+    stats = runner.stats
     print()
     print(f"simulations: {stats.tasks_run}, cache hits: {stats.cache_hits}")
 

@@ -41,11 +41,11 @@ import argparse
 import time
 
 from repro import (
-    CampaignRunner,
     ParallelRunner,
     Scenario,
     apex_workload,
     cielo_platform,
+    run_scenarios,
     run_simulation,
 )
 from repro.experiments.theory import theoretical_waste
@@ -115,8 +115,9 @@ def main() -> None:
         print()
         print(f"=== parallel Monte-Carlo ({scenario.num_runs} runs, {args.workers} workers) ===")
         start = time.perf_counter()
-        with CampaignRunner(ParallelRunner(backend="process", workers=args.workers)) as runner:
-            summary = runner.run_scenario(scenario).summaries["least-waste"]
+        with ParallelRunner(backend="process", workers=args.workers) as runner:
+            (outcome,) = run_scenarios([scenario], runner)
+        summary = outcome.summaries["least-waste"]
         elapsed = time.perf_counter() - start
         print(f"least-waste waste ratio: {summary.format()}  ({elapsed:.1f}s wall-clock)")
 

@@ -104,7 +104,7 @@ _exported, __getattr__ = _lazy_exports(globals(), {
     "repro.distributed.spool": ("WorkSpool",),
     # scenario campaigns
     "repro.scenarios.campaign": ("Axis", "AxisPoint", "Campaign"),
-    "repro.scenarios.runner": ("CampaignResult", "CampaignRunner"),
+    "repro.scenarios.runner": ("CampaignResult", "drill_down", "run_campaign", "run_scenarios"),
     "repro.scenarios.spec": ("Scenario",),
     "repro.scenarios.presets": ("campaign_names", "make_campaign"),
     "repro.scenarios.report": ("campaign_to_csv", "render_campaign"),

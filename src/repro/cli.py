@@ -723,7 +723,7 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
     from repro.scenarios.campaign import Campaign
     from repro.scenarios.presets import make_campaign
     from repro.scenarios.report import campaign_to_csv, render_campaign, render_campaign_details
-    from repro.scenarios.runner import CampaignRunner
+    from repro.scenarios.runner import run_campaign
 
     overrides: dict[str, object] = {}
     if args.num_runs is not None:
@@ -741,41 +741,32 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
     else:
         campaign = make_campaign(args.preset or "smoke", **overrides)
 
-    if args.best_summary:
-        # Refuse before dispatching: each summary replays a scenario's first
-        # seed, which an unseeded scenario draws afresh on every expansion.
-        for scenario in campaign.scenarios():
-            if scenario.base_seed is None:
-                raise ConfigurationError(
-                    f"--best-summary needs a concrete base seed: scenario "
-                    f"{scenario.name!r} has base_seed=None, so its first seed "
-                    "would not be one the campaign measured"
-                )
-    runner = CampaignRunner(runner=_runner_from_args(args))
-    result = runner.run(campaign)
+    runner = _runner_from_args(args)
+    result = run_campaign(campaign, runner)
     parts = [campaign.describe(), "", render_campaign(result)]
     if args.details:
         parts.append("")
         parts.append(render_campaign_details(result))
     if args.best_summary:
+        from repro.trace import drill_down_cell
+
         for outcome in result.outcomes:
-            best = outcome.best_strategy()
-            # No winner to re-simulate: the outcome is empty, or (in a
-            # hand-assembled result) the winner is a strategy the scenario
-            # does not declare, which Scenario.config() would reject.
-            if best is None or best not in outcome.scenario.strategies:
-                continue
-            drill = runner.drill_down(outcome.scenario, best)
+            scenario, best = outcome.scenario, outcome.best_strategy()
+            # The first seed the campaign measured: an unseeded scenario draws
+            # fresh seeds on every expansion, so its outcome is the only record.
+            drill = drill_down_cell(
+                scenario.config(best), outcome.seeds[0], cache=runner.cache, scenario=scenario.name
+            )
             parts.append("")
-            parts.append(f"--- {outcome.scenario.name} / {best} (first seed) ---")
+            parts.append(f"--- {scenario.name} / {best} (first seed) ---")
             parts.append(drill.result.summary())
-    if args.cache_dir is not None and runner.runner.cache is not None:
-        stats = runner.runner.stats
+    if args.cache_dir is not None and runner.cache is not None:
+        stats = runner.stats
         remote = f", {stats.remote_seeds} remote seed(s)" if stats.remote_seeds else ""
         parts.append("")
         parts.append(
             f"cache: {stats.cache_hits} hit(s), {stats.tasks_run} simulation(s)"
-            f"{remote} this run ({runner.runner.cache.root})"
+            f"{remote} this run ({runner.cache.root})"
         )
     if args.csv:
         from repro.experiments.export import write_text
@@ -1020,20 +1011,18 @@ def _cmd_trace(args: argparse.Namespace) -> str:
 
 
 def _cmd_trace_cell(args: argparse.Namespace) -> str:
-    from pathlib import Path
-
     from repro.scenarios.campaign import Campaign
     from repro.scenarios.presets import make_campaign
-    from repro.scenarios.runner import CampaignRunner
+    from repro.scenarios.runner import drill_down
     from repro.trace import decomposition_to_csv, render_decomposition
 
     if args.campaign in CAMPAIGNS:
         campaign = make_campaign(args.campaign)
-    elif Path(args.campaign).is_file():
+    elif os.path.isfile(args.campaign):  # False, not OSError, for a name too long for a path
         campaign = Campaign.from_file(args.campaign)
     else:
         raise ConfigurationError(
-            f"unknown campaign {args.campaign!r}: neither a preset "
+            f"unknown campaign {short_repr(args.campaign)}: neither a preset "
             f"({', '.join(sorted(CAMPAIGNS))}) nor a campaign file"
         )
     scenarios = campaign.scenarios()
@@ -1051,17 +1040,15 @@ def _cmd_trace_cell(args: argparse.Namespace) -> str:
         if scenario is None:
             names = ", ".join(repr(name) for name in by_name)
             raise ConfigurationError(
-                f"no scenario named {args.scenario!r} in campaign "
+                f"no scenario named {short_repr(args.scenario)} in campaign "
                 f"{campaign.name!r}; known scenarios: {names}"
             )
     strategy = args.strategy if args.strategy is not None else scenario.strategies[0]
 
-    # _runner_from_args registers the runner on args so main()'s finally
-    # block closes any backend it grows (the no-orphaned-workers guarantee).
-    runner = CampaignRunner(runner=_runner_from_args(args))
-    drill = runner.drill_down(scenario, strategy, rep=args.seed)
+    store = _store_from_args(args)  # closed by main() on every exit path
+    drill = drill_down(scenario, strategy, rep=args.seed, cache=store)
     parts = [render_decomposition(drill)]
-    if runner.runner.cache is not None:
+    if store is not None:
         # A pre-drill recorded value implies repr-exact agreement (the drill
         # raises on contradiction); only then is a match claimed — CI greps
         # this line, and a fresh drill writing its own entry must not

@@ -2,7 +2,7 @@
 
 :class:`SpoolBackend` plugs distributed execution into
 :class:`~repro.exec.runner.ParallelRunner` (and therefore into
-``CampaignRunner`` and every experiment entry point) without those layers
+``run_campaign`` and every experiment entry point) without those layers
 knowing anything about workers.  A campaign reaches it as one batch, so
 the submitter makes one enqueue and runs one poll loop per campaign, and
 workers claim different cells from their first poll:
@@ -84,7 +84,6 @@ class SpoolBackend(ExecutionBackend):
                     strategy,
                     seeds,
                     label=cell.label,
-                    chunk_size=runner.chunk_size,
                 )
             )
             outstanding.update(

@@ -309,9 +309,9 @@ class SerialBackend(ExecutionBackend):
 class ProcessBackend(ExecutionBackend):
     """A lazily created, batch-spanning :class:`ProcessPoolExecutor`.
 
-    The whole batch is split into chunks over one pool, and no chunk mixes
-    cells.  The pool is reused across batches so a sweep pays worker
-    startup once.
+    The whole batch is split into about four chunks per worker over one
+    pool, and no chunk mixes cells.  The pool is reused across batches so a
+    sweep pays worker startup once.
     """
 
     def __init__(self, runner: "ParallelRunner") -> None:
@@ -324,9 +324,7 @@ class ProcessBackend(ExecutionBackend):
         runner = self.runner
         pending = batch.entries
         workers = runner.workers or os.cpu_count() or 1
-        chunk_size = runner.chunk_size or max(
-            1, math.ceil(len(pending) / (min(workers, len(pending)) * 4))
-        )
+        chunk_size = max(1, math.ceil(len(pending) / (min(workers, len(pending)) * 4)))
         chunks = [
             entries[start : start + chunk_size]
             for _, entries in batch.by_cell()
@@ -425,10 +423,6 @@ class ParallelRunner:
     workers:
         Worker-process count for the ``"process"`` backend; defaults to the
         machine's CPU count.  Ignored by the serial backend.
-    chunk_size:
-        Seeds dispatched per pool submission (process) or per spooled task
-        spec (spool); defaults to roughly four chunks per worker (process)
-        or four specs per cell (spool).  A chunk never mixes cells.
     cache:
         Optional result store (e.g. ``open_store(kind, path)``) consulted
         for every seed of every cell.  Mandatory for the spool
@@ -449,7 +443,6 @@ class ParallelRunner:
 
     backend: str = "serial"
     workers: int | None = None
-    chunk_size: int | None = None
     cache: ResultStore | None = None
     spool_dir: str | os.PathLike[str] | None = None
     spool_poll_s: float = 0.1
@@ -470,8 +463,6 @@ class ParallelRunner:
             )
         if self.workers is not None and self.workers <= 0:
             raise ConfigurationError("workers must be positive")
-        if self.chunk_size is not None and self.chunk_size <= 0:
-            raise ConfigurationError("chunk_size must be positive")
         durations = {"spool_poll_s": self.spool_poll_s, "spool_lease_ttl_s": self.spool_lease_ttl_s}
         if self.spool_timeout_s is not None:  # None waits indefinitely
             durations["spool_timeout_s"] = self.spool_timeout_s

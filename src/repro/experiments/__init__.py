@@ -10,7 +10,7 @@
 * :mod:`repro.experiments.figure3` — Figure 3, minimum bandwidth required to
   reach 80 % efficiency on the prospective system.
 * :mod:`repro.experiments.report` — Figure 1/2 sweeps as one-axis campaigns
-  of :class:`~repro.scenarios.runner.CampaignRunner`, and their rendering.
+  run by :func:`~repro.scenarios.runner.run_campaign`, and their rendering.
 """
 
 from repro import _lazy_exports

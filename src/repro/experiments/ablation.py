@@ -28,7 +28,7 @@ from repro.platform.interference import (
 )
 from repro.platform.spec import PlatformSpec
 from repro.scenarios.campaign import Axis, AxisPoint, Campaign
-from repro.scenarios.runner import CampaignResult, CampaignRunner
+from repro.scenarios.runner import CampaignResult, run_campaign
 from repro.scenarios.spec import Scenario
 from repro.units import HOUR
 
@@ -58,7 +58,7 @@ def _run_ablation(
         cooldown_days=edge_days,
     )
     campaign = Campaign(name=name, base=base, axes=(Axis(name=name, points=tuple(points)),))
-    return CampaignRunner(runner or ParallelRunner()).run(campaign)
+    return run_campaign(campaign, runner)
 
 
 def fixed_period_ablation(

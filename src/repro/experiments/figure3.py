@@ -27,7 +27,7 @@ from repro.errors import ConfigurationError
 from repro.exec.runner import ParallelRunner
 from repro.experiments.theory import theoretical_waste
 from repro.iosched.registry import STRATEGIES
-from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.runner import run_scenarios
 from repro.scenarios.spec import Scenario
 from repro.workloads.prospective import prospective_platform, prospective_workload
 
@@ -116,7 +116,7 @@ def _simulated_waste(
         warmup_days=config.warmup_days,
         cooldown_days=config.cooldown_days,
     )
-    outcome = CampaignRunner(runner or ParallelRunner()).run_scenario(scenario)
+    (outcome,) = run_scenarios([scenario], runner)
     (summary,) = outcome.summaries.values()
     return summary.mean
 

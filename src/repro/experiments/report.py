@@ -15,7 +15,7 @@ from typing import cast
 from repro.exec.runner import ParallelRunner
 from repro.experiments.theory import theoretical_waste
 from repro.scenarios.campaign import Axis, Campaign
-from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.runner import run_campaign
 from repro.scenarios.spec import Scenario
 from repro.stats.summary import DistributionSummary
 
@@ -76,7 +76,7 @@ def run_sweep(
     default is a fresh serial, uncached runner.
     """
     (axis,) = campaign.axes
-    result = CampaignRunner(runner or ParallelRunner()).run(campaign)
+    result = run_campaign(campaign, runner)
     return SweepResult(
         parameter_name=parameter_name,
         parameter_values=[cast(float, point.overrides[axis.name]) for point in axis.points],

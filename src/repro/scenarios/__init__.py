@@ -10,10 +10,10 @@ mix; this package turns those point measurements into *regime* sweeps:
   :class:`~repro.scenarios.campaign.Axis` — a named matrix of scenarios
   expanded from labelled override axes (e.g. MTBF x I/O bandwidth x
   failure model).
-* :class:`~repro.scenarios.runner.CampaignRunner` — executes the matrix
-  through :class:`repro.exec.ParallelRunner`, inheriting its process
+* :func:`~repro.scenarios.runner.run_campaign` — executes the matrix
+  through a :class:`repro.exec.ParallelRunner`, inheriting its process
   backend and on-disk result cache (re-running a grown matrix only
-  simulates new cells).
+  simulates new cells), and keeps every cell's per-seed values.
 * :mod:`~repro.scenarios.report` — the cross-scenario comparison table and
   CSV export.
 * :mod:`~repro.scenarios.presets` — ready-made campaigns: the Cielo
@@ -35,7 +35,9 @@ from repro.scenarios.presets import (
     mini_cielo_platform,
 )
 from repro.scenarios.report import campaign_to_csv, render_campaign, render_campaign_details
-from repro.scenarios.runner import CampaignResult, CampaignRunner, ScenarioOutcome
+from repro.scenarios.runner import (
+    CampaignResult, ScenarioOutcome, drill_down, run_campaign, run_scenarios,
+)
 from repro.scenarios.spec import Scenario
 
 __all__ = [
@@ -44,15 +46,17 @@ __all__ = [
     "CAMPAIGNS",
     "Campaign",
     "CampaignResult",
-    "CampaignRunner",
     "FAMILY_STRATEGIES",
     "Scenario",
     "ScenarioOutcome",
     "campaign_names",
     "campaign_to_csv",
+    "drill_down",
     "make_campaign",
     "mini_apex_workload",
     "mini_cielo_platform",
     "render_campaign",
     "render_campaign_details",
+    "run_campaign",
+    "run_scenarios",
 ]

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
-from repro.errors import ConfigurationError
-from repro.scenarios.spec import Scenario
+from repro.errors import ConfigurationError, short_repr
+from repro.scenarios.spec import Scenario, check_name
 
 __all__ = ["Axis", "AxisPoint", "Campaign"]
 
@@ -37,6 +37,7 @@ class AxisPoint:
     def __post_init__(self) -> None:
         if not self.label:
             raise ConfigurationError("axis point requires a non-empty label")
+        check_name("axis point label", self.label)
         object.__setattr__(self, "overrides", dict(self.overrides))
 
 
@@ -59,6 +60,7 @@ class Axis:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("axis requires a non-empty name")
+        check_name("axis name", self.name)
         object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise ConfigurationError(f"axis {self.name!r} has no points")
@@ -115,6 +117,7 @@ class Campaign:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("Campaign requires a non-empty name")
+        check_name("campaign name", self.name)
         object.__setattr__(self, "axes", tuple(self.axes))
         axis_names = [axis.name for axis in self.axes]
         if len(set(axis_names)) != len(axis_names):
@@ -189,7 +192,7 @@ class Campaign:
         unknown = sorted(set(map(str, data)) - known)
         if unknown:
             raise ConfigurationError(
-                f"{source}: unknown campaign key(s) {', '.join(map(repr, unknown))}; "
+                f"{source}: unknown campaign key(s) {', '.join(map(short_repr, unknown))}; "
                 f"expected one of {', '.join(sorted(known))}"
             )
         name = data.get("name")
@@ -225,6 +228,7 @@ class Campaign:
         axis_name = entry.get("name")
         if not axis_name or not isinstance(axis_name, str):
             raise ConfigurationError(f"{source}: axis needs a non-empty string 'name'")
+        check_name(f"{source}: axis name", axis_name)
         if "key" in entry:
             values = entry.get("values")
             if not isinstance(values, Sequence) or isinstance(values, (str, bytes)) or not values:
@@ -252,13 +256,15 @@ class Campaign:
                 raise ConfigurationError(
                     f"{source}: axis {axis_name!r} point [{index}] needs a 'label'"
                 )
+            label = str(point["label"])
+            check_name(f"{source}: axis {axis_name!r} point label", label)
             point_overrides = point.get("overrides", {})
             if not isinstance(point_overrides, Mapping):
                 raise ConfigurationError(
-                    f"{source}: axis {axis_name!r} point {point['label']!r} "
+                    f"{source}: axis {axis_name!r} point {label!r} "
                     "'overrides' must be a table/object"
                 )
-            built.append(AxisPoint(label=str(point["label"]), overrides=dict(point_overrides)))
+            built.append(AxisPoint(label=label, overrides=dict(point_overrides)))
         return Axis(name=axis_name, points=tuple(built))
 
     @classmethod

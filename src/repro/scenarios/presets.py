@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from repro.apps.app_class import ApplicationClass
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, short_repr
 from repro.platform.failures import FailureModel
 from repro.platform.spec import PlatformSpec
 from repro.scenarios.campaign import Axis, AxisPoint, Campaign
@@ -310,6 +310,6 @@ def make_campaign(name: str, **overrides: object) -> Campaign:
     factory = CAMPAIGNS.get(name)
     if factory is None:
         raise ConfigurationError(
-            f"unknown campaign {name!r}; expected one of {', '.join(CAMPAIGNS)}"
+            f"unknown campaign {short_repr(name)}; expected one of {', '.join(CAMPAIGNS)}"
         )
     return factory(**overrides)

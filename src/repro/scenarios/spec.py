@@ -32,16 +32,29 @@ from repro.platform.spec import PlatformSpec
 from repro.simulation.config import SimulationConfig
 from repro.units import DAY, GB, HOUR, YEAR, is_finite
 
-__all__ = ["MAX_NUM_RUNS", "Scenario", "PLATFORM_OVERRIDES"]
+__all__ = ["MAX_NAME_LENGTH", "MAX_NUM_RUNS", "Scenario", "PLATFORM_OVERRIDES", "check_name"]
 
 #: The most Monte-Carlo runs a scenario may ask for: 100x the paper's 1 000.
 #: Every seed is derived before the first run, so a far larger count would
 #: stall the process instead of failing cleanly.
 MAX_NUM_RUNS = 100_000
 
+#: The longest name a scenario, campaign or axis, or label an axis point,
+#: may have.  Names are echoed in tables and error messages, and a campaign
+#: file or an HTTP body can make one as long as its source allows.
+MAX_NAME_LENGTH = 200
+
 #: Shorthand override keys applied to the scenario's platform (in this
 #: order) before any workload override is evaluated.
 PLATFORM_OVERRIDES: tuple[str, ...] = ("num_nodes", "bandwidth_gbs", "node_mtbf_years")
+
+
+def check_name(kind: str, name: str) -> None:
+    """Refuse a ``kind`` name longer than :data:`MAX_NAME_LENGTH` characters."""
+    if len(name) > MAX_NAME_LENGTH:
+        raise ConfigurationError(
+            f"{kind} {short_repr(name)} is longer than {MAX_NAME_LENGTH} characters"
+        )
 
 
 def _float_override(key: str, value: object) -> float:
@@ -124,6 +137,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("Scenario requires a non-empty name")
+        check_name("scenario name", self.name)
         object.__setattr__(self, "workload", self._sequence("workload"))
         object.__setattr__(self, "strategies", self._sequence("strategies"))
         if not self.workload:

@@ -7,7 +7,7 @@ through :class:`~repro.service.http.CampaignService` — submit campaigns,
 poll progress, list cells, stream CSV exports and fetch per-cell waste
 decompositions, all over stdlib HTTP + JSON, no shell access to the cache
 directory required.  Every number the service returns travels through the
-same code paths as the CLI (``CampaignRunner``, ``campaign_to_csv``,
+same code paths as the CLI (``run_campaign``, ``campaign_to_csv``,
 ``repro.trace``), so served results are bit-identical to offline ones.
 ``coopckpt worker --metrics-port`` serves its probes on the same
 :class:`~repro.service.http.JsonServer`.

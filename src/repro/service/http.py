@@ -26,10 +26,12 @@ as ``coopckpt campaign --csv``, on the same :class:`CampaignResult` type —
 so a served export is byte-identical to the offline one for the same
 campaign and cache.  Errors are JSON: bad requests
 (:class:`~repro.errors.ConfigurationError`) map to 400, unknown jobs/paths
-to 404, results not ready to 409, everything unexpected to 500 — a broken
-request must never take the server down.  This module loads only the
-standard library and :mod:`repro.errors`, so a worker serving its metrics
-never imports the job layer.
+to 404, methods other than GET and POST to 405 (``Allow: GET, POST``), a
+body shorter than its ``Content-Length`` to 408 once it stops arriving,
+results not ready to 409, everything unexpected to 500 — a broken request
+must never take the server down.  This module loads only the standard
+library and :mod:`repro.errors`, so a worker serving its metrics never
+imports the job layer.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ import dataclasses
 import json
 import threading
 from collections.abc import Callable
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError, short_repr
 
 if TYPE_CHECKING:
     from repro.service.jobs import JobManager
@@ -51,6 +54,10 @@ if TYPE_CHECKING:
 __all__ = ["CampaignService", "JsonServer", "metrics_route"]
 
 _MAX_BODY_BYTES = 4 * 1024 * 1024  # campaign matrices are small; refuse blobs
+
+#: Seconds a request body may stall before the answer is a 408: a client
+#: that sends less than its ``Content-Length`` must not hold a thread.
+_BODY_TIMEOUT_S = 10.0
 
 #: A route answers ``(handler, method, path, query)`` with ``(status, payload)``:
 #: a JSON-ready payload, or ``bytes`` sent as CSV.
@@ -104,6 +111,19 @@ class JsonServer:
 
             def do_POST(self) -> None:  # noqa: N802 (stdlib API name)
                 server._handle(self, "POST")
+
+            def send_error(
+                self, code: int, message: str | None = None, explain: str | None = None
+            ) -> None:
+                # The stdlib's own refusals (a malformed request line, too
+                # many headers, a method with no do_ handler) answer in JSON
+                # too, and a method other than GET or POST is a 405.
+                self.close_connection = True
+                if code == HTTPStatus.NOT_IMPLEMENTED:
+                    message = f"method {short_repr(self.command)} not allowed; use GET or POST"
+                    server._send_json(self, 405, {"error": message}, Allow="GET, POST")
+                else:
+                    server._send_json(self, code, {"error": message or HTTPStatus(code).phrase})
 
             def log_message(self, format: str, *args: object) -> None:
                 pass  # request logs belong to the client, not the server tty
@@ -171,10 +191,10 @@ class JsonServer:
             self._send_json(handler, status, payload)
 
     def _send_json(
-        self, handler: BaseHTTPRequestHandler, status: int, payload: object
+        self, handler: BaseHTTPRequestHandler, status: int, payload: object, **headers: str
     ) -> None:
         body = json.dumps(payload, indent=2).encode("utf-8") + b"\n"
-        self._send(handler, status, body, "application/json")
+        self._send(handler, status, body, "application/json", **headers)
 
     def _send(
         self,
@@ -182,13 +202,17 @@ class JsonServer:
         status: int,
         body: bytes,
         content_type: str,
+        **headers: str,
     ) -> None:
         try:
             handler.send_response(status)
             handler.send_header("Content-Type", content_type)
             handler.send_header("Content-Length", str(len(body)))
+            for name, value in headers.items():
+                handler.send_header(name, value)
             handler.end_headers()
-            handler.wfile.write(body)
+            if handler.command != "HEAD":
+                handler.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-response; nothing to salvage
 
@@ -199,7 +223,8 @@ def metrics_route(metrics: Callable[[], dict]) -> Route:
     ``/healthz`` answers ``{"ok": true}`` without calling ``metrics``;
     ``/metrics`` and ``/`` answer its snapshot, or ``{"error": ...}`` with a
     200 if it raises, so the endpoint stays scrapeable.  Any other path is a
-    404.  The method is not looked at.
+    404.  The route does not look at the method: the server answers every
+    method but GET and POST with a 405 before any route runs.
     """
 
     def route(
@@ -212,7 +237,7 @@ def metrics_route(metrics: Callable[[], dict]) -> Route:
                 return 200, metrics()
             except Exception as exc:  # never take the scrape down
                 return 200, {"error": repr(exc)}
-        raise _HTTPStatus(404, f"unknown path {path!r} (try /healthz, /metrics)")
+        raise _HTTPStatus(404, f"unknown path {short_repr(path)} (try /healthz, /metrics)")
 
     return route
 
@@ -266,10 +291,10 @@ class CampaignService(JsonServer):
                 raise _HTTPStatus(405, f"{method} not allowed here")
             parts = path.split("/")[3:]  # ["<id>"] or ["<id>", "<aspect>"]
             if len(parts) > 2:
-                raise _HTTPStatus(404, f"unknown path {path!r}")
+                raise _HTTPStatus(404, f"unknown path {short_repr(path)}")
             job = self.manager.get(parts[0])
             if job is None:
-                raise _HTTPStatus(404, f"no job {parts[0]!r}")
+                raise _HTTPStatus(404, f"no job {short_repr(parts[0])}")
             aspect = parts[1] if len(parts) == 2 else None
             if aspect is None:
                 return 200, job.snapshot()
@@ -304,10 +329,10 @@ class CampaignService(JsonServer):
                     )
                 rep = _int_param(query, "rep") or 0
                 return 200, self.manager.drill(job, scenario, strategy, rep)
-            raise _HTTPStatus(404, f"unknown path {path!r}")
+            raise _HTTPStatus(404, f"unknown path {short_repr(path)}")
         raise _HTTPStatus(
             404,
-            f"unknown path {path!r} (try /healthz, /metrics, /v1/presets, /v1/jobs)",
+            f"unknown path {short_repr(path)} (try /healthz, /metrics, /v1/presets, /v1/jobs)",
         )
 
     # ------------------------------------------------------------ helpers
@@ -341,7 +366,14 @@ class CampaignService(JsonServer):
             raise _HTTPStatus(400, "request needs a JSON body (Content-Length)")
         if length > _MAX_BODY_BYTES:
             raise _HTTPStatus(413, f"body over {_MAX_BODY_BYTES} bytes")
-        raw = handler.rfile.read(length)
+        handler.connection.settimeout(_BODY_TIMEOUT_S)
+        try:
+            raw = handler.rfile.read(length)
+        except TimeoutError:
+            handler.close_connection = True
+            raise _HTTPStatus(
+                408, f"body stalled for {_BODY_TIMEOUT_S:g} s before its {length} bytes arrived"
+            ) from None
         try:
             return json.loads(raw.decode("utf-8"))
         except (ValueError, RecursionError) as exc:

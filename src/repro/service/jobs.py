@@ -2,7 +2,7 @@
 
 :class:`JobManager` turns a submitted :class:`~repro.scenarios.campaign.Campaign`
 into a :class:`CampaignJob` that runs on a daemon thread, one job at a time,
-through the ordinary :class:`~repro.scenarios.runner.CampaignRunner` — the
+through the ordinary :func:`~repro.scenarios.runner.run_campaign` — the
 service layer adds *no* execution semantics of its own, so a job's
 :class:`~repro.scenarios.runner.CampaignResult` is repr-identical to the
 same campaign run from the CLI against the same store.  All jobs share one
@@ -25,12 +25,11 @@ import threading
 import time
 from collections.abc import Mapping
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, short_repr
 from repro.exec.digest import config_digest
 from repro.exec.runner import ParallelRunner, ProgressEvent
 from repro.scenarios.campaign import Campaign
-from repro.scenarios.runner import CampaignResult, CampaignRunner
-from repro.stats.montecarlo import derive_seeds
+from repro.scenarios.runner import CampaignResult, drill_down, run_campaign
 from repro.store.base import ResultStore
 from repro.units import is_finite
 
@@ -240,7 +239,7 @@ class JobManager:
             try:
                 runner = self._make_runner(job.on_progress)
                 try:
-                    result = CampaignRunner(runner=runner).run(job.campaign)
+                    result = run_campaign(job.campaign, runner)
                 finally:
                     runner.close()
                 with job._lock:
@@ -280,10 +279,11 @@ class JobManager:
         """Filterable per-(scenario, strategy) cell listing of one done job.
 
         Each record carries the cell's summary statistics, its store
-        coordinates (config digest + derived seeds) and the per-seed values
-        currently held by the shared store — the self-serve answer to
-        "which simulated node-seconds back this number".  ``seed`` filters
-        to cells whose derived seeds include that exact seed.
+        coordinates (config digest + the seeds the job ran) and the
+        per-seed values those statistics were computed from — the
+        self-serve answer to "which simulated node-seconds back this
+        number".  ``seed`` filters to cells whose seeds include that
+        exact seed.
         """
         result = job.result
         if result is None:
@@ -295,22 +295,15 @@ class JobManager:
             if scenario is not None and outcome.scenario.name != scenario:
                 continue
             cell_scenario = outcome.scenario
-            seeds = (
-                list(derive_seeds(cell_scenario.base_seed, cell_scenario.num_runs))
-                if cell_scenario.base_seed is not None
-                else None
-            )
+            wanted = [i for i, s in enumerate(outcome.seeds) if seed is None or s == seed]
+            if not wanted:
+                continue
             best = outcome.best_strategy()
             for cell_strategy in result.strategies:
-                if cell_strategy not in outcome.summaries:
+                if cell_strategy not in outcome.values:
                     continue
                 if strategy is not None and cell_strategy != strategy:
                     continue
-                wanted = seeds
-                if seed is not None:
-                    if seeds is None or seed not in seeds:
-                        continue
-                    wanted = [seed]
                 digest = config_digest(cell_scenario.config(cell_strategy))
                 try:
                     spec = resolved_strategy_spec(
@@ -318,21 +311,19 @@ class JobManager:
                     )
                 except ConfigurationError:
                     spec = cell_strategy  # unregistered plugin kind: degrade
-                record = {
+                records.append({
                     "scenario": cell_scenario.name,
                     "strategy": cell_strategy,
                     "spec": spec,
                     "best": cell_strategy == best,
                     "digest": digest,
                     "stats": outcome.summaries[cell_strategy].as_dict(),
-                }
-                if wanted is not None:
-                    record["seeds"] = wanted
-                    record["values"] = {
-                        str(s): self.store.probe(digest, cell_strategy, s)
-                        for s in wanted
-                    }
-                records.append(record)
+                    "seeds": [outcome.seeds[i] for i in wanted],
+                    "values": {
+                        str(outcome.seeds[i]): outcome.values[cell_strategy][i]
+                        for i in wanted
+                    },
+                })
         return records
 
     # ------------------------------------------------------------ drill-down
@@ -349,14 +340,7 @@ class JobManager:
         if scenario is None:
             names = ", ".join(repr(name) for name in by_name)
             raise ConfigurationError(
-                f"no scenario named {scenario_name!r} in job {job.id}; "
+                f"no scenario named {short_repr(scenario_name)} in job {job.id}; "
                 f"known scenarios: {names}"
             )
-        runner = ParallelRunner(cache=self.store)
-        try:
-            decomposition = CampaignRunner(runner=runner).drill_down(
-                scenario, strategy, rep
-            )
-        finally:
-            runner.close()
-        return decomposition.to_payload()
+        return drill_down(scenario, strategy, rep, cache=self.store).to_payload()

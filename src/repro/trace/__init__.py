@@ -9,8 +9,8 @@ The decomposition holds the run's own ``SimulationResult``, whose waste
 ratio is repr-exactly the cell's recorded value.
 
 Entry points: :func:`drill_down_cell` (configuration + seed),
-:meth:`repro.scenarios.runner.CampaignRunner.drill_down` (campaign-level
-addressing) and ``coopckpt trace --campaign ...`` on the command line.
+:func:`repro.scenarios.runner.drill_down` (campaign-level addressing) and
+``coopckpt trace --campaign ...`` on the command line.
 """
 
 from repro.trace.decompose import JobWaste, WasteDecomposition

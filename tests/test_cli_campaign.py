@@ -59,22 +59,48 @@ def test_campaign_details_and_best_summary(capsys):
     assert "breakdown (node-hours in window):" in out  # full first-seed summary
 
 
-def test_best_summary_refuses_an_unseeded_campaign_before_dispatching(tmp_path, capsys):
-    """An unseeded scenario has no first seed to replay: refuse before any
-    simulation or store write, naming the scenario."""
+def test_best_summary_drills_the_first_measured_seed_of_an_unseeded_campaign(
+    tmp_path, capsys, monkeypatch
+):
+    """An unseeded scenario draws fresh seeds on every expansion; the
+    campaign's outcome keeps the ones it ran, so each summary replays the
+    first seed the table measured."""
+    import repro.scenarios.runner
+    import repro.trace
+
+    results, drills = [], []
+
+    def recording_run_campaign(campaign, runner=None):
+        results.append(run_campaign(campaign, runner))
+        return results[-1]
+
+    def recording_drill(*args, **kwargs):
+        drills.append(drill_down_cell(*args, **kwargs))
+        return drills[-1]
+
+    run_campaign = repro.scenarios.runner.run_campaign
+    drill_down_cell = repro.trace.drill_down_cell
+    monkeypatch.setattr(repro.scenarios.runner, "run_campaign", recording_run_campaign)
+    monkeypatch.setattr(repro.trace, "drill_down_cell", recording_drill)
     matrix = tmp_path / "unseeded.json"
     matrix.write_text(json.dumps({
         "name": "unseeded",
         "base": "smoke",
-        "overrides": {"base_seed": None, "num_runs": 1, "horizon_days": 0.25},
+        "overrides": {"base_seed": None, "num_runs": 2, "horizon_days": 0.25},
+        "axes": [{"name": "io", "key": "bandwidth_gbs", "values": [1.0, 4.0]}],
     }))
-    cache_dir = tmp_path / "cache"
-    argv = ["campaign", "--file", str(matrix), "--best-summary", "--cache-dir", str(cache_dir)]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "--best-summary" in err and "'mini-cielo'" in err and "base_seed=None" in err
-    assert not cache_dir.exists()
+    argv = ["campaign", "--file", str(matrix), "--best-summary", "--cache-dir", str(tmp_path / "c")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    (result,) = results
+    assert len(drills) == len(result.outcomes) == 2
+    for outcome, drill in zip(result.outcomes, drills):
+        best = outcome.best_strategy()
+        first = outcome.values[best][0]
+        assert repr(drill.result.waste_ratio) == repr(first)
+        assert repr(drill.recorded_value) == repr(first)  # through the store too
+        section = out.split(f"--- {outcome.scenario.name} / {best} (first seed) ---\n")[1]
+        assert section.splitlines()[1] == f"waste ratio         : {first:.3f}"
 
 
 def test_best_summary_checks_the_stored_first_seed_value(tmp_path, capsys):

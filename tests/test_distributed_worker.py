@@ -21,7 +21,7 @@ from repro.distributed.tasks import shard_of
 from repro.exec import DIGEST_VERSION, ParallelRunner, config_digest, simulate_waste
 from repro.scenarios.campaign import Campaign
 from repro.scenarios.presets import smoke_campaign
-from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.runner import run_campaign
 from repro.scenarios.spec import Scenario
 from repro.stats.montecarlo import derive_seeds
 from repro.store import FilesystemStore
@@ -163,7 +163,7 @@ def test_crashed_worker_lease_expires_and_campaign_is_bit_identical(
     serial backend."""
     scenario = _crash_scenario(tiny_platform, tiny_classes)
     campaign = Campaign(name="crash-campaign", base=scenario)
-    serial = CampaignRunner(runner=ParallelRunner()).run(campaign)
+    serial = run_campaign(campaign)
 
     spool_dir, cache_dir = tmp_path / "spool", tmp_path / "cache"
     spool = WorkSpool(spool_dir, lease_ttl_s=0.2)
@@ -198,7 +198,7 @@ def test_crashed_worker_lease_expires_and_campaign_is_bit_identical(
         spool_timeout_s=300.0,
     )
     with spool_workers(spool_dir, cache_dir, count=2, lease_ttl_s=0.2) as workers:
-        spooled = CampaignRunner(runner=runner).run(campaign)
+        spooled = run_campaign(campaign, runner)
 
     assert spooled == serial  # exact dataclass equality, every summary field
     status = WorkSpool(spool_dir).status()
@@ -217,7 +217,7 @@ def test_interrupted_campaign_resumes_where_it_left_off(
     """Re-running a partially completed campaign only pays for missing seeds."""
     scenario = _crash_scenario(tiny_platform, tiny_classes)
     campaign = Campaign(name="resume-campaign", base=scenario)
-    serial = CampaignRunner(runner=ParallelRunner()).run(campaign)
+    serial = run_campaign(campaign)
 
     spool_dir, cache_dir = tmp_path / "spool", tmp_path / "cache"
     # "Interrupted first run": one full strategy cell already in the cache.
@@ -235,7 +235,7 @@ def test_interrupted_campaign_resumes_where_it_left_off(
         spool_timeout_s=300.0,
     )
     with spool_workers(spool_dir, cache_dir, count=2):
-        resumed = CampaignRunner(runner=runner).run(campaign)
+        resumed = run_campaign(campaign, runner)
     assert resumed == serial
     assert runner.stats.cache_hits == scenario.num_runs  # first cell replayed
     assert runner.stats.remote_seeds == scenario.num_runs  # second cell spooled
@@ -317,9 +317,9 @@ def test_a_format_1_spec_left_pending_neither_runs_nor_blocks_its_cell(
         cache=FilesystemStore(cache_dir),
         spool_poll_s=0.01,
         spool_timeout_s=120.0,
-        chunk_size=2,
     )
     with spool_workers(spool_dir, cache_dir):
         assert runner.map_seeds(config, seeds) == ParallelRunner().map_seeds(config, seeds)
     assert "task spec format '1' does not match this code's '2'" in spool.failure(old_id)
-    assert spool.status().failed == 1 and spool.status().done == 1
+    # The new submitter spooled one spec per seed (make_task_specs' default split).
+    assert spool.status().failed == 1 and spool.status().done == len(seeds)

@@ -22,7 +22,7 @@ from repro.exec import (
     config_digest,
     simulate_waste,
 )
-from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.runner import run_scenarios
 from repro.scenarios.spec import Scenario
 from repro.stats.montecarlo import derive_seeds
 from repro.stats.summary import DistributionSummary, summarize
@@ -55,7 +55,8 @@ def _tiny_cell(tiny_platform, tiny_classes, strategy="least-waste", **overrides)
 
 def run_cell(cell: Scenario, runner: ParallelRunner | None = None) -> DistributionSummary:
     """Waste summary of the cell's only strategy, run by the campaign engine."""
-    (summary,) = CampaignRunner(runner or ParallelRunner()).run_scenario(cell).summaries.values()
+    (outcome,) = run_scenarios([cell], runner)
+    (summary,) = outcome.summaries.values()
     return summary
 
 
@@ -65,8 +66,6 @@ def test_runner_validates_parameters(tmp_path):
         ParallelRunner(backend="threads")
     with pytest.raises(ConfigurationError):
         ParallelRunner(workers=0)
-    with pytest.raises(ConfigurationError):
-        ParallelRunner(chunk_size=0)
     assert set(BACKENDS) == {"serial", "process", "spool"}
     # The spool backend needs both a spool directory and a shared store.
     cache = FilesystemStore(tmp_path / "cache")
@@ -84,6 +83,8 @@ def test_runner_validates_parameters(tmp_path):
         ParallelRunner(spool_timeout_s=-5.0)
     with pytest.raises(TypeError):  # the spool enqueues a whole batch at once
         ParallelRunner(spool_max_inflight=4)
+    with pytest.raises(TypeError):  # backends size their chunks from the seed count
+        ParallelRunner(chunk_size=2)
 
 
 @pytest.mark.parametrize("name", ["spool_poll_s", "spool_lease_ttl_s", "spool_timeout_s"])
@@ -129,10 +130,14 @@ def test_monte_carlo_process_backend_is_bit_identical(num_runs, workers, quick_c
 
 @pytest.mark.parametrize("chunk_size", [1, 2, 5])
 def test_map_seeds_chunking_preserves_seed_order(chunk_size, quick_config):
-    seeds = derive_seeds(3, 7)
+    # Two workers get four chunks each: 8 * chunk_size seeds make chunks of
+    # chunk_size seeds, one progress event per chunk.
+    seeds = derive_seeds(3, 8 * chunk_size)
     expected = [simulate_waste(quick_config, seed) for seed in seeds]
-    with ParallelRunner(backend="process", workers=2, chunk_size=chunk_size) as runner:
+    events: list[ProgressEvent] = []
+    with ParallelRunner(backend="process", workers=2, progress=events.append) as runner:
         assert runner.map_seeds(quick_config, seeds) == expected
+    assert sorted(e.completed for e in events) == list(range(chunk_size, len(seeds) + 1, chunk_size))
 
 
 def test_run_cell_process_backend_matches_serial(tiny_platform, tiny_classes):
@@ -387,12 +392,10 @@ def test_progress_events_cover_all_seeds(tiny_platform, tiny_classes, tmp_path):
 
 def test_progress_events_process_backend(quick_config):
     events: list[ProgressEvent] = []
-    with ParallelRunner(
-        backend="process", workers=2, chunk_size=2, progress=events.append
-    ) as runner:
-        runner.map_seeds(quick_config, derive_seeds(0, 6), label="toy")
-    assert events[-1].completed == 6
-    assert sorted(e.completed for e in events)[-1] == 6
+    with ParallelRunner(backend="process", workers=2, progress=events.append) as runner:
+        runner.map_seeds(quick_config, derive_seeds(0, 12), label="toy")  # 6 chunks of 2
+    assert sorted(e.completed for e in events) == [2, 4, 6, 8, 10, 12]
+    assert events[-1].completed == 12
     assert all(e.label == "toy" for e in events)
 
 

@@ -100,11 +100,11 @@ def _run_drilldown_payload(tmp: Path) -> dict[str, str]:
     import json
 
     from repro.scenarios.presets import make_campaign
-    from repro.scenarios.runner import CampaignRunner
+    from repro.scenarios.runner import drill_down
 
     (scenario,) = [s for s in make_campaign("smoke").scenarios() if s.name == "io=1,mtbf=short"]
-    runner = CampaignRunner(runner=ParallelRunner(cache=FilesystemStore(tmp / "cache")))
-    payload = runner.drill_down(scenario, "least-waste", 0).to_payload()
+    decomposition = drill_down(scenario, "least-waste", 0, cache=FilesystemStore(tmp / "cache"))
+    payload = decomposition.to_payload()
     return {"json": json.dumps(payload, indent=2) + "\n"}
 
 

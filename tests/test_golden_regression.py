@@ -35,7 +35,7 @@ from repro.iosched.registry import STRATEGIES
 from repro.platform.failures import FailureModel
 from repro.platform.interference import CappedConcurrencyInterference, DegradingInterference
 from repro.scenarios.presets import FAMILY_STRATEGIES, mini_apex_workload, mini_cielo_platform
-from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.runner import run_scenarios
 from repro.scenarios.spec import Scenario
 from repro.workloads.prospective import prospective_platform, prospective_workload
 
@@ -148,7 +148,7 @@ def golden_prospective_scenario() -> Scenario:
 
 
 def observed_waste(scenario: Scenario) -> dict[str, tuple[float, float, float]]:
-    outcome = CampaignRunner().run_scenario(scenario)
+    (outcome,) = run_scenarios([scenario])
     return {
         strategy: (summary.mean, summary.minimum, summary.maximum)
         for strategy, summary in outcome.summaries.items()
@@ -157,7 +157,6 @@ def observed_waste(scenario: Scenario) -> dict[str, tuple[float, float, float]]:
 
 def observed_summaries() -> dict[str, dict[str, tuple]]:
     """Whole summaries per interference model, then per strategy."""
-    runner = CampaignRunner()
     observed = {}
     for name, model in INTERFERENCE_MODELS.items():
         scenario = replace(
@@ -166,7 +165,7 @@ def observed_summaries() -> dict[str, dict[str, tuple]]:
             num_runs=12,
             interference=model,
         )
-        outcome = runner.run_scenario(scenario)
+        (outcome,) = run_scenarios([scenario])
         observed[name] = {
             strategy: astuple(summary) for strategy, summary in outcome.summaries.items()
         }

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.apps.app_class import ApplicationClass
 from repro.platform.failures import FailureModel
 from repro.platform.spec import PlatformSpec
-from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.runner import drill_down, run_scenarios
 from repro.scenarios.spec import Scenario
 from repro.simulation.simulator import Simulation
 from repro.units import DAY, GB, HOUR
@@ -121,7 +121,7 @@ def test_any_scenario_config_satisfies_the_accounting_contract(scenario):
 @settings(max_examples=8, deadline=None)
 @given(scenario=scenarios)
 def test_campaign_summaries_stay_inside_the_unit_interval(scenario):
-    outcome = CampaignRunner().run_scenario(scenario)
+    (outcome,) = run_scenarios([scenario])
     for summary in outcome.summaries.values():
         assert 0.0 <= summary.minimum <= summary.mean <= summary.maximum <= 1.0
 
@@ -129,8 +129,7 @@ def test_campaign_summaries_stay_inside_the_unit_interval(scenario):
 @settings(max_examples=10, deadline=None)
 @given(scenario=scenarios)
 def test_detail_run_is_reproducible_for_any_scenario(scenario):
-    runner = CampaignRunner()
     strategy = scenario.strategies[0]
-    a = runner.drill_down(scenario, strategy)
-    b = runner.drill_down(scenario, strategy)
+    a = drill_down(scenario, strategy)
+    b = drill_down(scenario, strategy)
     assert a == b  # frozen dataclasses: exact, field-by-field equality

@@ -19,7 +19,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.cli import main
 from repro.scenarios.report import campaign_to_csv
-from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.runner import run_campaign
 from repro.service import CampaignService, JobManager, campaign_from_request
 from repro.store import open_store
 
@@ -124,12 +124,11 @@ def test_jobs_run_one_at_a_time(tmp_path, monkeypatch):
 
     gate = threading.Event()
 
-    class GatedRunner(CampaignRunner):
-        def run(self, campaign):
-            assert gate.wait(120.0)
-            return super().run(campaign)
+    def gated_run_campaign(campaign, runner=None):
+        assert gate.wait(120.0)
+        return run_campaign(campaign, runner)
 
-    monkeypatch.setattr("repro.service.jobs.CampaignRunner", GatedRunner)
+    monkeypatch.setattr("repro.service.jobs.run_campaign", gated_run_campaign)
     store = open_store("sqlite", tmp_path / "db.sqlite")
     manager = JobManager(store)
     try:
@@ -196,9 +195,7 @@ def test_served_result_and_csv_match_offline_run(service, tmp_path):
 
     # The offline reference: same campaign, fresh cacheless run, rendered by
     # the same exporter the `campaign --csv` command calls.
-    offline = CampaignRunner().run(
-        Campaign.from_mapping(TOY_MATRIX, source="<test>")
-    )
+    offline = run_campaign(Campaign.from_mapping(TOY_MATRIX, source="<test>"))
     assert served_csv.decode("utf-8") == campaign_to_csv(offline)
     for outcome in offline.outcomes:
         served = next(
@@ -217,7 +214,7 @@ def test_cells_listing_filters_and_values(service):
     assert status == 200 and len(payload["cells"]) == 4
     cell = payload["cells"][0]
     assert set(cell) >= {"scenario", "strategy", "spec", "digest", "stats", "seeds", "values"}
-    assert len(cell["values"]) == 2  # one stored value per derived seed
+    assert len(cell["values"]) == 2  # one measured value per seed
     assert all(value is not None for value in cell["values"].values())
     assert sum(c["best"] for c in payload["cells"]) == 2  # one winner per scenario
 
@@ -230,6 +227,36 @@ def test_cells_listing_filters_and_values(service):
     assert by_seed["cells"] and all(c["seeds"] == [seed] for c in by_seed["cells"])
     _, none = _get_json(service, f"/v1/jobs/{job_id}/cells?strategy=unknown")
     assert none["cells"] == []
+
+
+def test_cells_list_the_values_the_job_measured_even_unseeded_or_after_the_store_empties(
+    tmp_path,
+):
+    """``/cells`` reads the job's own outcome: an unseeded job lists the
+    seeds it drew, each cell's values are the ones its stats summarise,
+    and emptying the store afterwards changes no listing."""
+    from repro.stats.summary import summarize
+
+    store = open_store("filesystem", tmp_path / "cache")
+    unseeded = {**TOY_MATRIX, "overrides": {**TOY_MATRIX["overrides"], "base_seed": None}}
+    try:
+        with CampaignService(JobManager(store), port=0).start() as service:
+            for matrix in (TOY_MATRIX, unseeded):
+                snapshot = _submit_and_wait(service, {"campaign": matrix})
+                assert snapshot["state"] == "done", snapshot
+                cells_path = f"/v1/jobs/{snapshot['id']}/cells"
+                _, listing = _get_json(service, cells_path)
+                assert len(listing["cells"]) == 4
+                for cell in listing["cells"]:
+                    assert len(cell["seeds"]) == TOY_MATRIX["overrides"]["num_runs"]
+                    assert list(cell["values"]) == [str(seed) for seed in cell["seeds"]]
+                    values = list(cell["values"].values())
+                    assert summarize(values).as_dict() == cell["stats"]
+                for entry in (tmp_path / "cache").glob("*/*/*/*.json"):
+                    entry.unlink()
+                assert _get_json(service, cells_path) == (200, listing)
+    finally:
+        store.close()
 
 
 def test_trace_endpoint_serves_a_consistent_decomposition(service):
@@ -246,8 +273,8 @@ def test_trace_endpoint_serves_a_consistent_decomposition(service):
         categories[name]
         for name in ("io_delay", "checkpoint", "checkpoint_wait", "recovery", "lost_work")
     )
-    # The decomposition's recomputed waste ratio repr-matches the stored
-    # per-seed value the cells endpoint serves for the same repetition.
+    # The decomposition's recomputed waste ratio repr-matches the per-seed
+    # value the cells endpoint serves for the same repetition.
     _, cells = _get_json(
         service, f"/v1/jobs/{job_id}/cells?scenario=io%3D1&strategy=least-waste"
     )
@@ -406,7 +433,129 @@ def test_failed_job_reports_its_error(service):
     assert _get_json(service, "/healthz") == (200, {"ok": True})
 
 
+
+def test_long_names_keys_paths_and_ids_give_short_errors(service, tmp_path, capsys):
+    """A 5 000-character name, key or preset, or a 10 000-character path or
+    job id, is echoed by its head only: each refusal is one short line that
+    says what was refused."""
+    long = "x" * 5000
+    matrices = [
+        ({**TOY_MATRIX, "axes": [{"name": long, "key": "horizon_days", "values": [-1]}]},
+         "axis name"),
+        ({**TOY_MATRIX, "axes": [{"name": "io", "points": [{"label": long}]}]}, "point label"),
+        ({**TOY_MATRIX, "overrides": {"name": long}}, "scenario name"),
+        ({**TOY_MATRIX, "name": long}, "campaign name"),
+        ({**TOY_MATRIX, long: 1}, "unknown campaign key"),
+    ]
+    matrix_file = tmp_path / "long.json"
+    for matrix, what in matrices:
+        matrix_file.write_text(json.dumps(matrix))
+        assert main(["campaign", "--file", str(matrix_file)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300 and what in err, err[:300]
+        code, body = _expect_error(
+            service, "/v1/jobs", method="POST", data=json.dumps({"campaign": matrix}).encode()
+        )
+        assert code == 400 and len(body["error"]) < 300 and what in body["error"], body
+    code, body = _expect_error(
+        service, "/v1/jobs", method="POST", data=json.dumps({"preset": long}).encode()
+    )
+    assert code == 400 and len(body["error"]) < 300 and "unknown campaign" in body["error"]
+    for path, what in [
+        ("/" + long * 2, "unknown path"),
+        ("/v1/jobs/" + long * 2, "no job"),
+        ("/v1/jobs/job-0001/result/" + long * 2, "unknown path"),
+    ]:
+        code, body = _expect_error(service, path)
+        assert code == 404 and len(body["error"]) < 300 and what in body["error"], body
+    assert service.manager.jobs() == []
+    assert main(["trace", "--campaign", long]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 300 and "unknown campaign" in err, err[:300]
+    done = _submit_and_wait(service, {"campaign": TOY_MATRIX})
+    code, body = _expect_error(
+        service, f"/v1/jobs/{done['id']}/trace?scenario={long}&strategy=least-waste"
+    )
+    assert code == 400 and len(body["error"]) < 300 and "no scenario named" in body["error"]
+
+
 # ------------------------------------------------------------------ CLI
+def _serve(cache_dir):
+    """``coopckpt serve --workers 2`` on a filesystem store, as a child process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--workers", "2", "--port", "0",
+         "--cache-dir", str(cache_dir)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def _served_job(process, body):
+    """Submit ``body`` to a ``_serve`` child; return its URL and the job's id."""
+    url = process.stdout.readline().split()[4]  # "serving campaign results on <url> (...)"
+    request = urllib.request.Request(url + "/v1/jobs", data=json.dumps(body).encode(), method="POST")
+    with urllib.request.urlopen(request, timeout=10.0) as response:
+        return url, json.loads(response.read())["id"]
+
+
+def _served_snapshot(url, job_id):
+    with urllib.request.urlopen(f"{url}/v1/jobs/{job_id}", timeout=10.0) as response:
+        return json.loads(response.read())
+
+
+def test_serve_stopped_mid_job_keeps_whole_entries_and_resumes_from_them(tmp_path):
+    """Ctrl-C while a job simulates: ``serve`` exits 130 within 10 s, every
+    stored entry is whole, and the same campaign resubmitted to a restarted
+    ``serve`` finishes, serving at least those entries from the store."""
+    import signal
+
+    from repro.store.base import parse_entry
+
+    cache_dir = tmp_path / "cache"
+    body = {"preset": "cielo-reference", "num_runs": 2, "horizon_days": 2}
+    with _serve(cache_dir) as first:
+        try:
+            url, job_id = _served_job(first, body)
+            seen = []
+
+            def simulating():
+                seen.append(_served_snapshot(url, job_id))
+                return seen[-1]["seeds_simulated"] > 0
+
+            _wait_until(simulating, 60.0)
+            assert seen[-1]["state"] == "running", seen[-1]  # stopped mid-job
+            first.send_signal(signal.SIGINT)
+            assert first.wait(timeout=10.0) == 130
+        finally:
+            first.kill()
+    entries = sorted(cache_dir.glob("*/*/*/*.json"))
+    assert entries
+    for entry in entries:
+        assert parse_entry(entry.read_text())[1] == "2", entry
+
+    with _serve(cache_dir) as second:
+        try:
+            url, job_id = _served_job(second, body)
+            _wait_until(
+                lambda: _served_snapshot(url, job_id)["state"] in ("done", "failed"), 120.0
+            )
+            snapshot = _served_snapshot(url, job_id)
+            second.send_signal(signal.SIGINT)
+            assert second.wait(timeout=10.0) == 130
+        finally:
+            second.kill()
+    assert snapshot["state"] == "done", snapshot
+    assert snapshot["seeds_cached"] >= len(entries)
+
+
 def test_serve_cli_misconfigurations_exit_2(tmp_path, capsys):
     cases = [
         ["serve", "--cache-dir", str(tmp_path / "c"), "--port", "99999"],

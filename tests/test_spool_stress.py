@@ -150,10 +150,10 @@ def test_campaign_result_survives_deterministic_mid_batch_kill(
     exactly at its first lease heartbeat, mid-batch; a peer reclaims, and
     the whole ``CampaignResult`` equals the serial backend's, bit for bit."""
     from repro.scenarios.presets import make_campaign
-    from repro.scenarios.runner import CampaignRunner
+    from repro.scenarios.runner import run_campaign
 
     campaign = make_campaign("smoke", num_runs=2, horizon_days=0.25)
-    serial = CampaignRunner(runner=ParallelRunner()).run(campaign)
+    serial = run_campaign(campaign)
 
     killed = threading.Event()
 
@@ -174,7 +174,7 @@ def test_campaign_result_survives_deterministic_mid_batch_kill(
         spool_timeout_s=120.0,
     )
     with stress_fleet(spool_dir, cache_dir, chooser=kill_first_heartbeat):
-        spooled = CampaignRunner(runner=runner).run(campaign)
+        spooled = run_campaign(campaign, runner)
     assert spooled == serial  # the full campaign table, bit-identical
     assert runner.stats.tasks_run == 0  # the submitter simulated nothing
 

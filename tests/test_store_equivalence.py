@@ -16,7 +16,7 @@ import pytest
 from repro.exec.runner import ParallelRunner
 from repro.scenarios.campaign import Axis, Campaign
 from repro.scenarios.report import campaign_to_csv
-from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.runner import run_campaign
 from repro.scenarios.spec import Scenario
 from repro.store import open_store
 
@@ -48,7 +48,7 @@ def _run_through(kind: str, path, campaign: Campaign):
     store = open_store(kind, path)
     runner = ParallelRunner(cache=store)
     try:
-        result = CampaignRunner(runner=runner).run(campaign)
+        result = run_campaign(campaign, runner)
     finally:
         runner.close()
     return store, result, runner.stats
@@ -79,10 +79,10 @@ def test_campaign_repr_identical_through_both_stores(tmp_path, matrix):
 def test_rerun_through_sqlite_is_all_cache_hits(tmp_path, matrix):
     store = open_store("sqlite", tmp_path / "db.sqlite")
     first = ParallelRunner(cache=store)
-    result_one = CampaignRunner(runner=first).run(matrix)
+    result_one = run_campaign(matrix, first)
     assert first.stats.tasks_run == 16
     second = ParallelRunner(cache=store)
-    result_two = CampaignRunner(runner=second).run(matrix)
+    result_two = run_campaign(matrix, second)
     assert second.stats.tasks_run == 0  # fully warm: zero new simulations
     assert second.stats.cache_hits == 16
     for one, two in zip(result_one.outcomes, result_two.outcomes):

@@ -10,7 +10,7 @@ Three concerns live here:
   redesign (pinned below from the seed behaviour), with ``DIGEST_VERSION``
   still ``"2"``.
 * **End-to-end openness** — a parameterized spec and a test-registered
-  custom strategy both run through ``CampaignRunner`` on the serial,
+  custom strategy both run through ``run_scenarios`` on the serial,
   process and spool backends with bit-identical results.
 """
 
@@ -38,7 +38,7 @@ from repro.iosched.registry import (
     strategy_kinds,
 )
 from repro.scenarios.presets import mini_apex_workload, mini_cielo_platform
-from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.runner import run_scenarios
 from repro.scenarios.spec import Scenario
 from repro.simulation.config import SimulationConfig
 from repro.store import FilesystemStore
@@ -311,11 +311,10 @@ def test_parameterized_and_custom_strategies_run_on_all_backends(tmp_path, spool
     bit-identical results (TaskSpecs carry the canonical string as JSON)."""
     scenario = _campaign_scenario()
 
-    with CampaignRunner(runner=ParallelRunner()) as serial:
-        reference = serial.run_scenario(scenario)
+    (reference,) = run_scenarios([scenario])
 
-    with CampaignRunner(runner=ParallelRunner(backend="process", workers=2)) as process:
-        via_process = process.run_scenario(scenario)
+    with ParallelRunner(backend="process", workers=2) as process:
+        (via_process,) = run_scenarios([scenario], process)
     assert via_process.summaries == reference.summaries
 
     spool_dir, cache_dir = tmp_path / "spool", tmp_path / "cache"
@@ -324,8 +323,8 @@ def test_parameterized_and_custom_strategies_run_on_all_backends(tmp_path, spool
             backend="spool", spool_dir=spool_dir, cache=FilesystemStore(cache_dir),
             spool_poll_s=0.01, spool_timeout_s=120.0,
         )
-        with CampaignRunner(runner=runner) as spool:
-            via_spool = spool.run_scenario(scenario)
+        with runner:
+            (via_spool,) = run_scenarios([scenario], runner)
     assert via_spool.summaries == reference.summaries
 
     # The parameterized cell cached under its canonical spec string.

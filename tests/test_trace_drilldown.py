@@ -18,7 +18,7 @@ from repro.errors import AnalysisError, ConfigurationError
 from repro.exec.digest import config_digest
 from repro.exec.runner import ParallelRunner
 from repro.platform.spec import PlatformSpec
-from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.runner import drill_down, run_scenarios
 from repro.scenarios.spec import Scenario
 from repro.simulation.results import WasteBreakdown
 from repro.simulation.simulator import Simulation
@@ -82,17 +82,16 @@ def _components_sum(b: WasteBreakdown) -> float:
 # --------------------------------------------------------------- exactness
 def test_drill_down_reproduces_the_cached_cell_value(tmp_path):
     scenario = _scenario()
-    runner = CampaignRunner(runner=ParallelRunner(cache=FilesystemStore(tmp_path)))
-    outcome = runner.run_scenario(scenario)
+    cache = FilesystemStore(tmp_path)
+    (outcome,) = run_scenarios([scenario], ParallelRunner(cache=cache))
 
     for strategy in scenario.strategies:
         for rep in range(scenario.num_runs):
-            decomposition = runner.drill_down(scenario, strategy, rep=rep)
+            decomposition = drill_down(scenario, strategy, rep=rep, cache=cache)
             seed = derive_seeds(scenario.base_seed, scenario.num_runs)[rep]
-            recorded = runner.runner.cache.probe(
-                config_digest(scenario.config(strategy)), strategy, seed
-            )
+            recorded = cache.probe(config_digest(scenario.config(strategy)), strategy, seed)
             assert recorded is not None
+            assert recorded == outcome.values[strategy][rep]
             # repr-exact: the decomposition's ratio IS the cached float.
             assert repr(decomposition.result.waste_ratio) == repr(recorded)
             assert decomposition.recorded_value == recorded
@@ -104,7 +103,7 @@ def test_drill_down_reproduces_the_cached_cell_value(tmp_path):
 
 def test_decomposition_contains_per_job_rows_with_stable_labels():
     scenario = _scenario(num_runs=1)
-    decomposition = CampaignRunner().drill_down(scenario, "least-waste")
+    decomposition = drill_down(scenario, "least-waste")
     assert decomposition.jobs, "a half-day run must attribute work to jobs"
     names = [job.name for job in decomposition.jobs]
     assert len(set(names)) == len(names)  # labels are unique
@@ -118,13 +117,12 @@ def test_decomposition_contains_per_job_rows_with_stable_labels():
 
 def test_drill_down_is_deterministic_byte_identical_csv():
     scenario = _scenario(num_runs=1)
-    runner = CampaignRunner()
-    first = decomposition_to_csv(runner.drill_down(scenario, "least-waste"))
-    second = decomposition_to_csv(runner.drill_down(scenario, "least-waste"))
+    first = decomposition_to_csv(drill_down(scenario, "least-waste"))
+    second = decomposition_to_csv(drill_down(scenario, "least-waste"))
     assert first == second  # byte-identical despite fresh Job ids
-    assert render_decomposition(
-        runner.drill_down(scenario, "least-waste")
-    ) == render_decomposition(runner.drill_down(scenario, "least-waste"))
+    assert render_decomposition(drill_down(scenario, "least-waste")) == render_decomposition(
+        drill_down(scenario, "least-waste")
+    )
 
 
 # --------------------------------------------------------------- the cache
@@ -165,13 +163,12 @@ def test_drill_takes_the_callers_scenario_label(tmp_path):
 # --------------------------------------------------------------- addressing
 def test_drill_down_validates_the_cell_address():
     scenario = _scenario()
-    runner = CampaignRunner()
     with pytest.raises(ConfigurationError, match="out of range"):
-        runner.drill_down(scenario, "least-waste", rep=scenario.num_runs)
+        drill_down(scenario, "least-waste", rep=scenario.num_runs)
     with pytest.raises(ConfigurationError, match="does not evaluate"):
-        runner.drill_down(scenario, "oblivious-daly")
+        drill_down(scenario, "oblivious-daly")
     with pytest.raises(ConfigurationError, match="base_seed=None"):
-        runner.drill_down(_scenario(base_seed=None), "least-waste")
+        drill_down(_scenario(base_seed=None), "least-waste")
 
 
 def test_from_simulation_requires_a_trace_enabled_run(tiny_config):
@@ -227,15 +224,12 @@ def test_decomposition_invariant_over_random_scenarios(cell):
 def test_drill_down_matches_cells_recorded_by_the_process_backend(tmp_path):
     """The cells a process-pool campaign cached drill to the same bits."""
     scenario = _scenario(num_runs=1)
-    with CampaignRunner(
-        runner=ParallelRunner(backend="process", workers=2, cache=FilesystemStore(tmp_path))
-    ) as runner:
-        runner.run_scenario(scenario)
-        decomposition = runner.drill_down(scenario, "least-waste")
+    cache = FilesystemStore(tmp_path)
+    with ParallelRunner(backend="process", workers=2, cache=cache) as runner:
+        run_scenarios([scenario], runner)
+    decomposition = drill_down(scenario, "least-waste", cache=cache)
     seed = derive_seeds(scenario.base_seed, 1)[0]
-    recorded = runner.runner.cache.probe(
-        config_digest(scenario.config("least-waste")), "least-waste", seed
-    )
+    recorded = cache.probe(config_digest(scenario.config("least-waste")), "least-waste", seed)
     assert recorded is not None
     assert repr(decomposition.result.waste_ratio) == repr(recorded)
 
@@ -273,7 +267,6 @@ def test_detailed_drill_reports_cache_provenance(tmp_path):
     # Provenance takes no part in equality: cold and warm drills are one cell.
     assert warm == cold
 
-    runner = CampaignRunner(runner=ParallelRunner(cache=cache))
-    via_runner = runner.drill_down(scenario, "least-waste")
-    assert via_runner.recorded_value == cold.result.waste_ratio
+    via_scenario = drill_down(scenario, "least-waste", cache=cache)
+    assert via_scenario.recorded_value == cold.result.waste_ratio
     assert drill_down_cell(config, seed).recorded_value is None  # no store
