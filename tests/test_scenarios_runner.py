@@ -295,6 +295,22 @@ def test_outcome_refuses_partial_misordered_and_short_values(matrix):
             _outcome(matrix, values)
 
 
+def test_best_strategy_skips_strategies_missing_from_partial_summaries(matrix):
+    """A scenario whose axis narrows ``strategies`` has summaries for only
+    some of the campaign's columns; its best comes from the strategies it
+    ran, with no ``KeyError`` for the columns it skipped."""
+    narrowed = Campaign(
+        name="narrowed",
+        base=matrix.base,
+        axes=(Axis(name="strat", points=(AxisPoint("one", {"strategies": ("least-waste",)}),)),),
+    )
+    result = run_campaign(narrowed)
+    (outcome,) = result.outcomes
+    assert result.strategies == ("ordered-daly", "least-waste")
+    assert tuple(outcome.summaries) == ("least-waste",)  # no ordered-daly cell
+    assert outcome.best_strategy() == "least-waste"
+
+
 def test_best_strategy_ties_resolve_in_declaration_order(matrix):
     outcome = _outcome(matrix, {"ordered-daly": (0.2, 0.1), "least-waste": (0.1, 0.2)})
     # Identical means: the earlier *declared* strategy wins.
