@@ -13,8 +13,11 @@ holds if the modules that *compute* results never consult ambient state:
 * iterating a ``set``/``frozenset`` — iteration order depends on insertion
   history and ``PYTHONHASHSEED``; wrap the set in ``sorted(...)`` instead.
 
-Scope: :data:`repro.analysis.policy.DETERMINISM_TARGETS`.  The service,
-spool and cache layers are exempt by named policy
+Scope: :data:`repro.analysis.policy.DETERMINISM_TARGETS` — ``repro.sim``,
+``repro.simulation``, ``repro.apps``, ``repro.iosched``, ``repro.jobsched``,
+``repro.platform``, ``repro.workloads``, ``repro.core`` and
+``repro.exec.digest``.  The service, spool and cache layers are exempt by
+named policy
 (:data:`~repro.analysis.policy.DETERMINISM_EXEMPT`), not by accident.
 """
 
@@ -193,8 +196,9 @@ class DeterminismChecker(Checker):
     rule = "determinism"
     description = (
         "no wall clock, global RNG or unordered set iteration in the "
-        "simulation path (repro.sim / repro.iosched / repro.platform / "
-        "repro.exec.digest)"
+        "simulation path (repro.sim / repro.simulation / repro.apps / "
+        "repro.iosched / repro.jobsched / repro.platform / repro.workloads / "
+        "repro.core / repro.exec.digest)"
     )
 
     def check(self, project: Project) -> Iterable[Finding]:

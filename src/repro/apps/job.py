@@ -162,8 +162,3 @@ class Job:
     def finished(self) -> bool:
         """True once the job reached a terminal state."""
         return self.state.terminal
-
-    @property
-    def succeeded(self) -> bool:
-        """True when the job completed all its work and its final output."""
-        return self.state is JobState.COMPLETED

@@ -13,23 +13,23 @@ class JobState(Enum):
 
     The life cycle is::
 
-        PENDING -> INPUT_IO -> { COMPUTING | CHECKPOINT_WAIT | CHECKPOINTING
-                                 | REGULAR_IO | IO_WAIT }* -> OUTPUT_IO -> COMPLETED
+        PENDING -> { INPUT_IO | RECOVERY_IO } -> { COMPUTING | CHECKPOINT_WAIT
+                   | CHECKPOINTING | REGULAR_IO }* -> OUTPUT_IO -> COMPLETED
 
     plus ``FAILED`` when a node failure kills the job (the restart is a new
-    :class:`~repro.apps.job.Job` object).  With non-blocking strategies the
-    job is *computing* while in ``CHECKPOINT_WAIT`` and ``CHECKPOINTING``
-    states do not pause its progress only while the checkpoint data is being
-    written; the distinction between states and whether work progresses is
-    made explicit by :meth:`JobState.progresses_work`, evaluated with the
-    strategy's blocking semantics by the job runtime.
+    :class:`~repro.apps.job.Job` object, which reads its last checkpoint in
+    ``RECOVERY_IO``).  Whether work progresses is not a property of the
+    state: under a non-blocking strategy the job keeps computing in
+    ``CHECKPOINT_WAIT`` and pauses only in ``CHECKPOINTING``, while the data
+    is written; under a blocking one it pauses in both.  The simulator
+    starts and pauses progress itself, with the strategy's blocking
+    semantics.
     """
 
     PENDING = "pending"
     INPUT_IO = "input-io"
     COMPUTING = "computing"
     REGULAR_IO = "regular-io"
-    IO_WAIT = "io-wait"
     CHECKPOINT_WAIT = "checkpoint-wait"
     CHECKPOINTING = "checkpointing"
     OUTPUT_IO = "output-io"
@@ -41,11 +41,6 @@ class JobState(Enum):
     def terminal(self) -> bool:
         """True for states a job never leaves."""
         return self in (JobState.COMPLETED, JobState.FAILED)
-
-    @property
-    def allocated(self) -> bool:
-        """True when the job holds compute nodes in this state."""
-        return self not in (JobState.PENDING, JobState.COMPLETED, JobState.FAILED)
 
 
 @unique

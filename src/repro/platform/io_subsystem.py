@@ -152,11 +152,6 @@ class IOSubsystem:
         return self._bandwidth
 
     @property
-    def busy(self) -> bool:
-        """True when at least one transfer is in flight."""
-        return bool(self._active)
-
-    @property
     def busy_seconds(self) -> float:
         """Total time with at least one active transfer (updated lazily)."""
         self._advance_progress()

@@ -22,8 +22,8 @@ the pool, a call costs:
   slices of the returned ids;
 * :meth:`NodePool.owner_of` — one ``bisect`` over the allocated runs.
 
-:meth:`NodePool.release` frees arbitrary ids and splits runs one id at a
-time; the simulator never calls it.
+Nodes go back to the pool only through :meth:`NodePool.release_owner`, one
+whole allocated run at a time, so an allocated run is never split.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class NodePool:
     def owner_of(self, node_id: int) -> object | None:
         """The job owning ``node_id``, or ``None`` if the node is free."""
         self._check_node(node_id)
-        index = self._run_index(node_id)
-        return None if index < 0 else self._run_owners[index]
+        index = bisect_right(self._run_starts, node_id) - 1
+        return self._run_owners[index] if index >= 0 and node_id < self._run_ends[index] else None
 
     def nodes_of(self, owner: object) -> list[int]:
         """All node ids currently owned by ``owner`` (possibly empty)."""
@@ -136,38 +136,15 @@ class NodePool:
         self._num_free -= count
         return self._ids_of(runs)
 
-    def release(self, node_ids: list[int]) -> None:
-        """Return ``node_ids`` to the free pool.
-
-        Every id is validated before any is freed, so a rejected call
-        leaves the pool unchanged.
-
-        Raises
-        ------
-        SchedulingError
-            If an id is outside the pool, already free, or listed twice.
-        """
-        released: set[int] = set()
-        for node in node_ids:
-            self._check_node(node)
-            if self._run_index(node) < 0:
-                raise SchedulingError(f"node {node} is already free")
-            if node in released:
-                raise SchedulingError(f"node {node} is listed twice")
-            released.add(node)
-        for node in node_ids:
-            self._free(node, node + 1)
-
     def release_owner(self, owner: object) -> list[int]:
         """Release every node owned by ``owner``; returns the released ids."""
-        entry = self._owned.get(id(owner))
+        entry = self._owned.pop(id(owner), None)
         if entry is None:
             return []
         runs = entry[1]
-        nodes = self._ids_of(runs)
-        for start, end in list(runs):
+        for start, end in runs:
             self._free(start, end)
-        return nodes
+        return self._ids_of(runs)
 
     # ------------------------------------------------------------ helpers
     def _check_node(self, node_id: int) -> None:
@@ -175,11 +152,6 @@ class NodePool:
             raise SchedulingError(
                 f"node id {node_id} outside the pool [0, {self._num_nodes})"
             )
-
-    def _run_index(self, node_id: int) -> int:
-        """Index of the allocated run holding ``node_id``, or -1 if it is free."""
-        index = bisect_right(self._run_starts, node_id) - 1
-        return index if index >= 0 and node_id < self._run_ends[index] else -1
 
     def _ids_of(self, runs: list[tuple[int, int]]) -> list[int]:
         """The ids of ``runs``, run after run."""
@@ -193,21 +165,9 @@ class NodePool:
         return nodes
 
     def _free(self, start: int, end: int) -> None:
-        """Free ``[start, end)``, which lies inside one allocated run."""
-        run_starts, run_ends, run_owners = self._run_starts, self._run_ends, self._run_owners
-        index = bisect_right(run_starts, start) - 1
-        run = (run_starts[index], run_ends[index])
-        owner = run_owners[index]
-        # What is left of the run on either side of the freed ids.
-        pieces = [(a, b) for a, b in ((run[0], start), (end, run[1])) if a < b]
-        run_starts[index:index + 1] = [a for a, _ in pieces]
-        run_ends[index:index + 1] = [b for _, b in pieces]
-        run_owners[index:index + 1] = [owner] * len(pieces)
-        runs = self._owned[id(owner)][1]
-        position = runs.index(run)
-        runs[position:position + 1] = pieces
-        if not runs:
-            del self._owned[id(owner)]
+        """Free the allocated run ``[start, end)``."""
+        index = bisect_left(self._run_starts, start)
+        del self._run_starts[index], self._run_ends[index], self._run_owners[index]
         self._num_free += end - start
         # Merge [start, end) into the free runs.
         starts, ends = self._free_starts, self._free_ends

@@ -29,9 +29,10 @@ campaign and cache.  Errors are JSON: bad requests
 to 404, methods other than GET and POST to 405 (``Allow: GET, POST``), a
 body shorter than its ``Content-Length`` to 408 once it stops arriving,
 results not ready to 409, everything unexpected to 500 — a broken request
-must never take the server down.  This module loads only the standard
-library and :mod:`repro.errors`, so a worker serving its metrics never
-imports the job layer.
+must never take the server down.  A connection that stalls before its
+request line and headers are in is closed without an answer.  This module
+loads only the standard library and :mod:`repro.errors`, so a worker
+serving its metrics never imports the job layer.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ __all__ = ["CampaignService", "JsonServer", "metrics_route"]
 
 _MAX_BODY_BYTES = 4 * 1024 * 1024  # campaign matrices are small; refuse blobs
 
-#: Seconds a request body may stall before the answer is a 408: a client
-#: that sends less than its ``Content-Length`` must not hold a thread.
+#: Seconds any read of a request may stall.  A client that sends less than
+#: its ``Content-Length`` gets a 408, and one that never completes its
+#: request line and headers is dropped: neither may hold a thread.
 _BODY_TIMEOUT_S = 10.0
 
 #: A route answers ``(handler, method, path, query)`` with ``(status, payload)``:
@@ -106,6 +108,13 @@ class JsonServer:
         server = self
 
         class _Handler(BaseHTTPRequestHandler):
+            def setup(self) -> None:
+                # StreamRequestHandler.setup applies ``timeout`` to the
+                # socket; it is read per connection so a changed value
+                # takes effect without a new server.
+                self.timeout = _BODY_TIMEOUT_S
+                super().setup()
+
             def do_GET(self) -> None:  # noqa: N802 (stdlib API name)
                 server._handle(self, "GET")
 
@@ -366,7 +375,6 @@ class CampaignService(JsonServer):
             raise _HTTPStatus(400, "request needs a JSON body (Content-Length)")
         if length > _MAX_BODY_BYTES:
             raise _HTTPStatus(413, f"body over {_MAX_BODY_BYTES} bytes")
-        handler.connection.settimeout(_BODY_TIMEOUT_S)
         try:
             raw = handler.rfile.read(length)
         except TimeoutError:

@@ -35,6 +35,11 @@ from repro.units import is_finite
 
 __all__ = ["CampaignJob", "JobManager", "campaign_from_request", "result_payload"]
 
+#: Every key a ``POST /v1/jobs`` body may hold.
+_REQUEST_KEYS = frozenset(
+    {"preset", "campaign", "toml", "num_runs", "horizon_days", "strategies"}
+)
+
 
 def campaign_from_request(body: Mapping) -> Campaign:
     """Build a campaign from one submitted JSON request body.
@@ -47,9 +52,17 @@ def campaign_from_request(body: Mapping) -> Campaign:
       ``Campaign.from_file`` reads from JSON files;
     * ``{"toml": "..."}`` — a campaign matrix as TOML text, the same schema
       ``Campaign.from_file`` reads from TOML files.
+
+    Any other key is refused, so a misspelt override cannot pass unnoticed.
     """
     if not isinstance(body, Mapping):
         raise ConfigurationError("request body must be a JSON object")
+    unknown = sorted(set(map(str, body)) - _REQUEST_KEYS)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown request key(s) {', '.join(map(short_repr, unknown))}; "
+            f"expected one of {', '.join(sorted(_REQUEST_KEYS))}"
+        )
     sources = [key for key in ("preset", "campaign", "toml") if key in body]
     if len(sources) != 1:
         raise ConfigurationError(

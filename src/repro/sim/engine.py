@@ -36,7 +36,6 @@ class SimulationEngine:
         self._max_events = int(max_events)
         self._fired = 0
         self._running = False
-        self._stopped = False
 
     # ------------------------------------------------------------------ API
     @property
@@ -89,10 +88,6 @@ class SimulationEngine:
         """Drop every pending event; each is marked cancelled."""
         self._queue.clear()
 
-    def stop(self) -> None:
-        """Request the current :meth:`run` to return after the current event."""
-        self._stopped = True
-
     # ------------------------------------------------------------------ run
     def run(self, until: float | None = None) -> float:
         """Fire events in time order.
@@ -112,12 +107,9 @@ class SimulationEngine:
         if self._running:
             raise SimulationError("run() called re-entrantly")
         self._running = True
-        self._stopped = False
         try:
             pop_next_until = self._queue.pop_next_until
             while True:
-                if self._stopped:
-                    break
                 event = pop_next_until(until)
                 if event is None:
                     break

@@ -50,7 +50,8 @@ class Event:
     label:
         Optional human-readable tag, useful when tracing a simulation.
     cancelled:
-        True when the event has been cancelled and must not fire.
+        True once :meth:`EventQueue.cancel` or :meth:`EventQueue.clear`
+        dropped the event; it must not fire.
     fired:
         True once the event has been popped by the queue; cancelling a
         fired event is a no-op.
@@ -64,27 +65,14 @@ class Event:
     cancelled: bool = False
     fired: bool = False
 
-    def cancel(self) -> None:
-        """Mark the event as cancelled; it will be skipped by the queue.
-
-        Prefer :meth:`EventQueue.cancel` (or
-        :meth:`~repro.sim.engine.SimulationEngine.cancel`), which also keeps
-        the queue's active-event count correct.
-        """
-        self.cancelled = True
-
-    @property
-    def active(self) -> bool:
-        """True when the event has not been cancelled."""
-        return not self.cancelled
-
 
 class EventQueue:
     """Min-heap of ``(time, seq, Event)`` tuples ordered by firing time.
 
-    The queue is intentionally minimal: ``push``, ``pop_next`` /
-    ``pop_next_until`` (skipping cancelled entries), ``peek_time`` and
-    ``__len__`` (counting only active events).
+    The queue is intentionally minimal: ``push``, ``cancel``, ``pop_next`` /
+    ``pop_next_until`` (skipping cancelled entries), ``clear`` and
+    ``__len__`` (counting only active events).  Events are cancelled through
+    the queue only, so its counts always match its heap.
     """
 
     def __init__(self) -> None:
@@ -148,8 +136,7 @@ class EventQueue:
             time, _seq, event = heap[0]
             if event.cancelled:
                 heapq.heappop(heap)
-                if self._lazy > 0:
-                    self._lazy -= 1
+                self._lazy -= 1
                 continue
             if until is not None and time > until:
                 return None
@@ -158,17 +145,6 @@ class EventQueue:
             self._active -= 1
             return event
         return None
-
-    def peek_time(self) -> float | None:
-        """Firing time of the earliest active event, or ``None`` when empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            if self._lazy > 0:
-                self._lazy -= 1
-        if not heap:
-            return None
-        return heap[0][0]
 
     def clear(self) -> None:
         """Drop every pending event.

@@ -17,7 +17,12 @@ A :class:`Simulation` reproduces the discrete-event simulator described in
    is summarised by a :class:`~repro.simulation.results.SimulationResult`.
 
 The job life cycle is implemented with small event handlers on the
-simulation object; per-job bookkeeping lives in :class:`_JobContext`.
+simulation object; per-job bookkeeping lives in :class:`_JobContext`.  Every
+transfer a job waits for (input, recovery, regular I/O, final output) is
+submitted by ``Simulation._submit_blocking`` and completed by
+``Simulation._blocking_done``; checkpoints have their own handlers because
+they may run while the job computes.  A job ends, completed or failed, in
+``Simulation._end_job``, the step that also drops its context.
 """
 
 from __future__ import annotations
@@ -56,15 +61,24 @@ _MIN_RESTART_WORK_S = 1.0
 #: the commit time C.
 _MIN_CHECKPOINT_GAP_S = 1.0
 
+#: Per blocking transfer kind: the job's state while it runs and the trace
+#: event its completion records.
+_BLOCKING: dict[IOKind, tuple[JobState, TraceEventType]] = {
+    IOKind.INPUT: (JobState.INPUT_IO, TraceEventType.INPUT_DONE),
+    IOKind.RECOVERY: (JobState.RECOVERY_IO, TraceEventType.INPUT_DONE),
+    IOKind.REGULAR: (JobState.REGULAR_IO, TraceEventType.REGULAR_IO_DONE),
+    IOKind.OUTPUT: (JobState.OUTPUT_IO, TraceEventType.OUTPUT_DONE),
+}
+
 
 @dataclass
 class _JobContext:
     """Per-running-job runtime bookkeeping owned by the simulation.
 
-    The phase schedule (regular-I/O milestones, checkpoint period and the
-    post-checkpoint re-request delay) is computed once when the job enters
-    its compute phase and read from here afterwards, instead of re-deriving
-    the same floats on every checkpoint/progress event.
+    The phase schedule (regular-I/O milestones and the post-checkpoint
+    re-request delay) is computed once when the job enters its compute
+    phase and read from here afterwards, instead of re-deriving the same
+    floats on every checkpoint/progress event.
     """
 
     job: Job
@@ -78,8 +92,6 @@ class _JobContext:
     milestones: list[float] = field(default_factory=list)
     milestone_index: int = 0
     regular_chunk_bytes: float = 0.0
-    #: Desired checkpoint period P (seconds), fixed per job.
-    checkpoint_period_s: float = 0.0
     #: Delay between a checkpoint completion and the next request,
     #: ``max(P - C, minimum gap)`` (§2's first-order scheduling rule).
     checkpoint_redo_delay_s: float = _MIN_CHECKPOINT_GAP_S
@@ -206,35 +218,51 @@ class Simulation:
             # input when it had no checkpoint yet); either way this read only
             # exists because of the failure, so it is recovery I/O (§5).
             kind = IOKind.RECOVERY if job.is_restart else IOKind.INPUT
-            job.state = JobState.RECOVERY_IO if kind is IOKind.RECOVERY else JobState.INPUT_IO
-            request = IORequest(
-                job=job,
-                kind=kind,
-                volume_bytes=job.input_bytes,
-                submitted_at=now,
-                on_complete=self._input_done,
-            )
-            context.blocking_request = request
-            self.io_sched.submit(request)
+            self._submit_blocking(job, context, kind, job.input_bytes)
         else:
             self._begin_compute(job)
 
-    def _input_done(self, request: IORequest) -> None:
+    # ---------------------------------------------------------------- blocking transfers
+    def _submit_blocking(
+        self, job: Job, context: _JobContext, kind: IOKind, volume_bytes: float
+    ) -> None:
+        """Block ``job`` on one input, recovery, regular or output transfer."""
+        job.state = _BLOCKING[kind][0]
+        request = IORequest(
+            job=job,
+            kind=kind,
+            volume_bytes=volume_bytes,
+            submitted_at=self.engine.now,
+            on_complete=self._blocking_done,
+        )
+        context.blocking_request = request
+        self.io_sched.submit(request)
+
+    def _blocking_done(self, request: IORequest) -> None:
+        """Account a finished blocking transfer, then move its job on."""
         job = request.job
         context = self._contexts.get(job.job_id)
-        if context is None or job.finished:
+        if context is None:
             return
         self._account_request(request)
         context.blocking_request = None
+        kind = request.kind
+        reads = kind is IOKind.INPUT or kind is IOKind.RECOVERY
+        detail = {"io_kind": kind.value} if reads else {}
         self._record(
             job,
-            TraceEventType.INPUT_DONE,
-            io_kind=request.kind.value,
+            _BLOCKING[kind][1],
+            **detail,
             waited=request.waited,
             duration=(request.completed_at or 0.0) - (request.granted_at or 0.0),
             volume=request.volume_bytes,
         )
-        self._begin_compute(job)
+        if reads:
+            self._begin_compute(job)
+        elif kind is IOKind.REGULAR:
+            self._maybe_resume(job)
+        else:
+            self._complete_job(job)
 
     def _begin_compute(self, job: Job) -> None:
         """First entry into the compute phase (after input/recovery)."""
@@ -257,7 +285,6 @@ class Simulation:
         context.milestone_index = 0
         period = self.strategy.policy.period(job.app_class, self.platform)
         commit = job.app_class.checkpoint_time(self.platform.io_bandwidth_bytes_per_s)
-        context.checkpoint_period_s = period
         # Next request P - C after each completion (first-order scheduling
         # rule of §2), never less than a small positive gap.
         context.checkpoint_redo_delay_s = max(period - commit, _MIN_CHECKPOINT_GAP_S)
@@ -286,22 +313,25 @@ class Simulation:
                 )
 
     def _stop_progress(self, job: Job) -> None:
-        now = self.engine.now
         context = self._context(job)
-        delta = job.pause_progress(now)
-        if delta > 0.0:
-            self.accounting.record_interval(
-                Category.COMPUTE, job.nodes, now - delta, now, job=job.job_id
-            )
+        self._close_compute(job, self.engine.now)
         self.engine.cancel(context.compute_event)
         self.engine.cancel(context.regular_event)
         context.compute_event = None
         context.regular_event = None
 
+    def _close_compute(self, job: Job, now: float) -> None:
+        """End ``job``'s open progress interval at ``now`` and charge it as compute."""
+        delta = job.pause_progress(now)
+        if delta > 0.0:
+            self.accounting.record_interval(
+                Category.COMPUTE, job.nodes, now - delta, now, job=job.job_id
+            )
+
     def _maybe_resume(self, job: Job) -> None:
         """Resume computing when nothing blocks the job anymore."""
         context = self._contexts.get(job.job_id)
-        if context is None or job.finished:
+        if context is None:
             return
         if context.blocking_request is not None:
             return
@@ -319,7 +349,7 @@ class Simulation:
     # ---------------------------------------------------------------- checkpoints
     def _checkpoint_due(self, job: Job) -> None:
         context = self._contexts.get(job.job_id)
-        if context is None or job.finished:
+        if context is None:
             return
         context.checkpoint_due_event = None
         now = self.engine.now
@@ -346,18 +376,17 @@ class Simulation:
         )
         context.pending_checkpoint = request
         self._record(job, TraceEventType.CHECKPOINT_REQUEST)
-        if self.strategy.nonblocking_checkpoints:
-            # The job keeps computing while it waits for the I/O token.
-            job.state = JobState.CHECKPOINT_WAIT
-        else:
+        # Under a non-blocking strategy the job keeps computing while it
+        # waits for the I/O token.
+        if not self.strategy.nonblocking_checkpoints:
             self._stop_progress(job)
-            job.state = JobState.CHECKPOINT_WAIT
+        job.state = JobState.CHECKPOINT_WAIT
         self.io_sched.submit(request)
 
     def _checkpoint_granted(self, request: IORequest) -> None:
         job = request.job
         context = self._contexts.get(job.job_id)
-        if context is None or job.finished or request.cancelled:
+        if context is None or request.cancelled:
             return
         now = self.engine.now
         # The checkpoint content captures the job's progress at this instant.
@@ -372,7 +401,7 @@ class Simulation:
         job = request.job
         context = self._contexts.get(job.job_id)
         captured = self._captures.pop(request, None)
-        if context is None or job.finished or request.cancelled:
+        if context is None or request.cancelled:
             return
         context.pending_checkpoint = None
         self._account_request(request)
@@ -395,42 +424,17 @@ class Simulation:
     # ---------------------------------------------------------------- regular I/O
     def _regular_io_due(self, job: Job) -> None:
         context = self._contexts.get(job.job_id)
-        if context is None or job.finished:
+        if context is None:
             return
         context.regular_event = None
         self._stop_progress(job)
-        job.state = JobState.REGULAR_IO
         context.milestone_index += 1
-        request = IORequest(
-            job=job,
-            kind=IOKind.REGULAR,
-            volume_bytes=context.regular_chunk_bytes,
-            submitted_at=self.engine.now,
-            on_complete=self._regular_io_done,
-        )
-        context.blocking_request = request
-        self.io_sched.submit(request)
-
-    def _regular_io_done(self, request: IORequest) -> None:
-        job = request.job
-        context = self._contexts.get(job.job_id)
-        if context is None or job.finished:
-            return
-        self._account_request(request)
-        context.blocking_request = None
-        self._record(
-            job,
-            TraceEventType.REGULAR_IO_DONE,
-            waited=request.waited,
-            duration=(request.completed_at or 0.0) - (request.granted_at or 0.0),
-            volume=request.volume_bytes,
-        )
-        self._maybe_resume(job)
+        self._submit_blocking(job, context, IOKind.REGULAR, context.regular_chunk_bytes)
 
     # ---------------------------------------------------------------- completion
     def _work_finished(self, job: Job) -> None:
         context = self._contexts.get(job.job_id)
-        if context is None or job.finished:
+        if context is None:
             return
         context.compute_event = None
         self._stop_progress(job)
@@ -444,46 +448,24 @@ class Simulation:
 
         self._record(job, TraceEventType.OUTPUT_START)
         if job.output_bytes > 0.0:
-            job.state = JobState.OUTPUT_IO
-            request = IORequest(
-                job=job,
-                kind=IOKind.OUTPUT,
-                volume_bytes=job.output_bytes,
-                submitted_at=self.engine.now,
-                on_complete=self._output_done,
-            )
-            context.blocking_request = request
-            self.io_sched.submit(request)
+            self._submit_blocking(job, context, IOKind.OUTPUT, job.output_bytes)
         else:
             self._complete_job(job)
 
-    def _output_done(self, request: IORequest) -> None:
-        job = request.job
-        context = self._contexts.get(job.job_id)
-        if context is None or job.finished:
-            return
-        self._account_request(request)
-        context.blocking_request = None
-        self._record(
-            job,
-            TraceEventType.OUTPUT_DONE,
-            waited=request.waited,
-            duration=(request.completed_at or 0.0) - (request.granted_at or 0.0),
-            volume=request.volume_bytes,
-        )
-        self._complete_job(job)
-
     def _complete_job(self, job: Job) -> None:
-        now = self.engine.now
-        context = self._context(job)
-        job.state = JobState.COMPLETED
-        job.end_time = now
-        self.accounting.record_allocation(job.nodes, context.allocated_at, now)
-        self.pool.release_owner(job)
-        del self._contexts[job.job_id]
+        self._end_job(job, JobState.COMPLETED)
         self.jobs_completed += 1
         self._record(job, TraceEventType.JOB_COMPLETE)
         self._dispatch()
+
+    def _end_job(self, job: Job, state: JobState) -> None:
+        """Close a completed or failed job: state, end time, allocation, nodes, context."""
+        now = self.engine.now
+        context = self._contexts.pop(job.job_id)
+        job.state = state
+        job.end_time = now
+        self.accounting.record_allocation(job.nodes, context.allocated_at, now)
+        self.pool.release_owner(job)
 
     # ---------------------------------------------------------------- failures
     def _on_node_failure(self, node_id: int) -> None:
@@ -495,7 +477,7 @@ class Simulation:
         assert isinstance(owner, Job), owner
         job = owner
         context = self._contexts.get(job.job_id)
-        if context is None or job.finished:
+        if context is None:
             return
         self.failures_effective += 1
         now = self.engine.now
@@ -510,18 +492,10 @@ class Simulation:
             )
 
         self.engine.cancel(context.checkpoint_due_event)
-        context.checkpoint_due_event = None
         self.io_sched.cancel_job(job)
         if context.pending_checkpoint is not None:
             self._captures.pop(context.pending_checkpoint, None)
-            context.pending_checkpoint = None
-        context.blocking_request = None
-
-        job.state = JobState.FAILED
-        job.end_time = now
-        self.accounting.record_allocation(job.nodes, context.allocated_at, now)
-        self.pool.release_owner(job)
-        del self._contexts[job.job_id]
+        self._end_job(job, JobState.FAILED)
         self.jobs_failed += 1
         self._record(job, TraceEventType.JOB_FAILED, node_id=node_id, lost_work=lost)
 
@@ -596,14 +570,9 @@ class Simulation:
     def _flush_open_accounting(self) -> None:
         """Close accounting for jobs still running when the horizon is reached."""
         horizon = self.config.horizon_s
-        for context in list(self._contexts.values()):
+        for context in self._contexts.values():
             job = context.job
-            if job.progressing:
-                delta = job.pause_progress(horizon)
-                if delta > 0.0:
-                    self.accounting.record_interval(
-                        Category.COMPUTE, job.nodes, horizon - delta, horizon, job=job.job_id
-                    )
+            self._close_compute(job, horizon)
             self.accounting.record_allocation(job.nodes, context.allocated_at, horizon)
 
     # ---------------------------------------------------------------- helpers

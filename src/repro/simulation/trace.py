@@ -50,17 +50,6 @@ class TraceEvent:
     kind: TraceEventType
     detail: dict = field(default_factory=dict)
 
-    def as_row(self) -> dict:
-        """Flat dictionary representation (for CSV/JSON export)."""
-        row = {
-            "time": self.time,
-            "job_id": self.job_id,
-            "job": self.job_name,
-            "event": self.kind.value,
-        }
-        row.update(self.detail)
-        return row
-
 
 class TraceRecorder:
     """Accumulates :class:`TraceEvent` objects during a simulation run."""

@@ -14,7 +14,8 @@ from textwrap import dedent
 
 import pytest
 
-from repro.analysis.base import Project
+from repro.analysis import policy
+from repro.analysis.base import Project, module_matches
 from repro.analysis.checkers import make_checkers
 from repro.analysis.checkers.digest_drift import (
     DigestDriftChecker,
@@ -62,6 +63,29 @@ class TestDeterminismChecker:
         report = lint(root, tmp_path, rules=["determinism"])
         assert rules_of(report) == ["determinism"]
         assert "time.time" in report.findings[0].message
+
+    @pytest.mark.parametrize("layer", ["simulation", "apps", "jobsched", "workloads", "core"])
+    def test_wall_clock_flagged_in_every_simulating_layer(self, tmp_path, layer):
+        root = make_tree(
+            tmp_path,
+            {
+                f"repro/{layer}/bad.py": """\
+                import time
+
+                def stamp():
+                    return time.time()
+                """
+            },
+        )
+        report = lint(root, tmp_path, rules=["determinism"])
+        assert rules_of(report) == ["determinism"]
+        assert "time.time" in report.findings[0].message
+
+    def test_no_exempt_layer_overlaps_a_target(self):
+        for exempt in policy.DETERMINISM_EXEMPT:
+            assert not module_matches(exempt, policy.DETERMINISM_TARGETS), exempt
+            for target in policy.DETERMINISM_TARGETS:
+                assert not module_matches(target, [exempt]), (target, exempt)
 
     def test_global_rng_and_numpy_flagged(self, tmp_path):
         root = make_tree(

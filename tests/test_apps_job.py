@@ -97,8 +97,9 @@ def test_invalid_job_parameters(tiny_classes):
         Job(app_class=tiny_classes[0], total_work_s=10.0, input_bytes=-1.0)
 
 
-def test_succeeded_only_when_completed(job):
-    assert not job.succeeded
+def test_finished_only_in_a_terminal_state(job):
+    assert not job.finished
     job.state = JobState.COMPLETED
-    assert job.succeeded
+    assert job.finished
+    job.state = JobState.FAILED
     assert job.finished

@@ -12,23 +12,6 @@ def test_terminal_states():
     assert not JobState.PENDING.terminal
 
 
-def test_allocated_states():
-    assert not JobState.PENDING.allocated
-    assert not JobState.COMPLETED.allocated
-    assert not JobState.FAILED.allocated
-    for state in (
-        JobState.INPUT_IO,
-        JobState.COMPUTING,
-        JobState.CHECKPOINTING,
-        JobState.CHECKPOINT_WAIT,
-        JobState.OUTPUT_IO,
-        JobState.RECOVERY_IO,
-        JobState.REGULAR_IO,
-        JobState.IO_WAIT,
-    ):
-        assert state.allocated
-
-
 def test_io_kind_checkpoint_flag():
     assert IOKind.CHECKPOINT.is_checkpoint
     for kind in (IOKind.INPUT, IOKind.OUTPUT, IOKind.RECOVERY, IOKind.REGULAR):

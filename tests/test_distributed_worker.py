@@ -8,6 +8,7 @@ seeds are skipped (cache probes), and the submitter never notices.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -197,8 +198,21 @@ def test_crashed_worker_lease_expires_and_campaign_is_bit_identical(
         spool_lease_ttl_s=0.2,
         spool_timeout_s=300.0,
     )
-    with spool_workers(spool_dir, cache_dir, count=2, lease_ttl_s=0.2) as workers:
-        spooled = run_campaign(campaign, runner)
+    # Workers start only once the submitter has probed the store and spooled
+    # its specs: one started earlier could run a pending spec and store a
+    # seed before the probe, which would then count more than one hit.
+    total = len(seeds) * len(scenario.strategies)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as submitter:
+        submitted = submitter.submit(run_campaign, campaign, runner)
+        deadline = time.monotonic() + 60.0
+        while not submitted.done():
+            status = spool.status()
+            if status.pending + status.claimed >= total:
+                break
+            assert time.monotonic() < deadline, status
+            time.sleep(0.01)
+        with spool_workers(spool_dir, cache_dir, count=2, lease_ttl_s=0.2) as workers:
+            spooled = submitted.result(timeout=300.0)
 
     assert spooled == serial  # exact dataclass equality, every summary field
     status = WorkSpool(spool_dir).status()

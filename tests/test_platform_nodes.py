@@ -34,8 +34,9 @@ def test_owner_tracking_and_release():
     assert pool.owner_of(nodes_a[0]) is a
     assert pool.owner_of(nodes_b[0]) is b
     assert sorted(pool.nodes_of(b)) == nodes_b
-    pool.release(nodes_a)
+    assert pool.release_owner(a) == nodes_a
     assert pool.owner_of(nodes_a[0]) is None
+    assert pool.owner_of(nodes_b[0]) is b
     assert pool.num_free == 8 - 3
 
 
@@ -52,11 +53,11 @@ def test_release_owner_releases_everything_and_reports_it():
 
 def test_released_nodes_are_reused():
     pool = NodePool(4)
-    a = object()
-    nodes = pool.allocate(4, a)
-    pool.release(nodes[:2])
-    b = object()
-    assert pool.allocate(2, b) == nodes[:2]
+    a, b = object(), object()
+    nodes_a = pool.allocate(2, a)
+    pool.allocate(2, b)
+    pool.release_owner(a)
+    assert pool.allocate(2, object()) == nodes_a
 
 
 def test_cannot_overallocate():
@@ -73,8 +74,6 @@ def test_invalid_operations_rejected():
     with pytest.raises(SchedulingError):
         pool.allocate(0, object())
     with pytest.raises(SchedulingError):
-        pool.release([0])  # node 0 is already free
-    with pytest.raises(SchedulingError):
         pool.owner_of(99)
     with pytest.raises(SchedulingError):
         NodePool(0)
@@ -84,24 +83,6 @@ def test_can_allocate_rejects_non_positive_counts():
     pool = NodePool(4)
     assert not pool.can_allocate(0)
     assert not pool.can_allocate(-2)
-
-
-@pytest.mark.parametrize(
-    "bad_ids, message",
-    [([0, 2], "already free"), ([0, 99], "outside the pool"), ([1, 1], "listed twice")],
-)
-def test_rejected_release_leaves_the_pool_unchanged(bad_ids, message):
-    pool = NodePool(4)
-    owner = object()
-    pool.allocate(2, owner)
-    with pytest.raises(SchedulingError, match=message):
-        pool.release(bad_ids)
-    assert pool.num_free == 2
-    assert pool.nodes_of(owner) == [0, 1]
-    assert [pool.owner_of(n) for n in range(4)] == [owner, owner, None, None]
-    with pytest.raises(SchedulingError):
-        pool.allocate(3, object())
-    assert pool.allocate(2, object()) == [2, 3]
 
 
 # ------------------------------------------------------------- pool oracle
@@ -126,18 +107,13 @@ class _OraclePool:
             self.owner[node] = owner
         return free[:count]
 
-    def release(self, node_ids: list[int]) -> None:
-        if len(set(node_ids)) != len(node_ids) or any(n not in self.owner for n in node_ids):
-            raise SchedulingError("refused")
-        for node in node_ids:
-            del self.owner[node]
-
     def nodes_of(self, owner: object) -> list[int]:
         return [n for n, o in self.owner.items() if o is owner]
 
     def release_owner(self, owner: object) -> list[int]:
         nodes = self.nodes_of(owner)
-        self.release(nodes)
+        for node in nodes:
+            del self.owner[node]
         return nodes
 
 
@@ -146,26 +122,15 @@ _OWNERS = [object(), object(), object(), ("job",), None]
 
 _OPS = st.one_of(
     st.tuples(st.just("allocate"), st.integers(-1, _NUM_NODES + 1), st.integers(0, 4)),
-    # Release the owner's nodes picked by a bit mask over its nodes_of list.
-    st.tuples(st.just("release"), st.integers(0, 4), st.integers(0, 2**_NUM_NODES - 1)),
     st.tuples(st.just("release_owner"), st.integers(0, 4)),
-    # Arbitrary ids: free, out of range and duplicated ones are refused.
-    st.tuples(st.just("release_ids"), st.lists(st.integers(-2, _NUM_NODES + 1), max_size=4)),
 )
 
 
 def _apply(pool, op: tuple) -> tuple:
-    kind = op[0]
     try:
-        if kind == "allocate":
+        if op[0] == "allocate":
             return ("ok", pool.allocate(op[1], _OWNERS[op[2]]))
-        if kind == "release":
-            nodes = pool.nodes_of(_OWNERS[op[1]])
-            picked = [n for i, n in enumerate(nodes) if op[2] >> i & 1]
-            return ("ok", pool.release(picked), picked)
-        if kind == "release_owner":
-            return ("ok", pool.release_owner(_OWNERS[op[1]]))
-        return ("ok", pool.release(list(op[1])))
+        return ("ok", pool.release_owner(_OWNERS[op[1]]))
     except SchedulingError:
         return ("refused",)
 

@@ -294,6 +294,23 @@ def test_preset_submission_with_overrides(service):
     assert result["strategies"] == ["least-waste"]
 
 
+def test_an_unknown_body_key_is_a_400_that_names_it(service):
+    """An override nested where no override is read must be refused, not
+    ignored: this body used to run ``smoke`` at its default two runs."""
+    code, body = _expect_error(
+        service,
+        "/v1/jobs",
+        method="POST",
+        data=json.dumps({"preset": "smoke", "overrides": {"num_runs": 5}}).encode(),
+    )
+    assert code == 400 and "'overrides'" in body["error"], body
+    assert service.manager.jobs() == []
+    snapshot = _submit_and_wait(service, {"preset": "smoke", "num_runs": 5})
+    assert snapshot["state"] == "done", snapshot
+    _, cells = _get_json(service, f"/v1/jobs/{snapshot['id']}/cells")
+    assert cells["cells"] and all(len(cell["seeds"]) == 5 for cell in cells["cells"])
+
+
 # ------------------------------------------------------------------ errors
 def _expect_error(service, path, *, method="GET", data=None):
     request = urllib.request.Request(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -87,6 +88,27 @@ def test_a_body_shorter_than_its_content_length_is_a_408(service, monkeypatch):
     assert status == 408 and "100 bytes" in json.loads(body)["error"]
     assert time.monotonic() - start < 3.0
     assert service.manager.jobs() == []
+
+
+def test_a_silent_client_does_not_hold_a_handler_thread(service, monkeypatch):
+    """A client that connects and never sends its request line is dropped
+    once the request timeout runs out, and its handler thread ends."""
+    monkeypatch.setattr("repro.service.http._BODY_TIMEOUT_S", 0.2)
+    baseline = threading.active_count()
+    deadline = time.monotonic() + 3.0
+    silent = [socket.create_connection((service.host, service.port)) for _ in range(3)]
+    try:
+        for sock in silent:
+            sock.settimeout(max(0.01, deadline - time.monotonic()))
+            assert sock.recv(1) == b""  # the server closed the connection
+    finally:
+        for sock in silent:
+            sock.close()
+    while threading.active_count() > baseline:
+        assert time.monotonic() < deadline, (threading.active_count(), baseline)
+        time.sleep(0.02)
+    status, _, _ = _request(service, _raw("GET", "/healthz", None, None), "GET")
+    assert status == 200
 
 
 # ------------------------------------------------------------------ property

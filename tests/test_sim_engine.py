@@ -70,16 +70,6 @@ def test_cancel_prevents_callback():
     assert fired == []
 
 
-def test_stop_aborts_the_run():
-    engine = SimulationEngine()
-    fired: list[int] = []
-    engine.schedule(1.0, lambda: (fired.append(1), engine.stop()))
-    engine.schedule(2.0, lambda: fired.append(2))
-    engine.run()
-    assert fired == [1]
-    assert engine.pending_events == 1
-
-
 def test_max_events_guard():
     engine = SimulationEngine(max_events=10)
 

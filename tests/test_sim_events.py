@@ -39,10 +39,15 @@ def test_len_counts_only_active_events():
     queue.push(2.0, lambda: None)
     assert len(queue) == 2
     queue.cancel(first)
+    assert first.cancelled
     assert len(queue) == 1
     # Cancelling twice is a no-op.
     queue.cancel(first)
     assert len(queue) == 1
+    # Draining skips the cancelled event and leaves the queue empty.
+    assert queue.pop_next() is not first
+    assert queue.pop_next() is None
+    assert len(queue) == 0
 
 
 def test_cancelled_events_are_skipped():
@@ -54,19 +59,6 @@ def test_cancelled_events_are_skipped():
     event = queue.pop_next()
     assert event is keep
     assert queue.pop_next() is None
-
-
-def test_peek_time_skips_cancelled_events():
-    queue = EventQueue()
-    early = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    assert queue.peek_time() == 1.0
-    queue.cancel(early)
-    assert queue.peek_time() == 2.0
-
-
-def test_peek_time_empty_queue():
-    assert EventQueue().peek_time() is None
 
 
 def test_clear_drops_everything():
@@ -81,14 +73,6 @@ def test_clear_drops_everything():
 def test_nan_time_rejected():
     with pytest.raises(SimulationError):
         EventQueue().push(float("nan"), lambda: None)
-
-
-def test_event_active_flag():
-    queue = EventQueue()
-    event = queue.push(1.0, lambda: None)
-    assert event.active
-    queue.cancel(event)
-    assert not event.active
 
 
 def test_cancel_after_fire_is_a_noop_regression():
@@ -159,7 +143,8 @@ def test_heap_compaction_drops_cancelled_entries():
 )
 @settings(max_examples=200, deadline=None)
 def test_active_count_matches_live_heap_entries(ops):
-    """Invariant: ``_active`` == number of uncancelled events on the heap."""
+    """Invariant: ``_active`` == number of uncancelled events on the heap, and
+    ``_lazy`` == number of cancelled ones."""
     queue = EventQueue()
     seen = []  # every event ever created (fired, cancelled or pending)
     for op in ops:
@@ -174,4 +159,5 @@ def test_active_count_matches_live_heap_entries(ops):
             queue.cancel(seen[op[1] % len(seen)])
         live = [entry[2] for entry in queue._heap if not entry[2].cancelled]
         assert queue._active == len(live) == len(queue)
+        assert queue._lazy == len(queue._heap) - len(live)
         assert all(not event.fired for event in live)
