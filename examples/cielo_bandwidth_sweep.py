@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.figure1 import Figure1Config, render_figure1, run_figure1
-from repro.experiments.report import render_sweep_detailed
+from repro.experiments.figure1 import PARAMETER, Figure1Config, render_figure1, run_figure1
+from repro.experiments.report import render_sweep_detailed, sweep_values
 
 
 def main() -> None:
@@ -42,17 +42,19 @@ def main() -> None:
         num_runs=args.num_runs,
     )
     result = run_figure1(config)
-    print(render_figure1(result))
+    values = sweep_values(config.campaign())
+    print(render_figure1(result, values))
     if args.detailed:
         print()
-        print(render_sweep_detailed(result, title="Per-cell candlestick statistics"))
+        title = "Per-cell candlestick statistics"
+        print(render_sweep_detailed(result, PARAMETER, values, title=title))
 
     print()
-    best_low = result.best_strategy_at(0)
-    best_high = result.best_strategy_at(len(result.parameter_values) - 1)
+    best_low = result.outcomes[0].best_strategy()
+    best_high = result.outcomes[-1].best_strategy()
     print(
-        f"Best strategy at {result.parameter_values[0]:g} GB/s: {best_low}; "
-        f"at {result.parameter_values[-1]:g} GB/s: {best_high}."
+        f"Best strategy at {values[0]:g} GB/s: {best_low}; "
+        f"at {values[-1]:g} GB/s: {best_high}."
     )
 
 

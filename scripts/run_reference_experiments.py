@@ -13,10 +13,11 @@ import argparse
 import pathlib
 import time
 
+from repro.experiments import figure1, figure2
 from repro.experiments.figure1 import Figure1Config, render_figure1, run_figure1
 from repro.experiments.figure2 import Figure2Config, render_figure2, run_figure2
 from repro.experiments.figure3 import Figure3Config, render_figure3, run_figure3
-from repro.experiments.report import render_sweep_detailed
+from repro.experiments.report import render_sweep_detailed, sweep_values
 from repro.experiments.table1 import render_table1
 
 
@@ -39,38 +40,42 @@ def main() -> None:
     save("table1.txt", render_table1())
 
     t0 = time.time()
-    fig1 = run_figure1(
-        Figure1Config(
-            bandwidths_gbs=(40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0),
-            horizon_days=args.horizon_days,
-            num_runs=args.num_runs,
-            base_seed=2024,
-        )
+    config1 = Figure1Config(
+        bandwidths_gbs=(40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0),
+        horizon_days=args.horizon_days,
+        num_runs=args.num_runs,
+        base_seed=2024,
     )
+    fig1 = run_figure1(config1)
+    values1 = sweep_values(config1.campaign())
     save(
         "figure1.txt",
-        render_figure1(fig1)
+        render_figure1(fig1, values1)
         + f"\n\n(horizon {args.horizon_days} days, {args.num_runs} runs/point, "
         + f"{time.time() - t0:.0f}s)\n\n"
-        + render_sweep_detailed(fig1, title="Figure 1 candlesticks"),
+        + render_sweep_detailed(
+            fig1, figure1.PARAMETER, values1, title="Figure 1 candlesticks"
+        ),
     )
 
     t0 = time.time()
-    fig2 = run_figure2(
-        Figure2Config(
-            node_mtbf_years=(2.0, 5.0, 10.0, 20.0, 50.0),
-            bandwidth_gbs=40.0,
-            horizon_days=args.horizon_days,
-            num_runs=args.num_runs,
-            base_seed=2024,
-        )
+    config2 = Figure2Config(
+        node_mtbf_years=(2.0, 5.0, 10.0, 20.0, 50.0),
+        bandwidth_gbs=40.0,
+        horizon_days=args.horizon_days,
+        num_runs=args.num_runs,
+        base_seed=2024,
     )
+    fig2 = run_figure2(config2)
+    values2 = sweep_values(config2.campaign())
     save(
         "figure2.txt",
-        render_figure2(fig2)
+        render_figure2(fig2, values2)
         + f"\n\n(horizon {args.horizon_days} days, {args.num_runs} runs/point, "
         + f"{time.time() - t0:.0f}s)\n\n"
-        + render_sweep_detailed(fig2, title="Figure 2 candlesticks"),
+        + render_sweep_detailed(
+            fig2, figure2.PARAMETER, values2, title="Figure 2 candlesticks"
+        ),
     )
 
     t0 = time.time()

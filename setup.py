@@ -1,8 +1,8 @@
 """Setuptools shim.
 
-The project metadata lives in ``pyproject.toml``; this file only exists so
-that ``pip install -e .`` works on environments without the ``wheel``
-package (legacy editable installs need a ``setup.py``).
+The project metadata lives in ``pyproject.toml``; this file only exists for
+``python setup.py develop``, which installs an editable ``coopckpt`` where
+pip cannot build one (pip's editable install needs the ``wheel`` package).
 """
 
 from setuptools import setup

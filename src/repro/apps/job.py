@@ -62,7 +62,6 @@ class Job:
 
     # --- mutable execution state (managed by the simulator) ---
     state: JobState = JobState.PENDING
-    allocated_nodes: list[int] = field(default_factory=list)
     start_time: float | None = None
     end_time: float | None = None
     work_done_s: float = 0.0
@@ -156,9 +155,3 @@ class Job:
             )
         self.work_protected_s = min(max(amount_s, self.work_protected_s), self.total_work_s)
         self.checkpoints_completed += 1
-
-    # ------------------------------------------------------------ completion
-    @property
-    def finished(self) -> bool:
-        """True once the job reached a terminal state."""
-        return self.state.terminal

@@ -37,11 +37,6 @@ class JobState(Enum):
     COMPLETED = "completed"
     FAILED = "failed"
 
-    @property
-    def terminal(self) -> bool:
-        """True for states a job never leaves."""
-        return self in (JobState.COMPLETED, JobState.FAILED)
-
 
 @unique
 class IOKind(Enum):

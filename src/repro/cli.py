@@ -219,28 +219,25 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--fixed-period-hours", type=float, default=1.0)
 
     fig1 = sub.add_parser("figure1", help="waste ratio vs. bandwidth (Cielo)")
-    fig1.add_argument("--num-runs", type=int, default=3)
-    fig1.add_argument("--horizon-days", type=float, default=6.0)
     fig1.add_argument("--node-mtbf-years", type=float, default=2.0)
     fig1.add_argument(
         "--bandwidths-gbs", type=float, nargs="+", default=[40.0, 80.0, 120.0, 160.0]
     )
-    fig1.add_argument("--detailed", action="store_true", help="include candlestick statistics")
-    fig1.add_argument("--chart", action="store_true", help="append an ASCII chart of the series")
-    fig1.add_argument("--csv", metavar="PATH", help="also write the series as CSV")
-    fig1.add_argument("--json", metavar="PATH", help="also write the series as JSON")
-    _add_runner_arguments(fig1)
-
     fig2 = sub.add_parser("figure2", help="waste ratio vs. node MTBF (Cielo, 40 GB/s)")
-    fig2.add_argument("--num-runs", type=int, default=3)
-    fig2.add_argument("--horizon-days", type=float, default=6.0)
     fig2.add_argument("--bandwidth-gbs", type=float, default=40.0)
     fig2.add_argument("--mtbf-years", type=float, nargs="+", default=[2.0, 5.0, 20.0, 50.0])
-    fig2.add_argument("--detailed", action="store_true", help="include candlestick statistics")
-    fig2.add_argument("--chart", action="store_true", help="append an ASCII chart of the series")
-    fig2.add_argument("--csv", metavar="PATH", help="also write the series as CSV")
-    fig2.add_argument("--json", metavar="PATH", help="also write the series as JSON")
-    _add_runner_arguments(fig2)
+    for fig in (fig1, fig2):
+        fig.add_argument("--num-runs", type=int, default=3)
+        fig.add_argument("--horizon-days", type=float, default=6.0)
+        fig.add_argument(
+            "--detailed", action="store_true", help="include candlestick statistics"
+        )
+        fig.add_argument(
+            "--chart", action="store_true", help="append an ASCII chart of the series"
+        )
+        fig.add_argument("--csv", metavar="PATH", help="also write the series as CSV")
+        fig.add_argument("--json", metavar="PATH", help="also write the series as JSON")
+        _add_runner_arguments(fig)
 
     fig3 = sub.add_parser(
         "figure3", help="minimum bandwidth for 80%% efficiency (prospective system)"
@@ -610,28 +607,32 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     return result.summary()
 
 
-def _sweep_output(result, rendered: str, args: argparse.Namespace, title: str) -> str:
-    """Shared post-processing of the Figure 1/2 sweeps (detail, chart, export)."""
+def _sweep_output(
+    result, config, parameter: str, render, args: argparse.Namespace, title: str
+) -> str:
+    """A Figure 1/2 table, then the detail, chart and exports ``args`` ask for."""
     from repro.experiments.export import sweep_to_csv, sweep_to_json, write_text
     from repro.experiments.plotting import sweep_chart
-    from repro.experiments.report import render_sweep_detailed
+    from repro.experiments.report import render_sweep_detailed, sweep_values
 
-    parts = [rendered]
-    if getattr(args, "detailed", False):
-        parts.append(render_sweep_detailed(result, title=f"{title} (detailed)"))
-    if getattr(args, "chart", False):
-        parts.append(sweep_chart(result))
-    if getattr(args, "csv", None):
-        path = write_text(args.csv, sweep_to_csv(result))
+    values = sweep_values(config.campaign())
+    parts = [render(result, values)]
+    if args.detailed:
+        detail_title = f"{title} (detailed)"
+        parts.append(render_sweep_detailed(result, parameter, values, title=detail_title))
+    if args.chart:
+        parts.append(sweep_chart(result, parameter, values))
+    if args.csv:
+        path = write_text(args.csv, sweep_to_csv(result, parameter, values))
         parts.append(f"wrote {path}")
-    if getattr(args, "json", None):
-        path = write_text(args.json, sweep_to_json(result))
+    if args.json:
+        path = write_text(args.json, sweep_to_json(result, parameter, values))
         parts.append(f"wrote {path}")
     return "\n\n".join(parts)
 
 
 def _cmd_figure1(args: argparse.Namespace) -> str:
-    from repro.experiments.figure1 import Figure1Config, render_figure1, run_figure1
+    from repro.experiments.figure1 import PARAMETER, Figure1Config, render_figure1, run_figure1
 
     config = Figure1Config(
         bandwidths_gbs=tuple(args.bandwidths_gbs),
@@ -640,11 +641,11 @@ def _cmd_figure1(args: argparse.Namespace) -> str:
         num_runs=args.num_runs,
     )
     result = run_figure1(config, runner=_runner_from_args(args))
-    return _sweep_output(result, render_figure1(result), args, "Figure 1")
+    return _sweep_output(result, config, PARAMETER, render_figure1, args, "Figure 1")
 
 
 def _cmd_figure2(args: argparse.Namespace) -> str:
-    from repro.experiments.figure2 import Figure2Config, render_figure2, run_figure2
+    from repro.experiments.figure2 import PARAMETER, Figure2Config, render_figure2, run_figure2
 
     config = Figure2Config(
         node_mtbf_years=tuple(args.mtbf_years),
@@ -653,7 +654,7 @@ def _cmd_figure2(args: argparse.Namespace) -> str:
         num_runs=args.num_runs,
     )
     result = run_figure2(config, runner=_runner_from_args(args))
-    return _sweep_output(result, render_figure2(result), args, "Figure 2")
+    return _sweep_output(result, config, PARAMETER, render_figure2, args, "Figure 2")
 
 
 def _cmd_figure3(args: argparse.Namespace) -> str:

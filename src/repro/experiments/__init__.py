@@ -16,7 +16,7 @@
 from repro import _lazy_exports
 
 __all__, __getattr__ = _lazy_exports(globals(), {
-    "repro.experiments.report": ("SweepResult", "run_sweep", "sweep_campaign"),
+    "repro.experiments.report": ("sweep_campaign", "sweep_values"),
     "repro.experiments.table1": ("table1_rows", "render_table1"),
     "repro.experiments.theory": ("steady_state_classes", "theoretical_waste"),
     "repro.experiments.figure1": ("Figure1Config", "run_figure1", "render_figure1"),

@@ -2,8 +2,8 @@
 
 The paper's figures are plots; this module serialises the reproduced series
 so they can be re-plotted with any external tool.  Two exporters are
-provided: one for :class:`~repro.experiments.report.SweepResult` (Figures 1
-and 2), one for :class:`~repro.experiments.figure3.Figure3Result`.
+provided: one for the :class:`~repro.scenarios.runner.CampaignResult` of a
+Figure 1 or 2 sweep, one for :class:`~repro.experiments.figure3.Figure3Result`.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # annotations only: writing a campaign CSV loads no figure module
+    from collections.abc import Sequence
+
     from repro.experiments.figure3 import Figure3Result
-    from repro.experiments.report import SweepResult
+    from repro.scenarios.runner import CampaignResult
 
 __all__ = [
     "sweep_to_rows",
@@ -28,29 +30,26 @@ __all__ = [
 ]
 
 
-def sweep_to_rows(result: SweepResult) -> list[dict]:
+def sweep_to_rows(result: CampaignResult, parameter: str, values: Sequence[float]) -> list[dict]:
     """One row per (parameter value, strategy) cell, plus the theory rows.
 
-    Each row carries the full candlestick statistics of the cell so nothing
-    is lost relative to the in-memory representation.
+    ``values`` are the axis values, one per outcome.  Each row carries the
+    full candlestick statistics of its cell.
     """
+    from repro.experiments.report import point_bound
+
     rows: list[dict] = []
-    for index, value in enumerate(result.parameter_values):
+    for value, outcome in zip(values, result.outcomes, strict=True):
         for strategy in result.strategies:
-            summary = result.waste[strategy][index]
-            row = {
-                "parameter": result.parameter_name,
-                "value": value,
-                "strategy": strategy,
-            }
-            row.update(summary.as_dict())
+            row = {"parameter": parameter, "value": value, "strategy": strategy}
+            row.update(outcome.summaries[strategy].as_dict())
             rows.append(row)
         rows.append(
             {
-                "parameter": result.parameter_name,
+                "parameter": parameter,
                 "value": value,
                 "strategy": "theoretical-model",
-                "mean": result.theory[index],
+                "mean": point_bound(outcome),
             }
         )
     return rows
@@ -72,18 +71,20 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
-def sweep_to_csv(result: SweepResult) -> str:
+def sweep_to_csv(result: CampaignResult, parameter: str, values: Sequence[float]) -> str:
     """CSV rendering of :func:`sweep_to_rows`."""
-    return _rows_to_csv(sweep_to_rows(result))
+    return _rows_to_csv(sweep_to_rows(result, parameter, values))
 
 
-def sweep_to_json(result: SweepResult, *, indent: int = 2) -> str:
+def sweep_to_json(
+    result: CampaignResult, parameter: str, values: Sequence[float], *, indent: int = 2
+) -> str:
     """JSON rendering of :func:`sweep_to_rows` plus sweep metadata."""
     payload = {
-        "parameter": result.parameter_name,
-        "values": result.parameter_values,
-        "strategies": result.strategies,
-        "rows": sweep_to_rows(result),
+        "parameter": parameter,
+        "values": list(values),
+        "strategies": list(result.strategies),
+        "rows": sweep_to_rows(result, parameter, values),
     }
     return json.dumps(payload, indent=indent)
 

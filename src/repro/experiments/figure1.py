@@ -17,20 +17,25 @@ The observations this experiment should reproduce (at reduced scale):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.exec.runner import ParallelRunner
-from repro.experiments.report import SweepResult, render_sweep, run_sweep, sweep_campaign
+from repro.experiments.report import render_sweep, sweep_campaign
 from repro.iosched.registry import STRATEGIES
 from repro.scenarios.campaign import Campaign
+from repro.scenarios.runner import CampaignResult, run_campaign
 from repro.scenarios.spec import Scenario
 from repro.workloads.apex import apex_workload
 from repro.workloads.cielo import cielo_platform
 
-__all__ = ["Figure1Config", "run_figure1", "render_figure1"]
+__all__ = ["PARAMETER", "Figure1Config", "run_figure1", "render_figure1"]
 
 #: Bandwidth axis of the paper's Figure 1 (GB/s).
 PAPER_BANDWIDTHS_GBS: tuple[float, ...] = (40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0)
+
+#: Label of the swept parameter in the table, the exports and the chart.
+PARAMETER = "System Aggregated Bandwidth (GB/s)"
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,6 @@ class Figure1Config:
     cooldown_days: float = 1.0
     num_runs: int = 3
     base_seed: int = 0
-    field_label: str = field(default="System Aggregated Bandwidth (GB/s)", repr=False)
 
     def campaign(self) -> Campaign:
         """The sweep as a one-axis campaign over ``bandwidth_gbs``."""
@@ -70,17 +74,17 @@ class Figure1Config:
 
 def run_figure1(
     config: Figure1Config | None = None, runner: ParallelRunner | None = None
-) -> SweepResult:
-    """Run the Figure 1 sweep and return the per-strategy waste summaries.
+) -> CampaignResult:
+    """Run ``config.campaign()``: one outcome per bandwidth, every seed's value kept.
 
     ``runner`` optionally parallelises and/or caches the Monte-Carlo
     repetitions (see :mod:`repro.exec`); results are backend-independent.
     """
     config = config or Figure1Config()
-    return run_sweep(config.campaign(), config.field_label, runner)
+    return run_campaign(config.campaign(), runner)
 
 
-def render_figure1(result: SweepResult) -> str:
+def render_figure1(result: CampaignResult, values: Sequence[float]) -> str:
     """Plain-text rendering of the Figure 1 data (one row per bandwidth)."""
     title = "Figure 1: waste ratio vs. system bandwidth (Cielo, LANL APEX workload)"
-    return render_sweep(result, title=title, value_format="{:.0f}")
+    return render_sweep(result, PARAMETER, values, title=title)

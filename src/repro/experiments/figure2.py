@@ -14,20 +14,25 @@ varies the individual-node MTBF from 2 years (≈1 h system MTBF) to 50 years
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.exec.runner import ParallelRunner
-from repro.experiments.report import SweepResult, render_sweep, run_sweep, sweep_campaign
+from repro.experiments.report import render_sweep, sweep_campaign
 from repro.iosched.registry import STRATEGIES
 from repro.scenarios.campaign import Campaign
+from repro.scenarios.runner import CampaignResult, run_campaign
 from repro.scenarios.spec import Scenario
 from repro.workloads.apex import apex_workload
 from repro.workloads.cielo import cielo_platform
 
-__all__ = ["Figure2Config", "run_figure2", "render_figure2"]
+__all__ = ["PARAMETER", "Figure2Config", "run_figure2", "render_figure2"]
 
 #: MTBF axis of the paper's Figure 2 (years, log-scale in the plot).
 PAPER_MTBFS_YEARS: tuple[float, ...] = (2.0, 5.0, 10.0, 20.0, 50.0)
+
+#: Label of the swept parameter in the table, the exports and the chart.
+PARAMETER = "Node MTBF (years)"
 
 
 @dataclass(frozen=True)
@@ -42,7 +47,6 @@ class Figure2Config:
     cooldown_days: float = 1.0
     num_runs: int = 3
     base_seed: int = 0
-    field_label: str = field(default="Node MTBF (years)", repr=False)
 
     def campaign(self) -> Campaign:
         """The sweep as a one-axis campaign over ``node_mtbf_years``."""
@@ -63,20 +67,20 @@ class Figure2Config:
 
 def run_figure2(
     config: Figure2Config | None = None, runner: ParallelRunner | None = None
-) -> SweepResult:
-    """Run the Figure 2 sweep and return the per-strategy waste summaries.
+) -> CampaignResult:
+    """Run ``config.campaign()``: one outcome per MTBF value, every seed's value kept.
 
     ``runner`` optionally parallelises and/or caches the Monte-Carlo
     repetitions (see :mod:`repro.exec`); results are backend-independent.
     """
     config = config or Figure2Config()
-    return run_sweep(config.campaign(), config.field_label, runner)
+    return run_campaign(config.campaign(), runner)
 
 
-def render_figure2(result: SweepResult) -> str:
+def render_figure2(result: CampaignResult, values: Sequence[float]) -> str:
     """Plain-text rendering of the Figure 2 data (one row per MTBF value)."""
     title = (
         "Figure 2: waste ratio vs. node MTBF "
         "(Cielo, 40 GB/s aggregated bandwidth, LANL APEX workload)"
     )
-    return render_sweep(result, title=title, value_format="{:.0f}")
+    return render_sweep(result, PARAMETER, values, title=title)

@@ -90,10 +90,6 @@ class Figure3Result:
     theory_tbs: list[float]
     target_efficiency: float
 
-    def series(self, strategy: str) -> list[float]:
-        """Minimum-bandwidth series of one strategy along the MTBF axis."""
-        return self.min_bandwidth_tbs[strategy]
-
 
 def _simulated_waste(
     strategy: str,

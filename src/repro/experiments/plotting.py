@@ -10,7 +10,8 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from repro.errors import AnalysisError
-from repro.experiments.report import SweepResult
+from repro.experiments.report import point_bound
+from repro.scenarios.runner import CampaignResult
 
 __all__ = ["ascii_chart", "sweep_chart"]
 
@@ -87,17 +88,21 @@ def ascii_chart(
     return "\n".join(lines)
 
 
-def sweep_chart(result: SweepResult, *, width: int = 72, height: int = 18) -> str:
+def sweep_chart(
+    result: CampaignResult, parameter: str, values: Sequence[float], *,
+    width: int = 72, height: int = 18,
+) -> str:
     """ASCII chart of a sweep's mean waste ratios (plus the theoretical bound)."""
     series: dict[str, Sequence[float]] = {
-        strategy: result.series(strategy) for strategy in result.strategies
+        strategy: [outcome.summaries[strategy].mean for outcome in result.outcomes]
+        for strategy in result.strategies
     }
-    series["theoretical-model"] = list(result.theory)
+    series["theoretical-model"] = [point_bound(outcome) for outcome in result.outcomes]
     return ascii_chart(
         series,
-        x_values=result.parameter_values,
+        x_values=values,
         width=width,
         height=height,
         y_label="waste ratio",
-        x_label=result.parameter_name,
+        x_label=parameter,
     )

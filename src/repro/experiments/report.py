@@ -1,59 +1,25 @@
 """Parameter sweeps (Figures 1 and 2) and their plain-text rendering.
 
 A sweep is a one-axis campaign: every strategy at every value of one
-platform parameter, plus the theoretical lower bound.  The tables print one
-row per value and one column per strategy; values are the mean waste
-ratios, and the full candlestick statistics stay on the :class:`SweepResult`.
+platform parameter.  Its :class:`~repro.scenarios.runner.CampaignResult`
+holds one outcome per axis value, in axis order, with every seed's waste
+ratio.  The readers take it with the parameter's label and the axis values
+(:func:`sweep_values`), and add each point's lower bound (:func:`point_bound`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import cast
 
-from repro.exec.runner import ParallelRunner
 from repro.experiments.theory import theoretical_waste
 from repro.scenarios.campaign import Axis, Campaign
-from repro.scenarios.runner import run_campaign
+from repro.scenarios.runner import CampaignResult, ScenarioOutcome
 from repro.scenarios.spec import Scenario
-from repro.stats.summary import DistributionSummary
 
-__all__ = ["SweepResult", "render_sweep", "render_sweep_detailed", "run_sweep", "sweep_campaign"]
-
-
-@dataclass
-class SweepResult:
-    """Result of a one-dimensional parameter sweep.
-
-    Attributes
-    ----------
-    parameter_name:
-        Name of the swept platform parameter (for reporting).
-    parameter_values:
-        The sweep axis, in evaluation order.
-    strategies:
-        Strategies evaluated for each axis value.
-    waste:
-        ``waste[strategy][i]`` is the waste-ratio summary of ``strategy`` at
-        ``parameter_values[i]``.
-    theory:
-        ``theory[i]`` is the theoretical lower bound at ``parameter_values[i]``.
-    """
-
-    parameter_name: str
-    parameter_values: list[float]
-    strategies: list[str]
-    waste: dict[str, list[DistributionSummary]] = field(default_factory=dict)
-    theory: list[float] = field(default_factory=list)
-
-    def series(self, strategy: str) -> list[float]:
-        """Mean waste ratio of ``strategy`` along the sweep axis."""
-        return [summary.mean for summary in self.waste[strategy]]
-
-    def best_strategy_at(self, index: int) -> str:
-        """Strategy with the lowest mean waste at ``parameter_values[index]``."""
-        return min(self.strategies, key=lambda s: self.waste[s][index].mean)
+__all__ = [
+    "point_bound", "render_sweep", "render_sweep_detailed", "sweep_campaign", "sweep_values",
+]
 
 
 def sweep_campaign(base: Scenario, key: str, values: Sequence[float]) -> Campaign:
@@ -67,56 +33,51 @@ def sweep_campaign(base: Scenario, key: str, values: Sequence[float]) -> Campaig
     return Campaign(name=base.name, base=base, axes=(axis,))
 
 
-def run_sweep(
-    campaign: Campaign, parameter_name: str, runner: ParallelRunner | None = None
-) -> SweepResult:
-    """Run a :func:`sweep_campaign` and pivot its outcomes into a :class:`SweepResult`.
-
-    ``runner`` (its backend and result cache) is shared by every cell; the
-    default is a fresh serial, uncached runner.
-    """
+def sweep_values(campaign: Campaign) -> list[float]:
+    """The axis values of a :func:`sweep_campaign`, in axis order."""
     (axis,) = campaign.axes
-    result = run_campaign(campaign, runner)
-    return SweepResult(
-        parameter_name=parameter_name,
-        parameter_values=[cast(float, point.overrides[axis.name]) for point in axis.points],
-        strategies=list(result.strategies),
-        waste={s: [o.summaries[s] for o in result.outcomes] for s in result.strategies},
-        # The bound on the same scale as the simulated waste ratios (wasted
-        # fraction of total resources, see LowerBoundResult).
-        theory=[
-            theoretical_waste(o.scenario.workload, o.scenario.platform).waste_fraction
-            for o in result.outcomes
-        ],
-    )
+    return [cast(float, point.overrides[axis.name]) for point in axis.points]
 
 
-def render_sweep(result: SweepResult, *, title: str, value_format: str = "{:g}") -> str:
+def point_bound(outcome: ScenarioOutcome) -> float:
+    """The theoretical lower bound at one sweep point.
+
+    On the same scale as the simulated waste ratios (wasted fraction of
+    total resources, see :class:`~repro.core.lower_bound.LowerBoundResult`).
+    """
+    scenario = outcome.scenario
+    return theoretical_waste(scenario.workload, scenario.platform).waste_fraction
+
+
+def render_sweep(
+    result: CampaignResult, parameter: str, values: Sequence[float], *, title: str
+) -> str:
     """Compact table of mean waste ratios (plus the theoretical bound)."""
     col = 18
     lines = [title, ""]
-    header = result.parameter_name.ljust(30) + "".join(
-        name.rjust(col) for name in result.strategies + ["theoretical-model"]
+    header = parameter.ljust(30) + "".join(
+        name.rjust(col) for name in (*result.strategies, "theoretical-model")
     )
     lines.append(header)
     lines.append("-" * len(header))
-    for index, value in enumerate(result.parameter_values):
-        row = value_format.format(value).ljust(30)
+    for value, outcome in zip(values, result.outcomes, strict=True):
+        row = f"{value:g}".ljust(30)
         for strategy in result.strategies:
-            row += f"{result.waste[strategy][index].mean:>{col}.3f}"
-        row += f"{result.theory[index]:>{col}.3f}"
+            row += f"{outcome.summaries[strategy].mean:>{col}.3f}"
+        row += f"{point_bound(outcome):>{col}.3f}"
         lines.append(row)
     return "\n".join(lines)
 
 
-def render_sweep_detailed(result: SweepResult, *, title: str) -> str:
+def render_sweep_detailed(
+    result: CampaignResult, parameter: str, values: Sequence[float], *, title: str
+) -> str:
     """Long-form rendering including the candlestick statistics of each cell."""
     lines = [title, ""]
-    for index, value in enumerate(result.parameter_values):
-        lines.append(f"{result.parameter_name} = {value:g}")
-        lines.append(f"  theoretical-model : {result.theory[index]:.3f}")
+    for value, outcome in zip(values, result.outcomes, strict=True):
+        lines.append(f"{parameter} = {value:g}")
+        lines.append(f"  theoretical-model : {point_bound(outcome):.3f}")
         for strategy in result.strategies:
-            summary = result.waste[strategy][index]
-            lines.append(f"  {strategy:<18}: {summary.format()}")
+            lines.append(f"  {strategy:<18}: {outcome.summaries[strategy].format()}")
         lines.append("")
     return "\n".join(lines)

@@ -65,7 +65,6 @@ class FirstFitScheduler:
                 continue
             nodes = self._pool.allocate(job.nodes, owner=job)
             self._queue.remove(job)
-            job.allocated_nodes = nodes
             started.append(job)
             start_job(job, nodes)
         return started

@@ -23,7 +23,6 @@ def test_job_inherits_class_characteristics(tiny_classes, job):
     assert job.checkpoint_bytes == alpha.checkpoint_bytes
     assert alpha.name in job.name
     assert job.state is JobState.PENDING
-    assert not job.finished
 
 
 def test_job_ids_are_unique(tiny_classes):
@@ -95,11 +94,3 @@ def test_invalid_job_parameters(tiny_classes):
         Job(app_class=tiny_classes[0], total_work_s=0.0)
     with pytest.raises(SimulationError):
         Job(app_class=tiny_classes[0], total_work_s=10.0, input_bytes=-1.0)
-
-
-def test_finished_only_in_a_terminal_state(job):
-    assert not job.finished
-    job.state = JobState.COMPLETED
-    assert job.finished
-    job.state = JobState.FAILED
-    assert job.finished

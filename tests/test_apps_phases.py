@@ -5,13 +5,6 @@ from __future__ import annotations
 from repro.apps.phases import IOKind, JobState
 
 
-def test_terminal_states():
-    assert JobState.COMPLETED.terminal
-    assert JobState.FAILED.terminal
-    assert not JobState.COMPUTING.terminal
-    assert not JobState.PENDING.terminal
-
-
 def test_io_kind_checkpoint_flag():
     assert IOKind.CHECKPOINT.is_checkpoint
     for kind in (IOKind.INPUT, IOKind.OUTPUT, IOKind.RECOVERY, IOKind.REGULAR):

@@ -9,19 +9,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.exec import ParallelRunner
 from repro.experiments.figure1 import Figure1Config, render_figure1, run_figure1
 from repro.experiments.figure2 import Figure2Config, render_figure2, run_figure2
 from repro.experiments.figure3 import Figure3Config, _min_bandwidth, render_figure3, run_figure3
 from repro.experiments.report import (
+    point_bound,
     render_sweep,
     render_sweep_detailed,
-    run_sweep,
     sweep_campaign,
+    sweep_values,
 )
 from repro.experiments.table1 import render_table1, table1_rows
 from repro.iosched.registry import STRATEGIES
+from repro.scenarios.runner import run_campaign
 from repro.scenarios.spec import Scenario
 from repro.workloads.apex import APEX_CLASSES
 
@@ -60,16 +63,21 @@ def test_run_sweep_structure(tiny_platform, tiny_classes):
         horizon_days=0.5, warmup_days=0.05, cooldown_days=0.05, num_runs=1, base_seed=1,
     )
     assert [s.name for s in campaign.scenarios()] == ["bandwidth_gbs=1.0", "bandwidth_gbs=2.0"]
-    result = run_sweep(campaign, "bandwidth (GB/s)")
-    assert result.parameter_values == [1.0, 2.0]
-    assert set(result.waste) == {"oblivious-fixed", "least-waste"}
-    assert len(result.theory) == 2
-    assert len(result.series("least-waste")) == 2
-    assert result.best_strategy_at(0) in result.strategies
-    text = render_sweep(result, title="sweep")
+    result = run_campaign(campaign)
+    values = sweep_values(campaign)
+    assert values == [1.0, 2.0]
+    assert result.strategies == ("oblivious-fixed", "least-waste")
+    assert [o.scenario.name for o in result.outcomes] == [s.name for s in campaign.scenarios()]
+    bounds = [point_bound(o) for o in result.outcomes]
+    assert all(0.0 < bound < 1.0 for bound in bounds)
+    text = render_sweep(result, "bandwidth (GB/s)", values, title="sweep")
     assert "theoretical-model" in text
-    detailed = render_sweep_detailed(result, title="sweep")
+    assert f"{bounds[1]:>18.3f}" in text.splitlines()[-1]
+    detailed = render_sweep_detailed(result, "bandwidth (GB/s)", values, title="sweep")
     assert "oblivious-fixed" in detailed
+    assert "bandwidth (GB/s) = 2" in detailed
+    with pytest.raises(ValueError):
+        render_sweep(result, "bandwidth (GB/s)", values[:1], title="sweep")
 
 
 def test_run_sweep_through_parallel_runner_matches_serial(tiny_platform, tiny_classes):
@@ -78,11 +86,10 @@ def test_run_sweep_through_parallel_runner_matches_serial(tiny_platform, tiny_cl
         tiny_platform, tiny_classes, [1.0, 2.0],
         horizon_days=0.25, warmup_days=0.02, cooldown_days=0.02, num_runs=2, base_seed=5,
     )
-    serial = run_sweep(campaign, "bandwidth (GB/s)")
+    serial = run_campaign(campaign)
     with ParallelRunner(backend="process", workers=2) as runner:
-        parallel = run_sweep(campaign, "bandwidth (GB/s)", runner)
-    # SweepResult is a plain dataclass of exact floats: == compares every
-    # per-strategy DistributionSummary and the theory series bit-for-bit.
+        parallel = run_campaign(campaign, runner)
+    # Outcomes compare their scenarios, seeds and per-seed values exactly.
     assert parallel == serial
 
 
@@ -115,9 +122,9 @@ def test_figure1_small_scale_runs_all_strategies():
         base_seed=2,
     )
     result = run_figure1(config)
-    assert set(result.waste) == set(STRATEGIES)
-    assert len(result.theory) == 1
-    text = render_figure1(result)
+    assert result.strategies == STRATEGIES
+    assert len(result.outcomes) == 1
+    text = render_figure1(result, sweep_values(config.campaign()))
     assert "Figure 1" in text
 
 
@@ -133,8 +140,15 @@ def test_figure2_small_scale_runs_subset():
         base_seed=3,
     )
     result = run_figure2(config)
-    assert set(result.waste) == {"ordered-daly", "least-waste"}
-    assert "Figure 2" in render_figure2(result)
+    assert result.strategies == ("ordered-daly", "least-waste")
+    assert "Figure 2" in render_figure2(result, sweep_values(config.campaign()))
+
+
+def test_figure_rows_print_the_value_that_ran(capsys):
+    argv = ["figure2", "--mtbf-years", "2.5", "3.5", "--num-runs", "1", "--horizon-days", "0.25"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[4:6]
+    assert [row.split()[0] for row in rows] == ["2.5", "3.5"]
 
 
 def test_figure3_config_validation():

@@ -78,7 +78,7 @@ def test_first_fit_starts_jobs_in_priority_order(tiny_classes):
     scheduler.dispatch(lambda job, nodes: started.append(job))
     assert started == [b, a]
     assert pool.num_free == 2
-    assert a.allocated_nodes and b.allocated_nodes
+    assert len(pool.nodes_of(a)) == 4 and len(pool.nodes_of(b)) == 2
     assert len(scheduler.queue) == 0
 
 
@@ -121,7 +121,7 @@ def test_callback_runs_after_allocation_is_recorded(tiny_classes):
 
     def check(started_job: Job, nodes: list[int]) -> None:
         assert pool.owner_of(nodes[0]) is started_job
-        assert started_job.allocated_nodes == nodes
+        assert pool.nodes_of(started_job) == nodes
 
     scheduler.dispatch(check)
     assert len(scheduler.queue) == 0

@@ -20,6 +20,7 @@ from repro.experiments.ablation import fixed_period_ablation, interference_model
 from repro.experiments.figure1 import Figure1Config, run_figure1
 from repro.experiments.figure2 import Figure2Config, run_figure2
 from repro.experiments.figure3 import Figure3Config, run_figure3
+from repro.experiments.report import point_bound
 from repro.experiments.table1 import render_table1
 from repro.experiments.theory import steady_state_classes, theoretical_waste
 from repro.scenarios.runner import CampaignResult
@@ -37,8 +38,8 @@ def figure1():
         bandwidths_gbs=(40.0, 160.0), node_mtbf_years=2.0, horizon_days=3.0,
         warmup_days=0.5, cooldown_days=0.5, num_runs=2, base_seed=7,
     ))
-    low = {s: result.waste[s][0].mean for s in result.strategies}
-    high = {s: result.waste[s][-1].mean for s in result.strategies}
+    low = {s: result.outcomes[0].summaries[s].mean for s in result.strategies}
+    high = {s: result.outcomes[-1].summaries[s].mean for s in result.strategies}
     return result, low, high
 
 
@@ -50,8 +51,9 @@ def test_figure1_blocking_fixed_strategies_saturate_at_40_gbs(figure1):
 
 def test_figure1_cooperative_strategies_approach_the_bound(figure1):
     result, low, _ = figure1
-    assert low["least-waste"] <= result.theory[0] + 0.12
-    assert low["orderednb-daly"] <= result.theory[0] + 0.12
+    bound = point_bound(result.outcomes[0])
+    assert low["least-waste"] <= bound + 0.12
+    assert low["orderednb-daly"] <= bound + 0.12
     assert low["least-waste"] < 0.5 * low["oblivious-fixed"]
 
 
@@ -66,9 +68,9 @@ def test_figure1_single_point_is_a_ratio():
         bandwidths_gbs=(80.0,), horizon_days=2.0, warmup_days=0.5,
         cooldown_days=0.5, num_runs=1, base_seed=3,
     ))
-    assert len(result.parameter_values) == 1
+    (outcome,) = result.outcomes
     for strategy in result.strategies:
-        assert 0.0 <= result.waste[strategy][0].mean <= 1.0, strategy
+        assert 0.0 <= outcome.summaries[strategy].mean <= 1.0, strategy
 
 
 # ------------------------------------------------------------------ Figure 2
@@ -84,19 +86,21 @@ def figure2():
 
 def test_figure2_blocking_fixed_strategies_stay_expensive_when_failures_are_rare(figure2):
     # Their cost is checkpoint I/O pressure, not failures.
-    assert figure2.waste["oblivious-fixed"][-1].mean > 0.35
-    assert figure2.waste["ordered-fixed"][-1].mean > 0.35
+    rare = figure2.outcomes[-1].summaries
+    assert rare["oblivious-fixed"].mean > 0.35
+    assert rare["ordered-fixed"].mean > 0.35
 
 
 def test_figure2_cooperative_daly_strategies_approach_the_bound(figure2):
+    rare = figure2.outcomes[-1]
     for strategy in ("least-waste", "orderednb-daly"):
-        assert figure2.waste[strategy][-1].mean <= figure2.theory[-1] + 0.10, strategy
+        assert rare.summaries[strategy].mean <= point_bound(rare) + 0.10, strategy
 
 
 def test_figure2_reliability_never_hurts(figure2):
+    frequent, rare = figure2.outcomes[0].summaries, figure2.outcomes[-1].summaries
     for strategy in figure2.strategies:
-        waste = figure2.waste[strategy]
-        assert waste[-1].mean <= waste[0].mean + 0.05, strategy
+        assert rare[strategy].mean <= frequent[strategy].mean + 0.05, strategy
 
 
 def test_figure2_reliable_nodes_keep_cooperative_waste_under_a_fifth():
@@ -104,8 +108,9 @@ def test_figure2_reliable_nodes_keep_cooperative_waste_under_a_fifth():
         node_mtbf_years=(50.0,), bandwidth_gbs=40.0, horizon_days=2.0,
         warmup_days=0.5, cooldown_days=0.5, num_runs=1, base_seed=5,
     ))
-    assert result.waste["least-waste"][0].mean < 0.2
-    assert result.waste["orderednb-daly"][0].mean < 0.2
+    (outcome,) = result.outcomes
+    assert outcome.summaries["least-waste"].mean < 0.2
+    assert outcome.summaries["orderednb-daly"].mean < 0.2
 
 
 # ------------------------------------------------------------------ Figure 3
