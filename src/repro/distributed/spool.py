@@ -163,25 +163,40 @@ class WorkSpool:
     def _meta_path(self) -> Path:
         return self.root / "spool.json"
 
+    @staticmethod
+    def _names(directory: Path, attempts: int = 4) -> list[str]:
+        """Entry names of one directory ([] when it does not exist).
+
+        A failed listing is retried, as :meth:`_move` retries a rename: a
+        transient (or injected) ``scandir`` fault is a stall, not an error,
+        and only a listing that fails ``attempts`` times in a row raises.
+        """
+        for _ in range(attempts - 1):
+            try:
+                return fsops.scandir_names(directory)
+            except OSError:
+                continue
+        return fsops.scandir_names(directory)
+
     def _shards(self, state: str) -> list[str]:
         """Shard directories currently present under one state."""
         return sorted(
             name
-            for name in fsops.scandir_names(self._state_dir(state))
+            for name in self._names(self._state_dir(state))
             if not name.startswith(".") and (self._state_dir(state) / name).is_dir()
         )
 
     def _batch_ids(self) -> list[str]:
         return sorted(
             name
-            for name in fsops.scandir_names(self._state_dir("claims"))
+            for name in self._names(self._state_dir("claims"))
             if (self._state_dir("claims") / name).is_dir()
         )
 
     def _shard_spec_names(self, state: str, shard: str) -> list[str]:
         return sorted(
             name
-            for name in fsops.scandir_names(self._state_dir(state) / shard)
+            for name in self._names(self._state_dir(state) / shard)
             if _is_spec_name(name)
         )
 
@@ -225,13 +240,13 @@ class WorkSpool:
         """
         for state in ("tasks", "done", "failed"):
             directory = self._state_dir(state)
-            for name in fsops.scandir_names(directory):
+            for name in self._names(directory):
                 if not _is_spec_name(name) or not (directory / name).is_file():
                     continue
                 task_id = name[: -len(".json")]
                 self._move(directory / name, self._shard_path(state, task_id))
         claims = self._state_dir("claims")
-        for name in fsops.scandir_names(claims):
+        for name in self._names(claims):
             path = claims / name
             if not path.is_file():
                 continue
@@ -299,7 +314,7 @@ class WorkSpool:
         """Ids currently sitting in claim batches (O(batches) scans)."""
         claimed: set[str] = set()
         for batch_id in self._batch_ids():
-            for name in fsops.scandir_names(self._batch_dir(batch_id)):
+            for name in self._names(self._batch_dir(batch_id)):
                 if _is_spec_name(name):
                     claimed.add(name[: -len(".json")])
         return claimed
@@ -369,7 +384,7 @@ class WorkSpool:
         for shard in shards:
             shard_dir = self._state_dir("tasks") / shard
             try:
-                if not any(_is_spec_name(name) for name in fsops.scandir_names(shard_dir)):
+                if not any(_is_spec_name(name) for name in self._names(shard_dir)):
                     continue
             except OSError:
                 continue
@@ -389,7 +404,7 @@ class WorkSpool:
     def _assemble_batch(
         self, batch_id: str, batch_dir: Path, worker_id: str, limit: int | None
     ) -> ClaimedBatch | None:
-        names = sorted(name for name in fsops.scandir_names(batch_dir) if _is_spec_name(name))
+        names = sorted(name for name in self._names(batch_dir) if _is_spec_name(name))
         if limit is not None and len(names) > limit:
             for name in names[limit:]:  # hand the excess back to the shard
                 task_id = name[: -len(".json")]
@@ -441,20 +456,10 @@ class WorkSpool:
             self._batches[spec.task_id] = batch_id
         return ClaimedBatch(batch_id=batch_id, specs=tuple(specs))
 
-    def _find_batch(self, task_id: str) -> str | None:
-        """The batch currently holding one claimed task (handle map first)."""
-        batch_id = self._batches.get(task_id)
-        if batch_id is not None and self._exists(self._batch_dir(batch_id) / f"{task_id}.json"):
-            return batch_id
-        for candidate in self._batch_ids():
-            if self._exists(self._batch_dir(candidate) / f"{task_id}.json"):
-                return candidate
-        return None
-
     def _remove_batch_dir(self, batch_id: str) -> None:
         """Drop a batch directory once its last spec left (best effort)."""
         batch_dir = self._batch_dir(batch_id)
-        remaining = [name for name in fsops.scandir_names(batch_dir) if _is_spec_name(name)]
+        remaining = [name for name in self._names(batch_dir) if _is_spec_name(name)]
         if remaining:
             return
         fsops.unlink(self._lease_path(batch_id))
@@ -473,8 +478,13 @@ class WorkSpool:
             pass  # reclaimed, or a transient stall: lease expiry is the story
 
     def ack(self, task_id: str, *, worker_id: str = "") -> None:
-        """Mark one claimed task complete (its results are in the cache)."""
-        batch_id = self._find_batch(task_id)
+        """Mark one task this handle claimed complete (its results are in the cache).
+
+        ``ack``, ``fail`` and ``release`` act only on the batch this handle
+        claimed the task into: once its lease expired and a peer claimed the
+        task again, the peer's claim is not this handle's to finish.
+        """
+        batch_id = self._batches.get(task_id)
         done_path = self._shard_path("done", task_id)
         if batch_id is None or not self._move(
             self._batch_dir(batch_id) / f"{task_id}.json", done_path
@@ -504,11 +514,9 @@ class WorkSpool:
         is dropped silently: writing a record then would abort the
         submitter's batch while the peer's retry is live.
         """
-        batch_id = self._find_batch(task_id)
-        if batch_id is None:
-            self._batches.pop(task_id, None)
-            return  # reclaimed by a peer; its retry owns the outcome now
-        self._quarantine(batch_id, task_id, error, worker_id)
+        batch_id = self._batches.get(task_id)
+        if batch_id is not None:
+            self._quarantine(batch_id, task_id, error, worker_id)
 
     def _quarantine(self, batch_id: str, task_id: str, error: str, worker_id: str) -> None:
         claim_path = self._batch_dir(batch_id) / f"{task_id}.json"
@@ -516,7 +524,7 @@ class WorkSpool:
             spec_text = claim_path.read_text(encoding="utf-8")
         except OSError:
             self._batches.pop(task_id, None)
-            return  # reclaimed by a peer between finding and reading
+            return  # reclaimed by a peer; its retry owns the outcome now
         record = {
             "task_id": task_id,
             "worker": worker_id,
@@ -533,23 +541,25 @@ class WorkSpool:
         self._remove_batch_dir(batch_id)
 
     def release(self, task_id: str) -> None:
-        """Return one claimed task to the queue untouched (graceful shutdown)."""
-        batch_id = self._find_batch(task_id)
+        """Return one task this handle claimed to the queue untouched (graceful shutdown)."""
+        batch_id = self._batches.pop(task_id, None)
         if batch_id is None:
-            self._batches.pop(task_id, None)
             return
         self._move(
             self._batch_dir(batch_id) / f"{task_id}.json",
             self._shard_path("tasks", task_id),
         )
-        self._batches.pop(task_id, None)
         self._remove_batch_dir(batch_id)
 
     def release_batch(self, batch: ClaimedBatch) -> None:
-        """Return every unfinished spec of one batch to the queue."""
+        """Return every unfinished spec of one batch to the queue.
+
+        Specs already acked or failed are no longer this handle's claims,
+        and one a peer took back is no longer in the batch: releasing
+        either is a no-op.
+        """
         for spec in batch.specs:
-            if self._exists(self._batch_dir(batch.batch_id) / f"{spec.task_id}.json"):
-                self.release(spec.task_id)
+            self.release(spec.task_id)
 
     # ------------------------------------------------------------ recovery
     def reclaim_expired(self) -> list[str]:
@@ -593,7 +603,7 @@ class WorkSpool:
                 if isinstance(leased, list):
                     reclaimed.extend(self._hand_back_strays(batch_dir, leased))
                 continue
-            for name in fsops.scandir_names(batch_dir):
+            for name in self._names(batch_dir):
                 if not _is_spec_name(name):
                     continue
                 task_id = name[: -len(".json")]
@@ -610,7 +620,7 @@ class WorkSpool:
         """Move the specs of a live batch that its lease does not list back
         to their shards; returns their ids."""
         try:
-            names = fsops.scandir_names(batch_dir)
+            names = self._names(batch_dir)
         except OSError:
             return []  # a transient stall: the next sweep looks again
         strays: list[str] = []
@@ -645,7 +655,7 @@ class WorkSpool:
             if self._shard_spec_names("tasks", shard):
                 return False
         for batch_id in self._batch_ids():
-            for name in fsops.scandir_names(self._batch_dir(batch_id)):
+            for name in self._names(self._batch_dir(batch_id)):
                 if _is_spec_name(name):
                     return False
         return True
@@ -658,7 +668,7 @@ class WorkSpool:
         claimed = sum(
             1
             for batch_id in self._batch_ids()
-            for name in fsops.scandir_names(self._batch_dir(batch_id))
+            for name in self._names(self._batch_dir(batch_id))
             if _is_spec_name(name)
         )
         done = sum(

@@ -13,6 +13,11 @@ Four strategies decide when the file system serves each I/O request:
   cooperative heuristic: the token goes to the request that minimizes the
   expected waste inflicted on all other waiting requests (Eq. (1)/(2)).
 
+All four keep their requests in the one ledger of
+:class:`~repro.iosched.base.IOScheduler`; a strategy sets its two flags
+(``shares_bandwidth``, ``nonblocking_checkpoints``) and, for Least-Waste
+only, the rule that picks the next waiting request.
+
 Strategies are selected by *spec* — a kind plus typed parameters with a
 canonical string form such as ``"ordered[policy=fixed,period_s=1800]"``
 (see :mod:`repro.iosched.spec`); the paper's seven names (each family in a
@@ -22,7 +27,7 @@ remain valid aliases.  Strategy instances are created through
 :func:`register_strategy`.
 """
 
-from repro.iosched.base import IORequest, IOScheduler, TokenScheduler
+from repro.iosched.base import IORequest, IOScheduler
 from repro.iosched.oblivious import ObliviousScheduler
 from repro.iosched.ordered import OrderedScheduler
 from repro.iosched.ordered_nb import OrderedNBScheduler
@@ -44,7 +49,6 @@ from repro.iosched.registry import (
 __all__ = [
     "IORequest",
     "IOScheduler",
-    "TokenScheduler",
     "ObliviousScheduler",
     "OrderedScheduler",
     "OrderedNBScheduler",

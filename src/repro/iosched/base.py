@@ -1,4 +1,4 @@
-"""I/O request abstraction and the scheduler interfaces.
+"""I/O requests and the one request ledger every strategy shares.
 
 The simulator submits :class:`IORequest` objects to an :class:`IOScheduler`.
 The scheduler decides *when* each request is granted access to the file
@@ -7,17 +7,21 @@ when the transfer starts the scheduler invokes ``on_granted`` and when it
 finishes ``on_complete``, letting the job runtime advance the job's state
 machine.
 
-Two scheduler families exist:
+:class:`IOScheduler` keeps every strategy's requests: the waiting ones, the
+ones in flight, and one code path each to submit, grant, complete, cancel
+and clear them.  A strategy sets two flags and, for Least-Waste only,
+overrides the rule that picks the next request:
 
-* :class:`~repro.iosched.oblivious.ObliviousScheduler` grants everything
-  immediately (transfers interfere);
-* :class:`TokenScheduler` serializes transfers behind a single token and is
-  specialised by the FCFS (Ordered / Ordered-NB) and Least-Waste policies.
+* :class:`~repro.iosched.oblivious.ObliviousScheduler` shares bandwidth, so
+  every request is granted at once (transfers interfere);
+* the other families hold a single I/O token: FCFS
+  (:class:`~repro.iosched.ordered.OrderedScheduler`,
+  :class:`~repro.iosched.ordered_nb.OrderedNBScheduler`) or the
+  Least-Waste choice (:class:`~repro.iosched.least_waste.LeastWasteScheduler`).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Callable
 
 from repro.apps.job import Job
@@ -26,7 +30,7 @@ from repro.errors import SchedulingError
 from repro.platform.io_subsystem import IOSubsystem, Transfer
 from repro.sim.engine import SimulationEngine
 
-__all__ = ["IORequest", "IOScheduler", "TokenScheduler"]
+__all__ = ["IORequest", "IOScheduler"]
 
 
 class IORequest:
@@ -89,11 +93,6 @@ class IORequest:
         self.transfer: Transfer | None = None
 
     @property
-    def pending(self) -> bool:
-        """True while the request waits for the file system."""
-        return self.granted_at is None and not self.cancelled
-
-    @property
     def in_flight(self) -> bool:
         """True while the transfer is running."""
         return self.granted_at is not None and self.completed_at is None and not self.cancelled
@@ -114,17 +113,25 @@ class IORequest:
         status = (
             "cancelled"
             if self.cancelled
-            else "pending" if self.pending else "in-flight" if self.in_flight else "done"
+            else "pending" if self.granted_at is None else "in-flight" if self.in_flight else "done"
         )
         return f"IORequest({self.job.name}, {self.kind.value}, {self.volume_bytes:.3g} B, {status})"
 
 
-class IOScheduler(ABC):
-    """Common interface of every I/O scheduling strategy."""
+class IOScheduler:
+    """The request ledger shared by every I/O scheduling strategy.
 
-    #: Short strategy family name, e.g. ``"oblivious"``.
-    name: str = "abstract"
-    #: True when concurrent transfers share bandwidth (Oblivious only).
+    Requests wait in ``_pending`` until :meth:`_dispatch` grants them and
+    sit in ``_active`` while their transfer runs.  A strategy differs from
+    another in at most three ways (§3): whether concurrent transfers share
+    the bandwidth (:attr:`shares_bandwidth`), whether a job keeps computing
+    while its checkpoint waits (:attr:`nonblocking_checkpoints`), and which
+    waiting request is served next (:meth:`_select_next`).  The defaults
+    give a blocking First-Come-First-Served token.
+    """
+
+    #: True when concurrent transfers share bandwidth (Oblivious only);
+    #: otherwise one transfer at a time holds the I/O token.
     shares_bandwidth: bool = False
     #: True when jobs keep computing while waiting for a checkpoint token.
     nonblocking_checkpoints: bool = False
@@ -135,118 +142,85 @@ class IOScheduler(ABC):
         self.engine = engine
         self.io = io
         self.node_mtbf_s = node_mtbf_s
+        self._pending: list[IORequest] = []
+        self._active: list[IORequest] = []
 
     # ------------------------------------------------------------ interface
-    @abstractmethod
     def submit(self, request: IORequest) -> None:
-        """Submit a request; the scheduler decides when to start its transfer."""
+        """Queue a request; it starts as soon as the strategy grants it."""
+        self._pending.append(request)
+        self._dispatch()
 
-    @abstractmethod
     def cancel_job(self, job: Job) -> None:
         """Withdraw all pending requests and abort in-flight transfers of ``job``."""
+        for request in list(self._pending):
+            if request.job is job:
+                request.cancelled = True
+                self._pending.remove(request)
+        for request in list(self._active):
+            if request.job is job:
+                request.cancelled = True
+                if request.transfer is not None:
+                    self.io.abort(request.transfer)
+                self._active.remove(request)
+        self._dispatch()
 
-    @abstractmethod
     def pending_requests(self) -> tuple[IORequest, ...]:
         """Snapshot of requests waiting to be granted."""
+        return tuple(self._pending)
 
-    @abstractmethod
     def active_requests(self) -> tuple[IORequest, ...]:
         """Snapshot of requests whose transfer is in flight."""
+        return tuple(self._active)
 
     def clear(self) -> None:
         """Forget every waiting and in-flight request, for a run that is over.
 
         Nothing is granted, completed or cancelled: the requests keep their
         state, but their callbacks no longer keep the simulation alive.
-        The base class queues nothing.
         """
+        self._pending.clear()
+        self._active.clear()
 
-    # ------------------------------------------------------------ shared helpers
+    # ------------------------------------------------------------ internals
+    def _dispatch(self) -> None:
+        """Grant waiting requests while the file system admits another transfer."""
+        pending = self._pending
+        while pending and (self.shares_bandwidth or not self._active):
+            request = self._select_next(tuple(pending))
+            try:
+                pending.remove(request)
+            except ValueError:
+                raise SchedulingError(
+                    f"{type(self).__name__}._select_next returned a request not in the pending pool"
+                ) from None
+            self._start_transfer(request)
+
+    def _select_next(self, pending: tuple[IORequest, ...]) -> IORequest:
+        """Pick the next request to serve among ``pending`` (non-empty).
+
+        Requests are kept in arrival order, so the default serves the oldest.
+        """
+        return pending[0]
+
     def _start_transfer(self, request: IORequest) -> None:
         """Grant ``request`` now and start its transfer on the I/O subsystem."""
         request.granted_at = self.engine.now
+        self._active.append(request)
         if request.on_granted is not None:
             request.on_granted(request)
         request.transfer = self.io.start(
             request.volume_bytes,
             weight=float(request.job.nodes),
             on_complete=lambda transfer, req=request: self._transfer_done(req),
-            owner=request.job,
-            label=f"{request.kind.value}:{request.job.name}",
         )
 
     def _transfer_done(self, request: IORequest) -> None:
+        """Retire a finished request, grant the next, then call its callback."""
         if request.cancelled:
             return
         request.completed_at = self.engine.now
-        self._after_completion(request)
+        self._active.remove(request)
+        self._dispatch()
         if request.on_complete is not None:
             request.on_complete(request)
-
-    def _after_completion(self, request: IORequest) -> None:
-        """Hook for subclasses, called before the caller's completion callback."""
-
-
-class TokenScheduler(IOScheduler):
-    """Serializes all transfers behind a single I/O token.
-
-    Subclasses choose the next request to serve by overriding
-    :meth:`_select_next`.  Exactly one transfer is in flight at any time, so
-    every granted transfer proceeds at the full aggregate bandwidth.
-    """
-
-    def __init__(self, engine: SimulationEngine, io: IOSubsystem, node_mtbf_s: float) -> None:
-        super().__init__(engine, io, node_mtbf_s)
-        self._pending: list[IORequest] = []
-        self._current: IORequest | None = None
-
-    # ------------------------------------------------------------ interface
-    def submit(self, request: IORequest) -> None:
-        self._pending.append(request)
-        self._dispatch()
-
-    def cancel_job(self, job: Job) -> None:
-        for request in list(self._pending):
-            if request.job is job:
-                request.cancelled = True
-                self._pending.remove(request)
-        if self._current is not None and self._current.job is job:
-            current = self._current
-            current.cancelled = True
-            if current.transfer is not None:
-                self.io.abort(current.transfer)
-            self._current = None
-            self._dispatch()
-
-    def pending_requests(self) -> tuple[IORequest, ...]:
-        return tuple(self._pending)
-
-    def active_requests(self) -> tuple[IORequest, ...]:
-        return (self._current,) if self._current is not None else ()
-
-    def clear(self) -> None:
-        self._pending.clear()
-        self._current = None
-
-    # ------------------------------------------------------------ internals
-    def _dispatch(self) -> None:
-        """Grant the token if it is free and requests are waiting."""
-        if self._current is not None or not self._pending:
-            return
-        request = self._select_next(tuple(self._pending))
-        if request not in self._pending:
-            raise SchedulingError(
-                f"{type(self).__name__}._select_next returned a request not in the pending pool"
-            )
-        self._pending.remove(request)
-        self._current = request
-        self._start_transfer(request)
-
-    def _after_completion(self, request: IORequest) -> None:
-        if self._current is request:
-            self._current = None
-        self._dispatch()
-
-    @abstractmethod
-    def _select_next(self, pending: tuple[IORequest, ...]) -> IORequest:
-        """Pick the next request to serve among ``pending`` (non-empty)."""

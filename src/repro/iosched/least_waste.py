@@ -16,15 +16,14 @@ proportional to the time since their last protected state.
 from __future__ import annotations
 
 from repro.core.least_waste import Candidate, CkptCandidate, IOCandidate, select_candidate
-from repro.iosched.base import IORequest, TokenScheduler
+from repro.iosched.base import IORequest, IOScheduler
 
 __all__ = ["LeastWasteScheduler"]
 
 
-class LeastWasteScheduler(TokenScheduler):
+class LeastWasteScheduler(IOScheduler):
     """Cooperative token scheduler minimizing expected platform waste."""
 
-    name = "least-waste"
     shares_bandwidth = False
     nonblocking_checkpoints = True
 

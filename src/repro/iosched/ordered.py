@@ -10,18 +10,13 @@ achieved checkpoint period can exceed the requested one.
 
 from __future__ import annotations
 
-from repro.iosched.base import IORequest, TokenScheduler
+from repro.iosched.base import IOScheduler
 
 __all__ = ["OrderedScheduler"]
 
 
-class OrderedScheduler(TokenScheduler):
+class OrderedScheduler(IOScheduler):
     """Single I/O token, First-Come-First-Served, blocking waits."""
 
-    name = "ordered"
     shares_bandwidth = False
     nonblocking_checkpoints = False
-
-    def _select_next(self, pending: tuple[IORequest, ...]) -> IORequest:
-        # FCFS: requests are kept in arrival order, serve the oldest.
-        return pending[0]

@@ -13,20 +13,13 @@ recent) postponed state rather than to the originally requested instant.
 
 from __future__ import annotations
 
-from repro.iosched.base import IORequest, TokenScheduler
+from repro.iosched.base import IOScheduler
 
 __all__ = ["OrderedNBScheduler"]
 
 
-class OrderedNBScheduler(TokenScheduler):
+class OrderedNBScheduler(IOScheduler):
     """FCFS token with non-blocking checkpoint waits."""
 
-    name = "ordered-nb"
     shares_bandwidth = False
     nonblocking_checkpoints = True
-
-    def _select_next(self, pending: tuple[IORequest, ...]) -> IORequest:
-        # FCFS, identical to Ordered: the difference between the two
-        # strategies lies entirely in the blocking semantics flag above,
-        # which the job runtime consults while a checkpoint request waits.
-        return pending[0]

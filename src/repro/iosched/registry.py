@@ -100,11 +100,6 @@ class Strategy:
         """True when the strategy lets jobs compute while waiting to checkpoint."""
         return self.scheduler_cls.nonblocking_checkpoints
 
-    @property
-    def shares_bandwidth(self) -> bool:
-        """True when concurrent transfers interfere (Oblivious only)."""
-        return self.scheduler_cls.shares_bandwidth
-
 
 #: Names of the seven strategies evaluated in the paper, in the order they
 #: appear in the figures.  Parameterized specs and registered kinds are

@@ -17,6 +17,8 @@ engine:
 Only that first transfer's completion can fire before the set changes
 again, so one event stands for all of them: every event that fires keeps
 the time and the relative order it would have with one event per transfer.
+Its label is the kind ``io-complete``, like every other event label; what a
+transfer carries for whom lives in the scheduler's request, not here.
 
 The I/O *scheduling strategies* (:mod:`repro.iosched`) decide **when** a
 transfer is admitted; strategies that serialize I/O simply admit one
@@ -40,18 +42,12 @@ class Transfer:
 
     Attributes
     ----------
-    owner:
-        Opaque reference to the entity performing the transfer (a job).
-    label:
-        Human-readable tag (``"checkpoint"``, ``"input"``, ...).
     volume_bytes:
         Total volume of the transfer.
     remaining_bytes:
         Volume still to transfer at the time of the last progress update.
     weight:
         Fair-share weight (the paper uses the job's node count).
-    started_at:
-        Simulation time at which the transfer was admitted.
     finished_at:
         Simulation time of completion, or ``None`` while in flight.
     aborted:
@@ -62,12 +58,9 @@ class Transfer:
     """
 
     __slots__ = (
-        "owner",
-        "label",
         "volume_bytes",
         "remaining_bytes",
         "weight",
-        "started_at",
         "finished_at",
         "aborted",
         "on_complete",
@@ -75,19 +68,13 @@ class Transfer:
 
     def __init__(
         self,
-        owner: object,
-        label: str,
         volume_bytes: float,
         weight: float,
-        started_at: float,
         on_complete: Callable[["Transfer"], None] | None,
     ) -> None:
-        self.owner = owner
-        self.label = label
         self.volume_bytes = float(volume_bytes)
         self.remaining_bytes = float(volume_bytes)
         self.weight = float(weight)
-        self.started_at = started_at
         self.finished_at: float | None = None
         self.aborted = False
         self.on_complete = on_complete
@@ -105,7 +92,7 @@ class Transfer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else ("aborted" if self.aborted else "active")
         return (
-            f"Transfer({self.label}, {self.volume_bytes:.3g} B, "
+            f"Transfer({self.volume_bytes:.3g} B, "
             f"remaining={self.remaining_bytes:.3g} B, {state})"
         )
 
@@ -174,9 +161,6 @@ class IOSubsystem:
         volume_bytes: float,
         weight: float,
         on_complete: Callable[[Transfer], None] | None = None,
-        *,
-        owner: object = None,
-        label: str = "io",
     ) -> Transfer:
         """Admit a new transfer and start it immediately.
 
@@ -189,14 +173,7 @@ class IOSubsystem:
         if weight <= 0.0:
             raise SimulationError("weight must be positive")
         self._advance_progress()
-        transfer = Transfer(
-            owner=owner,
-            label=label,
-            volume_bytes=volume_bytes,
-            weight=weight,
-            started_at=self._engine.now,
-            on_complete=on_complete,
-        )
+        transfer = Transfer(volume_bytes, weight, on_complete)
         self._active.append(transfer)
         self._max_concurrency = max(self._max_concurrency, len(self._active))
         self._reschedule_completion()
@@ -268,7 +245,7 @@ class IOSubsystem:
             if time < first_time:
                 first, first_time = transfer, time
         self._completion = engine.schedule_at(
-            first_time, self._complete, first, label=f"io-complete:{first.label}"
+            first_time, self._complete, first, label="io-complete"
         )
 
     def _complete(self, transfer: Transfer) -> None:

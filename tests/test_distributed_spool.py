@@ -335,6 +335,49 @@ def test_a_spec_that_lands_in_a_live_batch_is_handed_back(tmp_path):
     assert [spec.task_id for spec in again.specs] == [stray.task_id]
 
 
+def _stalled_then_reclaimed(tmp_path):
+    """Worker A's lease expires mid-task and worker B claims the task again.
+
+    Returns A's and B's spool handles, B's batch and the task id.
+    """
+    stalled = WorkSpool(tmp_path, lease_ttl_s=0.05)
+    peer = WorkSpool(tmp_path)
+    spec = _spec()
+    stalled.enqueue(spec)
+    assert stalled.claim_batch("A") is not None
+    past = time.time() - 60.0  # A stalls far past its 0.05 s lease
+    os.utime(_lease_of(tmp_path, spec.task_id), (past, past))
+    assert peer.reclaim_expired() == [spec.task_id]
+    batch = peer.claim_batch("B")
+    assert [claimed.task_id for claimed in batch.specs] == [spec.task_id]
+    return stalled, peer, batch, spec.task_id
+
+
+def test_a_late_fail_leaves_the_peers_claim_alone(tmp_path):
+    """A failure reported for a claim the caller no longer holds must not
+    abort the campaign: it neither records a failure nor drops the peer's
+    claim, and the peer still finishes the task."""
+    stalled, peer, batch, task_id = _stalled_then_reclaimed(tmp_path)
+    stalled.fail(task_id, "late failure", worker_id="A")
+    assert peer.status().describe() == "0 pending, 1 claimed, 0 done, 0 failed"
+    assert (tmp_path / "claims" / batch.batch_id / ".lease.json").exists()
+    peer.ack(task_id, worker_id="B")
+    assert peer.status().describe() == "0 pending, 0 claimed, 1 done, 0 failed"
+
+
+def test_a_late_ack_leaves_the_peers_claim_alone(tmp_path):
+    """A late ack raises (the claim was lost) instead of finishing the
+    peer's claim behind its back; the peer's own ack then stands."""
+    stalled, peer, batch, task_id = _stalled_then_reclaimed(tmp_path)
+    with pytest.raises(SpoolError, match="no claim on file"):
+        stalled.ack(task_id, worker_id="A")
+    assert peer.status().describe() == "0 pending, 1 claimed, 0 done, 0 failed"
+    assert (tmp_path / "claims" / batch.batch_id / ".lease.json").exists()
+    peer.ack(task_id, worker_id="B")
+    done = tmp_path / "done" / shard_of(task_id) / f"{task_id}.json"
+    assert json.loads(done.read_text())["completed_by"] == "B"
+
+
 # ------------------------------------------------------------ concurrency
 def test_concurrent_claimers_partition_the_queue(tmp_path):
     """N threads hammering claim() must partition tasks with no duplicates."""

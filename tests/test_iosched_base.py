@@ -35,7 +35,7 @@ def make_request(job, kind=IOKind.INPUT, volume=500.0, submitted=0.0, **callback
 
 def test_request_initial_state(job):
     request = make_request(job)
-    assert request.pending
+    assert request.granted_at is None and not request.cancelled
     assert not request.in_flight
     assert request.waited == 0.0
     assert request.waiting_for(12.0) == 12.0
@@ -62,7 +62,8 @@ def test_request_lifecycle_through_scheduler(engine, io, job):
     assert completed == [pytest.approx(5.0)]
     assert request.granted_at == 0.0
     assert request.completed_at == pytest.approx(5.0)
-    assert not request.pending and not request.in_flight
+    assert not request.in_flight
+    assert scheduler.pending_requests() == () and scheduler.active_requests() == ()
     assert request.waited == 0.0
 
 
@@ -116,3 +117,14 @@ def test_cancelled_transfer_does_not_fire_completion(engine, io, job):
 def test_scheduler_requires_positive_mtbf(engine, io):
     with pytest.raises(SchedulingError):
         OrderedScheduler(engine, io, node_mtbf_s=0.0)
+
+
+def test_a_selection_outside_the_pending_pool_is_refused(engine, io, job, tiny_classes):
+    stranger = make_request(Job(app_class=tiny_classes[1], total_work_s=HOUR))
+
+    class Rogue(OrderedScheduler):
+        def _select_next(self, pending):
+            return stranger
+
+    with pytest.raises(SchedulingError, match="not in the pending pool"):
+        Rogue(engine, io, node_mtbf_s=1e6).submit(make_request(job))

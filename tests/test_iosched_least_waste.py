@@ -26,7 +26,6 @@ def io(engine) -> IOSubsystem:
 def test_flags():
     assert LeastWasteScheduler.nonblocking_checkpoints
     assert not LeastWasteScheduler.shares_bandwidth
-    assert LeastWasteScheduler.name == "least-waste"
 
 
 def test_serves_blocking_io_of_big_job_before_checkpoint_when_failures_rare(

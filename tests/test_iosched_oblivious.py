@@ -35,7 +35,6 @@ def make_job(tiny_classes, index=0):
 def test_flags():
     assert ObliviousScheduler.shares_bandwidth
     assert not ObliviousScheduler.nonblocking_checkpoints
-    assert ObliviousScheduler.name == "oblivious"
 
 
 def test_requests_start_immediately_and_interfere(engine, io, scheduler, tiny_classes):

@@ -29,8 +29,6 @@ def test_flags_differ_only_in_blocking_semantics():
     assert not OrderedNBScheduler.shares_bandwidth
     assert not OrderedScheduler.nonblocking_checkpoints
     assert OrderedNBScheduler.nonblocking_checkpoints
-    assert OrderedScheduler.name == "ordered"
-    assert OrderedNBScheduler.name == "ordered-nb"
 
 
 @pytest.mark.parametrize("scheduler_cls", [OrderedScheduler, OrderedNBScheduler])

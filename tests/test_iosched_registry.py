@@ -41,7 +41,6 @@ def test_strategy_composition(name, scheduler_cls, policy_cls):
     assert strategy.scheduler_cls is scheduler_cls
     assert isinstance(strategy.policy, policy_cls)
     assert strategy.nonblocking_checkpoints == scheduler_cls.nonblocking_checkpoints
-    assert strategy.shares_bandwidth == scheduler_cls.shares_bandwidth
     assert strategy.label  # human-readable label exists
 
 

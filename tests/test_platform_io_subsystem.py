@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.platform.io_subsystem import IOSubsystem
+from repro.platform.io_subsystem import IOSubsystem, Transfer
 from repro.sim.engine import SimulationEngine
 
 
@@ -28,8 +28,8 @@ def test_single_transfer_runs_at_full_bandwidth(engine, io):
 
 def test_two_equal_transfers_share_bandwidth_linearly(engine, io):
     finish: dict[str, float] = {}
-    io.start(1000.0, weight=1.0, on_complete=lambda t: finish.setdefault("a", engine.now), label="a")
-    io.start(1000.0, weight=1.0, on_complete=lambda t: finish.setdefault("b", engine.now), label="b")
+    io.start(1000.0, weight=1.0, on_complete=lambda t: finish.setdefault("a", engine.now))
+    io.start(1000.0, weight=1.0, on_complete=lambda t: finish.setdefault("b", engine.now))
     engine.run()
     # Both take twice as long as they would alone.
     assert finish["a"] == pytest.approx(20.0)
@@ -113,10 +113,9 @@ def test_invalid_parameters(engine, io):
 
 
 def test_transfer_bookkeeping_fields(engine, io):
-    transfer = io.start(100.0, weight=2.0, owner="job", label="checkpoint")
-    assert transfer.owner == "job"
-    assert transfer.label == "checkpoint"
-    assert transfer.active
+    transfer = io.start(100.0, weight=2.0)
+    assert transfer.active and not transfer.done
+    assert transfer.finished_at is None
     engine.run()
     assert transfer.done
     assert transfer.finished_at == pytest.approx(1.0)
@@ -142,8 +141,8 @@ def test_one_completion_event_is_pending_at_a_time(engine, io):
 
 
 def test_identical_transfers_complete_in_start_order(engine, io):
-    order: list[str] = []
-    io.start(500.0, weight=2.0, on_complete=lambda t: order.append(t.label), label="first")
-    io.start(500.0, weight=2.0, on_complete=lambda t: order.append(t.label), label="second")
+    order: list[Transfer] = []
+    first = io.start(500.0, weight=2.0, on_complete=order.append)
+    second = io.start(500.0, weight=2.0, on_complete=order.append)
     engine.run()
-    assert order == ["first", "second"]
+    assert order == [first, second]

@@ -10,6 +10,11 @@ Every duration of the run then doubles (commit times are volume over
 bandwidth), and multiplying by 2 is exact in binary floating point.  So the
 waste ratio must stay bit-identical, every waste category must double
 exactly, and the event, checkpoint, failure and job counts must stay equal.
+
+A lone job is strategy-blind: with one job on the machine no two transfers
+ever meet, so nothing waits and nothing shares bandwidth.  Every strategy
+of one checkpoint policy must then run the job identically, with or
+without failures that hit it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,10 @@ import dataclasses
 
 import pytest
 
+from repro.apps.job import Job
 from repro.iosched.registry import STRATEGIES
+from repro.platform.failures import FailureEvent, FailureTrace
+from repro.scenarios.presets import mini_apex_workload, mini_cielo_platform
 from repro.simulation import simulator
 from repro.simulation.config import SimulationConfig
 from repro.simulation.simulator import Simulation
@@ -82,3 +90,53 @@ def test_time_scaling_by_two_is_exact(bandwidth_gbs, doubled_gap, strategy, monk
         doubled = {k: 2.0 * v for k, v in dataclasses.asdict(one.breakdown).items()}
         assert dataclasses.asdict(two.breakdown) == doubled, seed
         assert [getattr(two, name) for name in COUNTS] == [getattr(one, name) for name in COUNTS]
+
+
+# The strategies of one checkpoint policy; Least-Waste uses Daly periods.
+LONE_JOB_GROUPS = {
+    "daly": ("oblivious-daly", "ordered-daly", "orderednb-daly", "least-waste"),
+    "fixed": ("oblivious-fixed", "ordered-fixed", "orderednb-fixed"),
+}
+
+# Failures on the nodes first fit gives the lone job (every class has at
+# least 4): none, one at 1.5 h, and a second at 2.6 h.
+LONE_JOB_FAILURES = {
+    "no-failure": (),
+    "one-failure": ((1.5 * HOUR, 0),),
+    "two-failures": ((1.5 * HOUR, 0), (2.6 * HOUR, 1)),
+}
+
+
+# The window is the whole run: the jobs end within 7 h, so a 0.5-day
+# warm-up would leave every category at 0 and compare nothing but counts.
+@pytest.mark.parametrize("failures", LONE_JOB_FAILURES.values(), ids=LONE_JOB_FAILURES.keys())
+@pytest.mark.parametrize("group", LONE_JOB_GROUPS.values(), ids=LONE_JOB_GROUPS.keys())
+def test_a_lone_job_is_strategy_blind(group, failures):
+    platform = mini_cielo_platform()
+    for app in mini_apex_workload(platform):
+        outcomes = set()
+        for strategy in group:
+            config = SimulationConfig(
+                platform=platform,
+                classes=(app,),
+                strategy=strategy,
+                horizon_s=4.0 * DAY,
+                warmup_s=0.0,
+                cooldown_s=0.0,
+                seed=0,
+            )
+            trace = FailureTrace(
+                [FailureEvent(time, node) for time, node in failures], horizon=config.horizon_s
+            )
+            job = Job(app_class=app, total_work_s=app.work_s, priority=0.0)
+            result = Simulation(config, jobs=[job], failure_trace=trace).run()
+            assert result.breakdown.compute > 0.0
+            outcomes.add(
+                (
+                    result.breakdown,
+                    result.checkpoints_completed,
+                    result.failures_effective,
+                    result.events_fired,
+                )
+            )
+        assert len(outcomes) == 1, (app.name, outcomes)

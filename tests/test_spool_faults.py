@@ -14,6 +14,8 @@ contracts hold under filesystem misbehaviour:
 
 from __future__ import annotations
 
+import errno
+import itertools
 import json
 import math
 import os
@@ -84,6 +86,36 @@ def test_claims_never_double_granted_under_rename_faults(tmp_path, fs_faults):
     fs_faults(None)
     status = WorkSpool(tmp_path).status()
     assert status.drained and status.done == len(specs)
+
+
+def test_a_failed_listing_is_retried_not_raised(tmp_path, fs_faults):
+    """Every other directory listing fails.  Workers and submitters list on
+    every poll, so a failed listing must be a stall that the spool retries,
+    never an ``OSError`` that kills the process."""
+    calls = itertools.count()
+
+    def every_other_scandir(op: str, path: str) -> None:
+        if op == "scandir" and next(calls) % 2 == 0:
+            raise OSError(errno.EIO, f"injected fault: {op} {path}")
+
+    spool = WorkSpool(tmp_path, lease_ttl_s=60.0)
+    specs = [_spec(seed, digest_char) for seed in range(3) for digest_char in "ab"]
+    fs_faults(every_other_scandir)
+    assert spool.enqueue_many(specs) == len(specs)
+    acked = []
+    for _ in range(10):
+        spool.reclaim_expired()
+        batch = spool.claim_batch("w1", limit=2)
+        if batch is None:
+            break
+        for spec in batch.specs:
+            spool.ack(spec.task_id, worker_id="w1")
+            acked.append(spec.task_id)
+    assert spool.idle()
+    assert spool.status() == SpoolStatus(pending=0, claimed=0, done=len(specs), failed=0)
+    assert next(calls) > 2 * len(specs)  # the hook saw many listings
+    fs_faults(None)
+    assert sorted(acked) == sorted(spec.task_id for spec in specs)
 
 
 def test_injected_faults_are_counted_and_disarmed(tmp_path, fs_faults):

@@ -252,8 +252,6 @@ def test_parameterized_specs_get_their_own_digest():
 class LifoScheduler(OrderedScheduler):
     """Test-only custom strategy: serve the *newest* pending request."""
 
-    name = "lifo"
-
     def _select_next(self, pending):
         return pending[-1]
 
