@@ -82,7 +82,7 @@ _exported, __getattr__ = _lazy_exports(globals(), {
     # strategies
     "repro.iosched.registry": (
         "STRATEGIES", "StrategySpec", "canonical_strategy", "make_strategy",
-        "parse_strategy", "register_strategy", "strategy_kinds", "strategy_names",
+        "parse_strategy", "register_strategy", "strategy_kinds",
     ),
     # workloads
     "repro.workloads.apex": ("APEX_CLASSES", "apex_workload"),

@@ -11,7 +11,7 @@
 """
 
 from repro.apps.app_class import ApplicationClass
-from repro.apps.checkpoint_policy import CheckpointPolicy, DalyPolicy, FixedPolicy, make_policy
+from repro.apps.checkpoint_policy import CheckpointPolicy, DalyPolicy, FixedPolicy
 from repro.apps.job import Job
 from repro.apps.phases import IOKind, JobState
 
@@ -23,5 +23,4 @@ __all__ = [
     "CheckpointPolicy",
     "FixedPolicy",
     "DalyPolicy",
-    "make_policy",
 ]

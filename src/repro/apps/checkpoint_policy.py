@@ -25,14 +25,11 @@ from repro.errors import ConfigurationError
 from repro.platform.spec import PlatformSpec
 from repro.units import HOUR
 
-__all__ = ["CheckpointPolicy", "FixedPolicy", "DalyPolicy", "make_policy"]
+__all__ = ["CheckpointPolicy", "FixedPolicy", "DalyPolicy"]
 
 
 class CheckpointPolicy(ABC):
     """Maps an application class and a platform to a checkpoint period."""
-
-    #: Short name used in strategy identifiers (``"fixed"`` or ``"daly"``).
-    name: str = "abstract"
 
     @abstractmethod
     def period(self, app_class: ApplicationClass, platform: PlatformSpec) -> float:
@@ -47,7 +44,6 @@ class FixedPolicy(CheckpointPolicy):
     """Constant checkpoint period for every class (one hour by default)."""
 
     period_s: float = HOUR
-    name = "fixed"
 
     def __post_init__(self) -> None:
         if self.period_s <= 0.0:
@@ -64,19 +60,7 @@ class FixedPolicy(CheckpointPolicy):
 class DalyPolicy(CheckpointPolicy):
     """Per-class Young/Daly period based on the full-bandwidth commit time."""
 
-    name = "daly"
-
     def period(self, app_class: ApplicationClass, platform: PlatformSpec) -> float:
         commit = app_class.checkpoint_time(platform.io_bandwidth_bytes_per_s)
         mtbf = job_mtbf(platform.node_mtbf_s, app_class.nodes)
         return young_period(commit, mtbf)
-
-
-def make_policy(name: str, *, fixed_period_s: float = HOUR) -> CheckpointPolicy:
-    """Build a policy from its short name (``"fixed"`` or ``"daly"``)."""
-    key = name.strip().lower()
-    if key == "fixed":
-        return FixedPolicy(period_s=fixed_period_s)
-    if key == "daly":
-        return DalyPolicy()
-    raise ConfigurationError(f"unknown checkpoint policy {name!r} (expected 'fixed' or 'daly')")

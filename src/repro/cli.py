@@ -512,7 +512,7 @@ def _cmd_table1(_: argparse.Namespace) -> str:
 def _cmd_strategies(args: argparse.Namespace) -> str:
     import json
 
-    from repro.iosched.spec import kind_info, legacy_strategy_names, strategy_kinds
+    from repro.iosched.registry import STRATEGIES, kind_info, strategy_kinds
 
     kinds = {name: kind_info(name) for name in strategy_kinds()}
     if args.json:
@@ -535,7 +535,7 @@ def _cmd_strategies(args: argparse.Namespace) -> str:
                 }
                 for name, info in kinds.items()
             },
-            "legacy": list(legacy_strategy_names()),
+            "legacy": list(STRATEGIES),
         }
         return json.dumps(payload, indent=2)
     lines = [
@@ -558,7 +558,7 @@ def _cmd_strategies(args: argparse.Namespace) -> str:
     lines.append(
         "Legacy names (aliases, also the cache-key form of their combination):"
     )
-    lines.append("  " + ", ".join(legacy_strategy_names()))
+    lines.append("  " + ", ".join(STRATEGIES))
     lines.append("")
     lines.append(
         "Third-party strategies: repro.iosched.register_strategy(kind, factory) — "

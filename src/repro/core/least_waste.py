@@ -163,7 +163,9 @@ def select_candidate(
     Ties are broken in favour of the candidate appearing first in
     ``candidates`` (i.e. FCFS order when the pool is kept in arrival order),
     which matches the behaviour of the Ordered-NB scheduler when all
-    candidates are equivalent.
+    candidates are equivalent.  So is a pool where no score is finite (a
+    tiny ``mu_ind`` overflows every checkpoint term to ``inf``): the first
+    candidate is returned with its own score.
 
     Returns
     -------
@@ -184,5 +186,7 @@ def select_candidate(
         if waste < best_waste:
             best = candidate
             best_waste = waste
-    assert best is not None
+    if best is None:  # every score is inf or NaN
+        best = candidates[0]
+        best_waste = expected_waste(best, candidates, mu_ind)
     return best, best_waste

@@ -4,7 +4,7 @@ A :class:`TaskSpec` is one unit of distributed work: a
 :class:`~repro.simulation.config.SimulationConfig` together with the
 ``(config digest, strategy)`` cache key and the concrete seeds to
 simulate.  ``strategy`` is the *canonical strategy-spec string* (see
-:mod:`repro.iosched.spec`) — parameterized and custom strategies cross the
+:mod:`repro.iosched.registry`) — parameterized and custom strategies cross the
 spool as plain JSON text, and a worker resolves them through its own
 strategy registry (custom kinds must be registered in the worker process
 too, i.e. the registering module imported).  Specs are *content-addressed*:

@@ -14,7 +14,7 @@ embeds a format version; bump :data:`DIGEST_VERSION` whenever the simulator
 changes behaviour in a way that invalidates cached values.
 
 The ``strategy`` field enters the payload as its canonical spec string
-(:func:`repro.iosched.spec.canonical_strategy`, applied by
+(:func:`repro.iosched.registry.canonical_strategy`, applied by
 ``SimulationConfig``): the paper's seven legacy names stay bare strings —
 keeping every pre-spec digest byte-identical without a version bump — while
 non-default strategy parameters (``ordered[policy=fixed,period_s=1800]``)

@@ -20,10 +20,10 @@ only, the rule that picks the next waiting request.
 
 Strategies are selected by *spec* — a kind plus typed parameters with a
 canonical string form such as ``"ordered[policy=fixed,period_s=1800]"``
-(see :mod:`repro.iosched.spec`); the paper's seven names (each family in a
-``fixed`` and a ``daly`` period variant, Least-Waste with Daly periods)
-remain valid aliases.  Strategy instances are created through
-:mod:`repro.iosched.registry`, and third-party strategies plug in with
+(see :mod:`repro.iosched.registry`); the paper's seven names (each family
+in a ``fixed`` and a ``daly`` period variant, Least-Waste with Daly
+periods) remain valid aliases.  Strategy instances are created through the
+same module, and third-party strategies plug in with
 :func:`register_strategy`.
 """
 
@@ -43,7 +43,6 @@ from repro.iosched.registry import (
     register_strategy,
     resolved_strategy_spec,
     strategy_kinds,
-    strategy_names,
 )
 
 __all__ = [
@@ -63,5 +62,4 @@ __all__ = [
     "register_strategy",
     "resolved_strategy_spec",
     "strategy_kinds",
-    "strategy_names",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 
-from repro.errors import ConfigurationError
 from repro.iosched.registry import resolved_strategy_spec
 from repro.scenarios.runner import CampaignResult
 
@@ -97,24 +96,11 @@ def campaign_to_csv(result: CampaignResult) -> str:
                     result.campaign,
                     outcome.scenario.name,
                     strategy,
-                    _resolved_spec(strategy, outcome.scenario.fixed_period_s),
+                    resolved_strategy_spec(
+                        strategy, fixed_period_s=outcome.scenario.fixed_period_s
+                    ),
                     "1" if strategy == best else "0",
                     *[repr(stats[key]) for key in stat_keys],
                 ]
             )
     return buffer.getvalue()
-
-
-def _resolved_spec(strategy: str, fixed_period_s: float) -> str:
-    """Fully resolved spec of one cell, degrading gracefully for plugins.
-
-    Resolving instantiates the strategy, which fails when the cell ran a
-    custom kind whose registering module is not imported in *this* (the
-    reporting) process.  The result tables still carry the cell's canonical
-    spec string, so exporting degrades to that instead of crashing the
-    whole CSV.
-    """
-    try:
-        return resolved_strategy_spec(strategy, fixed_period_s=fixed_period_s)
-    except ConfigurationError:
-        return strategy

@@ -107,7 +107,7 @@ class Scenario:
     strategies:
         Strategies to evaluate on this scenario: legacy names, parameterized
         spec strings (``"ordered[policy=fixed,period_s=1800]"``) or
-        :class:`~repro.iosched.spec.StrategySpec` objects, normalised to
+        :class:`~repro.iosched.registry.StrategySpec` objects, normalised to
         canonical strings on construction.  Each strategy shares the
         scenario's seeds, so strategies see identical initial conditions.
     failure_model:

@@ -318,16 +318,12 @@ class JobManager:
                 if strategy is not None and cell_strategy != strategy:
                     continue
                 digest = config_digest(cell_scenario.config(cell_strategy))
-                try:
-                    spec = resolved_strategy_spec(
-                        cell_strategy, fixed_period_s=cell_scenario.fixed_period_s
-                    )
-                except ConfigurationError:
-                    spec = cell_strategy  # unregistered plugin kind: degrade
                 records.append({
                     "scenario": cell_scenario.name,
                     "strategy": cell_strategy,
-                    "spec": spec,
+                    "spec": resolved_strategy_spec(
+                        cell_strategy, fixed_period_s=cell_scenario.fixed_period_s
+                    ),
                     "best": cell_strategy == best,
                     "digest": digest,
                     "stats": outcome.summaries[cell_strategy].as_dict(),

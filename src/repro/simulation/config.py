@@ -42,7 +42,7 @@ class SimulationConfig:
     strategy:
         The I/O scheduling strategy: a legacy name, a parameterized spec
         string (``"ordered[policy=fixed,period_s=1800]"``) or a
-        :class:`~repro.iosched.spec.StrategySpec`.  Normalised to the
+        :class:`~repro.iosched.registry.StrategySpec`.  Normalised to the
         canonical string form on construction, so equal configurations
         compare equal and share one cache digest.
     horizon_s:

@@ -378,7 +378,7 @@ class Simulation:
         self._record(job, TraceEventType.CHECKPOINT_REQUEST)
         # Under a non-blocking strategy the job keeps computing while it
         # waits for the I/O token.
-        if not self.strategy.nonblocking_checkpoints:
+        if not self.io_sched.nonblocking_checkpoints:
             self._stop_progress(job)
         job.state = JobState.CHECKPOINT_WAIT
         self.io_sched.submit(request)
@@ -545,7 +545,7 @@ class Simulation:
             self.accounting.record_interval(
                 Category.CHECKPOINT, nodes, granted, completed, job=job.job_id
             )
-            if not self.strategy.nonblocking_checkpoints:
+            if not self.io_sched.nonblocking_checkpoints:
                 self.accounting.record_interval(
                     Category.CHECKPOINT_WAIT, nodes, submitted, granted, job=job.job_id
                 )

@@ -383,7 +383,7 @@ def register_backend(name, factory):
             tmp_path,
             {
                 "repro/iosched/custom.py": """\
-                from repro.iosched.spec import register_strategy
+                from repro.iosched.registry import register_strategy
 
                 register_strategy("bad", lambda spec: spec)
                 register_strategy(

@@ -6,8 +6,9 @@ import math
 
 import pytest
 
-from repro.apps.checkpoint_policy import DalyPolicy, FixedPolicy, make_policy
+from repro.apps.checkpoint_policy import DalyPolicy, FixedPolicy
 from repro.errors import ConfigurationError
+from repro.iosched.registry import make_strategy
 from repro.units import HOUR
 
 
@@ -15,7 +16,6 @@ def test_fixed_policy_returns_constant_period(tiny_platform, tiny_classes):
     policy = FixedPolicy(period_s=2 * HOUR)
     for app in tiny_classes:
         assert policy.period(app, tiny_platform) == pytest.approx(2 * HOUR)
-    assert policy.name == "fixed"
 
 
 def test_fixed_policy_default_is_one_hour(tiny_platform, tiny_classes):
@@ -33,7 +33,6 @@ def test_daly_policy_matches_formula(tiny_platform, tiny_classes):
     commit = app.checkpoint_bytes / tiny_platform.io_bandwidth_bytes_per_s
     mtbf = tiny_platform.node_mtbf_s / app.nodes
     assert policy.period(app, tiny_platform) == pytest.approx(math.sqrt(2 * commit * mtbf))
-    assert policy.name == "daly"
 
 
 def test_daly_policy_scales_with_platform(tiny_platform, tiny_classes):
@@ -60,9 +59,9 @@ def test_daly_period_shorter_for_larger_jobs(tiny_platform, tiny_classes):
     assert math.isfinite(pa) and math.isfinite(pb)
 
 
-def test_make_policy_factory():
-    assert isinstance(make_policy("fixed"), FixedPolicy)
-    assert isinstance(make_policy("daly"), DalyPolicy)
-    assert make_policy("FIXED", fixed_period_s=120.0).period_s == 120.0
-    with pytest.raises(ConfigurationError):
-        make_policy("unknown")
+def test_the_policy_parameter_builds_the_policy():
+    fixed = make_strategy("ordered[policy=FIXED]", fixed_period_s=120.0).policy
+    assert fixed == FixedPolicy(120.0)
+    assert isinstance(make_strategy("ordered[policy=daly]").policy, DalyPolicy)
+    with pytest.raises(ConfigurationError, match="must be one of fixed, daly"):
+        make_strategy("ordered[policy=unknown]")

@@ -108,6 +108,20 @@ def test_select_candidate_fcfs_tie_break():
     assert best is a
 
 
+def test_select_candidate_keeps_fcfs_when_every_score_overflows():
+    # duration / mu_ind * nodes**2 * (R + d + duration / 2) = 1e302 * 1e6 * 200
+    # overflows to inf for both candidates; the first one is still served.
+    a = CkptCandidate(
+        key="a", duration=100.0, nodes=1000.0, since_last_checkpoint=50.0, recovery_time=100.0
+    )
+    b = CkptCandidate(
+        key="b", duration=100.0, nodes=1000.0, since_last_checkpoint=50.0, recovery_time=100.0
+    )
+    best, waste = select_candidate([a, b], 1e-300)
+    assert best is a
+    assert waste == float("inf")
+
+
 def test_select_candidate_empty_pool_rejected():
     with pytest.raises(AnalysisError):
         select_candidate([], 1e6)

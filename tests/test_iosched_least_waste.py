@@ -112,3 +112,20 @@ def test_zero_volume_request_handled(engine, io, tiny_classes):
     scheduler.submit(IORequest(job, IOKind.INPUT, 0.0, 0.0, on_complete=lambda r: done.append("zero")))
     engine.run()
     assert done == ["zero"]
+
+
+def test_a_tiny_mtbf_bias_still_runs():
+    """``mtbf_bias=1e-308`` overflows every checkpoint score to ``inf`` on
+    this smoke cell; the run must still complete."""
+    from repro.scenarios.presets import smoke_campaign
+    from repro.simulation.simulator import Simulation
+    from repro.stats.montecarlo import derive_seeds
+
+    spec = "least-waste[mtbf_bias=1e-308]"
+    (scenario,) = [
+        s for s in smoke_campaign(strategies=[spec]).scenarios() if s.name == "io=4,mtbf=short"
+    ]
+    config = scenario.config(spec).with_seed(derive_seeds(0, 1)[0])
+    result = Simulation(config).run()
+    assert result.strategy == spec
+    assert result.checkpoints_completed > 0

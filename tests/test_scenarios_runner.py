@@ -344,8 +344,7 @@ def test_campaign_csv_degrades_unregistered_strategy_kinds_to_their_spec(matrix)
     import csv
     import io
 
-    from repro.iosched.registry import make_strategy
-    from repro.iosched.spec import _KINDS, ParamSpec, register_strategy
+    from repro.iosched.registry import _KINDS, ParamSpec, make_strategy, register_strategy
 
     register_strategy(
         "myplugin",

@@ -463,6 +463,10 @@ def test_long_names_keys_paths_and_ids_give_short_errors(service, tmp_path, caps
         ({**TOY_MATRIX, "overrides": {"name": long}}, "scenario name"),
         ({**TOY_MATRIX, "name": long}, "campaign name"),
         ({**TOY_MATRIX, long: 1}, "unknown campaign key"),
+        (
+            {**TOY_MATRIX, "overrides": {"strategies": ["least-waste[" + long + "]"]}},
+            "malformed strategy spec",
+        ),
     ]
     matrix_file = tmp_path / "long.json"
     for matrix, what in matrices:

@@ -1,10 +1,13 @@
 """Closed-form oracles: small runs whose every value follows by hand.
 
-Setting: the ``tiny_platform`` fixture (16 nodes, 1 GB/s) and one class
-``alpha`` of 4 nodes with 2 GB of input, 8 GB checkpoints and 4 GB of
-output, and no routine I/O.  Alone on the file system an input takes 2 s, a
-commit 8 s and an output 4 s.  The period is a fixed hour, and the window
-is the whole 0.5-day horizon.  The simulator's rule: the first checkpoint
+Setting: the ``tiny_platform`` fixture (16 nodes, 1 GB/s) with a node MTBF
+of 3 240 000 s, and one class ``alpha`` of 4 nodes with 2 GB of input, 8 GB
+checkpoints and 4 GB of output, and no routine I/O.  Alone on the file
+system an input takes 2 s, a commit 8 s and an output 4 s.  The period is an
+hour: the fixed one, or alpha's Young/Daly period sqrt(2 x (3 240 000 / 4)
+x 8) = sqrt(12 960 000) = 3 600 s, which is exact in binary floating point.
+So every strategy name and spelling of one family gives the same run.  The
+window is the whole 0.5-day horizon, and the failure trace is explicit.  The simulator's rule: the first checkpoint
 comes after P = 3 600 s of compute, the next P - C = 3 592 s after each
 commit.  First fit places the first job on nodes 0-3 and the second on
 nodes 4-7, and a FCFS token serves the first job's request first.
@@ -29,7 +32,7 @@ def run(tiny_platform, tiny_classes, strategy, *, work_s, count, failures=()):
     """One run of ``count`` alpha jobs of ``work_s`` seconds each."""
     alpha = tiny_classes[0]
     config = SimulationConfig(
-        platform=tiny_platform,
+        platform=tiny_platform.with_node_mtbf(3_240_000.0),
         classes=(alpha,),
         strategy=strategy,
         horizon_s=0.5 * DAY,
@@ -45,7 +48,17 @@ def run(tiny_platform, tiny_classes, strategy, *, work_s, count, failures=()):
     return Simulation(config, jobs=jobs, failure_trace=trace).run(), jobs
 
 
-@pytest.mark.parametrize("strategy", ["ordered-fixed", "oblivious-fixed", "orderednb-fixed"])
+#: Every family in each spelling: the seven names, a tuned Least-Waste, and
+#: spelled-out Fixed periods.
+OBLIVIOUS = ["oblivious-fixed", "oblivious-daly"]
+ORDERED = ["ordered-fixed", "ordered-daly", "ordered[policy=fixed,period_s=3600]"]
+NONBLOCKING = [
+    "orderednb-fixed", "orderednb-daly", "least-waste", "least-waste[mtbf_bias=2]",
+    "least-waste[policy=fixed]",
+]
+
+
+@pytest.mark.parametrize("strategy", OBLIVIOUS + ORDERED + NONBLOCKING)
 def test_a_lone_job_without_failure(tiny_platform, tiny_classes, strategy):
     # Input 0-2.  Commits at 3 602-3 610, 7 202-7 210, 10 802-10 810,
     # 14 402-14 410 and 18 002-18 010 (work 3 600 + 4 x 3 592 = 17 968 by
@@ -101,12 +114,13 @@ def test_two_jobs_under_oblivious_share_every_transfer(tiny_platform, tiny_class
     # Both commits (3 604-3 620) take 16 s instead of 8, and each job's
     # remaining 1 800 s of work ends at 5 420.  Both outputs take 8 s
     # instead of 4 and end at 5 428.  I/O delay: (2 + 4) s x 4 x 2 = 48.
-    result, jobs = run(tiny_platform, tiny_classes, "oblivious-fixed", work_s=1.5 * HOUR, count=2)
-    assert result.breakdown == WasteBreakdown(
-        compute=43_200.0, base_io=48.0, io_delay=48.0, checkpoint=2 * 16.0 * 4,
-        checkpoint_wait=0.0, recovery=0.0, lost_work=0.0, allocated=2 * 5_428.0 * 4,
-    )
-    assert [job.end_time for job in jobs] == [5_428.0, 5_428.0]
+    for strategy in OBLIVIOUS:
+        result, jobs = run(tiny_platform, tiny_classes, strategy, work_s=1.5 * HOUR, count=2)
+        assert result.breakdown == WasteBreakdown(
+            compute=43_200.0, base_io=48.0, io_delay=48.0, checkpoint=2 * 16.0 * 4,
+            checkpoint_wait=0.0, recovery=0.0, lost_work=0.0, allocated=2 * 5_428.0 * 4,
+        ), strategy
+        assert [job.end_time for job in jobs] == [5_428.0, 5_428.0], strategy
 
 
 def test_two_jobs_under_ordered_block_behind_the_token(tiny_platform, tiny_classes):
@@ -115,15 +129,17 @@ def test_two_jobs_under_ordered_block_behind_the_token(tiny_platform, tiny_class
     # 3 610 (checkpoint wait 6 s x 4 = 24), then commits 3 610-3 618.
     # Their last 1 800 s of work end at 5 410 and 5 418, their outputs at
     # 5 414 and 5 422.
-    result, jobs = run(tiny_platform, tiny_classes, "ordered-fixed", work_s=1.5 * HOUR, count=2)
-    assert result.breakdown == WasteBreakdown(
-        compute=43_200.0, base_io=48.0, io_delay=8.0, checkpoint=2 * 8.0 * 4,
-        checkpoint_wait=24.0, recovery=0.0, lost_work=0.0, allocated=(5_414.0 + 5_422.0) * 4,
-    )
-    assert [job.end_time for job in jobs] == [5_414.0, 5_422.0]
+    for strategy in ORDERED:
+        result, jobs = run(tiny_platform, tiny_classes, strategy, work_s=1.5 * HOUR, count=2)
+        assert result.breakdown == WasteBreakdown(
+            compute=43_200.0, base_io=48.0, io_delay=8.0, checkpoint=2 * 8.0 * 4,
+            checkpoint_wait=24.0, recovery=0.0, lost_work=0.0,
+            allocated=(5_414.0 + 5_422.0) * 4,
+        ), strategy
+        assert [job.end_time for job in jobs] == [5_414.0, 5_422.0], strategy
 
 
-@pytest.mark.parametrize("strategy", ["orderednb-fixed", "least-waste"])
+@pytest.mark.parametrize("strategy", NONBLOCKING)
 def test_two_jobs_under_a_nonblocking_token_compute_while_they_wait(
     tiny_platform, tiny_classes, strategy
 ):
@@ -133,9 +149,8 @@ def test_two_jobs_under_a_nonblocking_token_compute_while_they_wait(
     # (3 610-3 618) and computes the last 1 794 s until 5 412, 2 s after
     # the first job (5 410).  Its output waits those 2 s for the first
     # job's (5 410-5 414): I/O delay 8 more.  The jobs end at 5 414 and
-    # 5 418.  Least-Waste's Daly period moves both commits by the same
-    # amount and none of these values: with one request waiting at a time
-    # it serves it as FCFS would.
+    # 5 418.  With one request waiting at a time, Least-Waste serves it as
+    # FCFS would, whatever its MTBF bias.
     result, jobs = run(tiny_platform, tiny_classes, strategy, work_s=1.5 * HOUR, count=2)
     assert result.breakdown == WasteBreakdown(
         compute=43_200.0, base_io=48.0, io_delay=16.0, checkpoint=2 * 8.0 * 4,

@@ -1,4 +1,4 @@
-"""Parameterized strategy specs (repro.iosched.spec) and the open registry.
+"""Parameterized strategy specs and the open registry (repro.iosched.registry).
 
 Three concerns live here:
 
@@ -25,12 +25,12 @@ from repro.errors import ConfigurationError
 from repro.exec.digest import DIGEST_VERSION, config_digest
 from repro.exec.runner import ParallelRunner
 from repro.iosched.ordered import OrderedScheduler
-from repro.iosched.spec import kind_info
 from repro.iosched.registry import (
     STRATEGIES,
     Strategy,
     StrategySpec,
     canonical_strategy,
+    kind_info,
     make_strategy,
     parse_strategy,
     register_strategy,
@@ -160,6 +160,31 @@ def test_unknown_parameter_suggests_close_match():
     assert "did you mean 'policy'?" in str(excinfo.value)
 
 
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    ("bad", "what"),
+    [
+        (_LONG + "]", "stray ']'"),
+        ("least-waste[" + _LONG + "]]", "expected kind[key=value,...]"),
+        ("[policy=fixed," + _LONG + "]", "missing kind"),
+        ("least-waste[" + _LONG + "]", "must look like key=value"),
+        ("least-waste[" + "," * 1500 + "]", "must look like key=value"),
+        ("least-waste[" + _LONG + "=1]", "has no parameter"),
+        (_LONG + "[policy=fixed]", "unknown strategy"),
+    ],
+    ids=["stray", "form", "no-kind", "item", "empty-items", "param-name", "kind"],
+)
+def test_long_specs_give_short_errors(bad, what):
+    """A refused spec, parameter item or name is echoed by its head only,
+    so the error stays one short line that says what was refused."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_strategy(bad)
+    message = str(excinfo.value)
+    assert len(message) < 300 and what in message, message[:300]
+
+
 def test_simulation_config_and_registry_share_one_validator():
     """SimulationConfig no longer re-implements unknown-strategy errors: the
     message (did-you-mean included) is the registry's own."""
@@ -261,7 +286,6 @@ def _lifo_factory(spec: StrategySpec, *, fixed_period_s: float) -> Strategy:
         name=spec.canonical,
         scheduler_cls=LifoScheduler,
         policy=DalyPolicy(),
-        label="LIFO",
     )
 
 
