@@ -1,10 +1,12 @@
-"""Jobs: single instances of an application class and their execution state.
+"""Jobs: single instances of an application class and their progress.
 
 A :class:`Job` carries its static parameters (copied from the class, with
-the work duration drawn by the workload generator) plus the mutable state
-that the simulator updates: current :class:`~repro.apps.phases.JobState`,
-allocated nodes, work progress and the amount of work protected by a
-completed checkpoint.
+the work duration drawn by the workload generator) plus the little mutable
+state the simulator updates on it: work progress, the amount of work
+protected by a completed checkpoint, and the time the job ended.  Every
+other per-job fact of a run has its home in the simulator: the job's
+runtime context (allocation time, pending transfers, the progress a granted
+checkpoint captured) and the run's own counters and restart list.
 
 Work progress is tracked through explicit ``begin_progress`` /
 ``pause_progress`` calls so both blocking strategies (where checkpoint waits
@@ -18,7 +20,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.apps.app_class import ApplicationClass
-from repro.apps.phases import JobState
 from repro.errors import SimulationError
 
 __all__ = ["Job"]
@@ -48,7 +49,10 @@ class Job:
     is_restart:
         True when this job is the resubmission of a failed job.
     parent_id:
-        Id of the original failed job (for restarts), else ``None``.
+        Id of the failed job this restart resubmits (for restarts), else
+        ``None``; a restart of a restart names the failed restart.
+    end_time:
+        Time the job completed or failed (``None`` while it has not ended).
     """
 
     app_class: ApplicationClass
@@ -61,14 +65,10 @@ class Job:
     job_id: int = field(default_factory=lambda: next(_job_ids))
 
     # --- mutable execution state (managed by the simulator) ---
-    state: JobState = JobState.PENDING
-    start_time: float | None = None
     end_time: float | None = None
     work_done_s: float = 0.0
     work_protected_s: float = 0.0
     restart_count: int = 0
-    checkpoints_completed: int = 0
-    checkpoints_requested: int = 0
     #: Time at which the currently protected state was captured (set when the
     #: compute phase starts and whenever a checkpoint transfer begins); used
     #: by the Least-Waste scheduler as d_j, the failure-exposure window.
@@ -154,4 +154,3 @@ class Job:
                 f"({amount_s} < {self.work_protected_s})"
             )
         self.work_protected_s = min(max(amount_s, self.work_protected_s), self.total_work_s)
-        self.checkpoints_completed += 1

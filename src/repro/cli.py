@@ -900,13 +900,6 @@ def _cmd_cache(args: argparse.Namespace) -> str:
                     stale = "" if version == DIGEST_VERSION else "  (prunable: cache gc --digest-version)"
                     lines.append(f"    {version:<12}: {count} entr{'y' if count == 1 else 'ies'}{stale}")
             return "\n".join(lines)
-        if args.older_than is not None and not (
-            args.older_than >= 0 and math.isfinite(args.older_than)
-        ):
-            raise ConfigurationError(
-                "--older-than must be a non-negative number of days, "
-                f"got {short_repr(args.older_than)}"
-            )
         report = store.gc(
             older_than_s=args.older_than * 86400.0 if args.older_than is not None else None,
             digest_version=args.digest_version,

@@ -2,17 +2,13 @@
 
 Every filesystem side effect the spool performs — renames, stats, scans,
 writes, unlinks — goes through this module instead of calling
-:mod:`os` directly.  That buys two things:
-
-* **Fault injection.**  Tests install a hook (:func:`install_fault_hook`)
-  that observes ``(op, path)`` *before* the real call and may raise an
-  :class:`OSError` (a transient filesystem error), sleep (a loaded parallel
-  filesystem), or raise ``SystemExit`` (sudden worker death at exactly that
-  point).  The fault-injection suite uses this to prove the spool's
-  claim/lease contracts hold under failure, and the saturation benchmark
-  uses delay mode to model PFS latency.
-* **Accounting.**  The same hook point counts operations, which is how the
-  scale tests demonstrate the sharded layout's O(shards-touched) bounds.
+:mod:`os` directly.  That buys fault injection: tests install a hook
+(:func:`install_fault_hook`) that observes ``(op, path)`` *before* the real
+call and may raise an :class:`OSError` (a transient filesystem error), sleep
+(a loaded parallel filesystem), or raise ``SystemExit`` (sudden worker death
+at exactly that point).  The fault-injection suite uses this to prove the
+spool's claim/lease contracts hold under failure, and the saturation
+benchmark uses delay mode to model PFS latency.
 
 Production behaviour is a straight pass-through costing one ``None`` check
 per call.  Setting ``REPRO_SPOOL_FAULT_RATE`` (a probability) arms a seeded
@@ -33,7 +29,7 @@ import os
 import random
 import threading
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,7 +38,6 @@ from repro.store.filesystem import atomic_write_text
 
 __all__ = [
     "FaultInjector",
-    "OpCounter",
     "fault_hook",
     "install_fault_hook",
     "exists",
@@ -123,24 +118,6 @@ class FaultInjector:
                     self.injected += 1
             if fire:
                 raise OSError(errno.EIO, f"injected fault: {op} {path}")
-
-
-@dataclass
-class OpCounter:
-    """A hook that counts operations (optionally chained to another hook)."""
-
-    chain: Callable[[str, str], None] | None = None
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def __call__(self, op: str, path: str) -> None:
-        self.counts[op] = self.counts.get(op, 0) + 1
-        if self.chain is not None:
-            self.chain(op, path)
-
-    def total(self, ops: Iterable[str] | None = None) -> int:
-        if ops is None:
-            return sum(self.counts.values())
-        return sum(self.counts.get(op, 0) for op in ops)
 
 
 def _env_number(name: str, *, high: float) -> float:

@@ -18,6 +18,7 @@ machine.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
@@ -154,10 +155,14 @@ class Scenario:
             normalized = tuple(canonical_strategy(s) for s in self.strategies)
         except ConfigurationError as exc:
             raise ConfigurationError(f"scenario {self.name!r}: {exc}") from exc
-        if len(set(normalized)) != len(normalized):
+        counts = Counter(normalized)
+        repeated = [strategy for strategy, count in counts.items() if count > 1]
+        if repeated:
+            first = repeated[0]
             raise ConfigurationError(
                 f"scenario {self.name!r} selects the same strategy twice "
-                f"(after normalisation): {', '.join(normalized)}"
+                f"(after normalisation): {short_repr(first)} is selected {counts[first]} "
+                f"times, and {len(repeated)} of {len(counts)} distinct strategies repeat"
             )
         object.__setattr__(self, "strategies", normalized)
         if not _is_integer(self.num_runs) or self.num_runs <= 0:

@@ -1,8 +1,9 @@
 """Campaign jobs: background execution behind the results service.
 
 :class:`JobManager` turns a submitted :class:`~repro.scenarios.campaign.Campaign`
-into a :class:`CampaignJob` that runs on a daemon thread, one job at a time,
-through the ordinary :func:`~repro.scenarios.runner.run_campaign` — the
+into a :class:`CampaignJob` and queues it.  One daemon thread runs the
+queued jobs one at a time, in submission order, through the ordinary
+:func:`~repro.scenarios.runner.run_campaign` — the
 service layer adds *no* execution semantics of its own, so a job's
 :class:`~repro.scenarios.runner.CampaignResult` is repr-identical to the
 same campaign run from the CLI against the same store.  All jobs share one
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from collections.abc import Mapping
 
 from repro.errors import ConfigurationError, short_repr
@@ -218,8 +220,10 @@ class JobManager:
         self._jobs: dict[str, CampaignJob] = {}
         self._lock = threading.Lock()
         self._counter = 0
-        #: Held by the one job that runs; later jobs wait for it as ``queued``.
-        self._run_lock = threading.Lock()
+        #: Jobs waiting to run, oldest first, and the one thread that runs
+        #: them (``None`` while the queue is empty); both guarded by ``_lock``.
+        self._queued: deque[CampaignJob] = deque()
+        self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------ execution
     def _make_runner(self, progress) -> ParallelRunner:
@@ -231,39 +235,51 @@ class JobManager:
         )
 
     def submit(self, campaign: Campaign) -> CampaignJob:
-        """Register ``campaign`` and run it on a daemon thread once every
-        earlier job has finished."""
+        """Register ``campaign`` and queue it behind every earlier job."""
         with self._lock:
             self._counter += 1
             job = CampaignJob(f"job-{self._counter:04d}", campaign)
             self._jobs[job.id] = job
-        thread = threading.Thread(target=self._run, args=(job,), name=job.id, daemon=True)
-        thread.start()
+            self._queued.append(job)
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._drain, name="campaign-jobs", daemon=True
+                )
+                self._thread.start()
         return job
 
-    def _run(self, job: CampaignJob) -> None:
+    def _drain(self) -> None:
         # One job at a time: a burst of submissions queues up instead of
         # running every campaign at once, and each job starts from the
-        # store its predecessors warmed.
-        with self._run_lock:
-            with job._lock:
-                job.state = "running"
-                job.started_at = time.time()
+        # store its predecessors warmed.  The thread ends with the queue;
+        # the next submission starts another.
+        while True:
+            with self._lock:
+                if not self._queued:
+                    self._thread = None
+                    return
+                job = self._queued.popleft()
+            self._run(job)
+
+    def _run(self, job: CampaignJob) -> None:
+        with job._lock:
+            job.state = "running"
+            job.started_at = time.time()
+        try:
+            runner = self._make_runner(job.on_progress)
             try:
-                runner = self._make_runner(job.on_progress)
-                try:
-                    result = run_campaign(job.campaign, runner)
-                finally:
-                    runner.close()
-                with job._lock:
-                    job.result = result
-                    job.state = "done"
-                    job.finished_at = time.time()
-            except Exception as exc:  # a failed job must never kill the service
-                with job._lock:
-                    job.error = f"{type(exc).__name__}: {exc}"
-                    job.state = "failed"
-                    job.finished_at = time.time()
+                result = run_campaign(job.campaign, runner)
+            finally:
+                runner.close()
+            with job._lock:
+                job.result = result
+                job.state = "done"
+                job.finished_at = time.time()
+        except Exception as exc:  # a failed job must never kill the service
+            with job._lock:
+                job.error = f"{type(exc).__name__}: {exc}"
+                job.state = "failed"
+                job.finished_at = time.time()
 
     # ------------------------------------------------------------ queries
     def get(self, job_id: str) -> CampaignJob | None:

@@ -17,7 +17,8 @@ A :class:`Simulation` reproduces the discrete-event simulator described in
    is summarised by a :class:`~repro.simulation.results.SimulationResult`.
 
 The job life cycle is implemented with small event handlers on the
-simulation object; per-job bookkeeping lives in :class:`_JobContext`.  Every
+simulation object; per-job bookkeeping lives in :class:`_JobContext`, and
+the run keeps the restarts it submits in ``Simulation.restarts``.  Every
 transfer a job waits for (input, recovery, regular I/O, final output) is
 submitted by ``Simulation._submit_blocking`` and completed by
 ``Simulation._blocking_done``; checkpoints have their own handlers because
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.apps.app_class import ApplicationClass
 from repro.apps.job import Job
-from repro.apps.phases import IOKind, JobState
+from repro.apps.phases import IOKind
 from repro.errors import SimulationError
 from repro.iosched.base import IORequest, IOScheduler
 from repro.iosched.registry import Strategy, make_strategy
@@ -61,13 +62,12 @@ _MIN_RESTART_WORK_S = 1.0
 #: the commit time C.
 _MIN_CHECKPOINT_GAP_S = 1.0
 
-#: Per blocking transfer kind: the job's state while it runs and the trace
-#: event its completion records.
-_BLOCKING: dict[IOKind, tuple[JobState, TraceEventType]] = {
-    IOKind.INPUT: (JobState.INPUT_IO, TraceEventType.INPUT_DONE),
-    IOKind.RECOVERY: (JobState.RECOVERY_IO, TraceEventType.INPUT_DONE),
-    IOKind.REGULAR: (JobState.REGULAR_IO, TraceEventType.REGULAR_IO_DONE),
-    IOKind.OUTPUT: (JobState.OUTPUT_IO, TraceEventType.OUTPUT_DONE),
+#: Per blocking transfer kind: the trace event its completion records.
+_BLOCKING: dict[IOKind, TraceEventType] = {
+    IOKind.INPUT: TraceEventType.INPUT_DONE,
+    IOKind.RECOVERY: TraceEventType.INPUT_DONE,
+    IOKind.REGULAR: TraceEventType.REGULAR_IO_DONE,
+    IOKind.OUTPUT: TraceEventType.OUTPUT_DONE,
 }
 
 
@@ -87,6 +87,8 @@ class _JobContext:
     checkpoint_due_event: Event | None = None
     regular_event: Event | None = None
     pending_checkpoint: IORequest | None = None
+    #: Work the pending checkpoint holds, captured when it is granted.
+    captured_work_s: float | None = None
     blocking_request: IORequest | None = None
     checkpoint_overdue: bool = False
     milestones: list[float] = field(default_factory=list)
@@ -146,9 +148,9 @@ class Simulation:
             )
         self.failure_trace = failure_trace
 
-        # Per-job runtime state and pending checkpoint captures.
+        # Per-job runtime state, and the restarts in submission order.
         self._contexts: dict[int, _JobContext] = {}
-        self._captures: dict[IORequest, float] = {}
+        self.restarts: list[Job] = []
         self._restart_priority = -1_000_000.0
 
         #: Optional per-job execution trace (None unless requested).
@@ -157,7 +159,6 @@ class Simulation:
         # Counters.
         self.jobs_completed = 0
         self.jobs_failed = 0
-        self.restarts_submitted = 0
         self.failures_effective = 0
         self.checkpoints_completed = 0
         self.checkpoints_requested = 0
@@ -169,12 +170,12 @@ class Simulation:
 
         Once the result is built, the run drops every pending callback: the
         event queue, the transfers still in flight, the I/O scheduler's
-        queues, the job contexts and the checkpoint captures.  Each of them
-        refers back to this simulation, so without this step a finished run
-        would be freed only by the cycle collector; with it, reference
-        counting frees the run as soon as the caller drops it.  ``jobs``,
-        ``trace``, ``accounting``, ``failure_trace`` and the counters stay
-        readable on any reference the caller keeps.
+        queues and the job contexts.  Each of them refers back to this
+        simulation, so without this step a finished run would be freed only
+        by the cycle collector; with it, reference counting frees the run as
+        soon as the caller drops it.  ``jobs``, ``restarts``, ``trace``,
+        ``accounting``, ``failure_trace`` and the counters stay readable on
+        any reference the caller keeps.
         """
         if self._ran:
             raise SimulationError("Simulation.run() can only be called once per instance")
@@ -193,7 +194,6 @@ class Simulation:
         self.io.clear()
         self.io_sched.clear()
         self._contexts.clear()
-        self._captures.clear()
         return result
 
     # ================================================================ setup
@@ -210,7 +210,6 @@ class Simulation:
         now = self.engine.now
         context = _JobContext(job=job, allocated_at=now)
         self._contexts[job.job_id] = context
-        job.start_time = now
         self._record(job, TraceEventType.JOB_START, nodes=len(nodes), restart=job.is_restart)
 
         if job.input_bytes and job.input_bytes > 0.0:
@@ -227,7 +226,6 @@ class Simulation:
         self, job: Job, context: _JobContext, kind: IOKind, volume_bytes: float
     ) -> None:
         """Block ``job`` on one input, recovery, regular or output transfer."""
-        job.state = _BLOCKING[kind][0]
         request = IORequest(
             job=job,
             kind=kind,
@@ -251,7 +249,7 @@ class Simulation:
         detail = {"io_kind": kind.value} if reads else {}
         self._record(
             job,
-            _BLOCKING[kind][1],
+            _BLOCKING[kind],
             **detail,
             waited=request.waited,
             duration=(request.completed_at or 0.0) - (request.granted_at or 0.0),
@@ -268,7 +266,6 @@ class Simulation:
         """First entry into the compute phase (after input/recovery)."""
         now = self.engine.now
         context = self._context(job)
-        job.state = JobState.COMPUTING
         job.last_capture_time = now
 
         # Precompute the job's whole phase schedule once: the regular-I/O
@@ -339,7 +336,6 @@ class Simulation:
             return
         if job.work_done_s >= job.total_work_s:
             return
-        job.state = JobState.COMPUTING
         if not job.progressing:
             self._start_progress(job)
         if context.checkpoint_overdue:
@@ -365,7 +361,6 @@ class Simulation:
             return
 
         self.checkpoints_requested += 1
-        job.checkpoints_requested += 1
         request = IORequest(
             job=job,
             kind=IOKind.CHECKPOINT,
@@ -380,7 +375,6 @@ class Simulation:
         # waits for the I/O token.
         if not self.io_sched.nonblocking_checkpoints:
             self._stop_progress(job)
-        job.state = JobState.CHECKPOINT_WAIT
         self.io_sched.submit(request)
 
     def _checkpoint_granted(self, request: IORequest) -> None:
@@ -390,19 +384,18 @@ class Simulation:
             return
         now = self.engine.now
         # The checkpoint content captures the job's progress at this instant.
-        self._captures[request] = job.work_done_at(now)
+        context.captured_work_s = job.work_done_at(now)
         job.last_capture_time = now
         self._record(job, TraceEventType.CHECKPOINT_START, waited=request.waited)
         # The job does not progress while its checkpoint data is written.
         self._stop_progress(job)
-        job.state = JobState.CHECKPOINTING
 
     def _checkpoint_done(self, request: IORequest) -> None:
         job = request.job
         context = self._contexts.get(job.job_id)
-        captured = self._captures.pop(request, None)
         if context is None or request.cancelled:
             return
+        captured, context.captured_work_s = context.captured_work_s, None
         context.pending_checkpoint = None
         self._account_request(request)
         if captured is not None:
@@ -453,16 +446,15 @@ class Simulation:
             self._complete_job(job)
 
     def _complete_job(self, job: Job) -> None:
-        self._end_job(job, JobState.COMPLETED)
+        self._end_job(job)
         self.jobs_completed += 1
         self._record(job, TraceEventType.JOB_COMPLETE)
         self._dispatch()
 
-    def _end_job(self, job: Job, state: JobState) -> None:
-        """Close a completed or failed job: state, end time, allocation, nodes, context."""
+    def _end_job(self, job: Job) -> None:
+        """Close a completed or failed job: end time, allocation, nodes, context."""
         now = self.engine.now
         context = self._contexts.pop(job.job_id)
-        job.state = state
         job.end_time = now
         self.accounting.record_allocation(job.nodes, context.allocated_at, now)
         self.pool.release_owner(job)
@@ -493,9 +485,7 @@ class Simulation:
 
         self.engine.cancel(context.checkpoint_due_event)
         self.io_sched.cancel_job(job)
-        if context.pending_checkpoint is not None:
-            self._captures.pop(context.pending_checkpoint, None)
-        self._end_job(job, JobState.FAILED)
+        self._end_job(job)
         self.jobs_failed += 1
         self._record(job, TraceEventType.JOB_FAILED, node_id=node_id, lost_work=lost)
 
@@ -518,7 +508,7 @@ class Simulation:
             parent_id=failed.job_id,
             restart_count=failed.restart_count + 1,
         )
-        self.restarts_submitted += 1
+        self.restarts.append(restart)
         self._record(
             restart,
             TraceEventType.RESTART_SUBMITTED,
@@ -603,7 +593,7 @@ class Simulation:
             jobs_submitted=len(self.jobs),
             jobs_completed=self.jobs_completed,
             jobs_failed=self.jobs_failed,
-            restarts_submitted=self.restarts_submitted,
+            restarts_submitted=len(self.restarts),
             failures_total=len(self.failure_trace),
             failures_effective=self.failures_effective,
             checkpoints_completed=self.checkpoints_completed,

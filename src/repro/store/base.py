@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, short_repr
 
 __all__ = [
     "CacheStats",
@@ -49,6 +49,7 @@ __all__ = [
     "GcReport",
     "RawRecord",
     "ResultStore",
+    "check_age_limit",
     "entry_body",
     "open_store",
     "parse_entry",
@@ -98,6 +99,18 @@ class GcReport:
     removed: int = 0
     reclaimed_bytes: int = 0
     dry_run: bool = False
+
+
+def check_age_limit(older_than_s: float | None) -> None:
+    """Refuse a ``gc`` age limit that is negative or not finite.
+
+    A negative limit would remove every entry, and NaN none, without a word.
+    """
+    if older_than_s is not None and not (older_than_s >= 0.0 and math.isfinite(older_than_s)):
+        raise ConfigurationError(
+            "gc's age limit must be a non-negative, finite number of seconds, "
+            f"got {short_repr(older_than_s)}"
+        )
 
 
 def entry_body(digest: str, strategy: str, seed: int, value: float) -> str:
@@ -229,6 +242,8 @@ class ResultStore:
         entries, ``"corrupt"`` matches unparseable ones).  With both
         criteria given an entry is removed when *either* matches; with
         neither, nothing is removed.  ``dry_run`` counts without deleting.
+        A negative or non-finite ``older_than_s`` is a
+        :class:`~repro.errors.ConfigurationError` (:func:`check_age_limit`).
         """
         raise NotImplementedError
 

@@ -53,6 +53,7 @@ from repro.store.base import (
     GcReport,
     RawRecord,
     ResultStore,
+    check_age_limit,
     parse_entry,
     register_store,
     serves_version,
@@ -331,6 +332,7 @@ class FilesystemStore(ResultStore):
         Empty digest/strategy directories left behind are cleaned up as
         well (see :meth:`ResultStore.gc` for the criteria).
         """
+        check_age_limit(older_than_s)
         if older_than_s is None and digest_version is None:
             return GcReport(scanned=sum(1 for _ in self._entries()), dry_run=dry_run)
         now = time.time()

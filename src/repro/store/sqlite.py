@@ -43,6 +43,7 @@ from repro.store.base import (
     GcReport,
     RawRecord,
     ResultStore,
+    check_age_limit,
     parse_entry,
     register_store,
     serves_version,
@@ -276,6 +277,7 @@ class SqliteStore(ResultStore):
         """Prune by age and/or digest version; same semantics as the
         filesystem store (either criterion removes; ``dry_run`` counts
         without deleting)."""
+        check_age_limit(older_than_s)
         conn = self._connect()
         if older_than_s is None and digest_version is None:
             return GcReport(scanned=len(self), dry_run=dry_run)

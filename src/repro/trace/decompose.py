@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from repro.errors import AnalysisError
 from repro.simulation.results import CATEGORY_FIELDS, SimulationResult
 from repro.simulation.simulator import Simulation
-from repro.simulation.trace import TraceEventType
 
 __all__ = ["JobWaste", "WasteDecomposition"]
 
@@ -105,10 +104,10 @@ class WasteDecomposition:
     ) -> "WasteDecomposition":
         """Build the decomposition of a completed trace-enabled run.
 
-        Requires the simulation to have run with ``collect_trace=True``
-        (which also enables per-job accounting).
+        Requires the simulation to have run with ``collect_trace=True``,
+        which enables the per-job accounting ledgers the rows read.
         """
-        if sim.trace is None or not sim.accounting.tracks_jobs:
+        if not sim.accounting.tracks_jobs:
             raise AnalysisError(
                 "waste decomposition needs a trace-enabled run "
                 "(SimulationConfig.collect_trace=True)"
@@ -172,23 +171,15 @@ def _stable_job_labels(sim: Simulation) -> list[tuple[int, str]]:
     ``Job.job_id`` comes from a process-global counter, so raw ids differ
     between two runs of the same cell in one process.  Labels are instead
     derived from submission order: initial jobs are ``<class>#<ordinal>``
-    (1-based, generation order), and each restart appends ``+r`` to its
-    parent's label (chaining for repeated failures), in resubmission order
-    from the trace.
+    (1-based, generation order, ``sim.jobs``), and each restart appends
+    ``+r`` to the label of the job it resubmits (``Job.parent_id``,
+    chaining for repeated failures), in resubmission order
+    (``sim.restarts``, where a parent always precedes its restart).
     """
-    assert sim.trace is not None
     labels: dict[int, str] = {}
-    ordered: list[tuple[int, str]] = []
     for ordinal, job in enumerate(sim.jobs, start=1):
-        label = f"{job.app_class.name}#{ordinal}"
-        labels[job.job_id] = label
-        ordered.append((job.job_id, label))
-    for event in sim.trace.of_kind(TraceEventType.RESTART_SUBMITTED):
-        parent = event.detail.get("parent")
-        # A malformed detail dict (no int parent) degrades to the "job#?"
-        # placeholder rather than mislabelling some unrelated job.
-        base = labels.get(parent, "job#?") if isinstance(parent, int) else "job#?"
-        label = base + "+r"
-        labels[event.job_id] = label
-        ordered.append((event.job_id, label))
-    return ordered
+        labels[job.job_id] = f"{job.app_class.name}#{ordinal}"
+    for restart in sim.restarts:
+        assert restart.parent_id is not None
+        labels[restart.job_id] = labels[restart.parent_id] + "+r"
+    return list(labels.items())

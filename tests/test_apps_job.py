@@ -1,11 +1,10 @@
-"""Job state and progress tracking (repro.apps.job)."""
+"""Job parameters and progress tracking (repro.apps.job)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.apps.job import Job
-from repro.apps.phases import JobState
 from repro.errors import SimulationError
 from repro.units import HOUR
 
@@ -22,7 +21,7 @@ def test_job_inherits_class_characteristics(tiny_classes, job):
     assert job.output_bytes == alpha.output_bytes
     assert job.checkpoint_bytes == alpha.checkpoint_bytes
     assert alpha.name in job.name
-    assert job.state is JobState.PENDING
+    assert job.end_time is None
 
 
 def test_job_ids_are_unique(tiny_classes):
@@ -66,7 +65,6 @@ def test_protect_work_monotone_and_capped(job):
     job.pause_progress(HOUR)
     job.protect_work(HOUR)
     assert job.work_protected_s == pytest.approx(HOUR)
-    assert job.checkpoints_completed == 1
     with pytest.raises(SimulationError):
         job.protect_work(HOUR / 2)
     job.protect_work(100 * HOUR)  # capped at total work

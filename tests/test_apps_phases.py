@@ -1,8 +1,8 @@
-"""Job states and I/O kinds (repro.apps.phases)."""
+"""I/O request kinds (repro.apps.phases)."""
 
 from __future__ import annotations
 
-from repro.apps.phases import IOKind, JobState
+from repro.apps.phases import IOKind
 
 
 def test_io_kind_checkpoint_flag():
@@ -12,6 +12,6 @@ def test_io_kind_checkpoint_flag():
 
 
 def test_enum_values_are_unique_strings():
-    values = [state.value for state in JobState]
+    values = [kind.value for kind in IOKind]
     assert len(values) == len(set(values))
     assert all(isinstance(v, str) for v in values)

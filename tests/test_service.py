@@ -138,9 +138,8 @@ def test_jobs_run_one_at_a_time(tmp_path, monkeypatch):
         assert sorted(job.snapshot()["state"] for job in jobs) == ["queued", "running"]
         gate.set()
         _wait_until(lambda: all(job.snapshot()["state"] == "done" for job in jobs))
-        first, second = sorted(
-            (job.snapshot() for job in jobs), key=lambda snapshot: snapshot["started_at"]
-        )
+        first, second = (job.snapshot() for job in jobs)
+        assert first["started_at"] <= second["started_at"]
         assert first["seeds_simulated"] == 8
         assert second["seeds_simulated"] == 0 and second["seeds_cached"] == 8
 
@@ -152,6 +151,84 @@ def test_jobs_run_one_at_a_time(tmp_path, monkeypatch):
     finally:
         gate.set()
         store.close()
+
+
+def test_queued_jobs_share_one_thread_and_start_in_submission_order(tmp_path, monkeypatch):
+    """Jobs queued behind a running one hold no thread of their own, and
+    the one thread that runs them takes them in submission order."""
+    import threading
+
+    from repro.scenarios.presets import make_campaign
+
+    gate = threading.Event()
+    started: list[object] = []
+
+    def gated_run_campaign(campaign, runner=None):
+        started.append(campaign)
+        assert gate.wait(120.0)
+        return run_campaign(campaign, runner)
+
+    monkeypatch.setattr("repro.service.jobs.run_campaign", gated_run_campaign)
+    store = open_store("sqlite", tmp_path / "db.sqlite")
+    manager = JobManager(store)
+    threads_before = threading.active_count()
+    try:
+        campaigns = [make_campaign("smoke", num_runs=1) for _ in range(11)]
+        jobs = [manager.submit(campaign) for campaign in campaigns]
+        _wait_until(lambda: jobs[0].snapshot()["state"] == "running")
+        assert threading.active_count() <= threads_before + 1
+        assert [job.snapshot()["state"] for job in jobs[1:]] == ["queued"] * 10
+        gate.set()
+        _wait_until(lambda: all(job.snapshot()["state"] == "done" for job in jobs))
+        assert started == campaigns
+        starts = [job.snapshot()["started_at"] for job in jobs]
+        assert starts == sorted(starts)
+    finally:
+        gate.set()
+        store.close()
+
+
+def test_concurrent_submissions_run_every_job_once(tmp_path, monkeypatch):
+    """Submitters racing the queue's one thread, including the moment it
+    finds the queue empty and ends, lose no job and run none twice.  Each
+    round ends with the queue drained, so its last submission is the one a
+    lost wake-up would strand."""
+    import sys
+    import threading
+
+    from repro.scenarios.presets import make_campaign
+
+    ran: list[object] = []
+    monkeypatch.setattr(
+        "repro.service.jobs.run_campaign", lambda campaign, runner=None: ran.append(campaign)
+    )
+    store = open_store("sqlite", tmp_path / "db.sqlite")
+    manager = JobManager(store)
+    campaign = make_campaign("smoke", num_runs=1)
+
+    def submit_some():
+        for _ in range(2):
+            manager.submit(campaign)
+            time.sleep(0.0005)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            submitters = [threading.Thread(target=submit_some) for _ in range(6)]
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            _wait_until(
+                lambda: all(job.snapshot()["state"] == "done" for job in manager.jobs()),
+                timeout_s=30.0,
+            )
+    finally:
+        sys.setswitchinterval(interval)
+        store.close()
+    assert len(manager.jobs()) == len(ran) == 120
 
 
 def test_healthz_metrics_and_presets(service):
@@ -498,6 +575,32 @@ def test_long_names_keys_paths_and_ids_give_short_errors(service, tmp_path, caps
         service, f"/v1/jobs/{done['id']}/trace?scenario={long}&strategy=least-waste"
     )
     assert code == 400 and len(body["error"]) < 300 and "no scenario named" in body["error"]
+
+
+@pytest.mark.parametrize(
+    "strategies, first",
+    [
+        (["least-waste"] * 5000, "'least-waste' is selected 5000 times"),
+        (
+            [f"least-waste[mtbf_bias={bias}]" for bias in range(2, 2502)] * 2,
+            "'least-waste[mtbf_bias=2]' is selected 2 times",
+        ),
+    ],
+    ids=["one-strategy-5000-times", "2500-strategies-twice"],
+)
+def test_a_repeated_strategy_gives_a_short_error(service, strategies, first):
+    """A strategy list that repeats itself is refused by its first repeated
+    strategy and a count, not by echoing the whole list."""
+    request = {"preset": "smoke", "strategies": strategies}
+    with pytest.raises(ConfigurationError) as excinfo:
+        campaign_from_request(request)
+    message = str(excinfo.value)
+    assert len(message) < 300 and "twice" in message and first in message, message[:300]
+    code, body = _expect_error(
+        service, "/v1/jobs", method="POST", data=json.dumps(request).encode()
+    )
+    assert code == 400 and body["error"] == message
+    assert service.manager.jobs() == []
 
 
 # ------------------------------------------------------------------ CLI

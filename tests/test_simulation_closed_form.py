@@ -18,6 +18,8 @@ All categories are node-seconds (seconds x 4 nodes per job).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.apps.job import Job
@@ -25,15 +27,17 @@ from repro.platform.failures import FailureEvent, FailureTrace
 from repro.simulation.config import SimulationConfig
 from repro.simulation.results import WasteBreakdown
 from repro.simulation.simulator import Simulation
-from repro.units import DAY, HOUR
+from repro.simulation.trace import TraceEventType
+from repro.units import DAY, GB, HOUR
 
 
-def run(tiny_platform, tiny_classes, strategy, *, work_s, count, failures=()):
-    """One run of ``count`` alpha jobs of ``work_s`` seconds each."""
-    alpha = tiny_classes[0]
-    config = SimulationConfig(
+def simulate(tiny_platform, app_class, strategy, *, work_s, count=1, failures=(), **overrides):
+    """Run ``count`` jobs of ``app_class`` of ``work_s`` seconds each;
+    ``overrides`` replace fields of the configuration.  Returns the result
+    and the finished simulation."""
+    fields = dict(
         platform=tiny_platform.with_node_mtbf(3_240_000.0),
-        classes=(alpha,),
+        classes=(app_class,),
         strategy=strategy,
         horizon_s=0.5 * DAY,
         warmup_s=0.0,
@@ -41,11 +45,27 @@ def run(tiny_platform, tiny_classes, strategy, *, work_s, count, failures=()):
         fixed_period_s=HOUR,
         seed=0,
     )
-    jobs = [Job(app_class=alpha, total_work_s=work_s, priority=0.0) for _ in range(count)]
+    config = SimulationConfig(**{**fields, **overrides})
+    jobs = [Job(app_class=app_class, total_work_s=work_s, priority=0.0) for _ in range(count)]
     trace = FailureTrace(
         [FailureEvent(time, node) for time, node in failures], horizon=config.horizon_s
     )
-    return Simulation(config, jobs=jobs, failure_trace=trace).run(), jobs
+    sim = Simulation(config, jobs=jobs, failure_trace=trace)
+    return sim.run(), sim
+
+
+def run(tiny_platform, tiny_classes, strategy, *, work_s, count, failures=()):
+    """One run of ``count`` alpha jobs of ``work_s`` seconds each."""
+    result, sim = simulate(
+        tiny_platform, tiny_classes[0], strategy, work_s=work_s, count=count, failures=failures
+    )
+    return result, sim.jobs
+
+
+def completions(sim):
+    """Times at which the run's jobs, restarts included, completed."""
+    assert sim.trace is not None
+    return [event.time for event in sim.trace.of_kind(TraceEventType.JOB_COMPLETE)]
 
 
 #: Every family in each spelling: the seven names, a tuned Least-Waste, and
@@ -56,9 +76,10 @@ NONBLOCKING = [
     "orderednb-fixed", "orderednb-daly", "least-waste", "least-waste[mtbf_bias=2]",
     "least-waste[policy=fixed]",
 ]
+EVERY_SPELLING = OBLIVIOUS + ORDERED + NONBLOCKING
 
 
-@pytest.mark.parametrize("strategy", OBLIVIOUS + ORDERED + NONBLOCKING)
+@pytest.mark.parametrize("strategy", EVERY_SPELLING)
 def test_a_lone_job_without_failure(tiny_platform, tiny_classes, strategy):
     # Input 0-2.  Commits at 3 602-3 610, 7 202-7 210, 10 802-10 810,
     # 14 402-14 410 and 18 002-18 010 (work 3 600 + 4 x 3 592 = 17 968 by
@@ -202,3 +223,179 @@ def test_a_failure_during_the_first_commits(
     assert result.jobs_completed == 2
     assert result.restarts_submitted == 1
     assert result.failures_effective == 1
+
+
+# ------------------------------------------------------------ one more lone job
+# A lone job meets no other transfer, so every spelling of every family runs
+# it the same way: each case below holds for all of them.
+
+
+@pytest.mark.parametrize("strategy", EVERY_SPELLING)
+def test_regular_io_between_the_checkpoints(tiny_platform, tiny_classes, strategy):
+    # 4 GB of routine I/O in the default 4 chunks: 1 GB (1 s) after every
+    # 5 000 / 5 = 1 000 s of work.  Input 0-2; chunks at 1 002-1 003,
+    # 2 003-2 004 and 3 004-3 005.  The checkpoint falls due 3 600 s after
+    # compute began, at 3 602, with 3 000 + 597 = 3 597 s of work done; it
+    # commits 3 602-3 610.  The fourth chunk comes 403 s later, 4 013-4 014,
+    # the work ends 1 000 s after it, at 5 014 (before the next checkpoint,
+    # due at 3 610 + 3 592 = 7 202), and the output ends at 5 018.
+    app = dataclasses.replace(tiny_classes[0], routine_io_bytes=4 * GB)
+    result, sim = simulate(tiny_platform, app, strategy, work_s=5_000.0)
+    assert result.breakdown == WasteBreakdown(
+        compute=5_000.0 * 4,  # 20 000
+        base_io=(2.0 + 4 * 1.0 + 4.0) * 4,  # input, four chunks, output: 40
+        io_delay=0.0,
+        checkpoint=8.0 * 4,  # 32
+        checkpoint_wait=0.0,
+        recovery=0.0,
+        lost_work=0.0,
+        allocated=5_018.0 * 4,  # 20 072
+    )
+    assert result.checkpoints_completed == 1
+    assert sim.jobs[0].end_time == 5_018.0
+
+
+@pytest.mark.parametrize("strategy", EVERY_SPELLING)
+def test_a_checkpoint_due_during_regular_io_waits_for_it(tiny_platform, tiny_classes, strategy):
+    # One chunk of 200 GB after 7 000 / 2 = 3 500 s of work: 3 502-3 702.
+    # The checkpoint falls due inside it, at 3 602, and is taken when it
+    # ends: it holds the 3 500 s done then and commits 3 702-3 710.  The
+    # other 3 500 s end at 7 210, before the next request (3 710 + 3 592
+    # = 7 302), and the output ends at 7 214.
+    app = dataclasses.replace(tiny_classes[0], routine_io_bytes=200 * GB)
+    result, sim = simulate(tiny_platform, app, strategy, work_s=7_000.0, routine_io_chunks=1)
+    assert result.breakdown == WasteBreakdown(
+        compute=7_000.0 * 4,  # 28 000
+        base_io=(2.0 + 200.0 + 4.0) * 4,  # 824
+        io_delay=0.0,
+        checkpoint=8.0 * 4,  # 32
+        checkpoint_wait=0.0,
+        recovery=0.0,
+        lost_work=0.0,
+        allocated=7_214.0 * 4,  # 28 856
+    )
+    assert result.checkpoints_completed == 1
+    assert sim.jobs[0].end_time == 7_214.0
+
+
+@pytest.mark.parametrize("strategy", EVERY_SPELLING)
+def test_the_window_clips_every_category(tiny_platform, tiny_classes, strategy):
+    # The lone 5.5 h job of the first case, measured over [3 000, 18 000]:
+    # a 6 h horizon less a 3 000 s warm-up and a 3 600 s cool-down (both
+    # under the quarter-horizon cap of 5 400 s).  The input (0-2) falls
+    # before the window and the fifth commit (18 002-18 010) and the output
+    # after it.  In it: compute 3 000-3 602, three whole intervals of
+    # 3 592 s and 14 410-18 000 (602 + 10 776 + 3 590 = 14 968 s), and the
+    # four commits at 3 602, 7 202, 10 802 and 14 402 (32 s).  The job is
+    # allocated over the whole window: 15 000 s.
+    result, sim = simulate(
+        tiny_platform, tiny_classes[0], strategy, work_s=5.5 * HOUR,
+        horizon_s=6 * HOUR, warmup_s=3_000.0, cooldown_s=3_600.0,
+    )
+    assert result.window == (3_000.0, 18_000.0)
+    assert result.breakdown == WasteBreakdown(
+        compute=14_968.0 * 4,  # 59 872
+        base_io=0.0,
+        io_delay=0.0,
+        checkpoint=4 * 8.0 * 4,  # 128
+        checkpoint_wait=0.0,
+        recovery=0.0,
+        lost_work=0.0,
+        allocated=15_000.0 * 4,  # 60 000
+    )
+    assert result.checkpoints_completed == 5
+    assert sim.jobs[0].end_time == 19_846.0
+
+
+@pytest.mark.parametrize("strategy", EVERY_SPELLING)
+def test_a_failure_on_an_idle_node_changes_nothing(tiny_platform, tiny_classes, strategy):
+    # Node 15 is never allocated, and node 0 fails after the job ended on
+    # it (19 846): the run is the first case's, with two failures counted
+    # and none effective.
+    result, sim = simulate(
+        tiny_platform, tiny_classes[0], strategy, work_s=5.5 * HOUR,
+        failures=[(HOUR, 15), (20_000.0, 0)],
+    )
+    lone, _ = run(tiny_platform, tiny_classes, strategy, work_s=5.5 * HOUR, count=1)
+    assert result.breakdown == lone.breakdown
+    assert result.checkpoints_completed == 5
+    assert sim.jobs[0].end_time == 19_846.0
+    assert (result.failures_total, result.failures_effective) == (2, 0)
+    assert (result.jobs_failed, result.restarts_submitted) == (0, 0)
+
+
+# A failure during a transfer aborts it, and the aborted node-seconds are not
+# charged to any category yet, so these cases leave out the category that
+# transfer would land in.  Everything else is exact: the restart's timing,
+# the counters, and the categories the aborted transfer does not touch.  A
+# restart starts on the freed nodes at once, so the job and its restarts
+# hold 4 nodes from 0 until the last one ends.
+
+
+@pytest.mark.parametrize("strategy", EVERY_SPELLING)
+def test_a_failure_during_the_input(tiny_platform, tiny_classes, strategy):
+    # Node 0 fails at 1, half-way through the 2 s input.  Nothing was
+    # computed, so nothing is lost.  The restart has no checkpoint and
+    # re-reads the 2 GB input as recovery, 1-3; then it runs the first
+    # case's schedule 1 s later: five commits and an output ending at
+    # 19 847.
+    result, sim = simulate(
+        tiny_platform, tiny_classes[0], strategy, work_s=5.5 * HOUR,
+        failures=[(1.0, 0)], collect_trace=True,
+    )
+    breakdown = result.breakdown
+    assert breakdown.compute == 19_800.0 * 4
+    assert breakdown.checkpoint == 5 * 8.0 * 4
+    assert breakdown.recovery == 2.0 * 4
+    assert breakdown.lost_work == 0.0
+    assert breakdown.allocated == 19_847.0 * 4
+    assert completions(sim) == [19_847.0]
+    assert result.checkpoints_completed == 5
+    assert (result.jobs_failed, result.restarts_submitted, result.jobs_completed) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("strategy", EVERY_SPELLING)
+def test_a_failure_during_the_recovery(tiny_platform, tiny_classes, strategy):
+    # Node 0 fails at 1 800, before the first checkpoint: the 1 798 s
+    # computed since the input are lost.  The restart re-reads the 2 GB
+    # input as recovery, 1 800-1 802, and node 1 fails at 1 801, during
+    # it; nothing more is lost.  The second restart reads the input again,
+    # 1 801-1 803, and runs the whole 19 800 s: commits at 5 403, 9 003,
+    # 12 603, 16 203 and 19 803, the last 1 832 s until 21 643, the output
+    # until 21 647.
+    result, sim = simulate(
+        tiny_platform, tiny_classes[0], strategy, work_s=5.5 * HOUR,
+        failures=[(1_800.0, 0), (1_801.0, 1)], collect_trace=True,
+    )
+    breakdown = result.breakdown
+    assert breakdown.compute == 19_800.0 * 4
+    assert breakdown.base_io == (2.0 + 4.0) * 4  # the first input and the output
+    assert breakdown.checkpoint == 5 * 8.0 * 4
+    assert breakdown.lost_work == 1_798.0 * 4  # 7 192
+    assert breakdown.allocated == 21_647.0 * 4
+    assert completions(sim) == [21_647.0]
+    assert result.checkpoints_completed == 5
+    assert (result.jobs_failed, result.restarts_submitted, result.jobs_completed) == (2, 2, 1)
+    assert result.failures_effective == 2
+
+
+@pytest.mark.parametrize("strategy", EVERY_SPELLING)
+def test_a_failure_during_the_output(tiny_platform, tiny_classes, strategy):
+    # Node 0 fails at 19 844, half-way through the output (19 842-19 846).
+    # The last commit protected 17 968 s, so the 1 832 s computed after it
+    # are lost.  The restart reads that checkpoint (8 s, 19 844-19 852),
+    # computes the 1 832 s until 21 684 (its first checkpoint would fall
+    # due at 23 452) and writes the output until 21 688.
+    result, sim = simulate(
+        tiny_platform, tiny_classes[0], strategy, work_s=5.5 * HOUR,
+        failures=[(19_844.0, 0)], collect_trace=True,
+    )
+    breakdown = result.breakdown
+    assert breakdown.compute == 19_800.0 * 4
+    assert breakdown.checkpoint == 5 * 8.0 * 4
+    assert breakdown.recovery == 8.0 * 4
+    assert breakdown.lost_work == 1_832.0 * 4  # 7 328
+    assert breakdown.allocated == 21_688.0 * 4
+    assert completions(sim) == [21_688.0]
+    assert result.checkpoints_completed == 5
+    assert (result.jobs_failed, result.restarts_submitted, result.jobs_completed) == (1, 1, 1)

@@ -11,6 +11,12 @@ bandwidth), and multiplying by 2 is exact in binary floating point.  So the
 waste ratio must stay bit-identical, every waste category must double
 exactly, and the event, checkpoint, failure and job counts must stay equal.
 
+Volumes and bandwidth scaled together by 2: double every class's input,
+output, checkpoint and routine bytes and the platform bandwidth.  Every
+transfer then moves twice the bytes at twice the rate, and a duration is a
+volume over a rate, so every time of the run, and with it every field of
+its result, must stay bit-identical.
+
 A lone job is strategy-blind: with one job on the machine no two transfers
 ever meet, so nothing waits and nothing shares bandwidth.  Every strategy
 of one checkpoint policy must then run the job identically, with or
@@ -90,6 +96,48 @@ def test_time_scaling_by_two_is_exact(bandwidth_gbs, doubled_gap, strategy, monk
         doubled = {k: 2.0 * v for k, v in dataclasses.asdict(one.breakdown).items()}
         assert dataclasses.asdict(two.breakdown) == doubled, seed
         assert [getattr(two, name) for name in COUNTS] == [getattr(one, name) for name in COUNTS]
+
+
+def _volumes_doubled(config: SimulationConfig) -> SimulationConfig:
+    platform = config.platform
+    return dataclasses.replace(
+        config,
+        platform=platform.with_bandwidth(platform.io_bandwidth_bytes_per_s * 2.0),
+        classes=tuple(
+            dataclasses.replace(
+                app,
+                input_bytes=app.input_bytes * 2.0,
+                output_bytes=app.output_bytes * 2.0,
+                checkpoint_bytes=app.checkpoint_bytes * 2.0,
+                routine_io_bytes=app.routine_io_bytes * 2.0,
+            )
+            for app in config.classes
+        ),
+    )
+
+
+# The APEX classes declare no routine I/O, so the second case gives each
+# class as much routine I/O as output, which the doubling must scale too.
+@pytest.mark.parametrize("routine_io", [False, True], ids=["apex", "with-routine-io"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_volumes_and_bandwidth_scaled_together_change_nothing(strategy, routine_io):
+    platform = mini_cielo_platform()
+    classes = mini_apex_workload(platform)
+    if routine_io:
+        classes = [dataclasses.replace(app, routine_io_bytes=app.output_bytes) for app in classes]
+    config = SimulationConfig(
+        platform=platform,
+        classes=tuple(classes),
+        strategy=strategy,
+        horizon_s=4.0 * DAY,
+        warmup_s=0.5 * DAY,
+        cooldown_s=0.5 * DAY,
+    )
+    for seed in SEEDS:
+        base = Simulation(config.with_seed(seed)).run()
+        scaled = Simulation(_volumes_doubled(config).with_seed(seed)).run()
+        assert base.breakdown.base_io > 0.0
+        assert repr(scaled) == repr(base), seed
 
 
 # The strategies of one checkpoint policy; Least-Waste uses Daly periods.

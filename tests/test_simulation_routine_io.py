@@ -87,13 +87,14 @@ def test_completion_time_includes_routine_io(tiny_platform, io_heavy_class):
         jobs=[Job(app_class=io_heavy_class, total_work_s=2 * HOUR)],
         failure_trace=FailureTrace([], config.horizon_s),
     )
-    sim.run()
+    result = sim.run()
     job = sim.jobs[0]
     bandwidth = config.platform.io_bandwidth_bytes_per_s
     io_time = (
         io_heavy_class.input_bytes + io_heavy_class.output_bytes + io_heavy_class.routine_io_bytes
     ) / bandwidth
-    ckpt_time = job.checkpoints_completed * io_heavy_class.checkpoint_bytes / bandwidth
+    # The run's one job took every checkpoint the run counts.
+    ckpt_time = result.checkpoints_completed * io_heavy_class.checkpoint_bytes / bandwidth
     assert job.end_time == pytest.approx(2 * HOUR + io_time + ckpt_time, rel=1e-6)
 
 

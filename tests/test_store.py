@@ -267,6 +267,21 @@ def test_stats_and_gc_reports_agree_between_backends(tmp_path):
     sq.close()
 
 
+@pytest.mark.parametrize("kind", ["filesystem", "sqlite"])
+@pytest.mark.parametrize("older_than_s", [-1.0, -math.inf, math.inf, math.nan])
+def test_gc_refuses_an_age_limit_it_cannot_mean(tmp_path, kind, older_than_s):
+    """A negative age limit used to remove every entry and NaN none; both,
+    and an infinite one, are refused, and every entry stays."""
+    store = open_store(kind, tmp_path / ("s" if kind == "filesystem" else "s.sqlite"))
+    _fill(store)
+    for dry_run in (True, False):
+        with pytest.raises(ConfigurationError, match="age limit"):
+            store.gc(older_than_s=older_than_s, dry_run=dry_run)
+    assert len(store) == 3
+    assert store.probe(D1, "least-waste", 8) is not None
+    store.close()
+
+
 def test_sqlite_gc_older_than_and_orphan_sweep(tmp_path):
     """gc prunes aged entries.  It sweeps no orphans: the ``traces`` table
     older versions wrote is never touched, even rows whose entry is gone."""

@@ -171,6 +171,31 @@ def test_drill_down_validates_the_cell_address():
         drill_down(_scenario(base_seed=None), "least-waste")
 
 
+def test_restart_rows_chain_the_label_of_the_job_they_resubmit(tiny_config, tiny_classes):
+    """A job that fails twice gives rows for itself, its restart and the
+    restart's restart, in that order: each restart adds ``+r`` to the
+    label of the job it resubmits (``Job.parent_id``)."""
+    from repro.apps.job import Job
+    from repro.platform.failures import FailureEvent, FailureTrace
+
+    config = tiny_config(
+        "ordered-fixed", horizon_s=1 * DAY, warmup_s=0.0, cooldown_s=0.0, collect_trace=True
+    )
+    alpha = tiny_classes[0]
+    # Node 0 fails in the first run, node 1 in the restart's compute phase.
+    trace = FailureTrace(
+        [FailureEvent(0.5 * HOUR, 0), FailureEvent(1.0 * HOUR, 1)], horizon=config.horizon_s
+    )
+    sim = Simulation(config, jobs=[Job(app_class=alpha, total_work_s=2 * HOUR)], failure_trace=trace)
+    result = sim.run()
+    assert [restart.parent_id for restart in sim.restarts] == [
+        sim.jobs[0].job_id, sim.restarts[0].job_id
+    ]
+    decomposition = WasteDecomposition.from_simulation(sim, result, digest="0" * 64)
+    assert [job.name for job in decomposition.jobs] == ["alpha#1", "alpha#1+r", "alpha#1+r+r"]
+    assert [job.index for job in decomposition.jobs] == [0, 1, 2]
+
+
 def test_from_simulation_requires_a_trace_enabled_run(tiny_config):
     sim = Simulation(tiny_config())
     result = sim.run()
