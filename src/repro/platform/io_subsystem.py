@@ -27,6 +27,7 @@ transfer at a time, in which case the transfer receives the full bandwidth.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -35,6 +36,10 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.events import Event
 
 __all__ = ["Transfer", "IOSubsystem"]
+
+#: A completion fires at most this many clock ulps before the transfer's
+#: exact finish: its event time is rounded, and so is the elapsed time.
+_CLOCK_ULPS = 4.0
 
 
 class Transfer:
@@ -253,12 +258,20 @@ class IOSubsystem:
         self._completion = None
         self._advance_progress()
         # Guard against floating-point drift: by construction the transfer
-        # is (numerically) finished when its completion event fires.
+        # is (numerically) finished when its completion event fires.  Its
+        # event time is rounded to what the clock resolves at ``now``, so a
+        # transfer may have more bytes left than the byte tolerance when the
+        # time they still need is below that resolution.
         if transfer.remaining_bytes > 1e-6 * max(1.0, transfer.volume_bytes):
-            raise SimulationError(
-                f"transfer {transfer!r} completion fired early "
-                f"({transfer.remaining_bytes} bytes left)"
-            )
+            active = self._active
+            aggregate = self._interference.effective_bandwidth(self._bandwidth, len(active))
+            rate = aggregate * transfer.weight / sum(t.weight for t in active)
+            now = self._engine.now
+            if not transfer.remaining_bytes < rate * _CLOCK_ULPS * math.ulp(now):
+                raise SimulationError(
+                    f"transfer {transfer!r} completion fired early "
+                    f"({transfer.remaining_bytes} bytes left)"
+                )
         transfer.remaining_bytes = 0.0
         transfer.finished_at = self._engine.now
         self._active.remove(transfer)

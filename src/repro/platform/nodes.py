@@ -12,14 +12,13 @@ failure targeting; first-fit over node ids is sufficient and deterministic.
 The pool stores nodes as *runs* of consecutive ids ``[start, end)``, never
 one entry per node: the free runs in one ascending list (adjacent free runs
 are merged), the allocated runs in another, each with its owner, and an
-identity-keyed owner → runs map in allocation order.  With ``r`` runs in
-the pool, a call costs:
+identity-keyed owner → runs map.  It never lists node ids: a caller learns
+who owns a node from :meth:`NodePool.owner_of`.  With ``r`` runs in the
+pool, a call costs:
 
 * :meth:`NodePool.allocate` — O(r) for the free runs it takes and the
-  ``bisect`` insertions of its runs, plus the C-level slices of one
-  per-pool ``list(range(num_nodes))`` that build the returned ids;
-* :meth:`NodePool.release_owner` — O(r) per run of the owner, plus the
-  slices of the returned ids;
+  ``bisect`` insertions of its runs;
+* :meth:`NodePool.release_owner` — O(r) per run of the owner;
 * :meth:`NodePool.owner_of` — one ``bisect`` over the allocated runs.
 
 Nodes go back to the pool only through :meth:`NodePool.release_owner`, one
@@ -43,8 +42,6 @@ class NodePool:
             raise SchedulingError("num_nodes must be positive")
         self._num_nodes = num_nodes
         self._num_free = num_nodes
-        # Every id once; the lists this pool returns are slices of it.
-        self._ids = list(range(num_nodes))
         # Free runs [start, end): ascending, disjoint, never adjacent.
         self._free_starts = [0]
         self._free_ends = [num_nodes]
@@ -52,9 +49,8 @@ class NodePool:
         self._run_starts: list[int] = []
         self._run_ends: list[int] = []
         self._run_owners: list[object] = []
-        # id(owner) -> (owner, its runs in allocation order, the order
-        # nodes_of reports).  The tuple keeps the owner alive, so its id()
-        # is not reused while it owns nodes.
+        # id(owner) -> (owner, its runs).  The tuple keeps the owner alive,
+        # so its id() is not reused while it owns nodes.
         self._owned: dict[int, tuple[object, list[tuple[int, int]]]] = {}
 
     # ------------------------------------------------------------ queries
@@ -68,33 +64,18 @@ class NodePool:
         """Number of currently unallocated nodes."""
         return self._num_free
 
-    @property
-    def num_allocated(self) -> int:
-        """Number of currently allocated nodes."""
-        return self._num_nodes - self._num_free
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of nodes currently allocated."""
-        return self.num_allocated / self._num_nodes
-
     def owner_of(self, node_id: int) -> object | None:
         """The job owning ``node_id``, or ``None`` if the node is free."""
         self._check_node(node_id)
         index = bisect_right(self._run_starts, node_id) - 1
         return self._run_owners[index] if index >= 0 and node_id < self._run_ends[index] else None
 
-    def nodes_of(self, owner: object) -> list[int]:
-        """All node ids currently owned by ``owner`` (possibly empty)."""
-        entry = self._owned.get(id(owner))
-        return self._ids_of(entry[1]) if entry is not None else []
-
     def can_allocate(self, count: int) -> bool:
         """True when ``count`` nodes are currently free."""
         return 0 < count <= self._num_free
 
     # ------------------------------------------------------------ mutation
-    def allocate(self, count: int, owner: object) -> list[int]:
+    def allocate(self, count: int, owner: object) -> None:
         """Allocate the ``count`` lowest-numbered free nodes to ``owner``.
 
         Raises
@@ -134,17 +115,13 @@ class NodePool:
         else:
             entry[1].extend(runs)
         self._num_free -= count
-        return self._ids_of(runs)
 
-    def release_owner(self, owner: object) -> list[int]:
-        """Release every node owned by ``owner``; returns the released ids."""
+    def release_owner(self, owner: object) -> None:
+        """Release every node owned by ``owner`` (none: a no-op)."""
         entry = self._owned.pop(id(owner), None)
-        if entry is None:
-            return []
-        runs = entry[1]
-        for start, end in runs:
-            self._free(start, end)
-        return self._ids_of(runs)
+        if entry is not None:
+            for start, end in entry[1]:
+                self._free(start, end)
 
     # ------------------------------------------------------------ helpers
     def _check_node(self, node_id: int) -> None:
@@ -152,17 +129,6 @@ class NodePool:
             raise SchedulingError(
                 f"node id {node_id} outside the pool [0, {self._num_nodes})"
             )
-
-    def _ids_of(self, runs: list[tuple[int, int]]) -> list[int]:
-        """The ids of ``runs``, run after run."""
-        ids = self._ids
-        if len(runs) == 1:
-            start, end = runs[0]
-            return ids[start:end]
-        nodes: list[int] = []
-        for start, end in runs:
-            nodes += ids[start:end]
-        return nodes
 
     def _free(self, start: int, end: int) -> None:
         """Free the allocated run ``[start, end)``."""

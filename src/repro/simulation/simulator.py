@@ -206,11 +206,11 @@ class Simulation:
         self.job_sched.dispatch(self._start_job)
 
     # ================================================================ job life cycle
-    def _start_job(self, job: Job, nodes: list[int]) -> None:
+    def _start_job(self, job: Job) -> None:
         now = self.engine.now
         context = _JobContext(job=job, allocated_at=now)
         self._contexts[job.job_id] = context
-        self._record(job, TraceEventType.JOB_START, nodes=len(nodes), restart=job.is_restart)
+        self._record(job, TraceEventType.JOB_START, nodes=job.nodes, restart=job.is_restart)
 
         if job.input_bytes and job.input_bytes > 0.0:
             # A restarted job re-reads its last checkpoint (or re-reads its
@@ -465,12 +465,13 @@ class Simulation:
         if owner is None:
             return
         # The pool is owner-agnostic (object); this simulator only ever
-        # registers Job owners, so the assert records that invariant.
+        # registers Job owners, so the assert records that invariant.  A job
+        # owns nodes only between _start_job, which creates its context
+        # right after the allocation, and _end_job, which pops it right
+        # before the release: an owner always has a context.
         assert isinstance(owner, Job), owner
         job = owner
-        context = self._contexts.get(job.job_id)
-        if context is None:
-            return
+        context = self._contexts[job.job_id]
         self.failures_effective += 1
         now = self.engine.now
 

@@ -269,3 +269,20 @@ def test_campaign_file_with_a_hostile_override_exits_2(tmp_path, capsys, key, va
     assert main(["campaign", "--file", _matrix_file(tmp_path, {key: value})]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+
+def test_a_campaign_whose_transfers_are_shorter_than_the_clock_resolves_completes(
+    tmp_path, capsys
+):
+    # At 10^7 GB/s a 15.4 GB commit takes 1.5 ms, and late in the run its
+    # completion fires within a clock ulp of its exact time with 16 919
+    # bytes left: more than the byte tolerance, less than the time the
+    # clock resolves.  The second seed of this campaign met one.
+    import json
+
+    path = tmp_path / "campaign.json"
+    overrides = {
+        "bandwidth_gbs": 1e7, "num_runs": 2, "horizon_days": 0.25, "strategies": ["ordered-daly"],
+    }
+    path.write_text(json.dumps({"name": "hb", "base": "smoke", "overrides": overrides}))
+    assert main(["campaign", "--file", str(path)]) == 0, capsys.readouterr().err

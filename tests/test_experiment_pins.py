@@ -7,7 +7,9 @@ the CSV and JSON exports where the command writes them, and the sorted
 ``(digest, strategy, seed)`` keys of the store.  The drill-down cases pin
 one smoke cell drilled cold (``trace``), drilled warm after its campaign
 (``campaign --best-summary``), and its ``/trace`` payload.  A changed cache key therefore fails the test even when
-the printed numbers agree.
+the printed numbers agree.  One more pin runs ``trace`` without a campaign
+in a fresh interpreter, whose job ids start at 1: its timeline is the one
+output that prints each ``job-start`` event's node count.
 
 Regenerate the goldens (only after a change that is meant to move them, with
 a ``DIGEST_VERSION`` bump when simulated values move)::
@@ -19,6 +21,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +33,7 @@ from repro.exec.runner import ParallelRunner
 from repro.store import FilesystemStore
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 
 #: case name -> CLI arguments; ``{tmp}`` is the case's temporary directory.
 CLI_CASES: dict[str, list[str]] = {
@@ -61,6 +67,9 @@ CLI_CASES: dict[str, list[str]] = {
 }
 
 CASES = (*CLI_CASES, "figure3", "drilldown-payload")
+
+#: A run's first 40 trace events, printed by ``trace`` without a campaign.
+TIMELINE_ARGS = ["trace", "--horizon-days", "0.25", "--max-events", "40"]
 
 
 def _store_keys(cache_dir: Path) -> str:
@@ -129,6 +138,19 @@ def test_experiment_output_and_store_keys_are_pinned(case, tmp_path):
         assert text == golden, f"{case}.{suffix} moved"
 
 
+def _timeline() -> bytes:
+    """stdout of ``TIMELINE_ARGS`` in a fresh interpreter: job ids start at 1."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *TIMELINE_ARGS],
+        env=env, capture_output=True, check=True, timeout=120,
+    ).stdout
+
+
+def test_trace_timeline_is_pinned():
+    assert _timeline() == (GOLDEN / "trace-timeline.stdout.txt").read_bytes()
+
+
 def _regenerate() -> None:  # pragma: no cover - regeneration helper
     import tempfile
 
@@ -139,6 +161,8 @@ def _regenerate() -> None:  # pragma: no cover - regeneration helper
         for suffix, text in outputs.items():
             (GOLDEN / f"{case}.{suffix}").write_bytes(text.encode())
         print(f"wrote {len(outputs)} golden file(s) for {case}")
+    (GOLDEN / "trace-timeline.stdout.txt").write_bytes(_timeline())
+    print("wrote the trace timeline")
 
 
 if __name__ == "__main__":  # pragma: no cover

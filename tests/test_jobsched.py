@@ -1,4 +1,4 @@
-"""Job queue and first-fit placement (repro.jobsched)."""
+"""First-fit placement of pending jobs (repro.jobsched)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from repro.apps.job import Job
 from repro.errors import SchedulingError
 from repro.jobsched.first_fit import FirstFitScheduler
-from repro.jobsched.queue import JobQueue
 from repro.platform.nodes import NodePool
 from repro.units import HOUR
 
@@ -18,52 +17,47 @@ def make_job(tiny_classes, index=0, **kwargs) -> Job:
     return Job(app_class=tiny_classes[index], total_work_s=HOUR, **kwargs)
 
 
-# --------------------------------------------------------------------- queue
-def test_queue_orders_by_priority_then_submit_time(tiny_classes):
-    queue = JobQueue()
+def dispatched(scheduler: FirstFitScheduler) -> list[Job]:
+    """The jobs one dispatch starts, in start order."""
+    started: list[Job] = []
+    scheduler.dispatch(started.append)
+    return started
+
+
+# ------------------------------------------------------------ pending jobs
+def test_jobs_start_by_priority_then_submit_time_then_id(tiny_classes):
+    scheduler = FirstFitScheduler(NodePool(16))
     late = make_job(tiny_classes, priority=0.0, submit_time=10.0)
     early = make_job(tiny_classes, priority=0.0, submit_time=5.0)
     urgent = make_job(tiny_classes, priority=-1.0, submit_time=20.0)
-    for job in (late, early, urgent):
-        queue.push(job)
-    assert queue.ordered() == [urgent, early, late]
-    assert queue.ordered()[0] is urgent
-    assert list(queue) == [urgent, early, late]
-    assert len(queue) == 3
-    assert early in queue
+    # Equal priority and submit time: the lower id (created first) wins.
+    first, second = (make_job(tiny_classes, 1, priority=0.0, submit_time=5.0) for _ in range(2))
+    for job in (second, late, early, urgent, first):
+        scheduler.submit(job)
+    assert dispatched(scheduler) == [urgent, early, first, second, late]
 
 
-def test_queue_push_remove_and_errors(tiny_classes):
-    queue = JobQueue()
+def test_a_job_submitted_twice_is_refused(tiny_classes):
+    scheduler = FirstFitScheduler(NodePool(8))
     job = make_job(tiny_classes)
-    queue.push(job)
-    with pytest.raises(SchedulingError):
-        queue.push(job)
-    queue.remove(job)
-    assert len(queue) == 0
-    with pytest.raises(SchedulingError):
-        queue.remove(job)
-    assert queue.ordered() == []
-    queue.push(job)
-    queue.clear()
-    assert not queue
+    scheduler.submit(job)
+    with pytest.raises(SchedulingError, match="already queued"):
+        scheduler.submit(job)
+    assert dispatched(scheduler) == [job]
+    assert dispatched(scheduler) == []
 
 
-def test_queue_compares_jobs_by_identity(tiny_classes):
-    queue = JobQueue()
+def test_two_equal_jobs_are_each_queued_and_started(tiny_classes):
+    pool = NodePool(8)
+    scheduler = FirstFitScheduler(pool)
     job = make_job(tiny_classes)
     twin = dataclasses.replace(job)
     assert twin == job and twin is not job
-    queue.push(job)
-    queue.push(twin)
-    assert len(queue) == 2
-    queue.remove(twin)
-    assert twin not in queue
-    assert [queued is job for queued in queue.ordered()] == [True]
-    queue.remove(job)
-    assert not queue
-    with pytest.raises(SchedulingError):
-        queue.remove(twin)
+    scheduler.submit(job)
+    scheduler.submit(twin)
+    started = dispatched(scheduler)
+    assert len(started) == 2 and started[0] is job and started[1] is twin
+    assert pool.owner_of(0) is job and pool.owner_of(4) is twin
 
 
 # ----------------------------------------------------------------- first fit
@@ -74,12 +68,11 @@ def test_first_fit_starts_jobs_in_priority_order(tiny_classes):
     b = make_job(tiny_classes, 1, priority=0.0)  # 2 nodes
     scheduler.submit(a)
     scheduler.submit(b)
-    started: list[Job] = []
-    scheduler.dispatch(lambda job, nodes: started.append(job))
-    assert started == [b, a]
+    assert dispatched(scheduler) == [b, a]
     assert pool.num_free == 2
-    assert len(pool.nodes_of(a)) == 4 and len(pool.nodes_of(b)) == 2
-    assert len(scheduler.queue) == 0
+    owners = [pool.owner_of(node) for node in range(8)]
+    assert owners == [b, b, a, a, a, a, None, None]
+    assert dispatched(scheduler) == []
 
 
 def test_first_fit_skips_jobs_that_do_not_fit_but_fills_with_smaller_ones(tiny_classes):
@@ -87,15 +80,17 @@ def test_first_fit_skips_jobs_that_do_not_fit_but_fills_with_smaller_ones(tiny_c
     scheduler = FirstFitScheduler(pool)
     big = make_job(tiny_classes, 0, priority=0.0)  # 4 nodes
     big2 = make_job(tiny_classes, 0, priority=1.0)  # 4 nodes, will not fit
-    small = make_job(tiny_classes, 1, priority=2.0)  # 2 nodes, fits after big... no: 5-4=1
+    small = make_job(tiny_classes, 1, priority=2.0)  # 2 nodes: 5 - 4 = 1 free
     scheduler.submit(big)
     scheduler.submit(big2)
     scheduler.submit(small)
-    started: list[Job] = []
-    scheduler.dispatch(lambda job, nodes: started.append(job))
     # big starts (4 nodes), one node left: neither big2 nor small fits.
-    assert started == [big]
-    assert len(scheduler.queue) == 2
+    assert dispatched(scheduler) == [big]
+    # Both still wait, and start in order as nodes free up.
+    pool.release_owner(big)
+    assert dispatched(scheduler) == [big2]
+    pool.release_owner(big2)
+    assert dispatched(scheduler) == [small]
 
 
 def test_dispatch_after_release_starts_waiting_jobs(tiny_classes):
@@ -105,12 +100,10 @@ def test_dispatch_after_release_starts_waiting_jobs(tiny_classes):
     second = make_job(tiny_classes, 0, priority=1.0)
     scheduler.submit(first)
     scheduler.submit(second)
-    scheduler.dispatch(lambda job, nodes: None)
-    assert len(scheduler.queue) == 1
+    assert dispatched(scheduler) == [first]
+    assert dispatched(scheduler) == []
     pool.release_owner(first)
-    started: list[Job] = []
-    scheduler.dispatch(lambda job, nodes: started.append(job))
-    assert started == [second]
+    assert dispatched(scheduler) == [second]
 
 
 def test_callback_runs_after_allocation_is_recorded(tiny_classes):
@@ -118,11 +111,13 @@ def test_callback_runs_after_allocation_is_recorded(tiny_classes):
     scheduler = FirstFitScheduler(pool)
     job = make_job(tiny_classes, 0)
     scheduler.submit(job)
+    checked: list[Job] = []
 
-    def check(started_job: Job, nodes: list[int]) -> None:
-        assert pool.owner_of(nodes[0]) is started_job
-        assert pool.nodes_of(started_job) == nodes
+    def check(started_job: Job) -> None:
+        assert pool.owner_of(0) is started_job
+        assert pool.num_free == 8 - started_job.nodes
+        checked.append(started_job)
 
     scheduler.dispatch(check)
-    assert len(scheduler.queue) == 0
-    assert scheduler.pool is pool
+    assert checked == [job]
+    assert dispatched(scheduler) == []

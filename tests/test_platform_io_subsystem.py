@@ -146,3 +146,24 @@ def test_identical_transfers_complete_in_start_order(engine, io):
     second = io.start(500.0, weight=2.0, on_complete=order.append)
     engine.run()
     assert order == [first, second]
+
+
+def test_a_transfer_shorter_than_the_clock_resolves_completes(engine):
+    # 0.001 B at 1 GB/s needs 1e-12 s, less than the clock resolves at
+    # 10^6 s (one ulp there is 1.2e-10 s): the completion fires at 10^6 s
+    # itself, with every byte left, and completes the transfer.
+    io = IOSubsystem(engine, bandwidth_bytes_per_s=1e9)
+    started: list[Transfer] = []
+    engine.schedule_at(1e6, lambda: started.append(io.start(0.001, weight=1.0)))
+    engine.run()
+    (transfer,) = started
+    assert transfer.done
+    assert (transfer.finished_at, transfer.remaining_bytes) == (1e6, 0.0)
+
+
+def test_a_completion_that_fires_early_still_raises(engine, io):
+    # Forced after 1 s of a 2 s transfer: half the bytes are left.
+    transfer = io.start(200.0, weight=1.0)
+    engine.run(until=1.0)
+    with pytest.raises(SimulationError, match=r"fired early \(100.0 bytes left\)"):
+        io._complete(transfer)

@@ -199,17 +199,24 @@ def test_io_subsystem_conserves_aggregate_throughput(volumes, weights, bandwidth
 )
 def test_node_pool_conservation(num_nodes, requests):
     pool = NodePool(num_nodes)
+
+    def held() -> list[object | None]:
+        return [pool.owner_of(node) for node in range(num_nodes)]
+
     owners = []
     for index, count in enumerate(requests):
         if pool.can_allocate(count):
             owner = f"job{index}"
-            nodes = pool.allocate(count, owner)
-            assert len(nodes) == count
-            owners.append((owner, nodes))
-        assert pool.num_free + pool.num_allocated == num_nodes
-    for owner, nodes in owners:
-        released = pool.release_owner(owner)
-        assert sorted(released) == sorted(nodes)
+            pool.allocate(count, owner)
+            owners.append((owner, count))
+        holders = held()
+        assert pool.num_free == holders.count(None)
+        for owner, count in owners:
+            assert sum(holder is owner for holder in holders) == count
+    for owner, count in owners:
+        before = held()
+        pool.release_owner(owner)
+        assert held() == [None if holder is owner else holder for holder in before]
     assert pool.num_free == num_nodes
 
 

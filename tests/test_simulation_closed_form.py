@@ -35,9 +35,17 @@ def simulate(tiny_platform, app_class, strategy, *, work_s, count=1, failures=()
     """Run ``count`` jobs of ``app_class`` of ``work_s`` seconds each;
     ``overrides`` replace fields of the configuration.  Returns the result
     and the finished simulation."""
+    return simulate_jobs(
+        tiny_platform, [(app_class, work_s)] * count, strategy, failures=failures, **overrides
+    )
+
+
+def simulate_jobs(tiny_platform, jobs, strategy, *, failures=(), **overrides):
+    """Run one job per ``(class, work in seconds)`` pair of ``jobs``, queued
+    in that order; otherwise as :func:`simulate`."""
     fields = dict(
         platform=tiny_platform.with_node_mtbf(3_240_000.0),
-        classes=(app_class,),
+        classes=tuple(dict.fromkeys(app_class for app_class, _ in jobs)),
         strategy=strategy,
         horizon_s=0.5 * DAY,
         warmup_s=0.0,
@@ -46,7 +54,7 @@ def simulate(tiny_platform, app_class, strategy, *, work_s, count=1, failures=()
         seed=0,
     )
     config = SimulationConfig(**{**fields, **overrides})
-    jobs = [Job(app_class=app_class, total_work_s=work_s, priority=0.0) for _ in range(count)]
+    jobs = [Job(app_class=app_class, total_work_s=work_s, priority=0.0) for app_class, work_s in jobs]
     trace = FailureTrace(
         [FailureEvent(time, node) for time, node in failures], horizon=config.horizon_s
     )
@@ -66,6 +74,17 @@ def completions(sim):
     """Times at which the run's jobs, restarts included, completed."""
     assert sim.trace is not None
     return [event.time for event in sim.trace.of_kind(TraceEventType.JOB_COMPLETE)]
+
+
+def spans(sim):
+    """``(job, start, end)`` of every job and restart that started, in start
+    order; ``end`` is ``None`` for one still running at the horizon."""
+    assert sim.trace is not None
+    jobs = {job.job_id: job for job in [*sim.jobs, *sim.restarts]}
+    return [
+        (jobs[event.job_id], event.time, jobs[event.job_id].end_time)
+        for event in sim.trace.of_kind(TraceEventType.JOB_START)
+    ]
 
 
 #: Every family in each spelling: the seven names, a tuned Least-Waste, and
@@ -399,3 +418,144 @@ def test_a_failure_during_the_output(tiny_platform, tiny_classes, strategy):
     assert completions(sim) == [21_688.0]
     assert result.checkpoints_completed == 5
     assert (result.jobs_failed, result.restarts_submitted, result.jobs_completed) == (1, 1, 1)
+
+
+# ------------------------------------------------------------ placement
+# alpha widened to 12 nodes: two such jobs cannot share the 16 nodes, so
+# the second waits in the queue until the first releases its nodes.  Under
+# ordered-fixed a wide 1.5 h job alone runs the lone job's schedule: input
+# 0-2, commit 3 602-3 610, the last 1 800 s of work until 5 410 and the
+# output until 5 414, 5 414 s in all.  Node-seconds are x 12 for it.
+
+
+def widened(tiny_classes):
+    """alpha on 12 nodes."""
+    return dataclasses.replace(tiny_classes[0], nodes=12)
+
+
+def test_two_wide_jobs_run_back_to_back(tiny_platform, tiny_classes):
+    # The second starts when the first ends and runs the same 5 414 s.
+    wide = widened(tiny_classes)
+    result, sim = simulate_jobs(
+        tiny_platform, [(wide, 1.5 * HOUR)] * 2, "ordered-fixed", collect_trace=True
+    )
+    first, second = sim.jobs
+    assert spans(sim) == [(first, 0.0, 5_414.0), (second, 5_414.0, 10_828.0)]
+    assert result.breakdown == WasteBreakdown(
+        compute=2 * 5_400.0 * 12,  # 129 600
+        base_io=2 * (2.0 + 4.0) * 12,  # 144
+        io_delay=0.0,
+        checkpoint=2 * 8.0 * 12,  # 192
+        checkpoint_wait=0.0,
+        recovery=0.0,
+        lost_work=0.0,
+        allocated=10_828.0 * 12,  # 129 936
+    )
+
+
+def test_first_fit_starts_a_job_that_fits_behind_one_that_waits(tiny_platform, tiny_classes):
+    # Queued: wide, wide, then a 4-node alpha.  The first wide job takes
+    # 12 nodes; the second needs 12 of the 4 left and waits, and first fit
+    # skips it: alpha fits and starts at 0 too.  It is the second of the
+    # two ordered jobs above: input 2-4 behind the wide job's, a commit
+    # asked at 3 604 that waits for the wide job's until 3 610, and an end
+    # at 5 422.  The second wide job starts on the 12 nodes freed at 5 414.
+    alpha, wide = tiny_classes[0], widened(tiny_classes)
+    _, sim = simulate_jobs(
+        tiny_platform, [(wide, 1.5 * HOUR), (wide, 1.5 * HOUR), (alpha, 1.5 * HOUR)],
+        "ordered-fixed", collect_trace=True,
+    )
+    first, second, small = sim.jobs
+    assert spans(sim) == [
+        (first, 0.0, 5_414.0),
+        (small, 0.0, 5_422.0),
+        (second, 5_414.0, 10_828.0),
+    ]
+
+
+def test_a_restart_goes_ahead_of_the_queued_job(tiny_platform, tiny_classes):
+    # Node 0 fails at 5 400, while the first wide job computes: its commit
+    # protected 3 600 s at 3 610, and the 1 790 s computed since are lost.
+    # The restart is queued ahead of the waiting job and takes the freed
+    # nodes at once: it reads the checkpoint (5 400-5 408), computes the
+    # last 1 800 s (too few for a checkpoint) and writes the output until
+    # 7 212.  The queued job then runs its 5 414 s: 7 212-12 626.
+    wide = widened(tiny_classes)
+    result, sim = simulate_jobs(
+        tiny_platform, [(wide, 1.5 * HOUR)] * 2, "ordered-fixed",
+        failures=[(5_400.0, 0)], collect_trace=True,
+    )
+    failed, queued = sim.jobs
+    (restart,) = sim.restarts
+    assert spans(sim) == [
+        (failed, 0.0, 5_400.0),
+        (restart, 5_400.0, 7_212.0),
+        (queued, 7_212.0, 12_626.0),
+    ]
+    assert result.breakdown == WasteBreakdown(
+        compute=(3_600.0 + 1_800.0 + 5_400.0) * 12,  # 129 600
+        base_io=(2.0 + 4.0 + 2.0 + 4.0) * 12,  # 144
+        io_delay=0.0,
+        checkpoint=2 * 8.0 * 12,  # 192
+        checkpoint_wait=0.0,
+        recovery=8.0 * 12,  # 96
+        lost_work=(5_400.0 - 3_610.0) * 12,  # 21 480
+        allocated=12_626.0 * 12,  # 151 512
+    )
+
+
+# ------------------------------------------------------------ the horizon
+# A run ends at its horizon whatever its jobs are doing.  A job computing
+# then has its compute and allocation closed at the horizon; a job still
+# waiting for nodes holds none and is charged nothing.  (A horizon inside
+# a transfer leaves that transfer in no category: one of the accounting
+# holes the file's docstring leaves out.)
+
+
+def test_the_horizon_while_a_lone_job_computes(tiny_platform, tiny_classes):
+    # Horizon 7 200: input 0-2, commit 3 602-3 610, compute until the
+    # horizon (3 600 + 3 590 = 7 190 s); the next commit would fall due at
+    # 7 202.
+    result, sim = simulate(
+        tiny_platform, tiny_classes[0], "ordered-fixed", work_s=5.5 * HOUR,
+        horizon_s=2 * HOUR, collect_trace=True,
+    )
+    (job,) = sim.jobs
+    assert spans(sim) == [(job, 0.0, None)]
+    assert result.breakdown == WasteBreakdown(
+        compute=7_190.0 * 4,  # 28 760
+        base_io=2.0 * 4,  # 8
+        io_delay=0.0,
+        checkpoint=8.0 * 4,  # 32
+        checkpoint_wait=0.0,
+        recovery=0.0,
+        lost_work=0.0,
+        allocated=7_200.0 * 4,  # 28 800
+    )
+    assert (result.checkpoints_requested, result.checkpoints_completed) == (1, 1)
+    assert result.jobs_completed == 0
+
+
+def test_the_horizon_while_a_job_waits_for_nodes(tiny_platform, tiny_classes):
+    # Two wide 5.5 h jobs and a horizon at 7 200: the first computes as
+    # the lone job above, on 12 nodes; the second never starts.
+    wide = widened(tiny_classes)
+    result, sim = simulate_jobs(
+        tiny_platform, [(wide, 5.5 * HOUR)] * 2, "ordered-fixed",
+        horizon_s=2 * HOUR, collect_trace=True,
+    )
+    running, waiting = sim.jobs
+    assert spans(sim) == [(running, 0.0, None)]
+    assert waiting.end_time is None
+    assert result.breakdown == WasteBreakdown(
+        compute=7_190.0 * 12,  # 86 280
+        base_io=2.0 * 12,  # 24
+        io_delay=0.0,
+        checkpoint=8.0 * 12,  # 96
+        checkpoint_wait=0.0,
+        recovery=0.0,
+        lost_work=0.0,
+        allocated=7_200.0 * 12,  # 86 400
+    )
+    assert result.node_utilization == 0.75  # 12 of the 16 nodes
+    assert (result.jobs_submitted, result.jobs_completed) == (2, 0)

@@ -15,7 +15,8 @@ Volumes and bandwidth scaled together by 2: double every class's input,
 output, checkpoint and routine bytes and the platform bandwidth.  Every
 transfer then moves twice the bytes at twice the rate, and a duration is a
 volume over a rate, so every time of the run, and with it every field of
-its result, must stay bit-identical.
+its result, must stay bit-identical.  The relation is checked on the
+miniature Cielo and, with hypothesis, on random small scenarios.
 
 A lone job is strategy-blind: with one job on the machine no two transfers
 ever meet, so nothing waits and nothing shares bandwidth.  Every strategy
@@ -28,16 +29,20 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps.app_class import ApplicationClass
 from repro.apps.job import Job
 from repro.iosched.registry import STRATEGIES
 from repro.platform.failures import FailureEvent, FailureTrace
+from repro.platform.spec import PlatformSpec
 from repro.scenarios.presets import mini_apex_workload, mini_cielo_platform
 from repro.simulation import simulator
 from repro.simulation.config import SimulationConfig
 from repro.simulation.simulator import Simulation
 from repro.stats.montecarlo import derive_seeds
-from repro.units import DAY, HOUR
+from repro.units import DAY, GB, HOUR, YEAR
 from repro.workloads.apex import apex_workload
 from repro.workloads.cielo import cielo_platform
 
@@ -138,6 +143,72 @@ def test_volumes_and_bandwidth_scaled_together_change_nothing(strategy, routine_
         scaled = Simulation(_volumes_doubled(config).with_seed(seed)).run()
         assert base.breakdown.base_io > 0.0
         assert repr(scaled) == repr(base), seed
+
+
+#: A volume in GB: none, or at least 0.1 GB.
+_VOLUME_GB = st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=100.0))
+
+#: A class: nodes, work (hours), and input, output, checkpoint and routine
+#: I/O volumes (GB); a checkpoint is never empty.
+_CLASS = st.tuples(
+    st.integers(min_value=2, max_value=12),
+    st.floats(min_value=1.0, max_value=6.0),
+    _VOLUME_GB,
+    _VOLUME_GB,
+    st.floats(min_value=0.1, max_value=100.0),
+    _VOLUME_GB,
+)
+
+
+def _random_class(index: int, drawn: tuple) -> ApplicationClass:
+    nodes, work_hours, input_gb, output_gb, checkpoint_gb, routine_gb = drawn
+    return ApplicationClass(
+        name=f"c{index}",
+        nodes=nodes,
+        work_s=work_hours * HOUR,
+        input_bytes=input_gb * GB,
+        output_bytes=output_gb * GB,
+        checkpoint_bytes=checkpoint_gb * GB,
+        routine_io_bytes=routine_gb * GB,
+        workload_share=0.5,
+    )
+
+
+# Random small scenarios, drawn as in test_simulation_invariants.py: two
+# classes on 32 nodes, with the job list and failures the seed draws.
+@settings(max_examples=20, deadline=None)
+@given(
+    strategy=st.sampled_from(STRATEGIES),
+    classes=st.tuples(_CLASS, _CLASS),
+    bandwidth_gbs=st.floats(min_value=0.1, max_value=50.0),
+    horizon_days=st.floats(min_value=0.1, max_value=2.0),
+    node_mtbf_years=st.floats(min_value=0.02, max_value=5.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_volumes_and_bandwidth_scaled_together_change_nothing_at_random(
+    strategy, classes, bandwidth_gbs, horizon_days, node_mtbf_years, seed
+):
+    platform = PlatformSpec(
+        name="meta",
+        num_nodes=32,
+        cores_per_node=1,
+        memory_per_node_bytes=8.0 * GB,
+        io_bandwidth_bytes_per_s=bandwidth_gbs * GB,
+        node_mtbf_s=node_mtbf_years * YEAR,
+    )
+    horizon_s = horizon_days * DAY
+    config = SimulationConfig(
+        platform=platform,
+        classes=tuple(_random_class(index, drawn) for index, drawn in enumerate(classes)),
+        strategy=strategy,
+        horizon_s=horizon_s,
+        warmup_s=horizon_s / 8.0,
+        cooldown_s=horizon_s / 8.0,
+        seed=seed,
+    )
+    base = Simulation(config).run()
+    scaled = Simulation(_volumes_doubled(config)).run()
+    assert repr(scaled) == repr(base)
 
 
 # The strategies of one checkpoint policy; Least-Waste uses Daly periods.
