@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Run the reference (moderate-scale) experiments recorded in EXPERIMENTS.md.
+"""Run the reference (moderate-scale) experiments: Table 1 and Figures 1-3.
 
-This script regenerates every figure of the paper at the scale documented in
-EXPERIMENTS.md (larger than the benchmark defaults, still far below the
-paper's 60-day x 1000-run campaigns) and writes the rendered tables to
-``results/`` so they can be pasted into EXPERIMENTS.md.
+This script regenerates every figure of the paper at a moderate scale
+(larger than the benchmark defaults, still far below the paper's 60-day x
+1000-run campaigns) and writes the rendered tables under ``--output-dir``
+(``results/`` by default).  No record of its output is committed yet:
+ROADMAP item 6 plans that record.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 A :class:`Job` carries its static parameters (copied from the class, with
 the work duration drawn by the workload generator) plus the little mutable
 state the simulator updates on it: work progress, the amount of work
-protected by a completed checkpoint, and the time the job ended.  Every
-other per-job fact of a run has its home in the simulator: the job's
+protected by a completed checkpoint, and the time the job ended.  A job is
+a restart exactly when it has a ``parent_id``.  Every other per-job fact of
+a run has its home in the simulator: the job's
 runtime context (allocation time, pending transfers, the progress a granted
 checkpoint captured) and the run's own counters and restart list.
 
@@ -46,8 +47,6 @@ class Job:
     input_bytes:
         Volume of the initial read.  For a restart this is the recovery read
         of the last checkpoint.
-    is_restart:
-        True when this job is the resubmission of a failed job.
     parent_id:
         Id of the failed job this restart resubmits (for restarts), else
         ``None``; a restart of a restart names the failed restart.
@@ -60,7 +59,6 @@ class Job:
     submit_time: float = 0.0
     priority: float = 0.0
     input_bytes: float | None = None
-    is_restart: bool = False
     parent_id: int | None = None
     job_id: int = field(default_factory=lambda: next(_job_ids))
 
@@ -103,6 +101,11 @@ class Job:
     def routine_io_bytes(self) -> float:
         """Total regular (non-checkpoint) I/O volume over the job's work."""
         return self.app_class.routine_io_bytes
+
+    @property
+    def is_restart(self) -> bool:
+        """True when this job is the resubmission of a failed job."""
+        return self.parent_id is not None
 
     @property
     def name(self) -> str:

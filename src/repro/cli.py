@@ -39,7 +39,6 @@ uncached run.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -782,8 +781,8 @@ def _cmd_worker(args: argparse.Namespace) -> str:
     import json as json_module
     from pathlib import Path
 
-    from repro.distributed.spool import MAX_INTERVAL_S, WorkSpool
-    from repro.distributed.worker import SpoolWorker
+    from repro.distributed.spool import WorkSpool
+    from repro.distributed.worker import SpoolWorker, check_worker_settings
 
     if args.status and not Path(args.spool).is_dir():
         # --status must never create the spool: a typo'd path would report a
@@ -793,24 +792,17 @@ def _cmd_worker(args: argparse.Namespace) -> str:
         raise ConfigurationError(
             f"--metrics-port must be between 0 and 65535, got {args.metrics_port}"
         )
-    if not 0 < args.poll_interval <= MAX_INTERVAL_S:
-        raise ConfigurationError(
-            f"--poll-interval must be a number of seconds in (0, {MAX_INTERVAL_S:g}], "
-            f"got {args.poll_interval}"
-        )
-    if args.idle_timeout is not None and not 0 <= args.idle_timeout < math.inf:
-        raise ConfigurationError(
-            f"--idle-timeout must be a finite number of seconds >= 0, got {args.idle_timeout}"
-        )
-    if args.max_tasks is not None and args.max_tasks < 1:
-        raise ConfigurationError(f"--max-tasks must be at least 1, got {args.max_tasks}")
+    check_worker_settings(
+        poll_interval_s=args.poll_interval,
+        batch_size=args.batch_size,
+        max_tasks=args.max_tasks,
+        idle_timeout_s=args.idle_timeout,
+    )
     spool = WorkSpool(args.spool, lease_ttl_s=args.lease_ttl)
     if args.status:
         return f"spool {spool.root}: {spool.status().describe()}"
     if args.cache_dir is None:
         raise ConfigurationError("worker needs --cache-dir: the shared result cache")
-    if args.batch_size <= 0:
-        raise ConfigurationError("--batch-size must be positive")
     # A worker exists to simulate: load numpy before it announces itself, so
     # the import is part of its start-up rather than of its first task.
     import numpy  # noqa: F401

@@ -27,6 +27,7 @@ for JSON logging.
 
 from __future__ import annotations
 
+import math
 import os
 import socket
 import threading
@@ -35,19 +36,48 @@ import traceback
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.distributed.spool import ClaimedBatch, WorkSpool
+from repro.distributed.spool import MAX_INTERVAL_S, ClaimedBatch, WorkSpool
 from repro.distributed.tasks import TaskSpec
-from repro.errors import SpoolError
+from repro.errors import ConfigurationError, SpoolError
 from repro.exec import digest as exec_digest
 from repro.exec.runner import simulate_waste
 from repro.store.base import ResultStore
 
-__all__ = ["SpoolWorker", "WorkerStats", "default_worker_id"]
+__all__ = ["SpoolWorker", "WorkerStats", "check_worker_settings", "default_worker_id"]
 
 
 def default_worker_id() -> str:
     """``<host>-<pid>``: unique enough to attribute claims in a shared spool."""
     return f"{socket.gethostname()}-{os.getpid()}"
+
+
+def check_worker_settings(
+    *,
+    poll_interval_s: float | None = None,
+    batch_size: int | None = None,
+    max_tasks: int | None = None,
+    idle_timeout_s: float | None = None,
+) -> None:
+    """Refuse worker settings that cannot run, naming the field (``None``
+    passes); the one home of these rules, for :class:`SpoolWorker` and
+    ``coopckpt worker``.
+
+    A NaN or huge poll interval breaks ``time.sleep``, a NaN idle timeout
+    never stops the worker, and a task limit or batch size of 0 does nothing.
+    """
+    if poll_interval_s is not None and not 0 < poll_interval_s <= MAX_INTERVAL_S:
+        raise ConfigurationError(
+            f"poll_interval_s must be a number of seconds in (0, {MAX_INTERVAL_S:g}], "
+            f"got {poll_interval_s}"
+        )
+    if idle_timeout_s is not None and not 0 <= idle_timeout_s < math.inf:
+        raise ConfigurationError(
+            f"idle_timeout_s must be a finite number of seconds >= 0, got {idle_timeout_s}"
+        )
+    if max_tasks is not None and max_tasks < 1:
+        raise ConfigurationError(f"max_tasks must be at least 1, got {max_tasks}")
+    if batch_size is not None and batch_size < 1:
+        raise ConfigurationError(f"batch_size must be at least 1, got {batch_size}")
 
 
 @dataclass
@@ -84,14 +114,15 @@ class SpoolWorker:
     worker_id:
         Identity recorded in claim metadata and completion markers.
     poll_interval_s:
-        Sleep between claim attempts when the spool has no pending work.
+        Sleep between claim attempts when the spool has no pending work, in
+        ``(0, 86400]`` seconds.
     batch_size:
-        Upper bound on tasks claimed per shard rename; a claimed shard's
-        excess is handed straight back, so larger batches amortise renames
-        without starving peers.
+        Upper bound on tasks claimed per shard rename (at least 1); a
+        claimed shard's excess is handed straight back, so larger batches
+        amortise renames without starving peers.
     max_tasks:
-        Stop after completing this many tasks (``None`` = unbounded);
-        useful for tests and for rolling worker restarts.
+        Stop after completing this many tasks (at least 1; ``None`` =
+        unbounded); useful for tests and for rolling worker restarts.
     stop_event:
         Optional external off-switch checked between tasks; lets an
         embedding process (tests, a supervisor thread) stop the loop
@@ -116,6 +147,11 @@ class SpoolWorker:
     stats: WorkerStats = field(default_factory=WorkerStats)
 
     def __post_init__(self) -> None:
+        check_worker_settings(
+            poll_interval_s=self.poll_interval_s,
+            batch_size=self.batch_size,
+            max_tasks=self.max_tasks,
+        )
         self._started_at = time.time()
         self._last_beat: float | None = None
         self._in_flight: dict | None = None
@@ -176,9 +212,10 @@ class SpoolWorker:
         ``drain=True`` exits once the spool is fully drained (no pending or
         claimed tasks) — the mode CI and tests use.  ``idle_timeout_s`` exits
         after that long without claiming anything, whether or not peers still
-        hold claims.  With neither, the worker runs until ``stop_event`` (or
-        ``max_tasks``/Ctrl-C).
+        hold claims; it must be a finite number of seconds >= 0.  With
+        neither, the worker runs until ``stop_event`` (or ``max_tasks``/Ctrl-C).
         """
+        check_worker_settings(idle_timeout_s=idle_timeout_s)
         idle_since: float | None = None
         while not self._stopped():
             if self.max_tasks is not None and self.stats.tasks_done >= self.max_tasks:

@@ -105,13 +105,16 @@ class FailureEvent:
 
 
 class FailureTrace:
-    """An immutable, time-ordered sequence of :class:`FailureEvent`."""
+    """An immutable, time-ordered sequence of :class:`FailureEvent`.
+
+    Iterate it for the events; every event must lie in ``[0, horizon]``, so
+    an injected trace is checked against the horizon it is declared for.
+    """
 
     def __init__(self, events: Sequence[FailureEvent], horizon: float) -> None:
         self._events = tuple(sorted(events, key=lambda e: e.time))
-        self._horizon = float(horizon)
         for event in self._events:
-            if event.time < 0.0 or event.time > self._horizon:
+            if event.time < 0.0 or event.time > horizon:
                 raise ConfigurationError(
                     f"failure at t={event.time} outside the trace horizon [0, {horizon}]"
                 )
@@ -121,56 +124,6 @@ class FailureTrace:
 
     def __iter__(self) -> Iterator[FailureEvent]:
         return iter(self._events)
-
-    def __getitem__(self, index: int) -> FailureEvent:
-        return self._events[index]
-
-    @property
-    def horizon(self) -> float:
-        """Length of the interval over which the trace was generated (seconds)."""
-        return self._horizon
-
-    @property
-    def times(self) -> np.ndarray:
-        """Failure instants as a numpy array (seconds)."""
-        import numpy as np
-
-        return np.array([e.time for e in self._events], dtype=float)
-
-    @property
-    def node_ids(self) -> np.ndarray:
-        """Failed node ids as a numpy array."""
-        import numpy as np
-
-        return np.array([e.node_id for e in self._events], dtype=int)
-
-    def empirical_mtbf(self) -> float:
-        """Observed platform MTBF of the trace (``horizon / len``).
-
-        Returns ``inf`` for an empty trace.
-        """
-        if len(self._events) == 0:
-            return float("inf")
-        return self._horizon / len(self._events)
-
-    def between(self, start: float, end: float) -> "FailureTrace":
-        """Sub-trace of failures with ``start <= time < end``, re-based to the window.
-
-        Event times are shifted by ``-start`` and the sub-trace horizon is
-        ``end - start``, so statistics over the window are consistent: a 30 s
-        window over a 100 s trace reports the MTBF observed *in those 30
-        seconds*, not the parent horizon divided by the window's count.
-        """
-        if end < start:
-            raise ConfigurationError(
-                f"between() window is empty or reversed (start={start}, end={end})"
-            )
-        shifted = [
-            FailureEvent(time=e.time - start, node_id=e.node_id)
-            for e in self._events
-            if start <= e.time < end
-        ]
-        return FailureTrace(shifted, horizon=end - start)
 
 
 def generate_failure_trace(

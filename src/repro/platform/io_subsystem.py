@@ -18,7 +18,9 @@ Only that first transfer's completion can fire before the set changes
 again, so one event stands for all of them: every event that fires keeps
 the time and the relative order it would have with one event per transfer.
 Its label is the kind ``io-complete``, like every other event label; what a
-transfer carries for whom lives in the scheduler's request, not here.
+transfer carries for whom, and when it completed or was cancelled, lives in
+the scheduler's request: a :class:`Transfer` is in flight while it is in
+the subsystem's active list.
 
 The I/O *scheduling strategies* (:mod:`repro.iosched`) decide **when** a
 transfer is admitted; strategies that serialize I/O simply admit one
@@ -43,33 +45,23 @@ _CLOCK_ULPS = 4.0
 
 
 class Transfer:
-    """A single in-flight data transfer through the shared file system.
+    """A single data transfer through the shared file system.
 
     Attributes
     ----------
     volume_bytes:
         Total volume of the transfer.
     remaining_bytes:
-        Volume still to transfer at the time of the last progress update.
+        Volume still to transfer at the time of the last progress update
+        (0 once it completed).
     weight:
         Fair-share weight (the paper uses the job's node count).
-    finished_at:
-        Simulation time of completion, or ``None`` while in flight.
-    aborted:
-        True when the transfer was cancelled (e.g. its job failed).
     on_complete:
         Callback invoked with the transfer when it completes; dropped
         (set to ``None``) once the transfer completes or is aborted.
     """
 
-    __slots__ = (
-        "volume_bytes",
-        "remaining_bytes",
-        "weight",
-        "finished_at",
-        "aborted",
-        "on_complete",
-    )
+    __slots__ = ("volume_bytes", "remaining_bytes", "weight", "on_complete")
 
     def __init__(
         self,
@@ -80,26 +72,7 @@ class Transfer:
         self.volume_bytes = float(volume_bytes)
         self.remaining_bytes = float(volume_bytes)
         self.weight = float(weight)
-        self.finished_at: float | None = None
-        self.aborted = False
         self.on_complete = on_complete
-
-    @property
-    def done(self) -> bool:
-        """True when the transfer completed (not aborted)."""
-        return self.finished_at is not None and not self.aborted
-
-    @property
-    def active(self) -> bool:
-        """True while the transfer is in flight."""
-        return self.finished_at is None and not self.aborted
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.done else ("aborted" if self.aborted else "active")
-        return (
-            f"Transfer({self.volume_bytes:.3g} B, "
-            f"remaining={self.remaining_bytes:.3g} B, {state})"
-        )
 
 
 class IOSubsystem:
@@ -138,11 +111,6 @@ class IOSubsystem:
         self._max_concurrency = 0
 
     # ------------------------------------------------------------ queries
-    @property
-    def bandwidth_bytes_per_s(self) -> float:
-        """Nominal aggregate bandwidth ``beta`` (bytes/s)."""
-        return self._bandwidth
-
     @property
     def busy_seconds(self) -> float:
         """Total time with at least one active transfer (updated lazily)."""
@@ -185,12 +153,11 @@ class IOSubsystem:
         return transfer
 
     def abort(self, transfer: Transfer) -> None:
-        """Cancel an in-flight transfer (no completion callback is invoked)."""
-        if not transfer.active:
+        """Cancel an in-flight transfer (no completion callback is invoked);
+        a no-op for one that already completed or was aborted."""
+        if transfer not in self._active:
             return
         self._advance_progress()
-        transfer.aborted = True
-        transfer.finished_at = self._engine.now
         transfer.on_complete = None
         self._active.remove(transfer)
         self._reschedule_completion()
@@ -269,11 +236,10 @@ class IOSubsystem:
             now = self._engine.now
             if not transfer.remaining_bytes < rate * _CLOCK_ULPS * math.ulp(now):
                 raise SimulationError(
-                    f"transfer {transfer!r} completion fired early "
+                    f"transfer of {transfer.volume_bytes:.3g} B: completion fired early "
                     f"({transfer.remaining_bytes} bytes left)"
                 )
         transfer.remaining_bytes = 0.0
-        transfer.finished_at = self._engine.now
         self._active.remove(transfer)
         self._reschedule_completion()
         on_complete, transfer.on_complete = transfer.on_complete, None

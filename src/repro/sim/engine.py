@@ -18,20 +18,18 @@ __all__ = ["SimulationEngine"]
 
 
 class SimulationEngine:
-    """Event loop with a monotonic simulation clock.
+    """Event loop with a monotonic simulation clock that starts at 0.
 
     Parameters
     ----------
-    start_time:
-        Initial value of the clock (seconds).  Defaults to 0.
     max_events:
         Safety valve: the run aborts with :class:`SimulationError` if more
         than this many events fire, which catches accidental infinite event
         cascades in model code.
     """
 
-    def __init__(self, start_time: float = 0.0, max_events: int = 50_000_000) -> None:
-        self._now = float(start_time)
+    def __init__(self, max_events: int = 50_000_000) -> None:
+        self._now = 0.0
         self._queue = EventQueue()
         self._max_events = int(max_events)
         self._fired = 0

@@ -7,7 +7,7 @@ and the :class:`Event` handle itself never needs to be comparable.
 
 Cancellation is *lazy*: a cancelled event stays in the heap but is skipped
 when popped, which keeps both scheduling and cancellation O(log n) / O(1).
-When lazily-cancelled entries outnumber the live ones the queue compacts
+When cancelled entries are more than half the heap the queue compacts
 itself (drops every cancelled tuple and re-heapifies), so a workload that
 cancels most of what it schedules cannot grow the heap without bound.
 """
@@ -32,17 +32,15 @@ _COMPACT_MIN_HEAP = 64
 class Event:
     """A scheduled callback.
 
-    Events fire in ``(time, seq)`` order: two events scheduled for the same
-    instant fire in scheduling order, which makes runs deterministic for a
-    given seed.  The ordering lives in the queue's heap keys; the handle
-    itself is deliberately not orderable.
+    Events fire in time order, and two events scheduled for the same instant
+    fire in scheduling order, which makes runs deterministic for a given
+    seed.  The ordering lives in the queue's heap keys; the handle itself is
+    deliberately not orderable.
 
     Attributes
     ----------
     time:
         Absolute simulation time at which the event fires (seconds).
-    seq:
-        Monotonic tie-breaker assigned by the queue.
     callback:
         Zero-or-more-argument callable invoked when the event fires.
     args:
@@ -58,7 +56,6 @@ class Event:
     """
 
     time: float
-    seq: int
     callback: Callable[..., None]
     args: tuple[Any, ...] = ()
     label: str = ""
@@ -69,25 +66,20 @@ class Event:
 class EventQueue:
     """Min-heap of ``(time, seq, Event)`` tuples ordered by firing time.
 
-    The queue is intentionally minimal: ``push``, ``cancel``, ``pop_next`` /
+    The queue is intentionally minimal: ``push``, ``cancel``,
     ``pop_next_until`` (skipping cancelled entries), ``clear`` and
-    ``__len__`` (counting only active events).  Events are cancelled through
-    the queue only, so its counts always match its heap.
+    ``__len__`` (counting only active events: the heap minus the cancelled
+    entries, which are cancelled through the queue only).
     """
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Event]] = []
         self._next_seq = 0
-        self._active = 0
-        # Cancelled events still sitting in the heap (lazy cancellation);
-        # drives the compaction heuristic.
+        # Cancelled events still in the heap (lazy cancellation).
         self._lazy = 0
 
     def __len__(self) -> int:
-        return self._active
-
-    def __bool__(self) -> bool:
-        return self._active > 0
+        return len(self._heap) - self._lazy
 
     def push(
         self,
@@ -101,28 +93,22 @@ class EventQueue:
             raise SimulationError("event time must not be NaN")
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(time=time, seq=seq, callback=callback, args=args, label=label)
+        event = Event(time=time, callback=callback, args=args, label=label)
         heapq.heappush(self._heap, (time, seq, event))
-        self._active += 1
         return event
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously pushed event.
 
         Idempotent, and a no-op for events that already fired: a stale
-        handle kept around after :meth:`pop_next` returned the event must
-        not corrupt the active-event count.
+        handle kept around after :meth:`pop_next_until` returned the event
+        must not corrupt the cancelled-entry count.
         """
         if event.cancelled or event.fired:
             return
         event.cancelled = True
-        self._active -= 1
         self._lazy += 1
         self._maybe_compact()
-
-    def pop_next(self) -> Event | None:
-        """Pop and return the earliest active event, or ``None`` when empty."""
-        return self.pop_next_until(None)
 
     def pop_next_until(self, until: float | None) -> Event | None:
         """Pop the earliest active event firing at or before ``until``.
@@ -142,7 +128,6 @@ class EventQueue:
                 return None
             heapq.heappop(heap)
             event.fired = True
-            self._active -= 1
             return event
         return None
 
@@ -155,13 +140,12 @@ class EventQueue:
         for _time, _seq, event in self._heap:
             event.cancelled = True
         self._heap.clear()
-        self._active = 0
         self._lazy = 0
 
     def _maybe_compact(self) -> None:
-        """Drop lazily-cancelled tuples when they dominate the heap."""
+        """Drop lazily-cancelled tuples when they are most of the heap."""
         heap = self._heap
-        if len(heap) < _COMPACT_MIN_HEAP or self._lazy <= self._active:
+        if len(heap) < _COMPACT_MIN_HEAP or 2 * self._lazy <= len(heap):
             return
         self._heap = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(self._heap)

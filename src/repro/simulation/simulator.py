@@ -156,9 +156,9 @@ class Simulation:
         #: Optional per-job execution trace (None unless requested).
         self.trace: TraceRecorder | None = TraceRecorder() if config.collect_trace else None
 
-        # Counters.
+        # Counters.  A failure that hits a job fails it and submits one
+        # restart: ``failures_effective`` also counts failed jobs.
         self.jobs_completed = 0
-        self.jobs_failed = 0
         self.failures_effective = 0
         self.checkpoints_completed = 0
         self.checkpoints_requested = 0
@@ -487,7 +487,6 @@ class Simulation:
         self.engine.cancel(context.checkpoint_due_event)
         self.io_sched.cancel_job(job)
         self._end_job(job)
-        self.jobs_failed += 1
         self._record(job, TraceEventType.JOB_FAILED, node_id=node_id, lost_work=lost)
 
         # Resubmit at the head of the queue with the remaining work and a
@@ -505,7 +504,6 @@ class Simulation:
             submit_time=now,
             priority=self._next_restart_priority(),
             input_bytes=failed.checkpoint_bytes if has_checkpoint else failed.app_class.input_bytes,
-            is_restart=True,
             parent_id=failed.job_id,
             restart_count=failed.restart_count + 1,
         )
@@ -593,7 +591,7 @@ class Simulation:
             window=window,
             jobs_submitted=len(self.jobs),
             jobs_completed=self.jobs_completed,
-            jobs_failed=self.jobs_failed,
+            jobs_failed=self.failures_effective,
             restarts_submitted=len(self.restarts),
             failures_total=len(self.failure_trace),
             failures_effective=self.failures_effective,

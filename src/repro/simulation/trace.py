@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from collections.abc import Iterator
 
 from repro.apps.job import Job
 
@@ -52,7 +51,11 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Accumulates :class:`TraceEvent` objects during a simulation run."""
+    """Accumulates :class:`TraceEvent` objects during a simulation run.
+
+    Readers filter :attr:`events` by ``job_id`` or ``kind``, or call one of
+    the whole-trace analyses below.
+    """
 
     def __init__(self) -> None:
         self._events: list[TraceEvent] = []
@@ -65,60 +68,12 @@ class TraceRecorder:
         )
 
     # ------------------------------------------------------------ queries
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
-
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         """All recorded events, in recording (time) order."""
         return tuple(self._events)
 
-    def for_job(self, job_id: int) -> list[TraceEvent]:
-        """Events of one job."""
-        return [event for event in self._events if event.job_id == job_id]
-
-    def of_kind(self, kind: TraceEventType) -> list[TraceEvent]:
-        """Events of one kind, across all jobs."""
-        return [event for event in self._events if event.kind is kind]
-
-    def job_ids(self) -> list[int]:
-        """Distinct job ids appearing in the trace, in first-seen order."""
-        seen: dict[int, None] = {}
-        for event in self._events:
-            seen.setdefault(event.job_id, None)
-        return list(seen)
-
     # ------------------------------------------------------------ analysis
-    def checkpoint_intervals(self, job_id: int) -> list[float]:
-        """Achieved intervals between consecutive checkpoint completions of a job.
-
-        The first interval is measured from the job's compute start (the
-        ``INPUT_DONE`` event, or ``JOB_START`` for jobs without input).
-        """
-        events = self.for_job(job_id)
-        completions = [e.time for e in events if e.kind is TraceEventType.CHECKPOINT_DONE]
-        if not completions:
-            return []
-        # The compute phase starts when the input completes; fall back to the
-        # job start for jobs without input, then to the first completion.
-        input_done = [e.time for e in events if e.kind is TraceEventType.INPUT_DONE]
-        job_start = [e.time for e in events if e.kind is TraceEventType.JOB_START]
-        if input_done:
-            reference = input_done[0]
-        elif job_start:
-            reference = job_start[0]
-        else:
-            reference = completions[0]
-        intervals = []
-        previous = reference
-        for time in completions:
-            intervals.append(time - previous)
-            previous = time
-        return intervals
-
     def io_wait_by_job(self) -> dict[int, float]:
         """Total recorded I/O queue wait per job (wall-clock seconds).
 
@@ -147,9 +102,26 @@ class TraceRecorder:
         return waits
 
     def achieved_checkpoint_intervals(self) -> dict[int, list[float]]:
-        """Achieved checkpoint intervals for every job that checkpointed."""
-        return {
-            job_id: intervals
-            for job_id in self.job_ids()
-            if (intervals := self.checkpoint_intervals(job_id))
-        }
+        """Achieved checkpoint intervals of every job that checkpointed, in
+        the order of their first event, in one pass over the trace.
+
+        A job's first interval starts at its compute start: its first
+        ``INPUT_DONE``, else its ``JOB_START``, else its first completion.
+        """
+        # Per job, in first-seen order: the first time of each other kind.
+        firsts: dict[int, dict[TraceEventType, float]] = {}
+        completions: dict[int, list[float]] = {}
+        for event in self._events:
+            job_firsts = firsts.setdefault(event.job_id, {})
+            if event.kind is TraceEventType.CHECKPOINT_DONE:
+                completions.setdefault(event.job_id, []).append(event.time)
+            else:
+                job_firsts.setdefault(event.kind, event.time)
+        intervals: dict[int, list[float]] = {}
+        for job_id, job_firsts in firsts.items():
+            if times := completions.get(job_id):
+                start = job_firsts.get(
+                    TraceEventType.INPUT_DONE, job_firsts.get(TraceEventType.JOB_START, times[0])
+                )
+                intervals[job_id] = [b - a for a, b in zip([start, *times], times)]
+        return intervals

@@ -175,10 +175,11 @@ class ResultStore:
     """Base class of result-store backends.
 
     Subclasses set :attr:`kind` and implement the methods below that raise
-    :class:`NotImplementedError`; they must also expose ``root`` (the
-    store's path) and the cumulative ``hits`` / ``misses`` / ``writes``
-    counters the runner reports from.  Malformed or non-finite records are
-    *misses*, never errors.
+    :class:`NotImplementedError` (:meth:`probe` is the one lookup); they
+    must also expose ``root`` (the store's path) and start the cumulative
+    ``hits`` / ``misses`` / ``writes`` counters at 0, which :meth:`get` and
+    :meth:`put` keep and the runner and ``/metrics`` report from.
+    Malformed or non-finite records are *misses*, never errors.
     """
 
     #: Registry name of the backend (set on subclasses).
@@ -191,20 +192,24 @@ class ResultStore:
 
     # ------------------------------------------------------------ values
     def get(self, digest: str, strategy: str, seed: int) -> float | None:
-        """Cached value for one key, or ``None`` on a miss (counters touched)."""
-        raise NotImplementedError
+        """Cached value for one key, or ``None`` on a miss, counted as a hit
+        or a miss: one :meth:`probe` plus the count."""
+        value = self.probe(digest, strategy, seed)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
 
     def probe(self, digest: str, strategy: str, seed: int) -> float | None:
-        """Like :meth:`get`, but without touching the hit/miss counters.
+        """Cached value for one key, or ``None`` on a miss; counts nothing.
 
-        Distributed submitters poll the store while remote workers fill it;
-        counting every poll as a miss would make the runner's cache report
-        meaningless, so availability probes are counter-neutral.
+        The backend's one lookup.  Distributed submitters and drill-downs
+        probe the store directly, so availability polls never count as
+        misses, and a probe on one thread leaves another thread's
+        :meth:`get` counts as they are.
         """
-        hits, misses = self.hits, self.misses
-        value = self.get(digest, strategy, seed)
-        self.hits, self.misses = hits, misses
-        return value
+        raise NotImplementedError
 
     def put(self, digest: str, strategy: str, seed: int, value: float) -> None:
         """Store one value atomically (safe under concurrent writers)."""

@@ -176,22 +176,18 @@ class FilesystemStore(ResultStore):
             pass
 
     # ------------------------------------------------------------ access
-    def get(self, digest: str, strategy: str, seed: int) -> float | None:
-        """Cached value for one key, or ``None`` on a miss.
+    def probe(self, digest: str, strategy: str, seed: int) -> float | None:
+        """Cached value for one key, or ``None`` on a miss (nothing counted).
 
         Corrupt entries never propagate: unreadable files, malformed or
         truncated JSON, wrong payload shapes and non-finite values all
-        count as misses, so the seed is re-simulated and the entry
+        read as misses, so the seed is re-simulated and the entry
         rewritten instead of the corruption killing a whole campaign.  An
         entry stamped with another digest version reads as a miss too
         (:func:`~repro.store.base.serves_version`).
         """
         value, version = _read_entry(self._entry_path(digest, strategy, seed))
-        if value is None or not serves_version(version):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return value
+        return value if serves_version(version) else None
 
     # ------------------------------------------------------------ raw access
     def _raw_record(self, path: Path) -> RawRecord | None:

@@ -202,7 +202,7 @@ class SqliteStore(ResultStore):
             conn.execute("COMMIT")
 
     # ------------------------------------------------------------ values
-    def get(self, digest: str, strategy: str, seed: int) -> float | None:
+    def probe(self, digest: str, strategy: str, seed: int) -> float | None:
         try:
             row = self._connect().execute(
                 "SELECT value, version FROM entries WHERE digest = ? AND strategy = ? AND seed = ?",
@@ -213,14 +213,9 @@ class SqliteStore(ResultStore):
             # filesystem store: the seed is re-simulated, never crashed on.
             row = None
         if row is None or row[0] is None or not serves_version(str(row[1])):
-            self.misses += 1
             return None
         value = float(row[0])
-        if not math.isfinite(value):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return value
+        return value if math.isfinite(value) else None
 
     # ------------------------------------------------------------ raw access
     def iter_raw_entries(self) -> Iterator[RawRecord]:

@@ -22,6 +22,7 @@ def test_job_inherits_class_characteristics(tiny_classes, job):
     assert job.checkpoint_bytes == alpha.checkpoint_bytes
     assert alpha.name in job.name
     assert job.end_time is None
+    assert not job.is_restart and job.parent_id is None
 
 
 def test_job_ids_are_unique(tiny_classes):
@@ -75,7 +76,6 @@ def test_restart_naming_and_priority(tiny_classes):
     restart = Job(
         app_class=tiny_classes[1],
         total_work_s=HOUR,
-        is_restart=True,
         parent_id=7,
         restart_count=2,
         priority=-5.0,

@@ -69,12 +69,13 @@ def test_worker_rejects_an_out_of_range_metrics_port_before_opening_the_spool(
         # expires, and its heartbeat's Event.wait overflows.
         ("--lease-ttl", "nan", "lease_ttl_s"),
         ("--lease-ttl", "inf", "lease_ttl_s"),
-        ("--poll-interval", "nan", "--poll-interval"),
-        ("--poll-interval", "1e10", "--poll-interval"),  # time.sleep overflows
-        ("--idle-timeout", "nan", "--idle-timeout"),  # never stops for idleness
-        ("--idle-timeout", "inf", "--idle-timeout"),
-        ("--max-tasks", "0", "--max-tasks"),  # would exit at once with nothing done
-        ("--max-tasks", "-1", "--max-tasks"),
+        ("--poll-interval", "nan", "poll_interval_s"),
+        ("--poll-interval", "1e10", "poll_interval_s"),  # time.sleep overflows
+        ("--idle-timeout", "nan", "idle_timeout_s"),  # never stops for idleness
+        ("--idle-timeout", "inf", "idle_timeout_s"),
+        ("--max-tasks", "0", "max_tasks"),  # would exit at once with nothing done
+        ("--max-tasks", "-1", "max_tasks"),
+        ("--batch-size", "0", "batch_size"),  # would fail at the first claim
     ],
 )
 def test_worker_refuses_unusable_durations_and_counts(tmp_path, capsys, option, value, named):
@@ -85,6 +86,7 @@ def test_worker_refuses_unusable_durations_and_counts(tmp_path, capsys, option, 
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and named in err[0], err
+    assert not (tmp_path / "spool").exists()  # refused before the spool was opened
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -13,12 +13,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import threading
 import time
 
 import pytest
 
 from repro.distributed import SpoolWorker, WorkSpool, make_task_specs
 from repro.distributed.tasks import shard_of
+from repro.errors import ConfigurationError
 from repro.exec import DIGEST_VERSION, ParallelRunner, config_digest, simulate_waste
 from repro.scenarios.campaign import Campaign
 from repro.scenarios.presets import smoke_campaign
@@ -50,6 +52,44 @@ def _crash_scenario(tiny_platform, tiny_classes) -> Scenario:
 
 
 # ------------------------------------------------------------ worker loop
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("poll_interval_s", float("nan")),  # time.sleep raises at the first empty poll
+        ("poll_interval_s", 1e12),  # time.sleep overflows
+        ("poll_interval_s", 0.0),
+        ("max_tasks", 0),  # would return having done nothing
+        ("max_tasks", -1),
+        ("batch_size", 0),  # would fail only at the first claim
+    ],
+)
+def test_worker_refuses_settings_it_cannot_run_with(tmp_path, field, value):
+    spool = WorkSpool(tmp_path / "spool")
+    with pytest.raises(ConfigurationError, match=field):
+        SpoolWorker(spool, FilesystemStore(tmp_path / "cache"), **{field: value})
+
+
+@pytest.mark.parametrize("idle_timeout_s", [float("nan"), float("inf"), -1.0])
+def test_worker_refuses_an_idle_timeout_it_cannot_honour(tmp_path, idle_timeout_s):
+    # A NaN timeout used to keep an idle worker polling forever: the guard
+    # stops such a run after 2 s, so the test fails instead of hanging.
+    stop = threading.Event()
+    worker = SpoolWorker(
+        WorkSpool(tmp_path / "spool"),
+        FilesystemStore(tmp_path / "cache"),
+        poll_interval_s=0.05,
+        stop_event=stop,
+    )
+    guard = threading.Timer(2.0, stop.set)
+    guard.start()
+    try:
+        with pytest.raises(ConfigurationError, match="idle_timeout_s"):
+            worker.run(idle_timeout_s=idle_timeout_s)
+    finally:
+        guard.cancel()
+    assert worker.stats.polls == 0
+
+
 def test_worker_drain_mode_processes_everything_and_exits(tmp_path, tiny_config):
     spool = WorkSpool(tmp_path / "spool")
     cache = FilesystemStore(tmp_path / "cache")

@@ -6,7 +6,10 @@ families and the three fixed-period variants), for two strategies under
 bursty Weibull failures and for one parameterized strategy spec, and for
 two strategies on the prospective 50 000-node platform, where the node
 pool's cost matters.  Whole 12-seed summaries, every field, pin two
-strategies under three interference models.  They exist to make silent
+strategies under three interference models, and one sha256 per run of
+``repr(SimulationResult)`` pins every field of every run of nine strategies
+under two failure models and three interference models
+(``tests/golden/simulation-results.json``).  They exist to make silent
 behaviour drift impossible: any refactor that changes a simulated result
 — event ordering, accounting, RNG consumption, scheduling decisions,
 summary statistics — fails here.
@@ -16,8 +19,8 @@ in the same commit:
 
 1. bump ``repro.exec.digest.DIGEST_VERSION`` (cached results on disk are
    stale the moment results change),
-2. regenerate the pinned values below (run this file with
-   ``--print-golden`` style snippet in the module docstring of the test),
+2. regenerate the pinned values below (``print_golden`` prints them) and
+   the whole-result pins (``write_result_pins`` rewrites their file),
 3. say so in the commit message.
 
 ``EXPECTED_DIGEST_VERSION`` ties 1 and 2 together: forgetting the bump
@@ -26,7 +29,11 @@ fails the suite even if the goldens were regenerated.
 
 from __future__ import annotations
 
+import hashlib
+import json
+from collections.abc import Iterator
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +44,9 @@ from repro.platform.interference import CappedConcurrencyInterference, Degrading
 from repro.scenarios.presets import FAMILY_STRATEGIES, mini_apex_workload, mini_cielo_platform
 from repro.scenarios.runner import run_scenarios
 from repro.scenarios.spec import Scenario
+from repro.simulation.config import SimulationConfig
+from repro.simulation.simulator import Simulation
+from repro.stats.montecarlo import derive_seeds
 from repro.workloads.prospective import prospective_platform, prospective_workload
 
 #: The digest version these goldens were generated under.  If you changed
@@ -115,6 +125,25 @@ INTERFERENCE_MODELS = {
     "linear": None,
     "degrading": DegradingInterference(alpha=1.0),
     "capped": CappedConcurrencyInterference(max_streams=2),
+}
+
+
+#: sha256 of ``repr(SimulationResult)`` per run of ``result_pin_runs()``,
+#: with the DIGEST_VERSION they were made under.  Regenerate with:
+#:   PYTHONPATH=src python -c "import tests.test_golden_regression as g; g.write_result_pins()"
+RESULT_PINS = Path(__file__).parent / "golden" / "simulation-results.json"
+
+#: The paper's seven names and two parameterized specs, each run under
+#: every failure model of RESULT_PIN_FAILURES and interference model of
+#: INTERFERENCE_MODELS on the golden scenario's seeds.
+RESULT_PIN_STRATEGIES = (
+    *STRATEGIES,
+    "ordered[policy=fixed,period_s=1800]",
+    "least-waste[mtbf_bias=2]",
+)
+RESULT_PIN_FAILURES = {
+    "exponential": FailureModel(),
+    "weibull0.7": FailureModel("weibull", 0.7),
 }
 
 
@@ -197,6 +226,29 @@ def golden_pins() -> dict[str, tuple[Scenario, dict]]:
     }
 
 
+def result_pin_runs() -> Iterator[tuple[str, SimulationConfig]]:
+    """``("strategy/failures/interference/seed", config)`` of every pinned run."""
+    base = replace(golden_scenario(), strategies=RESULT_PIN_STRATEGIES)
+    seeds = derive_seeds(base.base_seed, base.num_runs)
+    for strategy in base.strategies:
+        for failures, failure_model in RESULT_PIN_FAILURES.items():
+            for interference, model in INTERFERENCE_MODELS.items():
+                scenario = replace(base, failure_model=failure_model, interference=model)
+                config = scenario.config(strategy)
+                for seed in seeds:
+                    yield f"{strategy}/{failures}/{interference}/{seed}", config.with_seed(seed)
+
+
+def result_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def write_result_pins() -> None:  # pragma: no cover - regeneration helper
+    runs = {key: result_digest(repr(Simulation(config).run())) for key, config in result_pin_runs()}
+    body = {"digest_version": DIGEST_VERSION, "runs": runs}
+    RESULT_PINS.write_text(json.dumps(body, indent=1) + "\n", encoding="utf-8")
+
+
 def print_golden() -> None:  # pragma: no cover - regeneration helper
     for name, (scenario, _) in golden_pins().items():
         print(f"{name}:")
@@ -262,6 +314,29 @@ def test_whole_summaries_are_bit_exact_under_every_interference_model():
         pinned = GOLDEN_SUMMARIES[f"oblivious-daly/{name}"]
         assert repr(observed[name]["oblivious-daly"]) == repr(pinned), name
         assert repr(observed[name]["least-waste"]) == repr(GOLDEN_SUMMARIES["least-waste"]), name
+
+
+def test_every_field_of_every_result_is_pinned():
+    """Every run of ``result_pin_runs()``, untraced and traced, hashes to its pin."""
+    pins = json.loads(RESULT_PINS.read_text(encoding="utf-8"))
+    assert pins["digest_version"] == EXPECTED_DIGEST_VERSION
+    seen = []
+    for key, config in result_pin_runs():
+        seen.append(key)
+        result = Simulation(config).run()
+        text = repr(result)
+        # Every pinned run has a job hit by a failure, so the pins hold the
+        # failure and restart counters at non-zero values.
+        assert result.jobs_failed >= 1, key
+        traced = repr(Simulation(replace(config, collect_trace=True)).run())
+        assert traced == text, f"{key}: collecting the trace changed the result"
+        assert result_digest(text) == pins["runs"].get(key), (
+            f"{key} drifted from its pin (intentional changes must bump "
+            f"DIGEST_VERSION and regenerate; see module docstring): {text}"
+        )
+    assert sorted(seen) == sorted(pins["runs"])
+    runs_per_cell = len(INTERFERENCE_MODELS) * golden_scenario().num_runs
+    assert len(seen) == len(RESULT_PIN_STRATEGIES) * len(RESULT_PIN_FAILURES) * runs_per_cell
 
 
 def test_goldens_preserve_the_papers_strategy_ranking():

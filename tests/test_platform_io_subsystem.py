@@ -79,8 +79,7 @@ def test_abort_releases_bandwidth(engine, io):
     # Survivor: 250 B in the first 5 s (shared), then 750 B alone -> 12.5 s.
     assert "victim" not in finish
     assert finish["survivor"] == pytest.approx(12.5)
-    assert victim.aborted
-    assert not victim.done
+    assert victim not in io._active and victim.on_complete is None
 
 
 def test_zero_volume_transfer_completes_immediately(engine, io):
@@ -113,30 +112,32 @@ def test_invalid_parameters(engine, io):
 
 
 def test_transfer_bookkeeping_fields(engine, io):
-    transfer = io.start(100.0, weight=2.0)
-    assert transfer.active and not transfer.done
-    assert transfer.finished_at is None
+    done: list[float] = []
+    transfer = io.start(100.0, weight=2.0, on_complete=lambda t: done.append(engine.now))
+    assert (transfer.volume_bytes, transfer.remaining_bytes, transfer.weight) == (100.0, 100.0, 2.0)
+    assert transfer in io._active and done == []
     engine.run()
-    assert transfer.done
-    assert transfer.finished_at == pytest.approx(1.0)
+    assert transfer not in io._active and transfer.on_complete is None
+    assert done == [pytest.approx(1.0)]
     assert transfer.remaining_bytes == 0.0
 
 
 def test_one_completion_event_is_pending_at_a_time(engine, io):
     # 100, 200 and 300 B share 100 B/s: the first finishes at t=3, the
     # second at t=5 and the third, alone after the abort below, later.
+    done: list[Transfer] = []
     first, second, third = [
-        io.start(volume, weight=1.0, on_complete=lambda t: None) for volume in (100.0, 200.0, 300.0)
+        io.start(volume, weight=1.0, on_complete=done.append) for volume in (100.0, 200.0, 300.0)
     ]
     assert engine.pending_events == 1
     engine.run(until=4.0)
-    assert first.done and first.on_complete is None
+    assert done == [first] and first.on_complete is None
     assert engine.pending_events == 1
     io.abort(second)
-    assert second.aborted and second.on_complete is None
+    assert io._active == [third] and second.on_complete is None
     assert engine.pending_events == 1
     engine.run()
-    assert third.done
+    assert done == [first, third] and io._active == []
     assert engine.pending_events == 0
 
 
@@ -154,11 +155,15 @@ def test_a_transfer_shorter_than_the_clock_resolves_completes(engine):
     # itself, with every byte left, and completes the transfer.
     io = IOSubsystem(engine, bandwidth_bytes_per_s=1e9)
     started: list[Transfer] = []
-    engine.schedule_at(1e6, lambda: started.append(io.start(0.001, weight=1.0)))
+    done: list[float] = []
+    engine.schedule_at(
+        1e6,
+        lambda: started.append(io.start(0.001, weight=1.0, on_complete=lambda t: done.append(engine.now))),
+    )
     engine.run()
     (transfer,) = started
-    assert transfer.done
-    assert (transfer.finished_at, transfer.remaining_bytes) == (1e6, 0.0)
+    assert done == [1e6]
+    assert transfer.remaining_bytes == 0.0 and io._active == []
 
 
 def test_a_completion_that_fires_early_still_raises(engine, io):

@@ -45,7 +45,8 @@ def test_events_can_schedule_more_events():
 
 
 def test_schedule_at_absolute_time():
-    engine = SimulationEngine(start_time=100.0)
+    engine = SimulationEngine()
+    engine.run(until=100.0)
     seen: list[float] = []
     engine.schedule_at(150.0, lambda: seen.append(engine.now))
     engine.run()
@@ -53,7 +54,8 @@ def test_schedule_at_absolute_time():
 
 
 def test_scheduling_in_the_past_rejected():
-    engine = SimulationEngine(start_time=10.0)
+    engine = SimulationEngine()
+    engine.run(until=10.0)
     with pytest.raises(SimulationError):
         engine.schedule(-1.0, lambda: None)
     with pytest.raises(SimulationError):

@@ -16,8 +16,8 @@ def test_events_pop_in_time_order():
     queue.push(3.0, fired.append, "c")
     queue.push(1.0, fired.append, "a")
     queue.push(2.0, fired.append, "b")
-    while queue:
-        event = queue.pop_next()
+    while len(queue):
+        event = queue.pop_next_until(None)
         event.callback(*event.args)
     assert fired == ["a", "b", "c"]
 
@@ -27,8 +27,8 @@ def test_same_time_events_fire_in_scheduling_order():
     order: list[int] = []
     for index in range(10):
         queue.push(5.0, order.append, index)
-    while queue:
-        event = queue.pop_next()
+    while len(queue):
+        event = queue.pop_next_until(None)
         event.callback(*event.args)
     assert order == list(range(10))
 
@@ -45,8 +45,8 @@ def test_len_counts_only_active_events():
     queue.cancel(first)
     assert len(queue) == 1
     # Draining skips the cancelled event and leaves the queue empty.
-    assert queue.pop_next() is not first
-    assert queue.pop_next() is None
+    assert queue.pop_next_until(None) is not first
+    assert queue.pop_next_until(None) is None
     assert len(queue) == 0
 
 
@@ -56,9 +56,9 @@ def test_cancelled_events_are_skipped():
     keep = queue.push(1.0, fired.append, "keep")
     drop = queue.push(0.5, fired.append, "drop")
     queue.cancel(drop)
-    event = queue.pop_next()
+    event = queue.pop_next_until(None)
     assert event is keep
-    assert queue.pop_next() is None
+    assert queue.pop_next_until(None) is None
 
 
 def test_clear_drops_everything():
@@ -67,7 +67,7 @@ def test_clear_drops_everything():
     queue.push(2.0, lambda: None)
     queue.clear()
     assert len(queue) == 0
-    assert queue.pop_next() is None
+    assert queue.pop_next_until(None) is None
 
 
 def test_nan_time_rejected():
@@ -76,18 +76,18 @@ def test_nan_time_rejected():
 
 
 def test_cancel_after_fire_is_a_noop_regression():
-    # Regression: cancelling an event that already fired used to decrement
-    # the active count below zero, corrupting ``len(queue)`` and
+    # Regression: cancelling an event that already fired used to corrupt
+    # the queue's counts, and with them ``len(queue)`` and
     # ``pending_events`` for every later scheduling decision.
     queue = EventQueue()
     first = queue.push(1.0, lambda: None)
     queue.push(2.0, lambda: None)
-    fired = queue.pop_next()
+    fired = queue.pop_next_until(None)
     assert fired is first and fired.fired
     assert len(queue) == 1
     queue.cancel(fired)  # must be a no-op
     assert len(queue) == 1
-    assert queue.pop_next() is not None
+    assert queue.pop_next_until(None) is not None
     assert len(queue) == 0
     queue.cancel(fired)  # still a no-op on an empty queue
     assert len(queue) == 0
@@ -95,7 +95,7 @@ def test_cancel_after_fire_is_a_noop_regression():
 
 def test_cancel_after_clear_is_a_noop_regression():
     # Regression: clear() dropped heap entries without marking them
-    # cancelled, so cancelling a dropped handle took the active count to -1
+    # cancelled, so cancelling a dropped handle took the live count to -1
     # and len(queue) raised ValueError.
     queue = EventQueue()
     dropped = queue.push(1.0, lambda: None)
@@ -105,7 +105,7 @@ def test_cancel_after_clear_is_a_noop_regression():
     assert dropped.cancelled
     kept = queue.push(2.0, lambda: None)
     assert len(queue) == 1
-    assert queue.pop_next() is kept
+    assert queue.pop_next_until(None) is kept
 
 
 def test_pop_next_until_respects_the_bound():
@@ -128,7 +128,7 @@ def test_heap_compaction_drops_cancelled_entries():
     # the single live event instead of carrying 199 tombstones.
     assert len(queue) == 1
     assert len(queue._heap) < 200
-    assert queue.pop_next() is events[-1]
+    assert queue.pop_next_until(None) is events[-1]
 
 
 @given(
@@ -143,21 +143,21 @@ def test_heap_compaction_drops_cancelled_entries():
 )
 @settings(max_examples=200, deadline=None)
 def test_active_count_matches_live_heap_entries(ops):
-    """Invariant: ``_active`` == number of uncancelled events on the heap, and
-    ``_lazy`` == number of cancelled ones."""
+    """Invariant: ``_lazy`` == number of cancelled entries in the heap, so
+    ``len(queue)`` == number of uncancelled ones."""
     queue = EventQueue()
     seen = []  # every event ever created (fired, cancelled or pending)
     for op in ops:
         if op[0] == "push":
             seen.append(queue.push(op[1], lambda: None))
         elif op[0] == "pop":
-            event = queue.pop_next()
+            event = queue.pop_next_until(None)
             if event is not None:
                 assert not event.cancelled
                 assert event.fired
         elif op[0] == "cancel" and seen:
             queue.cancel(seen[op[1] % len(seen)])
         live = [entry[2] for entry in queue._heap if not entry[2].cancelled]
-        assert queue._active == len(live) == len(queue)
         assert queue._lazy == len(queue._heap) - len(live)
+        assert len(queue) == len(live)
         assert all(not event.fired for event in live)

@@ -39,18 +39,3 @@ def test_different_seeds_produce_different_sequences():
     a = RandomStreams(seed=1).get("x").random(16)
     b = RandomStreams(seed=2).get("x").random(16)
     assert not np.allclose(a, b)
-
-
-def test_spawn_children_are_reproducible_and_distinct():
-    parent = RandomStreams(seed=11)
-    child_a = parent.spawn(0)
-    child_b = parent.spawn(1)
-    again = RandomStreams(seed=11).spawn(0)
-    assert child_a.seed == again.seed
-    assert child_a.seed != child_b.seed
-    assert np.allclose(child_a.get("x").random(4), again.get("x").random(4))
-
-
-def test_seed_property_round_trips():
-    assert RandomStreams(seed=99).seed == 99
-    assert RandomStreams().seed is None

@@ -73,7 +73,9 @@ def run(tiny_platform, tiny_classes, strategy, *, work_s, count, failures=()):
 def completions(sim):
     """Times at which the run's jobs, restarts included, completed."""
     assert sim.trace is not None
-    return [event.time for event in sim.trace.of_kind(TraceEventType.JOB_COMPLETE)]
+    return [
+        event.time for event in sim.trace.events if event.kind is TraceEventType.JOB_COMPLETE
+    ]
 
 
 def spans(sim):
@@ -83,7 +85,8 @@ def spans(sim):
     jobs = {job.job_id: job for job in [*sim.jobs, *sim.restarts]}
     return [
         (jobs[event.job_id], event.time, jobs[event.job_id].end_time)
-        for event in sim.trace.of_kind(TraceEventType.JOB_START)
+        for event in sim.trace.events
+        if event.kind is TraceEventType.JOB_START
     ]
 
 

@@ -59,7 +59,8 @@ def test_routine_io_chunks_are_performed_and_accounted(tiny_platform, io_heavy_c
     result = sim.run()
     assert result.jobs_completed == 1
     # All four chunks were transferred.
-    assert len(sim.trace.of_kind(TraceEventType.REGULAR_IO_DONE)) == 4
+    kinds = [event.kind for event in sim.trace.events]
+    assert kinds.count(TraceEventType.REGULAR_IO_DONE) == 4
     # Their un-dilated time is useful (base I/O includes input + output + routine).
     bandwidth = config.platform.io_bandwidth_bytes_per_s
     expected_base = (
@@ -77,7 +78,8 @@ def test_routine_io_disabled_with_zero_chunks(tiny_platform, io_heavy_class):
     )
     result = sim.run()
     assert result.jobs_completed == 1
-    assert len(sim.trace.of_kind(TraceEventType.REGULAR_IO_DONE)) == 0
+    kinds = [event.kind for event in sim.trace.events]
+    assert kinds.count(TraceEventType.REGULAR_IO_DONE) == 0
 
 
 def test_completion_time_includes_routine_io(tiny_platform, io_heavy_class):

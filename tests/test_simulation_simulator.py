@@ -307,8 +307,8 @@ def test_a_kept_reference_still_reads_the_finished_run(tiny_config):
     assert sim.engine.pending_events == 0
     assert len(sim.jobs) == result.jobs_submitted
     assert sim.trace is not None
-    completions = [e for e in sim.trace if e.kind is TraceEventType.JOB_COMPLETE]
+    completions = [e for e in sim.trace.events if e.kind is TraceEventType.JOB_COMPLETE]
     assert len(completions) == result.jobs_completed > 0
     totals = sim.accounting.job_totals()
     assert totals
-    assert set(totals) <= {event.job_id for event in sim.trace}
+    assert set(totals) <= {event.job_id for event in sim.trace.events}

@@ -16,13 +16,12 @@ def test_recorder_basic_bookkeeping(tiny_classes):
     job = Job(app_class=tiny_classes[0], total_work_s=HOUR)
     recorder.record(0.0, job, TraceEventType.JOB_START, nodes=4)
     recorder.record(5.0, job, TraceEventType.INPUT_DONE)
-    assert len(recorder) == 2
-    assert recorder.job_ids() == [job.job_id]
-    assert [e.kind for e in recorder.for_job(job.job_id)] == [
-        TraceEventType.JOB_START,
-        TraceEventType.INPUT_DONE,
-    ]
-    assert recorder.of_kind(TraceEventType.INPUT_DONE)[0].time == 5.0
+    events = recorder.events
+    assert len(events) == 2
+    assert {e.job_id for e in events} == {job.job_id}
+    assert [e.kind for e in events] == [TraceEventType.JOB_START, TraceEventType.INPUT_DONE]
+    assert [e.time for e in events if e.kind is TraceEventType.INPUT_DONE] == [5.0]
+    assert events[0].detail == {"nodes": 4} and events[0].job_name == job.name
 
 
 def test_checkpoint_intervals_from_recorded_events(tiny_classes):
@@ -32,12 +31,36 @@ def test_checkpoint_intervals_from_recorded_events(tiny_classes):
     recorder.record(10.0, job, TraceEventType.INPUT_DONE)
     recorder.record(3610.0, job, TraceEventType.CHECKPOINT_DONE)
     recorder.record(7210.0, job, TraceEventType.CHECKPOINT_DONE)
-    intervals = recorder.checkpoint_intervals(job.job_id)
-    assert intervals == pytest.approx([3600.0, 3600.0])
-    assert recorder.achieved_checkpoint_intervals() == {job.job_id: pytest.approx([3600.0, 3600.0])}
     # A job with no checkpoints contributes nothing.
     other = Job(app_class=tiny_classes[1], total_work_s=HOUR)
-    assert recorder.checkpoint_intervals(other.job_id) == []
+    recorder.record(7300.0, other, TraceEventType.JOB_START)
+    assert recorder.achieved_checkpoint_intervals() == {job.job_id: pytest.approx([3600.0, 3600.0])}
+
+
+def test_achieved_intervals_start_at_compute_and_keep_first_seen_order(tiny_classes):
+    """The first interval runs from the job's first INPUT_DONE, else its
+    JOB_START, else its first completion; jobs appear in the order of their
+    first event, whatever kind it is."""
+    recorder = TraceRecorder()
+    no_input, no_start, with_input = (
+        Job(app_class=tiny_classes[0], total_work_s=10 * HOUR) for _ in range(3)
+    )
+    recorder.record(0.0, with_input, TraceEventType.JOB_START)
+    recorder.record(1.0, no_input, TraceEventType.JOB_START)
+    recorder.record(2.0, no_start, TraceEventType.CHECKPOINT_REQUEST)
+    recorder.record(4.0, with_input, TraceEventType.INPUT_DONE)
+    recorder.record(6.0, no_start, TraceEventType.CHECKPOINT_DONE)
+    recorder.record(9.0, with_input, TraceEventType.INPUT_DONE)
+    recorder.record(11.0, no_input, TraceEventType.CHECKPOINT_DONE)
+    recorder.record(14.0, with_input, TraceEventType.CHECKPOINT_DONE)
+    recorder.record(16.0, no_start, TraceEventType.CHECKPOINT_DONE)
+    intervals = recorder.achieved_checkpoint_intervals()
+    assert list(intervals) == [with_input.job_id, no_input.job_id, no_start.job_id]
+    assert intervals == {
+        with_input.job_id: [10.0],
+        no_input.job_id: [10.0],
+        no_start.job_id: [0.0, 10.0],
+    }
 
 
 def test_simulation_collects_trace_when_requested(tiny_config, tiny_classes):
@@ -48,7 +71,7 @@ def test_simulation_collects_trace_when_requested(tiny_config, tiny_classes):
     result = sim.run()
 
     assert sim.trace is not None
-    kinds = {event.kind for event in sim.trace}
+    kinds = {event.kind for event in sim.trace.events}
     assert TraceEventType.JOB_START in kinds
     assert TraceEventType.INPUT_DONE in kinds
     assert TraceEventType.CHECKPOINT_DONE in kinds
@@ -56,7 +79,7 @@ def test_simulation_collects_trace_when_requested(tiny_config, tiny_classes):
     assert TraceEventType.RESTART_SUBMITTED in kinds
     assert TraceEventType.JOB_COMPLETE in kinds
     # The restart appears as a separate job id in the trace.
-    assert len(sim.trace.job_ids()) >= 2
+    assert len({event.job_id for event in sim.trace.events}) >= 2
     # Achieved checkpoint intervals are close to (and not shorter than) the
     # requested fixed period minus the commit time.
     intervals = sim.trace.achieved_checkpoint_intervals()
@@ -64,7 +87,9 @@ def test_simulation_collects_trace_when_requested(tiny_config, tiny_classes):
     for values in intervals.values():
         for interval in values:
             assert interval >= 0.9 * config.fixed_period_s
-    assert result.checkpoints_completed == len(sim.trace.of_kind(TraceEventType.CHECKPOINT_DONE))
+    assert result.checkpoints_completed == sum(
+        event.kind is TraceEventType.CHECKPOINT_DONE for event in sim.trace.events
+    )
 
 
 def test_simulation_trace_disabled_by_default(tiny_config):
@@ -94,17 +119,17 @@ def test_io_completion_events_carry_wait_and_duration_details(tiny_config, tiny_
         TraceEventType.OUTPUT_DONE,
     )
     seen_kinds = set()
-    for kind in completions:
-        for event in sim.trace.of_kind(kind):
+    for event in sim.trace.events:
+        if event.kind in completions:
             assert event.detail["waited"] >= 0.0
             assert event.detail["duration"] > 0.0
             assert event.detail["volume"] > 0.0
-            seen_kinds.add(kind)
+            seen_kinds.add(event.kind)
+        elif event.kind is TraceEventType.CHECKPOINT_DONE:
+            assert event.detail["waited"] >= 0.0
+            assert event.detail["commit_time"] > 0.0
     # The toy classes perform no routine I/O; input and output must appear.
     assert {TraceEventType.INPUT_DONE, TraceEventType.OUTPUT_DONE} <= seen_kinds
-    for event in sim.trace.of_kind(TraceEventType.CHECKPOINT_DONE):
-        assert event.detail["waited"] >= 0.0
-        assert event.detail["commit_time"] > 0.0
 
 
 def test_io_wait_by_job_counts_each_wait_once(tiny_classes):

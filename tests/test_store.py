@@ -17,6 +17,7 @@ import os
 import sqlite3
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -242,6 +243,33 @@ def test_stats_identical_across_backends(tmp_path, kind):
     assert stats.entries == 3
     assert stats.versions == {DIGEST_VERSION: 3}
     assert stats.total_bytes > 0
+    store.close()
+
+
+@pytest.mark.parametrize("kind", ["filesystem", "sqlite"])
+def test_a_probe_on_another_thread_keeps_every_get_count(tmp_path, kind):
+    """Regression: ``probe`` saved the hit and miss counters, called ``get``
+    and wrote the saved values back, erasing every ``get`` another thread
+    counted in between (``serve`` probes on an HTTP thread while its job
+    thread reads)."""
+    store = open_store(kind, tmp_path / ("s" if kind == "filesystem" else "s.sqlite"))
+    store.put(D1, "least-waste", 7, 0.125)
+    done = threading.Event()
+    probed = []
+
+    def probe_until_done() -> None:
+        while not done.is_set():
+            probed.append(store.probe(D1, "least-waste", 7))
+
+    prober = threading.Thread(target=probe_until_done)
+    prober.start()
+    try:
+        values = {store.get(D1, "least-waste", 7) for _ in range(3000)}
+    finally:
+        done.set()
+        prober.join()
+    assert values == {0.125} and set(probed) == {0.125}
+    assert (store.hits, store.misses) == (3000, 0)
     store.close()
 
 
